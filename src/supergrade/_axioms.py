@@ -1,24 +1,29 @@
 """Exhaustive axiom checks for structure tables.
 
-Each check comes in two exact implementations that are verified against
-each other in the test suite:
+Every identity is checked exactly on all basis tuples, in operator form
+over Python integers.  The table's common denominator is cleared once:
+with s the lcm of all denominators, L[i] is the left multiplication by
+b_i scaled by s, stored as sparse columns {w: {t: s * c_{iw}^t}}.  Python
+integers do not overflow, so no magnitude bound is needed, and since
+every term of an identity carries the same power of s, the scaled
+expression vanishes exactly when the rational one does.
 
-* a pure-Python sparse path used at small dimension, and
-* an integer fast path built on scipy.sparse with int64 arithmetic.
+Each identity is a sparse operator expression that must vanish; its
+column w is the identity evaluated on the basis tuple ending in w:
 
-The fast path clears denominators once (all structure constants share a
-common scale) and proves an a-priori bound on every intermediate product,
-falling back to the pure path if int64 could overflow.  Both paths check
-the axioms on all basis tuples.
+* super Jacobi, pair i <= j:
+  L_i L_j - (-1)^{|i||j|} L_j L_i - sum_m c_{ij}^m L_m.  Given
+  super-anticommutativity this derivation form is equivalent to the cyclic
+  form on every basis triple (i, j, w).
+* associativity, pair (i, j): L_i L_j - sum_m c_{ij}^m L_m on (i, j, w).
+* the fully linearized super Jordan identity, triple i <= j <= k:
+  (-1)^{|x||z|}[L_{xy},L_z] + (-1)^{|y||x|}[L_{yz},L_x] + (-1)^{|z||y|}[L_{zx},L_y],
+  expanded as sum s * c_{ab}^m [L_m, L_z] over the cyclic terms of
+  _jordan_terms, on the quadruple (i, j, k, w).  Each supercommutator
+  [L_m, L_z] is built once.
 
-The super Jacobi identity is checked in derivation form,
-ad([x,y]) = ad(x) ad(y) - (-1)^{|x||y|} ad(y) ad(x), which given
-super-anticommutativity is equivalent to the cyclic form on every basis
-triple (the matrix identity at pair (i,j) evaluated in column k is the
-triple (i,j,k)).  The Jordan check uses the fully linearized identity in
-operator form,
-(-1)^{|x||z|}[L_{xy},L_z] + (-1)^{|y||x|}[L_{yz},L_x] + (-1)^{|z||y|}[L_{zx},L_y] = 0,
-whose evaluation on basis columns covers all basis quadruples.
+A violation names the first failing pair or triple in loop order and the
+smallest nonzero column of its expression.
 """
 
 from __future__ import annotations
@@ -28,25 +33,18 @@ from math import lcm
 
 from .errors import AxiomViolation, MissingUnit
 
-_FAST_DIM_THRESHOLD = 26
-_INT64_BOUND = 1 << 62
-
-
-def _entry_rows(table):
-    """entries as {(i, j): {k: coeff}}."""
-    return {key: dict(terms) for key, terms in table.entries.items()}
-
 
 def _sign(p, q):
     return -1 if (p & q & 1) else 1
 
 
 # ---------------------------------------------------------------------------
-# pair-level checks (cheap, always pure Python)
+# pair-level checks
 # ---------------------------------------------------------------------------
 
 
-def check_super_anticommutativity(table):
+def _check_swap(table, axiom, flip):
+    """c_{ij}^k == flip * (-1)^{|i||j|} c_{ji}^k for all i <= j."""
     par = table.space.parity
     ent = table.entries
     n = table.space.dim
@@ -54,24 +52,18 @@ def check_super_anticommutativity(table):
         for j in range(i, n):
             lhs = dict(ent.get((i, j), ()))
             rhs = dict(ent.get((j, i), ()))
-            s = _sign(par[i], par[j])
+            s = flip * _sign(par[i], par[j])
             for k in set(lhs) | set(rhs):
-                if lhs.get(k, 0) != -s * rhs.get(k, 0):
-                    raise AxiomViolation("super_anticommutativity", (i, j, k))
+                if lhs.get(k, 0) != s * rhs.get(k, 0):
+                    raise AxiomViolation(axiom, (i, j, k))
+
+
+def check_super_anticommutativity(table):
+    _check_swap(table, "super_anticommutativity", -1)
 
 
 def check_super_commutativity(table):
-    par = table.space.parity
-    ent = table.entries
-    n = table.space.dim
-    for i in range(n):
-        for j in range(i, n):
-            lhs = dict(ent.get((i, j), ()))
-            rhs = dict(ent.get((j, i), ()))
-            s = _sign(par[i], par[j])
-            for k in set(lhs) | set(rhs):
-                if lhs.get(k, 0) != s * rhs.get(k, 0):
-                    raise AxiomViolation("super_commutativity", (i, j, k))
+    _check_swap(table, "super_commutativity", 1)
 
 
 def check_unit(table):
@@ -90,203 +82,89 @@ def check_unit(table):
 
 
 # ---------------------------------------------------------------------------
-# shared fast-path plumbing
+# sparse integer operators
 # ---------------------------------------------------------------------------
 
 
-def _common_scale(table):
-    s = 1
+def _left_mults(table):
+    """Scaled left multiplications L[i] = {w: {t: s * c_{iw}^t}}."""
+    scale = 1
     for terms in table.entries.values():
         for _, c in terms:
-            s = lcm(s, c.denominator)
-    return s
+            scale = lcm(scale, c.denominator)
+    mults = [{} for _ in range(table.space.dim)]
+    for (i, w), terms in table.entries.items():
+        mults[i][w] = {t: c.numerator * (scale // c.denominator) for t, c in terms}
+    return mults
 
 
-def _int64_safe(table, scale):
-    n = table.space.dim
-    maxc = 1
-    for terms in table.entries.values():
-        for _, c in terms:
-            maxc = max(maxc, abs(int(c * scale)))
-    return n * maxc * maxc < _INT64_BOUND
+def _add(acc, op, coef):
+    """acc += coef * op."""
+    for w, col in op.items():
+        out = acc.setdefault(w, {})
+        for t, v in col.items():
+            out[t] = out.get(t, 0) + coef * v
 
 
-def _scaled_left_mult_csr(table, scale):
-    """Left-multiplication matrices scale*L_i as scipy int64 csr, for all i."""
-    import numpy as np
-    from scipy.sparse import csr_matrix
-
-    n = table.space.dim
-    cells = [([], [], []) for _ in range(n)]  # (data, row, col) per i
-    for (i, j), terms in table.entries.items():
-        data, rows, cols = cells[i]
-        for k, c in terms:
-            data.append(int(c * scale))
-            rows.append(k)
-            cols.append(j)
-    return [
-        csr_matrix((np.array(d, dtype=np.int64), (r, c)), shape=(n, n), dtype=np.int64)
-        for d, r, c in cells
-    ]
+def _add_product(acc, a, b, coef):
+    """acc += coef * (a @ b)."""
+    for w, bcol in b.items():
+        out = None
+        for u, bv in bcol.items():
+            acol = a.get(u)
+            if acol:
+                if out is None:
+                    out = acc.setdefault(w, {})
+                cb = coef * bv
+                for t, av in acol.items():
+                    out[t] = out.get(t, 0) + cb * av
 
 
-def _first_nonzero(mat):
-    coo = mat.tocoo()
-    best = None
-    for r, c, v in zip(coo.row, coo.col, coo.data):
-        if v != 0 and (best is None or (c, r) < best):
-            best = (c, r)
-    return best  # (column, output row)
+def _first_column(acc):
+    """Smallest column of acc with a nonzero entry, or None."""
+    return min((w for w, col in acc.items() if any(col.values())), default=None)
+
+
+def _pair_defect(mults, i, j, swap_sign):
+    """First nonzero column of L_i L_j - swap_sign L_j L_i - sum_m c_ij^m L_m."""
+    acc = {}
+    _add_product(acc, mults[i], mults[j], 1)
+    if swap_sign:
+        _add_product(acc, mults[j], mults[i], -swap_sign)
+    for m, c in mults[i].get(j, {}).items():
+        _add(acc, mults[m], -c)
+    return _first_column(acc)
 
 
 # ---------------------------------------------------------------------------
-# super Jacobi
+# super Jacobi and associativity
 # ---------------------------------------------------------------------------
 
 
-def check_super_jacobi(table, method="auto"):
-    if method == "auto":
-        method = "python" if table.space.dim <= _FAST_DIM_THRESHOLD else "fast"
-    if method == "fast":
-        scale = _common_scale(table)
-        if _int64_safe(table, scale):
-            return _jacobi_fast(table, scale)
-    return _jacobi_python(table)
-
-
-def _jacobi_python(table):
-    from . import superalg
-
+def check_super_jacobi(table):
     n = table.space.dim
     par = table.space.parity
-    ent = _entry_rows(table)
-    partners = [set() for _ in range(n)]
-    for (i, j) in ent:
-        partners[i].add(j)
-
-    def ad_apply(i, sparse):
-        out = {}
-        for m, c in sparse.items():
-            for k, d in ent.get((i, m), {}).items():
-                v = out.get(k, 0) + c * d
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
-        return out
-
+    mults = _left_mults(table)
     for i in range(n):
         for j in range(i, n):
-            bij = ent.get((i, j), {})
-            ks = set(partners[i]) | set(partners[j])
-            for m in bij:
-                ks |= partners[m]
-            s = _sign(par[i], par[j])
-            for k in sorted(ks):
-                lhs = {}
-                for m, c in bij.items():
-                    for t, d in ent.get((m, k), {}).items():
-                        v = lhs.get(t, 0) + c * d
-                        if v:
-                            lhs[t] = v
-                        else:
-                            lhs.pop(t, None)
-                rhs = ad_apply(i, ent.get((j, k), {}))
-                for t, d in ad_apply(j, ent.get((i, k), {})).items():
-                    v = rhs.get(t, 0) - s * d
-                    if v:
-                        rhs[t] = v
-                    else:
-                        rhs.pop(t, None)
-                if lhs != rhs:
-                    raise AxiomViolation("super_jacobi", (i, j, k))
+            w = _pair_defect(mults, i, j, _sign(par[i], par[j]))
+            if w is not None:
+                raise AxiomViolation("super_jacobi", (i, j, w))
 
 
-def _jacobi_fast(table, scale):
+def check_associativity(table):
     n = table.space.dim
-    par = table.space.parity
-    ads = _scaled_left_mult_csr(table, scale)  # ad_i = left bracket by b_i
-    for i in range(n):
-        for j in range(i, n):
-            s = _sign(par[i], par[j])
-            lhs = ads[i] @ ads[j]
-            lhs = lhs - s * (ads[j] @ ads[i])
-            for k, c in table.entries.get((i, j), ()):
-                lhs = lhs - int(c * scale) * ads[k]
-            if lhs.count_nonzero():
-                k, _ = _first_nonzero(lhs)
-                raise AxiomViolation("super_jacobi", (i, j, k))
-
-
-# ---------------------------------------------------------------------------
-# associativity
-# ---------------------------------------------------------------------------
-
-
-def check_associativity(table, method="auto"):
-    if method == "auto":
-        method = "python" if table.space.dim <= _FAST_DIM_THRESHOLD else "fast"
-    if method == "fast":
-        scale = _common_scale(table)
-        if _int64_safe(table, scale):
-            return _assoc_fast(table, scale)
-    return _assoc_python(table)
-
-
-def _assoc_python(table):
-    ent = _entry_rows(table)
-    n = table.space.dim
+    mults = _left_mults(table)
     for i in range(n):
         for j in range(n):
-            pij = ent.get((i, j), {})
-            for k in range(n):
-                lhs = {}
-                for m, c in pij.items():
-                    for t, d in ent.get((m, k), {}).items():
-                        v = lhs.get(t, 0) + c * d
-                        if v:
-                            lhs[t] = v
-                        else:
-                            lhs.pop(t, None)
-                rhs = {}
-                for m, c in ent.get((j, k), {}).items():
-                    for t, d in ent.get((i, m), {}).items():
-                        v = rhs.get(t, 0) + c * d
-                        if v:
-                            rhs[t] = v
-                        else:
-                            rhs.pop(t, None)
-                if lhs != rhs:
-                    raise AxiomViolation("associativity", (i, j, k))
-
-
-def _assoc_fast(table, scale):
-    n = table.space.dim
-    lm = _scaled_left_mult_csr(table, scale)
-    for i in range(n):
-        for j in range(n):
-            diff = lm[i] @ lm[j]
-            for k, c in table.entries.get((i, j), ()):
-                diff = diff - int(c * scale) * lm[k]
-            if diff.count_nonzero():
-                k, _ = _first_nonzero(diff)
-                raise AxiomViolation("associativity", (i, j, k))
+            w = _pair_defect(mults, i, j, 0)
+            if w is not None:
+                raise AxiomViolation("associativity", (i, j, w))
 
 
 # ---------------------------------------------------------------------------
 # linearized super Jordan identity
 # ---------------------------------------------------------------------------
-
-
-def check_super_jordan(table, method="auto"):
-    if method == "auto":
-        method = "python" if table.space.dim <= 16 else "fast"
-    if method == "fast":
-        scale = _common_scale(table)
-        # one extra multiplication depth in the Jordan identity
-        if _int64_safe(table, scale * scale):
-            return _jordan_fast(table, scale)
-    return _jordan_python(table)
 
 
 def _jordan_terms(i, j, k, par):
@@ -298,71 +176,28 @@ def _jordan_terms(i, j, k, par):
     )
 
 
-def _jordan_python(table):
-    ent = _entry_rows(table)
+def check_super_jordan(table):
     n = table.space.dim
     par = table.space.parity
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                for w in range(n):
-                    acc = {}
-                    for (a, b), z, s in _jordan_terms(i, j, k, par):
-                        pab = ent.get((a, b), {})
-                        opp = _sign(par[a] + par[b], par[z])
-                        zw = ent.get((z, w), {})
-                        # [L_{ab}, L_z] w = (ab).(z.w) - opp * z.((ab).w)
-                        first = {}
-                        for m, c in pab.items():
-                            for u, e in zw.items():
-                                for t, d in ent.get((m, u), {}).items():
-                                    v = first.get(t, 0) + c * e * d
-                                    if v:
-                                        first[t] = v
-                                    else:
-                                        first.pop(t, None)
-                        second = {}
-                        for m, c in pab.items():
-                            inner = ent.get((m, w), {})
-                            for u, e in inner.items():
-                                for t, d in ent.get((z, u), {}).items():
-                                    v = second.get(t, 0) + c * e * d
-                                    if v:
-                                        second[t] = v
-                                    else:
-                                        second.pop(t, None)
-                        for t in set(first) | set(second):
-                            v = acc.get(t, 0) + s * (first.get(t, 0) - opp * second.get(t, 0))
-                            if v:
-                                acc[t] = v
-                            else:
-                                acc.pop(t, None)
-                    if acc:
-                        raise AxiomViolation("super_jordan", (i, j, k, w))
+    mults = _left_mults(table)
+    comms = {}
 
-
-def _jordan_fast(table, scale):
-    n = table.space.dim
-    par = table.space.parity
-    lm = _scaled_left_mult_csr(table, scale)
-    # precompute scaled supercommutators [L_m, L_z] for all (m, z)
-    comm = {}
-
-    def get_comm(m, z):
-        key = (m, z)
-        if key not in comm:
-            s = _sign(par[m], par[z])
-            comm[key] = lm[m] @ lm[z] - s * (lm[z] @ lm[m])
-        return comm[key]
+    def comm(m, z):
+        op = comms.get((m, z))
+        if op is None:
+            op = {}
+            _add_product(op, mults[m], mults[z], 1)
+            _add_product(op, mults[z], mults[m], -_sign(par[m], par[z]))
+            comms[(m, z)] = op
+        return op
 
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
-                acc = None
+                acc = {}
                 for (a, b), z, s in _jordan_terms(i, j, k, par):
-                    for m, c in table.entries.get((a, b), ()):
-                        term = (s * int(c * scale)) * get_comm(m, z)
-                        acc = term if acc is None else acc + term
-                if acc is not None and acc.count_nonzero():
-                    w, _ = _first_nonzero(acc)
+                    for m, c in mults[a].get(b, {}).items():
+                        _add(acc, comm(m, z), s * c)
+                w = _first_column(acc)
+                if w is not None:
                     raise AxiomViolation("super_jordan", (i, j, k, w))

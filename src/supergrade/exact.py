@@ -32,10 +32,6 @@ def vec(values: Iterable) -> Vec:
     return tuple(Fraction(v) for v in values)
 
 
-def zero_vec(n: int) -> Vec:
-    return (ZERO,) * n
-
-
 def unit_vec(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
@@ -122,9 +118,6 @@ class Matrix:
                     if brow[j] != 0:
                         orow[j] += c * brow[j]
         return out
-
-    def transpose(self) -> "Matrix":
-        return Matrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
     def trace(self) -> Fraction:
         return sum((self.data[i][i] for i in range(min(self.rows, self.cols))), ZERO)
@@ -282,10 +275,6 @@ def poly_lcm(p: Sequence, q: Sequence) -> list:
     quot, rem = poly_divmod(poly_mul(p, q), g)
     assert not rem
     return poly_monic(quot)
-
-
-def poly_derivative(p: Sequence) -> list:
-    return [i * c for i, c in enumerate(p)][1:]
 
 
 def char_poly(m: Matrix) -> list:
@@ -487,13 +476,6 @@ class SparseRref:
         if any(c < self.npivot for c in out):
             return None
         return [coeffs.get(c, ZERO) for c in self.pivots()]
-
-
-def rank_of_rows(rows: Iterable[dict], ncols: int) -> int:
-    sr = SparseRref(ncols)
-    for row in rows:
-        sr.insert(row)
-    return sr.rank
 
 
 def kernel_from_rows(rows: Iterable[dict], ncols: int) -> list[Vec]:

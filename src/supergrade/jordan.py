@@ -355,41 +355,40 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
         key: [(k, int(c * den_j)) for k, c in terms]
         for key, terms in j.table.entries.items()
     }
-    maxc = max(
-        (abs(c) for row in ent_int.values() for _, c in row), default=1
-    )
-    use_int64_dop = 2 * n * maxc * maxc < _INT64_SAFE
 
     def d_op(a: int, b: int) -> _IntOp:
-        # integer form of D(b_a, b_b): all terms scaled by den_j^2
+        # integer form of D(b_a, b_b), scaled by den_j^2: column t holds
+        # 2 (first + rest) and 2 (rest - first), where first sums up to n and
+        # rest up to 2n products of two table constants, so an entry can
+        # reach 6 n maxc^2.  Entries are Python ints until the dtype is
+        # chosen from the largest one.
         sgn = -1 if par[a] and par[b] else 1
-        dtype = np.int64 if use_int64_dop else object
-        pm = np.zeros((n, n), dtype=dtype)
-        qm = np.zeros((n, n), dtype=dtype)
+        plus, minus = {}, {}
         ab = ent_int.get((a, b), ())
         for t in range(n):
-            acc_first = {}
+            first = {}
             for m, c in ab:
                 for r, c2 in ent_int.get((m, t), ()):
-                    acc_first[r] = acc_first.get(r, 0) + c * c2
-            acc = {r: 2 * v for r, v in acc_first.items()}
-            accm = {r: -2 * v for r, v in acc_first.items()}
+                    first[r] = first.get(r, 0) + c * c2
+            rest = {}
             for u, c in ent_int.get((b, t), ()):
                 for r, c2 in ent_int.get((a, u), ()):
-                    v = 2 * c * c2
-                    acc[r] = acc.get(r, 0) + v
-                    accm[r] = accm.get(r, 0) + v
+                    rest[r] = rest.get(r, 0) + c * c2
             for u, c in ent_int.get((a, t), ()):
                 for r, c2 in ent_int.get((b, u), ()):
-                    v = 2 * sgn * c * c2
-                    acc[r] = acc.get(r, 0) - v
-                    accm[r] = accm.get(r, 0) - v
-            for r, v in acc.items():
-                if v:
-                    pm[r, t] = v
-            for r, v in accm.items():
-                if v:
-                    qm[r, t] = v
+                    rest[r] = rest.get(r, 0) - sgn * c * c2
+            for r in first.keys() | rest.keys():
+                f, g = first.get(r, 0), rest.get(r, 0)
+                plus[r, t] = 2 * (f + g)
+                minus[r, t] = 2 * (g - f)
+        big = max(map(abs, [*plus.values(), *minus.values()]), default=0)
+        dtype = np.int64 if big < _INT64_SAFE else object
+        pm = np.zeros((n, n), dtype=dtype)
+        qm = np.zeros((n, n), dtype=dtype)
+        for (r, t), v in plus.items():
+            pm[r, t] = v
+        for (r, t), v in minus.items():
+            qm[r, t] = v
         return _IntOp(pm, qm, scale, (par[a] + par[b]) % 2).normalized()
 
     # inner part: span closure of the D(a,b) under the supercommutator

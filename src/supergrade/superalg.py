@@ -209,9 +209,6 @@ class _AlgebraBase:
     def basis_element(self, i: int) -> Element:
         return Element(unit_vec(self.dim, i), self.parity[i])
 
-    def basis_elements(self) -> list[Element]:
-        return [self.basis_element(i) for i in range(self.dim)]
-
     def product_vec(self, x: Sequence, y: Sequence) -> Vec:
         return table_product(self.table, x, y)
 
@@ -240,31 +237,31 @@ class JordanSuperalgebra(_AlgebraBase):
         return self.table.unit
 
 
-def validate_lie(table: StructureTable, provenance=None, method="auto") -> LieSuperalgebra:
+def validate_lie(table: StructureTable, provenance=None) -> LieSuperalgebra:
     """Check super-anticommutativity and the super Jacobi identity on all
     basis triples; return the validated wrapper."""
     _axioms.check_super_anticommutativity(table)
-    _axioms.check_super_jacobi(table, method=method)
+    _axioms.check_super_jacobi(table)
     return LieSuperalgebra(table, provenance)
 
 
-def validate_assoc(table: StructureTable, provenance=None, method="auto") -> AssocSuperalgebra:
+def validate_assoc(table: StructureTable, provenance=None) -> AssocSuperalgebra:
     """Check associativity on all basis triples plus the two-sided unit law."""
     if table.unit is None:
         raise MissingUnit("associative tables must carry a unit")
     _axioms.check_unit(table)
-    _axioms.check_associativity(table, method=method)
+    _axioms.check_associativity(table)
     return AssocSuperalgebra(table, provenance)
 
 
-def validate_jordan(table: StructureTable, provenance=None, method="auto") -> JordanSuperalgebra:
+def validate_jordan(table: StructureTable, provenance=None) -> JordanSuperalgebra:
     """Check super-commutativity, the unit law, and the fully linearized
     super Jordan identity on all homogeneous basis quadruples."""
     if table.unit is None:
         raise MissingUnit("jordan tables must carry a unit")
     _axioms.check_unit(table)
     _axioms.check_super_commutativity(table)
-    _axioms.check_super_jordan(table, method=method)
+    _axioms.check_super_jordan(table)
     return JordanSuperalgebra(table, provenance)
 
 
@@ -309,10 +306,6 @@ def derived_subalgebra(l: _AlgebraBase) -> list[Vec]:
         if i <= j:  # the other order is proportional by (anti)commutativity
             sr.insert({k: c for k, c in terms})
     return sr.basis_dense()
-
-
-def is_perfect(l: _AlgebraBase) -> bool:
-    return len(derived_subalgebra(l)) == l.dim
 
 
 def quotient_central(l: LieSuperalgebra, zbasis: Sequence) -> tuple[LieSuperalgebra, Matrix]:

@@ -52,6 +52,43 @@ def test_check_valid_and_invalid(capsys):
     assert code == 1 and json.loads(out)["valid"] is False
 
 
+def test_check_rejects_jordan_defect_that_wraps_int64(capsys):
+    # JP(4) scaled by 2^23 with one broken constant: its Jordan defect is a
+    # multiple of 2^64, which int64 accumulation would read as zero
+    code, out = run_cli(["check", fx("jp4_wrapped.sca")], capsys)
+    data = json.loads(out)
+    assert code == 1
+    assert data["valid"] is False and data["axiom"] == "super_jordan"
+    assert data["indices"] == [1, 2, 6, 3]
+
+
+def test_tkk_with_entries_beyond_int64_exits_2():
+    # D(a,b) entries of this table exceed 2^63; they must not overflow
+    proc = subprocess.run(
+        [sys.executable, "-m", "supergrade", "tkk", fx("dop_overflow.sca")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("supergrade: error:")
+
+
+def test_check_does_not_import_scipy(tmp_path):
+    jp4 = str(tmp_path / "jp4.sca")
+    script = (
+        "import sys\n"
+        "from supergrade.cli import main\n"
+        f"assert main(['construct', 'jp', '4', '--out', {jp4!r}]) == 0\n"
+        f"assert main(['check', {fx('slA_g1.sca')!r}]) == 0\n"
+        f"assert main(['check', {jp4!r}]) == 0\n"
+        "sys.exit(3 if 'scipy' in sys.modules else 0)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_parse_error_exit_2(capsys):
     code, _ = run_cli(["check", fx("bad_rational.sca")], capsys)
     assert code == 2
