@@ -135,10 +135,22 @@ def _coefficient_algebra(kind: str, params: list[str]):
     raise BadParams(f"unknown coefficient algebra {kind!r}")
 
 
+# construct parameter counts: exact, or (minimum, None) for slA and assoc,
+# whose coefficient algebra checks its own trailing parameters
+_CONSTRUCT_ARITY = {
+    "gl": (2, 2), "sl": (2, 2), "psl": (1, 1), "slA": (3, None), "assoc": (1, None),
+    "mplus": (1, 1), "jp": (1, 1), "jq": (1, 1), "m11": (0, 0),
+}
+
+
 def _run_construct(args, out: _Output) -> int:
     what = args.what
     params = args.params
     cover_map = None
+    low, high = _CONSTRUCT_ARITY[what]
+    if len(params) < low or (high is not None and len(params) > high):
+        want = f"{low}" if low == high else f"at least {low}"
+        raise BadParams(f"construct {what} takes {want} parameters, got {len(params)}")
     if what == "gl":
         alg = constructors.construct_gl(int(params[0]), int(params[1]))
     elif what == "sl":
@@ -190,13 +202,35 @@ def _run_construct(args, out: _Output) -> int:
 _COVER_RE = re.compile(r"\A(p?sl)(\d)(\d)\Z")
 
 
+def _map_vector(v, dim: int):
+    if not isinstance(v, list) or len(v) != dim:
+        raise BadParams(f"cover map vectors must be lists of {dim} rationals")
+    return vec(Fraction(str(x)) for x in v)
+
+
+def _load_cover_map(path: str, dim: int, count: int | None):
+    """Images from a --cover-map file: `count` vectors under "images" for
+    sl/psl covers, or the eight named generators (optionally under
+    "images") for an m11 cover when count is None."""
+    data = json.loads(_read_text(path))
+    if not isinstance(data, dict):
+        raise BadParams("cover map must be a JSON object")
+    if count is not None:
+        rows = data.get("images")
+        if not isinstance(rows, list) or len(rows) != count:
+            raise BadParams(f"cover map needs an \"images\" list of {count} vectors")
+        return [_map_vector(row, dim) for row in rows]
+    gens = data.get("images", data)
+    if not isinstance(gens, dict) or set(gens) != set(roots._M11_KEYS):
+        raise BadParams(f"m11 cover map needs exactly the keys {list(roots._M11_KEYS)}")
+    return {k: _map_vector(v, dim) for k, v in gens.items()}
+
+
 def _resolve_cover(l, spec: str, cover_map_path: str | None) -> roots.CoverEmbedding:
     if spec == "m11":
         if not cover_map_path:
             raise BadParams("--cover m11 needs --cover-map with the eight generators")
-        data = json.loads(_read_text(cover_map_path))
-        images = {k: vec(Fraction(str(x)) for x in v) for k, v in data.get("images", data).items()}
-        return roots.CoverEmbedding("m11", 1, images)
+        return roots.CoverEmbedding("m11", 1, _load_cover_map(cover_map_path, l.dim, None))
     match = _COVER_RE.match(spec)
     if not match:
         raise BadParams(f"unknown cover spec {spec!r}")
@@ -208,8 +242,7 @@ def _resolve_cover(l, spec: str, cover_map_path: str | None) -> roots.CoverEmbed
     else:
         ref = constructors.construct_sl(m, m)
     if cover_map_path:
-        data = json.loads(_read_text(cover_map_path))
-        images = [vec(Fraction(str(x)) for x in row) for row in data["images"]]
+        images = _load_cover_map(cover_map_path, l.dim, ref.dim)
         return roots.CoverEmbedding(family, m - 1, images, ref)
 
     file_labels = l.labels
@@ -368,6 +401,10 @@ def _run_tkk(args, out: _Output) -> int:
     l = _load_algebra(args.file)
     if l.kind != "jordan":
         raise BadParams("tkk needs a jordan SCA file")
+    try:
+        superalg.validate_jordan(l.table)
+    except (AxiomViolation, MissingUnit) as exc:
+        raise BadParams(f"tkk needs a Jordan superalgebra: {exc}") from exc
     t = jordan.tkk(l)
     if args.m11:
         data = json.loads(_read_text(args.m11))

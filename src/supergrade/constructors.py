@@ -22,11 +22,11 @@ from fractions import Fraction
 from .errors import BadParams, ValidationError, WrongAlgebra
 from .exact import (
     Matrix,
-    SparseRref,
     Vec,
     ZERO,
     ONE,
-    kernel,
+    dense_to_sparse,
+    kernel_from_rows,
     unit_vec,
     vec,
 )
@@ -36,6 +36,7 @@ from .superalg import (
     JordanSuperalgebra,
     LieSuperalgebra,
     StructureTable,
+    SubspaceCoords,
     SuperSpace,
     quotient_central,
     restricted_table,
@@ -146,7 +147,7 @@ def construct_sl(m: int, n: int) -> LieSuperalgebra:
     str_row = [ZERO] * (d * d)
     for t in range(d):
         str_row[info["diag_indices"][t]] = ONE if t < m else -ONE
-    basis = kernel(Matrix([str_row]))
+    basis = kernel_from_rows([dense_to_sparse(str_row)], d * d)
     table, conv = restricted_table(gl, basis, "lie")
 
     labels = []
@@ -195,8 +196,8 @@ def construct_sl(m: int, n: int) -> LieSuperalgebra:
     if m == n:
         prov["z"] = to_sl(gl.provenance["z"])
         # h: diagonal matrices whose unbarred and barred entry sums both vanish
-        rows = Matrix([[ONE] * m + [ZERO] * n, [ZERO] * m + [ONE] * n])
-        hdiags = kernel(rows)
+        sums = [{t: ONE for t in range(m)}, {t: ONE for t in range(m, m + n)}]
+        hdiags = kernel_from_rows(sums, m + n)
         helems = []
         for hd in hdiags:
             helems.append(Element(to_sl(_diag_vec_to_gl(info, hd)), 0))
@@ -529,15 +530,7 @@ def _jordan_from_matrices(kind, n, mats, parity, labels, unit_sel) -> JordanSupe
     def flat(mat):
         return {r * d + c: v for (r, c), v in mat.items()}
 
-    sr = SparseRref(ncols)
-    for mat in mats:
-        if sr.insert(flat(mat)) is None:
-            raise BadParams(f"{kind}({n}) basis is linearly dependent")
-    coords_cols = [vec(sr.coordinates(flat(mat))) for mat in mats]
-    cob = Matrix.from_cols(coords_cols)
-    from .superalg import _invert
-
-    inv = _invert(cob)
+    conv = SubspaceCoords([flat(mat) for mat in mats], ncols)
     dim = len(mats)
     entries = {}
     for i in range(dim):
@@ -554,16 +547,14 @@ def _jordan_from_matrices(kind, n, mats, parity, labels, unit_sel) -> JordanSupe
                     sym[key] = val
                 else:
                     sym.pop(key, None)
-            coords = sr.coordinates({r * d + c: v for (r, c), v in sym.items()})
-            if coords is None:
+            given = conv.sparse_coords(flat(sym))
+            if given is None:
                 raise ValidationError(
                     f"{kind}({n}) is not closed under the symmetrized product "
                     f"(basis pair {i},{j})"
                 )
-            given = inv.mul_vec(vec(coords))
-            terms = [(k, c) for k, c in enumerate(given) if c != 0]
-            if terms:
-                entries[(i, j)] = tuple(terms)
+            if given:
+                entries[(i, j)] = tuple(sorted(given.items()))
     unit = [ZERO] * dim
     for s in unit_sel:
         unit[s] = ONE

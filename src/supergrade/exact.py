@@ -10,9 +10,12 @@ that higher layers can compare bases by plain equality:
   order;
 * particular solutions set all free variables to 0.
 
-Dense matrices are adequate at the target scale (dims <= ~150); the
-incremental SparseRref class covers the larger structured solves (span
-closures, stacked kernels, cocycle systems).
+Linear algebra on the hot paths runs on sparse rows {column: Fraction}
+reduced by the incremental SparseRref: span closures, kernels, subspace
+coordinates, and eigenspaces of operators given as sparse rows or columns.
+The RREF is unique, so the sparse and dense routines return the same
+canonical bases.  The dense Matrix with rref/kernel/solve_linear/char_poly
+remains for small one-off computations and as the tests' reference oracle.
 """
 
 from __future__ import annotations
@@ -34,10 +37,6 @@ def vec(values: Iterable) -> Vec:
 
 def unit_vec(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def add_vec(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def sub_vec(a: Vec, b: Vec) -> Vec:
@@ -498,6 +497,41 @@ def kernel_from_rows(rows: Iterable[dict], ncols: int) -> list[Vec]:
     return basis
 
 
+def eigenspace(rows: Sequence[dict], lam) -> list[Vec]:
+    """Canonical basis of ker(A - lam I) for a square operator A given by
+    its sparse rows; the same basis as kernel() of the dense shifted matrix."""
+    shifted = []
+    for i, row in enumerate(rows):
+        row = dict(row)
+        d = row.get(i, ZERO) - lam
+        if d:
+            row[i] = d
+        else:
+            row.pop(i, None)
+        shifted.append(row)
+    return kernel_from_rows(shifted, len(rows))
+
+
+def sparse_transpose(cols: Sequence[dict], nrows: int) -> list[dict]:
+    """Sparse rows of the matrix whose sparse columns are given."""
+    rows: list[dict] = [{} for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            rows[i][j] = x
+    return rows
+
+
+def sparse_apply(cols: Sequence[dict], v: Sequence) -> Vec:
+    """A v for a square A given by its sparse columns, touching only the
+    columns at the nonzeros of v."""
+    acc: dict[int, Fraction] = {}
+    for j, x in enumerate(v):
+        if x:
+            for i, a in cols[j].items():
+                acc[i] = acc.get(i, ZERO) + x * a
+    return sparse_to_dense(acc, len(cols))
+
+
 def span_closure(seed: Iterable[Sequence], product: Callable[[Vec, Vec], Vec]) -> list[Vec]:
     """Canonical basis of the smallest product-closed subspace containing seed.
 
@@ -538,9 +572,16 @@ def min_poly(apply: Callable[[Vec], Vec], dim: int) -> list:
 
 
 def _poly_apply(p: Sequence, apply: Callable[[Vec], Vec], v: Vec) -> Vec:
+    """p(A) v by Horner's rule, skipping zero coefficients and entries."""
+    support = [(i, x) for i, x in enumerate(v) if x]
     acc = scale_vec(p[-1], v)
     for c in reversed(p[:-1]):
-        acc = add_vec(apply(acc), scale_vec(c, v))
+        acc = apply(acc)
+        if c:
+            acc = list(acc)
+            for i, x in support:
+                acc[i] += c * x
+            acc = tuple(acc)
     return acc
 
 

@@ -35,7 +35,8 @@ from .exact import (
     ZERO,
     ONE,
     dense_to_sparse,
-    kernel,
+    eigenspace,
+    scale_vec,
     sub_vec,
     unit_vec,
     vec,
@@ -46,9 +47,11 @@ from .superalg import (
     JordanSuperalgebra,
     LieSuperalgebra,
     StructureTable,
+    SubspaceCoords,
     SuperSpace,
     _coords,
     ad_matrix,
+    ad_rows,
     homogeneous_parity,
     validate_jordan,
 )
@@ -102,26 +105,18 @@ def peirce(j: JordanSuperalgebra, e1) -> PeirceDecomposition:
         raise NotIdempotent("Peirce idempotent must be even")
     if j.product_vec(c, c) != tuple(c):
         raise NotIdempotent("element is not idempotent")
-    mult = ad_matrix(j, c)  # left multiplication by e1
-    n = j.dim
-    parts = []
-    total = 0
-    for lam in (ZERO, HALF, ONE):
-        shifted = Matrix([[mult.data[r][s] - (lam if r == s else ZERO) for s in range(n)]
-                          for r in range(n)])
-        basis = kernel(shifted)
-        parts.append(basis)
-        total += len(basis)
-    if total != n:
+    mult = ad_rows(j, c)  # left multiplication by e1
+    parts = tuple(eigenspace(mult, lam) for lam in (ZERO, HALF, ONE))
+    if sum(map(len, parts)) != j.dim:
         from .exact import rational_eigenvalues
 
-        eigs = rational_eigenvalues(mult)
+        eigs = rational_eigenvalues(ad_matrix(j, c))
         bad = [str(v) for v, _ in eigs if v not in (ZERO, HALF, ONE)]
         raise UnexpectedEigenvalue(
             f"multiplication by the idempotent has eigenvalues {{{', '.join(bad)}}} "
             "outside {0, 1/2, 1}"
         )
-    return PeirceDecomposition(Element(vec(c), 0), tuple(parts))
+    return PeirceDecomposition(Element(vec(c), 0), parts)
 
 
 def associator(j: JordanSuperalgebra, a, b, c) -> Vec:
@@ -175,20 +170,22 @@ def _d_operator(j: JordanSuperalgebra, a: Vec, b: Vec, pa: int, pb: int):
     return Matrix.from_cols(plus_cols), Matrix.from_cols(minus_cols)
 
 
-def _unflatten_pair(row: Vec, n: int) -> tuple[Matrix, Matrix]:
-    p = Matrix([[row[r * n + c] for c in range(n)] for r in range(n)])
-    q = Matrix([[row[n * n + r * n + c] for c in range(n)] for r in range(n)])
+def _unflatten_pair(row: dict, n: int) -> tuple[Matrix, Matrix]:
+    """The (T(1), T(-1)) matrices of a sparse flattened inner operator."""
+    p, q = Matrix.zeros(n, n), Matrix.zeros(n, n)
+    for idx, v in row.items():
+        r, c = divmod(idx % (n * n), n)
+        (p if idx < n * n else q).data[r][c] = v
     return p, q
 
 
-def _pair_parity(row, j: JordanSuperalgebra) -> int:
+def _pair_parity(row: dict, j: JordanSuperalgebra) -> int:
     n = j.dim
     par = j.parity
     seen = set()
-    for idx, v in enumerate(row):
-        if v:
-            rc = idx % (n * n)
-            seen.add((par[rc // n] + par[rc % n]) % 2)
+    for idx in row:
+        rc = idx % (n * n)
+        seen.add((par[rc // n] + par[rc % n]) % 2)
     if len(seen) > 1:
         raise ValidationError("inner operator is not parity-homogeneous")
     return seen.pop() if seen else 0
@@ -315,24 +312,31 @@ class _SpanMirror:
         self.maxent = int(np.abs(mat).max()) if mat.size else 0
         self.ok = entries_ok
 
-    def coords_of(self, op: _IntOp):
-        """Coordinates over the basis, None if outside, or 'fallback'."""
+    def contains(self, op: _IntOp) -> bool | None:
+        """Whether op lies in the span, or None when the int64 arithmetic
+        is not proven exact and the caller must ask the SparseRref."""
         import numpy as np
 
         if not self.ok or op.p.dtype == object:
-            return "fallback"
+            return None
         maxv = op.max_abs()
         if (
             maxv * self.den >= _INT64_SAFE
             or len(self.pivots) * maxv * max(self.maxent, 1) >= _INT64_SAFE
         ):
-            return "fallback"
+            return None
         v = np.concatenate([op.p.ravel(), op.q.ravel()])
         lhs = v * self.den
         rhs = v[self.pivots] @ self.mat if len(self.pivots) else np.zeros_like(lhs)
-        if not np.array_equal(lhs, rhs):
-            return None
-        return [Fraction(int(v[p]), op.den) for p in self.pivots]
+        return bool(np.array_equal(lhs, rhs))
+
+    def coords_of(self, op: _IntOp) -> list:
+        """Coordinates over the basis of an op that contains() accepted:
+        the RREF basis has unit pivots, so they are op's pivot entries."""
+        import numpy as np
+
+        v = np.concatenate([op.p.ravel(), op.q.ravel()])[self.pivots]
+        return [Fraction(x, op.den) if x else ZERO for x in v.tolist()]
 
 
 def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
@@ -398,10 +402,10 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
     queue = [d_op(i, k) for i in range(n) for k in range(n)]
     while queue:
         op = queue.pop()
-        found = mirror.coords_of(op)
-        if found == "fallback":
-            found = sr.coordinates(op.flat_fractions())
-        if found is not None:
+        inside = mirror.contains(op)
+        if inside is None:
+            inside = sr.contains(op.flat_fractions())
+        if inside:
             continue
         inserted = sr.insert(op.flat_fractions())
         assert inserted is not None
@@ -411,12 +415,12 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
             queue.append(_op_commutator(op, other, n))
 
     def inner_coords_op(op: _IntOp):
-        found = mirror.coords_of(op)
-        if found == "fallback":
-            found = sr.coordinates(op.flat_fractions())
-        return found
+        inside = mirror.contains(op)
+        if inside is None:
+            return sr.coordinates(op.flat_fractions())
+        return mirror.coords_of(op) if inside else None
 
-    inner_rows = sr.basis_dense()
+    inner_rows = sr.basis()
     n0 = len(inner_rows)
     inner_pairs = []
     inner_parity = []
@@ -469,24 +473,13 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
     # [s, t] inside T(0)
     inner_ops = []
     for row, parity in zip(inner_rows, inner_parity):
-        from math import lcm as _lcm
-
-        den = 1
-        for v in row:
-            den = _lcm(den, v.denominator)
-        pm = np.array(
-            [[int(row[r * n + c] * den) for c in range(n)] for r in range(n)],
-            dtype=object,
-        )
-        qm = np.array(
-            [[int(row[n * n + r * n + c] * den) for c in range(n)] for r in range(n)],
-            dtype=object,
-        )
-        if max(int(abs(v)) for v in pm.ravel()) < _INT64_SAFE and max(
-            int(abs(v)) for v in qm.ravel()
-        ) < _INT64_SAFE:
-            pm = pm.astype(np.int64)
-            qm = qm.astype(np.int64)
+        den = lcm(1, *(v.denominator for v in row.values()))
+        ints = {idx: v.numerator * (den // v.denominator) for idx, v in row.items()}
+        big = max(map(abs, ints.values()), default=0)
+        flat = np.zeros(flat_len, dtype=np.int64 if big < _INT64_SAFE else object)
+        for idx, v in ints.items():
+            flat[idx] = v
+        pm, qm = flat[: n * n].reshape(n, n), flat[n * n:].reshape(n, n)
         inner_ops.append(_IntOp(pm, qm, den, parity))
     for t1, op1 in enumerate(inner_ops):
         for t2, op2 in enumerate(inner_ops):
@@ -511,12 +504,10 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
     e = Element(embed(off1, j.unit), 0)
     f = Element(embed(off0, j.unit), 0)
     h = Element(lie.product_vec(e.coords, f.coords), 0)
-    adh = ad_matrix(lie, h)
     for i, lam in ((off0, -TWO), (off1, TWO)):
         for t in range(n):
-            col = adh.col(i + t)
-            want = [lam if r == i + t else ZERO for r in range(dim)]
-            if list(col) != want:
+            col = lie.product_vec(h.coords, unit_vec(dim, i + t))
+            if col != scale_vec(lam, unit_vec(dim, i + t)):
                 raise JacobiFailure("h = [e,f] does not act with eigenvalues -2, 0, 2")
 
     from .roots import ThreeGrading
@@ -541,15 +532,9 @@ def jordan_from_3grading(l: LieSuperalgebra, e, f) -> JordanSuperalgebra:
     ce, cf = _coords(e), _coords(f)
     n = l.dim
     h = l.product_vec(ce, cf)
-    adh = ad_matrix(l, h)
-    spaces = {}
-    total = 0
-    for lam in (-TWO, ZERO, TWO):
-        shifted = Matrix([[adh.data[r][s] - (lam if r == s else ZERO) for s in range(n)]
-                          for r in range(n)])
-        spaces[lam] = kernel(shifted)
-        total += len(spaces[lam])
-    if total != n:
+    adh = ad_rows(l, h)
+    spaces = {lam: eigenspace(adh, lam) for lam in (-TWO, ZERO, TWO)}
+    if sum(map(len, spaces.values())) != n:
         raise NotThreeGraded("ad[e,f] is not diagonalizable with eigenvalues 0, -2, 2")
     if l.product_vec(h, ce) != tuple(TWO * c for c in ce):
         raise NotThreeGraded("e is not in the +2 eigenspace of ad[e,f]")
@@ -558,13 +543,7 @@ def jordan_from_3grading(l: LieSuperalgebra, e, f) -> JordanSuperalgebra:
 
     jbasis = spaces[TWO]
     m = len(jbasis)
-    sr = SparseRref(n)
-    for v in jbasis:
-        sr.insert(dense_to_sparse(v))
-
-    def to_j(w) -> Vec | None:
-        coords = sr.coordinates(dense_to_sparse(w))
-        return None if coords is None else vec(coords)
+    to_j = SubspaceCoords([dense_to_sparse(v) for v in jbasis], n).coords
 
     parities = []
     for v in jbasis:

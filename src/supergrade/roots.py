@@ -22,18 +22,21 @@ from .errors import (
     ValidationError,
 )
 from .exact import (
-    Matrix,
     SparseRref,
     Vec,
     ZERO,
     ONE,
     dense_to_sparse,
+    eigenspace,
     is_zero_vec,
-    kernel,
+    kernel_from_rows,
     min_poly,
     poly_degree,
     rational_roots,
     scale_vec,
+    sparse_apply,
+    sparse_to_dense,
+    sparse_transpose,
     unit_vec,
     vec,
 )
@@ -83,17 +86,18 @@ class RootDatum:
         return None
 
 
-def _eigen_split(m: Matrix, witness: str):
-    """Eigenvalues and eigenspace bases of a diagonalizable rational matrix.
+def _eigen_split(cols: list, witness: str):
+    """Eigenvalues and eigenspace bases of a diagonalizable rational operator
+    given by its sparse columns.
 
     Diagnoses the failure mode exactly: an irrational eigenvalue raises
     NonSplitSpectrum, a repeated root of the minimal polynomial raises
     NotDiagonalizable.
     """
-    d = m.rows
+    d = len(cols)
     if d == 0:
         return []
-    mp = min_poly(m.mul_vec, d)
+    mp = min_poly(lambda v: sparse_apply(cols, v), d)
     roots, cofactor = rational_roots(mp)
     if poly_degree(cofactor) > 0:
         raise NonSplitSpectrum(f"{witness} has an irrational eigenvalue")
@@ -104,13 +108,8 @@ def _eigen_split(m: Matrix, witness: str):
                 eigenvalue=lam,
                 witness=witness,
             )
-    out = []
-    for lam, _ in roots:
-        shifted = Matrix(
-            [[m.data[r][c] - (lam if r == c else ZERO) for c in range(d)] for r in range(d)]
-        )
-        out.append((lam, kernel(shifted)))
-    return out
+    rows = sparse_transpose(cols, d)
+    return [(lam, eigenspace(rows, lam)) for lam, _ in roots]
 
 
 def weight_decomposition(l: LieSuperalgebra, cartan: CartanBasis) -> RootDatum:
@@ -121,36 +120,34 @@ def weight_decomposition(l: LieSuperalgebra, cartan: CartanBasis) -> RootDatum:
 
     _check_cartan(l, cartan)
     n = l.dim
-    comps = [((), [unit_vec(n, i) for i in range(n)])]
+    comps = [((), [{i: ONE} for i in range(n)])]
     for t, h in enumerate(cartan.elements):
         witness = f"ad(cartan element {t})"
         refined = []
         for wt, basis in comps:
             sub = SparseRref(n)
             for v in basis:
-                sub.insert(dense_to_sparse(v))
-            rows = sub.basis_dense()
+                sub.insert(v)
+            rows = sub.basis()
             cols = []
             for v in rows:
-                img = l.product_vec(h.coords, v)
+                img = l.product_vec(h.coords, sparse_to_dense(v, n))
                 c = sub.coordinates(dense_to_sparse(img))
                 if c is None:
                     raise ValidationError(
                         f"{witness} does not preserve a previous eigenspace; "
                         "the Cartan basis is not closed under simultaneous refinement"
                     )
-                cols.append(vec(c))
-            restricted = Matrix.from_cols(cols)
-            for lam, local in _eigen_split(restricted, witness):
+                cols.append({k: x for k, x in enumerate(c) if x})
+            for lam, local in _eigen_split(cols, witness):
                 ambient = []
                 for lv in local:
-                    w = [ZERO] * n
+                    w: dict = {}
                     for k, c in enumerate(lv):
                         if c:
-                            for idx, x in enumerate(rows[k]):
-                                if x:
-                                    w[idx] += c * x
-                    ambient.append(tuple(w))
+                            for idx, x in rows[k].items():
+                                w[idx] = w.get(idx, ZERO) + c * x
+                    ambient.append({idx: x for idx, x in w.items() if x})
                 refined.append((wt + (lam,), ambient))
         comps = refined
 
@@ -161,7 +158,7 @@ def weight_decomposition(l: LieSuperalgebra, cartan: CartanBasis) -> RootDatum:
     for wt, basis in sorted(comps, key=lambda p: p[0]):
         sub = SparseRref(n)
         for v in basis:
-            sub.insert(dense_to_sparse(v))
+            sub.insert(v)
         rows = sub.basis_dense()
         ev = od = 0
         for v in rows:
@@ -405,7 +402,8 @@ def _analyze_m11_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalys
     if psi_rank.rank != np_:
         raise NotHomomorphism("generated cover does not map onto psl(2,2)")
 
-    kern = kernel(Matrix.from_cols([vec(p) for p in psi_parts]))
+    psi_rows = [{r: p[t] for r, p in enumerate(psi_parts) if p[t]} for t in range(np_)]
+    kern = kernel_from_rows(psi_rows, s_dim)
     for kv in kern:
         zl = [ZERO] * nl
         for r, c in enumerate(kv):

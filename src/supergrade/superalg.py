@@ -22,12 +22,14 @@ from .errors import (
 )
 from .exact import (
     Matrix,
+    ONE,
     SparseRref,
     Vec,
     ZERO,
     dense_to_sparse,
     kernel_from_rows,
     sparse_to_dense,
+    sparse_transpose,
     unit_vec,
     vec,
 )
@@ -148,8 +150,13 @@ def table_product(table: StructureTable, x: Sequence, y: Sequence) -> Vec:
         raise DimensionMismatch("element length != algebra dimension")
     xs = [(i, c) for i, c in enumerate(x) if c != 0]
     ys = [(j, c) for j, c in enumerate(y) if c != 0]
+    return sparse_to_dense(_sparse_product(table.entries, xs, ys), n)
+
+
+def _sparse_product(ent: dict, xs: Sequence, ys: Sequence) -> dict:
+    """Product of two vectors given as (index, nonzero coefficient) pairs,
+    as a sparse dict without zero values."""
     acc = {}
-    ent = table.entries
     for i, ci in xs:
         for j, cj in ys:
             terms = ent.get((i, j))
@@ -162,7 +169,7 @@ def table_product(table: StructureTable, x: Sequence, y: Sequence) -> Vec:
                     acc[k] = v
                 else:
                     acc.pop(k, None)
-    return sparse_to_dense(acc, n)
+    return acc
 
 
 class _AlgebraBase:
@@ -280,12 +287,16 @@ def bracket(l: _AlgebraBase, x, y) -> Element:
     return Element(out, parity)
 
 
+def ad_rows(l: _AlgebraBase, x) -> list[dict]:
+    """Sparse rows {column: Fraction} of y -> x * y in the algebra basis."""
+    xs = [(i, c) for i, c in enumerate(_coords(x)) if c]
+    cols = [_sparse_product(l.table.entries, xs, [(j, ONE)]) for j in range(l.dim)]
+    return sparse_transpose(cols, l.dim)
+
+
 def ad_matrix(l: _AlgebraBase, x) -> Matrix:
     """Matrix of y -> [x, y] in the algebra basis."""
-    cx = _coords(x)
-    n = l.dim
-    cols = [l.product_vec(cx, unit_vec(n, j)) for j in range(n)]
-    return Matrix.from_cols(cols)
+    return Matrix([sparse_to_dense(row, l.dim) for row in ad_rows(l, x)])
 
 
 def center(l: _AlgebraBase) -> list[Vec]:
@@ -447,24 +458,38 @@ def subalgebra_from_generators(l: _AlgebraBase, gens: Iterable) -> list[Vec]:
 
 
 class SubspaceCoords:
-    """Coordinate map of an ambient space onto a chosen subspace basis."""
+    """Coordinate map of an ambient space onto a chosen subspace basis.
 
-    def __init__(self, sr: SparseRref, to_given: Matrix):
-        self._sr = sr
-        self._to_given = to_given
-        self._is_identity = to_given == Matrix.identity(to_given.rows)
+    The rows (v_i | e_i) share one SparseRref whose pivots lie among the n
+    ambient columns.  Reducing (w | 0) leaves (0 | -c) exactly when
+    w = sum_i c_i v_i, so coordinates come out over the given basis with
+    no change-of-basis matrix.
+    """
 
-    @property
-    def dim(self) -> int:
-        return self._to_given.rows
+    def __init__(self, basis: Sequence[dict], n: int):
+        self.dim = len(basis)
+        self._n = n
+        self._sr = SparseRref(n + self.dim, npivot=n)
+        for i, v in enumerate(basis):
+            row = dict(v)
+            row[n + i] = ONE
+            if self._sr.insert(row) is None:
+                raise ValidationError("subalgebra basis is linearly dependent")
+
+    def sparse_coords(self, ambient: dict) -> dict | None:
+        """Nonzero coordinates {i: c_i} of a sparse vector, or None if it
+        lies outside the span."""
+        red = self._sr.reduce(ambient)
+        n = self._n
+        if any(c < n for c in red):
+            return None
+        return {c - n: -x for c, x in red.items()}
 
     def coords(self, ambient) -> Vec | None:
         """Coordinates in the chosen basis, or None if outside the span."""
         sparse = ambient if isinstance(ambient, dict) else dense_to_sparse(ambient)
-        s = self._sr.coordinates(sparse)
-        if s is None:
-            return None
-        return vec(s) if self._is_identity else self._to_given.mul_vec(vec(s))
+        found = self.sparse_coords(sparse)
+        return None if found is None else sparse_to_dense(found, self.dim)
 
 
 def restricted_table(
@@ -472,52 +497,34 @@ def restricted_table(
 ) -> tuple[StructureTable, SubspaceCoords]:
     """Structure table of a product-closed subspace on a given basis.
 
-    Raises ValidationError if the subspace is not closed under the product
-    or if some basis vector is not parity-homogeneous.  The returned
-    SubspaceCoords maps ambient vectors to coordinates in the given basis.
+    Raises ValidationError if the basis is linearly dependent, if the
+    subspace is not closed under the product or if some basis vector is not
+    parity-homogeneous.  The returned SubspaceCoords maps ambient vectors to
+    coordinates in the given basis.
     """
-    vecs = [_coords(b) for b in basis]
-    n = l.dim
-    sr = SparseRref(n)
-    for v in vecs:
-        if sr.insert(dense_to_sparse(v)) is None:
-            raise ValidationError("subalgebra basis is linearly dependent")
-    # change of basis: sr's canonical rows -> the given basis
-    cob = Matrix.from_cols([vec(sr.coordinates(dense_to_sparse(v))) for v in vecs])
-    ident = Matrix.identity(len(vecs))
-    conv = SubspaceCoords(sr, ident if cob == ident else _invert(cob))
+    dense = [_coords(b) for b in basis]
+    if any(len(v) != l.dim for v in dense):
+        raise DimensionMismatch("element length != algebra dimension")
+    vecs = [dense_to_sparse(v) for v in dense]
+    conv = SubspaceCoords(vecs, l.dim)
     parities = []
-    for v in vecs:
+    for v in dense:
         p = homogeneous_parity(l.space, v)
         if p is None:
             raise ValidationError("subalgebra basis vector is not parity-homogeneous")
         parities.append(p)
     m = len(vecs)
+    items = [list(v.items()) for v in vecs]
     entries = {}
     for i in range(m):
         for j in range(m):
-            prod = l.product_vec(vecs[i], vecs[j])
-            given = conv.coords(prod)
+            given = conv.sparse_coords(_sparse_product(l.table.entries, items[i], items[j]))
             if given is None:
                 raise ValidationError(
                     f"subspace not closed: product of basis {i} and {j} escapes the span"
                 )
-            terms = [(k, c) for k, c in enumerate(given) if c != 0]
-            if terms:
-                entries[(i, j)] = tuple(terms)
+            if given:
+                entries[(i, j)] = tuple(sorted(given.items()))
     space = SuperSpace(m, tuple(parities))
     table = StructureTable(space, kind or l.kind, entries, unit=unit)
     return table, conv
-
-
-def _invert(m: Matrix) -> Matrix:
-    from .exact import rref
-
-    n = m.rows
-    if m.cols != n:
-        raise DimensionMismatch("inverse needs a square matrix")
-    aug = Matrix([list(m.data[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-    r, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValidationError("matrix is singular")
-    return Matrix([row[n:] for row in r.data])

@@ -63,7 +63,8 @@ def test_check_rejects_jordan_defect_that_wraps_int64(capsys):
 
 
 def test_tkk_with_entries_beyond_int64_exits_2():
-    # D(a,b) entries of this table exceed 2^63; they must not overflow
+    # the table fails the unit law; tkk rejects it before building D(a,b),
+    # whose entries would exceed 2^63 (test_jordan covers that overflow)
     proc = subprocess.run(
         [sys.executable, "-m", "supergrade", "tkk", fx("dop_overflow.sca")],
         capture_output=True,
@@ -72,7 +73,45 @@ def test_tkk_with_entries_beyond_int64_exits_2():
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("supergrade: error:")
+    assert len(lines) == 1 and lines[0].startswith("supergrade: error: BadParams:")
+    assert "unit axiom fails" in lines[0]
+    assert "JacobiFailure" not in lines[0]
+
+
+def _assert_input_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("supergrade: error: BadParams:")
+
+
+def test_construct_gl_without_parameters_exits_2(capsys):
+    _assert_input_error(main(["construct", "gl"]), capsys)
+
+
+def test_cover_map_with_scalar_images_exits_2(tmp_path, capsys):
+    cover = tmp_path / "cover.json"
+    cover.write_text('{"images": 5}')
+    code = main(["verify-grading", fx("slA_g1.sca"), "--cover", "sl33",
+                 "--cover-map", str(cover)])
+    _assert_input_error(code, capsys)
+
+
+def test_cover_map_json_list_for_psl_cover_exits_2(tmp_path, capsys):
+    cover = tmp_path / "cover.json"
+    cover.write_text("[[1, 0], [0, 1]]")
+    code = main(["verify-grading", fx("psl22.sca"), "--cover", "psl22",
+                 "--cover-map", str(cover)])
+    _assert_input_error(code, capsys)
+
+
+def test_cover_map_json_list_for_m11_cover_exits_2(tmp_path, capsys):
+    cover = tmp_path / "cover.json"
+    cover.write_text("[[1, 0], [0, 1]]")
+    code = main(["verify-grading", fx("tkk_m11.sca"), "--cover", "m11",
+                 "--cover-map", str(cover)])
+    _assert_input_error(code, capsys)
 
 
 def test_check_does_not_import_scipy(tmp_path):

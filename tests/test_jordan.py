@@ -6,7 +6,7 @@ import pytest
 
 from supergrade import constructors as C
 from supergrade import roots as R
-from supergrade.errors import NotIdempotent, NotThreeGraded
+from supergrade.errors import JacobiFailure, NotIdempotent, NotThreeGraded
 from supergrade.exact import unit_vec, vec
 from supergrade.jordan import (
     _d_operator,
@@ -18,7 +18,7 @@ from supergrade.jordan import (
     symmetrized,
     tkk,
 )
-from supergrade.superalg import center, validate_jordan, validate_lie
+from supergrade.superalg import JordanSuperalgebra, center, validate_jordan, validate_lie
 from tests.conftest import JP4_M11_ELEMENTS, JQ4_M11_ELEMENTS
 
 F = Fraction
@@ -279,3 +279,45 @@ def test_d_operator_matches_int_path(m11):
     for i in range(n):
         assert p.col(i) == tuple(2 * c for c in unit_vec(n, i))
         assert q.col(i) == tuple(-2 * c for c in unit_vec(n, i))
+
+
+def test_tkk_d_operators_beyond_int64_do_not_overflow():
+    # D(a,b) entries of this non-Jordan table exceed 2^63; unvalidated, the
+    # construction widens them to Python ints and ends in the failed h check
+    from pathlib import Path
+
+    from supergrade.sca import parse_sca
+
+    text = (Path(__file__).parent / "fixtures" / "dop_overflow.sca").read_text()
+    with pytest.raises(JacobiFailure, match="h = \\[e,f\\]"):
+        tkk(JordanSuperalgebra(parse_sca(text), {}))
+
+
+def test_jordan_from_3grading_with_non_echelon_l1_basis(tkk_m11, m11):
+    # rewrite tkk(M11) in the basis b'_p = b_p + b_q with b_p in T(1) and b_q
+    # in T(0): the +2 eigenspace basis of ad h is then not in echelon form,
+    # and the recovered table must still be M11's on that basis
+    from supergrade.exact import Matrix, solve_linear
+    from supergrade.superalg import LieSuperalgebra, StructureTable, SuperSpace
+
+    l = tkk_m11.lie
+    n, par = l.dim, l.parity
+    p = n - 4
+    q = next(i for i in range(4, n - 4) if par[i] == par[p])
+    cols = [unit_vec(n, i) for i in range(n)]
+    cols[p] = tuple(F(int(r in (p, q))) for r in range(n))
+    t = Matrix.from_cols(cols)
+    entries = {}
+    for i in range(n):
+        for k in range(n):
+            c = solve_linear(t, l.product_vec(t.col(i), t.col(k)))
+            terms = tuple((s, x) for s, x in enumerate(c) if x)
+            if terms:
+                entries[(i, k)] = terms
+    conj = LieSuperalgebra(StructureTable(SuperSpace(n, par), "lie", entries))
+    e = solve_linear(t, tkk_m11.e.coords)
+    f = solve_linear(t, tkk_m11.f.coords)
+    j = jordan_from_3grading(conj, e, f)
+    assert j.provenance["l1_basis"][0][q] != 0  # not the echelon basis
+    assert j.table.entries == m11.table.entries
+    assert j.table.unit == m11.table.unit
