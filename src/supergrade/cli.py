@@ -6,7 +6,8 @@ full report envelope with input digests via --out.  All output is
 byte-deterministic: no timestamps, sorted keys, canonical rationals.
 
 Exit codes: 0 verified/pass, 1 verified-negative (not_graded, failed
-certificate, axiom violation, ...), 2 usage or input errors.
+certificate, axiom violation, ...), 2 usage or input errors and any other
+failure, reported as one stderr line without a traceback.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import (
     NotHomomorphism,
     NotPerfect,
     NotThreeGraded,
-    SupergradeError,
     UnexpectedEigenvalue,
     UnitFailure,
 )
@@ -202,10 +202,22 @@ def _run_construct(args, out: _Output) -> int:
 _COVER_RE = re.compile(r"\A(p?sl)(\d)(\d)\Z")
 
 
-def _map_vector(v, dim: int):
+def _map_vector(v, dim: int, what: str = "cover map"):
     if not isinstance(v, list) or len(v) != dim:
-        raise BadParams(f"cover map vectors must be lists of {dim} rationals")
+        raise BadParams(f"{what} vectors must be lists of {dim} rationals")
     return vec(Fraction(str(x)) for x in v)
+
+
+_M11_ELEMENT_KEYS = ("e1", "e2", "x", "y")
+
+
+def _load_m11_elements(path: str, dim: int) -> list:
+    """The quadruple e1, e2, x, y of an --elements/--m11 JSON object."""
+    data = json.loads(_read_text(path))
+    if not isinstance(data, dict) or set(data) != set(_M11_ELEMENT_KEYS):
+        raise BadParams(f"element file must be a JSON object with exactly the keys "
+                        f"{list(_M11_ELEMENT_KEYS)}")
+    return [_map_vector(data[k], dim, "element file") for k in _M11_ELEMENT_KEYS]
 
 
 def _load_cover_map(path: str, dim: int, count: int | None):
@@ -407,9 +419,7 @@ def _run_tkk(args, out: _Output) -> int:
         raise BadParams(f"tkk needs a Jordan superalgebra: {exc}") from exc
     t = jordan.tkk(l)
     if args.m11:
-        data = json.loads(_read_text(args.m11))
-        quad = [vec(Fraction(str(x)) for x in data[k]) for k in ("e1", "e2", "x", "y")]
-        cert = jordan.certify_m11(l, *quad)
+        cert = jordan.certify_m11(l, *_load_m11_elements(args.m11, l.dim))
         if not cert.passed:
             raise UnitFailure(
                 f"the given elements fail the M(1,1)+ relations: {cert.failures()}"
@@ -472,9 +482,7 @@ def _run_certify_m11(args, out: _Output) -> int:
     l = _load_algebra(args.file)
     if l.kind != "jordan":
         raise BadParams("certify-m11 needs a jordan SCA file")
-    data = json.loads(_read_text(args.elements))
-    quad = [vec(Fraction(str(x)) for x in data[k]) for k in ("e1", "e2", "x", "y")]
-    cert = jordan.certify_m11(l, *quad)
+    cert = jordan.certify_m11(l, *_load_m11_elements(args.elements, l.dim))
     out.emit({"passed": cert.passed, "relations": dict(sorted(cert.results.items()))},
              args.out)
     return 0 if cert.passed else 1
@@ -657,7 +665,7 @@ def main(argv=None) -> int:
             + "\n"
         )
         return 1
-    except (SupergradeError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except Exception as exc:  # input errors, and anything else: no traceback
         print(f"supergrade: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

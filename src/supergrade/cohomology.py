@@ -4,15 +4,34 @@ extensions, cover-kernel checks, and central-isogeny fingerprints.
 Cocycles are parametrized by independent pair coordinates (i < j plus the
 odd diagonal); super-skewness means phi(x,y) = -(-1)^{|x||y|} phi(y,x)
 uniformly, and the cocycle identity carries the same cyclic signs as the
-super Jacobi identity.  The constraint system decomposes into independent
-blocks along connected components of its unknown-interaction graph, which
-for root-graded algebras recovers the weight-block structure for free.
+super Jacobi identity.
+
+Both linear systems are built over Python integers.  The table's common
+denominator is cleared once: with s the lcm of all denominators, every
+structure constant is replaced by s * c_ab^m.  A cocycle-identity row and
+a coboundary row are each linear in the structure constants, so every row
+is scaled by the same s and the kernel and the row span are unchanged.
+Each row is then made primitive (divided by the gcd of its entries, first
+entry positive) and duplicates are dropped before any elimination; on
+root-graded algebras most cyclic triples repeat a row already seen.
+Python integers do not overflow, so no magnitude bound is needed.
+
+The cocycle system decomposes into independent blocks along connected
+components of its unknown-interaction graph, which for root-graded
+algebras recovers the weight-block structure for free.  h2_dims only
+counts: dim Z^2 is the number of unknowns minus the rank, summed over the
+blocks, and dim B^2 is the rank of the coboundary rows; no basis is
+materialised.  cocycle_space, coboundary_space and h2_representatives
+work on sparse pair rows and build the dense Cocycle2 form only for the
+cocycles they return.  Their bases are the unique RREF of the subspace,
+so scaling, deduplicating or reordering rows never changes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .constructors import CartanBasis
 from .errors import NotPerfect, ValidationError
@@ -66,55 +85,116 @@ def _pair_index(space: SuperSpace, parity: int):
     return pairs, {p: t for t, p in enumerate(pairs)}
 
 
-def _pair_coeff(space: SuperSpace, pos: dict, m: int, c: int):
-    """Unknown index and sign expressing phi(b_m, b_c)."""
-    if m == c:
-        idx = pos.get((m, m))
-        return (idx, ONE) if idx is not None else (None, ZERO)
-    if m < c:
-        idx = pos.get((m, c))
-        return (idx, ONE) if idx is not None else (None, ZERO)
-    idx = pos.get((c, m))
-    if idx is None:
-        return (None, ZERO)
-    sgn = -ONE if not (space.parity[m] and space.parity[c]) else ONE
-    return (idx, sgn)
+def _integer_table(l: LieSuperalgebra) -> dict:
+    """{(a, b): ((m, s * c_ab^m), ...)} with s the lcm of all denominators."""
+    ent = l.table.entries
+    s = lcm(1, *(c.denominator for terms in ent.values() for _, c in terms))
+    return {
+        key: tuple((m, c.numerator * (s // c.denominator)) for m, c in terms)
+        for key, terms in ent.items()
+    }
 
 
-def _cocycle_rows(l: LieSuperalgebra, parity: int, pairs, pos):
-    """Sparse constraint rows of the cocycle identity over canonical triples.
+def _primitive(row: dict) -> tuple:
+    """A nonzero integer row divided by the gcd of its entries, sorted, with
+    its first entry positive."""
+    g = gcd(*row.values())
+    items = sorted(row.items())
+    if items[0][1] < 0:
+        g = -g
+    if g != 1:
+        items = [(t, v // g) for t, v in items]
+    return tuple(items)
 
-    The identity is super-symmetric under permutations up to sign, so
-    i <= j <= k is exhaustive.
+
+def _cocycle_rows(l: LieSuperalgebra, parity: int, pos: dict, itab: dict) -> list[dict]:
+    """Distinct primitive integer rows of the cocycle identity over canonical
+    triples i <= j <= k.
+
+    The identity is super-symmetric under permutations up to sign, so the
+    canonical triples are exhaustive.  A triple's row is
+    sum_cyc s * phi([b_a, b_b], b_c) over ((i, j), k), ((j, k), i), ((k, i), j),
+    and phi(b_m, b_c) = sign * x_t with (t, sign) = slot[c][m].  Only
+    triples with a nonzero bracket among their three pairs are visited.
     """
     n = l.dim
     par = l.parity
-    ent = l.table.entries
-    rows = []
+    slot = [{} for _ in range(n)]
+    for (i, j), t in pos.items():
+        slot[j][i] = (t, 1)
+        slot[i][j] = (t, 1 if par[i] and par[j] else -1)
+    right = [{} for _ in range(n)]  # right[a][b] = [b_a, b_b]
+    for (a, b), terms in itab.items():
+        right[a][b] = terms
+    left = [{} for _ in range(n)]  # left[b][a] = [b_a, b_b]
+    for a in range(n):
+        for b, terms in right[a].items():
+            left[b][a] = terms
+    by_parity = [[k for k in range(n) if par[k] == p] for p in (0, 1)]
+    seen: dict = {}
+
+    def add(row, terms, s, sl):
+        for m, coeff in terms:
+            hit = sl.get(m)
+            if hit is not None:
+                t, sgn = hit
+                v = row.get(t, 0) + s * sgn * coeff
+                if v:
+                    row[t] = v
+                else:
+                    del row[t]
+
     for i in range(n):
         for j in range(i, n):
-            for k in range(j, n):
-                if (par[i] + par[j] + par[k]) % 2 != parity:
-                    continue
+            want = (parity + par[i] + par[j]) % 2
+            # the cyclic signs (-1)^{|a||c|} of the three terms
+            s1 = -1 if par[i] and want else 1
+            s2 = -1 if par[j] and par[i] else 1
+            s3 = -1 if want and par[j] else 1
+            tij = right[i].get(j)
+            if tij:
+                ks = [k for k in by_parity[want] if k >= j]
+            else:
+                ks = sorted(
+                    k for k in right[j].keys() | left[i].keys() if k >= j and par[k] == want
+                )
+            rj, li = right[j], left[i]
+            for k in ks:
                 row: dict = {}
-                for (a, b), c in (((i, j), k), ((j, k), i), ((k, i), j)):
-                    s = -ONE if par[a] and par[c] else ONE
-                    for m, coeff in ent.get((a, b), ()):
-                        idx, sgn = _pair_coeff(l.space, pos, m, c)
-                        if idx is None:
-                            continue
-                        v = row.get(idx, ZERO) + s * sgn * coeff
-                        if v:
-                            row[idx] = v
-                        else:
-                            row.pop(idx, None)
+                if tij:
+                    add(row, tij, s1, slot[k])
+                tjk = rj.get(k)
+                if tjk:
+                    add(row, tjk, s2, slot[i])
+                tki = li.get(k)
+                if tki:
+                    add(row, tki, s3, slot[j])
                 if row:
-                    rows.append(row)
-    return rows
+                    seen[_primitive(row)] = None
+    # shortest first: single-unknown rows become pivots before longer rows
+    # are reduced against them
+    return sorted((dict(r) for r in seen), key=len)
 
 
-def _solve_blocks(rows, nunknowns):
-    """Kernel basis of a sparse row system, solved per connected component."""
+def _coboundary_rows(pairs, itab: dict) -> list[dict]:
+    """Distinct primitive integer rows t -> s * c_{pairs[t]}^m of the
+    coboundaries phi_f = f([x, y]) for f = b_m^*, built in one pass over the
+    table.  The table is parity-homogeneous, so every such b_m has the
+    sector's parity."""
+    rows: dict = {}
+    for t, (i, j) in enumerate(pairs):
+        for m, c in itab.get((i, j), ()):
+            rows.setdefault(m, {})[t] = c
+    return [dict(r) for r in dict.fromkeys(_primitive(rows[m]) for m in sorted(rows))]
+
+
+def _blocks(rows: list[dict], nunknowns: int):
+    """Split a row system along connected components of its unknowns.
+
+    Returns (cols, rows) per component, cols ascending and each row
+    re-indexed to positions in cols; a component without rows is a single
+    free unknown.
+    """
     parent = list(range(nunknowns))
 
     def find(x):
@@ -123,46 +203,57 @@ def _solve_blocks(rows, nunknowns):
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
     for row in rows:
-        cols = list(row)
-        for c in cols[1:]:
-            union(cols[0], c)
+        cols = iter(row)
+        r0 = find(next(cols))
+        for c in cols:
+            rc = find(c)
+            if rc != r0:
+                parent[rc] = r0
     groups: dict = {}
     for u in range(nunknowns):
         groups.setdefault(find(u), []).append(u)
     rows_by_root: dict = {}
     for row in rows:
         rows_by_root.setdefault(find(next(iter(row))), []).append(row)
-
-    basis = []
-    for root, cols in sorted(groups.items()):
+    out = []
+    for root, cols in groups.items():
         local = {c: t for t, c in enumerate(cols)}
-        block_rows = [
-            {local[c]: v for c, v in row.items()} for row in rows_by_root.get(root, [])
-        ]
-        for kv in kernel_from_rows(block_rows, len(cols)):
-            out = {}
-            for t, c in enumerate(cols):
-                if kv[t]:
-                    out[c] = kv[t]
-            basis.append(out)
-    sr = SparseRref(nunknowns)
-    for b in sorted(basis, key=lambda d: sorted(d.items())):
-        sr.insert(b)
-    return sr.basis_dense()
+        block = [{local[c]: v for c, v in row.items()} for row in rows_by_root.get(root, ())]
+        out.append((cols, block))
+    return out
 
 
-def _materialize(l: LieSuperalgebra, parity: int, pairs, coords) -> Cocycle2:
+def _rank(rows, ncols: int) -> int:
+    sr = SparseRref(ncols)
+    for row in rows:
+        sr.insert(row)
+    return sr.rank
+
+
+def _cocycle_basis(l: LieSuperalgebra, parity: int, itab: dict) -> tuple[list, list[dict]]:
+    """(pairs, canonical basis of Z^2 as sparse pair rows, by pivot)."""
+    pairs, pos = _pair_index(l.space, parity)
+    basis = []
+    for cols, rows in _blocks(_cocycle_rows(l, parity, pos, itab), len(pairs)):
+        if not rows:
+            basis.append({cols[0]: ONE})
+            continue
+        # the blocks share no columns, so the RREF of Z^2 is the union of
+        # the blocks' RREFs, and cols ascending keeps each block's pivots
+        sr = SparseRref(len(cols))
+        for kv in kernel_from_rows(rows, len(cols)):
+            sr.insert(dense_to_sparse(kv))
+        basis.extend({cols[t]: v for t, v in row.items()} for row in sr.basis())
+    basis.sort(key=min)
+    return pairs, basis
+
+
+def _materialize(l: LieSuperalgebra, parity: int, pairs, row: dict) -> Cocycle2:
     n = l.dim
     form = Matrix.zeros(n, n)
-    for (i, j), v in zip(pairs, coords):
-        if v == 0:
-            continue
+    for t, v in row.items():
+        i, j = pairs[t]
         form.data[i][j] = v
         if i != j:
             sgn = -ONE if not (l.parity[i] and l.parity[j]) else ONE
@@ -172,61 +263,43 @@ def _materialize(l: LieSuperalgebra, parity: int, pairs, coords) -> Cocycle2:
 
 def cocycle_space(l: LieSuperalgebra, parity: int) -> list[Cocycle2]:
     """Canonical basis of the space of 2-cocycles of the given parity."""
-    pairs, pos = _pair_index(l.space, parity)
-    rows = _cocycle_rows(l, parity, pairs, pos)
-    basis = _solve_blocks(rows, len(pairs))
+    pairs, basis = _cocycle_basis(l, parity, _integer_table(l))
     return [_materialize(l, parity, pairs, b) for b in basis]
+
+
+def _coboundary_rref(l: LieSuperalgebra, parity: int, itab: dict) -> tuple[list, SparseRref]:
+    pairs, _ = _pair_index(l.space, parity)
+    sr = SparseRref(len(pairs))
+    for row in _coboundary_rows(pairs, itab):
+        sr.insert(row)
+    return pairs, sr
 
 
 def coboundary_space(l: LieSuperalgebra, parity: int) -> list[Cocycle2]:
     """Canonical basis of the coboundaries phi_f(x, y) = f([x, y])."""
-    pairs, pos = _pair_index(l.space, parity)
-    sr = SparseRref(len(pairs))
-    for s in range(l.dim):
-        if l.parity[s] != parity:
-            continue
-        row = {}
-        for t, (i, j) in enumerate(pairs):
-            for m, c in l.table.entries.get((i, j), ()):
-                if m == s:
-                    v = row.get(t, ZERO) + c
-                    if v:
-                        row[t] = v
-                    else:
-                        row.pop(t, None)
-        sr.insert(row)
-    return [_materialize(l, parity, pairs, b) for b in sr.basis_dense()]
-
-
-def _pair_coords(l, parity, pairs, cocycle: Cocycle2) -> dict:
-    return {
-        t: cocycle.form.data[i][j]
-        for t, (i, j) in enumerate(pairs)
-        if cocycle.form.data[i][j] != 0
-    }
+    pairs, sr = _coboundary_rref(l, parity, _integer_table(l))
+    return [_materialize(l, parity, pairs, b) for b in sr.basis()]
 
 
 def h2_dims(l: LieSuperalgebra) -> tuple[int, int]:
-    """dim H^2(L, F) = dim Z^2 - dim B^2, per parity."""
+    """dim H^2(L, F) = dim Z^2 - dim B^2, per parity, from ranks alone."""
+    itab = _integer_table(l)
     out = []
     for parity in (0, 1):
-        z = cocycle_space(l, parity)
-        b = coboundary_space(l, parity)
-        out.append(len(z) - len(b))
+        pairs, pos = _pair_index(l.space, parity)
+        blocks = _blocks(_cocycle_rows(l, parity, pos, itab), len(pairs))
+        zdim = len(pairs) - sum(_rank(rows, len(cols)) for cols, rows in blocks if rows)
+        bdim = _rank(_coboundary_rows(pairs, itab), len(pairs))
+        out.append(zdim - bdim)
     return tuple(out)
 
 
 def h2_representatives(l: LieSuperalgebra, parity: int) -> list[Cocycle2]:
     """Cocycles spanning a canonical complement of B^2 inside Z^2."""
-    pairs, pos = _pair_index(l.space, parity)
-    sr = SparseRref(len(pairs))
-    for c in coboundary_space(l, parity):
-        sr.insert(_pair_coords(l, parity, pairs, c))
-    reps = []
-    for z in cocycle_space(l, parity):
-        if sr.insert(_pair_coords(l, parity, pairs, z)) is not None:
-            reps.append(z)
-    return reps
+    itab = _integer_table(l)
+    pairs, sr = _coboundary_rref(l, parity, itab)
+    _, basis = _cocycle_basis(l, parity, itab)
+    return [_materialize(l, parity, pairs, z) for z in basis if sr.insert(z) is not None]
 
 
 @dataclass

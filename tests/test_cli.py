@@ -114,6 +114,51 @@ def test_cover_map_json_list_for_m11_cover_exits_2(tmp_path, capsys):
     _assert_input_error(code, capsys)
 
 
+def _m11_element_commands(path):
+    return [["certify-m11", fx("m11.sca"), "--elements", path],
+            ["tkk", fx("m11.sca"), "--m11", path, "--cover-out", path + ".cover.json"]]
+
+
+def test_m11_elements_json_list_exits_2(tmp_path, capsys):
+    elements = tmp_path / "elements.json"
+    elements.write_text("[1, 2]")
+    for argv in _m11_element_commands(str(elements)):
+        _assert_input_error(main(argv), capsys)
+
+
+def test_m11_elements_scalar_values_exits_2(tmp_path, capsys):
+    elements = tmp_path / "elements.json"
+    elements.write_text('{"e1": 5, "e2": 5, "x": 5, "y": 5}')
+    for argv in _m11_element_commands(str(elements)):
+        _assert_input_error(main(argv), capsys)
+
+
+def test_m11_elements_wrong_keys_or_length_exits_2(tmp_path, capsys):
+    elements = tmp_path / "elements.json"
+    for text in ('{"e1": ["1", "0", "0", "0"], "e2": ["0", "1", "0", "0"], '
+                 '"x": ["0", "0", "1", "0"]}',
+                 '{"e1": ["1", "0", "0"], "e2": ["0", "1", "0", "0"], '
+                 '"x": ["0", "0", "1", "0"], "y": ["0", "0", "0", "1"]}'):
+        elements.write_text(text)
+        for argv in _m11_element_commands(str(elements)):
+            _assert_input_error(main(argv), capsys)
+
+
+def test_unexpected_exception_exits_2_without_traceback(monkeypatch, capsys):
+    from supergrade import cli
+
+    def boom(args, out):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_run_h2", boom)
+    code = main(["h2", fx("psl22.sca")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines() == ["supergrade: error: RuntimeError: boom"]
+
+
 def test_check_does_not_import_scipy(tmp_path):
     jp4 = str(tmp_path / "jp4.sca")
     script = (
@@ -346,6 +391,19 @@ def test_cli_determinism_written_files(tmp_path, capsys):
         assert code == 0
         outs.append((sca_path.read_bytes(), rep_path.read_bytes()))
     assert outs[0] == outs[1]
+
+
+def test_uce_bytes_match_golden_files(tmp_path, capsys):
+    # uce_psl22.sca and uce_psl33.sca were written by the Fraction-row
+    # cohomology solver; canonical H^2 representatives must not change
+    # across versions
+    code, out = run_cli(["uce", fx("psl22.sca")], capsys)
+    assert code == 0
+    assert out.encode() == (FIXTURES / "uce_psl22.sca").read_bytes()
+    psl33, uce33 = tmp_path / "psl33.sca", tmp_path / "uce33.sca"
+    assert run_cli(["construct", "psl", "2", "--out", psl33], capsys)[0] == 0
+    assert run_cli(["uce", psl33, "--out", uce33], capsys)[0] == 0
+    assert uce33.read_bytes() == (FIXTURES / "uce_psl33.sca").read_bytes()
 
 
 def test_report_envelope_contains_digests(tmp_path, capsys):

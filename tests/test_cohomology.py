@@ -1,14 +1,17 @@
 """Second cohomology, central extensions and isogeny fingerprints."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supergrade import cohomology as H
 from supergrade import constructors as C
 from supergrade.constructors import CartanBasis
 from supergrade.errors import NotPerfect
-from supergrade.exact import unit_vec
+from supergrade.exact import SparseRref, kernel_from_rows, unit_vec
 from supergrade.superalg import (
     Element,
     LieSuperalgebra,
@@ -60,6 +63,12 @@ def test_sl2_h2_zero():
     assert H.h2_dims(l) == (0, 0)
 
 
+def _pair_coords(pairs, cocycle) -> dict:
+    """The independent values phi(b_i, b_j), i <= j, of a cocycle's form."""
+    data = cocycle.form.data
+    return {t: data[i][j] for t, (i, j) in enumerate(pairs) if data[i][j]}
+
+
 def test_coboundaries_inside_cocycles(psl22, sl21):
     for l in (psl22, sl21):
         for parity in (0, 1):
@@ -68,10 +77,10 @@ def test_coboundaries_inside_cocycles(psl22, sl21):
 
             sr = E.SparseRref(len(pairs))
             for z in H.cocycle_space(l, parity):
-                sr.insert(H._pair_coords(l, parity, pairs, z))
+                sr.insert(_pair_coords(pairs, z))
             zrank = sr.rank
             for b in H.coboundary_space(l, parity):
-                assert sr.insert(H._pair_coords(l, parity, pairs, b)) is None
+                assert sr.insert(_pair_coords(pairs, b)) is None
             assert sr.rank == zrank
 
 
@@ -191,3 +200,110 @@ def test_extension_kernel_is_central(psl22):
     for kv in kernel(ext.projection):
         for j in range(u.dim):
             assert not any(u.product_vec(kv, unit_vec(u.dim, j)))
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracle: one row per canonical triple, no denominator clearing, no
+# dedupe, no blocks; canonical bases by re-inserting into a SparseRref.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_pairs(par, parity):
+    n = len(par)
+    return [(i, j) for i in range(n) for j in range(i, n)
+            if (par[i] + par[j]) % 2 == parity and not (i == j and par[i] == 0)]
+
+
+def _oracle_phi(par, pos, m, c):
+    """(unknown, sign) with phi(b_m, b_c) = sign * x_unknown, or None."""
+    if m <= c:
+        return (pos[(m, c)], F(1)) if (m, c) in pos else None
+    if (c, m) not in pos:
+        return None
+    return pos[(c, m)], (F(1) if par[m] and par[c] else F(-1))
+
+
+def _oracle_cocycles(l, parity):
+    par, ent, n = l.parity, l.table.entries, l.dim
+    pairs = _oracle_pairs(par, parity)
+    pos = {p: t for t, p in enumerate(pairs)}
+    rows = []
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                if (par[i] + par[j] + par[k]) % 2 != parity:
+                    continue
+                row = {}
+                for (a, b), c in (((i, j), k), ((j, k), i), ((k, i), j)):
+                    s = F(-1) if par[a] and par[c] else F(1)
+                    for m, coeff in ent.get((a, b), ()):
+                        hit = _oracle_phi(par, pos, m, c)
+                        if hit is not None:
+                            row[hit[0]] = row.get(hit[0], F(0)) + s * hit[1] * coeff
+                row = {t: v for t, v in row.items() if v}
+                if row:
+                    rows.append(row)
+    sr = SparseRref(len(pairs))
+    for kv in kernel_from_rows(rows, len(pairs)):
+        sr.insert({t: v for t, v in enumerate(kv) if v})
+    return pairs, sr.basis()
+
+
+def _oracle_coboundaries(l, parity):
+    pairs = _oracle_pairs(l.parity, parity)
+    sr = SparseRref(len(pairs))
+    for s in range(l.dim):
+        if l.parity[s] == parity:
+            row = {}
+            for t, (i, j) in enumerate(pairs):
+                for m, c in l.table.entries.get((i, j), ()):
+                    if m == s:
+                        row[t] = c
+            sr.insert(row)
+    return sr.basis()
+
+
+@cache
+def _base_algebra(name):
+    return {"sl21": lambda: C.construct_sl(2, 1),
+            "psl22": lambda: C.construct_psl(1)[0],
+            "psl33": lambda: C.construct_psl(2)[0]}[name]()
+
+
+H2 = {"sl21": (0, 0), "psl22": (3, 0), "psl33": (1, 0)}
+
+scalars = st.builds(F, st.integers(-(2**20), 2**20).filter(bool), st.integers(1, 2**20))
+
+
+@st.composite
+def rescaled_algebras(draw):
+    """A base algebra in the basis b'_i = lam_i * b_{perm[i]}."""
+    name = draw(st.sampled_from(sorted(H2)))
+    base = _base_algebra(name)
+    n = base.dim
+    perm = draw(st.permutations(range(n)))
+    lam = [draw(scalars) for _ in range(n)]
+    inv = {old: new for new, old in enumerate(perm)}
+    entries = {}
+    for i in range(n):
+        for j in range(n):
+            terms = base.table.entries.get((perm[i], perm[j]), ())
+            if terms:
+                entries[(i, j)] = tuple(sorted(
+                    (inv[m], lam[i] * lam[j] * c / lam[inv[m]]) for m, c in terms))
+    space = SuperSpace(n, tuple(base.parity[perm[i]] for i in range(n)))
+    return name, LieSuperalgebra(StructureTable(space, "lie", entries))
+
+
+@given(rescaled_algebras())
+@settings(max_examples=30, deadline=None)
+def test_cohomology_matches_fraction_oracle(case):
+    name, l = case
+    dims = []
+    for parity in (0, 1):
+        pairs, zbasis = _oracle_cocycles(l, parity)
+        bbasis = _oracle_coboundaries(l, parity)
+        assert [_pair_coords(pairs, z) for z in H.cocycle_space(l, parity)] == zbasis
+        assert [_pair_coords(pairs, b) for b in H.coboundary_space(l, parity)] == bbasis
+        dims.append(len(zbasis) - len(bbasis))
+    assert H.h2_dims(l) == tuple(dims) == H2[name]
