@@ -9,10 +9,13 @@ and T(0) spanned by operator pairs D(a,b) acting on T(1) by
 
 and on T(-1) by the same expression with the first term negated.  The
 factor 2 normalizes h = [e, f] (e, f the unit copies) to act with
-eigenvalues 0, +-2.  T(0) elements are pairs of endomorphism matrices;
-equality and linear algebra on T(0) use the flattened 2*(dim J)^2
-coordinate vector, and closure of the span under the supercommutator is
-verified during construction rather than assumed.
+eigenvalues 0, +-2.  An element of T(0) is a sparse row over the
+flattened 2*(dim J)^2 coordinates of its two matrices: entry (r, c) of
+the T(1) block sits at r*n + c, of the T(-1) block at n*n + r*n + c.
+The closure under the supercommutator runs on integer rows (the table's
+denominator cleared once) in one SparseRref, and is verified during
+construction rather than assumed.  Entries are Python ints, so no bound
+is needed against overflow.
 """
 
 from __future__ import annotations
@@ -135,12 +138,14 @@ class TKKAlgebra:
     Basis layout: T(-1) copies of J first, then the inner part T(0), then
     T(1) copies of J.  e and f are the unit copies in T(1) and T(-1);
     h = [e, f] acts with eigenvalues -2, 0, 2 on the three parts.
+    inner_part holds the RREF basis of T(0) as sparse flattened rows
+    {idx: Fraction} (layout in the module docstring).
     """
 
     lie: LieSuperalgebra
     jordan: JordanSuperalgebra
     parts: "ThreeGrading"
-    inner_part: list  # list of (Matrix on T(1), Matrix on T(-1)) pairs
+    inner_part: list  # sparse flattened rows, one per basis element of T(0)
     e: Element
     f: Element
     h: Element
@@ -154,7 +159,7 @@ def _d_operator(j: JordanSuperalgebra, a: Vec, b: Vec, pa: int, pb: int):
     """The operator pair D(a,b): (action on T(1), action on T(-1)).
 
     Reference form over Fraction matrices; tkk() computes the same
-    operators in scaled-integer form, cross-checked by the tests.
+    operators as scaled integer rows, cross-checked by the tests.
     """
     n = j.dim
     sgn = -1 if pa and pb else 1
@@ -170,15 +175,6 @@ def _d_operator(j: JordanSuperalgebra, a: Vec, b: Vec, pa: int, pb: int):
     return Matrix.from_cols(plus_cols), Matrix.from_cols(minus_cols)
 
 
-def _unflatten_pair(row: dict, n: int) -> tuple[Matrix, Matrix]:
-    """The (T(1), T(-1)) matrices of a sparse flattened inner operator."""
-    p, q = Matrix.zeros(n, n), Matrix.zeros(n, n)
-    for idx, v in row.items():
-        r, c = divmod(idx % (n * n), n)
-        (p if idx < n * n else q).data[r][c] = v
-    return p, q
-
-
 def _pair_parity(row: dict, j: JordanSuperalgebra) -> int:
     n = j.dim
     par = j.parity
@@ -191,164 +187,42 @@ def _pair_parity(row: dict, j: JordanSuperalgebra) -> int:
     return seen.pop() if seen else 0
 
 
-class _IntOp:
-    """An operator pair stored as integer matrices over a common denominator.
+def _by_row(row: dict, n: int) -> dict:
+    """A flattened operator pair indexed by matrix row: {block*n + r: [(c, v)]}."""
+    out = {}
+    for idx, v in row.items():
+        out.setdefault(idx // n, []).append((idx % n, v))
+    return out
 
-    Arithmetic stays in int64 numpy when a proven bound keeps it exact and
-    silently widens to Python integers (object dtype) otherwise; values
-    are always p/den and q/den exactly.
+
+def _bracket(a: tuple, b: tuple, n: int) -> dict:
+    """Flattened supercommutator AB - (-1)^{|A||B|} BA of two operator pairs,
+    each given as (flattened row, _by_row index, parity).
+
+    Each product is a sparse matrix product inside one block: entry (r, k)
+    of the left factor meets row k of the same block of the right factor.
+    Entries are Python ints, so nothing can overflow.
     """
-
-    __slots__ = ("p", "q", "den", "parity")
-
-    def __init__(self, p, q, den, parity):
-        self.p = p
-        self.q = q
-        self.den = den
-        self.parity = parity
-
-    def normalized(self) -> "_IntOp":
-        import numpy as np
-        from math import gcd
-
-        g = self.den
-        for a in (self.p, self.q):
-            if a.dtype == object:
-                for v in a.ravel():
-                    g = gcd(g, int(v))
-            else:
-                g = gcd(g, int(np.gcd.reduce(np.abs(a), axis=None)))
-            if g == 1:
-                return self
-        if g <= 1:
-            return self
-        return _IntOp(self.p // g, self.q // g, self.den // g, self.parity)
-
-    def max_abs(self) -> int:
-        import numpy as np
-
-        out = 0
-        for a in (self.p, self.q):
-            if a.size:
-                if a.dtype == object:
-                    out = max(out, max(abs(int(v)) for v in a.ravel()))
-                else:
-                    out = max(out, int(np.abs(a).max()))
-        return out
-
-    def flat_fractions(self) -> dict:
-        out = {}
-        half = self.p.shape[0] * self.p.shape[1]
-        for block, a in ((0, self.p), (half, self.q)):
-            for (r, c), v in _ndenumerate(a):
-                if v:
-                    out[block + r * a.shape[1] + c] = Fraction(int(v), self.den)
-        return out
-
-
-def _ndenumerate(a):
-    import numpy as np
-
-    return np.ndenumerate(a)
-
-
-_INT64_SAFE = 1 << 62
-
-
-def _op_commutator(a: _IntOp, b: _IntOp, n: int) -> _IntOp:
-    import numpy as np
-
-    sgn = -1 if a.parity and b.parity else 1
-    widen = (
-        a.p.dtype == object
-        or b.p.dtype == object
-        or 2 * n * a.max_abs() * b.max_abs() >= _INT64_SAFE
-    )
-    if widen:
-        ap, aq = a.p.astype(object), a.q.astype(object)
-        bp, bq = b.p.astype(object), b.q.astype(object)
-    else:
-        ap, aq, bp, bq = a.p, a.q, b.p, b.q
-    p = ap @ bp - sgn * (bp @ ap)
-    q = aq @ bq - sgn * (bq @ aq)
-    return _IntOp(p, q, a.den * b.den, (a.parity + b.parity) % 2).normalized()
-
-
-class _SpanMirror:
-    """int64 mirror of a SparseRref basis for fast exact membership tests.
-
-    The authoritative basis is the SparseRref; the mirror only answers
-    queries whose magnitude bounds prove int64 arithmetic exact, and
-    signals None otherwise so callers fall back to the Fraction path.
-    """
-
-    def __init__(self, sr: SparseRref, ncols: int):
-        self.sr = sr
-        self.ncols = ncols
-        self.ok = False
-        self.rebuild()
-
-    def rebuild(self):
-        import numpy as np
-        from math import lcm
-
-        rows = self.sr.basis()
-        den = 1
-        for row in rows:
-            for v in row.values():
-                den = lcm(den, v.denominator)
-        entries_ok = True
-        mat = np.zeros((len(rows), self.ncols), dtype=np.int64)
-        for r, row in enumerate(rows):
-            for c, v in row.items():
-                iv = v.numerator * (den // v.denominator)
-                if abs(iv) >= _INT64_SAFE:
-                    entries_ok = False
-                    break
-                mat[r, c] = iv
-        self.pivots = np.array(self.sr.pivots(), dtype=np.int64)
-        self.mat = mat
-        self.den = den
-        self.maxent = int(np.abs(mat).max()) if mat.size else 0
-        self.ok = entries_ok
-
-    def contains(self, op: _IntOp) -> bool | None:
-        """Whether op lies in the span, or None when the int64 arithmetic
-        is not proven exact and the caller must ask the SparseRref."""
-        import numpy as np
-
-        if not self.ok or op.p.dtype == object:
-            return None
-        maxv = op.max_abs()
-        if (
-            maxv * self.den >= _INT64_SAFE
-            or len(self.pivots) * maxv * max(self.maxent, 1) >= _INT64_SAFE
-        ):
-            return None
-        v = np.concatenate([op.p.ravel(), op.q.ravel()])
-        lhs = v * self.den
-        rhs = v[self.pivots] @ self.mat if len(self.pivots) else np.zeros_like(lhs)
-        return bool(np.array_equal(lhs, rhs))
-
-    def coords_of(self, op: _IntOp) -> list:
-        """Coordinates over the basis of an op that contains() accepted:
-        the RREF basis has unit pivots, so they are op's pivot entries."""
-        import numpy as np
-
-        v = np.concatenate([op.p.ravel(), op.q.ravel()])[self.pivots]
-        return [Fraction(x, op.den) if x else ZERO for x in v.tolist()]
+    sgn = -1 if a[2] and b[2] else 1
+    out = {}
+    for x, y, s in ((a, b, 1), (b, a, -sgn)):
+        rows = y[1]
+        for idx, v in x[0].items():
+            q, k = divmod(idx, n)
+            for c, w in rows.get(q - q % n + k, ()):
+                out[q * n + c] = out.get(q * n + c, 0) + s * v * w
+    return {i: v for i, v in out.items() if v}
 
 
 def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
     """Tits-Kantor-Koecher Lie superalgebra of a unital Jordan superalgebra."""
-    import numpy as np
     from math import lcm
 
     if j.unit is None:
         raise ValidationError("TKK needs a unital Jordan superalgebra")
     n = j.dim
+    nn = n * n
     par = j.parity
-    flat_len = 2 * n * n
 
     den_j = 1
     for terms in j.table.entries.values():
@@ -360,14 +234,12 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
         for key, terms in j.table.entries.items()
     }
 
-    def d_op(a: int, b: int) -> _IntOp:
-        # integer form of D(b_a, b_b), scaled by den_j^2: column t holds
-        # 2 (first + rest) and 2 (rest - first), where first sums up to n and
-        # rest up to 2n products of two table constants, so an entry can
-        # reach 6 n maxc^2.  Entries are Python ints until the dtype is
-        # chosen from the largest one.
+    def d_row(a: int, b: int) -> dict:
+        # D(b_a, b_b) scaled by den_j^2 and flattened: entry (r, t) of the
+        # T(1) block at r*n + t, of the T(-1) block at n*n + r*n + t.  Column
+        # t holds 2 (first + rest) and 2 (rest - first).
         sgn = -1 if par[a] and par[b] else 1
-        plus, minus = {}, {}
+        row = {}
         ab = ent_int.get((a, b), ())
         for t in range(n):
             first = {}
@@ -383,51 +255,31 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
                     rest[r] = rest.get(r, 0) - sgn * c * c2
             for r in first.keys() | rest.keys():
                 f, g = first.get(r, 0), rest.get(r, 0)
-                plus[r, t] = 2 * (f + g)
-                minus[r, t] = 2 * (g - f)
-        big = max(map(abs, [*plus.values(), *minus.values()]), default=0)
-        dtype = np.int64 if big < _INT64_SAFE else object
-        pm = np.zeros((n, n), dtype=dtype)
-        qm = np.zeros((n, n), dtype=dtype)
-        for (r, t), v in plus.items():
-            pm[r, t] = v
-        for (r, t), v in minus.items():
-            qm[r, t] = v
-        return _IntOp(pm, qm, scale, (par[a] + par[b]) % 2).normalized()
+                if f + g:
+                    row[r * n + t] = 2 * (f + g)
+                if g - f:
+                    row[nn + r * n + t] = 2 * (g - f)
+        return row
 
-    # inner part: span closure of the D(a,b) under the supercommutator
-    sr = SparseRref(flat_len)
-    mirror = _SpanMirror(sr, flat_len)
-    ops: list[_IntOp] = []
-    queue = [d_op(i, k) for i in range(n) for k in range(n)]
+    # inner part: span closure of the D(a,b) under the supercommutator.
+    # Membership is scale-invariant, so the candidates stay integer rows;
+    # insert() returning None is the membership test.
+    d_rows = {(a, b): d_row(a, b) for a in range(n) for b in range(n)}
+    sr = SparseRref(2 * nn)
+    ops: list[tuple] = []
+    queue = [(row, (par[a] + par[b]) % 2) for (a, b), row in d_rows.items()]
     while queue:
-        op = queue.pop()
-        inside = mirror.contains(op)
-        if inside is None:
-            inside = sr.contains(op.flat_fractions())
-        if inside:
+        row, parity = queue.pop()
+        if sr.insert(row) is None:
             continue
-        inserted = sr.insert(op.flat_fractions())
-        assert inserted is not None
-        mirror.rebuild()
+        op = (row, _by_row(row, n), parity)
         ops.append(op)
         for other in ops:  # includes the self-commutator
-            queue.append(_op_commutator(op, other, n))
-
-    def inner_coords_op(op: _IntOp):
-        inside = mirror.contains(op)
-        if inside is None:
-            return sr.coordinates(op.flat_fractions())
-        return mirror.coords_of(op) if inside else None
+            queue.append((_bracket(op, other, n), (parity + other[2]) % 2))
 
     inner_rows = sr.basis()
     n0 = len(inner_rows)
-    inner_pairs = []
-    inner_parity = []
-    for row in inner_rows:
-        p, q = _unflatten_pair(row, n)
-        inner_pairs.append((p, q))
-        inner_parity.append(_pair_parity(row, j))
+    inner_parity = [_pair_parity(row, j) for row in inner_rows]
 
     dim = n + n0 + n
     off0 = 0      # T(-1)
@@ -445,51 +297,60 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
         if terms:
             entries[(i, k)] = terms
 
+    # the basis rows scaled to integer rows den_t * s_t
+    inner_ops, dens = [], []
+    for row, parity in zip(inner_rows, inner_parity):
+        den = lcm(1, *(v.denominator for v in row.values()))
+        ints = {idx: v.numerator * (den // v.denominator) for idx, v in row.items()}
+        inner_ops.append((ints, _by_row(ints, n), parity))
+        dens.append(den)
+    pivots = sr.pivots()
+    den_all = lcm(1, *dens)
+
+    def inner_terms(row: dict, den: int, what: str) -> list:
+        # Over an RREF basis the coordinates of row are its pivot entries;
+        # row = sum_t row[p_t] s_t is verified exactly, scaled by den_all.
+        coords = [(t, row[p]) for t, p in enumerate(pivots) if p in row]
+        acc = {idx: den_all * v for idx, v in row.items()}
+        for t, c in coords:
+            m = c * (den_all // dens[t])
+            for idx, v in inner_ops[t][0].items():
+                acc[idx] = acc.get(idx, 0) - m * v
+        if any(acc.values()):
+            raise JacobiFailure(f"{what} escaped the inner span")
+        return [(off_inner + t, Fraction(c, den)) for t, c in coords]
+
     # [a, b~] = D(a, b); [b~, a] = -(-1)^{|a||b|} D(a, b)
     for i in range(n):
         for k in range(n):
-            coords = inner_coords_op(d_op(i, k))
-            if coords is None:
-                raise JacobiFailure(f"D({i},{k}) escaped the inner span")
-            terms = [(off_inner + t, c) for t, c in enumerate(coords) if c != 0]
+            terms = inner_terms(d_rows[i, k], scale, f"D({i},{k})")
             put(off1 + i, off0 + k, terms)
             sgn = -1 if par[i] and par[k] else 1
             put(off0 + k, off1 + i, [(t, -sgn * c) for t, c in terms])
 
-    # [s, a] in T(1), [s, b~] in T(-1)
-    for t, (p, q) in enumerate(inner_pairs):
+    # [s, a] in T(1), [s, b~] in T(-1): column a of each block of s
+    for t, row in enumerate(inner_rows):
         st = inner_parity[t]
+        cols = {}
+        for idx in sorted(row):
+            block, rc = divmod(idx, nn)
+            r, i = divmod(rc, n)
+            cols.setdefault((block, i), []).append((r, row[idx]))
         for i in range(n):
-            col = p.col(i)
-            terms = [(off1 + r, c) for r, c in enumerate(col) if c != 0]
-            put(off_inner + t, off1 + i, terms)
             sgn = -1 if st and par[i] else 1
+            terms = [(off1 + r, c) for r, c in cols.get((0, i), ())]
+            put(off_inner + t, off1 + i, terms)
             put(off1 + i, off_inner + t, [(k, -sgn * c) for k, c in terms])
-            col = q.col(i)
-            terms = [(off0 + r, c) for r, c in enumerate(col) if c != 0]
+            terms = [(off0 + r, c) for r, c in cols.get((1, i), ())]
             put(off_inner + t, off0 + i, terms)
             put(off0 + i, off_inner + t, [(k, -sgn * c) for k, c in terms])
 
     # [s, t] inside T(0)
-    inner_ops = []
-    for row, parity in zip(inner_rows, inner_parity):
-        den = lcm(1, *(v.denominator for v in row.values()))
-        ints = {idx: v.numerator * (den // v.denominator) for idx, v in row.items()}
-        big = max(map(abs, ints.values()), default=0)
-        flat = np.zeros(flat_len, dtype=np.int64 if big < _INT64_SAFE else object)
-        for idx, v in ints.items():
-            flat[idx] = v
-        pm, qm = flat[: n * n].reshape(n, n), flat[n * n:].reshape(n, n)
-        inner_ops.append(_IntOp(pm, qm, den, parity))
     for t1, op1 in enumerate(inner_ops):
         for t2, op2 in enumerate(inner_ops):
-            coords = inner_coords_op(_op_commutator(op1, op2, n))
-            if coords is None:
-                raise JacobiFailure(
-                    f"supercommutator of inner operators {t1},{t2} escaped the span"
-                )
-            put(off_inner + t1, off_inner + t2,
-                [(off_inner + k, c) for k, c in enumerate(coords) if c != 0])
+            terms = inner_terms(_bracket(op1, op2, n), dens[t1] * dens[t2],
+                                f"supercommutator of inner operators {t1},{t2}")
+            put(off_inner + t1, off_inner + t2, terms)
 
     table = StructureTable(space, "lie", entries)
     name = f"TKK({j.provenance.get('name', 'J')})"
@@ -517,7 +378,7 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
         zero=[unit_vec(dim, off_inner + t) for t in range(n0)],
         plus=[unit_vec(dim, off1 + t) for t in range(n)],
     )
-    tk = TKKAlgebra(lie=lie, jordan=j, parts=parts, inner_part=inner_pairs, e=e, f=f, h=h)
+    tk = TKKAlgebra(lie=lie, jordan=j, parts=parts, inner_part=inner_rows, e=e, f=f, h=h)
     lie.provenance["tkk"] = tk
     return tk
 

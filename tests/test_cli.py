@@ -1,5 +1,6 @@
 """CLI surface: exit codes, output shapes, and byte-level determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from supergrade.cli import main
+from tests.conftest import JP4_M11_ELEMENTS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -159,15 +161,18 @@ def test_unexpected_exception_exits_2_without_traceback(monkeypatch, capsys):
     assert captured.err.splitlines() == ["supergrade: error: RuntimeError: boom"]
 
 
-def test_check_does_not_import_scipy(tmp_path):
+def test_check_and_tkk_import_neither_scipy_nor_numpy(tmp_path):
     jp4 = str(tmp_path / "jp4.sca")
+    cover = str(tmp_path / "cover.json")
     script = (
         "import sys\n"
         "from supergrade.cli import main\n"
         f"assert main(['construct', 'jp', '4', '--out', {jp4!r}]) == 0\n"
         f"assert main(['check', {fx('slA_g1.sca')!r}]) == 0\n"
         f"assert main(['check', {jp4!r}]) == 0\n"
-        "sys.exit(3 if 'scipy' in sys.modules else 0)\n"
+        f"assert main(['tkk', {fx('m11.sca')!r}, '--m11', {fx('m11_elems.json')!r},"
+        f" '--cover-out', {cover!r}]) == 0\n"
+        "sys.exit(3 if {'scipy', 'numpy'} & sys.modules.keys() else 0)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -404,6 +409,36 @@ def test_uce_bytes_match_golden_files(tmp_path, capsys):
     assert run_cli(["construct", "psl", "2", "--out", psl33], capsys)[0] == 0
     assert run_cli(["uce", psl33, "--out", uce33], capsys)[0] == 0
     assert uce33.read_bytes() == (FIXTURES / "uce_psl33.sca").read_bytes()
+
+
+def test_tkk_m11_bytes_match_golden_file(tmp_path, capsys):
+    # tkk_m11.sca was written by the numpy int64 TKK construction; the
+    # inner basis is the canonical RREF, so the bytes must not change
+    # across versions
+    out = tmp_path / "tkk.sca"
+    assert run_cli(["tkk", fx("m11.sca"), "--out", out], capsys)[0] == 0
+    assert out.read_bytes() == (FIXTURES / "tkk_m11.sca").read_bytes()
+
+
+# SHA-256 of what the numpy int64 TKK construction wrote for JP(4) with
+# the JP4_M11_ELEMENTS quadruple
+TKK_JP4_DIGESTS = {
+    "stdout": "6b63d6f59c354d1b28fe0ae5c65dedc480bfb7a44b523fb80c74c32054254a5a",
+    "tkk.sca": "5057ea59e3a9b9ee40c516e8a447347366f948ab7ffdf4a5188fcc9d861db534",
+    "cover.json": "e52921f01cf04a74531de9c22ed7938d58a7a1946ce2c3eb5c2a2b63b85850c3",
+}
+
+
+def test_tkk_jp4_bytes_match_pinned_digests(tmp_path, capsys):
+    (tmp_path / "elems.json").write_text(json.dumps(JP4_M11_ELEMENTS))
+    assert run_cli(["construct", "jp", "4", "--out", "jp4.sca"], capsys, cwd=tmp_path)[0] == 0
+    code, out = run_cli(["tkk", "jp4.sca", "--m11", "elems.json", "--cover-out", "cover.json",
+                         "--out", "tkk.sca"], capsys, cwd=tmp_path)
+    assert code == 0
+    got = {"stdout": hashlib.sha256(out.encode()).hexdigest()}
+    for name in ("tkk.sca", "cover.json"):
+        got[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert got == TKK_JP4_DIGESTS
 
 
 def test_report_envelope_contains_digests(tmp_path, capsys):

@@ -1,8 +1,11 @@
 """Jordan machinery: symmetrization, Peirce, TKK both ways, certificates."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supergrade import constructors as C
 from supergrade import roots as R
@@ -18,7 +21,14 @@ from supergrade.jordan import (
     symmetrized,
     tkk,
 )
-from supergrade.superalg import JordanSuperalgebra, center, validate_jordan, validate_lie
+from supergrade.superalg import (
+    JordanSuperalgebra,
+    StructureTable,
+    SuperSpace,
+    center,
+    validate_jordan,
+    validate_lie,
+)
 from tests.conftest import JP4_M11_ELEMENTS, JQ4_M11_ELEMENTS
 
 F = Fraction
@@ -271,9 +281,8 @@ def test_certify_failure_recorded(m11):
     assert "x.y=e1-e2" in cert.failures()
 
 
-def test_d_operator_matches_int_path(m11):
-    # the Fraction reference for D(a,b) agrees with the tkk table: [e, f] = h
-    t = tkk(m11)
+def test_d_operator_of_unit_pair_acts_as_h(m11):
+    # the Fraction reference D(1,1) is h = [e, f]: 2 on T(1), -2 on T(-1)
     p, q = _d_operator(m11, m11.unit, m11.unit, 0, 0)
     n = m11.dim
     for i in range(n):
@@ -281,9 +290,66 @@ def test_d_operator_matches_int_path(m11):
         assert q.col(i) == tuple(-2 * c for c in unit_vec(n, i))
 
 
+@cache
+def _base_jordan(name):
+    return {"m11": lambda: C.construct_jordan("M11"),
+            "jp2": lambda: C.construct_jordan("JP", 2),
+            "jq2": lambda: C.construct_jordan("JQ", 2),
+            "field": lambda: symmetrized(C.construct_assoc("field"))}[name]()
+
+
+TKK_DIMS = {"m11": 14, "jp2": 31, "jq2": 30, "field": 3}
+
+scalars = st.builds(F, st.integers(-(2**20), 2**20).filter(bool), st.integers(1, 2**20))
+
+
+@st.composite
+def rescaled_jordans(draw):
+    """A base Jordan superalgebra in the basis b'_i = lam_i * b_{perm[i]}."""
+    name = draw(st.sampled_from(sorted(TKK_DIMS)))
+    base = _base_jordan(name)
+    n = base.dim
+    perm = draw(st.permutations(range(n)))
+    lam = [draw(scalars) for _ in range(n)]
+    inv = {old: new for new, old in enumerate(perm)}
+    entries = {}
+    for i in range(n):
+        for k in range(n):
+            terms = base.table.entries.get((perm[i], perm[k]), ())
+            if terms:
+                entries[(i, k)] = tuple(sorted(
+                    (inv[m], lam[i] * lam[k] * c / lam[inv[m]]) for m, c in terms))
+    unit = tuple(base.unit[perm[i]] / lam[i] for i in range(n))
+    space = SuperSpace(n, tuple(base.parity[perm[i]] for i in range(n)))
+    return name, JordanSuperalgebra(StructureTable(space, "jordan", entries, unit=unit))
+
+
+@given(rescaled_jordans())
+@settings(max_examples=30, deadline=None)
+def test_tkk_inner_part_matches_fraction_reference(case):
+    # [a, b~] = D(a, b): its coordinates over the inner basis must rebuild
+    # the flattened Fraction reference operator exactly
+    name, j = case
+    t = tkk(j)
+    assert t.dim == TKK_DIMS[name]
+    validate_lie(t.lie.table)
+    n, n0 = j.dim, len(t.inner_part)
+    for a in range(n):
+        for b in range(n):
+            p, q = _d_operator(j, unit_vec(n, a), unit_vec(n, b), j.parity[a], j.parity[b])
+            want = {off + r * n + c: x
+                    for off, m in ((0, p), (n * n, q))
+                    for r, row in enumerate(m.data) for c, x in enumerate(row) if x}
+            got = {}
+            for k, c in t.lie.table.entries.get((n + n0 + a, b), ()):
+                for idx, v in t.inner_part[k - n].items():
+                    got[idx] = got.get(idx, 0) + c * v
+            assert {idx: v for idx, v in got.items() if v} == want, (a, b)
+
+
 def test_tkk_d_operators_beyond_int64_do_not_overflow():
     # D(a,b) entries of this non-Jordan table exceed 2^63; unvalidated, the
-    # construction widens them to Python ints and ends in the failed h check
+    # construction keeps them as Python ints and ends in the failed h check
     from pathlib import Path
 
     from supergrade.sca import parse_sca
