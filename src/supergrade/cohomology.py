@@ -11,27 +11,33 @@ denominator is cleared once: with s the lcm of all denominators, every
 structure constant is replaced by s * c_ab^m.  A cocycle-identity row and
 a coboundary row are each linear in the structure constants, so every row
 is scaled by the same s and the kernel and the row span are unchanged.
-Each row is then made primitive (divided by the gcd of its entries, first
-entry positive) and duplicates are dropped before any elimination; on
-root-graded algebras most cyclic triples repeat a row already seen.
-Python integers do not overflow, so no magnitude bound is needed.
+A cocycle-identity row with a single entry sets that unknown to 0 (most
+rows on root-graded algebras do): these killed unknowns are collected as a
+set and dropped from the longer rows.  Every other row is made primitive
+(exact.primitive: divided by the gcd of its entries, first entry positive)
+and duplicates are dropped before any elimination; most cyclic triples
+repeat a row already seen.  The rows stay integer through the
+fraction-free SparseRref, and Python integers do not overflow, so no
+magnitude bound is needed.
 
 The cocycle system decomposes into independent blocks along connected
 components of its unknown-interaction graph, which for root-graded
 algebras recovers the weight-block structure for free.  h2_dims only
-counts: dim Z^2 is the number of unknowns minus the rank, summed over the
-blocks, and dim B^2 is the rank of the coboundary rows; no basis is
-materialised.  cocycle_space, coboundary_space and h2_representatives
-work on sparse pair rows and build the dense Cocycle2 form only for the
-cocycles they return.  Their bases are the unique RREF of the subspace,
-so scaling, deduplicating or reordering rows never changes them.
+counts: dim Z^2 is the number of unknowns minus the rank, which is the
+number of killed unknowns plus the ranks of the blocks, and dim B^2 is the
+rank of the coboundary rows; no basis is materialised.  cocycle_space,
+coboundary_space and h2_representatives work on sparse pair rows (a
+killed unknown is 0 in every cocycle) and build the dense Cocycle2 form
+only for the cocycles they return.  Their bases are the unique RREF of
+the subspace, so scaling, deduplicating or reordering rows never changes
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .constructors import CartanBasis
 from .errors import NotPerfect, ValidationError
@@ -43,6 +49,7 @@ from .exact import (
     dense_to_sparse,
     kernel,
     kernel_from_rows,
+    primitive,
     solve_linear,
     unit_vec,
     vec,
@@ -95,21 +102,16 @@ def _integer_table(l: LieSuperalgebra) -> dict:
     }
 
 
-def _primitive(row: dict) -> tuple:
-    """A nonzero integer row divided by the gcd of its entries, sorted, with
-    its first entry positive."""
-    g = gcd(*row.values())
-    items = sorted(row.items())
-    if items[0][1] < 0:
-        g = -g
-    if g != 1:
-        items = [(t, v // g) for t, v in items]
-    return tuple(items)
+def _key(row: dict) -> tuple:
+    """Hashable form of a nonzero integer row made primitive, first entry
+    positive."""
+    return tuple(sorted(primitive(row, min(row)).items()))
 
 
-def _cocycle_rows(l: LieSuperalgebra, parity: int, pos: dict, itab: dict) -> list[dict]:
-    """Distinct primitive integer rows of the cocycle identity over canonical
-    triples i <= j <= k.
+def _cocycle_rows(l: LieSuperalgebra, parity: int, pos: dict, itab: dict) -> tuple[set, list]:
+    """(killed, rows) for the cocycle identity over canonical triples
+    i <= j <= k: the unknowns a single-entry row sets to 0, and the distinct
+    primitive integer rows of the other triples with those unknowns dropped.
 
     The identity is super-symmetric under permutations up to sign, so the
     canonical triples are exhaustive.  A triple's row is
@@ -131,7 +133,8 @@ def _cocycle_rows(l: LieSuperalgebra, parity: int, pos: dict, itab: dict) -> lis
         for b, terms in right[a].items():
             left[b][a] = terms
     by_parity = [[k for k in range(n) if par[k] == p] for p in (0, 1)]
-    seen: dict = {}
+    killed: set = set()
+    longer: list[dict] = []
 
     def add(row, terms, s, sl):
         for m, coeff in terms:
@@ -169,11 +172,18 @@ def _cocycle_rows(l: LieSuperalgebra, parity: int, pos: dict, itab: dict) -> lis
                 tki = li.get(k)
                 if tki:
                     add(row, tki, s3, slot[j])
-                if row:
-                    seen[_primitive(row)] = None
-    # shortest first: single-unknown rows become pivots before longer rows
-    # are reduced against them
-    return sorted((dict(r) for r in seen), key=len)
+                if len(row) == 1:
+                    killed.update(row)
+                elif row:
+                    longer.append(row)
+    seen: dict = {}
+    for row in longer:
+        row = {t: v for t, v in row.items() if t not in killed}
+        if row:
+            seen[_key(row)] = None
+    # shortest first: short rows become pivots before longer rows are
+    # reduced against them
+    return killed, sorted((dict(r) for r in seen), key=len)
 
 
 def _coboundary_rows(pairs, itab: dict) -> list[dict]:
@@ -185,7 +195,7 @@ def _coboundary_rows(pairs, itab: dict) -> list[dict]:
     for t, (i, j) in enumerate(pairs):
         for m, c in itab.get((i, j), ()):
             rows.setdefault(m, {})[t] = c
-    return [dict(r) for r in dict.fromkeys(_primitive(rows[m]) for m in sorted(rows))]
+    return [dict(r) for r in dict.fromkeys(_key(rows[m]) for m in sorted(rows))]
 
 
 def _blocks(rows: list[dict], nunknowns: int):
@@ -234,10 +244,12 @@ def _rank(rows, ncols: int) -> int:
 def _cocycle_basis(l: LieSuperalgebra, parity: int, itab: dict) -> tuple[list, list[dict]]:
     """(pairs, canonical basis of Z^2 as sparse pair rows, by pivot)."""
     pairs, pos = _pair_index(l.space, parity)
+    killed, zrows = _cocycle_rows(l, parity, pos, itab)
     basis = []
-    for cols, rows in _blocks(_cocycle_rows(l, parity, pos, itab), len(pairs)):
+    for cols, rows in _blocks(zrows, len(pairs)):
         if not rows:
-            basis.append({cols[0]: ONE})
+            if cols[0] not in killed:
+                basis.append({cols[0]: ONE})
             continue
         # the blocks share no columns, so the RREF of Z^2 is the union of
         # the blocks' RREFs, and cols ascending keeps each block's pivots
@@ -287,8 +299,10 @@ def h2_dims(l: LieSuperalgebra) -> tuple[int, int]:
     out = []
     for parity in (0, 1):
         pairs, pos = _pair_index(l.space, parity)
-        blocks = _blocks(_cocycle_rows(l, parity, pos, itab), len(pairs))
-        zdim = len(pairs) - sum(_rank(rows, len(cols)) for cols, rows in blocks if rows)
+        killed, zrows = _cocycle_rows(l, parity, pos, itab)
+        blocks = _blocks(zrows, len(pairs))
+        zrank = len(killed) + sum(_rank(rows, len(cols)) for cols, rows in blocks if rows)
+        zdim = len(pairs) - zrank
         bdim = _rank(_coboundary_rows(pairs, itab), len(pairs))
         out.append(zdim - bdim)
     return tuple(out)

@@ -1,8 +1,7 @@
 """Exact rational linear algebra kernel.
 
-All arithmetic is over the rationals via fractions.Fraction; there is no
-floating point anywhere.  Canonical forms are fixed once and for all so
-that higher layers can compare bases by plain equality:
+There is no floating point anywhere.  Canonical forms are fixed once and
+for all so that higher layers can compare bases by plain equality:
 
 * RREF pivots are the leftmost nonzero columns, pivot entries are 1 and
   pivot columns are cleared above and below;
@@ -10,17 +9,24 @@ that higher layers can compare bases by plain equality:
   order;
 * particular solutions set all free variables to 0.
 
-Linear algebra on the hot paths runs on sparse rows {column: Fraction}
-reduced by the incremental SparseRref: span closures, kernels, subspace
-coordinates, and eigenspaces of operators given as sparse rows or columns.
-The RREF is unique, so the sparse and dense routines return the same
-canonical bases.  The dense Matrix with rref/kernel/solve_linear/char_poly
-remains for small one-off computations and as the tests' reference oracle.
+Linear algebra on the hot paths runs on sparse rows {column: value}
+reduced by the incremental SparseRref: ranks, span closures, kernels,
+subspace coordinates, and eigenspaces of operators given as sparse rows or
+columns.  SparseRref eliminates fraction-free over Python integers
+(Bareiss, Math. Comp. 22, 1968): its basis rows are primitive {column: int}
+rows, a row with Fraction entries is scaled once by the lcm of its
+denominators, and Fraction appears only in what it returns (reduce, basis,
+and coordinates of Fraction input).  Inserting and testing integer rows
+builds no Fraction at all.  The RREF is unique, so the sparse and dense
+routines return the same canonical bases.  The dense Fraction Matrix with
+rref/kernel/solve_linear/char_poly remains for small one-off computations
+and as the tests' reference oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionMismatch, NonSplitSpectrum
@@ -310,8 +316,6 @@ def _int_divisors(n: int) -> list[int]:
 
 def primitive_integer_poly(p: Sequence) -> list[int]:
     """Clear denominators and content; sign of the leading coefficient is kept."""
-    from math import gcd, lcm
-
     p = poly_trim(list(p))
     if not p:
         return []
@@ -382,11 +386,26 @@ def rational_eigenvalues(m: Matrix) -> list[tuple[Fraction, int]]:
 # ---------------------------------------------------------------------------
 
 
+def primitive(row: dict, lead: int) -> dict:
+    """A nonzero integer row divided by the gcd of its entries, signed so
+    that row[lead] > 0."""
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    return row if g == 1 else {k: v // g for k, v in row.items()}
+
+
 class SparseRref:
     """Reduced row-echelon basis of a growing set of sparse rows.
 
-    Rows are dicts {column: Fraction}.  Columns >= npivot are "augmented":
-    they are carried through eliminations but never chosen as pivots, which
+    Input rows are dicts {column: int or Fraction}.  Each basis row is kept
+    as a primitive integer row {column: int}: its entries have gcd 1, its
+    pivot entry is positive and it is 0 at every other pivot column, so
+    dividing each row by its pivot entry gives the canonical RREF.
+    Elimination is fraction-free: a Fraction row is scaled once by the lcm
+    of its denominators, and a Fraction is built only where a rational value
+    is handed back (reduce, basis).  Columns >= npivot are "augmented": they
+    are carried through eliminations but never chosen as pivots, which
     supports augmented solves (coordinate tracking, minimal polynomials,
     homomorphism transport).
     """
@@ -394,7 +413,7 @@ class SparseRref:
     def __init__(self, ncols: int, npivot: int | None = None):
         self.ncols = ncols
         self.npivot = ncols if npivot is None else npivot
-        self._rows: dict[int, dict] = {}  # pivot column -> row
+        self._rows: dict[int, dict] = {}  # pivot column -> primitive int row
         self._sorted: list[int] | None = []
 
     @property
@@ -406,22 +425,43 @@ class SparseRref:
             self._sorted = sorted(self._rows)
         return self._sorted
 
+    def _reduce(self, row: dict) -> tuple[dict, int]:
+        """(out, scale) with out / scale the fully reduced row, out integer."""
+        den = 1
+        for v in row.values():
+            if v.denominator != 1:
+                den = lcm(den, v.denominator)
+        if den == 1:
+            out = {k: v.numerator for k, v in row.items() if v}
+        else:
+            out = {k: v.numerator * (den // v.denominator) for k, v in row.items() if v}
+        scale = den
+        rows = self._rows
+        # Pivot rows are 0 at every other pivot column, so a single pass over
+        # the initially present pivot columns is complete.
+        for c in [c for c in out if c in rows]:
+            p = rows[c]
+            a, f = p[c], out[c]
+            if a != 1:
+                # out <- (a/g)·out - (f/g)·p clears column c
+                g = gcd(a, f)
+                m, f = a // g, f // g
+                if m != 1:
+                    for k in out:
+                        out[k] *= m
+                    scale *= m
+            for k, v in p.items():
+                x = out.get(k, 0) - f * v
+                if x:
+                    out[k] = x
+                else:
+                    del out[k]
+        return out, scale
+
     def reduce(self, row: dict) -> dict:
         """Fully reduce a row against the current basis (row is not consumed)."""
-        out = dict(row)
-        # Pivot rows only touch their own pivot and non-pivot columns, so a
-        # single pass over the initially present pivot columns is complete.
-        for c in [c for c in out if c in self._rows]:
-            f = out.get(c)
-            if not f:
-                continue
-            for k, v in self._rows[c].items():
-                newval = out.get(k, ZERO) - f * v
-                if newval:
-                    out[k] = newval
-                else:
-                    out.pop(k, None)
-        return out
+        out, scale = self._reduce(row)
+        return {k: Fraction(v, scale) for k, v in out.items()}
 
     def _leading(self, row: dict) -> int | None:
         cols = [c for c in row if c < self.npivot]
@@ -429,52 +469,59 @@ class SparseRref:
 
     def insert(self, row: dict) -> int | None:
         """Insert a row; returns its pivot column, or None if dependent."""
-        red = self.reduce(row)
+        red, _ = self._reduce(row)
         lead = self._leading(red)
         if lead is None:
             return None
-        inv = ONE / red[lead]
-        red = {k: v * inv for k, v in red.items()}
-        for other in self._rows.values():
+        red = primitive(red, lead)
+        a = red[lead]
+        rows = self._rows
+        for c, other in rows.items():
             f = other.get(lead)
-            if f:
-                for k, v in red.items():
-                    newval = other.get(k, ZERO) - f * v
-                    if newval:
-                        other[k] = newval
-                    else:
-                        other.pop(k, None)
-        self._rows[lead] = red
+            if not f:
+                continue
+            # other <- (a·other - f·red) / g clears column lead; red is 0 at
+            # c, so other's pivot entry stays positive.  Overflow bound:
+            # none, the entries are Python ints, which grow as needed (the
+            # oracle property in tests/test_exact.py runs entries to 2^64).
+            g = gcd(a, f)
+            m, f = a // g, f // g
+            if m != 1:
+                other = {k: m * v for k, v in other.items()}
+            for k, v in red.items():
+                x = other.get(k, 0) - f * v
+                if x:
+                    other[k] = x
+                else:
+                    del other[k]
+            rows[c] = primitive(other, c)
+        rows[lead] = red
         self._sorted = None
         return lead
 
     def basis(self) -> list[dict]:
-        return [dict(self._rows[c]) for c in self.pivots()]
+        """The canonical RREF rows {column: Fraction}, by pivot."""
+        out = []
+        for c in self.pivots():
+            row = self._rows[c]
+            a = row[c]
+            out.append({k: Fraction(v, a) for k, v in row.items()})
+        return out
 
     def basis_dense(self) -> list[Vec]:
         return [sparse_to_dense(r, self.ncols) for r in self.basis()]
 
     def contains(self, row: dict) -> bool:
-        return self._leading(self.reduce(row)) is None
+        return self._leading(self._reduce(row)[0]) is None
 
     def coordinates(self, row: dict) -> list | None:
-        """Coordinates of a vector over basis() order, or None if outside."""
-        out = dict(row)
-        coeffs: dict[int, Fraction] = {}
-        for c in [c for c in out if c in self._rows]:
-            f = out.get(c)
-            if not f:
-                continue
-            coeffs[c] = f
-            for k, v in self._rows[c].items():
-                newval = out.get(k, ZERO) - f * v
-                if newval:
-                    out[k] = newval
-                else:
-                    out.pop(k, None)
-        if any(c < self.npivot for c in out):
+        """Coordinates of a vector over basis() order, or None if outside.
+
+        Each RREF row is 1 at its own pivot and 0 at the others, so the
+        coordinates of a vector in the span are its entries at the pivots."""
+        if not self.contains(row):
             return None
-        return [coeffs.get(c, ZERO) for c in self.pivots()]
+        return [row.get(c, ZERO) for c in self.pivots()]
 
 
 def kernel_from_rows(rows: Iterable[dict], ncols: int) -> list[Vec]:
@@ -530,31 +577,6 @@ def sparse_apply(cols: Sequence[dict], v: Sequence) -> Vec:
             for i, a in cols[j].items():
                 acc[i] = acc.get(i, ZERO) + x * a
     return sparse_to_dense(acc, len(cols))
-
-
-def span_closure(seed: Iterable[Sequence], product: Callable[[Vec, Vec], Vec]) -> list[Vec]:
-    """Canonical basis of the smallest product-closed subspace containing seed.
-
-    The product is any bilinear map returning vectors in the same ambient
-    space; termination follows from finite ambient dimension.
-    """
-    seeds = [vec(s) for s in seed]
-    if not seeds:
-        return []
-    n = len(seeds[0])
-    sr = SparseRref(n)
-    elems: list[Vec] = []
-    queue = list(seeds)
-    while queue:
-        cand = queue.pop()
-        if sr.insert(dense_to_sparse(cand)) is None:
-            continue
-        for other in elems:
-            queue.append(product(cand, other))
-            queue.append(product(other, cand))
-        queue.append(product(cand, cand))
-        elems.append(cand)
-    return sr.basis_dense()
 
 
 def min_poly(apply: Callable[[Vec], Vec], dim: int) -> list:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import _axioms
 from .errors import (
@@ -328,40 +328,38 @@ def quotient_central(l: LieSuperalgebra, zbasis: Sequence) -> tuple[LieSuperalge
     """
     zvecs = [_coords(z) for z in zbasis]
     n = l.dim
+    ent = l.table.entries
+    zr = SparseRref(n)
     for z in zvecs:
         if homogeneous_parity(l.space, z) is None:
             raise NotCentral("central subspace generator is not parity-homogeneous")
+        zs = [(i, c) for i, c in enumerate(z) if c]
         for j in range(n):
-            if any(l.product_vec(z, unit_vec(n, j))):
+            if _sparse_product(ent, zs, [(j, ONE)]):
                 raise NotCentral(f"generator fails centrality against basis element {j}")
-    zr = SparseRref(n)
-    for z in zvecs:
-        zr.insert(dense_to_sparse(z))
+        zr.insert(dict(zs))
     pivots = set(zr.pivots())
     keep = [c for c in range(n) if c not in pivots]
     pos = {c: t for t, c in enumerate(keep)}
-
-    def project(v: Sequence) -> Vec:
-        red = zr.reduce(dense_to_sparse(v))
-        return tuple(red.get(c, ZERO) for c in keep)
 
     new_space = SuperSpace(
         dim=len(keep),
         parity=tuple(l.parity[c] for c in keep),
         labels=tuple(l.labels[c] for c in keep) if l.labels else None,
     )
+    # a fully reduced row is 0 at every pivot column, so its keys lie in keep
     entries = {}
     for a, ca in enumerate(keep):
         for b, cb in enumerate(keep):
-            terms = l.table.entries.get((ca, cb))
-            if not terms:
-                continue
-            img = project(sparse_to_dense(dict(terms), n))
-            sparse = [(k, c) for k, c in enumerate(img) if c != 0]
-            if sparse:
-                entries[(a, b)] = tuple(sparse)
+            terms = ent.get((ca, cb))
+            if terms:
+                red = zr.reduce(dict(terms))
+                if red:
+                    entries[(a, b)] = tuple(sorted((pos[k], c) for k, c in red.items()))
     table = StructureTable(new_space, "lie", entries)
-    proj = Matrix.from_cols([project(unit_vec(n, j)) for j in range(n)])
+    proj = Matrix.from_cols(
+        [tuple(zr.reduce({j: ONE}).get(c, ZERO) for c in keep) for j in range(n)]
+    )
     prov = {
         "name": f"{l.provenance.get('name', 'L')}/center",
         "base": l,
@@ -447,14 +445,6 @@ def tensor_lie_assoc(g0: LieSuperalgebra, a: AssocSuperalgebra) -> LieSuperalgeb
         "z": tuple(zvec),
     }
     return LieSuperalgebra(table, prov)
-
-
-def subalgebra_from_generators(l: _AlgebraBase, gens: Iterable) -> list[Vec]:
-    """Canonical basis of the subalgebra generated by gens under the product."""
-    from .exact import span_closure
-
-    seeds = [_coords(g) for g in gens]
-    return span_closure(seeds, l.product_vec)
 
 
 class SubspaceCoords:

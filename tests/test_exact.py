@@ -1,6 +1,8 @@
 """Tests for the exact rational linear algebra kernel."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +20,9 @@ from supergrade.exact import (
     rational_eigenvalues,
     rref,
     solve_linear,
-    span_closure,
     vec,
 )
+from tests.oracles import FractionSparseRref, span_closure
 
 F = Fraction
 
@@ -204,3 +206,110 @@ def test_span_closure_is_product_closed():
     for a in basis:
         for b in basis:
             assert solve_linear(span_matrix, bracket(a, b)) is not None
+
+
+# ---------------------------------------------------------------------------
+# The fraction-free SparseRref against the Fraction-pivot oracle.
+# ---------------------------------------------------------------------------
+
+BIG = 2**64
+nonzero = st.one_of(
+    st.integers(-BIG, BIG),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+).filter(bool)
+
+
+def _combination(rows, coeffs) -> dict:
+    acc: dict = {}
+    for row, c in zip(rows, coeffs):
+        for k, v in row.items():
+            acc[k] = acc.get(k, 0) + c * v
+    return {k: v for k, v in acc.items() if v}
+
+
+@st.composite
+def row_systems(draw):
+    """Rows mixing int and Fraction entries up to 2^64, with zero rows and
+    rows dependent on earlier ones, plus query rows in and out of their
+    span; npivot < ncols leaves augmented columns."""
+    ncols = draw(st.integers(1, 7))
+    npivot = draw(st.integers(1, ncols))
+
+    def fresh():
+        cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+        return {c: draw(nonzero) for c in sorted(cols)}
+
+    def combo(rows):
+        picked = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3))
+        return _combination(picked, [draw(nonzero) for _ in picked])
+
+    rows: list[dict] = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("fresh", "zero", "dependent")))
+        if kind == "zero":
+            rows.append({})
+        elif kind == "dependent" and rows:
+            rows.append(combo(rows))
+        else:
+            rows.append(fresh())
+    queries = [fresh() for _ in range(draw(st.integers(0, 3)))]
+    if rows:
+        queries += [combo(rows) for _ in range(draw(st.integers(0, 3)))]
+    return ncols, npivot, rows, queries
+
+
+def _assert_primitive_rows(sr: SparseRref) -> None:
+    # the documented representation: primitive int rows, positive pivot
+    # entry, 0 at every other pivot column
+    for c, row in sr._rows.items():
+        assert all(type(v) is int and v for v in row.values())
+        assert row[c] > 0 and gcd(*row.values()) == 1
+        assert not any(p in row for p in sr._rows if p != c)
+
+
+@given(row_systems())
+@settings(max_examples=200, deadline=None)
+def test_sparse_rref_matches_fraction_oracle(system):
+    ncols, npivot, rows, queries = system
+    sr, ref = SparseRref(ncols, npivot), FractionSparseRref(ncols, npivot)
+    for row in rows:
+        assert sr.insert(row) == ref.insert(row)
+        _assert_primitive_rows(sr)
+    assert sr.rank == ref.rank
+    assert sr.pivots() == ref.pivots()
+    assert sr.basis() == ref.basis()
+    for q in rows + queries:
+        assert sr.reduce(q) == ref.reduce(q)
+        assert sr.contains(q) == ref.contains(q)
+        assert sr.coordinates(q) == ref.coordinates(q)
+
+
+def test_integer_rows_build_no_fraction():
+    rng = random.Random(6)
+    ncols = 12
+    rows = [
+        {c: rng.choice((-1, 1)) * rng.randrange(1, 2**70) for c in rng.sample(range(ncols), 5)}
+        for _ in range(8)
+    ]
+    rows += [_combination(rows[:3], (2, -3, 5)), {}]
+    outside = {0: 1, 11: 3}
+    made = []
+    new = vars(Fraction)["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        for npivot in (ncols, 9):
+            sr = SparseRref(ncols, npivot)
+            for row in rows:
+                sr.insert(row)
+            for row in rows + [outside]:
+                sr.contains(row)
+        assert made == []
+        Fraction(1, 3)  # the counter sees a construction
+        assert len(made) == 1
+    finally:
+        Fraction.__new__ = new

@@ -17,12 +17,12 @@ from supergrade.superalg import (
     derived_subalgebra,
     homogeneous_parity,
     quotient_central,
-    subalgebra_from_generators,
     tensor_lie_assoc,
     validate_assoc,
     validate_jordan,
     validate_lie,
 )
+from tests.oracles import subalgebra_from_generators
 
 F = Fraction
 
