@@ -28,7 +28,6 @@ smallest nonzero column of its expression.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .errors import AxiomViolation, MissingUnit
@@ -71,12 +70,12 @@ def check_unit(table):
         raise MissingUnit("table has no unit element")
     from . import superalg
 
-    n = table.space.dim
-    unit = table.unit
-    for j in range(n):
-        ej = tuple(Fraction(int(t == j)) for t in range(n))
-        left = superalg.table_product(table, unit, ej)
-        right = superalg.table_product(table, ej, unit)
+    ent = table.entries
+    unit = [(i, c) for i, c in enumerate(table.unit) if c]
+    for j in range(table.space.dim):
+        ej = {j: 1}
+        left = superalg._sparse_product(ent, unit, ej.items())
+        right = superalg._sparse_product(ent, ej.items(), unit)
         if left != ej or right != ej:
             raise MissingUnit(f"unit axiom fails on basis element {j}")
 

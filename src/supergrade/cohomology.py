@@ -15,10 +15,10 @@ A cocycle-identity row with a single entry sets that unknown to 0 (most
 rows on root-graded algebras do): these killed unknowns are collected as a
 set and dropped from the longer rows.  Every other row is made primitive
 (exact.primitive: divided by the gcd of its entries, first entry positive)
-and duplicates are dropped before any elimination; most cyclic triples
-repeat a row already seen.  The rows stay integer through the
-fraction-free SparseRref, and Python integers do not overflow, so no
-magnitude bound is needed.
+and duplicates are dropped as the rows are generated, before any
+elimination; most cyclic triples repeat a row already seen.  The rows stay
+integer through the fraction-free SparseRref, and Python integers do not
+overflow, so no magnitude bound is needed.
 
 The cocycle system decomposes into independent blocks along connected
 components of its unknown-interaction graph, which for root-graded
@@ -134,7 +134,10 @@ def _cocycle_rows(l: LieSuperalgebra, parity: int, pos: dict, itab: dict) -> tup
             left[b][a] = terms
     by_parity = [[k for k in range(n) if par[k] == p] for p in (0, 1)]
     killed: set = set()
-    longer: list[dict] = []
+    # distinct longer rows, deduplicated as they come: multiples of one row
+    # stay multiples once the killed unknowns are dropped, and a row whose
+    # unknowns are all killed already would be dropped whole
+    longer: dict = {}
 
     def add(row, terms, s, sl):
         for m, coeff in terms:
@@ -174,12 +177,14 @@ def _cocycle_rows(l: LieSuperalgebra, parity: int, pos: dict, itab: dict) -> tup
                     add(row, tki, s3, slot[j])
                 if len(row) == 1:
                     killed.update(row)
-                elif row:
-                    longer.append(row)
+                elif row and not killed.issuperset(row):
+                    longer[_key(row)] = None
     seen: dict = {}
-    for row in longer:
-        row = {t: v for t, v in row.items() if t not in killed}
-        if row:
+    for key in longer:
+        row = {t: v for t, v in key if t not in killed}
+        if len(row) == len(key):
+            seen[key] = None
+        elif row:
             seen[_key(row)] = None
     # shortest first: short rows become pivots before longer rows are
     # reduced against them

@@ -38,6 +38,8 @@ from .superalg import (
     StructureTable,
     SubspaceCoords,
     SuperSpace,
+    _sparse_element,
+    _sparse_product,
     quotient_central,
     restricted_table,
     tensor_lie_assoc,
@@ -67,8 +69,9 @@ def _check_cartan(l, cartan: CartanBasis):
     for x in cartan.elements:
         if x.parity != 0:
             raise ValidationError("Cartan elements must be even")
-    for x, y in itertools.combinations(cartan.elements, 2):
-        if any(l.product_vec(x.coords, y.coords)):
+    sparse = [_sparse_element(l, x).items() for x in cartan.elements]
+    for x, y in itertools.combinations(sparse, 2):
+        if _sparse_product(l.table.entries, x, y):
             raise ValidationError("Cartan elements must commute pairwise")
 
 

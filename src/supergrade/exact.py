@@ -11,25 +11,25 @@ for all so that higher layers can compare bases by plain equality:
 
 Linear algebra on the hot paths runs on sparse rows {column: value}
 reduced by the incremental SparseRref: ranks, span closures, kernels,
-subspace coordinates, and eigenspaces of operators given as sparse rows or
-columns.  SparseRref eliminates fraction-free over Python integers
-(Bareiss, Math. Comp. 22, 1968): its basis rows are primitive {column: int}
-rows, a row with Fraction entries is scaled once by the lcm of its
-denominators, and Fraction appears only in what it returns (reduce, basis,
-and coordinates of Fraction input).  Inserting and testing integer rows
-builds no Fraction at all.  The RREF is unique, so the sparse and dense
-routines return the same canonical bases.  The dense Fraction Matrix with
-rref/kernel/solve_linear/char_poly remains for small one-off computations
-and as the tests' reference oracle.
+subspace coordinates, and eigenspaces and minimal polynomials of operators
+given as sparse rows or columns.  SparseRref eliminates fraction-free over
+Python integers (Bareiss, Math. Comp. 22, 1968): its basis rows are
+primitive {column: int} rows, a row with Fraction entries is scaled once by
+the lcm of its denominators, and Fraction appears only in what it returns
+(reduce, basis, and coordinates of Fraction input).  Inserting and testing
+integer rows builds no Fraction at all.  The RREF is unique, so the sparse
+and dense routines return the same canonical bases.  The dense Fraction
+Matrix with rref/kernel/solve_linear remains for the cohomology
+projections and the psl projection.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, NonSplitSpectrum
+from .errors import DimensionMismatch
 
 Vec = tuple  # tuple[Fraction, ...]
 
@@ -47,15 +47,6 @@ def unit_vec(n: int, i: int) -> Vec:
 
 def sub_vec(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def scale_vec(c, a: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * x for x in a)
-
-
-def is_zero_vec(a: Vec) -> bool:
-    return all(x == 0 for x in a)
 
 
 def dense_to_sparse(a: Sequence) -> dict:
@@ -282,25 +273,6 @@ def poly_lcm(p: Sequence, q: Sequence) -> list:
     return poly_monic(quot)
 
 
-def char_poly(m: Matrix) -> list:
-    """Characteristic polynomial via the Faddeev-LeVerrier recurrence."""
-    n = m.rows
-    if n != m.cols:
-        raise DimensionMismatch("characteristic polynomial needs a square matrix")
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    mk = m.copy()
-    for k in range(1, n + 1):
-        ck = mk.trace() / k
-        coeffs[n - k] = -ck
-        if k == n:
-            break
-        for i in range(n):
-            mk.data[i][i] -= ck
-        mk = m.matmul(mk)
-    return coeffs
-
-
 def _int_divisors(n: int) -> list[int]:
     n = abs(n)
     small, large = [], []
@@ -362,23 +334,6 @@ def rational_roots(p: Sequence) -> tuple[list[tuple[Fraction, int]], list]:
             roots.append((cand, mult))
     roots.sort(key=lambda rm: rm[0])
     return roots, work
-
-
-def rational_eigenvalues(m: Matrix) -> list[tuple[Fraction, int]]:
-    """Eigenvalues of a square matrix, all of which must be rational.
-
-    Returns (eigenvalue, algebraic multiplicity) pairs sorted by eigenvalue;
-    multiplicities sum to the dimension.  Raises NonSplitSpectrum if the
-    characteristic polynomial has an irrational (or complex) root.
-    """
-    p = char_poly(m)
-    roots, cofactor = rational_roots(p)
-    if poly_degree(cofactor) > 0:
-        raise NonSplitSpectrum(
-            f"irrational eigenvalues: characteristic polynomial has a degree-"
-            f"{poly_degree(cofactor)} factor without rational roots"
-        )
-    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -568,50 +523,52 @@ def sparse_transpose(cols: Sequence[dict], nrows: int) -> list[dict]:
     return rows
 
 
-def sparse_apply(cols: Sequence[dict], v: Sequence) -> Vec:
-    """A v for a square A given by its sparse columns, touching only the
-    columns at the nonzeros of v."""
+def sparse_apply(cols: Sequence[dict], v: dict) -> dict:
+    """A v for a sparse v and a square A given by its sparse columns,
+    touching only the columns at the nonzeros of v; zeros are dropped."""
     acc: dict[int, Fraction] = {}
-    for j, x in enumerate(v):
-        if x:
-            for i, a in cols[j].items():
-                acc[i] = acc.get(i, ZERO) + x * a
-    return sparse_to_dense(acc, len(cols))
+    for j, x in v.items():
+        for i, a in cols[j].items():
+            acc[i] = acc.get(i, ZERO) + x * a
+    return {i: x for i, x in acc.items() if x}
 
 
-def min_poly(apply: Callable[[Vec], Vec], dim: int) -> list:
-    """Monic minimal polynomial of a linear operator given by its action."""
+def min_poly(cols: Sequence[dict]) -> list:
+    """Monic minimal polynomial of a square operator given by its sparse
+    columns; the Krylov vectors stay sparse."""
+    dim = len(cols)
     best = [ONE]
     for i in range(dim):
         if poly_degree(best) >= dim:
             break
-        seed = unit_vec(dim, i)
-        if is_zero_vec(_poly_apply(best, apply, seed)):
+        seed = {i: ONE}
+        if not _poly_apply(best, cols, seed):
             continue
-        local = _local_min_poly(apply, seed, dim)
-        best = poly_lcm(best, local)
+        best = poly_lcm(best, _local_min_poly(cols, seed))
     return best
 
 
-def _poly_apply(p: Sequence, apply: Callable[[Vec], Vec], v: Vec) -> Vec:
-    """p(A) v by Horner's rule, skipping zero coefficients and entries."""
-    support = [(i, x) for i, x in enumerate(v) if x]
-    acc = scale_vec(p[-1], v)
+def _poly_apply(p: Sequence, cols: Sequence[dict], v: dict) -> dict:
+    """p(A) v by Horner's rule for A given by its sparse columns."""
+    acc = {i: p[-1] * x for i, x in v.items()} if p[-1] else {}
     for c in reversed(p[:-1]):
-        acc = apply(acc)
+        acc = sparse_apply(cols, acc)
         if c:
-            acc = list(acc)
-            for i, x in support:
-                acc[i] += c * x
-            acc = tuple(acc)
+            for i, x in v.items():
+                y = acc.get(i, ZERO) + c * x
+                if y:
+                    acc[i] = y
+                else:
+                    del acc[i]
     return acc
 
 
-def _local_min_poly(apply: Callable[[Vec], Vec], seed: Vec, dim: int) -> list:
+def _local_min_poly(cols: Sequence[dict], seed: dict) -> list:
+    dim = len(cols)
     sr = SparseRref(dim + dim + 1, npivot=dim)
     v = seed
     for k in range(dim + 1):
-        row = dense_to_sparse(v)
+        row = dict(v)
         row[dim + k] = ONE
         red = sr.reduce(row)
         if all(c >= dim for c in red):
@@ -620,5 +577,5 @@ def _local_min_poly(apply: Callable[[Vec], Vec], seed: Vec, dim: int) -> list:
                 coeffs[c - dim] = val
             return poly_monic(coeffs)
         sr.insert(row)
-        v = apply(v)
+        v = sparse_apply(cols, v)
     raise AssertionError("Krylov iteration failed to terminate")  # pragma: no cover

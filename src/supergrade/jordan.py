@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .errors import (
     JacobiFailure,
+    NonSplitSpectrum,
     NotIdempotent,
     NotThreeGraded,
     UnexpectedEigenvalue,
@@ -32,14 +33,17 @@ from .errors import (
     ValidationError,
 )
 from .exact import (
-    Matrix,
     SparseRref,
-    Vec,
     ZERO,
     ONE,
+    _poly_apply,
     dense_to_sparse,
     eigenspace,
-    scale_vec,
+    min_poly,
+    poly_degree,
+    rational_roots,
+    sparse_to_dense,
+    sparse_transpose,
     sub_vec,
     unit_vec,
     vec,
@@ -53,7 +57,8 @@ from .superalg import (
     SubspaceCoords,
     SuperSpace,
     _coords,
-    ad_matrix,
+    _sparse_element,
+    _sparse_product,
     ad_rows,
     homogeneous_parity,
     validate_jordan,
@@ -111,24 +116,26 @@ def peirce(j: JordanSuperalgebra, e1) -> PeirceDecomposition:
     mult = ad_rows(j, c)  # left multiplication by e1
     parts = tuple(eigenspace(mult, lam) for lam in (ZERO, HALF, ONE))
     if sum(map(len, parts)) != j.dim:
-        from .exact import rational_eigenvalues
-
-        eigs = rational_eigenvalues(ad_matrix(j, c))
+        cols = sparse_transpose(mult, j.dim)
+        eigs, cofactor = rational_roots(min_poly(cols))
+        if poly_degree(cofactor) > 0:
+            # the cofactor's kernel is the sum of the generalized
+            # eigenspaces of the irrational eigenvalues, so its dimension is
+            # the degree of the irrational factor of the characteristic
+            # polynomial
+            image = SparseRref(j.dim)
+            for i in range(j.dim):
+                image.insert(_poly_apply(cofactor, cols, {i: ONE}))
+            raise NonSplitSpectrum(
+                f"irrational eigenvalues: characteristic polynomial has a degree-"
+                f"{j.dim - image.rank} factor without rational roots"
+            )
         bad = [str(v) for v, _ in eigs if v not in (ZERO, HALF, ONE)]
         raise UnexpectedEigenvalue(
             f"multiplication by the idempotent has eigenvalues {{{', '.join(bad)}}} "
             "outside {0, 1/2, 1}"
         )
     return PeirceDecomposition(Element(vec(c), 0), parts)
-
-
-def associator(j: JordanSuperalgebra, a, b, c) -> Vec:
-    """(a.b).c - a.(b.c)."""
-    ca, cb, cc = _coords(a), _coords(b), _coords(c)
-    return sub_vec(
-        j.product_vec(j.product_vec(ca, cb), cc),
-        j.product_vec(ca, j.product_vec(cb, cc)),
-    )
 
 
 @dataclass
@@ -153,26 +160,6 @@ class TKKAlgebra:
     @property
     def dim(self):
         return self.lie.dim
-
-
-def _d_operator(j: JordanSuperalgebra, a: Vec, b: Vec, pa: int, pb: int):
-    """The operator pair D(a,b): (action on T(1), action on T(-1)).
-
-    Reference form over Fraction matrices; tkk() computes the same
-    operators as scaled integer rows, cross-checked by the tests.
-    """
-    n = j.dim
-    sgn = -1 if pa and pb else 1
-    ab = j.product_vec(a, b)
-    plus_cols, minus_cols = [], []
-    for t in range(n):
-        c = unit_vec(n, t)
-        first = j.product_vec(ab, c)
-        second = j.product_vec(a, j.product_vec(b, c))
-        third = j.product_vec(b, j.product_vec(a, c))
-        plus_cols.append(tuple(TWO * (first[r] + second[r] - sgn * third[r]) for r in range(n)))
-        minus_cols.append(tuple(TWO * (-first[r] + second[r] - sgn * third[r]) for r in range(n)))
-    return Matrix.from_cols(plus_cols), Matrix.from_cols(minus_cols)
 
 
 def _pair_parity(row: dict, j: JordanSuperalgebra) -> int:
@@ -364,11 +351,12 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
 
     e = Element(embed(off1, j.unit), 0)
     f = Element(embed(off0, j.unit), 0)
-    h = Element(lie.product_vec(e.coords, f.coords), 0)
+    hs = _sparse_product(entries, dense_to_sparse(e.coords).items(),
+                         dense_to_sparse(f.coords).items())
+    h = Element(sparse_to_dense(hs, dim), 0)
     for i, lam in ((off0, -TWO), (off1, TWO)):
-        for t in range(n):
-            col = lie.product_vec(h.coords, unit_vec(dim, i + t))
-            if col != scale_vec(lam, unit_vec(dim, i + t)):
+        for t in range(i, i + n):
+            if _sparse_product(entries, hs.items(), ((t, ONE),)) != {t: lam}:
                 raise JacobiFailure("h = [e,f] does not act with eigenvalues -2, 0, 2")
 
     from .roots import ThreeGrading
@@ -390,21 +378,23 @@ def jordan_from_3grading(l: LieSuperalgebra, e, f) -> JordanSuperalgebra:
     must act diagonalizably with eigenvalues in {0, -2, 2}, e in L(1) and
     f in L(-1).
     """
-    ce, cf = _coords(e), _coords(f)
     n = l.dim
-    h = l.product_vec(ce, cf)
-    adh = ad_rows(l, h)
+    ent = l.table.entries
+    se, sf = _sparse_element(l, e), _sparse_element(l, f)
+    h = _sparse_product(ent, se.items(), sf.items())
+    adh = ad_rows(l, sparse_to_dense(h, n))
     spaces = {lam: eigenspace(adh, lam) for lam in (-TWO, ZERO, TWO)}
     if sum(map(len, spaces.values())) != n:
         raise NotThreeGraded("ad[e,f] is not diagonalizable with eigenvalues 0, -2, 2")
-    if l.product_vec(h, ce) != tuple(TWO * c for c in ce):
+    if _sparse_product(ent, h.items(), se.items()) != {i: TWO * c for i, c in se.items()}:
         raise NotThreeGraded("e is not in the +2 eigenspace of ad[e,f]")
-    if l.product_vec(h, cf) != tuple(-TWO * c for c in cf):
+    if _sparse_product(ent, h.items(), sf.items()) != {i: -TWO * c for i, c in sf.items()}:
         raise NotThreeGraded("f is not in the -2 eigenspace of ad[e,f]")
 
     jbasis = spaces[TWO]
     m = len(jbasis)
-    to_j = SubspaceCoords([dense_to_sparse(v) for v in jbasis], n).coords
+    sbasis = [dense_to_sparse(v) for v in jbasis]
+    to_j = SubspaceCoords(sbasis, n)
 
     parities = []
     for v in jbasis:
@@ -412,38 +402,30 @@ def jordan_from_3grading(l: LieSuperalgebra, e, f) -> JordanSuperalgebra:
         if p is None:
             raise NotThreeGraded("L(1) basis vector is not parity-homogeneous")
         parities.append(p)
+    # x.y = [[x, f], y]/2, with the half taken on [x, f]
     entries = {}
     for i in range(m):
-        xi = jbasis[i]
-        xf = l.product_vec(xi, cf)
+        xf = _sparse_product(ent, sbasis[i].items(), sf.items())
+        xf = [(t, HALF * c) for t, c in xf.items()]
         for k in range(m):
-            prod = tuple(HALF * c for c in l.product_vec(xf, jbasis[k]))
-            coords = to_j(prod)
+            coords = to_j.sparse_coords(_sparse_product(ent, xf, sbasis[k].items()))
             if coords is None:
                 raise NotThreeGraded(
                     f"product of L(1) basis vectors {i},{k} leaves L(1)"
                 )
-            terms = [(t, c) for t, c in enumerate(coords) if c != 0]
-            if terms:
-                entries[(i, k)] = tuple(terms)
-    unit = to_j(ce)
+            if coords:
+                entries[(i, k)] = tuple(coords.items())
+    unit = to_j.sparse_coords(se)
     if unit is None:
         raise NotThreeGraded("e does not lie in L(1)")
     space = SuperSpace(m, tuple(parities))
-    table = StructureTable(space, "jordan", entries, unit=unit)
+    table = StructureTable(space, "jordan", entries, unit=sparse_to_dense(unit, m))
     for i in range(m):
-        got = table_mult(table, unit, i)
-        if got != unit_vec(m, i):
+        if _sparse_product(table.entries, unit.items(), ((i, ONE),)) != {i: ONE}:
             raise UnitFailure(f"e.x != x for L(1) basis vector {i}")
     prov = {"name": f"J(L(1) of {l.provenance.get('name', 'L')})",
-            "ambient": l, "l1_basis": jbasis, "e": vec(ce), "f": vec(cf)}
+            "ambient": l, "l1_basis": jbasis, "e": vec(_coords(e)), "f": vec(_coords(f))}
     return validate_jordan(table, prov)
-
-
-def table_mult(table: StructureTable, x, i: int) -> Vec:
-    from .superalg import table_product
-
-    return table_product(table, x, unit_vec(table.space.dim, i))
 
 
 @dataclass

@@ -5,6 +5,12 @@ Cartan basis, not abstract functionals; the A(n,n) pattern is generated
 against the same basis through diagonal-matrix representatives, which
 avoids any root-system isomorphism search.  Components are sorted by
 lexicographic weight and carry canonical RREF bases.
+
+Inside the loops (cover checks, eigenspace refinement, grading conditions,
+closure of a 3-grading) elements are sparse dicts {index: Fraction}
+multiplied with superalg._sparse_product, and ad(h) is given by sparse
+columns.  Dense Vec tuples appear only in the public results: component
+bases, Cartan elements and the parts of a ThreeGrading.
 """
 
 from __future__ import annotations
@@ -23,28 +29,24 @@ from .errors import (
 )
 from .exact import (
     SparseRref,
-    Vec,
     ZERO,
     ONE,
     dense_to_sparse,
     eigenspace,
-    is_zero_vec,
     kernel_from_rows,
     min_poly,
     poly_degree,
     rational_roots,
-    scale_vec,
-    sparse_apply,
     sparse_to_dense,
     sparse_transpose,
     unit_vec,
-    vec,
 )
 from .superalg import (
     Element,
     LieSuperalgebra,
     SuperSpace,
-    _coords,
+    _sparse_element,
+    _sparse_product,
     derived_subalgebra,
     homogeneous_parity,
 )
@@ -74,9 +76,6 @@ class RootDatum:
     components: list  # nonzero weights, sorted lexicographically
     zero_component: RootComponent
 
-    def all_components(self) -> list:
-        return [self.zero_component] + self.components
-
     def component(self, weight) -> RootComponent | None:
         for c in self.components:
             if c.weight == tuple(weight):
@@ -97,7 +96,7 @@ def _eigen_split(cols: list, witness: str):
     d = len(cols)
     if d == 0:
         return []
-    mp = min_poly(lambda v: sparse_apply(cols, v), d)
+    mp = min_poly(cols)
     roots, cofactor = rational_roots(mp)
     if poly_degree(cofactor) > 0:
         raise NonSplitSpectrum(f"{witness} has an irrational eigenvalue")
@@ -120,9 +119,11 @@ def weight_decomposition(l: LieSuperalgebra, cartan: CartanBasis) -> RootDatum:
 
     _check_cartan(l, cartan)
     n = l.dim
+    ent = l.table.entries
     comps = [((), [{i: ONE} for i in range(n)])]
     for t, h in enumerate(cartan.elements):
         witness = f"ad(cartan element {t})"
+        hs = dense_to_sparse(h.coords).items()
         refined = []
         for wt, basis in comps:
             sub = SparseRref(n)
@@ -131,8 +132,7 @@ def weight_decomposition(l: LieSuperalgebra, cartan: CartanBasis) -> RootDatum:
             rows = sub.basis()
             cols = []
             for v in rows:
-                img = l.product_vec(h.coords, sparse_to_dense(v, n))
-                c = sub.coordinates(dense_to_sparse(img))
+                c = sub.coordinates(_sparse_product(ent, hs, v.items()))
                 if c is None:
                     raise ValidationError(
                         f"{witness} does not preserve a previous eigenspace; "
@@ -287,38 +287,37 @@ class CoverAnalysis:
     evidence: dict
 
 
+def _push(images: list, coords) -> dict:
+    """sum_k c_k images[k] over the nonzero coordinates (k, c_k)."""
+    out: dict = {}
+    for k, c in coords:
+        for t, x in images[k].items():
+            out[t] = out.get(t, ZERO) + c * x
+    return {t: x for t, x in out.items() if x}
+
+
 def _analyze_sl_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalysis:
     ref = cover.reference
-    images = [vec(v) for v in cover.images]
-    if len(images) != ref.dim:
+    if len(cover.images) != ref.dim:
         raise NotHomomorphism("embedding image count differs from the cover basis")
+    images = [_sparse_element(l, v) for v in cover.images]
     sr = SparseRref(l.dim)
     for v in images:
-        sr.insert(dense_to_sparse(v))
+        sr.insert(v)
     if sr.rank != ref.dim:
         raise NotHomomorphism("cover embedding is not injective")
+    ent = l.table.entries
     for i in range(ref.dim):
         for j in range(i, ref.dim):
-            expect = [ZERO] * l.dim
-            for k, c in ref.table.entries.get((i, j), ()):
-                for t, x in enumerate(images[k]):
-                    if x:
-                        expect[t] += c * x
-            got = l.product_vec(images[i], images[j])
-            if tuple(expect) != tuple(got):
+            expect = _push(images, ref.table.entries.get((i, j), ()))
+            if expect != _sparse_product(ent, images[i].items(), images[j].items()):
                 raise NotHomomorphism(
                     f"embedding fails the homomorphism law on cover basis pair ({i},{j})"
                 )
     h_ref = ref.provenance["cartan_h"]
 
-    def push(coords) -> Vec:
-        out = [ZERO] * l.dim
-        for k, c in enumerate(coords):
-            if c:
-                for t, x in enumerate(images[k]):
-                    if x:
-                        out[t] += c * x
-        return tuple(out)
+    def push(coords) -> tuple:
+        return sparse_to_dense(_push(images, dense_to_sparse(coords).items()), l.dim)
 
     cartan = CartanBasis(
         elements=[Element(push(e.coords), 0) for e in h_ref.elements],
@@ -345,39 +344,47 @@ def _m11_psl_targets() -> dict:
     e1 - e2, which corresponds to the matrix-unit basis with y doubled.
     """
     psl22, _ = construct_psl(1)
-    u = lambda r, c: matrix_unit_in_psl(psl22, r, c)
+
+    def u(r, c, s=ONE):
+        return {t: s * x for t, x in enumerate(matrix_unit_in_psl(psl22, r, c)) if x}
+
     return psl22, {
         "e1": u(0, 1),
         "e2": u(2, 3),
         "x": u(0, 3),
-        "y": scale_vec(TWO, u(2, 1)),
+        "y": u(2, 1, TWO),
         "e1~": u(1, 0),
         "e2~": u(3, 2),
         "x~": u(1, 2),
-        "y~": scale_vec(TWO, u(3, 0)),
+        "y~": u(3, 0, TWO),
     }
 
 
 def _analyze_m11_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalysis:
-    images = {k: vec(v) for k, v in cover.images.items()}
-    if set(images) != set(_M11_KEYS):
+    if set(cover.images) != set(_M11_KEYS):
         raise BadParams(f"m11 cover needs generator images {_M11_KEYS}")
+    images = {k: _sparse_element(l, v) for k, v in cover.images.items()}
     psl22, targets = _m11_psl_targets()
     nl, np_ = l.dim, psl22.dim
+    ent, pent = l.table.entries, psl22.table.entries
 
-    def aug_row(v: Vec, p: Vec) -> dict:
-        row = dense_to_sparse(v)
-        for t, c in enumerate(p):
-            if c:
-                row[nl + t] = c
+    def aug_row(v: dict, p: dict) -> dict:
+        row = dict(v)
+        for t, c in p.items():
+            row[nl + t] = c
         return row
 
+    def product(a: tuple, b: tuple) -> tuple:
+        """(v, p) . (v', p') in L x psl(2,2)."""
+        return (_sparse_product(ent, a[0].items(), b[0].items()),
+                _sparse_product(pent, a[1].items(), b[1].items()))
+
     sr = SparseRref(nl + np_, npivot=nl)
-    elems: list[tuple[Vec, Vec]] = []
+    elems: list[tuple] = []
     queue = [(images[k], targets[k]) for k in _M11_KEYS]
     while queue:
-        v, p = queue.pop()
-        red = sr.reduce(aug_row(v, p))
+        pair = queue.pop()
+        red = sr.reduce(aug_row(*pair))
         if all(c >= nl for c in red):
             if red:
                 raise NotHomomorphism(
@@ -385,47 +392,41 @@ def _analyze_m11_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalys
                     "the generators do not span a central cover"
                 )
             continue
-        sr.insert(aug_row(v, p))
-        elems.append((v, p))
-        for v2, p2 in elems:
-            queue.append((l.product_vec(v, v2), psl22.product_vec(p, p2)))
-            queue.append((l.product_vec(v2, v), psl22.product_vec(p2, p)))
+        sr.insert(red)
+        elems.append(pair)
+        for other in elems:
+            queue.append(product(pair, other))
+            queue.append(product(other, pair))
 
     rows = sr.basis()
     s_dim = len(rows)
-    l_parts = [tuple(r.get(t, ZERO) for t in range(nl)) for r in rows]
-    psi_parts = [tuple(r.get(nl + t, ZERO) for t in range(np_)) for r in rows]
+    parts = [({t: x for t, x in r.items() if t < nl},
+              {t - nl: x for t, x in r.items() if t >= nl}) for r in rows]
 
     psi_rank = SparseRref(np_)
-    for p in psi_parts:
-        psi_rank.insert(dense_to_sparse(p))
+    for _, p in parts:
+        psi_rank.insert(p)
     if psi_rank.rank != np_:
         raise NotHomomorphism("generated cover does not map onto psl(2,2)")
 
-    psi_rows = [{r: p[t] for r, p in enumerate(psi_parts) if p[t]} for t in range(np_)]
-    kern = kernel_from_rows(psi_rows, s_dim)
+    kern = kernel_from_rows(sparse_transpose([p for _, p in parts], np_), s_dim)
     for kv in kern:
-        zl = [ZERO] * nl
-        for r, c in enumerate(kv):
-            if c:
-                for t, x in enumerate(l_parts[r]):
-                    if x:
-                        zl[t] += c * x
-        for b in l_parts:
-            if any(l.product_vec(zl, b)):
+        zl = _push([v for v, _ in parts], ((r, c) for r, c in enumerate(kv) if c)).items()
+        for b, _ in parts:
+            if _sparse_product(ent, zl, b.items()):
                 raise NotHomomorphism("kernel of the cover map is not central")
 
     dsr = SparseRref(nl + np_, npivot=nl)
-    for i, (va, pa) in enumerate(zip(l_parts, psi_parts)):
-        for vb, pb in zip(l_parts[i:], psi_parts[i:]):
-            dsr.insert(aug_row(l.product_vec(va, vb), psl22.product_vec(pa, pb)))
+    for i, a in enumerate(parts):
+        for b in parts[i:]:
+            dsr.insert(aug_row(*product(a, b)))
     if dsr.rank != s_dim:
         raise NotHomomorphism("generated cover is not perfect")
 
-    h1 = l.product_vec(images["e1"], images["e1~"])
-    h2 = l.product_vec(images["e2"], images["e2~"])
+    h1 = _sparse_product(ent, images["e1"].items(), images["e1~"].items())
+    h2 = _sparse_product(ent, images["e2"].items(), images["e2~"].items())
     cartan = CartanBasis(
-        elements=[Element(vec(h1), 0), Element(vec(h2), 0)],
+        elements=[Element(sparse_to_dense(h, nl), 0) for h in (h1, h2)],
         tag="hbar",
         diag_mats=((ONE, -ONE, ZERO, ZERO), (ZERO, ZERO, ONE, -ONE)),
     )
@@ -480,22 +481,21 @@ def verify_delta_graded(l: LieSuperalgebra, cover: CoverEmbedding) -> GradingRep
     }
 
     n = l.dim
+    ent = l.table.entries
+    sparse = {c.weight: [dense_to_sparse(v).items() for v in c.basis] for c in datum.components}
     span = SparseRref(n)
     for comp in datum.components:
-        neg = datum.component(tuple(-x for x in comp.weight))
+        neg = sparse.get(tuple(-x for x in comp.weight))
         if neg is None:
             continue
-        for va in comp.basis:
-            for vb in neg.basis:
-                span.insert(dense_to_sparse(l.product_vec(va, vb)))
+        for va in sparse[comp.weight]:
+            for vb in neg:
+                span.insert(_sparse_product(ent, va, vb))
+    zero = [dense_to_sparse(v) for v in datum.zero_component.basis]
     zero_sr = SparseRref(n)
-    for v in datum.zero_component.basis:
-        zero_sr.insert(dense_to_sparse(v))
-    deficit = [
-        v
-        for v in datum.zero_component.basis
-        if not span.contains(dense_to_sparse(v))
-    ]
+    for v in zero:
+        zero_sr.insert(v)
+    deficit = [v for v in zero if not span.contains(v)]
     leak = [
         r for r in span.basis() if not zero_sr.contains(r)
     ]
@@ -534,18 +534,13 @@ def check_z_trivial(l: LieSuperalgebra, cover) -> ZTrivialReport:
         zc = ref.provenance.get("z")
         if zc is None:
             return ZTrivialReport(passed=True, vacuous=True)
-        images = [vec(v) for v in cover.images]
-        z = [ZERO] * l.dim
-        for k, c in enumerate(zc):
-            if c:
-                for t, x in enumerate(images[k]):
-                    if x:
-                        z[t] += c * x
-        z = tuple(z)
+        images = [_sparse_element(l, v) for v in cover.images]
+        z = _push(images, dense_to_sparse(zc).items())
     else:
-        z = _coords(cover)
+        z = _sparse_element(l, cover)
+    ent = l.table.entries
     for j in range(l.dim):
-        if any(l.product_vec(z, unit_vec(l.dim, j))):
+        if _sparse_product(ent, z.items(), ((j, ONE),)):
             return ZTrivialReport(passed=False, witness=j)
     return ZTrivialReport(passed=True)
 
@@ -600,15 +595,16 @@ def three_grading(l: LieSuperalgebra, datum: RootDatum, style: str, h=None) -> T
     elif style == "sl2":
         if h is None:
             raise BadParams("sl2 style needs the designated even element h")
-        hc = _coords(h)
+        hs = _sparse_element(l, h).items()
         for comp in datum.components + [datum.zero_component]:
             if not comp.basis:
                 continue
             lam = None
             for v in comp.basis:
-                img = l.product_vec(hc, v)
+                v = dense_to_sparse(v)
+                img = _sparse_product(l.table.entries, hs, v.items())
                 for cand in (ZERO, TWO, -TWO):
-                    if img == scale_vec(cand, v):
+                    if img == {i: cand * x for i, x in v.items() if cand}:
                         this = cand
                         break
                 else:
@@ -633,27 +629,29 @@ def three_grading(l: LieSuperalgebra, datum: RootDatum, style: str, h=None) -> T
         raise BadParams(f"unknown three-grading style {style!r}")
 
     n = l.dim
+    ent = l.table.entries
+    sparse = {k: [dense_to_sparse(v) for v in parts[k]] for k in (-1, 0, 1)}
     spans = {}
     for k in (-1, 0, 1):
         sr = SparseRref(n)
-        for v in parts[k]:
-            sr.insert(dense_to_sparse(v))
+        for v in sparse[k]:
+            sr.insert(v)
         spans[k] = sr
     if sum(s.rank for s in spans.values()) != n:
         raise NotThreeGraded("parts do not sum to the whole algebra")
     for a in (-1, 0, 1):
         for b in (-1, 0, 1):
             target = a + b
-            for va in parts[a]:
-                for vb in parts[b]:
-                    prod = l.product_vec(va, vb)
-                    if is_zero_vec(prod):
+            for va in sparse[a]:
+                for vb in sparse[b]:
+                    prod = _sparse_product(ent, va.items(), vb.items())
+                    if not prod:
                         continue
                     if target not in (-1, 0, 1):
                         raise NotThreeGraded(
                             f"[L({a}),L({b})] is nonzero", witness=(a, b)
                         )
-                    if not spans[target].contains(dense_to_sparse(prod)):
+                    if not spans[target].contains(prod):
                         raise NotThreeGraded(
                             f"[L({a}),L({b})] escapes L({target})", witness=(a, b)
                         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import _axioms
 from .errors import (
@@ -30,7 +30,6 @@ from .exact import (
     kernel_from_rows,
     sparse_to_dense,
     sparse_transpose,
-    unit_vec,
     vec,
 )
 
@@ -85,6 +84,14 @@ def _coords(x) -> tuple:
     if isinstance(x, Element):
         return x.coords
     return vec(x)
+
+
+def _sparse_element(l, x) -> dict:
+    """Nonzero coordinates {index: Fraction} of an element of l."""
+    c = _coords(x)
+    if len(c) != l.dim:
+        raise DimensionMismatch("element length != algebra dimension")
+    return dense_to_sparse(c)
 
 
 @dataclass
@@ -153,9 +160,10 @@ def table_product(table: StructureTable, x: Sequence, y: Sequence) -> Vec:
     return sparse_to_dense(_sparse_product(table.entries, xs, ys), n)
 
 
-def _sparse_product(ent: dict, xs: Sequence, ys: Sequence) -> dict:
+def _sparse_product(ent: dict, xs: Iterable, ys: Iterable) -> dict:
     """Product of two vectors given as (index, nonzero coefficient) pairs,
-    as a sparse dict without zero values."""
+    as a sparse dict without zero values.  ys is iterated once per pair of
+    xs, so it must be re-iterable (a list, tuple or dict items view)."""
     acc = {}
     for i, ci in xs:
         for j, cj in ys:
@@ -212,9 +220,6 @@ class _AlgebraBase:
                     "declared parity does not match the coordinate support"
                 )
         return Element(c, parity)
-
-    def basis_element(self, i: int) -> Element:
-        return Element(unit_vec(self.dim, i), self.parity[i])
 
     def product_vec(self, x: Sequence, y: Sequence) -> Vec:
         return table_product(self.table, x, y)
@@ -292,11 +297,6 @@ def ad_rows(l: _AlgebraBase, x) -> list[dict]:
     xs = [(i, c) for i, c in enumerate(_coords(x)) if c]
     cols = [_sparse_product(l.table.entries, xs, [(j, ONE)]) for j in range(l.dim)]
     return sparse_transpose(cols, l.dim)
-
-
-def ad_matrix(l: _AlgebraBase, x) -> Matrix:
-    """Matrix of y -> [x, y] in the algebra basis."""
-    return Matrix([sparse_to_dense(row, l.dim) for row in ad_rows(l, x)])
 
 
 def center(l: _AlgebraBase) -> list[Vec]:

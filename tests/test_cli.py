@@ -255,6 +255,18 @@ def test_peirce(capsys):
     assert json.loads(out)["dims"] == [1, 2, 1]
 
 
+def test_peirce_unexpected_eigenvalue_bytes(tmp_path, capsys):
+    # b1 is idempotent but multiplies b2 by 2; the table fails the unit law,
+    # which peirce does not check
+    bad = tmp_path / "bad.sca"
+    bad.write_text("SCA/1\nkind jordan\ndim 2\nparity 0 0\nunitv 1 0\n"
+                   "sc 1 1 1 1\nsc 1 2 2 2\nsc 2 1 2 2\nend\n")
+    code, out = run_cli(["peirce", bad, "--idempotent", "1,0"], capsys)
+    assert code == 1
+    assert out == ('{"error":"UnexpectedEigenvalue","message":"multiplication by the '
+                   'idempotent has eigenvalues {2} outside {0, 1/2, 1}","verdict":"negative"}\n')
+
+
 def test_decompose(capsys):
     code, out = run_cli(
         [
@@ -439,6 +451,32 @@ def test_tkk_jp4_bytes_match_pinned_digests(tmp_path, capsys):
     for name in ("tkk.sca", "cover.json"):
         got[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert got == TKK_JP4_DIGESTS
+
+
+# SHA-256 of the stdout of grading and Jordan commands, taken before their
+# loops moved from dense vectors to sparse elements
+GRADING_DIGESTS = {
+    ("verify-grading", "slA_g1.sca", "--cover", "sl33", "--cover-map", "slA_g1_cover.json"):
+        "b43c8db5081a05c75f89bcdd87d8e7015175995ec804e4e62f359ce57452dac5",
+    ("verify-grading", "tkk_m11.sca", "--cover", "m11", "--cover-map", "tkk_m11_cover.json"):
+        "2ae9a6cfce077154f34ce3a542f8801c38ca974f8cd391bbbe36696ffe339ac0",
+    ("three-grading", "slA_g1.sca", "--cover", "sl33", "--cover-map", "slA_g1_cover.json",
+     "--style", "height"):
+        "ab5ddd91bf71b3622c46eda9cdb912d7704a6506fb369d667a61818ace2c1959",
+    ("decompose", "psl22.sca", "--cartan", "@psl22_h1.vec", "--cartan", "@psl22_h2.vec"):
+        "466f84c7a54ba8e9f8dbcf5e8673af8ba38cef1fe2206a05d2ec493974ee172c",
+    ("peirce", "m11.sca", "--idempotent", "1,0,0,0"):
+        "ab8611d4630438404096f6a6ad9775eaf91d97a6529bdffd1316b2795ac3fff7",
+    ("jordan-from-grading", "tkk_m11.sca", "--e", "@tkk_m11_e.vec", "--f", "@tkk_m11_f.vec"):
+        "8825ffc0b86f1d1031822c24d2415abbcf807b617350ca6cecd3ee3bf560acd7",
+}
+
+
+@pytest.mark.parametrize("argv", GRADING_DIGESTS, ids=lambda a: " ".join(a[:2]))
+def test_grading_stdout_matches_pinned_digest(argv, capsys):
+    code, out = run_cli(argv, capsys, cwd=FIXTURES)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GRADING_DIGESTS[argv]
 
 
 def test_report_envelope_contains_digests(tmp_path, capsys):

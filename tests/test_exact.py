@@ -13,16 +13,17 @@ from supergrade.errors import NonSplitSpectrum
 from supergrade.exact import (
     Matrix,
     SparseRref,
-    char_poly,
+    dense_to_sparse,
     kernel,
     min_poly,
+    poly_divmod,
     poly_eval,
-    rational_eigenvalues,
+    rational_roots,
     rref,
     solve_linear,
     vec,
 )
-from tests.oracles import FractionSparseRref, span_closure
+from tests.oracles import FractionSparseRref, char_poly, rational_eigenvalues, span_closure
 
 F = Fraction
 
@@ -107,14 +108,18 @@ def test_char_poly_roots_are_exact():
     assert poly_eval(p, F(1)) != 0
 
 
+def _sparse_cols(m: Matrix) -> list[dict]:
+    return [dense_to_sparse(m.col(j)) for j in range(m.cols)]
+
+
 def test_min_poly_diagonalizable():
     m = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, -2]])
-    assert min_poly(m.mul_vec, 3) == [F(-2), F(1), F(1)]  # (t-1)(t+2)
+    assert min_poly(_sparse_cols(m)) == [F(-2), F(1), F(1)]  # (t-1)(t+2)
 
 
 def test_min_poly_nilpotent():
     m = Matrix([[0, 1], [0, 0]])
-    assert min_poly(m.mul_vec, 2) == [F(0), F(0), F(1)]  # t^2
+    assert min_poly(_sparse_cols(m)) == [F(0), F(0), F(1)]  # t^2
 
 
 def test_span_closure_empty():
@@ -175,9 +180,31 @@ def test_rref_idempotent(m):
 @settings(max_examples=60, deadline=None)
 def test_kernel_vectors_annihilate(m):
     for v in kernel(m):
-        assert exact.is_zero_vec(m.mul_vec(v))
+        assert not any(m.mul_vec(v))
     r, pivots = rref(m)
     assert len(kernel(m)) == m.cols - len(pivots)
+
+
+@st.composite
+def square_matrices(draw):
+    d = draw(st.integers(1, 5))
+    entries = st.integers(-3, 3).map(Fraction)
+    return Matrix([[draw(entries) for _ in range(d)] for _ in range(d)])
+
+
+@given(square_matrices())
+@settings(max_examples=60, deadline=None)
+def test_sparse_min_poly_against_char_poly_oracle(m):
+    cols = _sparse_cols(m)
+    mp = min_poly(cols)
+    units = [{i: F(1)} for i in range(m.rows)]
+    assert all(exact._poly_apply(mp, cols, u) == {} for u in units)
+    assert poly_divmod(char_poly(m), mp)[1] == []
+    roots = rational_roots(mp)[0]
+    assert [r for r, _ in roots] == [r for r, _ in rational_roots(char_poly(m))[0]]
+    for r, _ in roots:  # minimal: no root can be dropped
+        q = poly_divmod(mp, [-r, F(1)])[0]
+        assert any(exact._poly_apply(q, cols, u) for u in units)
 
 
 @given(small_matrices(), st.data())

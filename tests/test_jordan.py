@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 
 from supergrade import constructors as C
 from supergrade import roots as R
-from supergrade.errors import JacobiFailure, NotIdempotent, NotThreeGraded
+from supergrade.errors import (
+    JacobiFailure,
+    NonSplitSpectrum,
+    NotIdempotent,
+    NotThreeGraded,
+)
 from supergrade.exact import unit_vec, vec
 from supergrade.jordan import (
-    _d_operator,
-    associator,
     certify_m11,
     jordan_from_3grading,
     m11_tkk_generators,
@@ -30,6 +33,7 @@ from supergrade.superalg import (
     validate_lie,
 )
 from tests.conftest import JP4_M11_ELEMENTS, JQ4_M11_ELEMENTS
+from tests.oracles import ad_matrix, associator, d_operator, rational_eigenvalues
 
 F = Fraction
 
@@ -93,6 +97,22 @@ def test_peirce_unexpected_eigenvalue():
     assert pd.dims() == (1, 0, 1)
 
 
+def test_peirce_failure_gives_the_degree_of_the_irrational_char_poly_factor():
+    # e = b1 rotates span{b2, b3} and span{b4, b5}: characteristic polynomial
+    # (t - 1)(t^2 + 1)^2, minimal polynomial (t - 1)(t^2 + 1)
+    # (peirce does not validate, so the table need not be Jordan)
+    entries = {(0, 0): ((0, F(1)),), (0, 1): ((2, F(1)),), (0, 2): ((1, F(-1)),),
+               (0, 3): ((4, F(1)),), (0, 4): ((3, F(-1)),)}
+    unit = (F(1), F(0), F(0), F(0), F(0))
+    j = JordanSuperalgebra(StructureTable(SuperSpace(5, (0,) * 5), "jordan", entries, unit=unit))
+    with pytest.raises(NonSplitSpectrum) as err:
+        peirce(j, (1, 0, 0, 0, 0))
+    with pytest.raises(NonSplitSpectrum) as dense:
+        rational_eigenvalues(ad_matrix(j, (1, 0, 0, 0, 0)))
+    assert str(err.value) == str(dense.value)
+    assert "degree-4 factor" in str(err.value)
+
+
 def test_peirce_laws_jp4(jp4):
     pd = peirce(jp4, JP4_M11_ELEMENTS["e1"])
     assert pd.dims() == (8, 16, 8)
@@ -133,9 +153,6 @@ def test_tkk_jp4_dimension(tkk_jp4):
 
 
 def test_tkk_ad_h_eigenvalues(tkk_m11):
-    from supergrade.exact import rational_eigenvalues
-    from supergrade.superalg import ad_matrix
-
     eigs = rational_eigenvalues(ad_matrix(tkk_m11.lie, tkk_m11.h))
     assert [(v, m) for v, m in eigs] == [(F(-2), 4), (F(0), 6), (F(2), 4)]
 
@@ -283,7 +300,7 @@ def test_certify_failure_recorded(m11):
 
 def test_d_operator_of_unit_pair_acts_as_h(m11):
     # the Fraction reference D(1,1) is h = [e, f]: 2 on T(1), -2 on T(-1)
-    p, q = _d_operator(m11, m11.unit, m11.unit, 0, 0)
+    p, q = d_operator(m11, m11.unit, m11.unit, 0, 0)
     n = m11.dim
     for i in range(n):
         assert p.col(i) == tuple(2 * c for c in unit_vec(n, i))
@@ -336,7 +353,7 @@ def test_tkk_inner_part_matches_fraction_reference(case):
     n, n0 = j.dim, len(t.inner_part)
     for a in range(n):
         for b in range(n):
-            p, q = _d_operator(j, unit_vec(n, a), unit_vec(n, b), j.parity[a], j.parity[b])
+            p, q = d_operator(j, unit_vec(n, a), unit_vec(n, b), j.parity[a], j.parity[b])
             want = {off + r * n + c: x
                     for off, m in ((0, p), (n * n, q))
                     for r, row in enumerate(m.data) for c, x in enumerate(row) if x}

@@ -1,12 +1,15 @@
 """Weight decompositions, A(n,n) pattern matching and grading checks."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from supergrade import constructors as C
 from supergrade import roots as R
+from supergrade import superalg
 from supergrade.constructors import CartanBasis
 from supergrade.errors import NonSplitSpectrum, NotHomomorphism, NotThreeGraded
 from supergrade.exact import (
@@ -17,14 +20,17 @@ from supergrade.exact import (
     solve_linear,
     unit_vec,
 )
-from supergrade.jordan import certify_m11, m11_tkk_generators
+from supergrade.jordan import certify_m11, jordan_from_3grading, m11_tkk_generators
+from supergrade.sca import parse_sca
 from supergrade.superalg import (
     Element,
     LieSuperalgebra,
     StructureTable,
     SuperSpace,
     homogeneous_parity,
+    validate_lie,
 )
+from tests.oracles import all_components, basis_element
 
 F = Fraction
 
@@ -40,7 +46,7 @@ def test_psl22_weights(psl22):
 def test_abelian_decomposition():
     space = SuperSpace(3, (0, 0, 0))
     l = LieSuperalgebra(StructureTable(space, "lie", {}))
-    cartan = CartanBasis([l.basis_element(i) for i in range(3)], tag="h")
+    cartan = CartanBasis([basis_element(l, i) for i in range(3)], tag="h")
     datum = R.weight_decomposition(l, cartan)
     assert datum.components == []
     assert datum.zero_component.dim == 3
@@ -62,7 +68,7 @@ def test_weight_decomposition_rejects_nonsplit():
         (2, 0): ((1, F(1)),), (0, 2): ((1, F(-1)),),
     }
     l = LieSuperalgebra(StructureTable(SuperSpace(3, (0, 0, 0)), "lie", entries))
-    cartan = CartanBasis([l.basis_element(0)], tag="h")
+    cartan = CartanBasis([basis_element(l, 0)], tag="h")
     with pytest.raises(NonSplitSpectrum):
         R.weight_decomposition(l, cartan)
 
@@ -71,7 +77,7 @@ def test_weight_decomposition_rejects_nilpotent():
     # Heisenberg: [x, y] = z; ad(x) is nilpotent but nonzero
     entries = {(0, 1): ((2, F(1)),), (1, 0): ((2, F(-1)),)}
     l = LieSuperalgebra(StructureTable(SuperSpace(3, (0, 0, 0)), "lie", entries))
-    cartan = CartanBasis([l.basis_element(0)], tag="h")
+    cartan = CartanBasis([basis_element(l, 0)], tag="h")
     with pytest.raises(Exception) as err:
         R.weight_decomposition(l, cartan)
     assert "diagonalizable" in str(err.value).lower() or "NotDiagonalizable" in type(err.value).__name__
@@ -108,7 +114,7 @@ def test_grading_closure_psl33(psl33):
 
 
 def _check_grading_closure(l, datum):
-    comps = datum.all_components()
+    comps = all_components(datum)
     spans = {}
     for c in comps:
         sr = SparseRref(l.dim)
@@ -137,7 +143,7 @@ def test_dims_invariant_under_component_basis_change(psl22):
     # block change of basis: mix inside each component (parity preserving)
     cols = []
     mapping = []
-    for comp in datum.all_components():
+    for comp in all_components(datum):
         for parity in (0, 1):
             block = [v for v in comp.basis
                      if homogeneous_parity(psl22.space, v) == parity]
@@ -256,6 +262,55 @@ def test_three_grading_rejects_wrong_h(tkk_m11):
     )
     with pytest.raises(NotThreeGraded):
         R.three_grading(l, datum, "sl2", h=unit_vec(l.dim, 0))
+
+
+def test_three_grading_closure_failure_names_the_escaping_pair(psl33):
+    datum = R.weight_decomposition(psl33, psl33.provenance["cartan_h"])
+    expected = R.expected_ann_roots(2, datum.cartan.diag_mats)
+    heights = [expected.heights(c.weight).pop() for c in datum.components]
+    # a height-1 root space now sits in L(0) and a height-0 one in L(1)
+    a = datum.components[heights.index(1)]
+    b = datum.components[heights.index(0)]
+    a.basis, b.basis = b.basis, a.basis
+    with pytest.raises(NotThreeGraded) as err:
+        R.three_grading(psl33, datum, "height")
+    assert str(err.value) == "[L(-1),L(0)] escapes L(-1)"
+    assert err.value.witness == (-1, 0)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _fixture_lie(name):
+    return validate_lie(parse_sca((FIXTURES / name).read_text()))
+
+
+def _fixture_vec(name):
+    return [Fraction(x) for x in (FIXTURES / name).read_text().split(",")]
+
+
+def test_grading_loops_make_no_dense_product(monkeypatch):
+    calls = []
+    dense = superalg.table_product
+
+    def counting(*args):
+        calls.append(args)
+        return dense(*args)
+
+    slA = _fixture_lie("slA_g1.sca")
+    images = json.loads((FIXTURES / "slA_g1_cover.json").read_text())["images"]
+    cover = R.CoverEmbedding("sl", 2, images, C.construct_sl(3, 3))
+    tkk = _fixture_lie("tkk_m11.sca")
+    e, f = _fixture_vec("tkk_m11_e.vec"), _fixture_vec("tkk_m11_f.vec")
+    monkeypatch.setattr(superalg, "table_product", counting)
+    report = R.verify_delta_graded(slA, cover)
+    assert report.verdict == "graded"
+    assert R.check_z_trivial(slA, cover).passed
+    assert R.three_grading(slA, report.datum, "height").dims(slA.space)[1] == (17, 17)
+    assert jordan_from_3grading(tkk, e, f).dim == 4
+    assert calls == []
+    slA.product_vec(unit_vec(slA.dim, 0), unit_vec(slA.dim, 1))
+    assert len(calls) == 1  # the counter sees a dense product
 
 
 def test_m11_cover_tkk(tkk_m11, m11):

@@ -108,7 +108,7 @@ def test_sparse_apply_matches_dense_product(case, data):
     d = a.rows
     cols = [dense_to_sparse(a.col(j)) for j in range(d)]
     v = vec(data.draw(rationals) for _ in range(d))
-    assert sparse_apply(cols, v) == a.mul_vec(v)
+    assert sparse_apply(cols, dense_to_sparse(v)) == dense_to_sparse(a.mul_vec(v))
     assert sparse_transpose(cols, d) == [dense_to_sparse(a.row(i)) for i in range(d)]
 
 
