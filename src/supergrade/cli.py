@@ -8,19 +8,21 @@ byte-deterministic: no timestamps, sorted keys, canonical rationals.
 Exit codes: 0 verified/pass, 1 verified-negative (not_graded, failed
 certificate, axiom violation, ...), 2 usage or input errors and any other
 failure, reported as one stderr line without a traceback.
+
+Each subcommand imports only the modules it runs, at the point of use, so
+a process pays start-up for its own command alone: `check` loads the
+parser and the axiom checks, the cohomology commands add `cohomology`,
+and `--help` loads no maths at all.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import re
 import sys
 from fractions import Fraction
 
-from . import cohomology, constructors, jordan, roots, sca, superalg
-from .constructors import CartanBasis
 from .errors import (
     AxiomViolation,
     BadParams,
@@ -33,12 +35,11 @@ from .errors import (
     UnexpectedEigenvalue,
     UnitFailure,
 )
-from .exact import vec
-from .superalg import Element
 
 NEGATIVE_VERDICT_ERRORS = (
     AxiomViolation,
     MissingUnit,
+    NotHomomorphism,
     NotThreeGraded,
     UnexpectedEigenvalue,
     UnitFailure,
@@ -47,29 +48,33 @@ NEGATIVE_VERDICT_ERRORS = (
     NotPerfect,
 )
 
-_WRAPPERS = {
-    "lie": superalg.LieSuperalgebra,
-    "assoc": superalg.AssocSuperalgebra,
-    "jordan": superalg.JordanSuperalgebra,
-}
-
-
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 
 
 def _load_algebra(path: str):
+    from . import sca, superalg
+
+    wrappers = {
+        "lie": superalg.LieSuperalgebra,
+        "assoc": superalg.AssocSuperalgebra,
+        "jordan": superalg.JordanSuperalgebra,
+    }
     table = sca.parse_sca(_read_text(path))
-    return _WRAPPERS[table.kind](table, {"name": path})
+    return wrappers[table.kind](table, {"name": path})
 
 
 def _digest(path: str) -> str:
+    import hashlib
+
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _parse_vector(spec: str, dim: int):
+    from .exact import vec
+
     if spec.startswith("@"):
         spec = _read_text(spec[1:]).replace(",", " ")
         parts = spec.split()
@@ -120,6 +125,8 @@ class _Output:
 
 
 def _coefficient_algebra(kind: str, params: list[str]):
+    from . import constructors
+
     if kind in ("field", "dual_numbers"):
         if params:
             raise BadParams(f"{kind} takes no parameters")
@@ -144,6 +151,8 @@ _CONSTRUCT_ARITY = {
 
 
 def _run_construct(args, out: _Output) -> int:
+    from . import constructors, sca
+
     what = args.what
     params = args.params
     cover_map = None
@@ -203,6 +212,8 @@ _COVER_RE = re.compile(r"\A(p?sl)(\d)(\d)\Z")
 
 
 def _map_vector(v, dim: int, what: str = "cover map"):
+    from .exact import vec
+
     if not isinstance(v, list) or len(v) != dim:
         raise BadParams(f"{what} vectors must be lists of {dim} rationals")
     return vec(Fraction(str(x)) for x in v)
@@ -224,6 +235,8 @@ def _load_cover_map(path: str, dim: int, count: int | None):
     """Images from a --cover-map file: `count` vectors under "images" for
     sl/psl covers, or the eight named generators (optionally under
     "images") for an m11 cover when count is None."""
+    from .roots import _M11_KEYS
+
     data = json.loads(_read_text(path))
     if not isinstance(data, dict):
         raise BadParams("cover map must be a JSON object")
@@ -233,12 +246,14 @@ def _load_cover_map(path: str, dim: int, count: int | None):
             raise BadParams(f"cover map needs an \"images\" list of {count} vectors")
         return [_map_vector(row, dim) for row in rows]
     gens = data.get("images", data)
-    if not isinstance(gens, dict) or set(gens) != set(roots._M11_KEYS):
-        raise BadParams(f"m11 cover map needs exactly the keys {list(roots._M11_KEYS)}")
+    if not isinstance(gens, dict) or set(gens) != set(_M11_KEYS):
+        raise BadParams(f"m11 cover map needs exactly the keys {list(_M11_KEYS)}")
     return {k: _map_vector(v, dim) for k, v in gens.items()}
 
 
 def _resolve_cover(l, spec: str, cover_map_path: str | None) -> roots.CoverEmbedding:
+    from . import constructors, roots
+
     if spec == "m11":
         if not cover_map_path:
             raise BadParams("--cover m11 needs --cover-map with the eight generators")
@@ -291,6 +306,8 @@ def _resolve_cover(l, spec: str, cover_map_path: str | None) -> roots.CoverEmbed
 
 
 def _run_check(args, out: _Output) -> int:
+    from . import sca, superalg
+
     table = sca.parse_sca(_read_text(args.file))
     validators = {
         "lie": superalg.validate_lie,
@@ -312,10 +329,13 @@ def _run_check(args, out: _Output) -> int:
 
 
 def _cartan_from_args(l, specs) -> CartanBasis:
+    from .constructors import CartanBasis
+    from .superalg import Element, homogeneous_parity
+
     elements = []
     for s in specs:
         v = _parse_vector(s, l.dim)
-        p = superalg.homogeneous_parity(l.space, v)
+        p = homogeneous_parity(l.space, v)
         elements.append(Element(v, p))
     return CartanBasis(elements, tag="cli")
 
@@ -341,6 +361,8 @@ def _datum_json(datum) -> dict:
 
 
 def _run_decompose(args, out: _Output) -> int:
+    from . import roots
+
     l = _load_algebra(args.file)
     cartan = _cartan_from_args(l, args.cartan)
     datum = roots.weight_decomposition(l, cartan)
@@ -370,6 +392,8 @@ def _grading_json(report, zreport) -> dict:
 
 
 def _run_verify_grading(args, out: _Output) -> int:
+    from . import roots
+
     l = _load_algebra(args.file)
     cover = _resolve_cover(l, args.cover, args.cover_map)
     try:
@@ -390,6 +414,8 @@ def _run_verify_grading(args, out: _Output) -> int:
 
 
 def _run_three_grading(args, out: _Output) -> int:
+    from . import roots
+
     l = _load_algebra(args.file)
     cover = _resolve_cover(l, args.cover, args.cover_map)
     analysis = roots.analyze_cover(l, cover)
@@ -410,6 +436,8 @@ def _run_three_grading(args, out: _Output) -> int:
 
 
 def _run_tkk(args, out: _Output) -> int:
+    from . import jordan, sca, superalg
+
     l = _load_algebra(args.file)
     if l.kind != "jordan":
         raise BadParams("tkk needs a jordan SCA file")
@@ -448,6 +476,8 @@ def _run_tkk(args, out: _Output) -> int:
 
 
 def _run_jordan_from_grading(args, out: _Output) -> int:
+    from . import jordan, sca
+
     l = _load_algebra(args.file)
     e = _parse_vector(args.e, l.dim)
     f = _parse_vector(args.f, l.dim)
@@ -463,6 +493,8 @@ def _run_jordan_from_grading(args, out: _Output) -> int:
 
 
 def _run_peirce(args, out: _Output) -> int:
+    from . import jordan
+
     l = _load_algebra(args.file)
     if l.kind != "jordan":
         raise BadParams("peirce needs a jordan SCA file")
@@ -479,6 +511,8 @@ def _run_peirce(args, out: _Output) -> int:
 
 
 def _run_certify_m11(args, out: _Output) -> int:
+    from . import jordan
+
     l = _load_algebra(args.file)
     if l.kind != "jordan":
         raise BadParams("certify-m11 needs a jordan SCA file")
@@ -489,6 +523,8 @@ def _run_certify_m11(args, out: _Output) -> int:
 
 
 def _run_h2(args, out: _Output) -> int:
+    from . import cohomology
+
     l = _load_algebra(args.file)
     if l.kind != "lie":
         raise BadParams("h2 needs a lie SCA file")
@@ -498,6 +534,8 @@ def _run_h2(args, out: _Output) -> int:
 
 
 def _run_uce(args, out: _Output) -> int:
+    from . import cohomology, sca
+
     l = _load_algebra(args.file)
     if l.kind != "lie":
         raise BadParams("uce needs a lie SCA file")
@@ -520,6 +558,8 @@ def _run_uce(args, out: _Output) -> int:
 
 
 def _run_fingerprint(args, out: _Output) -> int:
+    from . import cohomology
+
     l = _load_algebra(args.file)
     cartan = _cartan_from_args(l, args.cartan) if args.cartan else None
     fp = cohomology.fingerprint(l, cartan)
@@ -539,6 +579,8 @@ def _run_fingerprint(args, out: _Output) -> int:
 
 
 def _run_isogenous(args, out: _Output) -> int:
+    from . import cohomology
+
     l1 = _load_algebra(args.file)
     l2 = _load_algebra(args.file2)
     verdict = cohomology.isogenous(l1, l2)

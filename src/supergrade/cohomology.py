@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .constructors import CartanBasis
 from .errors import NotPerfect, ValidationError
 from .exact import (
     Matrix,
@@ -418,6 +417,7 @@ class CoverKernelReport:
 def cover_kernel_check(ext: CentralExtension, cartan: CartanBasis) -> CoverKernelReport:
     """Verify ker(pi) lies in the zero weight space of the extension and pi
     restricts to a linear isomorphism on every nonzero root space."""
+    from .constructors import CartanBasis
     from .roots import weight_decomposition
 
     base, big, proj = ext.base, ext.extended, ext.projection

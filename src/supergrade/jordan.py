@@ -56,6 +56,7 @@ from .superalg import (
     StructureTable,
     SubspaceCoords,
     SuperSpace,
+    ThreeGrading,
     _coords,
     _sparse_element,
     _sparse_product,
@@ -151,7 +152,7 @@ class TKKAlgebra:
 
     lie: LieSuperalgebra
     jordan: JordanSuperalgebra
-    parts: "ThreeGrading"
+    parts: ThreeGrading
     inner_part: list  # sparse flattened rows, one per basis element of T(0)
     e: Element
     f: Element
@@ -358,8 +359,6 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
         for t in range(i, i + n):
             if _sparse_product(entries, hs.items(), ((t, ONE),)) != {t: lam}:
                 raise JacobiFailure("h = [e,f] does not act with eigenvalues -2, 0, 2")
-
-    from .roots import ThreeGrading
 
     parts = ThreeGrading(
         minus=[unit_vec(dim, off0 + t) for t in range(n)],

@@ -44,7 +44,7 @@ from .exact import (
 from .superalg import (
     Element,
     LieSuperalgebra,
-    SuperSpace,
+    ThreeGrading,
     _sparse_element,
     _sparse_product,
     derived_subalgebra,
@@ -548,25 +548,6 @@ def check_z_trivial(l: LieSuperalgebra, cover) -> ZTrivialReport:
 # ---------------------------------------------------------------------------
 # 3-gradings
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ThreeGrading:
-    """Bases of the parts of a short grading L(-1) + L(0) + L(1)."""
-
-    minus: list
-    zero: list
-    plus: list
-
-    def part(self, k: int) -> list:
-        return {-1: self.minus, 0: self.zero, 1: self.plus}[k]
-
-    def dims(self, space: SuperSpace) -> tuple:
-        out = []
-        for part in (self.minus, self.zero, self.plus):
-            ev = sum(1 for v in part if homogeneous_parity(space, v) == 0)
-            out.append((ev, len(part) - ev))
-        return tuple(out)
 
 
 def three_grading(l: LieSuperalgebra, datum: RootDatum, style: str, h=None) -> ThreeGrading:

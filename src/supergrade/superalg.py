@@ -80,6 +80,25 @@ class Element:
     parity: int | None = None
 
 
+@dataclass
+class ThreeGrading:
+    """Bases of the parts of a short grading L(-1) + L(0) + L(1)."""
+
+    minus: list
+    zero: list
+    plus: list
+
+    def part(self, k: int) -> list:
+        return {-1: self.minus, 0: self.zero, 1: self.plus}[k]
+
+    def dims(self, space: SuperSpace) -> tuple:
+        out = []
+        for part in (self.minus, self.zero, self.plus):
+            ev = sum(1 for v in part if homogeneous_parity(space, v) == 0)
+            out.append((ev, len(part) - ev))
+        return tuple(out)
+
+
 def _coords(x) -> tuple:
     if isinstance(x, Element):
         return x.coords

@@ -178,6 +178,63 @@ def test_check_and_tkk_import_neither_scipy_nor_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def _modules_loaded(*argvs) -> list:
+    """The supergrade modules a fresh interpreter holds after importing the
+    CLI, then after each of `argvs` in turn (each must exit 0)."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from supergrade.cli import main\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('supergrade'))\n"
+        "seen = [loaded()]\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    seen.append(loaded())\n"
+        "print(json.dumps(seen))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return [set(mods) for mods in json.loads(proc.stdout)]
+
+
+def test_each_command_imports_only_the_modules_it_runs(tmp_path):
+    roots, jordan, cohomology, constructors = (
+        f"supergrade.{m}" for m in ("roots", "jordan", "cohomology", "constructors"))
+    bare, check, h2 = _modules_loaded(["check", fx("psl22.sca")], ["h2", fx("psl22.sca")])
+    assert bare == {"supergrade", "supergrade.cli", "supergrade.errors"}
+    assert "supergrade.superalg" in check
+    assert not check & {roots, jordan, cohomology, constructors}
+    assert cohomology in h2
+    assert not h2 & {roots, jordan, constructors}
+    _, *jordan_commands = _modules_loaded(
+        ["peirce", fx("m11.sca"), "--idempotent", "1,0,0,0"],
+        ["certify-m11", fx("m11.sca"), "--elements", fx("m11_elems.json")],
+        ["tkk", fx("m11.sca"), "--m11", fx("m11_elems.json"),
+         "--cover-out", str(tmp_path / "cover.json")],
+    )
+    for mods in jordan_commands:
+        assert jordan in mods
+        assert not mods & {roots, cohomology}
+
+
+# SHA-256 of `supergrade --help` on 80 columns; argparse's layout differs
+# between Python minor versions, so the pin holds for 3.11
+HELP_SHA256 = "77e8331d05a4cf48d982401da8d16f4fc82214269d2da47a0e6128721464f5b2"
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help bytes pinned on 3.11")
+def test_help_bytes_are_pinned():
+    proc = subprocess.run(
+        [sys.executable, "-m", "supergrade", "--help"],
+        capture_output=True,
+        env={**os.environ, "COLUMNS": "80"},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith(b"usage: supergrade")
+    assert hashlib.sha256(proc.stdout).hexdigest() == HELP_SHA256
+
+
 def test_parse_error_exit_2(capsys):
     code, _ = run_cli(["check", fx("bad_rational.sca")], capsys)
     assert code == 2
@@ -301,6 +358,20 @@ def test_three_grading_height(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["parts"]["plus"] == {"even_dim": 9, "odd_dim": 9}
+
+
+def test_three_grading_failed_homomorphism_is_a_negative_verdict(capsys):
+    # the identity labels do not embed psl(2,2) into its central extension
+    argv = [fx("uce_psl22.sca"), "--cover", "psl22"]
+    code, out = run_cli(["three-grading", *argv, "--style", "height"], capsys)
+    assert code == 1
+    assert out == ('{"error":"NotHomomorphism","message":"embedding fails the homomorphism '
+                   'law on cover basis pair (0,3)","verdict":"negative"}\n')
+    code, out = run_cli(["verify-grading", *argv], capsys)
+    assert code == 1
+    assert json.loads(out)["conditions"] == {"condition1": {
+        "passed": False,
+        "reason": "embedding fails the homomorphism law on cover basis pair (0,3)"}}
 
 
 def test_jordan_from_grading(tmp_path, capsys):

@@ -77,7 +77,7 @@ def test_peirce_rejects_non_idempotent(m11):
         peirce(m11, (2, 0, 0, 0))
 
 
-def test_peirce_unexpected_eigenvalue():
+def test_peirce_rejects_a_non_idempotent_and_splits_its_idempotent_multiple():
     # in Q[t]/(t^2 - t/4): mult by t on {1, t} has eigenvalues 0, 1/4
     from supergrade.superalg import JordanSuperalgebra, StructureTable, SuperSpace
 
@@ -91,7 +91,7 @@ def test_peirce_unexpected_eigenvalue():
         StructureTable(SuperSpace(2, (0, 0)), "jordan", entries, unit=(F(1), F(0)))
     )
     with pytest.raises(NotIdempotent):
-        # t is not идempotent; use e = 4t which is? (4t)(4t) = 16 t^2 = 4t
+        # t is not idempotent: t t = t/4; its multiple e = 4t is, (4t)(4t) = 16 t^2 = 4t
         peirce(j, (0, F(1)))
     pd = peirce(j, (0, F(4)))
     assert pd.dims() == (1, 0, 1)
