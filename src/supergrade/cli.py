@@ -65,6 +65,14 @@ def _load_algebra(path: str):
     return wrappers[table.kind](table, {"name": path})
 
 
+def _load_kind(path: str, kind: str, command: str):
+    """_load_algebra for a command that reads only tables of one kind."""
+    l = _load_algebra(path)
+    if l.kind != kind:
+        raise BadParams(f"{command} needs a {kind} SCA file")
+    return l
+
+
 def _digest(path: str) -> str:
     import hashlib
 
@@ -438,9 +446,7 @@ def _run_three_grading(args, out: _Output) -> int:
 def _run_tkk(args, out: _Output) -> int:
     from . import jordan, sca, superalg
 
-    l = _load_algebra(args.file)
-    if l.kind != "jordan":
-        raise BadParams("tkk needs a jordan SCA file")
+    l = _load_kind(args.file, "jordan", "tkk")
     try:
         superalg.validate_jordan(l.table)
     except (AxiomViolation, MissingUnit) as exc:
@@ -495,9 +501,7 @@ def _run_jordan_from_grading(args, out: _Output) -> int:
 def _run_peirce(args, out: _Output) -> int:
     from . import jordan
 
-    l = _load_algebra(args.file)
-    if l.kind != "jordan":
-        raise BadParams("peirce needs a jordan SCA file")
+    l = _load_kind(args.file, "jordan", "peirce")
     pd = jordan.peirce(l, _parse_vector(args.idempotent, l.dim))
     result = {
         "dims": list(pd.dims()),
@@ -513,9 +517,7 @@ def _run_peirce(args, out: _Output) -> int:
 def _run_certify_m11(args, out: _Output) -> int:
     from . import jordan
 
-    l = _load_algebra(args.file)
-    if l.kind != "jordan":
-        raise BadParams("certify-m11 needs a jordan SCA file")
+    l = _load_kind(args.file, "jordan", "certify-m11")
     cert = jordan.certify_m11(l, *_load_m11_elements(args.elements, l.dim))
     out.emit({"passed": cert.passed, "relations": dict(sorted(cert.results.items()))},
              args.out)
@@ -525,9 +527,7 @@ def _run_certify_m11(args, out: _Output) -> int:
 def _run_h2(args, out: _Output) -> int:
     from . import cohomology
 
-    l = _load_algebra(args.file)
-    if l.kind != "lie":
-        raise BadParams("h2 needs a lie SCA file")
+    l = _load_kind(args.file, "lie", "h2")
     even, odd = cohomology.h2_dims(l)
     out.emit({"h2_even": even, "h2_odd": odd}, args.out)
     return 0
@@ -536,9 +536,7 @@ def _run_h2(args, out: _Output) -> int:
 def _run_uce(args, out: _Output) -> int:
     from . import cohomology, sca
 
-    l = _load_algebra(args.file)
-    if l.kind != "lie":
-        raise BadParams("uce needs a lie SCA file")
+    l = _load_kind(args.file, "lie", "uce")
     ext = cohomology.uce(l)
     text = sca.write_sca(ext.extended.table)
     if args.out:
@@ -560,7 +558,7 @@ def _run_uce(args, out: _Output) -> int:
 def _run_fingerprint(args, out: _Output) -> int:
     from . import cohomology
 
-    l = _load_algebra(args.file)
+    l = _load_kind(args.file, "lie", "fingerprint")
     cartan = _cartan_from_args(l, args.cartan) if args.cartan else None
     fp = cohomology.fingerprint(l, cartan)
     result = {
@@ -581,8 +579,8 @@ def _run_fingerprint(args, out: _Output) -> int:
 def _run_isogenous(args, out: _Output) -> int:
     from . import cohomology
 
-    l1 = _load_algebra(args.file)
-    l2 = _load_algebra(args.file2)
+    l1 = _load_kind(args.file, "lie", "isogenous")
+    l2 = _load_kind(args.file2, "lie", "isogenous")
     verdict = cohomology.isogenous(l1, l2)
     out.emit({"verdict": verdict}, args.out)
     return 0 if verdict == "equal" else 1

@@ -20,24 +20,41 @@ elimination; most cyclic triples repeat a row already seen.  The rows stay
 integer through the fraction-free SparseRref, and Python integers do not
 overflow, so no magnitude bound is needed.
 
+H^2 is solved on the cochains of weight zero.  The toral basis elements
+are the even b_h whose ad is diagonal in the given basis, read off the
+table's entries (h, j); every basis element is a weight vector for the
+toral subalgebra they span, and by the super Jacobi identity the table,
+the cocycle identity and the coboundaries are weight-homogeneous.  An
+even toral h acts trivially on cohomology by the Cartan formula
+theta(h) = d i_h + i_h d (Hochschild & Serre 1953), and theta(h) is the
+scalar -lambda(h) on a cochain of weight lambda, so Z^2 = B^2 in every
+weight lambda != 0.  h2_dims and h2_representatives therefore use only
+the weight-zero pair unknowns, the triples of weight zero and the
+coboundary rows of the weight-zero basis elements.  The weight blocks
+share no columns, so the canonical complement is the same vector for
+vector as on the full system.  With no toral element every weight is ()
+and the full system is solved; cocycle_space and coboundary_space pass no
+weights and return the full Z^2 and B^2.
+
 The cocycle system decomposes into independent blocks along connected
-components of its unknown-interaction graph, which for root-graded
-algebras recovers the weight-block structure for free.  h2_dims only
-counts: dim Z^2 is the number of unknowns minus the rank, which is the
-number of killed unknowns plus the ranks of the blocks, and dim B^2 is the
-rank of the coboundary rows; no basis is materialised.  cocycle_space,
-coboundary_space and h2_representatives work on sparse pair rows (a
-killed unknown is 0 in every cocycle) and build the dense Cocycle2 form
-only for the cocycles they return.  Their bases are the unique RREF of
-the subspace, so scaling, deduplicating or reordering rows never changes
-them.
+components of its unknown-interaction graph, which refines the weight
+blocks for free.  h2_dims only counts: dim Z^2 is the number of unknowns
+minus the rank, which is the number of killed unknowns plus the ranks of
+the blocks, and dim B^2 is the rank of the coboundary rows; no basis is
+materialised.  cocycle_space, coboundary_space and h2_representatives
+work on sparse pair rows (a killed unknown is 0 in every cocycle) and
+build the dense Cocycle2 form only for the cocycles they return.  Their
+bases are the unique RREF of the subspace, so scaling, deduplicating or
+reordering rows never changes them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import sub
 
 from .errors import NotPerfect, ValidationError
 from .exact import (
@@ -77,13 +94,15 @@ class Cocycle2:
         return self.form.data[i][j]
 
 
-def _pair_index(space: SuperSpace, parity: int):
+def _pair_index(space: SuperSpace, parity: int, weights: list):
     """Independent unknowns of the super-skew sector: ordered pairs i < j of
-    the right parity, plus the odd diagonal (even sector only)."""
+    the right parity and of weight zero, plus the odd diagonal (even sector
+    only)."""
+    neg = [tuple(-x for x in w) for w in weights]
     pairs = []
     for i in range(space.dim):
         for j in range(i, space.dim):
-            if (space.parity[i] + space.parity[j]) % 2 != parity:
+            if (space.parity[i] + space.parity[j]) % 2 != parity or weights[j] != neg[i]:
                 continue
             if i == j and space.parity[i] == 0:
                 continue  # phi(x,x) = 0 for even x
@@ -101,23 +120,55 @@ def _integer_table(l: LieSuperalgebra) -> dict:
     }
 
 
+def _toral_weights(l: LieSuperalgebra, itab: dict) -> list[tuple]:
+    """The joint integer weight of every basis element under the toral
+    basis elements: the even b_h with ad b_h nonzero and diagonal, that is
+    [b_h, b_j] in Q b_j for every j.
+
+    Two such elements commute ([b_h, b_g] lies on both b_g and b_h), so
+    they span a toral subalgebra.  The weights are read off the integer
+    table, where every eigenvalue carries the same factor s; a sum of
+    weights is zero exactly when it is zero unscaled.  With no toral
+    element every weight is ().
+    """
+    eig = {h: {} for h in range(l.dim) if not l.parity[h]}
+    for (h, j), terms in itab.items():
+        col = eig.get(h)
+        if col is None:
+            continue
+        if len(terms) == 1 and terms[0][0] == j:
+            col[j] = terms[0][1]
+        else:
+            del eig[h]
+    cols = [col for col in eig.values() if col]
+    return [tuple(col.get(j, 0) for col in cols) for j in range(l.dim)]
+
+
 def _key(row: dict) -> tuple:
     """Hashable form of a nonzero integer row made primitive, first entry
     positive."""
     return tuple(sorted(primitive(row, min(row)).items()))
 
 
-def _cocycle_rows(l: LieSuperalgebra, parity: int, pos: dict, itab: dict) -> tuple[set, list]:
+def _cocycle_rows(
+    l: LieSuperalgebra, parity: int, pos: dict, itab: dict, weights: list
+) -> tuple[set, list]:
     """(killed, rows) for the cocycle identity over canonical triples
-    i <= j <= k: the unknowns a single-entry row sets to 0, and the distinct
-    primitive integer rows of the other triples with those unknowns dropped.
+    i <= j <= k of weight zero: the unknowns a single-entry row sets to 0,
+    and the distinct primitive integer rows of the other triples with those
+    unknowns dropped.
 
     The identity is super-symmetric under permutations up to sign, so the
     canonical triples are exhaustive.  A triple's row is
     sum_cyc s * phi([b_a, b_b], b_c) over ((i, j), k), ((j, k), i), ((k, i), j),
-    and phi(b_m, b_c) = sign * x_t with (t, sign) = slot[c][m].  Only
-    triples with a nonzero bracket among their three pairs are visited.
+    and phi(b_m, b_c) = sign * x_t with (t, sign) = slot[c][m].  The table
+    is weight-homogeneous, so a triple's row involves only unknowns of the
+    triple's weight, and the weight-zero unknowns pos holds meet only the
+    triples of weight zero.  Only triples with a nonzero bracket among
+    their three pairs are visited.
     """
+    if not pos:
+        return set(), []
     n = l.dim
     par = l.parity
     slot = [{} for _ in range(n)]
@@ -131,7 +182,10 @@ def _cocycle_rows(l: LieSuperalgebra, parity: int, pos: dict, itab: dict) -> tup
     for a in range(n):
         for b, terms in right[a].items():
             left[b][a] = terms
-    by_parity = [[k for k in range(n) if par[k] == p] for p in (0, 1)]
+    neg = [tuple(-x for x in w) for w in weights]
+    by_weight: dict = {}  # (weight, parity) -> ascending basis indices
+    for k in range(n):
+        by_weight.setdefault((weights[k], par[k]), []).append(k)
     killed: set = set()
     # distinct longer rows, deduplicated as they come: multiples of one row
     # stay multiples once the killed unknowns are dropped, and a row whose
@@ -152,18 +206,19 @@ def _cocycle_rows(l: LieSuperalgebra, parity: int, pos: dict, itab: dict) -> tup
     for i in range(n):
         for j in range(i, n):
             want = (parity + par[i] + par[j]) % 2
+            # the b_k of the weight and parity that give the triple weight 0
+            ks = by_weight.get((tuple(map(sub, neg[i], weights[j])), want))
+            if not ks:
+                continue
+            ks = ks[bisect_left(ks, j):]
             # the cyclic signs (-1)^{|a||c|} of the three terms
             s1 = -1 if par[i] and want else 1
             s2 = -1 if par[j] and par[i] else 1
             s3 = -1 if want and par[j] else 1
             tij = right[i].get(j)
-            if tij:
-                ks = [k for k in by_parity[want] if k >= j]
-            else:
-                ks = sorted(
-                    k for k in right[j].keys() | left[i].keys() if k >= j and par[k] == want
-                )
             rj, li = right[j], left[i]
+            if not tij:
+                ks = [k for k in ks if k in rj or k in li]
             for k in ks:
                 row: dict = {}
                 if tij:
@@ -245,10 +300,13 @@ def _rank(rows, ncols: int) -> int:
     return sr.rank
 
 
-def _cocycle_basis(l: LieSuperalgebra, parity: int, itab: dict) -> tuple[list, list[dict]]:
-    """(pairs, canonical basis of Z^2 as sparse pair rows, by pivot)."""
-    pairs, pos = _pair_index(l.space, parity)
-    killed, zrows = _cocycle_rows(l, parity, pos, itab)
+def _cocycle_basis(
+    l: LieSuperalgebra, parity: int, itab: dict, weights: list
+) -> tuple[list, list[dict]]:
+    """(pairs, canonical basis of Z^2 as sparse pair rows, by pivot), on the
+    cochains of weight zero."""
+    pairs, pos = _pair_index(l.space, parity, weights)
+    killed, zrows = _cocycle_rows(l, parity, pos, itab, weights)
     basis = []
     for cols, rows in _blocks(zrows, len(pairs)):
         if not rows:
@@ -279,12 +337,14 @@ def _materialize(l: LieSuperalgebra, parity: int, pairs, row: dict) -> Cocycle2:
 
 def cocycle_space(l: LieSuperalgebra, parity: int) -> list[Cocycle2]:
     """Canonical basis of the space of 2-cocycles of the given parity."""
-    pairs, basis = _cocycle_basis(l, parity, _integer_table(l))
+    pairs, basis = _cocycle_basis(l, parity, _integer_table(l), [()] * l.dim)
     return [_materialize(l, parity, pairs, b) for b in basis]
 
 
-def _coboundary_rref(l: LieSuperalgebra, parity: int, itab: dict) -> tuple[list, SparseRref]:
-    pairs, _ = _pair_index(l.space, parity)
+def _coboundary_rref(
+    l: LieSuperalgebra, parity: int, itab: dict, weights: list
+) -> tuple[list, SparseRref]:
+    pairs, _ = _pair_index(l.space, parity, weights)
     sr = SparseRref(len(pairs))
     for row in _coboundary_rows(pairs, itab):
         sr.insert(row)
@@ -293,17 +353,19 @@ def _coboundary_rref(l: LieSuperalgebra, parity: int, itab: dict) -> tuple[list,
 
 def coboundary_space(l: LieSuperalgebra, parity: int) -> list[Cocycle2]:
     """Canonical basis of the coboundaries phi_f(x, y) = f([x, y])."""
-    pairs, sr = _coboundary_rref(l, parity, _integer_table(l))
+    pairs, sr = _coboundary_rref(l, parity, _integer_table(l), [()] * l.dim)
     return [_materialize(l, parity, pairs, b) for b in sr.basis()]
 
 
 def h2_dims(l: LieSuperalgebra) -> tuple[int, int]:
-    """dim H^2(L, F) = dim Z^2 - dim B^2, per parity, from ranks alone."""
+    """dim H^2(L, F) = dim Z^2 - dim B^2, per parity, from ranks alone, on
+    the cochains of weight zero."""
     itab = _integer_table(l)
+    weights = _toral_weights(l, itab)
     out = []
     for parity in (0, 1):
-        pairs, pos = _pair_index(l.space, parity)
-        killed, zrows = _cocycle_rows(l, parity, pos, itab)
+        pairs, pos = _pair_index(l.space, parity, weights)
+        killed, zrows = _cocycle_rows(l, parity, pos, itab, weights)
         blocks = _blocks(zrows, len(pairs))
         zrank = len(killed) + sum(_rank(rows, len(cols)) for cols, rows in blocks if rows)
         zdim = len(pairs) - zrank
@@ -315,8 +377,9 @@ def h2_dims(l: LieSuperalgebra) -> tuple[int, int]:
 def h2_representatives(l: LieSuperalgebra, parity: int) -> list[Cocycle2]:
     """Cocycles spanning a canonical complement of B^2 inside Z^2."""
     itab = _integer_table(l)
-    pairs, sr = _coboundary_rref(l, parity, itab)
-    _, basis = _cocycle_basis(l, parity, itab)
+    weights = _toral_weights(l, itab)
+    pairs, sr = _coboundary_rref(l, parity, itab, weights)
+    _, basis = _cocycle_basis(l, parity, itab, weights)
     return [_materialize(l, parity, pairs, z) for z in basis if sr.insert(z) is not None]
 
 

@@ -6,9 +6,11 @@ elimination; the property tests in test_exact.py require both to agree.
 char_poly, rational_eigenvalues and ad_matrix are the dense eigenvalue
 route that the sparse minimal-polynomial route replaced.  d_operator is the
 Fraction-matrix form of the TKK operator pair that jordan.tkk builds as
-scaled integer rows.  span_closure, subalgebra_from_generators,
-basis_element, all_components and associator have no caller in the
-package.
+scaled integer rows.  complement_rows picks the canonical complement of
+B^2 in Z^2 on the full cochain system, as cohomology.h2_representatives
+did before it solved on weight-zero cochains.  span_closure,
+subalgebra_from_generators, basis_element, all_components and associator
+have no caller in the package.
 """
 
 from __future__ import annotations
@@ -113,6 +115,15 @@ class FractionSparseRref:
         if any(c < self.npivot for c in out):
             return None
         return [coeffs.get(c, ZERO) for c in self.pivots()]
+
+
+def complement_rows(zbasis: list[dict], bbasis: list[dict], ncols: int) -> list[dict]:
+    """The rows of zbasis, in order, that are independent of bbasis and of
+    the rows kept before them."""
+    sr = FractionSparseRref(ncols)
+    for b in bbasis:
+        sr.insert(b)
+    return [z for z in zbasis if sr.insert(z) is not None]
 
 
 def span_closure(seed: Iterable[Sequence], product: Callable[[Vec, Vec], Vec]) -> list[Vec]:

@@ -418,6 +418,20 @@ def test_isogenous_exit_codes(capsys):
     assert code == 1 and json.loads(out)["verdict"] == "different"
 
 
+@pytest.mark.parametrize("argv", [
+    ["h2", "m11.sca"],
+    ["uce", "m11.sca"],
+    ["fingerprint", "m11.sca"],
+    ["isogenous", "m11.sca", "psl22.sca"],
+    ["isogenous", "psl22.sca", "m11.sca"],
+], ids=" ".join)
+def test_cohomology_commands_reject_a_non_lie_file(argv, capsys):
+    code = main([argv[0], *map(fx, argv[1:])])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"supergrade: error: BadParams: {argv[0]} needs a lie SCA file\n"
+
+
 def test_constructed_outputs_revalidate(capsys):
     for name in ("m11.sca", "psl22.sca", "sl21.sca", "gl22.sca"):
         code, out = run_cli(["check", fx(name)], capsys)
@@ -492,6 +506,19 @@ def test_uce_bytes_match_golden_files(tmp_path, capsys):
     assert run_cli(["construct", "psl", "2", "--out", psl33], capsys)[0] == 0
     assert run_cli(["uce", psl33, "--out", uce33], capsys)[0] == 0
     assert uce33.read_bytes() == (FIXTURES / "uce_psl33.sca").read_bytes()
+
+
+# SHA-256 of `supergrade uce` on `construct psl 3` (dim 62 -> 63)
+UCE_PSL44_SHA256 = "8b10217952a812c515662144326051cb3cfc4110b5963b60fbb221b361614692"
+
+
+def test_uce_psl44_bytes_are_pinned(tmp_path, capsys):
+    psl44, uce44 = tmp_path / "psl44.sca", tmp_path / "uce44.sca"
+    assert run_cli(["construct", "psl", "3", "--out", psl44], capsys)[0] == 0
+    code, out = run_cli(["uce", psl44, "--out", uce44], capsys)
+    assert code == 0
+    assert json.loads(out) == {"added_central_dims": 1, "dim": 63, "written": str(uce44)}
+    assert hashlib.sha256(uce44.read_bytes()).hexdigest() == UCE_PSL44_SHA256
 
 
 def test_tkk_m11_bytes_match_golden_file(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from supergrade import constructors as C
 from supergrade.constructors import CartanBasis
 from supergrade.errors import NotPerfect
 from supergrade.exact import SparseRref, kernel_from_rows, unit_vec
+from supergrade.sca import parse_sca
 from supergrade.superalg import (
     Element,
     LieSuperalgebra,
@@ -21,6 +23,7 @@ from supergrade.superalg import (
     derived_subalgebra,
     validate_lie,
 )
+from tests.oracles import complement_rows
 
 F = Fraction
 
@@ -72,7 +75,7 @@ def _pair_coords(pairs, cocycle) -> dict:
 def test_coboundaries_inside_cocycles(psl22, sl21):
     for l in (psl22, sl21):
         for parity in (0, 1):
-            pairs, pos = H._pair_index(l.space, parity)
+            pairs, pos = H._pair_index(l.space, parity, [()] * l.dim)
             import supergrade.exact as E
 
             sr = E.SparseRref(len(pairs))
@@ -94,6 +97,10 @@ def test_h2_values(psl22, psl33, sl21):
     assert H.h2_dims(psl22) == (3, 0)
     assert H.h2_dims(sl21) == (0, 0)
     assert H.h2_dims(psl33) == (1, 0)
+
+
+def test_tkk_jp4_has_no_central_extensions(tkk_jp4):
+    assert H.h2_dims(tkk_jp4.lie) == (0, 0)
 
 
 def test_uce_psl22(psl22):
@@ -295,9 +302,48 @@ def rescaled_algebras(draw):
     return name, LieSuperalgebra(StructureTable(space, "lie", entries))
 
 
-@given(rescaled_algebras())
+def _shear(l, h, e):
+    """l in the basis with the even b_h replaced by b_h + b_e."""
+    lift = {h: {h: F(1), e: F(1)}}
+    entries = {}
+    for i in range(l.dim):
+        for j in range(l.dim):
+            v = {}
+            for a, x in lift.get(i, {i: F(1)}).items():
+                for b, y in lift.get(j, {j: F(1)}).items():
+                    for m, c in l.table.entries.get((a, b), ()):
+                        v[m] = v.get(m, F(0)) + x * y * c
+            # old coordinates to new: b_h = b'_h - b_e
+            v[e] = v.get(e, F(0)) - v.get(h, F(0))
+            terms = tuple(sorted((m, c) for m, c in v.items() if c))
+            if terms:
+                entries[(i, j)] = terms
+    return LieSuperalgebra(StructureTable(l.space, "lie", entries))
+
+
+def _diagonal_even(l):
+    """The even b_h with [b_h, b_j] in Q b_j for every j."""
+    return [h for h in range(l.dim) if not l.parity[h] and all(
+        terms[0][0] == j and len(terms) == 1
+        for (a, j), terms in l.table.entries.items() if a == h)]
+
+
+@st.composite
+def mixed_algebras(draw):
+    """A rescaled base algebra with one ad-diagonal b_h replaced by b_h + b_e
+    for another even b_e, so that some or none of the toral basis elements
+    stay ad-diagonal."""
+    name, l = draw(rescaled_algebras())
+    h = draw(st.sampled_from(_diagonal_even(l)))
+    e = draw(st.sampled_from([e for e in range(l.dim) if not l.parity[e] and e != h]))
+    return name, _shear(l, h, e)
+
+
+@given(st.one_of(rescaled_algebras(), mixed_algebras()))
 @settings(max_examples=30, deadline=None)
 def test_cohomology_matches_fraction_oracle(case):
+    # the H^2 representatives, solved on weight-zero cochains, must be the
+    # complement picked on the full system
     name, l = case
     dims = []
     for parity in (0, 1):
@@ -305,5 +351,35 @@ def test_cohomology_matches_fraction_oracle(case):
         bbasis = _oracle_coboundaries(l, parity)
         assert [_pair_coords(pairs, z) for z in H.cocycle_space(l, parity)] == zbasis
         assert [_pair_coords(pairs, b) for b in H.coboundary_space(l, parity)] == bbasis
-        dims.append(len(zbasis) - len(bbasis))
+        reps = complement_rows(zbasis, bbasis, len(pairs))
+        assert [_pair_coords(pairs, r) for r in H.h2_representatives(l, parity)] == reps
+        dims.append(len(reps))
     assert H.h2_dims(l) == tuple(dims) == H2[name]
+
+
+def _weight_counts(l):
+    """(toral basis elements, weight-0 pairs even, odd, all pairs even, odd)."""
+    w = H._toral_weights(l, H._integer_table(l))
+    return (len(w[0]),
+            *(len(H._pair_index(l.space, p, w)[0]) for p in (0, 1)),
+            *(len(H._pair_index(l.space, p, [()] * l.dim)[0]) for p in (0, 1)))
+
+
+def test_toral_basis_elements_and_weight_zero_pairs(psl22, psl33, tkk_jp4):
+    assert _weight_counts(psl22) == (2, 11, 0, 51, 48)
+    assert _weight_counts(C.construct_psl(3)[0]) == (6, 43, 0, 963, 960)
+    assert _weight_counts(tkk_jp4.lie) == (7, 77, 0, 4033, 4032)
+    # an abelian algebra has no ad that is nonzero, and invalid_lie.sca's
+    # b_1 has [b_1, b_1] = b_2: no toral element, so all pairs are unknowns
+    assert _weight_counts(abelian(3, 2)) == (0, 6, 6, 6, 6)
+    invalid = LieSuperalgebra(parse_sca(
+        (Path(__file__).parent / "fixtures" / "invalid_lie.sca").read_text()))
+    assert _weight_counts(invalid) == (0, 1, 0, 1, 0)
+    # psl(3,3)'s toral basis elements are H2..H5; replace H2 by H2 + x: H3,
+    # H4 and H5 stay ad-diagonal when they vanish on the weight of x
+    h2 = psl33.labels.index("H2")
+    assert [psl33.labels[h] for h in _diagonal_even(psl33)] == ["H2", "H3", "H4", "H5"]
+    for x, toral in (("H3", 4), ("E(2,3)", 3), ("E(1b,2b)", 1), ("E(1,2)", 0)):
+        sheared = _shear(psl33, h2, psl33.labels.index(x))
+        assert _weight_counts(sheared)[0] == toral, x
+        assert H.h2_dims(sheared) == (1, 0)
