@@ -94,11 +94,8 @@ def _parse_vector(spec: str, dim: int):
 
 
 def _vec_json(v) -> list:
+    """A vector or weight as canonical rational strings."""
     return [str(c) for c in v]
-
-
-def _weight_json(w) -> list:
-    return [str(c) for c in w]
 
 
 class _Output:
@@ -125,6 +122,21 @@ class _Output:
             with open(out, "w", encoding="utf-8") as fh:
                 json.dump(envelope, fh, sort_keys=True, indent=2)
                 fh.write("\n")
+
+
+def _emit_sca(args, out: _Output, table, summary: dict) -> int:
+    """Write a table's SCA text to --out and emit {"written": path, **summary},
+    or write the text to stdout."""
+    from . import sca
+
+    text = sca.write_sca(table)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out.emit({"written": args.out, **summary}, None)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +171,7 @@ _CONSTRUCT_ARITY = {
 
 
 def _run_construct(args, out: _Output) -> int:
-    from . import constructors, sca
+    from . import constructors
 
     what = args.what
     params = args.params
@@ -202,14 +214,7 @@ def _run_construct(args, out: _Output) -> int:
         with open(args.cover_out, "w", encoding="utf-8") as fh:
             json.dump(cover_map, fh, sort_keys=True, indent=2)
             fh.write("\n")
-    text = sca.write_sca(alg.table)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        out.emit({"written": args.out, "dim": alg.dim, "kind": alg.kind}, None)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit_sca(args, out, alg.table, {"dim": alg.dim, "kind": alg.kind})
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +357,7 @@ def _datum_json(datum) -> dict:
     return {
         "components": [
             {
-                "weight": _weight_json(c.weight),
+                "weight": _vec_json(c.weight),
                 "even_dim": c.even_dim,
                 "odd_dim": c.odd_dim,
                 "basis": [_vec_json(v) for v in c.basis],
@@ -360,7 +365,7 @@ def _datum_json(datum) -> dict:
             for c in datum.components
         ],
         "zero_component": {
-            "weight": _weight_json(datum.zero_component.weight),
+            "weight": _vec_json(datum.zero_component.weight),
             "even_dim": datum.zero_component.even_dim,
             "odd_dim": datum.zero_component.odd_dim,
             "basis": [_vec_json(v) for v in datum.zero_component.basis],
@@ -382,7 +387,7 @@ def _grading_json(report, zreport) -> dict:
     conditions = {}
     for name, ev in report.conditions.items():
         conditions[name] = {
-            k: (v if not isinstance(v, list) else [_weight_json(w) for w in v])
+            k: (v if not isinstance(v, list) else [_vec_json(w) for w in v])
             for k, v in ev.items()
         }
     result = {
@@ -393,7 +398,7 @@ def _grading_json(report, zreport) -> dict:
     }
     if report.datum is not None:
         result["weights"] = [
-            {"weight": _weight_json(c.weight), "even_dim": c.even_dim, "odd_dim": c.odd_dim}
+            {"weight": _vec_json(c.weight), "even_dim": c.even_dim, "odd_dim": c.odd_dim}
             for c in report.datum.components
         ]
     return result
@@ -444,7 +449,7 @@ def _run_three_grading(args, out: _Output) -> int:
 
 
 def _run_tkk(args, out: _Output) -> int:
-    from . import jordan, sca, superalg
+    from . import jordan, superalg
 
     l = _load_kind(args.file, "jordan", "tkk")
     try:
@@ -471,31 +476,17 @@ def _run_tkk(args, out: _Output) -> int:
             fh.write("\n")
     elif args.cover_out:
         raise BadParams("--cover-out needs --m11")
-    text = sca.write_sca(t.lie.table)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        out.emit({"written": args.out, "dim": t.dim}, None)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit_sca(args, out, t.lie.table, {"dim": t.dim})
 
 
 def _run_jordan_from_grading(args, out: _Output) -> int:
-    from . import jordan, sca
+    from . import jordan
 
     l = _load_algebra(args.file)
     e = _parse_vector(args.e, l.dim)
     f = _parse_vector(args.f, l.dim)
     j = jordan.jordan_from_3grading(l, e, f)
-    text = sca.write_sca(j.table)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        out.emit({"written": args.out, "dim": j.dim}, None)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit_sca(args, out, j.table, {"dim": j.dim})
 
 
 def _run_peirce(args, out: _Output) -> int:
@@ -534,25 +525,12 @@ def _run_h2(args, out: _Output) -> int:
 
 
 def _run_uce(args, out: _Output) -> int:
-    from . import cohomology, sca
+    from . import cohomology
 
     l = _load_kind(args.file, "lie", "uce")
     ext = cohomology.uce(l)
-    text = sca.write_sca(ext.extended.table)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        out.emit(
-            {
-                "written": args.out,
-                "dim": ext.extended.dim,
-                "added_central_dims": len(ext.cocycles),
-            },
-            None,
-        )
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit_sca(args, out, ext.extended.table,
+                     {"dim": ext.extended.dim, "added_central_dims": len(ext.cocycles)})
 
 
 def _run_fingerprint(args, out: _Output) -> int:

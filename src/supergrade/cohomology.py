@@ -43,9 +43,13 @@ minus the rank, which is the number of killed unknowns plus the ranks of
 the blocks, and dim B^2 is the rank of the coboundary rows; no basis is
 materialised.  cocycle_space, coboundary_space and h2_representatives
 work on sparse pair rows (a killed unknown is 0 in every cocycle) and
-build the dense Cocycle2 form only for the cocycles they return.  Their
-bases are the unique RREF of the subspace, so scaling, deduplicating or
-reordering rows never changes them.
+return each cocycle as the sparse Cocycle2 form {(i, j): value} of its
+nonzero values, both orders of every pair.  Their bases are the unique
+RREF of the subspace, so scaling, deduplicating or reordering rows never
+changes them.
+
+All elimination here runs on SparseRref: the kernel of a projection is
+kernel_from_rows on its rows, and a Cartan lift is an augmented solve.
 """
 
 from __future__ import annotations
@@ -56,17 +60,15 @@ from fractions import Fraction
 from math import lcm
 from operator import sub
 
-from .errors import NotPerfect, ValidationError
+from .errors import DimensionMismatch, NotPerfect, ValidationError
 from .exact import (
     Matrix,
     SparseRref,
     ZERO,
     ONE,
     dense_to_sparse,
-    kernel,
     kernel_from_rows,
     primitive,
-    solve_linear,
     unit_vec,
     vec,
 )
@@ -77,7 +79,6 @@ from .superalg import (
     SuperSpace,
     center,
     derived_subalgebra,
-    homogeneous_parity,
     quotient_central,
     restricted_table,
 )
@@ -88,10 +89,10 @@ class Cocycle2:
     """A parity-homogeneous super-skew 2-form satisfying the cocycle identity."""
 
     parity: int
-    form: Matrix  # full dim x dim matrix of values phi(b_i, b_j)
+    form: dict  # {(i, j): phi(b_i, b_j)}, nonzero values only
 
     def value(self, i: int, j: int) -> Fraction:
-        return self.form.data[i][j]
+        return self.form.get((i, j), ZERO)
 
 
 def _pair_index(space: SuperSpace, parity: int, weights: list):
@@ -324,14 +325,12 @@ def _cocycle_basis(
 
 
 def _materialize(l: LieSuperalgebra, parity: int, pairs, row: dict) -> Cocycle2:
-    n = l.dim
-    form = Matrix.zeros(n, n)
+    form = {}
     for t, v in row.items():
         i, j = pairs[t]
-        form.data[i][j] = v
+        form[(i, j)] = v
         if i != j:
-            sgn = -ONE if not (l.parity[i] and l.parity[j]) else ONE
-            form.data[j][i] = sgn * v
+            form[(j, i)] = v if l.parity[i] and l.parity[j] else -v
     return Cocycle2(parity, form)
 
 
@@ -415,17 +414,12 @@ def uce(l: LieSuperalgebra) -> CentralExtension:
     if l.labels is not None:
         labels = tuple(l.labels) + tuple(f"c{t + 1}" for t in range(k))
     space = SuperSpace(n + k, parity, labels)
-    entries = {}
-    for i in range(n):
-        for j in range(n):
-            terms = [(m, c) for m, c in l.table.entries.get((i, j), ())]
-            for t, coc in enumerate(reps):
-                v = coc.form.data[i][j]
-                if v:
-                    terms.append((n + t, v))
-            if terms:
-                entries[(i, j)] = tuple(sorted(terms))
-    table = StructureTable(space, "lie", entries)
+    terms = {key: list(t) for key, t in l.table.entries.items()}
+    for t, coc in enumerate(reps):
+        for key, v in coc.form.items():
+            terms.setdefault(key, []).append((n + t, v))
+    # StructureTable sorts each entry's terms; the keys keep (i, j) order
+    table = StructureTable(space, "lie", {key: terms[key] for key in sorted(terms)})
     extended = LieSuperalgebra(
         table, {"name": f"uce({l.provenance.get('name', 'L')})", "base": l}
     )
@@ -436,35 +430,24 @@ def uce(l: LieSuperalgebra) -> CentralExtension:
 
 
 def extension_from_quotient(l: LieSuperalgebra, zbasis) -> CentralExtension:
-    """Package an existing central quotient L -> L/<z> as a CentralExtension."""
+    """Package an existing central quotient L -> L/<z> as a CentralExtension.
+
+    The base keeps the basis elements at the non-pivot columns of z's RREF,
+    so a lifted bracket [b_a, b_b] minus the lift of its image lies in <z>
+    and has at the pivots the entries of [b_a, b_b] itself (the lift is 0
+    there).  The RREF rows are 1 at their own pivot and 0 at the others, so
+    cocycle t is the coefficient of [b_a, b_b] at pivot t.  z is graded, so
+    each RREF row is homogeneous, of the parity of its pivot."""
     base, proj = quotient_central(l, zbasis)
-    zsr = SparseRref(l.dim)
-    zvecs = []
-    for z in zbasis:
-        zv = z.coords if isinstance(z, Element) else vec(z)
-        zsr.insert(dense_to_sparse(zv))
-    zrows = zsr.basis_dense()
-    kept_cols = base.provenance["kept_columns"]
-    lifted = [unit_vec(l.dim, c) for c in kept_cols]
-    cocycles = []
-    for t, zr in enumerate(zrows):
-        form = Matrix.zeros(base.dim, base.dim)
-        for a in range(base.dim):
-            for b in range(base.dim):
-                br = l.product_vec(lifted[a], lifted[b])
-                lift_of_proj = [ZERO] * l.dim
-                pv = base.product_vec(unit_vec(base.dim, a), unit_vec(base.dim, b))
-                for s, c in enumerate(pv):
-                    if c:
-                        for idx, x in enumerate(lifted[s]):
-                            lift_of_proj[idx] += c * x
-                diff = tuple(p - q for p, q in zip(br, lift_of_proj))
-                coords = zsr.coordinates(dense_to_sparse(diff))
-                if coords is None:
-                    raise ValidationError("quotient defect is not central")
-                form.data[a][b] = coords[t]
-        p = homogeneous_parity(l.space, zr)
-        cocycles.append(Cocycle2(p, form))
+    pos = {c: a for a, c in enumerate(base.provenance["kept_columns"])}
+    slot = {c: t for t, c in enumerate(c for c in range(l.dim) if c not in pos)}
+    forms = [{} for _ in slot]
+    for (i, j), terms in l.table.entries.items():
+        if i in pos and j in pos:
+            for m, c in terms:
+                if m in slot:
+                    forms[slot[m]][(pos[i], pos[j])] = c
+    cocycles = [Cocycle2(l.parity[p], form) for p, form in zip(slot, forms)]
     return CentralExtension(base, cocycles, l, proj)
 
 
@@ -477,6 +460,23 @@ class CoverKernelReport:
     details: list
 
 
+def _preimage(rows: list[dict], ncols: int, b) -> tuple | None:
+    """The solution of A x = b with free variables 0, for A given by its
+    sparse rows, or None if there is none.  b is an augmented column that
+    is never a pivot, so x is b's entry in the RREF row of each pivot."""
+    if len(b) != len(rows):
+        raise DimensionMismatch("rhs length != row count")
+    sr = SparseRref(ncols + 1, npivot=ncols)
+    for row, c in zip(rows, b):
+        aug = {**row, ncols: c}
+        if sr.insert(aug) is None and sr.reduce(aug):
+            return None
+    x = [ZERO] * ncols
+    for p, r in zip(sr.pivots(), sr.basis()):
+        x[p] = r.get(ncols, ZERO)
+    return tuple(x)
+
+
 def cover_kernel_check(ext: CentralExtension, cartan: CartanBasis) -> CoverKernelReport:
     """Verify ker(pi) lies in the zero weight space of the extension and pi
     restricts to a linear isomorphism on every nonzero root space."""
@@ -484,9 +484,10 @@ def cover_kernel_check(ext: CentralExtension, cartan: CartanBasis) -> CoverKerne
     from .roots import weight_decomposition
 
     base, big, proj = ext.base, ext.extended, ext.projection
+    prows = [dense_to_sparse(row) for row in proj.data]
     lifted = []
     for h in cartan.elements:
-        lift = solve_linear(proj, h.coords)
+        lift = _preimage(prows, proj.cols, h.coords)
         if lift is None:
             raise ValidationError("Cartan element has no preimage under the projection")
         lifted.append(Element(lift, 0))
@@ -497,7 +498,7 @@ def cover_kernel_check(ext: CentralExtension, cartan: CartanBasis) -> CoverKerne
     zero_sr = SparseRref(big.dim)
     for v in datum_big.zero_component.basis:
         zero_sr.insert(dense_to_sparse(v))
-    kern = kernel(proj)
+    kern = kernel_from_rows(prows, proj.cols)
     kernel_in_zero = all(zero_sr.contains(dense_to_sparse(v)) for v in kern)
 
     per_root = True

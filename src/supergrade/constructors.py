@@ -81,7 +81,9 @@ def _gl_index_labels(m: int, n: int) -> list[str]:
 
 def construct_gl(m: int, n: int) -> LieSuperalgebra:
     """gl(m,n): all (m+n) x (m+n) matrices with the supercommutator."""
-    if m < 0 or n < 0 or m + n < 1:
+    if m < 0 or n < 0:
+        raise BadParams("gl(m,n) needs m, n >= 0")
+    if m + n < 1:
         raise BadParams("gl(m,n) needs m+n >= 1")
     d = m + n
     idx_par = [0] * m + [1] * n
@@ -142,6 +144,8 @@ def _diag_vec_to_gl(glinfo, diag) -> Vec:
 
 def construct_sl(m: int, n: int) -> LieSuperalgebra:
     """sl(m,n): the supertrace-zero subalgebra of gl(m,n), dim (m+n)^2 - 1."""
+    if m < 0 or n < 0:
+        raise BadParams("sl(m,n) needs m, n >= 0")
     if m + n < 2:
         raise BadParams("sl(m,n) needs m+n >= 2")
     gl = construct_gl(m, n)
@@ -301,7 +305,9 @@ def construct_assoc(kind: str, params=None) -> AssocSuperalgebra:
         return AssocSuperalgebra(table, {"name": f"Grassmann({k})", "k": k})
     if kind == "matrix_super":
         p, q = params
-        if p < 0 or q < 0 or p + q < 1:
+        if p < 0 or q < 0:
+            raise BadParams("matrix_super(p,q) needs p, q >= 0")
+        if p + q < 1:
             raise BadParams("matrix_super(p,q) needs p+q >= 1")
         return _matrix_superalgebra(p, q)
     raise BadParams(f"unknown coefficient algebra kind {kind!r}")

@@ -7,20 +7,20 @@ for all so that higher layers can compare bases by plain equality:
   pivot columns are cleared above and below;
 * kernel bases set one free variable to 1 at a time, in increasing column
   order;
-* particular solutions set all free variables to 0.
+* particular solutions of augmented systems set all free variables to 0.
 
-Linear algebra on the hot paths runs on sparse rows {column: value}
-reduced by the incremental SparseRref: ranks, span closures, kernels,
-subspace coordinates, and eigenspaces and minimal polynomials of operators
-given as sparse rows or columns.  SparseRref eliminates fraction-free over
+All elimination runs on sparse rows {column: value} reduced by the
+incremental SparseRref: ranks, span closures, kernels, subspace
+coordinates, augmented solves, and eigenspaces and minimal polynomials of
+operators given as sparse rows or columns.  SparseRref eliminates fraction-free over
 Python integers (Bareiss, Math. Comp. 22, 1968): its basis rows are
 primitive {column: int} rows, a row with Fraction entries is scaled once by
 the lcm of its denominators, and Fraction appears only in what it returns
 (reduce, basis, and coordinates of Fraction input).  Inserting and testing
-integer rows builds no Fraction at all.  The RREF is unique, so the sparse
-and dense routines return the same canonical bases.  The dense Fraction
-Matrix with rref/kernel/solve_linear remains for the cohomology
-projections and the psl projection.
+integer rows builds no Fraction at all.  The RREF is unique, so these
+bases equal those of the dense Fraction elimination in tests/oracles.py.
+Matrix is only the dense container of the central-quotient projections;
+it eliminates nothing.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ def sparse_to_dense(row: dict, n: int) -> Vec:
 
 
 class Matrix:
-    """Dense row-major matrix over Fraction."""
+    """Dense row-major matrix over Fraction: the projection of a central
+    quotient, applied with mul_vec."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -70,27 +71,9 @@ class Matrix:
             raise DimensionMismatch("ragged matrix rows")
 
     @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        m = cls.__new__(cls)
-        m.data = [[ZERO] * cols for _ in range(rows)]
-        m.rows = rows
-        m.cols = cols
-        return m
-
-    @classmethod
     def from_cols(cls, cols: Sequence[Sequence]) -> "Matrix":
         n = len(cols[0]) if cols else 0
         return cls([[col[i] for col in cols] for i in range(n)])
-
-    def row(self, i: int) -> Vec:
-        return tuple(self.data[i])
-
-    def col(self, j: int) -> Vec:
-        return tuple(self.data[i][j] for i in range(self.rows))
 
     def mul_vec(self, v: Sequence) -> Vec:
         if len(v) != self.cols:
@@ -99,27 +82,6 @@ class Matrix:
             sum((row[j] * v[j] for j in range(self.cols) if v[j] != 0), ZERO)
             for row in self.data
         )
-
-    def matmul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch("matmul shape mismatch")
-        out = Matrix.zeros(self.rows, other.cols)
-        for i, row in enumerate(self.data):
-            orow = out.data[i]
-            for k, c in enumerate(row):
-                if c == 0:
-                    continue
-                brow = other.data[k]
-                for j in range(other.cols):
-                    if brow[j] != 0:
-                        orow[j] += c * brow[j]
-        return out
-
-    def trace(self) -> Fraction:
-        return sum((self.data[i][i] for i in range(min(self.rows, self.cols))), ZERO)
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.data)
 
     def __eq__(self, other) -> bool:
         return (
@@ -131,67 +93,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
-
-
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row-echelon form and pivot column list.  rank = len(pivots)."""
-    a = [row[:] for row in m.data]
-    nrows, ncols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = ONE / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    out = Matrix.__new__(Matrix)
-    out.data = a
-    out.rows = nrows
-    out.cols = ncols
-    return out, pivots
-
-
-def kernel_from_rref(rdata: Sequence[Sequence], pivots: Sequence[int], ncols: int) -> list[Vec]:
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -rdata[r][f]
-        basis.append(tuple(v))
-    return basis
-
-
-def kernel(m: Matrix) -> list[Vec]:
-    """Canonical null-space basis (free variables set to 1 in column order)."""
-    r, pivots = rref(m)
-    return kernel_from_rref(r.data, pivots, m.cols)
-
-
-def solve_linear(a: Matrix, b: Sequence) -> Vec | None:
-    """One particular solution of a x = b with free variables 0, or None."""
-    if len(b) != a.rows:
-        raise DimensionMismatch("rhs length != row count")
-    aug = Matrix([list(row) + [b[i]] for i, row in enumerate(a.data)])
-    r, pivots = rref(aug)
-    if pivots and pivots[-1] == a.cols:
-        return None
-    x = [ZERO] * a.cols
-    for i, p in enumerate(pivots):
-        x[p] = r.data[i][a.cols]
-    return tuple(x)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +402,7 @@ def kernel_from_rows(rows: Iterable[dict], ncols: int) -> list[Vec]:
 
 def eigenspace(rows: Sequence[dict], lam) -> list[Vec]:
     """Canonical basis of ker(A - lam I) for a square operator A given by
-    its sparse rows; the same basis as kernel() of the dense shifted matrix."""
+    its sparse rows; the canonical kernel basis of the shifted matrix."""
     shifted = []
     for i, row in enumerate(rows):
         row = dict(row)

@@ -1,6 +1,10 @@
 """Reference implementations the tests compare against or build on.
 
-FractionSparseRref is the Fraction-pivot incremental RREF that
+Matrix, rref, kernel_from_rref, kernel and solve_linear are the dense
+Fraction elimination that the package replaced with SparseRref everywhere
+(kernel_from_rows, augmented solves, subspace coordinates); Matrix extends
+the package's projection container with identity, zeros, row, col,
+matmul, trace and copy.  FractionSparseRref is the Fraction-pivot incremental RREF that
 supergrade.exact.SparseRref replaced with fraction-free integer
 elimination; the property tests in test_exact.py require both to agree.
 char_poly, rational_eigenvalues and ad_matrix are the dense eigenvalue
@@ -19,10 +23,10 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from supergrade.errors import DimensionMismatch, NonSplitSpectrum
+from supergrade import exact
 from supergrade.exact import (
     ONE,
     ZERO,
-    Matrix,
     SparseRref,
     Vec,
     dense_to_sparse,
@@ -36,6 +40,112 @@ from supergrade.exact import (
 from supergrade.superalg import Element, _coords, ad_rows
 
 TWO = Fraction(2)
+
+
+class Matrix(exact.Matrix):
+    """Dense row-major matrix over Fraction, with the dense operations."""
+
+    __slots__ = ()
+
+    @classmethod
+    def identity(cls, n: int) -> "Matrix":
+        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int) -> "Matrix":
+        m = cls.__new__(cls)
+        m.data = [[ZERO] * cols for _ in range(rows)]
+        m.rows = rows
+        m.cols = cols
+        return m
+
+    def row(self, i: int) -> Vec:
+        return tuple(self.data[i])
+
+    def col(self, j: int) -> Vec:
+        return tuple(self.data[i][j] for i in range(self.rows))
+
+    def matmul(self, other: "Matrix") -> "Matrix":
+        if self.cols != other.rows:
+            raise DimensionMismatch("matmul shape mismatch")
+        out = Matrix.zeros(self.rows, other.cols)
+        for i, row in enumerate(self.data):
+            orow = out.data[i]
+            for k, c in enumerate(row):
+                if c == 0:
+                    continue
+                brow = other.data[k]
+                for j in range(other.cols):
+                    if brow[j] != 0:
+                        orow[j] += c * brow[j]
+        return out
+
+    def trace(self) -> Fraction:
+        return sum((self.data[i][i] for i in range(min(self.rows, self.cols))), ZERO)
+
+    def copy(self) -> "Matrix":
+        return Matrix(self.data)
+
+
+def rref(m: exact.Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row-echelon form and pivot column list.  rank = len(pivots)."""
+    a = [row[:] for row in m.data]
+    nrows, ncols = m.rows, m.cols
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = ONE / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    out = Matrix.__new__(Matrix)
+    out.data = a
+    out.rows = nrows
+    out.cols = ncols
+    return out, pivots
+
+
+def kernel_from_rref(rdata: Sequence[Sequence], pivots: Sequence[int], ncols: int) -> list[Vec]:
+    pivset = set(pivots)
+    free = [c for c in range(ncols) if c not in pivset]
+    basis = []
+    for f in free:
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for r, p in enumerate(pivots):
+            v[p] = -rdata[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def kernel(m: exact.Matrix) -> list[Vec]:
+    """Canonical null-space basis (free variables set to 1 in column order)."""
+    r, pivots = rref(m)
+    return kernel_from_rref(r.data, pivots, m.cols)
+
+
+def solve_linear(a: exact.Matrix, b: Sequence) -> Vec | None:
+    """One particular solution of a x = b with free variables 0, or None."""
+    if len(b) != a.rows:
+        raise DimensionMismatch("rhs length != row count")
+    aug = Matrix([list(row) + [b[i]] for i, row in enumerate(a.data)])
+    r, pivots = rref(aug)
+    if pivots and pivots[-1] == a.cols:
+        return None
+    x = [ZERO] * a.cols
+    for i, p in enumerate(pivots):
+        x[p] = r.data[i][a.cols]
+    return tuple(x)
 
 
 class FractionSparseRref:

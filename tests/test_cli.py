@@ -92,6 +92,17 @@ def test_construct_gl_without_parameters_exits_2(capsys):
     _assert_input_error(main(["construct", "gl"]), capsys)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gl", "3", "-1"], "gl(m,n) needs m, n >= 0"),
+    (["sl", "-1", "3"], "sl(m,n) needs m, n >= 0"),
+    (["assoc", "matrix_super", "-1", "2"], "matrix_super(p,q) needs p, q >= 0"),
+])
+def test_construct_negative_parameter_names_the_failed_condition(argv, message, capsys):
+    code = main(["construct", *argv])
+    assert code == 2
+    assert capsys.readouterr().err == f"supergrade: error: BadParams: {message}\n"
+
+
 def test_cover_map_with_scalar_images_exits_2(tmp_path, capsys):
     cover = tmp_path / "cover.json"
     cover.write_text('{"images": 5}')

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from supergrade import cohomology as H
 from supergrade import constructors as C
 from supergrade.constructors import CartanBasis
-from supergrade.errors import NotPerfect
+from supergrade.errors import DimensionMismatch, NotPerfect
 from supergrade.exact import SparseRref, kernel_from_rows, unit_vec
 from supergrade.sca import parse_sca
 from supergrade.superalg import (
@@ -23,7 +23,7 @@ from supergrade.superalg import (
     derived_subalgebra,
     validate_lie,
 )
-from tests.oracles import complement_rows
+from tests.oracles import Matrix, complement_rows, kernel, solve_linear
 
 F = Fraction
 
@@ -50,14 +50,15 @@ def test_cocycle_super_skew_and_identity(psl22):
     par = psl22.parity
     for parity in (0, 1):
         for coc in H.cocycle_space(psl22, parity)[:3]:
-            f = coc.form
+            f = coc.value
+            assert all(v for v in coc.form.values())
             n = psl22.dim
             for i in range(n):
                 for j in range(n):
                     sgn = -1 if not (par[i] and par[j]) else 1
-                    assert f.data[i][j] == sgn * f.data[j][i]
+                    assert f(i, j) == sgn * f(j, i)
                     if (par[i] + par[j]) % 2 != parity:
-                        assert f.data[i][j] == 0
+                        assert f(i, j) == 0
 
 
 def test_sl2_h2_zero():
@@ -68,8 +69,7 @@ def test_sl2_h2_zero():
 
 def _pair_coords(pairs, cocycle) -> dict:
     """The independent values phi(b_i, b_j), i <= j, of a cocycle's form."""
-    data = cocycle.form.data
-    return {t: data[i][j] for t, (i, j) in enumerate(pairs) if data[i][j]}
+    return {t: cocycle.form[p] for t, p in enumerate(pairs) if p in cocycle.form}
 
 
 def test_coboundaries_inside_cocycles(psl22, sl21):
@@ -85,6 +85,44 @@ def test_coboundaries_inside_cocycles(psl22, sl21):
             for b in H.coboundary_space(l, parity):
                 assert sr.insert(_pair_coords(pairs, b)) is None
             assert sr.rank == zrank
+
+
+def test_h3_plus_line_needs_the_bk_bi_rows():
+    # h3 + F on (x, w, y, z) with [x, y] = z: no toral element, so the full
+    # system is solved.  H^2 = H^2(h3) + H^1(h3) (x) H^1(F) = 2 + 2 (Kunneth).
+    # Only the triple (x, w, y), whose one nonzero bracket is [y, x], forces
+    # phi(w, z) = 0.
+    space = SuperSpace(4, (0, 0, 0, 0), ("x", "w", "y", "z"))
+    entries = {(0, 2): ((3, F(1)),), (2, 0): ((3, F(-1)),)}
+    l = LieSuperalgebra(StructureTable(space, "lie", entries))
+    validate_lie(l.table)
+    assert len(H.cocycle_space(l, 0)) == 5
+    assert len(H.coboundary_space(l, 0)) == 1
+    assert all(z.value(1, 3) == 0 for z in H.cocycle_space(l, 0))
+    assert H.h2_dims(l) == (4, 0)
+
+
+@st.composite
+def systems(draw):
+    """A dense matrix and a right-hand side, in its image or arbitrary."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = st.integers(-4, 4).map(F)
+    m = Matrix([[draw(entries) for _ in range(cols)] for _ in range(rows)])
+    if draw(st.booleans()):
+        return m, m.mul_vec([draw(entries) for _ in range(cols)])
+    return m, tuple(draw(entries) for _ in range(rows))
+
+
+@given(systems())
+@settings(max_examples=80, deadline=None)
+def test_preimage_matches_dense_solve(case):
+    # the augmented SparseRref solve behind the Cartan lifts: the same
+    # free-variables-0 solution as the dense oracle, or None with it
+    m, b = case
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m.data]
+    assert H._preimage(rows, m.cols, b) == solve_linear(m, b)
+    with pytest.raises(DimensionMismatch):
+        H._preimage(rows, m.cols, b + (F(1),))
 
 
 def test_coboundary_dims_perfect(psl22):
@@ -157,6 +195,18 @@ def test_cover_kernel_sl33(sl33, psl33):
     assert rep.passed and rep.kernel_dim == 1
 
 
+def test_extension_from_quotient_by_even_and_odd_center():
+    # (a, w | b, c) with [a, b] = c and [b, b] = 2w: the center <w, c> has
+    # one even and one odd direction, and each cocycle has its pivot's parity
+    space = SuperSpace(4, (0, 0, 1, 1), ("a", "w", "b", "c"))
+    entries = {(0, 2): ((3, F(1)),), (2, 0): ((3, F(-1)),), (2, 2): ((1, F(2)),)}
+    l = LieSuperalgebra(StructureTable(space, "lie", entries))
+    ext = H.extension_from_quotient(l, center(l))
+    assert ext.base.labels == ("a", "b")
+    assert [(c.parity, c.form) for c in ext.cocycles] == [
+        (0, {(1, 1): F(2)}), (1, {(0, 1): F(1), (1, 0): F(-1)})]
+
+
 def test_cover_kernel_uce_psl22(psl22):
     ext = H.uce(psl22)
     rep = H.cover_kernel_check(ext, psl22.provenance["cartan_h"])
@@ -200,10 +250,9 @@ def test_odd_h2_vanishes(psl22, psl33):
 
 
 def test_extension_kernel_is_central(psl22):
-    from supergrade.exact import kernel
-
     ext = H.uce(psl22)
     u = ext.extended
+    assert len(kernel(ext.projection)) == 3
     for kv in kernel(ext.projection):
         for j in range(u.dim):
             assert not any(u.product_vec(kv, unit_vec(u.dim, j)))

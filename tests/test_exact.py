@@ -11,19 +11,24 @@ from hypothesis import strategies as st
 from supergrade import exact
 from supergrade.errors import NonSplitSpectrum
 from supergrade.exact import (
-    Matrix,
     SparseRref,
     dense_to_sparse,
-    kernel,
     min_poly,
     poly_divmod,
     poly_eval,
     rational_roots,
-    rref,
-    solve_linear,
     vec,
 )
-from tests.oracles import FractionSparseRref, char_poly, rational_eigenvalues, span_closure
+from tests.oracles import (
+    FractionSparseRref,
+    Matrix,
+    char_poly,
+    kernel,
+    rational_eigenvalues,
+    rref,
+    solve_linear,
+    span_closure,
+)
 
 F = Fraction
 

@@ -380,8 +380,8 @@ def test_jordan_from_3grading_with_non_echelon_l1_basis(tkk_m11, m11):
     # rewrite tkk(M11) in the basis b'_p = b_p + b_q with b_p in T(1) and b_q
     # in T(0): the +2 eigenspace basis of ad h is then not in echelon form,
     # and the recovered table must still be M11's on that basis
-    from supergrade.exact import Matrix, solve_linear
     from supergrade.superalg import LieSuperalgebra, StructureTable, SuperSpace
+    from tests.oracles import Matrix, solve_linear
 
     l = tkk_m11.lie
     n, par = l.dim, l.parity

@@ -12,14 +12,7 @@ from supergrade import roots as R
 from supergrade import superalg
 from supergrade.constructors import CartanBasis
 from supergrade.errors import NonSplitSpectrum, NotHomomorphism, NotThreeGraded
-from supergrade.exact import (
-    Matrix,
-    SparseRref,
-    dense_to_sparse,
-    rref,
-    solve_linear,
-    unit_vec,
-)
+from supergrade.exact import SparseRref, dense_to_sparse, unit_vec
 from supergrade.jordan import certify_m11, jordan_from_3grading, m11_tkk_generators
 from supergrade.sca import parse_sca
 from supergrade.superalg import (
@@ -30,7 +23,7 @@ from supergrade.superalg import (
     homogeneous_parity,
     validate_lie,
 )
-from tests.oracles import all_components, basis_element
+from tests.oracles import Matrix, all_components, basis_element, rref, solve_linear
 
 F = Fraction
 

@@ -9,18 +9,15 @@ from hypothesis import strategies as st
 from supergrade import constructors as C
 from supergrade.errors import ValidationError
 from supergrade.exact import (
-    Matrix,
     dense_to_sparse,
     eigenspace,
-    kernel,
-    rref,
-    solve_linear,
     sparse_apply,
     sparse_transpose,
     unit_vec,
     vec,
 )
 from supergrade.superalg import SubspaceCoords, restricted_table
+from tests.oracles import Matrix, kernel, rref, solve_linear
 
 F = Fraction
 
