@@ -9,7 +9,9 @@ every term of an identity carries the same power of s, the scaled
 expression vanishes exactly when the rational one does.
 
 Each identity is a sparse operator expression that must vanish; its
-column w is the identity evaluated on the basis tuple ending in w:
+column w is the identity evaluated on the basis tuple ending in w.  The
+expression accumulates in one flat integer dict {w*n + t: int}, so its
+smallest nonzero key divided by n is its smallest failing column:
 
 * super Jacobi, pair i <= j:
   L_i L_j - (-1)^{|i||j|} L_j L_i - sum_m c_{ij}^m L_m.  Given
@@ -18,9 +20,9 @@ column w is the identity evaluated on the basis tuple ending in w:
 * associativity, pair (i, j): L_i L_j - sum_m c_{ij}^m L_m on (i, j, w).
 * the fully linearized super Jordan identity, triple i <= j <= k:
   (-1)^{|x||z|}[L_{xy},L_z] + (-1)^{|y||x|}[L_{yz},L_x] + (-1)^{|z||y|}[L_{zx},L_y],
-  expanded as sum s * c_{ab}^m [L_m, L_z] over the cyclic terms of
-  _jordan_terms, on the quadruple (i, j, k, w).  Each supercommutator
-  [L_m, L_z] is built once.
+  expanded as sum s * c_{ab}^m [L_m, L_z] over the three cyclic terms, on
+  the quadruple (i, j, k, w).  Each supercommutator [L_m, L_z] is built
+  once, together with [L_z, L_m] = -(-1)^{|m||z|} [L_m, L_z].
 
 A violation names the first failing pair or triple in loop order and the
 smallest nonzero column of its expression.
@@ -86,7 +88,8 @@ def check_unit(table):
 
 
 def _left_mults(table):
-    """Scaled left multiplications L[i] = {w: {t: s * c_{iw}^t}}."""
+    """(s, L) with L[i] = {w: {t: s * c_{iw}^t}} the scaled left
+    multiplications and s the lcm of the table's denominators."""
     scale = 1
     for terms in table.entries.values():
         for _, c in terms:
@@ -94,45 +97,44 @@ def _left_mults(table):
     mults = [{} for _ in range(table.space.dim)]
     for (i, w), terms in table.entries.items():
         mults[i][w] = {t: c.numerator * (scale // c.denominator) for t, c in terms}
-    return mults
+    return scale, mults
 
 
-def _add(acc, op, coef):
-    """acc += coef * op."""
+def _add(acc, op, coef, n):
+    """acc += coef * op, accumulated flat."""
     for w, col in op.items():
-        out = acc.setdefault(w, {})
+        base = w * n
         for t, v in col.items():
-            out[t] = out.get(t, 0) + coef * v
+            acc[base + t] = acc.get(base + t, 0) + coef * v
 
 
-def _add_product(acc, a, b, coef):
-    """acc += coef * (a @ b)."""
+def _add_product(acc, a, b, coef, n):
+    """acc += coef * (a @ b), accumulated flat."""
     for w, bcol in b.items():
-        out = None
+        base = w * n
         for u, bv in bcol.items():
             acol = a.get(u)
             if acol:
-                if out is None:
-                    out = acc.setdefault(w, {})
                 cb = coef * bv
                 for t, av in acol.items():
-                    out[t] = out.get(t, 0) + cb * av
+                    acc[base + t] = acc.get(base + t, 0) + cb * av
 
 
-def _first_column(acc):
-    """Smallest column of acc with a nonzero entry, or None."""
-    return min((w for w, col in acc.items() if any(col.values())), default=None)
+def _first_column(acc, n):
+    """Smallest column w of a flat acc with a nonzero entry, or None."""
+    nonzero = [k for k, v in acc.items() if v]
+    return min(nonzero) // n if nonzero else None
 
 
-def _pair_defect(mults, i, j, swap_sign):
+def _pair_defect(mults, i, j, swap_sign, n):
     """First nonzero column of L_i L_j - swap_sign L_j L_i - sum_m c_ij^m L_m."""
     acc = {}
-    _add_product(acc, mults[i], mults[j], 1)
+    _add_product(acc, mults[i], mults[j], 1, n)
     if swap_sign:
-        _add_product(acc, mults[j], mults[i], -swap_sign)
+        _add_product(acc, mults[j], mults[i], -swap_sign, n)
     for m, c in mults[i].get(j, {}).items():
-        _add(acc, mults[m], -c)
-    return _first_column(acc)
+        _add(acc, mults[m], -c, n)
+    return _first_column(acc, n)
 
 
 # ---------------------------------------------------------------------------
@@ -143,20 +145,20 @@ def _pair_defect(mults, i, j, swap_sign):
 def check_super_jacobi(table):
     n = table.space.dim
     par = table.space.parity
-    mults = _left_mults(table)
+    _, mults = _left_mults(table)
     for i in range(n):
         for j in range(i, n):
-            w = _pair_defect(mults, i, j, _sign(par[i], par[j]))
+            w = _pair_defect(mults, i, j, _sign(par[i], par[j]), n)
             if w is not None:
                 raise AxiomViolation("super_jacobi", (i, j, w))
 
 
 def check_associativity(table):
     n = table.space.dim
-    mults = _left_mults(table)
+    _, mults = _left_mults(table)
     for i in range(n):
         for j in range(n):
-            w = _pair_defect(mults, i, j, 0)
+            w = _pair_defect(mults, i, j, 0, n)
             if w is not None:
                 raise AxiomViolation("associativity", (i, j, w))
 
@@ -166,37 +168,36 @@ def check_associativity(table):
 # ---------------------------------------------------------------------------
 
 
-def _jordan_terms(i, j, k, par):
-    """Cyclic (pair, operator, sign) pattern of the linearized identity."""
-    return (
-        ((i, j), k, _sign(par[i], par[k])),
-        ((j, k), i, _sign(par[j], par[i])),
-        ((k, i), j, _sign(par[k], par[j])),
-    )
-
-
 def check_super_jordan(table):
     n = table.space.dim
     par = table.space.parity
-    mults = _left_mults(table)
+    _, mults = _left_mults(table)
     comms = {}
 
     def comm(m, z):
-        op = comms.get((m, z))
-        if op is None:
-            op = {}
-            _add_product(op, mults[m], mults[z], 1)
-            _add_product(op, mults[z], mults[m], -_sign(par[m], par[z]))
-            comms[(m, z)] = op
+        # [L_m, L_z], and [L_z, L_m] = -(-1)^{|m||z|} [L_m, L_z] with it
+        acc = {}
+        sgn = _sign(par[m], par[z])
+        _add_product(acc, mults[m], mults[z], 1, n)
+        _add_product(acc, mults[z], mults[m], -sgn, n)
+        op = comms[m, z] = {k: v for k, v in acc.items() if v}
+        comms[z, m] = {k: -sgn * v for k, v in op.items()}
         return op
 
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
                 acc = {}
-                for (a, b), z, s in _jordan_terms(i, j, k, par):
+                # the cyclic terms (-1)^{|a||z|} sum_m c_ab^m [L_m, L_z]
+                for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):
+                    s = _sign(par[a], par[z])
                     for m, c in mults[a].get(b, {}).items():
-                        _add(acc, comm(m, z), s * c)
-                w = _first_column(acc)
+                        op = comms.get((m, z))
+                        if op is None:
+                            op = comm(m, z)
+                        sc = s * c
+                        for key, v in op.items():
+                            acc[key] = acc.get(key, 0) + sc * v
+                w = _first_column(acc, n)
                 if w is not None:
                     raise AxiomViolation("super_jordan", (i, j, k, w))

@@ -73,6 +73,18 @@ def _load_kind(path: str, kind: str, command: str):
     return l
 
 
+def _load_jordan(path: str, command: str):
+    """_load_kind for a Jordan table; one that fails an axiom is an input error."""
+    from . import superalg
+
+    l = _load_kind(path, "jordan", command)
+    try:
+        superalg.validate_jordan(l.table)
+    except (AxiomViolation, MissingUnit) as exc:
+        raise BadParams(f"{command} needs a Jordan superalgebra: {exc}") from exc
+    return l
+
+
 def _digest(path: str) -> str:
     import hashlib
 
@@ -449,13 +461,9 @@ def _run_three_grading(args, out: _Output) -> int:
 
 
 def _run_tkk(args, out: _Output) -> int:
-    from . import jordan, superalg
+    from . import jordan
 
-    l = _load_kind(args.file, "jordan", "tkk")
-    try:
-        superalg.validate_jordan(l.table)
-    except (AxiomViolation, MissingUnit) as exc:
-        raise BadParams(f"tkk needs a Jordan superalgebra: {exc}") from exc
+    l = _load_jordan(args.file, "tkk")
     t = jordan.tkk(l)
     if args.m11:
         cert = jordan.certify_m11(l, *_load_m11_elements(args.m11, l.dim))
@@ -492,7 +500,7 @@ def _run_jordan_from_grading(args, out: _Output) -> int:
 def _run_peirce(args, out: _Output) -> int:
     from . import jordan
 
-    l = _load_kind(args.file, "jordan", "peirce")
+    l = _load_jordan(args.file, "peirce")
     pd = jordan.peirce(l, _parse_vector(args.idempotent, l.dim))
     result = {
         "dims": list(pd.dims()),
@@ -508,7 +516,7 @@ def _run_peirce(args, out: _Output) -> int:
 def _run_certify_m11(args, out: _Output) -> int:
     from . import jordan
 
-    l = _load_kind(args.file, "jordan", "certify-m11")
+    l = _load_jordan(args.file, "certify-m11")
     cert = jordan.certify_m11(l, *_load_m11_elements(args.elements, l.dim))
     out.emit({"passed": cert.passed, "relations": dict(sorted(cert.results.items()))},
              args.out)

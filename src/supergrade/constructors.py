@@ -323,24 +323,25 @@ def _matrix_superalgebra(p: int, q: int) -> AssocSuperalgebra:
     parity = (0,) + tuple((idx_par[r] + idx_par[c]) % 2 for r, c in rest)
     labels = ("1",) + tuple(f"E({names[r]},{names[c]})" for r, c in rest)
 
-    def to_coords(mat: dict) -> list:
-        a = mat.get((0, 0), ZERO)
-        coords = [a]
-        for r, c in rest:
-            v = mat.get((r, c), ZERO)
-            if r == c:
-                v -= a
-            coords.append(v)
-        return coords
+    index = {rc: k for k, rc in enumerate(rest, start=1)}
+
+    def to_terms(mat: dict) -> tuple:
+        # 1 takes a = mat[0,0], so a comes off every other diagonal unit
+        coords = {index[rc]: v for rc, v in mat.items() if rc != (0, 0)}
+        a = mat.get((0, 0))
+        if a:
+            coords[0] = a
+            for k in (index[t, t] for t in range(1, d)):
+                coords[k] = coords.get(k, ZERO) - a
+        return tuple(sorted((k, c) for k, c in coords.items() if c))
 
     entries = {}
     dim = len(basis_mats)
     for i in range(dim):
         for j in range(dim):
-            prod = _mat_mul(basis_mats[i], basis_mats[j])
-            terms = [(k, c) for k, c in enumerate(to_coords(prod)) if c != 0]
+            terms = to_terms(_mat_mul(basis_mats[i], basis_mats[j]))
             if terms:
-                entries[(i, j)] = tuple(terms)
+                entries[(i, j)] = terms
     unit = tuple(ONE if i == 0 else ZERO for i in range(dim))
     space = SuperSpace(dim, parity, labels)
     table = StructureTable(space, "assoc", entries, unit=unit)

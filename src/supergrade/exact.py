@@ -395,7 +395,8 @@ def kernel_from_rows(rows: Iterable[dict], ncols: int) -> list[Vec]:
         v = [ZERO] * ncols
         v[f] = ONE
         for r, p in enumerate(pivots):
-            v[p] = -rdata[r].get(f, ZERO)
+            if f in rdata[r]:
+                v[p] = -rdata[r][f]
         basis.append(tuple(v))
     return basis
 

@@ -12,10 +12,13 @@ factor 2 normalizes h = [e, f] (e, f the unit copies) to act with
 eigenvalues 0, +-2.  An element of T(0) is a sparse row over the
 flattened 2*(dim J)^2 coordinates of its two matrices: entry (r, c) of
 the T(1) block sits at r*n + c, of the T(-1) block at n*n + r*n + c.
-The closure under the supercommutator runs on integer rows (the table's
-denominator cleared once) in one SparseRref, and is verified during
-construction rather than assumed.  Entries are Python ints, so no bound
-is needed against overflow.
+T(0) is the span of the n^2 rows D(b_a, b_b), eliminated once in one
+SparseRref as integer rows (the table's denominator cleared once).  No
+closure loop is needed: on a Jordan input this span, the inner structure
+algebra, is closed under the supercommutator (Kac, Adv. Math. 1977), and
+the construction verifies exactly that every bracket of two basis
+operators lies in it, raising JacobiFailure otherwise.  Entries are
+Python ints, so no bound is needed against overflow.
 """
 
 from __future__ import annotations
@@ -164,41 +167,44 @@ class TKKAlgebra:
 
 
 def _pair_parity(row: dict, j: JordanSuperalgebra) -> int:
-    n = j.dim
-    par = j.parity
-    seen = set()
-    for idx in row:
-        rc = idx % (n * n)
-        seen.add((par[rc // n] + par[rc % n]) % 2)
+    n, par = j.dim, j.parity
+    seen = {(par[idx // n % n] + par[idx % n]) % 2 for idx in row}
     if len(seen) > 1:
         raise ValidationError("inner operator is not parity-homogeneous")
     return seen.pop() if seen else 0
 
 
-def _by_row(row: dict, n: int) -> dict:
-    """A flattened operator pair indexed by matrix row: {block*n + r: [(c, v)]}."""
-    out = {}
+def _operator(row: dict, n: int, parity: int) -> tuple:
+    """A flattened integer operator pair as (row, columns, rows, parity).
+
+    columns maps block*n + k to the entries (block*n*n + r*n, v) of column k
+    of that block, rows maps block*n + k to the entries (c, v) of its row k.
+    """
+    cols, rows = {}, {}
     for idx, v in row.items():
-        out.setdefault(idx // n, []).append((idx % n, v))
-    return out
+        q, c = divmod(idx, n)  # q = block*n + r
+        cols.setdefault(q - q % n + c, []).append((q * n, v))
+        rows.setdefault(q, []).append((c, v))
+    return row, cols, rows, parity
 
 
-def _bracket(a: tuple, b: tuple, n: int) -> dict:
-    """Flattened supercommutator AB - (-1)^{|A||B|} BA of two operator pairs,
-    each given as (flattened row, _by_row index, parity).
+def _bracket(a: tuple, b: tuple) -> dict:
+    """Flattened supercommutator AB - (-1)^{|A||B|} BA of two _operator pairs.
 
-    Each product is a sparse matrix product inside one block: entry (r, k)
-    of the left factor meets row k of the same block of the right factor.
+    Each product is a sparse matrix product inside one block: column k of
+    the left factor meets row k of the same block of the right factor.
     Entries are Python ints, so nothing can overflow.
     """
-    sgn = -1 if a[2] and b[2] else 1
+    sgn = -1 if a[3] and b[3] else 1
     out = {}
     for x, y, s in ((a, b, 1), (b, a, -sgn)):
-        rows = y[1]
-        for idx, v in x[0].items():
-            q, k = divmod(idx, n)
-            for c, w in rows.get(q - q % n + k, ()):
-                out[q * n + c] = out.get(q * n + c, 0) + s * v * w
+        cols, rows = x[1], y[2]
+        for key in cols.keys() & rows.keys():
+            right = rows[key]
+            for base, v in cols[key]:
+                sv = s * v
+                for c, w in right:
+                    out[base + c] = out.get(base + c, 0) + sv * w
     return {i: v for i, v in out.items() if v}
 
 
@@ -206,64 +212,53 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
     """Tits-Kantor-Koecher Lie superalgebra of a unital Jordan superalgebra."""
     from math import lcm
 
+    from . import _axioms
+
     if j.unit is None:
         raise ValidationError("TKK needs a unital Jordan superalgebra")
     n = j.dim
     nn = n * n
     par = j.parity
 
-    den_j = 1
-    for terms in j.table.entries.values():
-        for _, c in terms:
-            den_j = lcm(den_j, c.denominator)
+    den_j, mults = _axioms._left_mults(j.table)
     scale = den_j * den_j  # D(a,b) entries are 2*(products of two table constants)
-    ent_int = {
-        key: [(k, int(c * den_j)) for k, c in terms]
-        for key, terms in j.table.entries.items()
-    }
+    # L_a scaled by den_j as a one-block operator: entry (r, t) at r*n + t
+    ops = [_operator({r * n + t: c for t, col in op.items() for r, c in col.items()}, n, p)
+           for op, p in zip(mults, par)]
 
-    def d_row(a: int, b: int) -> dict:
-        # D(b_a, b_b) scaled by den_j^2 and flattened: entry (r, t) of the
-        # T(1) block at r*n + t, of the T(-1) block at n*n + r*n + t.  Column
-        # t holds 2 (first + rest) and 2 (rest - first).
-        sgn = -1 if par[a] and par[b] else 1
+    def d_row(a: int, b: int, rest: dict) -> dict:
+        # D(b_a, b_b) scaled by den_j^2 and flattened: with first = L_{ab}
+        # and rest = [L_a, L_b], entry (r, t) of the T(1) block at r*n + t
+        # holds 2 (first + rest), of the T(-1) block at n*n + r*n + t holds
+        # 2 (rest - first).
+        first = {}
+        for m, c in mults[a].get(b, {}).items():
+            for k, v in ops[m][0].items():
+                first[k] = first.get(k, 0) + c * v
         row = {}
-        ab = ent_int.get((a, b), ())
-        for t in range(n):
-            first = {}
-            for m, c in ab:
-                for r, c2 in ent_int.get((m, t), ()):
-                    first[r] = first.get(r, 0) + c * c2
-            rest = {}
-            for u, c in ent_int.get((b, t), ()):
-                for r, c2 in ent_int.get((a, u), ()):
-                    rest[r] = rest.get(r, 0) + c * c2
-            for u, c in ent_int.get((a, t), ()):
-                for r, c2 in ent_int.get((b, u), ()):
-                    rest[r] = rest.get(r, 0) - sgn * c * c2
-            for r in first.keys() | rest.keys():
-                f, g = first.get(r, 0), rest.get(r, 0)
-                if f + g:
-                    row[r * n + t] = 2 * (f + g)
-                if g - f:
-                    row[nn + r * n + t] = 2 * (g - f)
+        for k in first.keys() | rest.keys():
+            f, g = first.get(k, 0), rest.get(k, 0)
+            if f + g:
+                row[k] = 2 * (f + g)
+            if g - f:
+                row[nn + k] = 2 * (g - f)
         return row
 
-    # inner part: span closure of the D(a,b) under the supercommutator.
-    # Membership is scale-invariant, so the candidates stay integer rows;
-    # insert() returning None is the membership test.
-    d_rows = {(a, b): d_row(a, b) for a in range(n) for b in range(n)}
+    # inner part: the span of the D(a,b), with [L_b, L_a] = -(-1)^{|a||b|}
+    # [L_a, L_b].  No closure is needed: on a Jordan input the span is
+    # closed under the supercommutator, and the [s, t] loop below verifies
+    # exactly that every bracket of two basis operators lies in it.
+    d_rows = {}
+    for a in range(n):
+        for b in range(a, n):
+            rest = _bracket(ops[a], ops[b])
+            d_rows[a, b] = d_row(a, b, rest)
+            if a != b:
+                sgn = -1 if par[a] and par[b] else 1
+                d_rows[b, a] = d_row(b, a, {k: -sgn * v for k, v in rest.items()})
     sr = SparseRref(2 * nn)
-    ops: list[tuple] = []
-    queue = [(row, (par[a] + par[b]) % 2) for (a, b), row in d_rows.items()]
-    while queue:
-        row, parity = queue.pop()
-        if sr.insert(row) is None:
-            continue
-        op = (row, _by_row(row, n), parity)
-        ops.append(op)
-        for other in ops:  # includes the self-commutator
-            queue.append((_bracket(op, other, n), (parity + other[2]) % 2))
+    for row in d_rows.values():
+        sr.insert(row)
 
     inner_rows = sr.basis()
     n0 = len(inner_rows)
@@ -280,81 +275,69 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
 
     entries = {}
 
-    def put(i, k, terms):
-        terms = tuple((t, c) for t, c in terms if c != 0)
+    def put(i, k, terms, negate=False):  # terms are nonzero
         if terms:
-            entries[(i, k)] = terms
+            if negate:
+                terms = [(t, -c) for t, c in terms]
+            entries[(i, k)] = tuple(terms)
 
     # the basis rows scaled to integer rows den_t * s_t
     inner_ops, dens = [], []
     for row, parity in zip(inner_rows, inner_parity):
         den = lcm(1, *(v.denominator for v in row.values()))
         ints = {idx: v.numerator * (den // v.denominator) for idx, v in row.items()}
-        inner_ops.append((ints, _by_row(ints, n), parity))
+        inner_ops.append(_operator(ints, n, parity))
         dens.append(den)
-    pivots = sr.pivots()
-    den_all = lcm(1, *dens)
+    # Over an RREF basis the coordinates of a row in the span are its
+    # entries at the pivots, in pivot order.
+    pos = {p: t for t, p in enumerate(sr.pivots())}
 
-    def inner_terms(row: dict, den: int, what: str) -> list:
-        # Over an RREF basis the coordinates of row are its pivot entries;
-        # row = sum_t row[p_t] s_t is verified exactly, scaled by den_all.
-        coords = [(t, row[p]) for t, p in enumerate(pivots) if p in row]
-        acc = {idx: den_all * v for idx, v in row.items()}
-        for t, c in coords:
-            m = c * (den_all // dens[t])
-            for idx, v in inner_ops[t][0].items():
-                acc[idx] = acc.get(idx, 0) - m * v
-        if any(acc.values()):
-            raise JacobiFailure(f"{what} escaped the inner span")
-        return [(off_inner + t, Fraction(c, den)) for t, c in coords]
+    def inner_terms(row: dict, den: int) -> list:
+        return [(off_inner + pos[p], Fraction(row[p], den))
+                for p in sorted(row.keys() & pos.keys())]
 
-    # [a, b~] = D(a, b); [b~, a] = -(-1)^{|a||b|} D(a, b)
+    # [a, b~] = D(a, b); [b~, a] = -(-1)^{|a||b|} D(a, b).  Each D(a,b) was
+    # inserted, so it lies in the span.
     for i in range(n):
         for k in range(n):
-            terms = inner_terms(d_rows[i, k], scale, f"D({i},{k})")
+            terms = inner_terms(d_rows[i, k], scale)
             put(off1 + i, off0 + k, terms)
-            sgn = -1 if par[i] and par[k] else 1
-            put(off0 + k, off1 + i, [(t, -sgn * c) for t, c in terms])
+            put(off0 + k, off1 + i, terms, not (par[i] and par[k]))
 
     # [s, a] in T(1), [s, b~] in T(-1): column a of each block of s
     for t, row in enumerate(inner_rows):
-        st = inner_parity[t]
         cols = {}
         for idx in sorted(row):
-            block, rc = divmod(idx, nn)
-            r, i = divmod(rc, n)
-            cols.setdefault((block, i), []).append((r, row[idx]))
-        for i in range(n):
-            sgn = -1 if st and par[i] else 1
-            terms = [(off1 + r, c) for r, c in cols.get((0, i), ())]
-            put(off_inner + t, off1 + i, terms)
-            put(off1 + i, off_inner + t, [(k, -sgn * c) for k, c in terms])
-            terms = [(off0 + r, c) for r, c in cols.get((1, i), ())]
-            put(off_inner + t, off0 + i, terms)
-            put(off0 + i, off_inner + t, [(k, -sgn * c) for k, c in terms])
+            q, i = divmod(idx, n)  # q = block*n + r
+            off = off1 if q < n else off0
+            cols.setdefault((off, i), []).append((off + q % n, row[idx]))
+        for (off, i), terms in cols.items():
+            put(off_inner + t, off + i, terms)
+            put(off + i, off_inner + t, terms, not (inner_parity[t] and par[i]))
 
-    # [s, t] inside T(0)
-    for t1, op1 in enumerate(inner_ops):
-        for t2, op2 in enumerate(inner_ops):
-            terms = inner_terms(_bracket(op1, op2, n), dens[t1] * dens[t2],
-                                f"supercommutator of inner operators {t1},{t2}")
+    # [s, t] inside T(0), scaled by dens[t1] * dens[t2] and verified to lie
+    # in the span; [s_t2, s_t1] = -(-1)^{|s_t1||s_t2|} [s_t1, s_t2]
+    for t1 in range(n0):
+        for t2 in range(t1, n0):
+            row = _bracket(inner_ops[t1], inner_ops[t2])
+            if not sr.contains(row):
+                raise JacobiFailure(
+                    f"supercommutator of inner operators {t1},{t2} escaped the inner span")
+            terms = inner_terms(row, dens[t1] * dens[t2])
             put(off_inner + t1, off_inner + t2, terms)
+            if t2 != t1:
+                put(off_inner + t2, off_inner + t1, terms,
+                    not (inner_parity[t1] and inner_parity[t2]))
 
     table = StructureTable(space, "lie", entries)
     name = f"TKK({j.provenance.get('name', 'J')})"
     lie = LieSuperalgebra(table, {"name": name, "jordan": j})
 
-    def embed(block_offset, coords):
-        out = [ZERO] * dim
-        for t, c in enumerate(coords):
-            out[block_offset + t] = c
-        return tuple(out)
-
-    e = Element(embed(off1, j.unit), 0)
-    f = Element(embed(off0, j.unit), 0)
-    hs = _sparse_product(entries, dense_to_sparse(e.coords).items(),
-                         dense_to_sparse(f.coords).items())
-    h = Element(sparse_to_dense(hs, dim), 0)
+    unit = dense_to_sparse(j.unit)
+    se = {off1 + t: c for t, c in unit.items()}
+    sf = {off0 + t: c for t, c in unit.items()}
+    hs = _sparse_product(entries, se.items(), sf.items())
+    e, f, h = (Element(sparse_to_dense(v, dim), 0) for v in (se, sf, hs))
     for i, lam in ((off0, -TWO), (off1, TWO)):
         for t in range(i, i + n):
             if _sparse_product(entries, hs.items(), ((t, ONE),)) != {t: lam}:

@@ -30,12 +30,16 @@ from .superalg import StructureTable, SuperSpace
 _RATIONAL = re.compile(r"-?\d+(/\d+)?\Z")
 
 
-def _parse_rational(text: str, lineno: int) -> Fraction:
-    if not _RATIONAL.match(text):
-        raise ParseError(f"malformed rational {text!r}", lineno)
-    value = Fraction(text)
-    if str(value) != text:
-        raise ParseError(f"non-normalized rational {text!r}", lineno)
+def _parse_rational(text: str, lineno: int, seen: dict) -> Fraction:
+    """text as a Fraction, parsed once per distinct text cached in seen."""
+    value = seen.get(text)
+    if value is None:
+        if not _RATIONAL.match(text):
+            raise ParseError(f"malformed rational {text!r}", lineno)
+        value = Fraction(text)
+        if str(value) != text:
+            raise ParseError(f"non-normalized rational {text!r}", lineno)
+        seen[text] = value
     return value
 
 
@@ -80,10 +84,10 @@ def parse_sca(text: str) -> StructureTable:
         raise ParseError("parity bits must be 0 or 1", lineno)
     parity = tuple(int(b) for b in tok[1:])
 
+    rationals: dict[str, Fraction] = {}
     unit = None
     labels: dict[int, str] = {}
-    entries: dict = {}
-    seen = set()
+    entries: dict = {}  # (i, j) -> {k: c}
     ended = False
     while pos < len(fields):
         lineno, tok = take()
@@ -102,7 +106,7 @@ def parse_sca(text: str) -> StructureTable:
                 raise ParseError("duplicate unit line", lineno)
             if len(tok) != dim + 1:
                 raise ParseError(f"expected 'unitv' with {dim} coordinates", lineno)
-            unit = tuple(_parse_rational(t, lineno) for t in tok[1:])
+            unit = tuple(_parse_rational(t, lineno, rationals) for t in tok[1:])
         elif key == "label":
             if len(tok) != 3 or not tok[1].isdigit():
                 raise ParseError("expected 'label i name'", lineno)
@@ -122,13 +126,13 @@ def parse_sca(text: str) -> StructureTable:
             for idx in (i, j, k):
                 if not 1 <= idx <= dim:
                     raise ParseError(f"sc index {idx} out of range", lineno)
-            if (i, j, k) in seen:
+            terms = entries.setdefault((i - 1, j - 1), {})
+            if k - 1 in terms:
                 raise ParseError(f"duplicate entry ({i},{j},{k})", lineno)
-            seen.add((i, j, k))
-            c = _parse_rational(tok[4], lineno)
+            c = _parse_rational(tok[4], lineno, rationals)
             if c == 0:
                 raise ParseError("zero structure constants must be omitted", lineno)
-            entries.setdefault((i - 1, j - 1), []).append((k - 1, c))
+            terms[k - 1] = c
         elif key == "end":
             if len(tok) != 1:
                 raise ParseError("junk after 'end'", lineno)
@@ -151,7 +155,7 @@ def parse_sca(text: str) -> StructureTable:
         return StructureTable(
             space,
             kind,
-            {key: tuple(sorted(terms)) for key, terms in entries.items()},
+            {key: tuple(sorted(terms.items())) for key, terms in entries.items()},
             unit=unit,
         )
     except ValidationError as exc:

@@ -145,7 +145,7 @@ class StructureTable:
                 if k in seen:
                     raise ValidationError(f"duplicate entry ({i},{j},{k})")
                 seen.add(k)
-                c = Fraction(c)
+                c = c if type(c) is Fraction else Fraction(c)
                 if c == 0:
                     continue
                 if par[k] != (par[i] + par[j]) % 2:

@@ -323,16 +323,51 @@ def test_peirce(capsys):
     assert json.loads(out)["dims"] == [1, 2, 1]
 
 
+BAD_UNIT_SCA = ("SCA/1\nkind jordan\ndim 2\nparity 0 0\nunitv 1 0\n"
+                "sc 1 1 1 1\nsc 1 2 2 2\nsc 2 1 2 2\nend\n")
+
+
 def test_peirce_unexpected_eigenvalue_bytes(tmp_path, capsys):
     # b1 is idempotent but multiplies b2 by 2; the table fails the unit law,
-    # which peirce does not check
+    # so peirce rejects it as input instead of blaming the idempotent
+    # (test_jordan reaches UnexpectedEigenvalue in process)
     bad = tmp_path / "bad.sca"
-    bad.write_text("SCA/1\nkind jordan\ndim 2\nparity 0 0\nunitv 1 0\n"
-                   "sc 1 1 1 1\nsc 1 2 2 2\nsc 2 1 2 2\nend\n")
-    code, out = run_cli(["peirce", bad, "--idempotent", "1,0"], capsys)
-    assert code == 1
-    assert out == ('{"error":"UnexpectedEigenvalue","message":"multiplication by the '
-                   'idempotent has eigenvalues {2} outside {0, 1/2, 1}","verdict":"negative"}\n')
+    bad.write_text(BAD_UNIT_SCA)
+    assert main(["peirce", str(bad), "--idempotent", "1,0"]) == 2
+    assert capsys.readouterr() == (
+        "", "supergrade: error: BadParams: peirce needs a Jordan superalgebra: "
+        "unit axiom fails on basis element 1\n")
+
+
+def _jordan_input_error(argv, capsys) -> str:
+    code = main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    return lines[0]
+
+
+def test_certify_m11_rejects_a_table_that_fails_the_unit_law(tmp_path, capsys):
+    bad = tmp_path / "bad.sca"
+    bad.write_text(BAD_UNIT_SCA)
+    elems = tmp_path / "elems.json"
+    elems.write_text(json.dumps({k: [1, 0] for k in ("e1", "e2", "x", "y")}))
+    line = _jordan_input_error(["certify-m11", bad, "--elements", elems], capsys)
+    assert line == ("supergrade: error: BadParams: certify-m11 needs a Jordan superalgebra: "
+                    "unit axiom fails on basis element 1")
+
+
+@pytest.mark.parametrize("command", ["peirce", "certify-m11"])
+def test_jordan_commands_reject_a_table_that_fails_the_jordan_identity(command, tmp_path,
+                                                                       capsys):
+    elems = tmp_path / "elems.json"
+    elems.write_text(json.dumps(JP4_M11_ELEMENTS))
+    e1 = ",".join(str(c) for c in JP4_M11_ELEMENTS["e1"])
+    extra = ["--idempotent", e1] if command == "peirce" else ["--elements", elems]
+    line = _jordan_input_error([command, fx("jp4_wrapped.sca"), *extra], capsys)
+    assert line == (f"supergrade: error: BadParams: {command} needs a Jordan superalgebra: "
+                    "super_jordan fails at basis tuple (0, 1, 5, 2)")
 
 
 def test_decompose(capsys):
@@ -560,6 +595,23 @@ def test_tkk_jp4_bytes_match_pinned_digests(tmp_path, capsys):
     for name in ("tkk.sca", "cover.json"):
         got[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert got == TKK_JP4_DIGESTS
+
+
+# SHA-256 of the stdout of `construct assoc matrix_super p q`, taken while
+# to_coords still wrote a dense coordinate list for every product
+MATRIX_SUPER_DIGESTS = {
+    (4, 4): "00467a2a522eaeb398dad552af8f24e2d910c1fd9b781b536c269efb433c1dbd",
+    (2, 3): "541d24ffd7cdf3cc4ec4b609df8427152ef351f906b44ec2b2adec8cee6c77fc",
+    (3, 0): "3aef3bb46098bc1b5cf2ae9e921c0d247cd4dfcccd001710adbd0a795c9c0a87",
+    (0, 3): "c21fbe117c76d29088f0972c5722c0e77293f93a3375b1bd6a590b3e98be7c82",
+}
+
+
+@pytest.mark.parametrize("pq", MATRIX_SUPER_DIGESTS, ids=lambda pq: f"M({pq[0]},{pq[1]})")
+def test_matrix_super_stdout_matches_pinned_digest(pq, capsys):
+    code, out = run_cli(["construct", "assoc", "matrix_super", *pq], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MATRIX_SUPER_DIGESTS[pq]
 
 
 # SHA-256 of the stdout of grading and Jordan commands, taken before their

@@ -14,6 +14,7 @@ from supergrade.errors import (
     NonSplitSpectrum,
     NotIdempotent,
     NotThreeGraded,
+    UnexpectedEigenvalue,
 )
 from supergrade.exact import unit_vec, vec
 from supergrade.jordan import (
@@ -100,7 +101,7 @@ def test_peirce_rejects_a_non_idempotent_and_splits_its_idempotent_multiple():
 def test_peirce_failure_gives_the_degree_of_the_irrational_char_poly_factor():
     # e = b1 rotates span{b2, b3} and span{b4, b5}: characteristic polynomial
     # (t - 1)(t^2 + 1)^2, minimal polynomial (t - 1)(t^2 + 1)
-    # (peirce does not validate, so the table need not be Jordan)
+    # (jordan.peirce does not validate, so the table need not be Jordan)
     entries = {(0, 0): ((0, F(1)),), (0, 1): ((2, F(1)),), (0, 2): ((1, F(-1)),),
                (0, 3): ((4, F(1)),), (0, 4): ((3, F(-1)),)}
     unit = (F(1), F(0), F(0), F(0), F(0))
@@ -111,6 +112,17 @@ def test_peirce_failure_gives_the_degree_of_the_irrational_char_poly_factor():
         rational_eigenvalues(ad_matrix(j, (1, 0, 0, 0, 0)))
     assert str(err.value) == str(dense.value)
     assert "degree-4 factor" in str(err.value)
+
+
+def test_peirce_unexpected_eigenvalue_on_an_unvalidated_table():
+    # b1 is idempotent but multiplies b2 by 2; the table fails the unit law,
+    # which the CLI rejects first, so only an in-process call reaches this
+    entries = {(0, 0): ((0, F(1)),), (0, 1): ((1, F(2)),), (1, 0): ((1, F(2)),)}
+    j = JordanSuperalgebra(StructureTable(SuperSpace(2, (0, 0)), "jordan", entries,
+                                          unit=(F(1), F(0))))
+    with pytest.raises(UnexpectedEigenvalue, match=r"^multiplication by the idempotent has "
+                       r"eigenvalues \{2\} outside \{0, 1/2, 1\}$"):
+        peirce(j, (1, 0))
 
 
 def test_peirce_laws_jp4(jp4):
@@ -364,15 +376,31 @@ def test_tkk_inner_part_matches_fraction_reference(case):
             assert {idx: v for idx, v in got.items() if v} == want, (a, b)
 
 
+@pytest.mark.parametrize("name", ["m11", "jp4"])
+def test_tkk_inserts_each_d_operator_once(name, request, monkeypatch):
+    # no closure loop: the n^2 rows D(a,b) are the only rows tkk eliminates
+    from supergrade import exact
+
+    j = request.getfixturevalue(name)
+    calls = []
+    insert = exact.SparseRref.insert
+    monkeypatch.setattr(exact.SparseRref, "insert",
+                        lambda self, row: calls.append(1) or insert(self, row))
+    tkk(j)
+    assert len(calls) == j.dim ** 2 == {"m11": 16, "jp4": 1024}[name]
+
+
 def test_tkk_d_operators_beyond_int64_do_not_overflow():
     # D(a,b) entries of this non-Jordan table exceed 2^63; unvalidated, the
-    # construction keeps them as Python ints and ends in the failed h check
+    # construction keeps them as Python ints and stops where the span of the
+    # D(a,b) fails to be closed under the supercommutator
     from pathlib import Path
 
     from supergrade.sca import parse_sca
 
     text = (Path(__file__).parent / "fixtures" / "dop_overflow.sca").read_text()
-    with pytest.raises(JacobiFailure, match="h = \\[e,f\\]"):
+    with pytest.raises(JacobiFailure, match="supercommutator of inner operators 0,1 "
+                                            "escaped the inner span"):
         tkk(JordanSuperalgebra(parse_sca(text), {}))
 
 
