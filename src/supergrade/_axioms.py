@@ -175,13 +175,13 @@ def check_super_jordan(table):
     comms = {}
 
     def comm(m, z):
-        # [L_m, L_z], and [L_z, L_m] = -(-1)^{|m||z|} [L_m, L_z] with it
+        # [L_m, L_z] at m*n + z, and [L_z, L_m] = -(-1)^{|m||z|} [L_m, L_z] with it
         acc = {}
         sgn = _sign(par[m], par[z])
         _add_product(acc, mults[m], mults[z], 1, n)
         _add_product(acc, mults[z], mults[m], -sgn, n)
-        op = comms[m, z] = {k: v for k, v in acc.items() if v}
-        comms[z, m] = {k: -sgn * v for k, v in op.items()}
+        op = comms[m * n + z] = {k: v for k, v in acc.items() if v}
+        comms[z * n + m] = {k: -sgn * v for k, v in op.items()}
         return op
 
     for i in range(n):
@@ -190,14 +190,16 @@ def check_super_jordan(table):
                 acc = {}
                 # the cyclic terms (-1)^{|a||z|} sum_m c_ab^m [L_m, L_z]
                 for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):
-                    s = _sign(par[a], par[z])
-                    for m, c in mults[a].get(b, {}).items():
-                        op = comms.get((m, z))
-                        if op is None:
-                            op = comm(m, z)
-                        sc = s * c
-                        for key, v in op.items():
-                            acc[key] = acc.get(key, 0) + sc * v
-                w = _first_column(acc, n)
-                if w is not None:
-                    raise AxiomViolation("super_jordan", (i, j, k, w))
+                    prod = mults[a].get(b)
+                    if prod:
+                        s = _sign(par[a], par[z])
+                        for m, c in prod.items():
+                            op = comms.get(m * n + z)
+                            if op is None:
+                                op = comm(m, z)
+                            for key, v in op.items():
+                                acc[key] = acc.get(key, 0) + s * c * v
+                if acc:
+                    w = _first_column(acc, n)
+                    if w is not None:
+                        raise AxiomViolation("super_jordan", (i, j, k, w))

@@ -38,7 +38,7 @@ ONE = Fraction(1)
 
 
 def vec(values: Iterable) -> Vec:
-    return tuple(Fraction(v) for v in values)
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def unit_vec(n: int, i: int) -> Vec:
@@ -50,7 +50,7 @@ def sub_vec(a: Vec, b: Vec) -> Vec:
 
 
 def dense_to_sparse(a: Sequence) -> dict:
-    return {i: Fraction(x) for i, x in enumerate(a) if x != 0}
+    return {i: x if type(x) is Fraction else Fraction(x) for i, x in enumerate(a) if x}
 
 
 def sparse_to_dense(row: dict, n: int) -> Vec:
