@@ -1,12 +1,10 @@
 """Exhaustive axiom checks for structure tables.
 
 Every identity is checked exactly on all basis tuples, in operator form
-over Python integers.  The table's common denominator is cleared once:
-with s the lcm of all denominators, L[i] is the left multiplication by
-b_i scaled by s, stored as sparse columns {w: {t: s * c_{iw}^t}}.  Python
-integers do not overflow, so no magnitude bound is needed, and since
-every term of an identity carries the same power of s, the scaled
-expression vanishes exactly when the rational one does.
+over Python integers.  L[i] is the left multiplication by b_i scaled by s,
+read off the table's integer form (StructureTable.integer_form): column w
+is the tuple ((t, s * c_{iw}^t), ...).  Python integers do not overflow,
+so no magnitude bound is needed.
 
 Each identity is a sparse operator expression that must vanish; its
 column w is the identity evaluated on the basis tuple ending in w.  The
@@ -29,8 +27,6 @@ smallest nonzero column of its expression.
 """
 
 from __future__ import annotations
-
-from math import lcm
 
 from .errors import AxiomViolation, MissingUnit
 
@@ -87,24 +83,11 @@ def check_unit(table):
 # ---------------------------------------------------------------------------
 
 
-def _left_mults(table):
-    """(s, L) with L[i] = {w: {t: s * c_{iw}^t}} the scaled left
-    multiplications and s the lcm of the table's denominators."""
-    scale = 1
-    for terms in table.entries.values():
-        for _, c in terms:
-            scale = lcm(scale, c.denominator)
-    mults = [{} for _ in range(table.space.dim)]
-    for (i, w), terms in table.entries.items():
-        mults[i][w] = {t: c.numerator * (scale // c.denominator) for t, c in terms}
-    return scale, mults
-
-
 def _add(acc, op, coef, n):
     """acc += coef * op, accumulated flat."""
     for w, col in op.items():
         base = w * n
-        for t, v in col.items():
+        for t, v in col:
             acc[base + t] = acc.get(base + t, 0) + coef * v
 
 
@@ -112,11 +95,11 @@ def _add_product(acc, a, b, coef, n):
     """acc += coef * (a @ b), accumulated flat."""
     for w, bcol in b.items():
         base = w * n
-        for u, bv in bcol.items():
+        for u, bv in bcol:
             acol = a.get(u)
             if acol:
                 cb = coef * bv
-                for t, av in acol.items():
+                for t, av in acol:
                     acc[base + t] = acc.get(base + t, 0) + cb * av
 
 
@@ -132,7 +115,7 @@ def _pair_defect(mults, i, j, swap_sign, n):
     _add_product(acc, mults[i], mults[j], 1, n)
     if swap_sign:
         _add_product(acc, mults[j], mults[i], -swap_sign, n)
-    for m, c in mults[i].get(j, {}).items():
+    for m, c in mults[i].get(j, ()):
         _add(acc, mults[m], -c, n)
     return _first_column(acc, n)
 
@@ -145,7 +128,7 @@ def _pair_defect(mults, i, j, swap_sign, n):
 def check_super_jacobi(table):
     n = table.space.dim
     par = table.space.parity
-    _, mults = _left_mults(table)
+    _, mults = table.integer_form()
     for i in range(n):
         for j in range(i, n):
             w = _pair_defect(mults, i, j, _sign(par[i], par[j]), n)
@@ -155,7 +138,7 @@ def check_super_jacobi(table):
 
 def check_associativity(table):
     n = table.space.dim
-    _, mults = _left_mults(table)
+    _, mults = table.integer_form()
     for i in range(n):
         for j in range(n):
             w = _pair_defect(mults, i, j, 0, n)
@@ -171,7 +154,7 @@ def check_associativity(table):
 def check_super_jordan(table):
     n = table.space.dim
     par = table.space.parity
-    _, mults = _left_mults(table)
+    _, mults = table.integer_form()
     comms = {}
 
     def comm(m, z):
@@ -193,7 +176,7 @@ def check_super_jordan(table):
                     prod = mults[a].get(b)
                     if prod:
                         s = _sign(par[a], par[z])
-                        for m, c in prod.items():
+                        for m, c in prod:
                             op = comms.get(m * n + z)
                             if op is None:
                                 op = comm(m, z)

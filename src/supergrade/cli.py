@@ -53,24 +53,16 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load_algebra(path: str):
+def _load_kind(path: str, kind: str, command: str):
+    """The algebra of an SCA file, for a command that reads only tables of
+    one kind (lie or jordan)."""
     from . import sca, superalg
 
-    wrappers = {
-        "lie": superalg.LieSuperalgebra,
-        "assoc": superalg.AssocSuperalgebra,
-        "jordan": superalg.JordanSuperalgebra,
-    }
     table = sca.parse_sca(_read_text(path))
-    return wrappers[table.kind](table, {"name": path})
-
-
-def _load_kind(path: str, kind: str, command: str):
-    """_load_algebra for a command that reads only tables of one kind."""
-    l = _load_algebra(path)
-    if l.kind != kind:
+    if table.kind != kind:
         raise BadParams(f"{command} needs a {kind} SCA file")
-    return l
+    wrapper = superalg.LieSuperalgebra if kind == "lie" else superalg.JordanSuperalgebra
+    return wrapper(table, {"name": path})
 
 
 def _load_jordan(path: str, command: str):
@@ -95,11 +87,10 @@ def _digest(path: str) -> str:
 def _parse_vector(spec: str, dim: int):
     from .exact import vec
 
-    if spec.startswith("@"):
-        spec = _read_text(spec[1:]).replace(",", " ")
-        parts = spec.split()
-    else:
-        parts = [p for p in spec.split(",") if p]
+    text = _read_text(spec[1:]) if spec.startswith("@") else spec
+    parts = re.split(r"\s*,\s*|\s+", text.strip())
+    if "" in parts:
+        raise BadParams(f"vector {spec!r} has an empty entry")
     if len(parts) != dim:
         raise BadParams(f"vector has {len(parts)} entries, expected {dim}")
     return vec(Fraction(p) for p in parts)
@@ -156,6 +147,17 @@ def _emit_sca(args, out: _Output, table, summary: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_params(what: str, names: str, values: list[str]) -> list[int]:
+    """The integer parameters of a construction, named in order by names."""
+    out = []
+    for name, v in zip(names.split(), values):
+        try:
+            out.append(int(v))
+        except ValueError:
+            raise BadParams(f"{what} parameter {name} must be an integer, got {v!r}") from None
+    return out
+
+
 def _coefficient_algebra(kind: str, params: list[str]):
     from . import constructors
 
@@ -166,11 +168,12 @@ def _coefficient_algebra(kind: str, params: list[str]):
     if kind == "grassmann":
         if len(params) != 1:
             raise BadParams("grassmann takes one parameter k")
-        return constructors.construct_assoc("grassmann", int(params[0]))
+        return constructors.construct_assoc("grassmann", *_int_params(kind, "k", params))
     if kind == "matrix_super":
         if len(params) != 2:
             raise BadParams("matrix_super takes two parameters p q")
-        return constructors.construct_assoc("matrix_super", (int(params[0]), int(params[1])))
+        return constructors.construct_assoc("matrix_super",
+                                            tuple(_int_params(kind, "p q", params)))
     raise BadParams(f"unknown coefficient algebra {kind!r}")
 
 
@@ -193,13 +196,13 @@ def _run_construct(args, out: _Output) -> int:
         want = f"{low}" if low == high else f"at least {low}"
         raise BadParams(f"construct {what} takes {want} parameters, got {len(params)}")
     if what == "gl":
-        alg = constructors.construct_gl(int(params[0]), int(params[1]))
+        alg = constructors.construct_gl(*_int_params(what, "m n", params))
     elif what == "sl":
-        alg = constructors.construct_sl(int(params[0]), int(params[1]))
+        alg = constructors.construct_sl(*_int_params(what, "m n", params))
     elif what == "psl":
-        alg = constructors.construct_psl(int(params[0]))[0]
+        alg = constructors.construct_psl(*_int_params(what, "n", params))[0]
     elif what == "slA":
-        m, n = int(params[0]), int(params[1])
+        m, n = _int_params(what, "m n", params[:2])
         coeff = _coefficient_algebra(params[2], params[3:])
         alg = constructors.construct_sl_A(m, n, coeff)
         if m == n:
@@ -211,11 +214,11 @@ def _run_construct(args, out: _Output) -> int:
     elif what == "assoc":
         alg = _coefficient_algebra(params[0], params[1:])
     elif what == "mplus":
-        alg = constructors.construct_jordan("Mplus", int(params[0]))
+        alg = constructors.construct_jordan("Mplus", *_int_params(what, "n", params))
     elif what == "jp":
-        alg = constructors.construct_jordan("JP", int(params[0]))
+        alg = constructors.construct_jordan("JP", *_int_params(what, "n", params))
     elif what == "jq":
-        alg = constructors.construct_jordan("JQ", int(params[0]))
+        alg = constructors.construct_jordan("JQ", *_int_params(what, "n", params))
     elif what == "m11":
         alg = constructors.construct_jordan("M11")
     else:
@@ -388,7 +391,7 @@ def _datum_json(datum) -> dict:
 def _run_decompose(args, out: _Output) -> int:
     from . import roots
 
-    l = _load_algebra(args.file)
+    l = _load_kind(args.file, "lie", "decompose")
     cartan = _cartan_from_args(l, args.cartan)
     datum = roots.weight_decomposition(l, cartan)
     out.emit(_datum_json(datum), args.out)
@@ -419,7 +422,7 @@ def _grading_json(report, zreport) -> dict:
 def _run_verify_grading(args, out: _Output) -> int:
     from . import roots
 
-    l = _load_algebra(args.file)
+    l = _load_kind(args.file, "lie", "verify-grading")
     cover = _resolve_cover(l, args.cover, args.cover_map)
     try:
         report = roots.verify_delta_graded(l, cover)
@@ -441,7 +444,7 @@ def _run_verify_grading(args, out: _Output) -> int:
 def _run_three_grading(args, out: _Output) -> int:
     from . import roots
 
-    l = _load_algebra(args.file)
+    l = _load_kind(args.file, "lie", "three-grading")
     cover = _resolve_cover(l, args.cover, args.cover_map)
     analysis = roots.analyze_cover(l, cover)
     datum = roots.weight_decomposition(l, analysis.cartan)
@@ -490,7 +493,7 @@ def _run_tkk(args, out: _Output) -> int:
 def _run_jordan_from_grading(args, out: _Output) -> int:
     from . import jordan
 
-    l = _load_algebra(args.file)
+    l = _load_kind(args.file, "lie", "jordan-from-grading")
     e = _parse_vector(args.e, l.dim)
     f = _parse_vector(args.f, l.dim)
     j = jordan.jordan_from_3grading(l, e, f)

@@ -6,19 +6,16 @@ odd diagonal); super-skewness means phi(x,y) = -(-1)^{|x||y|} phi(y,x)
 uniformly, and the cocycle identity carries the same cyclic signs as the
 super Jacobi identity.
 
-Both linear systems are built over Python integers.  The table's common
-denominator is cleared once: with s the lcm of all denominators, every
-structure constant is replaced by s * c_ab^m.  A cocycle-identity row and
-a coboundary row are each linear in the structure constants, so every row
-is scaled by the same s and the kernel and the row span are unchanged.
-A cocycle-identity row with a single entry sets that unknown to 0 (most
-rows on root-graded algebras do): these killed unknowns are collected as a
-set and dropped from the longer rows.  Every other row is made primitive
-(exact.primitive: divided by the gcd of its entries, first entry positive)
-and duplicates are dropped as the rows are generated, before any
-elimination; most cyclic triples repeat a row already seen.  The rows stay
-integer through the fraction-free SparseRref, and Python integers do not
-overflow, so no magnitude bound is needed.
+Both linear systems are built over Python integers, on the table's
+integer form (StructureTable.integer_form).  A cocycle-identity row with a
+single entry sets that unknown to 0 (most rows on root-graded algebras
+do): these killed unknowns are collected as a set and dropped from the
+longer rows.  Every other row is made primitive (exact.primitive: divided
+by the gcd of its entries, first entry positive) and duplicates are
+dropped as the rows are generated, before any elimination; most cyclic
+triples repeat a row already seen.  The rows stay integer through the
+fraction-free SparseRref, and Python integers do not overflow, so no
+magnitude bound is needed.
 
 H^2 is solved on the cochains of weight zero.  The toral basis elements
 are the even b_h whose ad is diagonal in the given basis, read off the
@@ -57,7 +54,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import sub
 
 from .errors import DimensionMismatch, NotPerfect, ValidationError
@@ -111,17 +107,7 @@ def _pair_index(space: SuperSpace, parity: int, weights: list):
     return pairs, {p: t for t, p in enumerate(pairs)}
 
 
-def _integer_table(l: LieSuperalgebra) -> dict:
-    """{(a, b): ((m, s * c_ab^m), ...)} with s the lcm of all denominators."""
-    ent = l.table.entries
-    s = lcm(1, *(c.denominator for terms in ent.values() for _, c in terms))
-    return {
-        key: tuple((m, c.numerator * (s // c.denominator)) for m, c in terms)
-        for key, terms in ent.items()
-    }
-
-
-def _toral_weights(l: LieSuperalgebra, itab: dict) -> list[tuple]:
+def _toral_weights(l: LieSuperalgebra, itab: list) -> list[tuple]:
     """The joint integer weight of every basis element under the toral
     basis elements: the even b_h with ad b_h nonzero and diagonal, that is
     [b_h, b_j] in Q b_j for every j.
@@ -132,16 +118,9 @@ def _toral_weights(l: LieSuperalgebra, itab: dict) -> list[tuple]:
     weights is zero exactly when it is zero unscaled.  With no toral
     element every weight is ().
     """
-    eig = {h: {} for h in range(l.dim) if not l.parity[h]}
-    for (h, j), terms in itab.items():
-        col = eig.get(h)
-        if col is None:
-            continue
-        if len(terms) == 1 and terms[0][0] == j:
-            col[j] = terms[0][1]
-        else:
-            del eig[h]
-    cols = [col for col in eig.values() if col]
+    cols = [{j: t[0][1] for j, t in row.items()} for h, row in enumerate(itab)
+            if row and not l.parity[h]
+            and all(len(t) == 1 and t[0][0] == j for j, t in row.items())]
     return [tuple(col.get(j, 0) for col in cols) for j in range(l.dim)]
 
 
@@ -152,7 +131,7 @@ def _key(row: dict) -> tuple:
 
 
 def _cocycle_rows(
-    l: LieSuperalgebra, parity: int, pos: dict, itab: dict, weights: list
+    l: LieSuperalgebra, parity: int, pos: dict, itab: list, weights: list
 ) -> tuple[set, list]:
     """(killed, rows) for the cocycle identity over canonical triples
     i <= j <= k of weight zero: the unknowns a single-entry row sets to 0,
@@ -176,12 +155,9 @@ def _cocycle_rows(
     for (i, j), t in pos.items():
         slot[j][i] = (t, 1)
         slot[i][j] = (t, 1 if par[i] and par[j] else -1)
-    right = [{} for _ in range(n)]  # right[a][b] = [b_a, b_b]
-    for (a, b), terms in itab.items():
-        right[a][b] = terms
-    left = [{} for _ in range(n)]  # left[b][a] = [b_a, b_b]
+    left = [{} for _ in range(n)]  # left[b][a] = itab[a][b] = [b_a, b_b]
     for a in range(n):
-        for b, terms in right[a].items():
+        for b, terms in itab[a].items():
             left[b][a] = terms
     neg = [tuple(-x for x in w) for w in weights]
     by_weight: dict = {}  # (weight, parity) -> ascending basis indices
@@ -216,8 +192,8 @@ def _cocycle_rows(
             s1 = -1 if par[i] and want else 1
             s2 = -1 if par[j] and par[i] else 1
             s3 = -1 if want and par[j] else 1
-            tij = right[i].get(j)
-            rj, li = right[j], left[i]
+            tij = itab[i].get(j)
+            rj, li = itab[j], left[i]
             if not tij:
                 ks = [k for k in ks if k in rj or k in li]
             for k in ks:
@@ -246,14 +222,14 @@ def _cocycle_rows(
     return killed, sorted((dict(r) for r in seen), key=len)
 
 
-def _coboundary_rows(pairs, itab: dict) -> list[dict]:
+def _coboundary_rows(pairs, itab: list) -> list[dict]:
     """Distinct primitive integer rows t -> s * c_{pairs[t]}^m of the
     coboundaries phi_f = f([x, y]) for f = b_m^*, built in one pass over the
     table.  The table is parity-homogeneous, so every such b_m has the
     sector's parity."""
     rows: dict = {}
     for t, (i, j) in enumerate(pairs):
-        for m, c in itab.get((i, j), ()):
+        for m, c in itab[i].get(j, ()):
             rows.setdefault(m, {})[t] = c
     return [dict(r) for r in dict.fromkeys(_key(rows[m]) for m in sorted(rows))]
 
@@ -302,7 +278,7 @@ def _rank(rows, ncols: int) -> int:
 
 
 def _cocycle_basis(
-    l: LieSuperalgebra, parity: int, itab: dict, weights: list
+    l: LieSuperalgebra, parity: int, itab: list, weights: list
 ) -> tuple[list, list[dict]]:
     """(pairs, canonical basis of Z^2 as sparse pair rows, by pivot), on the
     cochains of weight zero."""
@@ -336,12 +312,12 @@ def _materialize(l: LieSuperalgebra, parity: int, pairs, row: dict) -> Cocycle2:
 
 def cocycle_space(l: LieSuperalgebra, parity: int) -> list[Cocycle2]:
     """Canonical basis of the space of 2-cocycles of the given parity."""
-    pairs, basis = _cocycle_basis(l, parity, _integer_table(l), [()] * l.dim)
+    pairs, basis = _cocycle_basis(l, parity, l.table.integer_form()[1], [()] * l.dim)
     return [_materialize(l, parity, pairs, b) for b in basis]
 
 
 def _coboundary_rref(
-    l: LieSuperalgebra, parity: int, itab: dict, weights: list
+    l: LieSuperalgebra, parity: int, itab: list, weights: list
 ) -> tuple[list, SparseRref]:
     pairs, _ = _pair_index(l.space, parity, weights)
     sr = SparseRref(len(pairs))
@@ -352,14 +328,14 @@ def _coboundary_rref(
 
 def coboundary_space(l: LieSuperalgebra, parity: int) -> list[Cocycle2]:
     """Canonical basis of the coboundaries phi_f(x, y) = f([x, y])."""
-    pairs, sr = _coboundary_rref(l, parity, _integer_table(l), [()] * l.dim)
+    pairs, sr = _coboundary_rref(l, parity, l.table.integer_form()[1], [()] * l.dim)
     return [_materialize(l, parity, pairs, b) for b in sr.basis()]
 
 
 def h2_dims(l: LieSuperalgebra) -> tuple[int, int]:
     """dim H^2(L, F) = dim Z^2 - dim B^2, per parity, from ranks alone, on
     the cochains of weight zero."""
-    itab = _integer_table(l)
+    itab = l.table.integer_form()[1]
     weights = _toral_weights(l, itab)
     out = []
     for parity in (0, 1):
@@ -375,7 +351,7 @@ def h2_dims(l: LieSuperalgebra) -> tuple[int, int]:
 
 def h2_representatives(l: LieSuperalgebra, parity: int) -> list[Cocycle2]:
     """Cocycles spanning a canonical complement of B^2 inside Z^2."""
-    itab = _integer_table(l)
+    itab = l.table.integer_form()[1]
     weights = _toral_weights(l, itab)
     pairs, sr = _coboundary_rref(l, parity, itab, weights)
     _, basis = _cocycle_basis(l, parity, itab, weights)

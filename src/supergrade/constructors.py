@@ -142,6 +142,20 @@ def _diag_vec_to_gl(glinfo, diag) -> Vec:
     return tuple(out)
 
 
+def _basis_labels(basis, ambient, prefix: str) -> tuple:
+    """The ambient label of each basis vector that is an ambient basis
+    vector, and prefix1, prefix2, ... for the others in order."""
+    labels, extra = [], 0
+    for b in basis:
+        support = [(i, c) for i, c in enumerate(b) if c]
+        if len(support) == 1 and support[0][1] == 1:
+            labels.append(ambient.labels[support[0][0]])
+        else:
+            extra += 1
+            labels.append(f"{prefix}{extra}")
+    return tuple(labels)
+
+
 def construct_sl(m: int, n: int) -> LieSuperalgebra:
     """sl(m,n): the supertrace-zero subalgebra of gl(m,n), dim (m+n)^2 - 1."""
     if m < 0 or n < 0:
@@ -155,20 +169,7 @@ def construct_sl(m: int, n: int) -> LieSuperalgebra:
     for t in range(d):
         str_row[info["diag_indices"][t]] = ONE if t < m else -ONE
     basis = kernel_from_rows([dense_to_sparse(str_row)], d * d)
-    table, conv = restricted_table(gl, basis, "lie")
-
-    labels = []
-    hcount = 0
-    gl_labels = gl.labels
-    for b in basis:
-        support = [(i, c) for i, c in enumerate(b) if c != 0]
-        if len(support) == 1 and support[0][1] == 1:
-            labels.append(gl_labels[support[0][0]])
-        else:
-            hcount += 1
-            labels.append(f"H{hcount}")
-    table = StructureTable(SuperSpace(table.space.dim, table.space.parity, tuple(labels)),
-                           "lie", dict(table.entries))
+    table, conv = restricted_table(gl, basis, "lie", labels=_basis_labels(basis, gl, "H"))
 
     def to_sl(glvec) -> Vec:
         coords = conv.coords(glvec)
@@ -388,18 +389,8 @@ def construct_sl_A(m: int, n: int, a: AssocSuperalgebra) -> LieSuperalgebra:
     from .superalg import derived_subalgebra
 
     dbasis = derived_subalgebra(tensor)
-    table, conv = restricted_table(tensor, dbasis, "lie")
-    labels = []
-    extra = 0
-    for b in dbasis:
-        support = [(i, c) for i, c in enumerate(b) if c != 0]
-        if len(support) == 1 and support[0][1] == 1:
-            labels.append(tensor.labels[support[0][0]])
-        else:
-            extra += 1
-            labels.append(f"D{extra}")
-    table = StructureTable(SuperSpace(table.space.dim, table.space.parity, tuple(labels)),
-                           "lie", dict(table.entries))
+    table, conv = restricted_table(tensor, dbasis, "lie",
+                                   labels=_basis_labels(dbasis, tensor, "D"))
 
     na = a.dim
     aunit = a.unit

@@ -13,7 +13,7 @@ eigenvalues 0, +-2.  An element of T(0) is a sparse row over the
 flattened 2*(dim J)^2 coordinates of its two matrices: entry (r, c) of
 the T(1) block sits at r*n + c, of the T(-1) block at n*n + r*n + c.
 T(0) is the span of the n^2 rows D(b_a, b_b), eliminated once in one
-SparseRref as integer rows (the table's denominator cleared once).  No
+SparseRref as integer rows (over StructureTable.integer_form).  No
 closure loop is needed: on a Jordan input this span, the inner structure
 algebra, is closed under the supercommutator (Kac, Adv. Math. 1977), and
 the construction verifies exactly that every bracket of two basis
@@ -212,18 +212,16 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
     """Tits-Kantor-Koecher Lie superalgebra of a unital Jordan superalgebra."""
     from math import lcm
 
-    from . import _axioms
-
     if j.unit is None:
         raise ValidationError("TKK needs a unital Jordan superalgebra")
     n = j.dim
     nn = n * n
     par = j.parity
 
-    den_j, mults = _axioms._left_mults(j.table)
+    den_j, mults = j.table.integer_form()
     scale = den_j * den_j  # D(a,b) entries are 2*(products of two table constants)
     # L_a scaled by den_j as a one-block operator: entry (r, t) at r*n + t
-    ops = [_operator({r * n + t: c for t, col in op.items() for r, c in col.items()}, n, p)
+    ops = [_operator({r * n + t: c for t, col in op.items() for r, c in col}, n, p)
            for op, p in zip(mults, par)]
 
     def d_row(a: int, b: int, rest: dict) -> dict:
@@ -232,7 +230,7 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
         # holds 2 (first + rest), of the T(-1) block at n*n + r*n + t holds
         # 2 (rest - first).
         first = {}
-        for m, c in mults[a].get(b, {}).items():
+        for m, c in mults[a].get(b, ()):
             for k, v in ops[m][0].items():
                 first[k] = first.get(k, 0) + c * v
         row = {}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from . import _axioms
@@ -88,9 +89,6 @@ class ThreeGrading:
     zero: list
     plus: list
 
-    def part(self, k: int) -> list:
-        return {-1: self.minus, 0: self.zero, 1: self.plus}[k]
-
     def dims(self, space: SuperSpace) -> tuple:
         out = []
         for part in (self.minus, self.zero, self.plus):
@@ -167,6 +165,22 @@ class StructureTable:
     @property
     def dim(self) -> int:
         return self.space.dim
+
+    def integer_form(self) -> tuple[int, list[dict]]:
+        """(s, L) with s the lcm of the denominators of the structure
+        constants and L[i] = {j: ((k, s * c_ij^k), ...)} the table over the
+        integers, in the tuple shape of entries.
+
+        Every axiom identity and every cocycle or coboundary row is
+        homogeneous in the structure constants: on L an identity vanishes
+        exactly when it does on the table, and a set of rows has the same
+        kernel and span.  Built on demand, not cached.
+        """
+        s = lcm(1, *{c.denominator for terms in self.entries.values() for _, c in terms})
+        L = [{} for _ in range(self.space.dim)]
+        for (i, j), terms in self.entries.items():
+            L[i][j] = tuple((k, c.numerator * (s // c.denominator)) for k, c in terms)
+        return s, L
 
 
 def table_product(table: StructureTable, x: Sequence, y: Sequence) -> Vec:
@@ -502,7 +516,7 @@ class SubspaceCoords:
 
 
 def restricted_table(
-    l: _AlgebraBase, basis: Sequence, kind: str | None = None, unit=None
+    l: _AlgebraBase, basis: Sequence, kind: str | None = None, unit=None, labels=None
 ) -> tuple[StructureTable, SubspaceCoords]:
     """Structure table of a product-closed subspace on a given basis.
 
@@ -534,6 +548,6 @@ def restricted_table(
                 )
             if given:
                 entries[(i, j)] = tuple(sorted(given.items()))
-    space = SuperSpace(m, tuple(parities))
+    space = SuperSpace(m, tuple(parities), labels)
     table = StructureTable(space, kind or l.kind, entries, unit=unit)
     return table, conv

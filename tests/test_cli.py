@@ -103,6 +103,26 @@ def test_construct_negative_parameter_names_the_failed_condition(argv, message, 
     assert capsys.readouterr().err == f"supergrade: error: BadParams: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gl", "1.0", "1"], "gl parameter m must be an integer, got '1.0'"),
+    (["slA", "3", "x", "grassmann", "1"], "slA parameter n must be an integer, got 'x'"),
+    (["assoc", "grassmann", "one"], "grassmann parameter k must be an integer, got 'one'"),
+    (["assoc", "matrix_super", "2", "2/1"],
+     "matrix_super parameter q must be an integer, got '2/1'"),
+])
+def test_construct_non_integer_parameter_is_named(argv, message, capsys):
+    code = main(["construct", *argv])
+    assert code == 2
+    assert capsys.readouterr().err == f"supergrade: error: BadParams: {message}\n"
+
+
+@pytest.mark.parametrize("spec", ["1,,0,0,0", "1,0,0,0,", ",1,0,0", "", "@empty.vec"])
+def test_vector_with_an_empty_entry_exits_2(spec, tmp_path, monkeypatch, capsys):
+    (tmp_path / "empty.vec").write_text("1,0,,0\n")
+    monkeypatch.chdir(tmp_path)
+    _assert_input_error(main(["peirce", fx("m11.sca"), "--idempotent", spec]), capsys)
+
+
 def test_cover_map_with_scalar_images_exits_2(tmp_path, capsys):
     cover = tmp_path / "cover.json"
     cover.write_text('{"images": 5}')
@@ -476,6 +496,31 @@ def test_cohomology_commands_reject_a_non_lie_file(argv, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"supergrade: error: BadParams: {argv[0]} needs a lie SCA file\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "m11.sca", "--cartan", "1,0,0,0"],
+    ["verify-grading", "m11.sca", "--cover", "psl22"],
+    ["three-grading", "m11.sca", "--cover", "psl22", "--style", "height"],
+    ["jordan-from-grading", "m11.sca", "--e", "1,0,0,0", "--f", "0,1,0,0"],
+], ids=lambda argv: argv[0])
+def test_grading_commands_reject_a_non_lie_file(argv, capsys):
+    code = main([argv[0], fx(argv[1]), *argv[2:]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"supergrade: error: BadParams: {argv[0]} needs a lie SCA file\n"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["sl", "2", "1"], "sl21.sca"),
+    (["psl", "1"], "psl22.sca"),
+    (["gl", "2", "2"], "gl22.sca"),
+    (["slA", "3", "3", "grassmann", "1"], "slA_g1.sca"),
+], ids=lambda x: x if isinstance(x, str) else " ".join(x))
+def test_construct_stdout_matches_golden_file(argv, golden, capsys):
+    code, out = run_cli(["construct", *argv], capsys)
+    assert code == 0
+    assert out.encode() == (FIXTURES / golden).read_bytes()
 
 
 def test_constructed_outputs_revalidate(capsys):

@@ -408,7 +408,7 @@ def test_cohomology_matches_fraction_oracle(case):
 
 def _weight_counts(l):
     """(toral basis elements, weight-0 pairs even, odd, all pairs even, odd)."""
-    w = H._toral_weights(l, H._integer_table(l))
+    w = H._toral_weights(l, l.table.integer_form()[1])
     return (len(w[0]),
             *(len(H._pair_index(l.space, p, w)[0]) for p in (0, 1)),
             *(len(H._pair_index(l.space, p, [()] * l.dim)[0]) for p in (0, 1)))

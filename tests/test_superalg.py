@@ -295,6 +295,16 @@ def test_table_rejects_duplicate_targets():
         )
 
 
+def test_integer_form_of_m11(m11):
+    s, L = m11.table.integer_form()
+    assert s == 2
+    assert L[0][2] == ((2, 1),)  # e1.x = x/2
+    assert L[2][3] == ((0, 2), (1, -2))  # x.y = e1 - e2
+    assert len(L) == m11.dim
+    assert {(i, j): tuple((k, F(v, s)) for k, v in row)
+            for i, cols in enumerate(L) for j, row in cols.items()} == m11.table.entries
+
+
 def test_center_contained_in_ad_kernels(sl22):
     z = center(sl22)
     for v in z:
