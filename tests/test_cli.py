@@ -652,11 +652,34 @@ MATRIX_SUPER_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("pq", MATRIX_SUPER_DIGESTS, ids=lambda pq: f"M({pq[0]},{pq[1]})")
-def test_matrix_super_stdout_matches_pinned_digest(pq, capsys):
-    code, out = run_cli(["construct", "assoc", "matrix_super", *pq], capsys)
+# SHA-256 of the stdout of `construct <argv>` for every construction that no
+# golden file pins, taken while each matrix and tensor algebra still wrote
+# out its own product
+CONSTRUCT_DIGESTS = {
+    **{("assoc", "matrix_super", *pq): digest for pq, digest in MATRIX_SUPER_DIGESTS.items()},
+    ("jp", "2"): "4ab50fb34c41b9988ecf5631cab4133edba81f17ad88eb37e7cbe273f3ab3751",
+    ("jp", "3"): "932211c71984391cbd7e0d5c0534839bed7a7abe4ed32d6f6c68c070e20b0e55",
+    ("jq", "2"): "2f1c9f623072e42dcf9e39cc75b2ef0d3ffa29b7e02f59b48246c988d7ba64eb",
+    ("jq", "3"): "7f6841211bf870aede9db4267d8afff7c12152d47e68b961d2f96347ac6d46d5",
+    ("mplus", "2"): "97a9bf28112a06a3a2bb908fd759885e9384e771262a6fb1d7bdc3c444cdac71",
+    ("gl", "3", "2"): "7cec136f34f5a282d05a79d5ba13c51e336a3982f289d3b078f3a64a72f45666",
+    ("gl", "1", "2"): "1748da466abbe667043863d9b1731676380191e2155728c9848b58f7268a9460",
+    ("slA", "2", "2", "matrix_super", "1", "1"):
+        "a71211b53c72b9530cfc04c4996a1c2488c178d78e1d5a7446f48972084579cc",
+    ("slA", "2", "1", "grassmann", "2"):
+        "67dcab521beb9338a2a24e6c7ddd1d4d245260a9ac0b79e66dabd49be9367274",
+    ("slA", "2", "2", "dual_numbers"):
+        "febdfecefe4303d3ef64b9a69deb036fccb462ee0f2eb710e8a9594ff5a98460",
+    ("assoc", "grassmann", "2"):
+        "f11038ab7a5d08451b3d68831b24d214ca6257eebb2a7eb31ec7181662e255ec",
+}
+
+
+@pytest.mark.parametrize("argv", CONSTRUCT_DIGESTS, ids=lambda a: " ".join(map(str, a)))
+def test_construct_stdout_matches_pinned_digest(argv, capsys):
+    code, out = run_cli(["construct", *argv], capsys)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == MATRIX_SUPER_DIGESTS[pq]
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_DIGESTS[argv]
 
 
 # SHA-256 of the stdout of grading and Jordan commands, taken before their
