@@ -9,6 +9,12 @@ Basis conventions are fixed here once:
 * JP(n)/JQ(n) use explicit parameter-matrix bases: the a-part row-major,
   then the b-part upper triangle, then the c-part upper triangle.
 
+Every matrix algebra starts from the matrix-unit product
+superalg.matrix_unit_products: gl(m,n) is its super_symmetrized bracket,
+M_{p,q}(F) its restricted_table on (I, e_rc), JP(n)/JQ(n) the
+restricted_table of its symmetrized Jordan product on their basis matrices,
+and tensor_lie_assoc symmetrizes its Koszul-signed tensor with A.
+
 Constructors return trusted algebra wrappers; the test suite re-validates
 every constructed table through the axiom validators.
 """
@@ -27,6 +33,7 @@ from .exact import (
     ONE,
     dense_to_sparse,
     kernel_from_rows,
+    sparse_to_dense,
     unit_vec,
     vec,
 )
@@ -36,12 +43,13 @@ from .superalg import (
     JordanSuperalgebra,
     LieSuperalgebra,
     StructureTable,
-    SubspaceCoords,
     SuperSpace,
     _sparse_element,
     _sparse_product,
+    matrix_unit_products,
     quotient_central,
     restricted_table,
+    super_symmetrized,
     tensor_lie_assoc,
 )
 
@@ -79,6 +87,18 @@ def _gl_index_labels(m: int, n: int) -> list[str]:
     return [str(i + 1) for i in range(m)] + [f"{i + 1}b" for i in range(n)]
 
 
+def _matrix_units(p: int, q: int) -> tuple[list, SuperSpace]:
+    """The matrix units e_rc of M_{p,q}(F), row-major, with their space:
+    parity(e_rc) = |r| + |c| and labels E(r,c)."""
+    d = p + q
+    idx_par = [0] * p + [1] * q
+    names = _gl_index_labels(p, q)
+    units = [(r, c) for r in range(d) for c in range(d)]
+    parity = tuple((idx_par[r] + idx_par[c]) % 2 for r, c in units)
+    labels = tuple(f"E({names[r]},{names[c]})" for r, c in units)
+    return units, SuperSpace(d * d, parity, labels)
+
+
 def construct_gl(m: int, n: int) -> LieSuperalgebra:
     """gl(m,n): all (m+n) x (m+n) matrices with the supercommutator."""
     if m < 0 or n < 0:
@@ -86,31 +106,12 @@ def construct_gl(m: int, n: int) -> LieSuperalgebra:
     if m + n < 1:
         raise BadParams("gl(m,n) needs m+n >= 1")
     d = m + n
-    idx_par = [0] * m + [1] * n
-    names = _gl_index_labels(m, n)
-    units = [(r, c) for r in range(d) for c in range(d)]
-    pos = {u: t for t, u in enumerate(units)}
-    unit_parity = [(idx_par[r] + idx_par[c]) % 2 for r, c in units]
-    labels = tuple(f"E({names[r]},{names[c]})" for r, c in units)
-    space = SuperSpace(d * d, tuple(unit_parity), labels)
-
-    entries = {}
-    for t1, (r1, c1) in enumerate(units):
-        for t2, (r2, c2) in enumerate(units):
-            acc = {}
-            if c1 == r2:
-                acc[pos[(r1, c2)]] = acc.get(pos[(r1, c2)], ZERO) + 1
-            if c2 == r1:
-                s = -1 if (unit_parity[t1] and unit_parity[t2]) else 1
-                k = pos[(r2, c1)]
-                acc[k] = acc.get(k, ZERO) - s
-            acc = {k: Fraction(v) for k, v in acc.items() if v != 0}
-            if acc:
-                entries[(t1, t2)] = tuple(sorted(acc.items()))
+    units, space = _matrix_units(m, n)
+    entries = super_symmetrized(matrix_unit_products(units), space.parity, -1)
     table = StructureTable(space, "lie", entries)
 
     z = [ZERO] * (d * d)
-    diag_indices = [pos[(t, t)] for t in range(d)]
+    diag_indices = [t * d + t for t in range(d)]
     for di in diag_indices:
         z[di] = ONE
     cartan = CartanBasis(
@@ -124,7 +125,7 @@ def construct_gl(m: int, n: int) -> LieSuperalgebra:
             "m": m,
             "n": n,
             "units": units,
-            "unit_parity": unit_parity,
+            "unit_parity": space.parity,
             "z": tuple(z),
             "diag_indices": diag_indices,
         },
@@ -316,58 +317,14 @@ def construct_assoc(kind: str, params=None) -> AssocSuperalgebra:
 
 def _matrix_superalgebra(p: int, q: int) -> AssocSuperalgebra:
     """M_{p,q}(F) on the basis (I, e_rc for (r,c) != (0,0))."""
+    units, space = _matrix_units(p, q)
     d = p + q
-    idx_par = [0] * p + [1] * q
-    names = _gl_index_labels(p, q)
-    rest = [(r, c) for r in range(d) for c in range(d) if (r, c) != (0, 0)]
-    basis_mats = [_ident_mat(d)] + [{(r, c): ONE} for r, c in rest]
-    parity = (0,) + tuple((idx_par[r] + idx_par[c]) % 2 for r, c in rest)
-    labels = ("1",) + tuple(f"E({names[r]},{names[c]})" for r, c in rest)
-
-    index = {rc: k for k, rc in enumerate(rest, start=1)}
-
-    def to_terms(mat: dict) -> tuple:
-        # 1 takes a = mat[0,0], so a comes off every other diagonal unit
-        coords = {index[rc]: v for rc, v in mat.items() if rc != (0, 0)}
-        a = mat.get((0, 0))
-        if a:
-            coords[0] = a
-            for k in (index[t, t] for t in range(1, d)):
-                coords[k] = coords.get(k, ZERO) - a
-        return tuple(sorted((k, c) for k, c in coords.items() if c))
-
-    entries = {}
-    dim = len(basis_mats)
-    for i in range(dim):
-        for j in range(dim):
-            terms = to_terms(_mat_mul(basis_mats[i], basis_mats[j]))
-            if terms:
-                entries[(i, j)] = terms
-    unit = tuple(ONE if i == 0 else ZERO for i in range(dim))
-    space = SuperSpace(dim, parity, labels)
-    table = StructureTable(space, "assoc", entries, unit=unit)
-    prov = {"name": f"M({p},{q})", "p": p, "q": q, "basis_mats": basis_mats, "size": d}
-    return AssocSuperalgebra(table, prov)
-
-
-def _ident_mat(d: int) -> dict:
-    return {(t, t): ONE for t in range(d)}
-
-
-def _mat_mul(a: dict, b: dict) -> dict:
-    out = {}
-    by_row = {}
-    for (r, c), v in b.items():
-        by_row.setdefault(r, []).append((c, v))
-    for (r, c), v in a.items():
-        for c2, v2 in by_row.get(c, ()):
-            key = (r, c2)
-            val = out.get(key, ZERO) + v * v2
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
-    return out
+    mat = AssocSuperalgebra(StructureTable(space, "assoc", matrix_unit_products(units)))
+    ident = tuple(ONE if r == c else ZERO for r, c in units)
+    basis = [ident] + [unit_vec(d * d, k) for k in range(1, d * d)]
+    table, _ = restricted_table(mat, basis, "assoc", unit=unit_vec(d * d, 0),
+                                labels=("1",) + space.labels[1:])
+    return AssocSuperalgebra(table, {"name": f"M({p},{q})", "p": p, "q": q})
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +402,12 @@ def construct_jordan(kind: str, n: int | None = None) -> JordanSuperalgebra:
         alg.provenance["name"] = f"M({n},{n})+"
         return alg
     if kind == "JP":
-        mats, parity, labels, unit_sel = _jp_basis(n)
+        mats, labels = _jp_basis(n)
     elif kind == "JQ":
-        mats, parity, labels, unit_sel = _jq_basis(n)
+        mats, labels = _jq_basis(n)
     else:
         raise BadParams(f"unknown Jordan family {kind!r}")
-    return _jordan_from_matrices(kind, n, mats, parity, labels, unit_sel)
+    return _jordan_from_matrices(kind, n, mats, labels)
 
 
 def _m11() -> JordanSuperalgebra:
@@ -480,17 +437,15 @@ def _m11() -> JordanSuperalgebra:
 
 def _jp_basis(n: int):
     """JP(n): blocks (a, b; c, a^t) in M_{n,n}+ with b skew and c symmetric."""
-    mats, parity, labels = [], [], []
+    mats, labels = [], []
     bar = lambda i: n + i
     for i in range(n):
         for j in range(n):
             mats.append({(i, j): ONE, (bar(j), bar(i)): ONE})
-            parity.append(0)
             labels.append(f"a({i + 1},{j + 1})")
     for i in range(n):
         for j in range(i + 1, n):
             mats.append({(i, bar(j)): ONE, (j, bar(i)): -ONE})
-            parity.append(1)
             labels.append(f"b({i + 1},{j + 1})")
     for i in range(n):
         for j in range(i, n):
@@ -498,71 +453,39 @@ def _jp_basis(n: int):
             if i != j:
                 m[(bar(j), i)] = ONE
             mats.append(m)
-            parity.append(1)
             labels.append(f"c({i + 1},{j + 1})")
-    unit_sel = [i * n + i for i in range(n)]  # a = identity
-    return mats, parity, labels, unit_sel
+    return mats, labels
 
 
 def _jq_basis(n: int):
     """JQ(n): blocks (a, b; b, a) in M_{n,n}+."""
-    mats, parity, labels = [], [], []
+    mats, labels = [], []
     bar = lambda i: n + i
     for i in range(n):
         for j in range(n):
             mats.append({(i, j): ONE, (bar(i), bar(j)): ONE})
-            parity.append(0)
             labels.append(f"a({i + 1},{j + 1})")
     for i in range(n):
         for j in range(n):
             mats.append({(i, bar(j)): ONE, (bar(i), j): ONE})
-            parity.append(1)
             labels.append(f"b({i + 1},{j + 1})")
-    unit_sel = [i * n + i for i in range(n)]
-    return mats, parity, labels, unit_sel
+    return mats, labels
 
 
-def _jordan_from_matrices(kind, n, mats, parity, labels, unit_sel) -> JordanSuperalgebra:
-    """Structure table from explicit matrices under the supersymmetrized
-    product, with closure of the span verified rather than assumed."""
+def _jordan_from_matrices(kind, n, mats, labels) -> JordanSuperalgebra:
+    """The span of explicit matrices in M_{n,n}+, whose a-part (the first
+    n^2 basis matrices) holds the unit at a(i,i); restricted_table verifies
+    closure under the symmetrized product and derives the parities."""
+    units, space = _matrix_units(n, n)
     d = 2 * n
-    ncols = d * d
-
-    def flat(mat):
-        return {r * d + c: v for (r, c), v in mat.items()}
-
-    conv = SubspaceCoords([flat(mat) for mat in mats], ncols)
-    dim = len(mats)
-    entries = {}
-    for i in range(dim):
-        for j in range(dim):
-            prod = _mat_mul(mats[i], mats[j])
-            swap = _mat_mul(mats[j], mats[i])
-            sgn = -1 if parity[i] and parity[j] else 1
-            sym = {}
-            for key, v in prod.items():
-                sym[key] = sym.get(key, ZERO) + HALF * v
-            for key, v in swap.items():
-                val = sym.get(key, ZERO) + sgn * HALF * v
-                if val:
-                    sym[key] = val
-                else:
-                    sym.pop(key, None)
-            given = conv.sparse_coords(flat(sym))
-            if given is None:
-                raise ValidationError(
-                    f"{kind}({n}) is not closed under the symmetrized product "
-                    f"(basis pair {i},{j})"
-                )
-            if given:
-                entries[(i, j)] = tuple(sorted(given.items()))
-    unit = [ZERO] * dim
-    for s in unit_sel:
-        unit[s] = ONE
-    space = SuperSpace(dim, tuple(parity), tuple(labels))
-    table = StructureTable(space, "jordan", entries, unit=tuple(unit))
-    prov = {"name": f"{kind}({n})", "n": n, "basis_mats": mats, "size": d}
-    return JordanSuperalgebra(table, prov)
+    entries = super_symmetrized(matrix_unit_products(units), space.parity, 1, HALF)
+    ambient = JordanSuperalgebra(StructureTable(space, "jordan", entries))
+    basis = [sparse_to_dense({r * d + c: v for (r, c), v in mat.items()}, d * d)
+             for mat in mats]
+    diag = {i * n + i for i in range(n)}
+    unit = tuple(ONE if k in diag else ZERO for k in range(len(mats)))
+    table, _ = restricted_table(ambient, basis, "jordan", unit=unit, labels=tuple(labels))
+    return JordanSuperalgebra(table, {"name": f"{kind}({n})", "n": n})
 
 
 def supertrace(l: LieSuperalgebra, x) -> Fraction:

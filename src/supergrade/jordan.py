@@ -65,6 +65,7 @@ from .superalg import (
     _sparse_product,
     ad_rows,
     homogeneous_parity,
+    super_symmetrized,
     validate_jordan,
 )
 
@@ -74,23 +75,7 @@ TWO = Fraction(2)
 
 def symmetrized(a: AssocSuperalgebra) -> JordanSuperalgebra:
     """The Jordan superalgebra A+ with X.Y = (XY + (-1)^{|X||Y|} YX)/2."""
-    par = a.parity
-    entries = {}
-    n = a.dim
-    for i in range(n):
-        for j in range(n):
-            acc = {}
-            for k, c in a.table.entries.get((i, j), ()):
-                acc[k] = acc.get(k, ZERO) + HALF * c
-            sgn = -1 if par[i] and par[j] else 1
-            for k, c in a.table.entries.get((j, i), ()):
-                v = acc.get(k, ZERO) + sgn * HALF * c
-                if v:
-                    acc[k] = v
-                else:
-                    acc.pop(k, None)
-            if acc:
-                entries[(i, j)] = tuple(sorted(acc.items()))
+    entries = super_symmetrized(a.table.entries, a.parity, 1, HALF)
     table = StructureTable(a.table.space, "jordan", entries, unit=a.unit)
     prov = {"name": f"{a.provenance.get('name', 'A')}+", "assoc": a}
     return JordanSuperalgebra(table, prov)

@@ -28,6 +28,7 @@ from .exact import unit_vec
 from .superalg import StructureTable, SuperSpace
 
 _RATIONAL = re.compile(r"-?\d+(/\d+)?\Z")
+_INDEX = re.compile(r"[1-9][0-9]*\Z")
 
 
 def _parse_rational(text: str, lineno: int, seen: dict) -> Fraction:
@@ -41,6 +42,14 @@ def _parse_rational(text: str, lineno: int, seen: dict) -> Fraction:
             raise ParseError(f"non-normalized rational {text!r}", lineno)
         seen[text] = value
     return value
+
+
+def _index_error(text: str, what: str, lineno: int) -> ParseError:
+    """The error for a basis index that is not in the canonical spelling of
+    1..dim: '01', '+1', '1_0' or a non-ASCII digit is malformed."""
+    if _INDEX.match(text):
+        return ParseError(f"{what} index {text} out of range", lineno)
+    return ParseError(f"malformed {what} index {text!r}", lineno)
 
 
 def parse_sca(text: str) -> StructureTable:
@@ -72,11 +81,9 @@ def parse_sca(text: str) -> StructureTable:
         raise ParseError("expected 'kind lie|assoc|jordan'", lineno)
     kind = tok[1]
     lineno, tok = take()
-    if len(tok) != 2 or tok[0] != "dim" or not tok[1].isdigit():
-        raise ParseError("expected 'dim N'", lineno)
+    if len(tok) != 2 or tok[0] != "dim" or not _INDEX.match(tok[1]):
+        raise ParseError("expected 'dim N' with N a positive integer", lineno)
     dim = int(tok[1])
-    if dim < 1:
-        raise ParseError("dim must be positive", lineno)
     lineno, tok = take()
     if tok[0] != "parity" or len(tok) != dim + 1:
         raise ParseError(f"expected 'parity' with {dim} bits", lineno)
@@ -84,6 +91,9 @@ def parse_sca(text: str) -> StructureTable:
         raise ParseError("parity bits must be 0 or 1", lineno)
     parity = tuple(int(b) for b in tok[1:])
 
+    # the canonical spelling of each basis index (the parity line bounds dim
+    # by the document's length)
+    index = {str(i): i for i in range(1, dim + 1)}
     rationals: dict[str, Fraction] = {}
     unit = None
     labels: dict[int, str] = {}
@@ -95,11 +105,11 @@ def parse_sca(text: str) -> StructureTable:
         if key == "unit":
             if unit is not None:
                 raise ParseError("duplicate unit line", lineno)
-            if len(tok) != 2 or not tok[1].isdigit():
+            if len(tok) != 2:
                 raise ParseError("expected 'unit i'", lineno)
-            i = int(tok[1])
-            if not 1 <= i <= dim:
-                raise ParseError(f"unit index {i} out of range", lineno)
+            i = index.get(tok[1])
+            if i is None:
+                raise _index_error(tok[1], "unit", lineno)
             unit = unit_vec(dim, i - 1)
         elif key == "unitv":
             if unit is not None:
@@ -108,11 +118,11 @@ def parse_sca(text: str) -> StructureTable:
                 raise ParseError(f"expected 'unitv' with {dim} coordinates", lineno)
             unit = tuple(_parse_rational(t, lineno, rationals) for t in tok[1:])
         elif key == "label":
-            if len(tok) != 3 or not tok[1].isdigit():
+            if len(tok) != 3:
                 raise ParseError("expected 'label i name'", lineno)
-            i = int(tok[1])
-            if not 1 <= i <= dim:
-                raise ParseError(f"label index {i} out of range", lineno)
+            i = index.get(tok[1])
+            if i is None:
+                raise _index_error(tok[1], "label", lineno)
             if i in labels:
                 raise ParseError(f"duplicate label for index {i}", lineno)
             labels[i] = tok[2]
@@ -120,12 +130,9 @@ def parse_sca(text: str) -> StructureTable:
             if len(tok) != 5:
                 raise ParseError("expected 'sc i j k q'", lineno)
             try:
-                i, j, k = int(tok[1]), int(tok[2]), int(tok[3])
-            except ValueError:
-                raise ParseError("sc indices must be integers", lineno) from None
-            for idx in (i, j, k):
-                if not 1 <= idx <= dim:
-                    raise ParseError(f"sc index {idx} out of range", lineno)
+                i, j, k = index[tok[1]], index[tok[2]], index[tok[3]]
+            except KeyError as exc:
+                raise _index_error(exc.args[0], "sc", lineno) from None
             terms = entries.setdefault((i - 1, j - 1), {})
             if k - 1 in terms:
                 raise ParseError(f"duplicate entry ({i},{j},{k})", lineno)

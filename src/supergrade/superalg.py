@@ -402,78 +402,78 @@ def quotient_central(l: LieSuperalgebra, zbasis: Sequence) -> tuple[LieSuperalge
     return LieSuperalgebra(table, prov), proj
 
 
+def matrix_unit_products(units: Sequence[tuple]) -> dict:
+    """Entries of the associative product e_ij e_kl = delta_jk e_il on the
+    matrix units units = [(i, j), ...], which must contain every e_il that
+    such a product reaches."""
+    pos = {u: t for t, u in enumerate(units)}
+    by_row = {}
+    for t, (r, c) in enumerate(units):
+        by_row.setdefault(r, []).append((t, c))
+    return {
+        (t1, t2): ((pos[(r1, c2)], ONE),)
+        for t1, (r1, c1) in enumerate(units)
+        for t2, c2 in by_row.get(c1, ())
+    }
+
+
+def super_symmetrized(ent: dict, parity: Sequence, sign: int, scale: Fraction = ONE) -> dict:
+    """Entries of x * y = scale (xy + sign (-1)^{|x||y|} yx) from the entries
+    of an associative product xy on a basis of the given parities: sign -1
+    gives the supercommutator of A^-, sign 1 with scale 1/2 the Jordan
+    product of A+."""
+    acc: dict[tuple, dict] = {}
+    for (i, j), terms in ent.items():
+        swap = scale * (-sign if parity[i] & parity[j] else sign)
+        for key, f in (((i, j), scale), ((j, i), swap)):
+            row = acc.setdefault(key, {})
+            for k, c in terms:
+                v = row.get(k, ZERO) + f * c
+                if v:
+                    row[k] = v
+                else:
+                    row.pop(k, None)
+    return {key: tuple(sorted(acc[key].items())) for key in sorted(acc) if acc[key]}
+
+
 def tensor_lie_assoc(g0: LieSuperalgebra, a: AssocSuperalgebra) -> LieSuperalgebra:
     """gl(m,n) tensor A with the supercommutator bracket of M_{m,n}(F) (x) A.
 
-    The basis is {e_ij (x) a_s} ordered by matrix unit then coefficient;
-    on matrix units with homogeneous coefficients the bracket carries the
-    Koszul sign (-1)^{|a|(|j|+|k|)} of the associative tensor product.
+    The basis is {e_ij (x) a_s} ordered by matrix unit then coefficient.
+    The associative tensor product carries the Koszul sign:
+    (e_u (x) a_s)(e_v (x) a_t) = (-1)^{|a_s||e_v|} e_u e_v (x) a_s a_t.
     """
     info = g0.provenance.get("gl")
     if info is None:
         raise WrongAlgebra("tensor_lie_assoc needs a gl(m,n) left factor")
-    units = info["units"]  # list of (row_index, col_index) with parities
+    units = info["units"]  # (row, col) of each matrix unit, row-major
     unit_parity = info["unit_parity"]
-    pos = {u: t for t, u in enumerate(units)}
     na = a.dim
     dim = len(units) * na
-
-    def tidx(u: int, s: int) -> int:
-        return u * na + s
-
-    parity = []
-    labels = []
-    glabels = g0.labels
+    apar = a.parity
     alabels = a.labels or tuple(f"a{s}" for s in range(na))
-    for u in range(len(units)):
-        for s in range(na):
-            parity.append((unit_parity[u] + a.parity[s]) % 2)
-            labels.append(f"{glabels[u]}@{alabels[s]}")
-    space = SuperSpace(dim, tuple(parity), tuple(labels))
+    space = SuperSpace(
+        dim,
+        tuple((unit_parity[u] + apar[s]) % 2 for u in range(len(units)) for s in range(na)),
+        tuple(f"{g0.labels[u]}@{alabels[s]}" for u in range(len(units)) for s in range(na)),
+    )
 
-    aent = a.table.entries
-    entries = {}
-    for u1, (i, j) in enumerate(units):
-        for u2, (k, l_) in enumerate(units):
-            acc: dict[tuple[int, int], dict] = {}
-            for s in range(na):
-                for t in range(na):
-                    coeff_terms = []
-                    if j == k:
-                        sgn = -1 if (a.parity[s] & unit_parity[u2] & 1) else 1
-                        target_u = pos[(i, l_)]
-                        for r, c in aent.get((s, t), ()):
-                            coeff_terms.append((tidx(target_u, r), sgn * c))
-                    if l_ == i:
-                        pxy = (unit_parity[u1] + a.parity[s]) * (unit_parity[u2] + a.parity[t])
-                        sgn = -1 if (pxy % 2) else 1
-                        sgn2 = -1 if (a.parity[t] & unit_parity[u1] & 1) else 1
-                        target_u = pos[(k, j)]
-                        for r, c in aent.get((t, s), ()):
-                            coeff_terms.append((tidx(target_u, r), -sgn * sgn2 * c))
-                    if coeff_terms:
-                        key = (tidx(u1, s), tidx(u2, t))
-                        row = acc.setdefault(key, {})
-                        for tgt, c in coeff_terms:
-                            v = row.get(tgt, ZERO) + c
-                            if v:
-                                row[tgt] = v
-                            else:
-                                row.pop(tgt, None)
-            for key, row in acc.items():
-                if row:
-                    entries[key] = tuple(sorted(row.items()))
-    table = StructureTable(space, "lie", entries)
-    zg = info["z"]
+    assoc = {}
+    for (u, v), uv in matrix_unit_products(units).items():
+        for (s, t), st in a.table.entries.items():
+            sgn = -1 if apar[s] & unit_parity[v] else 1
+            assoc[(u * na + s, v * na + t)] = tuple(
+                (w * na + r, sgn * cw * c) for w, cw in uv for r, c in st
+            )
+    table = StructureTable(space, "lie", super_symmetrized(assoc, space.parity, -1))
     zvec = [ZERO] * dim
-    for u, c in enumerate(zg):
+    for u, c in enumerate(info["z"]):
         if c != 0:
             for s, cs in enumerate(a.unit):
                 if cs != 0:
-                    zvec[tidx(u, s)] = c * cs
+                    zvec[u * na + s] = c * cs
     prov = {
         "name": f"{g0.provenance.get('name', 'gl')}(x){a.provenance.get('name', 'A')}",
-        "tensor": {"gl": g0, "coeff": a, "na": na},
         "gl": info,
         "z": tuple(zvec),
     }

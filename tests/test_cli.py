@@ -499,6 +499,23 @@ def test_cohomology_commands_reject_a_non_lie_file(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["h2", "invalid_lie.sca"],
+    ["uce", "invalid_lie.sca"],
+    ["fingerprint", "invalid_lie.sca"],
+    ["isogenous", "invalid_lie.sca", "psl22.sca"],
+    ["isogenous", "psl22.sca", "invalid_lie.sca"],
+], ids=" ".join)
+def test_cohomology_commands_reject_a_table_that_is_not_anticommutative(argv, capsys):
+    # invalid_lie.sca has [b1, b1] = b2; h2 read it as {"h2_even":0,"h2_odd":0}
+    code = main([argv[0], *map(fx, argv[1:])])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"supergrade: error: BadParams: {argv[0]} needs a Lie "
+                            "superalgebra: super_anticommutativity fails at basis tuple "
+                            "(0, 0, 1)\n")
+
+
+@pytest.mark.parametrize("argv", [
     ["decompose", "m11.sca", "--cartan", "1,0,0,0"],
     ["verify-grading", "m11.sca", "--cover", "psl22"],
     ["three-grading", "m11.sca", "--cover", "psl22", "--style", "height"],

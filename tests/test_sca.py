@@ -61,6 +61,12 @@ def test_comments_and_blank_lines():
         ("sc 1 1 1 0", "zero structure"),
         ("sc 1 1 2 1", "out of range"),
         ("sc 1 1 1 1/-2", "malformed"),
+        # int() reads each of these indices as 1
+        ("sc +1 1 1 1", "malformed sc index '+1'"),
+        ("sc 1 01 1 1", "malformed sc index '01'"),
+        ("sc 1 1 0_1 1", "malformed sc index '0_1'"),
+        ("sc 1 1 \u0661 1", "malformed sc index"),
+        ("sc 1 1 0 1", "malformed sc index '0'"),
     ],
 )
 def test_bad_sc_lines(mutation, message):
@@ -68,6 +74,16 @@ def test_bad_sc_lines(mutation, message):
     with pytest.raises(ParseError) as err:
         parse_sca(doc)
     assert message in str(err.value)
+    assert err.value.line == 5
+
+
+def test_dim_must_be_ascii_digits():
+    # int() reads the Arabic-Indic digit two as 2
+    doc = "SCA/1\nkind lie\ndim \u0662\nparity 0 0\nend\n"
+    with pytest.raises(ParseError) as err:
+        parse_sca(doc)
+    assert "expected 'dim N'" in str(err.value)
+    assert err.value.line == 3
 
 
 def test_duplicate_entry_rejected():

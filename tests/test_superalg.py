@@ -7,6 +7,7 @@ import pytest
 from supergrade import constructors as C
 from supergrade.errors import AxiomViolation, MissingUnit, NotCentral, ValidationError
 from supergrade.exact import unit_vec
+from supergrade.jordan import symmetrized
 from supergrade.superalg import (
     LieSuperalgebra,
     StructureTable,
@@ -327,9 +328,17 @@ def test_derived_is_ideal(sl21):
 
 
 def test_tensor_and_quotient_outputs_validate():
-    # construction soundness: validate_lie accepts tensor and quotient outputs
-    t = tensor_lie_assoc(C.construct_gl(2, 1), C.construct_assoc("grassmann", 1))
-    validate_lie(t.table)
+    # construction soundness: validate_lie accepts tensor and quotient outputs,
+    # and validate_jordan the symmetrized algebras.  The coefficient algebras
+    # are every kind the CLI builds, so super_symmetrized runs with sign -1
+    # and +1 on noncommutative and odd coefficients.
+    gl21 = C.construct_gl(2, 1)
+    for kind, params in [("field", None), ("dual_numbers", None), ("grassmann", 1),
+                         ("grassmann", 2), ("matrix_super", (1, 1)),
+                         ("matrix_super", (2, 1)), ("matrix_super", (0, 2))]:
+        a = C.construct_assoc(kind, params)
+        validate_lie(tensor_lie_assoc(gl21, a).table)
+        validate_jordan(symmetrized(a).table)
     gl22 = C.construct_gl(2, 2)
     q, _ = quotient_central(gl22, [gl22.provenance["z"]])
     validate_lie(q.table)
