@@ -341,7 +341,8 @@ def construct_sl_A(m: int, n: int, a: AssocSuperalgebra) -> LieSuperalgebra:
     """
     if m < 1 or n < 1:
         raise BadParams("construct_sl_A needs m, n >= 1")
-    gl = construct_gl(m, n)
+    sl = construct_sl(m, n)
+    gl = sl.provenance["ambient_gl"]
     tensor = tensor_lie_assoc(gl, a)
     from .superalg import derived_subalgebra
 
@@ -367,7 +368,6 @@ def construct_sl_A(m: int, n: int, a: AssocSuperalgebra) -> LieSuperalgebra:
             raise ValidationError("vector does not lie in the derived subalgebra")
         return coords
 
-    sl = construct_sl(m, n)
     cover_images = [to_slA(tensor_with_unit(b)) for b in sl.provenance["embedding"]]
     prov = {
         "name": f"sl_{m},{n}({a.provenance.get('name', 'A')})",

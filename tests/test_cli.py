@@ -506,7 +506,7 @@ def test_cohomology_commands_reject_a_non_lie_file(argv, capsys):
     ["isogenous", "psl22.sca", "invalid_lie.sca"],
 ], ids=" ".join)
 def test_cohomology_commands_reject_a_table_that_is_not_anticommutative(argv, capsys):
-    # invalid_lie.sca has [b1, b1] = b2; h2 read it as {"h2_even":0,"h2_odd":0}
+    # invalid_lie.sca has [b1, b1] = b2; unchecked, h2 reports H^2 = 0 for it
     code = main([argv[0], *map(fx, argv[1:])])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

@@ -61,12 +61,12 @@ def test_comments_and_blank_lines():
         ("sc 1 1 1 0", "zero structure"),
         ("sc 1 1 2 1", "out of range"),
         ("sc 1 1 1 1/-2", "malformed"),
+        ("sc 1 1 0 1", "malformed sc index '0'"),
         # int() reads each of these indices as 1
         ("sc +1 1 1 1", "malformed sc index '+1'"),
         ("sc 1 01 1 1", "malformed sc index '01'"),
         ("sc 1 1 0_1 1", "malformed sc index '0_1'"),
         ("sc 1 1 \u0661 1", "malformed sc index"),
-        ("sc 1 1 0 1", "malformed sc index '0'"),
     ],
 )
 def test_bad_sc_lines(mutation, message):
