@@ -41,18 +41,24 @@ def _sign(p, q):
 
 
 def _check_swap(table, axiom, flip):
-    """c_{ij}^k == flip * (-1)^{|i||j|} c_{ji}^k for all i <= j."""
+    """c_{ij}^k == flip * (-1)^{|i||j|} c_{ji}^k for all i <= j.
+
+    Only the pairs with an entry in either order can fail; they are visited
+    in (i, j) order.  The canonical term tuples are compared first, and the
+    per-k scan that names the failing k runs only on a mismatch.
+    """
     par = table.space.parity
     ent = table.entries
-    n = table.space.dim
-    for i in range(n):
-        for j in range(i, n):
-            lhs = dict(ent.get((i, j), ()))
-            rhs = dict(ent.get((j, i), ()))
-            s = flip * _sign(par[i], par[j])
-            for k in set(lhs) | set(rhs):
-                if lhs.get(k, 0) != s * rhs.get(k, 0):
-                    raise AxiomViolation(axiom, (i, j, k))
+    for i, j in sorted({(i, j) if i <= j else (j, i) for i, j in ent}):
+        lhs = ent.get((i, j), ())
+        rhs = ent.get((j, i), ())
+        s = flip * _sign(par[i], par[j])
+        if lhs == (rhs if s == 1 else tuple((k, -c) for k, c in rhs)):
+            continue
+        lhs, rhs = dict(lhs), dict(rhs)
+        for k in set(lhs) | set(rhs):
+            if lhs.get(k, 0) != s * rhs.get(k, 0):
+                raise AxiomViolation(axiom, (i, j, k))
 
 
 def check_super_anticommutativity(table):

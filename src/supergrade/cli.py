@@ -83,6 +83,14 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _rational(text: str, what: str) -> Fraction:
+    """One vector entry as a Fraction; a malformed entry is BadParams."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise BadParams(f"{what} entry {text!r} is not a rational number") from exc
+
+
 def _parse_vector(spec: str, dim: int):
     from .exact import vec
 
@@ -92,7 +100,7 @@ def _parse_vector(spec: str, dim: int):
         raise BadParams(f"vector {spec!r} has an empty entry")
     if len(parts) != dim:
         raise BadParams(f"vector has {len(parts)} entries, expected {dim}")
-    return vec(Fraction(p) for p in parts)
+    return vec(_rational(p, "vector") for p in parts)
 
 
 def _vec_json(v) -> list:
@@ -241,7 +249,7 @@ def _map_vector(v, dim: int, what: str = "cover map"):
 
     if not isinstance(v, list) or len(v) != dim:
         raise BadParams(f"{what} vectors must be lists of {dim} rationals")
-    return vec(Fraction(str(x)) for x in v)
+    return vec(_rational(str(x), what) for x in v)
 
 
 _M11_ELEMENT_KEYS = ("e1", "e2", "x", "y")
@@ -362,7 +370,7 @@ def _cartan_from_args(l, specs) -> CartanBasis:
         v = _parse_vector(s, l.dim)
         p = homogeneous_parity(l.space, v)
         elements.append(Element(v, p))
-    return CartanBasis(elements, tag="cli")
+    return CartanBasis(elements)
 
 
 def _datum_json(datum) -> dict:

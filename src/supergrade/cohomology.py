@@ -52,7 +52,6 @@ kernel_from_rows on its rows, and a Cartan lift is an augmented solve.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 
@@ -80,12 +79,14 @@ from .superalg import (
 )
 
 
-@dataclass
 class Cocycle2:
-    """A parity-homogeneous super-skew 2-form satisfying the cocycle identity."""
+    """A parity-homogeneous super-skew 2-form satisfying the cocycle identity;
+    form maps (i, j) to phi(b_i, b_j), nonzero values only."""
 
-    parity: int
-    form: dict  # {(i, j): phi(b_i, b_j)}, nonzero values only
+    __slots__ = ("parity", "form")
+
+    def __init__(self, parity: int, form: dict):
+        self.parity, self.form = parity, form
 
     def value(self, i: int, j: int) -> Fraction:
         return self.form.get((i, j), ZERO)
@@ -358,7 +359,6 @@ def h2_representatives(l: LieSuperalgebra, parity: int) -> list[Cocycle2]:
     return [_materialize(l, parity, pairs, z) for z in basis if sr.insert(z) is not None]
 
 
-@dataclass
 class CentralExtension:
     """A central extension of base with the added directions central.
 
@@ -367,10 +367,12 @@ class CentralExtension:
     is the span of the added directions.
     """
 
-    base: LieSuperalgebra
-    cocycles: list
-    extended: LieSuperalgebra
-    projection: Matrix
+    __slots__ = ("base", "cocycles", "extended", "projection")
+
+    def __init__(self, base: LieSuperalgebra, cocycles: list, extended: LieSuperalgebra,
+                 projection: Matrix):
+        self.base, self.cocycles = base, cocycles
+        self.extended, self.projection = extended, projection
 
 
 def uce(l: LieSuperalgebra) -> CentralExtension:
@@ -396,9 +398,7 @@ def uce(l: LieSuperalgebra) -> CentralExtension:
             terms.setdefault(key, []).append((n + t, v))
     # StructureTable sorts each entry's terms; the keys keep (i, j) order
     table = StructureTable(space, "lie", {key: terms[key] for key in sorted(terms)})
-    extended = LieSuperalgebra(
-        table, {"name": f"uce({l.provenance.get('name', 'L')})", "base": l}
-    )
+    extended = LieSuperalgebra(table, {"name": f"uce({l.provenance.get('name', 'L')})"})
     proj = Matrix.from_cols(
         [unit_vec(n, j) for j in range(n)] + [vec([0] * n) for _ in range(k)]
     )
@@ -427,13 +427,13 @@ def extension_from_quotient(l: LieSuperalgebra, zbasis) -> CentralExtension:
     return CentralExtension(base, cocycles, l, proj)
 
 
-@dataclass
 class CoverKernelReport:
-    passed: bool
-    kernel_in_zero: bool
-    per_root_iso: bool
-    kernel_dim: int
-    details: list
+    __slots__ = ("passed", "kernel_in_zero", "per_root_iso", "kernel_dim", "details")
+
+    def __init__(self, passed: bool, kernel_in_zero: bool, per_root_iso: bool, kernel_dim: int,
+                 details: list):
+        self.passed, self.kernel_in_zero, self.per_root_iso = passed, kernel_in_zero, per_root_iso
+        self.kernel_dim, self.details = kernel_dim, details
 
 
 def _preimage(rows: list[dict], ncols: int, b) -> tuple | None:
@@ -467,7 +467,7 @@ def cover_kernel_check(ext: CentralExtension, cartan: CartanBasis) -> CoverKerne
         if lift is None:
             raise ValidationError("Cartan element has no preimage under the projection")
         lifted.append(Element(lift, 0))
-    lifted_cartan = CartanBasis(lifted, tag="lifted", diag_mats=cartan.diag_mats)
+    lifted_cartan = CartanBasis(lifted, diag_mats=cartan.diag_mats)
     datum_big = weight_decomposition(big, lifted_cartan)
     datum_base = weight_decomposition(base, cartan)
 
@@ -507,15 +507,27 @@ def cover_kernel_check(ext: CentralExtension, cartan: CartanBasis) -> CoverKerne
     )
 
 
-@dataclass(frozen=True)
 class Fingerprint:
-    """Deterministic isogeny-invariant summary of an algebra."""
+    """Deterministic isogeny-invariant summary of an algebra, dims being
+    (even, odd); isogenous compares two of them with ==."""
 
-    dims: tuple  # (even, odd)
-    derived_series: tuple
-    center_dim: int
-    h2: tuple
-    root_multiset: tuple | None = None
+    __slots__ = ("dims", "derived_series", "center_dim", "h2", "root_multiset")
+
+    def __init__(self, dims: tuple, derived_series: tuple, center_dim: int, h2: tuple,
+                 root_multiset: tuple | None = None):
+        self.dims, self.derived_series, self.center_dim = dims, derived_series, center_dim
+        self.h2, self.root_multiset = h2, root_multiset
+
+    def __eq__(self, other):
+        if not isinstance(other, Fingerprint):
+            return NotImplemented
+        return (
+            self.dims == other.dims
+            and self.derived_series == other.derived_series
+            and self.center_dim == other.center_dim
+            and self.h2 == other.h2
+            and self.root_multiset == other.root_multiset
+        )
 
 
 def fingerprint(l: LieSuperalgebra, cartan: CartanBasis | None = None) -> Fingerprint:

@@ -22,7 +22,6 @@ every constructed table through the axiom validators.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadParams, ValidationError, WrongAlgebra
@@ -56,7 +55,6 @@ from .superalg import (
 HALF = Fraction(1, 2)
 
 
-@dataclass
 class CartanBasis:
     """Pairwise-commuting even elements spanning a chosen Cartan subspace.
 
@@ -65,9 +63,10 @@ class CartanBasis:
     against these representatives.
     """
 
-    elements: list[Element]
-    tag: str
-    diag_mats: tuple | None = None
+    __slots__ = ("elements", "diag_mats")
+
+    def __init__(self, elements: list[Element], diag_mats: tuple | None = None):
+        self.elements, self.diag_mats = elements, diag_mats
 
     def __len__(self):
         return len(self.elements)
@@ -114,11 +113,6 @@ def construct_gl(m: int, n: int) -> LieSuperalgebra:
     diag_indices = [t * d + t for t in range(d)]
     for di in diag_indices:
         z[di] = ONE
-    cartan = CartanBasis(
-        elements=[Element(unit_vec(d * d, di), 0) for di in diag_indices],
-        tag="diagonal",
-        diag_mats=tuple(unit_vec(d, t) for t in range(d)),
-    )
     prov = {
         "name": f"gl({m},{n})",
         "gl": {
@@ -126,11 +120,9 @@ def construct_gl(m: int, n: int) -> LieSuperalgebra:
             "n": n,
             "units": units,
             "unit_parity": space.parity,
-            "z": tuple(z),
             "diag_indices": diag_indices,
         },
         "z": tuple(z),
-        "cartan": cartan,
     }
     return LieSuperalgebra(table, prov)
 
@@ -190,7 +182,6 @@ def construct_sl(m: int, n: int) -> LieSuperalgebra:
 
     hprime = CartanBasis(
         elements=[Element(unit_vec(len(basis), i), 0) for i in diag_positions],
-        tag="h_prime",
         diag_mats=tuple(diag_of(basis[i]) for i in diag_positions),
     )
     prov = {
@@ -210,7 +201,7 @@ def construct_sl(m: int, n: int) -> LieSuperalgebra:
         helems = []
         for hd in hdiags:
             helems.append(Element(to_sl(_diag_vec_to_gl(info, hd)), 0))
-        prov["cartan_h"] = CartanBasis(helems, tag="h", diag_mats=tuple(hdiags))
+        prov["cartan_h"] = CartanBasis(helems, diag_mats=tuple(hdiags))
     alg = LieSuperalgebra(table, prov)
     _check_cartan(alg, hprime)
     if m == n:
@@ -232,7 +223,7 @@ def construct_psl(n: int) -> tuple[LieSuperalgebra, Matrix]:
             "n": n,
             "ambient_sl": sl,
             "projection": proj,
-            "cartan_h": CartanBasis(helems, tag="h", diag_mats=h_sl.diag_mats),
+            "cartan_h": CartanBasis(helems, diag_mats=h_sl.diag_mats),
         }
     )
     _check_cartan(psl, psl.provenance["cartan_h"])
@@ -304,7 +295,7 @@ def construct_assoc(kind: str, params=None) -> AssocSuperalgebra:
                 entries[(s, t)] = ((s | t, Fraction(sign)),)
         unit = tuple(ONE if s == 0 else ZERO for s in range(dim))
         table = StructureTable(SuperSpace(dim, parity, labels), "assoc", entries, unit=unit)
-        return AssocSuperalgebra(table, {"name": f"Grassmann({k})", "k": k})
+        return AssocSuperalgebra(table, {"name": f"Grassmann({k})"})
     if kind == "matrix_super":
         p, q = params
         if p < 0 or q < 0:
@@ -324,7 +315,7 @@ def _matrix_superalgebra(p: int, q: int) -> AssocSuperalgebra:
     basis = [ident] + [unit_vec(d * d, k) for k in range(1, d * d)]
     table, _ = restricted_table(mat, basis, "assoc", unit=unit_vec(d * d, 0),
                                 labels=("1",) + space.labels[1:])
-    return AssocSuperalgebra(table, {"name": f"M({p},{q})", "p": p, "q": q})
+    return AssocSuperalgebra(table, {"name": f"M({p},{q})"})
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +364,9 @@ def construct_sl_A(m: int, n: int, a: AssocSuperalgebra) -> LieSuperalgebra:
         "name": f"sl_{m},{n}({a.provenance.get('name', 'A')})",
         "m": m,
         "n": n,
-        "coeff": a,
-        "ambient_tensor": tensor,
         "basis_in_ambient": dbasis,
-        "coords": conv,
         "cover_sl": sl,
         "cover_images": cover_images,
-        "z_image": to_slA(tensor_with_unit(gl.provenance["z"])) if m == n else None,
     }
     return LieSuperalgebra(table, prov)
 
@@ -431,8 +418,7 @@ def _m11() -> JordanSuperalgebra:
         (3, 2): ((0, -ONE), (1, ONE)),
     }
     table = StructureTable(space, "jordan", entries, unit=(ONE, ONE, ZERO, ZERO))
-    return JordanSuperalgebra(table, {"name": "M(1,1)+ basis e1,e2,x,y",
-                                      "m11_elements": (0, 1, 2, 3)})
+    return JordanSuperalgebra(table, {"name": "M(1,1)+ basis e1,e2,x,y"})
 
 
 def _jp_basis(n: int):

@@ -23,7 +23,6 @@ Python ints, so no bound is needed against overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -77,19 +76,19 @@ def symmetrized(a: AssocSuperalgebra) -> JordanSuperalgebra:
     """The Jordan superalgebra A+ with X.Y = (XY + (-1)^{|X||Y|} YX)/2."""
     entries = super_symmetrized(a.table.entries, a.parity, 1, HALF)
     table = StructureTable(a.table.space, "jordan", entries, unit=a.unit)
-    prov = {"name": f"{a.provenance.get('name', 'A')}+", "assoc": a}
-    return JordanSuperalgebra(table, prov)
+    return JordanSuperalgebra(table, {"name": f"{a.provenance.get('name', 'A')}+"})
 
 
-@dataclass
 class PeirceDecomposition:
     """Eigenspace split of multiplication by an even idempotent.
 
     parts[i] is the eigenvalue-i/2 eigenspace J_i, so J = J0 + J1 + J2.
     """
 
-    idempotent: Element
-    parts: tuple  # (J0, J1, J2) bases
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        self.parts = parts
 
     def dims(self):
         return tuple(len(p) for p in self.parts)
@@ -124,10 +123,9 @@ def peirce(j: JordanSuperalgebra, e1) -> PeirceDecomposition:
             f"multiplication by the idempotent has eigenvalues {{{', '.join(bad)}}} "
             "outside {0, 1/2, 1}"
         )
-    return PeirceDecomposition(Element(vec(c), 0), parts)
+    return PeirceDecomposition(parts)
 
 
-@dataclass
 class TKKAlgebra:
     """TKK Lie superalgebra of a unital Jordan superalgebra.
 
@@ -138,13 +136,12 @@ class TKKAlgebra:
     {idx: Fraction} (layout in the module docstring).
     """
 
-    lie: LieSuperalgebra
-    jordan: JordanSuperalgebra
-    parts: ThreeGrading
-    inner_part: list  # sparse flattened rows, one per basis element of T(0)
-    e: Element
-    f: Element
-    h: Element
+    __slots__ = ("lie", "jordan", "parts", "inner_part", "e", "f", "h")
+
+    def __init__(self, lie: LieSuperalgebra, jordan: JordanSuperalgebra, parts: ThreeGrading,
+                 inner_part: list, e: Element, f: Element, h: Element):
+        self.lie, self.jordan, self.parts, self.inner_part = lie, jordan, parts, inner_part
+        self.e, self.f, self.h = e, f, h
 
     @property
     def dim(self):
@@ -313,8 +310,7 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
                     not (inner_parity[t1] and inner_parity[t2]))
 
     table = StructureTable(space, "lie", entries)
-    name = f"TKK({j.provenance.get('name', 'J')})"
-    lie = LieSuperalgebra(table, {"name": name, "jordan": j})
+    lie = LieSuperalgebra(table, {"name": f"TKK({j.provenance.get('name', 'J')})"})
 
     unit = dense_to_sparse(j.unit)
     se = {off1 + t: c for t, c in unit.items()}
@@ -331,9 +327,7 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
         zero=[unit_vec(dim, off_inner + t) for t in range(n0)],
         plus=[unit_vec(dim, off1 + t) for t in range(n)],
     )
-    tk = TKKAlgebra(lie=lie, jordan=j, parts=parts, inner_part=inner_rows, e=e, f=f, h=h)
-    lie.provenance["tkk"] = tk
-    return tk
+    return TKKAlgebra(lie=lie, jordan=j, parts=parts, inner_part=inner_rows, e=e, f=f, h=h)
 
 
 def jordan_from_3grading(l: LieSuperalgebra, e, f) -> JordanSuperalgebra:
@@ -388,17 +382,17 @@ def jordan_from_3grading(l: LieSuperalgebra, e, f) -> JordanSuperalgebra:
     for i in range(m):
         if _sparse_product(table.entries, unit.items(), ((i, ONE),)) != {i: ONE}:
             raise UnitFailure(f"e.x != x for L(1) basis vector {i}")
-    prov = {"name": f"J(L(1) of {l.provenance.get('name', 'L')})",
-            "ambient": l, "l1_basis": jbasis, "e": vec(_coords(e)), "f": vec(_coords(f))}
+    prov = {"name": f"J(L(1) of {l.provenance.get('name', 'L')})", "l1_basis": jbasis}
     return validate_jordan(table, prov)
 
 
-@dataclass
 class M11Certificate:
     """Per-relation results for an M_{1,1}+ quadruple (e1, e2, x, y)."""
 
-    elements: tuple
-    results: dict
+    __slots__ = ("elements", "results")
+
+    def __init__(self, elements: tuple, results: dict):
+        self.elements, self.results = elements, results
 
     @property
     def passed(self) -> bool:

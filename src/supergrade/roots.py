@@ -15,7 +15,6 @@ bases, Cartan elements and the parts of a ThreeGrading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructors import CartanBasis, construct_psl, construct_sl, matrix_unit_in_psl
@@ -54,27 +53,27 @@ from .superalg import (
 TWO = Fraction(2)
 
 
-@dataclass
 class RootComponent:
     """One simultaneous eigenspace: weight, canonical basis, graded dims."""
 
-    weight: tuple
-    basis: list
-    even_dim: int
-    odd_dim: int
+    __slots__ = ("weight", "basis", "even_dim", "odd_dim")
+
+    def __init__(self, weight: tuple, basis: list, even_dim: int, odd_dim: int):
+        self.weight, self.basis, self.even_dim, self.odd_dim = weight, basis, even_dim, odd_dim
 
     @property
     def dim(self) -> int:
         return self.even_dim + self.odd_dim
 
 
-@dataclass
 class RootDatum:
-    """Weight-space decomposition of an algebra against a Cartan basis."""
+    """Weight-space decomposition of an algebra against a Cartan basis;
+    components holds the nonzero weights, sorted lexicographically."""
 
-    cartan: CartanBasis
-    components: list  # nonzero weights, sorted lexicographically
-    zero_component: RootComponent
+    __slots__ = ("cartan", "components", "zero_component")
+
+    def __init__(self, cartan: CartanBasis, components: list, zero_component: RootComponent):
+        self.cartan, self.components, self.zero_component = cartan, components, zero_component
 
     def component(self, weight) -> RootComponent | None:
         for c in self.components:
@@ -180,13 +179,17 @@ def weight_decomposition(l: LieSuperalgebra, cartan: CartanBasis) -> RootDatum:
     return RootDatum(cartan, components, zero)
 
 
-@dataclass
 class ExpectedRoots:
-    """The A(n,n) root pattern evaluated against given Cartan representatives."""
+    """The A(n,n) root pattern evaluated against given Cartan representatives.
 
-    n: int
-    weights: dict  # weight -> [even_mult, odd_mult]
-    pairs: dict  # weight -> list of (i, j) index pairs, unbarred < m <= barred
+    weights maps a weight to [even_mult, odd_mult], pairs to its list of
+    (i, j) index pairs, unbarred < m <= barred.
+    """
+
+    __slots__ = ("n", "weights", "pairs")
+
+    def __init__(self, n: int, weights: dict, pairs: dict):
+        self.n, self.weights, self.pairs = n, weights, pairs
 
     def heights(self, weight) -> set:
         """Unbarred-versus-barred height in {-1, 0, 1} per matching pair."""
@@ -237,7 +240,6 @@ def expected_ann_roots(n: int, diag_mats=None) -> ExpectedRoots:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CoverEmbedding:
     """A grading-subsuperalgebra candidate inside L.
 
@@ -247,10 +249,10 @@ class CoverEmbedding:
     M_{1,1}+ quadruple, from which a central cover of psl(2,2) is grown.
     """
 
-    kind: str
-    n: int
-    images: object
-    reference: LieSuperalgebra | None = None
+    __slots__ = ("kind", "n", "images", "reference")
+
+    def __init__(self, kind: str, n: int, images, reference: LieSuperalgebra | None = None):
+        self.kind, self.n, self.images, self.reference = kind, n, images, reference
 
 
 def identity_cover(l: LieSuperalgebra) -> CoverEmbedding:
@@ -279,12 +281,11 @@ def sl_in_gl_cover(gl: LieSuperalgebra) -> CoverEmbedding:
     return CoverEmbedding("sl", info["m"] - 1, sl.provenance["embedding"], sl)
 
 
-@dataclass
 class CoverAnalysis:
-    cartan: CartanBasis
-    n: int
-    z_image: tuple | None
-    evidence: dict
+    __slots__ = ("cartan", "n", "evidence")
+
+    def __init__(self, cartan: CartanBasis, n: int, evidence: dict):
+        self.cartan, self.n, self.evidence = cartan, n, evidence
 
 
 def _push(images: list, coords) -> dict:
@@ -321,17 +322,15 @@ def _analyze_sl_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalysi
 
     cartan = CartanBasis(
         elements=[Element(push(e.coords), 0) for e in h_ref.elements],
-        tag="hbar",
         diag_mats=h_ref.diag_mats,
     )
-    zc = ref.provenance.get("z")
     evidence = {
         "cover": ref.provenance.get("name", "cover"),
         "cover_dim": ref.dim,
         "cover_perfect": len(derived_subalgebra(ref)) == ref.dim,
         "embedding_rank": sr.rank,
     }
-    return CoverAnalysis(cartan, cover.n, push(zc) if zc is not None else None, evidence)
+    return CoverAnalysis(cartan, cover.n, evidence)
 
 
 _M11_KEYS = ("e1", "e2", "x", "y", "e1~", "e2~", "x~", "y~")
@@ -427,7 +426,6 @@ def _analyze_m11_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalys
     h2 = _sparse_product(ent, images["e2"].items(), images["e2~"].items())
     cartan = CartanBasis(
         elements=[Element(sparse_to_dense(h, nl), 0) for h in (h1, h2)],
-        tag="hbar",
         diag_mats=((ONE, -ONE, ZERO, ZERO), (ZERO, ZERO, ONE, -ONE)),
     )
     evidence = {
@@ -437,7 +435,7 @@ def _analyze_m11_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalys
         "cover_perfect": True,
         "maps_onto_psl22": True,
     }
-    return CoverAnalysis(cartan, 1, None, evidence)
+    return CoverAnalysis(cartan, 1, evidence)
 
 
 def analyze_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalysis:
@@ -453,12 +451,16 @@ def analyze_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalysis:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class GradingReport:
-    verdict: str  # 'graded' | 'not_graded'
-    conditions: dict  # per-condition evidence
-    matched_root_system: str | None
-    datum: RootDatum | None
+    """Outcome of verify_delta_graded: verdict 'graded' or 'not_graded',
+    and the evidence of each condition."""
+
+    __slots__ = ("verdict", "conditions", "matched_root_system", "datum")
+
+    def __init__(self, verdict: str, conditions: dict, matched_root_system: str | None,
+                 datum: RootDatum | None):
+        self.verdict, self.conditions = verdict, conditions
+        self.matched_root_system, self.datum = matched_root_system, datum
 
 
 def verify_delta_graded(l: LieSuperalgebra, cover: CoverEmbedding) -> GradingReport:
@@ -514,11 +516,13 @@ def verify_delta_graded(l: LieSuperalgebra, cover: CoverEmbedding) -> GradingRep
     )
 
 
-@dataclass
 class ZTrivialReport:
-    passed: bool
-    vacuous: bool = False
-    witness: int | None = None  # offending basis index
+    """Outcome of check_z_trivial; witness is the offending basis index."""
+
+    __slots__ = ("passed", "vacuous", "witness")
+
+    def __init__(self, passed: bool, vacuous: bool = False, witness: int | None = None):
+        self.passed, self.vacuous, self.witness = passed, vacuous, witness
 
 
 def check_z_trivial(l: LieSuperalgebra, cover) -> ZTrivialReport:

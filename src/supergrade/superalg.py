@@ -8,7 +8,6 @@ pure functions of immutable inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -37,15 +36,13 @@ from .exact import (
 KINDS = ("lie", "assoc", "jordan")
 
 
-@dataclass(frozen=True)
 class SuperSpace:
     """A finite-dimensional Z2-graded vector space with a fixed basis."""
 
-    dim: int
-    parity: tuple
-    labels: tuple | None = None
+    __slots__ = ("dim", "parity", "labels")
 
-    def __post_init__(self):
+    def __init__(self, dim: int, parity: tuple, labels: tuple | None = None):
+        self.dim, self.parity, self.labels = dim, parity, labels
         if len(self.parity) != self.dim:
             raise ValidationError("parity vector length != dim")
         if any(p not in (0, 1) for p in self.parity):
@@ -73,21 +70,22 @@ def homogeneous_parity(space: SuperSpace, coords: Sequence) -> int | None:
     return seen.pop() if seen else 0
 
 
-@dataclass(frozen=True)
 class Element:
     """Algebra element: coordinate vector plus optional homogeneous parity."""
 
-    coords: tuple
-    parity: int | None = None
+    __slots__ = ("coords", "parity")
+
+    def __init__(self, coords: tuple, parity: int | None = None):
+        self.coords, self.parity = coords, parity
 
 
-@dataclass
 class ThreeGrading:
     """Bases of the parts of a short grading L(-1) + L(0) + L(1)."""
 
-    minus: list
-    zero: list
-    plus: list
+    __slots__ = ("minus", "zero", "plus")
+
+    def __init__(self, minus: list, zero: list, plus: list):
+        self.minus, self.zero, self.plus = minus, zero, plus
 
     def dims(self, space: SuperSpace) -> tuple:
         out = []
@@ -111,7 +109,6 @@ def _sparse_element(l, x) -> dict:
     return dense_to_sparse(c)
 
 
-@dataclass
 class StructureTable:
     """Sparse structure constants c_{ij}^k on a graded basis.
 
@@ -121,12 +118,10 @@ class StructureTable:
     as a coordinate vector (it need not be a basis element).
     """
 
-    space: SuperSpace
-    kind: str
-    entries: dict = field(default_factory=dict)
-    unit: tuple | None = None
+    __slots__ = ("space", "kind", "entries", "unit")
 
-    def __post_init__(self):
+    def __init__(self, space: SuperSpace, kind: str, entries: dict, unit: tuple | None = None):
+        self.space, self.kind, self.entries, self.unit = space, kind, entries, unit
         if self.kind not in KINDS:
             raise ValidationError(f"unknown table kind {self.kind!r}")
         n = self.space.dim
@@ -395,7 +390,6 @@ def quotient_central(l: LieSuperalgebra, zbasis: Sequence) -> tuple[LieSuperalge
     )
     prov = {
         "name": f"{l.provenance.get('name', 'L')}/center",
-        "base": l,
         "projection": proj,
         "kept_columns": tuple(keep),
     }
@@ -466,18 +460,8 @@ def tensor_lie_assoc(g0: LieSuperalgebra, a: AssocSuperalgebra) -> LieSuperalgeb
                 (w * na + r, sgn * cw * c) for w, cw in uv for r, c in st
             )
     table = StructureTable(space, "lie", super_symmetrized(assoc, space.parity, -1))
-    zvec = [ZERO] * dim
-    for u, c in enumerate(info["z"]):
-        if c != 0:
-            for s, cs in enumerate(a.unit):
-                if cs != 0:
-                    zvec[u * na + s] = c * cs
-    prov = {
-        "name": f"{g0.provenance.get('name', 'gl')}(x){a.provenance.get('name', 'A')}",
-        "gl": info,
-        "z": tuple(zvec),
-    }
-    return LieSuperalgebra(table, prov)
+    name = f"{g0.provenance.get('name', 'gl')}(x){a.provenance.get('name', 'A')}"
+    return LieSuperalgebra(table, {"name": name})
 
 
 class SubspaceCoords:

@@ -145,3 +145,59 @@ def test_axiom_checks_match_fraction_oracle(case):
     except AxiomViolation as exc:
         got = (exc.axiom, exc.indices)
     assert got == oracle(table)
+
+
+def oracle_swap(table, axiom, flip):
+    """The full pair loop of the super(anti)commutativity check: every
+    i <= j, with the per-k scan on each pair."""
+    par = table.space.parity
+    ent = table.entries
+    n = table.space.dim
+    for i in range(n):
+        for j in range(i, n):
+            lhs = dict(ent.get((i, j), ()))
+            rhs = dict(ent.get((j, i), ()))
+            s = flip * (-1 if par[i] and par[j] else 1)
+            for k in set(lhs) | set(rhs):
+                if lhs.get(k, 0) != s * rhs.get(k, 0):
+                    return (axiom, (i, j, k))
+    return None
+
+
+SWAP_CHECKS = {-1: (_axioms.check_super_anticommutativity, "super_anticommutativity"),
+               1: (_axioms.check_super_commutativity, "super_commutativity")}
+
+
+@st.composite
+def swap_mutated_tables(draw):
+    """A super(anti)commutative base table with a few of its entries
+    dropped, doubled, or scaled together with their swapped partner."""
+    name = draw(st.sampled_from(sorted(k for k, v in ALGEBRAS.items() if v[1] is not None)))
+    table = base_table(name)
+    ent = dict(table.entries)
+    keys = sorted(ent)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.sampled_from(keys))
+        op = draw(st.sampled_from(("drop", "double", "scale_pair")))
+        if op == "drop":
+            ent.pop((i, j), None)
+        elif op == "double":
+            ent[(i, j)] = tuple((k, 2 * c) for k, c in ent.get((i, j), ()))
+        else:
+            f = draw(coefficients.filter(bool))
+            for key in {(i, j), (j, i)}:
+                ent[key] = tuple((k, f * c) for k, c in ent.get(key, ()))
+    return ALGEBRAS[name][1], StructureTable(table.space, table.kind, ent)
+
+
+@given(swap_mutated_tables())
+@settings(max_examples=150, deadline=None)
+def test_swap_check_matches_full_pair_loop(case):
+    flip, table = case
+    check, axiom = SWAP_CHECKS[flip]
+    try:
+        check(table)
+        got = None
+    except AxiomViolation as exc:
+        got = (exc.axiom, exc.indices)
+    assert got == oracle_swap(table, axiom, flip)

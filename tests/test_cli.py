@@ -80,6 +80,17 @@ def test_tkk_with_entries_beyond_int64_exits_2():
     assert "JacobiFailure" not in lines[0]
 
 
+def test_maths_modules_import_no_dataclasses():
+    # every command pays for what these imports load: dataclasses alone
+    # pulls in inspect, ast, dis and tokenize
+    code = ("import sys, supergrade.cli, supergrade.sca, supergrade.constructors, "
+            "supergrade.roots, supergrade.jordan, supergrade.cohomology; "
+            "print('dataclasses' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def _assert_input_error(code, capsys):
     err = capsys.readouterr().err
     assert code == 2
@@ -116,7 +127,8 @@ def test_construct_non_integer_parameter_is_named(argv, message, capsys):
     assert capsys.readouterr().err == f"supergrade: error: BadParams: {message}\n"
 
 
-@pytest.mark.parametrize("spec", ["1,,0,0,0", "1,0,0,0,", ",1,0,0", "", "@empty.vec"])
+@pytest.mark.parametrize("spec", ["1,,0,0,0", "1,0,0,0,", ",1,0,0", "", "@empty.vec",
+                                  "1/0,0,0,0", "abc,0,0,0"])
 def test_vector_with_an_empty_entry_exits_2(spec, tmp_path, monkeypatch, capsys):
     (tmp_path / "empty.vec").write_text("1,0,,0\n")
     monkeypatch.chdir(tmp_path)
@@ -162,6 +174,15 @@ def test_m11_elements_json_list_exits_2(tmp_path, capsys):
 def test_m11_elements_scalar_values_exits_2(tmp_path, capsys):
     elements = tmp_path / "elements.json"
     elements.write_text('{"e1": 5, "e2": 5, "x": 5, "y": 5}')
+    for argv in _m11_element_commands(str(elements)):
+        _assert_input_error(main(argv), capsys)
+
+
+@pytest.mark.parametrize("bad", ['"1/0"', "true", '"abc"'])
+def test_m11_elements_malformed_rational_exits_2(bad, tmp_path, capsys):
+    elements = tmp_path / "elements.json"
+    elements.write_text(f'{{"e1": [{bad}, "0", "0", "0"], "e2": ["0", "1", "0", "0"], '
+                        '"x": ["0", "0", "1", "0"], "y": ["0", "0", "0", "1"]}')
     for argv in _m11_element_commands(str(elements)):
         _assert_input_error(main(argv), capsys)
 

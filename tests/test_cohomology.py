@@ -219,7 +219,7 @@ def test_cover_kernel_uce_psl22(psl22):
 def test_cover_kernel_trivial_extension(sl21):
     ext = H.uce(sl21)
     rep = H.cover_kernel_check(ext, CartanBasis(
-        [Element(v, 0) for v in _diag_elements(sl21)], tag="h"))
+        [Element(v, 0) for v in _diag_elements(sl21)]))
     assert rep.passed and rep.kernel_dim == 0
 
 
@@ -236,6 +236,27 @@ def test_fingerprint_fields(psl22):
     assert fp.root_multiset is None
     fp2 = H.fingerprint(psl22, psl22.provenance["cartan_h"])
     assert fp2.root_multiset is not None and len(fp2.root_multiset) == 8
+
+
+PSL22_PRINT = {"dims": (6, 8), "derived_series": (14,), "center_dim": 0, "h2": (3, 0),
+               "root_multiset": None}
+
+
+@pytest.mark.parametrize("field, other", [
+    ("dims", (6, 9)), ("derived_series", (14, 13)), ("center_dim", 1), ("h2", (3, 1)),
+    ("root_multiset", ()),
+])
+def test_fingerprint_equality_reads_every_field(field, other):
+    fp = H.Fingerprint(**PSL22_PRINT)
+    assert fp == H.Fingerprint(**PSL22_PRINT)
+    assert fp != H.Fingerprint(**{**PSL22_PRINT, field: other})
+
+
+def test_fingerprint_never_equals_another_type():
+    fp = H.Fingerprint(**PSL22_PRINT)
+    assert (fp == tuple(PSL22_PRINT.values())) is False
+    assert (fp == PSL22_PRINT) is False
+    assert (fp == None) is False  # noqa: E711
 
 
 def test_isogenous_examples(sl33, psl33, psl22, tkk_m11):

@@ -39,7 +39,7 @@ def test_psl22_weights(psl22):
 def test_abelian_decomposition():
     space = SuperSpace(3, (0, 0, 0))
     l = LieSuperalgebra(StructureTable(space, "lie", {}))
-    cartan = CartanBasis([basis_element(l, i) for i in range(3)], tag="h")
+    cartan = CartanBasis([basis_element(l, i) for i in range(3)])
     datum = R.weight_decomposition(l, cartan)
     assert datum.components == []
     assert datum.zero_component.dim == 3
@@ -61,7 +61,7 @@ def test_weight_decomposition_rejects_nonsplit():
         (2, 0): ((1, F(1)),), (0, 2): ((1, F(-1)),),
     }
     l = LieSuperalgebra(StructureTable(SuperSpace(3, (0, 0, 0)), "lie", entries))
-    cartan = CartanBasis([basis_element(l, 0)], tag="h")
+    cartan = CartanBasis([basis_element(l, 0)])
     with pytest.raises(NonSplitSpectrum):
         R.weight_decomposition(l, cartan)
 
@@ -70,7 +70,7 @@ def test_weight_decomposition_rejects_nilpotent():
     # Heisenberg: [x, y] = z; ad(x) is nilpotent but nonzero
     entries = {(0, 1): ((2, F(1)),), (1, 0): ((2, F(-1)),)}
     l = LieSuperalgebra(StructureTable(SuperSpace(3, (0, 0, 0)), "lie", entries))
-    cartan = CartanBasis([basis_element(l, 0)], tag="h")
+    cartan = CartanBasis([basis_element(l, 0)])
     with pytest.raises(Exception) as err:
         R.weight_decomposition(l, cartan)
     assert "diagonalizable" in str(err.value).lower() or "NotDiagonalizable" in type(err.value).__name__
@@ -167,7 +167,6 @@ def test_dims_invariant_under_component_basis_change(psl22):
     conj = LieSuperalgebra(StructureTable(SuperSpace(n, tuple(parities)), "lie", entries))
     new_cartan = CartanBasis(
         [Element(solve_linear(t, e.coords), 0) for e in psl22.provenance["cartan_h"].elements],
-        tag="h",
     )
     datum2 = R.weight_decomposition(conj, new_cartan)
     mults = lambda d: sorted((c.weight, c.even_dim, c.odd_dim) for c in d.components)
@@ -251,7 +250,7 @@ def test_three_grading_rejects_wrong_h(tkk_m11):
     l = tkk_m11.lie
     datum = R.weight_decomposition(
         l,
-        CartanBasis([tkk_m11.h], tag="h"),
+        CartanBasis([tkk_m11.h]),
     )
     with pytest.raises(NotThreeGraded):
         R.three_grading(l, datum, "sl2", h=unit_vec(l.dim, 0))
