@@ -10,12 +10,9 @@ Both linear systems are built over Python integers, on the table's
 integer form (StructureTable.integer_form).  A cocycle-identity row with a
 single entry sets that unknown to 0 (most rows on root-graded algebras
 do): these killed unknowns are collected as a set and dropped from the
-longer rows.  Every other row is made primitive (exact.primitive: divided
-by the gcd of its entries, first entry positive) and duplicates are
-dropped as the rows are generated, before any elimination; most cyclic
-triples repeat a row already seen.  The rows stay integer through the
-fraction-free SparseRref, and Python integers do not overflow, so no
-magnitude bound is needed.
+longer rows, which are then eliminated shortest first.  The rows stay
+integer through the fraction-free SparseRref, and Python integers do not
+overflow, so no magnitude bound is needed.
 
 H^2 is solved on the cochains of weight zero.  The toral basis elements
 are the even b_h whose ad is diagonal in the given basis, read off the
@@ -33,17 +30,16 @@ vector as on the full system.  With no toral element every weight is ()
 and the full system is solved; cocycle_space and coboundary_space pass no
 weights and return the full Z^2 and B^2.
 
-The cocycle system decomposes into independent blocks along connected
-components of its unknown-interaction graph, which refines the weight
-blocks for free.  h2_dims only counts: dim Z^2 is the number of unknowns
-minus the rank, which is the number of killed unknowns plus the ranks of
-the blocks, and dim B^2 is the rank of the coboundary rows; no basis is
-materialised.  cocycle_space, coboundary_space and h2_representatives
-work on sparse pair rows (a killed unknown is 0 in every cocycle) and
-return each cocycle as the sparse Cocycle2 form {(i, j): value} of its
-nonzero values, both orders of every pair.  Their bases are the unique
-RREF of the subspace, so scaling, deduplicating or reordering rows never
-changes them.
+The weight-zero systems are small (77 even unknowns on tkk(JP(4)), 43 on
+psl(4,4)), so each parity sector is one elimination.  h2_dims only
+counts: dim Z^2 is the number of unknowns minus the number of killed
+unknowns minus the rank of the other rows, and dim B^2 is the rank of the
+coboundary rows; no basis is materialised.  cocycle_space,
+coboundary_space and h2_representatives work on sparse pair rows (a
+killed unknown is 0 in every cocycle) and return each cocycle as the
+sparse Cocycle2 form {(i, j): value} of its nonzero values, both orders
+of every pair.  Their bases are the unique RREF of the subspace, so
+scaling, repeating or reordering rows never changes them.
 
 All elimination here runs on SparseRref: the kernel of a projection is
 kernel_from_rows on its rows, and a Cartan lift is an augmented solve.
@@ -60,10 +56,8 @@ from .exact import (
     Matrix,
     SparseRref,
     ZERO,
-    ONE,
     dense_to_sparse,
     kernel_from_rows,
-    primitive,
     unit_vec,
     vec,
 )
@@ -125,19 +119,13 @@ def _toral_weights(l: LieSuperalgebra, itab: list) -> list[tuple]:
     return [tuple(col.get(j, 0) for col in cols) for j in range(l.dim)]
 
 
-def _key(row: dict) -> tuple:
-    """Hashable form of a nonzero integer row made primitive, first entry
-    positive."""
-    return tuple(sorted(primitive(row, min(row)).items()))
-
-
 def _cocycle_rows(
     l: LieSuperalgebra, parity: int, pos: dict, itab: list, weights: list
 ) -> tuple[set, list]:
     """(killed, rows) for the cocycle identity over canonical triples
     i <= j <= k of weight zero: the unknowns a single-entry row sets to 0,
-    and the distinct primitive integer rows of the other triples with those
-    unknowns dropped.
+    and the integer rows of the other triples with those unknowns dropped,
+    shortest first.
 
     The identity is super-symmetric under permutations up to sign, so the
     canonical triples are exhaustive.  A triple's row is
@@ -165,10 +153,7 @@ def _cocycle_rows(
     for k in range(n):
         by_weight.setdefault((weights[k], par[k]), []).append(k)
     killed: set = set()
-    # distinct longer rows, deduplicated as they come: multiples of one row
-    # stay multiples once the killed unknowns are dropped, and a row whose
-    # unknowns are all killed already would be dropped whole
-    longer: dict = {}
+    longer = []
 
     def add(row, terms, s, sl):
         for m, coeff in terms:
@@ -209,66 +194,24 @@ def _cocycle_rows(
                     add(row, tki, s3, slot[j])
                 if len(row) == 1:
                     killed.update(row)
-                elif row and not killed.issuperset(row):
-                    longer[_key(row)] = None
-    seen: dict = {}
-    for key in longer:
-        row = {t: v for t, v in key if t not in killed}
-        if len(row) == len(key):
-            seen[key] = None
-        elif row:
-            seen[_key(row)] = None
+                elif row:
+                    longer.append(row)
+    rows = ({t: v for t, v in row.items() if t not in killed} for row in longer)
     # shortest first: short rows become pivots before longer rows are
     # reduced against them
-    return killed, sorted((dict(r) for r in seen), key=len)
+    return killed, sorted(filter(None, rows), key=len)
 
 
 def _coboundary_rows(pairs, itab: list) -> list[dict]:
-    """Distinct primitive integer rows t -> s * c_{pairs[t]}^m of the
-    coboundaries phi_f = f([x, y]) for f = b_m^*, built in one pass over the
-    table.  The table is parity-homogeneous, so every such b_m has the
-    sector's parity."""
+    """Integer rows t -> c_{pairs[t]}^m of the coboundaries
+    phi_f = f([x, y]) for f = b_m^*, built in one pass over the table.  The
+    table is parity-homogeneous, so every such b_m has the sector's
+    parity."""
     rows: dict = {}
     for t, (i, j) in enumerate(pairs):
         for m, c in itab[i].get(j, ()):
             rows.setdefault(m, {})[t] = c
-    return [dict(r) for r in dict.fromkeys(_key(rows[m]) for m in sorted(rows))]
-
-
-def _blocks(rows: list[dict], nunknowns: int):
-    """Split a row system along connected components of its unknowns.
-
-    Returns (cols, rows) per component, cols ascending and each row
-    re-indexed to positions in cols; a component without rows is a single
-    free unknown.
-    """
-    parent = list(range(nunknowns))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for row in rows:
-        cols = iter(row)
-        r0 = find(next(cols))
-        for c in cols:
-            rc = find(c)
-            if rc != r0:
-                parent[rc] = r0
-    groups: dict = {}
-    for u in range(nunknowns):
-        groups.setdefault(find(u), []).append(u)
-    rows_by_root: dict = {}
-    for row in rows:
-        rows_by_root.setdefault(find(next(iter(row))), []).append(row)
-    out = []
-    for root, cols in groups.items():
-        local = {c: t for t, c in enumerate(cols)}
-        block = [{local[c]: v for c, v in row.items()} for row in rows_by_root.get(root, ())]
-        out.append((cols, block))
-    return out
+    return list(rows.values())
 
 
 def _rank(rows, ncols: int) -> int:
@@ -285,20 +228,10 @@ def _cocycle_basis(
     cochains of weight zero."""
     pairs, pos = _pair_index(l.space, parity, weights)
     killed, zrows = _cocycle_rows(l, parity, pos, itab, weights)
-    basis = []
-    for cols, rows in _blocks(zrows, len(pairs)):
-        if not rows:
-            if cols[0] not in killed:
-                basis.append({cols[0]: ONE})
-            continue
-        # the blocks share no columns, so the RREF of Z^2 is the union of
-        # the blocks' RREFs, and cols ascending keeps each block's pivots
-        sr = SparseRref(len(cols))
-        for kv in kernel_from_rows(rows, len(cols)):
-            sr.insert(dense_to_sparse(kv))
-        basis.extend({cols[t]: v for t, v in row.items()} for row in sr.basis())
-    basis.sort(key=min)
-    return pairs, basis
+    sr = SparseRref(len(pairs))
+    for kv in kernel_from_rows([{t: 1} for t in killed] + zrows, len(pairs)):
+        sr.insert(dense_to_sparse(kv))
+    return pairs, sr.basis()
 
 
 def _materialize(l: LieSuperalgebra, parity: int, pairs, row: dict) -> Cocycle2:
@@ -342,9 +275,7 @@ def h2_dims(l: LieSuperalgebra) -> tuple[int, int]:
     for parity in (0, 1):
         pairs, pos = _pair_index(l.space, parity, weights)
         killed, zrows = _cocycle_rows(l, parity, pos, itab, weights)
-        blocks = _blocks(zrows, len(pairs))
-        zrank = len(killed) + sum(_rank(rows, len(cols)) for cols, rows in blocks if rows)
-        zdim = len(pairs) - zrank
+        zdim = len(pairs) - len(killed) - _rank(zrows, len(pairs))
         bdim = _rank(_coboundary_rows(pairs, itab), len(pairs))
         out.append(zdim - bdim)
     return tuple(out)
@@ -428,12 +359,10 @@ def extension_from_quotient(l: LieSuperalgebra, zbasis) -> CentralExtension:
 
 
 class CoverKernelReport:
-    __slots__ = ("passed", "kernel_in_zero", "per_root_iso", "kernel_dim", "details")
+    __slots__ = ("passed", "kernel_dim", "details")
 
-    def __init__(self, passed: bool, kernel_in_zero: bool, per_root_iso: bool, kernel_dim: int,
-                 details: list):
-        self.passed, self.kernel_in_zero, self.per_root_iso = passed, kernel_in_zero, per_root_iso
-        self.kernel_dim, self.details = kernel_dim, details
+    def __init__(self, passed: bool, kernel_dim: int, details: list):
+        self.passed, self.kernel_dim, self.details = passed, kernel_dim, details
 
 
 def _preimage(rows: list[dict], ncols: int, b) -> tuple | None:
@@ -498,13 +427,7 @@ def cover_kernel_check(ext: CentralExtension, cartan: CartanBasis) -> CoverKerne
         details.append({"weight": comp.weight, "dim": comp.dim, "iso": ok})
     extra = [c.weight for c in datum_big.components if datum_base.component(c.weight) is None]
     per_root = per_root and not extra
-    return CoverKernelReport(
-        passed=kernel_in_zero and per_root,
-        kernel_in_zero=kernel_in_zero,
-        per_root_iso=per_root,
-        kernel_dim=len(kern),
-        details=details,
-    )
+    return CoverKernelReport(kernel_in_zero and per_root, len(kern), details)
 
 
 class Fingerprint:

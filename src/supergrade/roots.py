@@ -256,11 +256,11 @@ class CoverEmbedding:
 
 
 def identity_cover(l: LieSuperalgebra) -> CoverEmbedding:
-    """The algebra as a cover of itself (for psl(n+1,n+1) instances)."""
-    n = l.provenance.get("n")
-    if n is None:
+    """The algebra as a cover of itself (for psl(n+1,n+1) instances, the
+    only ones whose provenance holds the ambient sl(n+1,n+1))."""
+    if "ambient_sl" not in l.provenance:
         raise BadParams("identity_cover needs a psl(n+1,n+1) instance")
-    return CoverEmbedding("psl", n, [unit_vec(l.dim, i) for i in range(l.dim)], l)
+    return CoverEmbedding("psl", l.provenance["n"], [unit_vec(l.dim, i) for i in range(l.dim)], l)
 
 
 def slA_cover(l: LieSuperalgebra) -> CoverEmbedding:

@@ -344,10 +344,11 @@ def _oracle_coboundaries(l, parity):
 def _base_algebra(name):
     return {"sl21": lambda: C.construct_sl(2, 1),
             "psl22": lambda: C.construct_psl(1)[0],
-            "psl33": lambda: C.construct_psl(2)[0]}[name]()
+            "psl33": lambda: C.construct_psl(2)[0],
+            "uce_psl22": lambda: H.uce(C.construct_psl(1)[0]).extended}[name]()
 
 
-H2 = {"sl21": (0, 0), "psl22": (3, 0), "psl33": (1, 0)}
+H2 = {"sl21": (0, 0), "psl22": (3, 0), "psl33": (1, 0), "uce_psl22": (0, 0)}
 
 scalars = st.builds(F, st.integers(-(2**20), 2**20).filter(bool), st.integers(1, 2**20))
 

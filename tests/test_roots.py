@@ -11,7 +11,7 @@ from supergrade import constructors as C
 from supergrade import roots as R
 from supergrade import superalg
 from supergrade.constructors import CartanBasis
-from supergrade.errors import NonSplitSpectrum, NotHomomorphism, NotThreeGraded
+from supergrade.errors import BadParams, NonSplitSpectrum, NotHomomorphism, NotThreeGraded
 from supergrade.exact import SparseRref, dense_to_sparse, unit_vec
 from supergrade.jordan import certify_m11, jordan_from_3grading, m11_tkk_generators
 from supergrade.sca import parse_sca
@@ -178,6 +178,15 @@ def test_verify_delta_graded_psl_identity(psl22, psl33):
         rep = R.verify_delta_graded(alg, R.identity_cover(alg))
         assert rep.verdict == "graded"
         assert rep.matched_root_system == f"A({n},{n})"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: C.construct_sl(2, 2),  # has provenance "n" but is not psl
+    lambda: C.construct_jordan("JP", 2),  # has "n" and no Cartan data
+], ids=["sl22", "jp2"])
+def test_identity_cover_needs_psl(make):
+    with pytest.raises(BadParams):
+        R.identity_cover(make())
 
 
 def test_verify_delta_graded_slA(slA_instances):
