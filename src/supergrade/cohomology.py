@@ -31,7 +31,11 @@ and the full system is solved; cocycle_space and coboundary_space pass no
 weights and return the full Z^2 and B^2.
 
 The weight-zero systems are small (77 even unknowns on tkk(JP(4)), 43 on
-psl(4,4)), so each parity sector is one elimination.  h2_dims only
+psl(4,4)), so each parity sector is one elimination.  That needs a toral
+basis element; in a basis that is not ad-diagonal the full system (4,033
+even unknowns on tkk(JP(4))) is one elimination too, and most of its
+unknowns are killed, so the cocycle kernel is solved on the other columns
+alone.  h2_dims only
 counts: dim Z^2 is the number of unknowns minus the number of killed
 unknowns minus the rank of the other rows, and dim B^2 is the rank of the
 coboundary rows; no basis is materialised.  cocycle_space,
@@ -228,9 +232,13 @@ def _cocycle_basis(
     cochains of weight zero."""
     pairs, pos = _pair_index(l.space, parity, weights)
     killed, zrows = _cocycle_rows(l, parity, pos, itab, weights)
+    # a killed unknown is 0 in every cocycle: solve on the other columns,
+    # renumbered in order, so the killed ones never enter the elimination
+    live = [t for t in range(len(pairs)) if t not in killed]
+    col = {t: c for c, t in enumerate(live)}
     sr = SparseRref(len(pairs))
-    for kv in kernel_from_rows([{t: 1} for t in killed] + zrows, len(pairs)):
-        sr.insert(dense_to_sparse(kv))
+    for kv in kernel_from_rows([{col[t]: v for t, v in row.items()} for row in zrows], len(live)):
+        sr.insert({live[c]: x for c, x in enumerate(kv) if x})
     return pairs, sr.basis()
 
 
