@@ -1,20 +1,25 @@
-"""Exhaustive axiom checks for structure tables.
+"""Exhaustive axiom checks for structure tables, and the sparse integer
+operators they and the TKK construction multiply.
 
 Every identity is checked exactly on all basis tuples, in operator form
-over Python integers.  L[i] is the left multiplication by b_i scaled by s,
-read off the table's integer form (StructureTable.integer_form): column w
-is the tuple ((t, s * c_{iw}^t), ...).  Python integers do not overflow,
-so no magnitude bound is needed.
+over Python integers.  L_i is the left multiplication by b_i scaled by s,
+read off the table's integer form (StructureTable.integer_form) by
+_operators.  Python integers do not overflow, so no magnitude bound is
+needed.
 
-Each identity is a sparse operator expression that must vanish; its
-column w is the identity evaluated on the basis tuple ending in w.  The
-expression accumulates in one flat integer dict {w*n + t: int}, so its
-smallest nonzero key divided by n is its smallest failing column:
+An operator is one or more n x n blocks flattened into one integer dict:
+entry (r, c) of block b sits at b*n*n + r*n + c.  _operator keeps that dict
+together with its columns and rows, so a product (_product, _bracket)
+meets column k of the left factor with row k of the same block of the
+right factor.  An identity is an operator expression that must vanish,
+and its column w is the identity evaluated on the basis tuple ending in w,
+so its smallest failing column is the smallest key mod n of a nonzero
+entry:
 
 * super Jacobi, pair i <= j:
-  L_i L_j - (-1)^{|i||j|} L_j L_i - sum_m c_{ij}^m L_m.  Given
-  super-anticommutativity this derivation form is equivalent to the cyclic
-  form on every basis triple (i, j, w).
+  [L_i, L_j] - sum_m c_{ij}^m L_m.  Given super-anticommutativity this
+  derivation form is equivalent to the cyclic form on every basis triple
+  (i, j, w).
 * associativity, pair (i, j): L_i L_j - sum_m c_{ij}^m L_m on (i, j, w).
 * the fully linearized super Jordan identity, triple i <= j <= k:
   (-1)^{|x||z|}[L_{xy},L_z] + (-1)^{|y||x|}[L_{yz},L_x] + (-1)^{|z||y|}[L_{zx},L_y],
@@ -89,40 +94,60 @@ def check_unit(table):
 # ---------------------------------------------------------------------------
 
 
-def _add(acc, op, coef, n):
-    """acc += coef * op, accumulated flat."""
-    for w, col in op.items():
-        base = w * n
-        for t, v in col:
-            acc[base + t] = acc.get(base + t, 0) + coef * v
+def _operator(flat: dict, n: int, parity: int) -> tuple:
+    """A flattened integer operator as (flat, columns, rows, parity).
+
+    columns maps block*n + k to the entries (block*n*n + r*n, v) of column k
+    of that block, rows maps block*n + k to the entries (c, v) of its row k.
+    """
+    cols, rows = {}, {}
+    for idx, v in flat.items():
+        q, c = divmod(idx, n)  # q = block*n + r
+        cols.setdefault(q - q % n + c, []).append((q * n, v))
+        rows.setdefault(q, []).append((c, v))
+    return flat, cols, rows, parity
 
 
-def _add_product(acc, a, b, coef, n):
-    """acc += coef * (a @ b), accumulated flat."""
-    for w, bcol in b.items():
-        base = w * n
-        for u, bv in bcol:
-            acol = a.get(u)
-            if acol:
-                cb = coef * bv
-                for t, av in acol:
-                    acc[base + t] = acc.get(base + t, 0) + cb * av
+def _operators(mults: list, parity) -> list:
+    """The one-block operators L_i of an integer form's mults."""
+    n = len(mults)
+    return [_operator({r * n + t: c for t, col in op.items() for r, c in col}, n, p)
+            for op, p in zip(mults, parity)]
 
 
-def _first_column(acc, n):
-    """Smallest column w of a flat acc with a nonzero entry, or None."""
-    nonzero = [k for k, v in acc.items() if v]
-    return min(nonzero) // n if nonzero else None
+def _product(acc: dict, a: tuple, b: tuple, coef: int) -> None:
+    """acc += coef * AB, block by block."""
+    cols, rows = a[1], b[2]
+    for key in cols.keys() & rows.keys():
+        right = rows[key]
+        for base, v in cols[key]:
+            cv = coef * v
+            for c, w in right:
+                acc[base + c] = acc.get(base + c, 0) + cv * w
 
 
-def _pair_defect(mults, i, j, swap_sign, n):
+def _bracket(a: tuple, b: tuple) -> dict:
+    """The supercommutator AB - (-1)^{|A||B|} BA, without zero entries."""
+    acc = {}
+    _product(acc, a, b, 1)
+    _product(acc, b, a, -_sign(a[3], b[3]))
+    return {k: v for k, v in acc.items() if v}
+
+
+def _first_column(acc: dict, n: int):
+    """Smallest column of a flat acc with a nonzero entry, or None."""
+    return min((k % n for k, v in acc.items() if v), default=None)
+
+
+def _pair_defect(ops, mults, i, j, swap_sign, n):
     """First nonzero column of L_i L_j - swap_sign L_j L_i - sum_m c_ij^m L_m."""
     acc = {}
-    _add_product(acc, mults[i], mults[j], 1, n)
+    _product(acc, ops[i], ops[j], 1)
     if swap_sign:
-        _add_product(acc, mults[j], mults[i], -swap_sign, n)
+        _product(acc, ops[j], ops[i], -swap_sign)
     for m, c in mults[i].get(j, ()):
-        _add(acc, mults[m], -c, n)
+        for k, v in ops[m][0].items():
+            acc[k] = acc.get(k, 0) - c * v
     return _first_column(acc, n)
 
 
@@ -135,9 +160,10 @@ def check_super_jacobi(table):
     n = table.space.dim
     par = table.space.parity
     _, mults = table.integer_form()
+    ops = _operators(mults, par)
     for i in range(n):
         for j in range(i, n):
-            w = _pair_defect(mults, i, j, _sign(par[i], par[j]), n)
+            w = _pair_defect(ops, mults, i, j, _sign(par[i], par[j]), n)
             if w is not None:
                 raise AxiomViolation("super_jacobi", (i, j, w))
 
@@ -145,9 +171,10 @@ def check_super_jacobi(table):
 def check_associativity(table):
     n = table.space.dim
     _, mults = table.integer_form()
+    ops = _operators(mults, table.space.parity)
     for i in range(n):
         for j in range(n):
-            w = _pair_defect(mults, i, j, 0, n)
+            w = _pair_defect(ops, mults, i, j, 0, n)
             if w is not None:
                 raise AxiomViolation("associativity", (i, j, w))
 
@@ -161,15 +188,13 @@ def check_super_jordan(table):
     n = table.space.dim
     par = table.space.parity
     _, mults = table.integer_form()
+    ops = _operators(mults, par)
     comms = {}
 
     def comm(m, z):
         # [L_m, L_z] at m*n + z, and [L_z, L_m] = -(-1)^{|m||z|} [L_m, L_z] with it
-        acc = {}
+        op = comms[m * n + z] = _bracket(ops[m], ops[z])
         sgn = _sign(par[m], par[z])
-        _add_product(acc, mults[m], mults[z], 1, n)
-        _add_product(acc, mults[z], mults[m], -sgn, n)
-        op = comms[m * n + z] = {k: v for k, v in acc.items() if v}
         comms[z * n + m] = {k: -sgn * v for k, v in op.items()}
         return op
 

@@ -115,13 +115,9 @@ class _Output:
         self.argv = list(argv)
         self.inputs = inputs
 
-    def emit(self, result: dict, out: str | None, stdout_text: str | None = None) -> None:
-        if stdout_text is not None:
-            sys.stdout.write(stdout_text)
-        else:
-            sys.stdout.write(
-                json.dumps(result, sort_keys=True, separators=(",", ":")) + "\n"
-            )
+    def emit(self, result: dict, out: str | None) -> None:
+        """Write the --out envelope, then the stdout line, so that a failed
+        write leaves stdout empty."""
         if out:
             envelope = {
                 "schema": "supergrade-report/1",
@@ -132,6 +128,7 @@ class _Output:
             with open(out, "w", encoding="utf-8") as fh:
                 json.dump(envelope, fh, sort_keys=True, indent=2)
                 fh.write("\n")
+        sys.stdout.write(json.dumps(result, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _emit_sca(args, out: _Output, table, summary: dict) -> int:
@@ -286,6 +283,7 @@ def _load_cover_map(path: str, dim: int, count: int | None):
 
 def _resolve_cover(l, spec: str, cover_map_path: str | None) -> roots.CoverEmbedding:
     from . import constructors, roots
+    from .exact import dense_to_sparse, sparse_apply, sparse_to_dense, unit_vec
 
     if spec == "m11":
         if not cover_map_path:
@@ -311,22 +309,14 @@ def _resolve_cover(l, spec: str, cover_map_path: str | None) -> roots.CoverEmbed
     position = {name: i for i, name in enumerate(file_labels)}
     if ref.labels is not None and all(name in position for name in ref.labels):
         # the file is a relabeled copy of the reference (identity embedding)
-        images = []
-        for name in ref.labels:
-            imgs = [Fraction(0)] * l.dim
-            imgs[position[name]] = Fraction(1)
-            images.append(tuple(imgs))
+        images = [unit_vec(l.dim, position[name]) for name in ref.labels]
         return roots.CoverEmbedding(family, m - 1, images, ref)
     gl_labels = ref.provenance["ambient_gl"].labels if family == "sl" else None
     if gl_labels is not None and all(name in position for name in gl_labels):
         # file carries matrix-unit labels: push the sl basis through them
-        images = []
-        for bvec in ref.provenance["embedding"]:
-            img = [Fraction(0)] * l.dim
-            for t, c in enumerate(bvec):
-                if c:
-                    img[position[gl_labels[t]]] += c
-            images.append(tuple(img))
+        units = [{position[name]: 1} for name in gl_labels]
+        images = [sparse_to_dense(sparse_apply(units, dense_to_sparse(bvec)), l.dim)
+                  for bvec in ref.provenance["embedding"]]
         return roots.CoverEmbedding("sl", m - 1, images, ref)
     raise BadParams(
         "cannot resolve the cover embedding from labels; pass --cover-map"

@@ -174,67 +174,100 @@ def poly_lcm(p: Sequence, q: Sequence) -> list:
     return poly_monic(quot)
 
 
-def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def primitive_integer_poly(p: Sequence) -> list[int]:
     """Clear denominators and content; sign of the leading coefficient is kept."""
     p = poly_trim(list(p))
     if not p:
         return []
-    den = 1
-    for c in p:
-        den = lcm(den, Fraction(c).denominator)
+    den = lcm(*(Fraction(c).denominator for c in p))
     ints = [int(c * den) for c in p]
-    content = 0
-    for c in ints:
-        content = gcd(content, c)
+    content = gcd(*ints)
     return [c // content for c in ints]
 
 
-def rational_roots(p: Sequence) -> tuple[list[tuple[Fraction, int]], list]:
-    """All rational roots with multiplicities, plus the rootless cofactor.
+def _sturm(q: list) -> list:
+    """Sturm sequence of an integer polynomial over the integers: each
+    member is a positive multiple of the classical one (q, q', then minus
+    each remainder), so the signs agree at every point."""
+    seq = [q, [i * c for i, c in enumerate(q)][1:]]
+    while len(seq[-1]) > 1:
+        r, b = list(seq[-2]), seq[-1]
+        m, s = abs(b[-1]), (1 if b[-1] > 0 else -1)
+        while len(r) >= len(b):
+            # r <- |lead b| r - sign(lead b) (lead r) x^k b cancels the lead of r
+            c, k = s * r[-1], len(r) - len(b)
+            r = [m * x for x in r]
+            for i, y in enumerate(b):
+                r[k + i] -= c * y
+            poly_trim(r)
+        if not r:
+            break
+        g = gcd(*r)
+        seq.append([-x // g for x in r])
+    return seq
 
-    Roots come from the rational-root theorem applied to the primitive
-    integer form of p; the returned cofactor has no rational roots.
+
+def _sign_changes(seq: list, x: int) -> int:
+    signs = [v > 0 for v in (_deflate(s, x)[1] for s in seq) if v]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
+def _deflate(q: list, x: int) -> tuple[list, int]:
+    """(quotient, remainder q(x)) of an integer polynomial divided by X - x."""
+    out, acc = [], 0
+    for c in reversed(q):
+        acc = acc * x + c
+        out.append(acc)
+    rem = out.pop()
+    return out[::-1], rem
+
+
+def rational_roots(p: Sequence) -> tuple[list[tuple[Fraction, int]], list]:
+    """All rational roots with multiplicities, plus the rootless monic
+    cofactor.
+
+    Let x^m W be the monic p, W(0) != 0, and a W its primitive integer
+    form, of degree d.  Then Q(x) = (2a)^d W(x/(2a)) is monic over the
+    integers, so its rational roots are integers, and the rational roots of
+    W are x/(2a) for the even roots x of Q.  All roots of Q lie in (-B, B)
+    with B = 1 + max |Q_i| (Cauchy) and none at an odd integer, so bisection
+    on odd endpoints, counting the distinct real roots between them by the
+    sign changes of Q's Sturm sequence, isolates every even integer that
+    may be a root; no coefficient is factored.  Each root is divided out of
+    Q over the integers, and the cofactor C of Q maps back to C(2a t)/(2a)^e.
     """
-    work = poly_monic(p)
-    if not work:
+    ints = primitive_integer_poly(p)
+    if not ints:
         raise ZeroDivisionError("zero polynomial has no well-defined roots")
-    roots: list[tuple[Fraction, int]] = []
-    mult0 = 0
-    while len(work) > 1 and work[0] == 0:
-        work = work[1:]
-        mult0 += 1
-    if mult0:
-        roots.append((ZERO, mult0))
-    ints = primitive_integer_poly(work)
-    candidates: set[Fraction] = set()
-    if len(ints) > 1:
-        for num in _int_divisors(ints[0]):
-            for den in _int_divisors(ints[-1]):
-                candidates.add(Fraction(num, den))
-                candidates.add(Fraction(-num, den))
-    for cand in sorted(candidates):
-        mult = 0
-        while len(work) > 1 and poly_eval(work, cand) == 0:
-            work, rem = poly_divmod(work, [-cand, ONE])
-            assert not rem
-            mult += 1
-        if mult:
-            roots.append((cand, mult))
+    m = next(i for i, c in enumerate(ints) if c)
+    roots: list[tuple[Fraction, int]] = [(ZERO, m)] if m else []
+    ints = ints[m:] if ints[-1] > 0 else [-c for c in ints[m:]]
+    d, a, a2 = len(ints) - 1, ints[-1], 2 * ints[-1]
+    q = [c * a2 ** (d - i) // a for i, c in enumerate(ints[:-1])] + [1]
+    if d:
+        seq = _sturm(q)
+        hi = 2 * max(map(abs, q)) + 3  # odd, and at least B
+        stack = [(-hi, _sign_changes(seq, -hi), hi, _sign_changes(seq, hi))]
+        while stack:
+            lo, vlo, hi, vhi = stack.pop()
+            if vlo == vhi:
+                continue
+            if hi - lo > 2:
+                mid = lo + 2 * ((hi - lo) // 4)
+                vmid = _sign_changes(seq, mid)
+                stack += [(mid, vmid, hi, vhi), (lo, vlo, mid, vmid)]
+                continue
+            mult = 0
+            while True:
+                quot, rem = _deflate(q, lo + 1)
+                if rem:
+                    break
+                q, mult = quot, mult + 1
+            if mult:
+                roots.append((Fraction(lo + 1, a2), mult))
     roots.sort(key=lambda rm: rm[0])
-    return roots, work
+    e = len(q) - 1
+    return roots, [Fraction(c, a2 ** (e - i)) for i, c in enumerate(q)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ and T(0) spanned by operator pairs D(a,b) acting on T(1) by
 and on T(-1) by the same expression with the first term negated.  The
 factor 2 normalizes h = [e, f] (e, f the unit copies) to act with
 eigenvalues 0, +-2.  An element of T(0) is a sparse row over the
-flattened 2*(dim J)^2 coordinates of its two matrices: entry (r, c) of
-the T(1) block sits at r*n + c, of the T(-1) block at n*n + r*n + c.
-T(0) is the span of the n^2 rows D(b_a, b_b), eliminated once in one
-SparseRref as integer rows (over StructureTable.integer_form).  No
+two-block flattened 2*(dim J)^2 coordinates of its two matrices, the T(1)
+block first and the T(-1) block second, in the operator layout of
+_axioms.  T(0) is the span of the n^2 rows D(b_a, b_b), eliminated once in
+one SparseRref as integer rows (over StructureTable.integer_form).  No
 closure loop is needed: on a Jordan input this span, the inner structure
 algebra, is closed under the supercommutator (Kac, Adv. Math. 1977), and
 the construction verifies exactly that every bracket of two basis
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._axioms import _bracket, _operator, _operators
 from .errors import (
     JacobiFailure,
     NonSplitSpectrum,
@@ -156,40 +157,6 @@ def _pair_parity(row: dict, j: JordanSuperalgebra) -> int:
     return seen.pop() if seen else 0
 
 
-def _operator(row: dict, n: int, parity: int) -> tuple:
-    """A flattened integer operator pair as (row, columns, rows, parity).
-
-    columns maps block*n + k to the entries (block*n*n + r*n, v) of column k
-    of that block, rows maps block*n + k to the entries (c, v) of its row k.
-    """
-    cols, rows = {}, {}
-    for idx, v in row.items():
-        q, c = divmod(idx, n)  # q = block*n + r
-        cols.setdefault(q - q % n + c, []).append((q * n, v))
-        rows.setdefault(q, []).append((c, v))
-    return row, cols, rows, parity
-
-
-def _bracket(a: tuple, b: tuple) -> dict:
-    """Flattened supercommutator AB - (-1)^{|A||B|} BA of two _operator pairs.
-
-    Each product is a sparse matrix product inside one block: column k of
-    the left factor meets row k of the same block of the right factor.
-    Entries are Python ints, so nothing can overflow.
-    """
-    sgn = -1 if a[3] and b[3] else 1
-    out = {}
-    for x, y, s in ((a, b, 1), (b, a, -sgn)):
-        cols, rows = x[1], y[2]
-        for key in cols.keys() & rows.keys():
-            right = rows[key]
-            for base, v in cols[key]:
-                sv = s * v
-                for c, w in right:
-                    out[base + c] = out.get(base + c, 0) + sv * w
-    return {i: v for i, v in out.items() if v}
-
-
 def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
     """Tits-Kantor-Koecher Lie superalgebra of a unital Jordan superalgebra."""
     from math import lcm
@@ -202,9 +169,7 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
 
     den_j, mults = j.table.integer_form()
     scale = den_j * den_j  # D(a,b) entries are 2*(products of two table constants)
-    # L_a scaled by den_j as a one-block operator: entry (r, t) at r*n + t
-    ops = [_operator({r * n + t: c for t, col in op.items() for r, c in col}, n, p)
-           for op, p in zip(mults, par)]
+    ops = _operators(mults, par)  # L_a scaled by den_j
 
     def d_row(a: int, b: int, rest: dict) -> dict:
         # D(b_a, b_b) scaled by den_j^2 and flattened: with first = L_{ab}

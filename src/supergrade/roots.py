@@ -7,10 +7,11 @@ avoids any root-system isomorphism search.  Components are sorted by
 lexicographic weight and carry canonical RREF bases.
 
 Inside the loops (cover checks, eigenspace refinement, grading conditions,
-closure of a 3-grading) elements are sparse dicts {index: Fraction}
-multiplied with superalg._sparse_product, and ad(h) is given by sparse
-columns.  Dense Vec tuples appear only in the public results: component
-bases, Cartan elements and the parts of a ThreeGrading.
+closure of a 3-grading) elements are sparse dicts {index: Fraction},
+multiplied with superalg._sparse_product and combined with
+exact.sparse_apply; ad(h) is given by sparse columns.  Dense Vec tuples
+appear only in the public results: component bases, Cartan elements and
+the parts of a ThreeGrading.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .exact import (
     min_poly,
     poly_degree,
     rational_roots,
+    sparse_apply,
     sparse_to_dense,
     sparse_transpose,
     unit_vec,
@@ -139,14 +141,7 @@ def weight_decomposition(l: LieSuperalgebra, cartan: CartanBasis) -> RootDatum:
                     )
                 cols.append({k: x for k, x in enumerate(c) if x})
             for lam, local in _eigen_split(cols, witness):
-                ambient = []
-                for lv in local:
-                    w: dict = {}
-                    for k, c in enumerate(lv):
-                        if c:
-                            for idx, x in rows[k].items():
-                                w[idx] = w.get(idx, ZERO) + c * x
-                    ambient.append({idx: x for idx, x in w.items() if x})
+                ambient = [sparse_apply(rows, dense_to_sparse(lv)) for lv in local]
                 refined.append((wt + (lam,), ambient))
         comps = refined
 
@@ -288,15 +283,6 @@ class CoverAnalysis:
         self.cartan, self.n, self.evidence = cartan, n, evidence
 
 
-def _push(images: list, coords) -> dict:
-    """sum_k c_k images[k] over the nonzero coordinates (k, c_k)."""
-    out: dict = {}
-    for k, c in coords:
-        for t, x in images[k].items():
-            out[t] = out.get(t, ZERO) + c * x
-    return {t: x for t, x in out.items() if x}
-
-
 def _analyze_sl_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalysis:
     ref = cover.reference
     if len(cover.images) != ref.dim:
@@ -310,7 +296,7 @@ def _analyze_sl_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalysi
     ent = l.table.entries
     for i in range(ref.dim):
         for j in range(i, ref.dim):
-            expect = _push(images, ref.table.entries.get((i, j), ()))
+            expect = sparse_apply(images, dict(ref.table.entries.get((i, j), ())))
             if expect != _sparse_product(ent, images[i].items(), images[j].items()):
                 raise NotHomomorphism(
                     f"embedding fails the homomorphism law on cover basis pair ({i},{j})"
@@ -318,7 +304,7 @@ def _analyze_sl_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalysi
     h_ref = ref.provenance["cartan_h"]
 
     def push(coords) -> tuple:
-        return sparse_to_dense(_push(images, dense_to_sparse(coords).items()), l.dim)
+        return sparse_to_dense(sparse_apply(images, dense_to_sparse(coords)), l.dim)
 
     cartan = CartanBasis(
         elements=[Element(push(e.coords), 0) for e in h_ref.elements],
@@ -410,7 +396,7 @@ def _analyze_m11_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalys
 
     kern = kernel_from_rows(sparse_transpose([p for _, p in parts], np_), s_dim)
     for kv in kern:
-        zl = _push([v for v, _ in parts], ((r, c) for r, c in enumerate(kv) if c)).items()
+        zl = sparse_apply([v for v, _ in parts], dense_to_sparse(kv)).items()
         for b, _ in parts:
             if _sparse_product(ent, zl, b.items()):
                 raise NotHomomorphism("kernel of the cover map is not central")
@@ -539,7 +525,7 @@ def check_z_trivial(l: LieSuperalgebra, cover) -> ZTrivialReport:
         if zc is None:
             return ZTrivialReport(passed=True, vacuous=True)
         images = [_sparse_element(l, v) for v in cover.images]
-        z = _push(images, dense_to_sparse(zc).items())
+        z = sparse_apply(images, dense_to_sparse(zc))
     else:
         z = _sparse_element(l, cover)
     ent = l.table.entries

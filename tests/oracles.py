@@ -8,7 +8,10 @@ matmul, trace and copy.  FractionSparseRref is the Fraction-pivot incremental RR
 supergrade.exact.SparseRref replaced with fraction-free integer
 elimination; the property tests in test_exact.py require both to agree.
 char_poly, rational_eigenvalues and ad_matrix are the dense eigenvalue
-route that the sparse minimal-polynomial route replaced.  d_operator is the
+route that the sparse minimal-polynomial route replaced.
+rational_roots_by_divisors is the rational-root theorem search that
+exact.rational_roots replaced with Sturm bisection: it tries every divisor
+of the end coefficients, which takes about sqrt(|coefficient|) steps.  d_operator is the
 Fraction-matrix form of the TKK operator pair that jordan.tkk builds as
 scaled integer rows.  complement_rows picks the canonical complement of
 B^2 in Z^2 on the full cochain system, as cohomology.h2_representatives
@@ -31,6 +34,10 @@ from supergrade.exact import (
     Vec,
     dense_to_sparse,
     poly_degree,
+    poly_divmod,
+    poly_eval,
+    poly_monic,
+    primitive_integer_poly,
     rational_roots,
     sparse_to_dense,
     sub_vec,
@@ -296,6 +303,52 @@ def rational_eigenvalues(m: Matrix) -> list[tuple[Fraction, int]]:
             f"{poly_degree(cofactor)} factor without rational roots"
         )
     return roots
+
+
+def _int_divisors(n: int) -> list[int]:
+    n = abs(n)
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def rational_roots_by_divisors(p: Sequence) -> tuple[list[tuple[Fraction, int]], list]:
+    """exact.rational_roots by the rational-root theorem: every num/den with
+    num dividing the constant and den the leading coefficient of the
+    primitive integer form is tried."""
+    work = poly_monic(p)
+    if not work:
+        raise ZeroDivisionError("zero polynomial has no well-defined roots")
+    roots: list[tuple[Fraction, int]] = []
+    mult0 = 0
+    while len(work) > 1 and work[0] == 0:
+        work = work[1:]
+        mult0 += 1
+    if mult0:
+        roots.append((ZERO, mult0))
+    ints = primitive_integer_poly(work)
+    candidates: set[Fraction] = set()
+    if len(ints) > 1:
+        for num in _int_divisors(ints[0]):
+            for den in _int_divisors(ints[-1]):
+                candidates.add(Fraction(num, den))
+                candidates.add(Fraction(-num, den))
+    for cand in sorted(candidates):
+        mult = 0
+        while len(work) > 1 and poly_eval(work, cand) == 0:
+            work, rem = poly_divmod(work, [-cand, ONE])
+            assert not rem
+            mult += 1
+        if mult:
+            roots.append((cand, mult))
+    roots.sort(key=lambda rm: rm[0])
+    return roots, work
 
 
 def ad_matrix(l, x) -> Matrix:

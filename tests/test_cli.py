@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -428,6 +429,29 @@ def test_decompose(capsys):
     assert len(data["components"]) == 8
 
 
+def test_decompose_with_huge_cartan_entries_keeps_components(tmp_path, capsys):
+    # eigenvalues near 10^10: a divisor search over the rational-root
+    # candidates did not finish, Sturm bisection finds them at once
+    big = 10000000019
+    args = ["decompose", fx("psl22.sca")]
+    scaled = list(args)
+    for name in ("psl22_h1.vec", "psl22_h2.vec"):
+        entries = (FIXTURES / name).read_text().strip().split(",")
+        (tmp_path / name).write_text(",".join(str(big * int(c)) for c in entries))
+        args += ["--cartan", "@" + fx(name)]
+        scaled += ["--cartan", "@" + str(tmp_path / name)]
+    code, out = run_cli(args, capsys)
+    code_scaled, out_scaled = run_cli(scaled, capsys)
+    assert code == code_scaled == 0
+    plain, ours = (json.loads(text) for text in (out, out_scaled))
+    plain = plain["components"] + [plain["zero_component"]]
+    ours = ours["components"] + [ours["zero_component"]]
+    assert len(ours) == len(plain)
+    for a, b in zip(plain, ours):
+        assert b["weight"] == [str(big * Fraction(w)) for w in a["weight"]]
+        assert {**b, "weight": None} == {**a, "weight": None}
+
+
 def test_three_grading_height(capsys):
     code, out = run_cli(
         [
@@ -755,3 +779,15 @@ def test_report_envelope_contains_digests(tmp_path, capsys):
     assert data["result"] == {"h2_even": 3, "h2_odd": 0}
     digest = next(iter(data["inputs"].values()))
     assert len(digest) == 64
+
+
+@pytest.mark.parametrize("command", ["check", "h2"])
+def test_unwritable_report_exits_2_with_empty_stdout(command, tmp_path, capsys):
+    # the envelope is written before the stdout line, so a command whose
+    # report cannot be written prints no answer
+    code = main([command, fx("psl22.sca"), "--out", str(tmp_path / "missing" / "r.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("supergrade: error: FileNotFoundError")

@@ -1,8 +1,11 @@
-"""Exit-code contract of the cohomology commands on damaged SCA input.
+"""Exit-code contract of every subcommand on damaged input.
 
-Whatever the input, h2, uce, fingerprint and isogenous exit 0, 1 or 2 and
-never print a traceback.  Exit 2 is one line on stderr; exit 0 or 1 prints
-a JSON result or an SCA document on stdout.
+Whatever the input, every command exits 0, 1 or 2 and never prints a
+traceback.  Exit 2 is one line on stderr and nothing on stdout; exit 1
+prints a JSON verdict; exit 0 prints a JSON result or an SCA document.
+The inputs are the fixtures with one mutation each, vector arguments of the
+wrong length or with malformed or huge entries, damaged JSON element files
+and cover maps, and small constructions (every one under 100 dimensions).
 """
 
 import contextlib
@@ -19,20 +22,45 @@ from supergrade.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 LINES = {name: (FIXTURES / name).read_text().splitlines(keepends=True)
-         for name in ("psl22.sca", "sl21.sca", "uce_psl22.sca")}
+         for name in ("psl22.sca", "sl21.sca", "uce_psl22.sca", "gl22.sca", "tkk_m11.sca",
+                      "m11.sca")}
+COHOMOLOGY_INPUTS = ("psl22.sca", "sl21.sca", "uce_psl22.sca")
+BIG = 10000000019
+
+
+def _vec_file(name: str) -> list:
+    return (FIXTURES / name).read_text().strip().split(",")
+
+
+def _json_file(name: str):
+    return json.loads((FIXTURES / name).read_text())
+
+
+def _units(dim: int) -> list:
+    return [["1" if i == k else "0" for i in range(dim)] for k in range(dim)]
+
+
+MUTATIONS = ["drop", "duplicate", "rescale", "parity", "kind", "truncate"]
 
 
 @st.composite
-def damaged(draw):
+def damaged(draw, names=tuple(LINES), how=None):
     """(fixture name, text): the fixture with one sc line, or the line and
-    its swapped partner sc j i k, dropped, duplicated or rescaled; or with
-    one parity bit flipped; or truncated."""
-    name = draw(st.sampled_from(sorted(LINES)))
+    its swapped partner sc j i k, dropped, duplicated or rescaled; with one
+    parity bit flipped or its kind line changed; or truncated.  how
+    "intact" keeps the text."""
+    name = draw(st.sampled_from(sorted(names)))
     lines = list(LINES[name])
-    how = draw(st.sampled_from(["drop", "duplicate", "rescale", "parity", "truncate"]))
+    how = how or draw(st.sampled_from(MUTATIONS))
+    if how == "intact":
+        return name, "".join(lines)
     if how == "truncate":
         text = "".join(lines)
         return name, text[:draw(st.integers(0, len(text) - 1))]
+    if how == "kind":
+        t = next(t for t, line in enumerate(lines) if line.startswith("kind "))
+        lines[t] = f"kind {draw(st.sampled_from(['lie', 'assoc', 'jordan', 'plain']))}\n"
+        return name, "".join(lines)
     if how == "parity":
         t = next(t for t, line in enumerate(lines) if line.startswith("parity "))
         bits = lines[t].split()
@@ -58,13 +86,171 @@ def damaged(draw):
     return name, "".join(lines)
 
 
+@st.composite
+def vectors(draw, bases, bad):
+    """A vector argument: one of bases, and if bad, one of the others,
+    scaled by a huge rational, one entry short or long, or with an empty,
+    1/0 or non-numeric entry."""
+    v = list(draw(st.sampled_from(bases[:1] if not bad else bases)))
+    how = draw(st.sampled_from(["same", "huge", "short", "long", "empty", "1/0", "x"])
+               if bad else st.just("same"))
+    if how == "huge":
+        v = [str(Fraction(c) * Fraction(BIG, draw(st.sampled_from([1, 7])))) for c in v]
+    elif how == "short":
+        v = v[:-1]
+    elif how == "long":
+        v.append("0")
+    elif how in ("empty", "1/0", "x"):
+        v[draw(st.integers(0, len(v) - 1))] = "" if how == "empty" else how
+    return ",".join(v)
+
+
+@st.composite
+def json_text(draw, base, bad):
+    """A JSON element file or cover map: base, and if bad, base with one
+    key or image missing; with its vectors as a JSON list; with one vector
+    short, a scalar, or holding a 1/0, non-numeric or huge entry; or
+    truncated."""
+    data = json.loads(json.dumps(base))
+    if not bad:
+        return json.dumps(data)
+    holder, key = (data, "images") if "images" in data else ({"all": data}, "all")
+    vecs = holder[key]
+    target = draw(st.sampled_from(list(vecs) if isinstance(vecs, dict) else range(len(vecs))))
+    how = draw(st.sampled_from(["drop", "list", "short", "scalar", "1/0", "x", "huge",
+                                "truncate"]))
+    if how == "drop":
+        del vecs[target]
+    elif how == "list":
+        holder[key] = list(vecs.values()) if isinstance(vecs, dict) else {"0": vecs}
+    elif how == "short":
+        vecs[target] = vecs[target][:-1]
+    elif how == "scalar":
+        vecs[target] = "1"
+    elif how in ("1/0", "x", "huge"):
+        vecs[target][draw(st.integers(0, len(vecs[target]) - 1))] = (
+            f"{BIG}/3" if how == "huge" else how)
+    text = json.dumps(holder["all"] if key == "all" else data)
+    if how == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+M11_ELEMENTS = _json_file("m11_elems.json")
+M11_COVER = _json_file("tkk_m11_cover.json")
+PSL22_COVER = {"images": _units(14)}  # basis order: a map, not always a homomorphism
+IDEMPOTENTS = [["1", "0", "0", "0"], ["1", "1", "0", "0"], ["0", "0", "1", "0"],
+               ["1", "1", "1", "0"]]
+CARTANS = [_vec_file("psl22_h1.vec"), _vec_file("psl22_h2.vec")]
+TKK_M11_E, TKK_M11_F = _vec_file("tkk_m11_e.vec"), _vec_file("tkk_m11_f.vec")
+TKK_M11_H = ["0", "0", "0", "0", "2", "0", "0", "2", "0", "0", "0", "0", "0", "0"]  # [e, f]
+# (file, cover, cover map) that verify-grading accepts, and the other covers
+GRADINGS = [("psl22.sca", "psl22", None), ("gl22.sca", "sl22", None),
+            ("tkk_m11.sca", "m11", M11_COVER), ("psl22.sca", "psl22", PSL22_COVER)]
+COVERS = ["psl22", "sl22", "m11", "sl33", "psl12", "sl2", "gl22"]
+# construction parameters, good and bad: every table they build stays
+# under 100 dimensions
+GOOD_PARAMS = {
+    "gl": [["1", "1"], ["2", "1"], ["3", "3"]], "sl": [["2", "1"], ["2", "2"], ["3", "3"]],
+    "psl": [["1"], ["2"]], "mplus": [["1"], ["2"]], "jp": [["1"], ["2"]], "jq": [["2"]],
+    "m11": [[]],
+    "assoc": [["field"], ["dual_numbers"], ["grassmann", "2"], ["matrix_super", "2", "2"]],
+    "slA": [["2", "2", "field"], ["2", "2", "grassmann", "1"], ["2", "1", "dual_numbers"],
+            ["2", "2", "matrix_super", "1", "1"]],
+}
+BAD_PARAMS = [["-1"], ["0"], ["x"], [], ["1", "2", "3"], ["0", "0"], ["1", "-1"],
+              ["grassmann"], ["grassmann", "0"], ["matrix_super", "1"], ["octonions"],
+              ["field", "1"], ["2", "2", "octonions"], ["2", "x", "field"],
+              ["0", "0", "field"], ["1"]]
+
+
+@st.composite
+def argv(draw, command, workdir):
+    """A full command line for command, in workdir, with at most one part
+    damaged: the input file, another argument, or the --out path."""
+
+    def sca(name, bad):
+        # a damaged copy of this input or of another fixture
+        names = tuple(LINES) if bad and draw(st.booleans()) else (name,)
+        name, text = draw(damaged(names, None if bad else "intact"))
+        path = workdir / f"in_{name}"
+        path.write_text(text)
+        return str(path)
+
+    def written(name, text):
+        path = workdir / name
+        path.write_text(text)
+        return str(path)
+
+    fault = draw(st.sampled_from([None, "file", "arg", "out"]))
+    file_bad, bad = fault == "file", fault == "arg"
+    if command == "check":
+        args = ["check", sca(draw(st.sampled_from(sorted(LINES))), file_bad)]
+    elif command == "construct":
+        what = draw(st.sampled_from(sorted(GOOD_PARAMS)))
+        params = draw(st.sampled_from(BAD_PARAMS if bad else GOOD_PARAMS[what]))
+        cover = draw(st.sampled_from([[], ["--cover-out", str(workdir / "cover.json")]]))
+        args = ["construct", what, *params, *cover]
+    elif command == "decompose":
+        args = ["decompose", sca("psl22.sca", file_bad), "--cartan", draw(vectors(CARTANS, bad)),
+                "--cartan", draw(vectors(CARTANS[::-1], bad))]
+    elif command in ("verify-grading", "three-grading"):
+        name, cover, cover_map = draw(st.sampled_from(GRADINGS))
+        if bad:
+            cover = draw(st.sampled_from(COVERS))
+            cover_map = draw(st.sampled_from([None, M11_COVER, PSL22_COVER]))
+        args = [command, sca(name, file_bad), "--cover", cover]
+        if cover_map is not None:
+            args += ["--cover-map", written("map.json", draw(json_text(cover_map, bad)))]
+        if command == "three-grading":
+            args += ["--style", draw(st.sampled_from(["sl2", "height"] if bad else ["sl2"])),
+                     "--h", draw(vectors([TKK_M11_H] + CARTANS, bad))]
+    elif command == "tkk":
+        args = ["tkk", sca("m11.sca", file_bad)]
+        flags = draw(st.sampled_from([(), ("--m11", "--cover-out"), ("--m11",), ("--cover-out",)]
+                                     if bad else [(), ("--m11", "--cover-out")]))
+        if "--m11" in flags:
+            args += ["--m11", written("elems.json", draw(json_text(M11_ELEMENTS, bad)))]
+        if "--cover-out" in flags:
+            args += ["--cover-out", str(workdir / "tkk_cover.json")]
+    elif command == "jordan-from-grading":
+        e, f = (TKK_M11_E, TKK_M11_F) if not bad or draw(st.booleans()) else (TKK_M11_F, TKK_M11_E)
+        args = ["jordan-from-grading", sca("tkk_m11.sca", file_bad),
+                "--e", draw(vectors([e], bad)), "--f", draw(vectors([f], bad))]
+    elif command == "peirce":
+        args = ["peirce", sca("m11.sca", file_bad), "--idempotent",
+                draw(vectors(IDEMPOTENTS, bad))]
+    else:  # certify-m11
+        args = ["certify-m11", sca("m11.sca", file_bad),
+                "--elements", written("elems.json", draw(json_text(M11_ELEMENTS, bad)))]
+    if fault == "out" or draw(st.booleans()):
+        args += ["--out", str(workdir / ("missing/out.json" if fault == "out" else "out.json"))]
+    return args
+
+
+def _keeps_the_contract(args):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(args)
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert out == "" and err.endswith("\n") and err.count("\n") == 1, (out, err)
+    elif code == 1:
+        assert isinstance(json.loads(out), dict)
+    elif not out.startswith("SCA/1\n"):
+        json.loads(out)
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("damaged")
 
 
-@given(case=damaged(), command=st.sampled_from(["h2", "uce", "fingerprint", "isogenous"]),
-       other=st.sampled_from(sorted(LINES)), first=st.booleans())
+@given(case=damaged(COHOMOLOGY_INPUTS),
+       command=st.sampled_from(["h2", "uce", "fingerprint", "isogenous"]),
+       other=st.sampled_from(COHOMOLOGY_INPUTS), first=st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_cohomology_commands_keep_the_exit_code_contract(workdir, case, command, other, first):
     name, text = case
@@ -74,13 +260,13 @@ def test_cohomology_commands_keep_the_exit_code_contract(workdir, case, command,
     if command == "isogenous":
         pair = [str(path), str(FIXTURES / other)]
         args = [command, *(pair if first else pair[::-1])]
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(args)
-    out, err = stdout.getvalue(), stderr.getvalue()
-    assert code in (0, 1, 2)
-    assert "Traceback" not in out + err
-    if code == 2:
-        assert err.endswith("\n") and err.count("\n") == 1, err
-    elif not out.startswith("SCA/1\n"):
-        json.loads(out)
+    _keeps_the_contract(args)
+
+
+@pytest.mark.parametrize("command", ["check", "construct", "decompose", "verify-grading",
+                                     "three-grading", "tkk", "jordan-from-grading", "peirce",
+                                     "certify-m11"])
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_every_command_keeps_the_exit_code_contract(workdir, command, data):
+    _keeps_the_contract(data.draw(argv(command, workdir)))

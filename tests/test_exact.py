@@ -16,6 +16,7 @@ from supergrade.exact import (
     min_poly,
     poly_divmod,
     poly_eval,
+    poly_mul,
     rational_roots,
     vec,
 )
@@ -25,6 +26,7 @@ from tests.oracles import (
     char_poly,
     kernel,
     rational_eigenvalues,
+    rational_roots_by_divisors,
     rref,
     solve_linear,
     span_closure,
@@ -210,6 +212,38 @@ def test_sparse_min_poly_against_char_poly_oracle(m):
     for r, _ in roots:  # minimal: no root can be dropped
         q = poly_divmod(mp, [-r, F(1)])[0]
         assert any(exact._poly_apply(q, cols, u) for u in units)
+
+
+@st.composite
+def root_polys(draw):
+    """c p(x/k): p a product of rational linear factors and of rootless
+    quadratics x^2 + a and x^2 - b (b not a square), c a nonzero rational
+    and k a positive integer."""
+    p = [F(1)]
+    for _ in range(draw(st.integers(0, 4))):
+        r = F(draw(st.integers(-12, 12)), draw(st.integers(1, 6)))
+        p = poly_mul(p, [-r, F(1)])
+    for _ in range(draw(st.integers(0, 2))):
+        c = draw(st.integers(1, 20) | st.sampled_from([-2, -3, -5, -6, -7, -8, -10, -12]))
+        p = poly_mul(p, [F(c), F(0), F(1)])
+    scale = F(draw(st.integers(1, 9)) * draw(st.sampled_from([1, -1])), draw(st.integers(1, 9)))
+    k = draw(st.sampled_from([1, 2, 3, 12]))
+    return [scale * c / k**i for i, c in enumerate(p)]
+
+
+@given(root_polys())
+@settings(max_examples=150, deadline=None)
+def test_rational_roots_match_the_divisor_oracle(p):
+    assert rational_roots(p) == rational_roots_by_divisors(p)
+
+
+def test_rational_roots_of_huge_eigenvalues_are_found_without_factoring():
+    # the divisor search needs about 10^10 trial divisions for this constant
+    a = 10**10 + 19
+    roots, cofactor = rational_roots([F(-a * a), F(0), F(1)])
+    assert roots == [(F(-a), 1), (F(a), 1)] and cofactor == [F(1)]
+    roots, cofactor = rational_roots(poly_mul([F(-a, 3), F(1)], [F(a * a), F(0), F(1)]))
+    assert roots == [(F(a, 3), 1)] and cofactor == [F(a * a), F(0), F(1)]
 
 
 @given(small_matrices(), st.data())

@@ -1,4 +1,5 @@
-"""Source hygiene: no private helper outlives its last caller."""
+"""Source hygiene: no private helper outlives its last caller, and no
+module imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -65,3 +66,36 @@ def test_guard_ignores_self_and_foreign_attribute_references():
     dead, _ = _unreferenced(sources)
     # b's _used() is not a's _used, and the bare name a is not the module
     assert dead == [("a", "_dead"), ("a", "_used")]
+
+
+def _unused_imports(text: str) -> list:
+    """Names a module imports (at any depth) and never reads, as a Name or
+    as the base of an attribute (m.x); names listed in __all__ are
+    exported, not unused."""
+    imported, used, exported = [], set(), set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported |= {e.value for e in node.value.elts}
+    return [name for name in imported if name not in used | exported]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {p.stem: _unused_imports(p.read_text(encoding="utf-8"))
+              for p in sorted(SRC.glob("*.py"))}
+    assert {m: names for m, names in unused.items() if names} == {}
+
+
+def test_import_guard_counts_names_attribute_bases_and_exports():
+    text = ("from __future__ import annotations\n"
+            "import os.path\nimport json as js\nfrom . import a, b\n"
+            "from .c import d, e as f, g\n__all__ = ['g']\n"
+            "def h():\n    from .k import m\n    return os.path.join(a.x, d)\n")
+    # b, f and m are never read; js.x would count, but x.js and a bare
+    # "js" string do not
+    assert _unused_imports(text + "y = x.js, 'js'\n") == ["js", "b", "f", "m"]
