@@ -204,7 +204,7 @@ def _run_construct(args, out: _Output) -> int:
     elif what == "sl":
         alg = constructors.construct_sl(*_int_params(what, "m n", params))
     elif what == "psl":
-        alg = constructors.construct_psl(*_int_params(what, "n", params))[0]
+        alg = constructors.construct_psl(*_int_params(what, "n", params))
     elif what == "slA":
         m, n = _int_params(what, "m n", params[:2])
         coeff = _coefficient_algebra(params[2], params[3:])
@@ -296,7 +296,7 @@ def _resolve_cover(l, spec: str, cover_map_path: str | None) -> roots.CoverEmbed
     if m != n:
         raise BadParams("grading covers must be of type sl(n+1,n+1) or psl(n+1,n+1)")
     if family == "psl":
-        ref = constructors.construct_psl(m - 1)[0]
+        ref = constructors.construct_psl(m - 1)
     else:
         ref = constructors.construct_sl(m, m)
     if cover_map_path:
@@ -570,8 +570,15 @@ def _run_isogenous(args, out: _Output) -> int:
     return 0 if verdict == "equal" else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line; subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="supergrade",
         description="Exact computations with A(n,n)-graded Lie superalgebras, "
         "Jordan superalgebras and their central extensions.",

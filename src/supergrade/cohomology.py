@@ -57,13 +57,13 @@ from operator import sub
 
 from .errors import DimensionMismatch, NotPerfect, ValidationError
 from .exact import (
-    Matrix,
+    ONE,
     SparseRref,
     ZERO,
     dense_to_sparse,
     kernel_from_rows,
-    unit_vec,
-    vec,
+    sparse_apply,
+    sparse_transpose,
 )
 from .superalg import (
     Element,
@@ -303,13 +303,15 @@ class CentralExtension:
 
     extended has dim(base) + len(cocycles); projection maps extended
     coordinates onto base coordinates and is a homomorphism whose kernel
-    is the span of the added directions.
+    is the span of the added directions.  It is given by its sparse
+    columns {base index: Fraction}, one per basis element of extended, and
+    applied with exact.sparse_apply.
     """
 
     __slots__ = ("base", "cocycles", "extended", "projection")
 
     def __init__(self, base: LieSuperalgebra, cocycles: list, extended: LieSuperalgebra,
-                 projection: Matrix):
+                 projection: list[dict]):
         self.base, self.cocycles = base, cocycles
         self.extended, self.projection = extended, projection
 
@@ -338,9 +340,7 @@ def uce(l: LieSuperalgebra) -> CentralExtension:
     # StructureTable sorts each entry's terms; the keys keep (i, j) order
     table = StructureTable(space, "lie", {key: terms[key] for key in sorted(terms)})
     extended = LieSuperalgebra(table, {"name": f"uce({l.provenance.get('name', 'L')})"})
-    proj = Matrix.from_cols(
-        [unit_vec(n, j) for j in range(n)] + [vec([0] * n) for _ in range(k)]
-    )
+    proj = [{j: ONE} for j in range(n)] + [{} for _ in range(k)]
     return CentralExtension(l, reps, extended, proj)
 
 
@@ -353,7 +353,7 @@ def extension_from_quotient(l: LieSuperalgebra, zbasis) -> CentralExtension:
     there).  The RREF rows are 1 at their own pivot and 0 at the others, so
     cocycle t is the coefficient of [b_a, b_b] at pivot t.  z is graded, so
     each RREF row is homogeneous, of the parity of its pivot."""
-    base, proj = quotient_central(l, zbasis)
+    base = quotient_central(l, zbasis)
     pos = {c: a for a, c in enumerate(base.provenance["kept_columns"])}
     slot = {c: t for t, c in enumerate(c for c in range(l.dim) if c not in pos)}
     forms = [{} for _ in slot]
@@ -363,7 +363,7 @@ def extension_from_quotient(l: LieSuperalgebra, zbasis) -> CentralExtension:
                 if m in slot:
                     forms[slot[m]][(pos[i], pos[j])] = c
     cocycles = [Cocycle2(l.parity[p], form) for p, form in zip(slot, forms)]
-    return CentralExtension(base, cocycles, l, proj)
+    return CentralExtension(base, cocycles, l, base.provenance["projection"])
 
 
 class CoverKernelReport:
@@ -397,10 +397,10 @@ def cover_kernel_check(ext: CentralExtension, cartan: CartanBasis) -> CoverKerne
     from .roots import weight_decomposition
 
     base, big, proj = ext.base, ext.extended, ext.projection
-    prows = [dense_to_sparse(row) for row in proj.data]
+    prows = sparse_transpose(proj, base.dim)
     lifted = []
     for h in cartan.elements:
-        lift = _preimage(prows, proj.cols, h.coords)
+        lift = _preimage(prows, big.dim, h.coords)
         if lift is None:
             raise ValidationError("Cartan element has no preimage under the projection")
         lifted.append(Element(lift, 0))
@@ -411,7 +411,7 @@ def cover_kernel_check(ext: CentralExtension, cartan: CartanBasis) -> CoverKerne
     zero_sr = SparseRref(big.dim)
     for v in datum_big.zero_component.basis:
         zero_sr.insert(dense_to_sparse(v))
-    kern = kernel_from_rows(prows, proj.cols)
+    kern = kernel_from_rows(prows, big.dim)
     kernel_in_zero = all(zero_sr.contains(dense_to_sparse(v)) for v in kern)
 
     per_root = True
@@ -425,11 +425,11 @@ def cover_kernel_check(ext: CentralExtension, cartan: CartanBasis) -> CoverKerne
                 base_sr.insert(dense_to_sparse(v))
             rank_sr = SparseRref(base.dim)
             for v in big_comp.basis:
-                img = proj.mul_vec(v)
-                if not base_sr.contains(dense_to_sparse(img)):
+                img = sparse_apply(proj, dense_to_sparse(v))
+                if not base_sr.contains(img):
                     ok = False
                     break
-                rank_sr.insert(dense_to_sparse(img))
+                rank_sr.insert(img)
             ok = ok and rank_sr.rank == comp.dim
         per_root = per_root and ok
         details.append({"weight": comp.weight, "dim": comp.dim, "iso": ok})
@@ -500,6 +500,6 @@ def isogenous(l1: LieSuperalgebra, l2: LieSuperalgebra) -> str:
     prints = []
     for l in (l1, l2):
         z = center(l)
-        q = quotient_central(l, z)[0] if z else l
+        q = quotient_central(l, z) if z else l
         prints.append(fingerprint(q))
     return "equal" if prints[0] == prints[1] else "different"

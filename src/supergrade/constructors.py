@@ -26,12 +26,12 @@ from fractions import Fraction
 
 from .errors import BadParams, ValidationError, WrongAlgebra
 from .exact import (
-    Matrix,
     Vec,
     ZERO,
     ONE,
     dense_to_sparse,
     kernel_from_rows,
+    sparse_apply,
     sparse_to_dense,
     unit_vec,
     vec,
@@ -209,25 +209,31 @@ def construct_sl(m: int, n: int) -> LieSuperalgebra:
     return alg
 
 
-def construct_psl(n: int) -> tuple[LieSuperalgebra, Matrix]:
-    """psl(n+1,n+1) = sl(n+1,n+1)/<z>, with the projection from sl."""
+def construct_psl(n: int) -> LieSuperalgebra:
+    """psl(n+1,n+1) = sl(n+1,n+1)/<z>; provenance["projection"] holds the
+    projection from sl as sparse columns (superalg.quotient_central)."""
     if n < 1:
         raise BadParams("psl(n+1,n+1) needs n >= 1")
     sl = construct_sl(n + 1, n + 1)
-    psl, proj = quotient_central(sl, [sl.provenance["z"]])
+    psl = quotient_central(sl, [sl.provenance["z"]])
     h_sl = sl.provenance["cartan_h"]
-    helems = [Element(proj.mul_vec(e.coords), 0) for e in h_sl.elements]
+    helems = [Element(_project(psl, e.coords), 0) for e in h_sl.elements]
     psl.provenance.update(
         {
             "name": f"psl({n + 1},{n + 1})",
             "n": n,
             "ambient_sl": sl,
-            "projection": proj,
             "cartan_h": CartanBasis(helems, diag_mats=h_sl.diag_mats),
         }
     )
     _check_cartan(psl, psl.provenance["cartan_h"])
-    return psl, proj
+    return psl
+
+
+def _project(psl: LieSuperalgebra, v: Vec) -> Vec:
+    """Image in psl of coordinates v in sl(n+1,n+1)."""
+    image = sparse_apply(psl.provenance["projection"], dense_to_sparse(v))
+    return sparse_to_dense(image, psl.dim)
 
 
 def matrix_unit_in_sl(sl: LieSuperalgebra, r: int, c: int) -> Vec:
@@ -242,8 +248,7 @@ def matrix_unit_in_sl(sl: LieSuperalgebra, r: int, c: int) -> Vec:
 
 
 def matrix_unit_in_psl(psl: LieSuperalgebra, r: int, c: int) -> Vec:
-    sl = psl.provenance["ambient_sl"]
-    return psl.provenance["projection"].mul_vec(matrix_unit_in_sl(sl, r, c))
+    return _project(psl, matrix_unit_in_sl(psl.provenance["ambient_sl"], r, c))
 
 
 # ---------------------------------------------------------------------------

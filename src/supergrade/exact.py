@@ -19,8 +19,9 @@ the lcm of its denominators, and Fraction appears only in what it returns
 (reduce, basis, and coordinates of Fraction input).  Inserting and testing
 integer rows builds no Fraction at all.  The RREF is unique, so these
 bases equal those of the dense Fraction elimination in tests/oracles.py.
-Matrix is only the dense container of the central-quotient projections;
-it eliminates nothing.
+Every linear map the package applies is a list of sparse columns
+{row: Fraction}, applied with sparse_apply: central-quotient projections
+as well as operators.  No module but this one names the dense Matrix.
 """
 
 from __future__ import annotations
@@ -58,8 +59,11 @@ def sparse_to_dense(row: dict, n: int) -> Vec:
 
 
 class Matrix:
-    """Dense row-major matrix over Fraction: the projection of a central
-    quotient, applied with mul_vec."""
+    """Dense row-major matrix over Fraction; the package applies no map
+    with it.  It stays because the dense reference elimination in
+    tests/oracles.py extends it, and bench/traced.py wraps Matrix.mul_vec
+    (tests/test_tracer_targets.py checks that target): deleting it belongs
+    with a change to the benchmark."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -110,13 +114,6 @@ def poly_degree(p: Sequence) -> int:
     return len(p) - 1
 
 
-def poly_eval(p: Sequence, x) -> Fraction:
-    acc = ZERO
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def poly_mul(p: Sequence, q: Sequence) -> list:
     out = [ZERO] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
@@ -126,52 +123,6 @@ def poly_mul(p: Sequence, q: Sequence) -> list:
             if b != 0:
                 out[i + j] += a * b
     return out
-
-
-def poly_divmod(p: Sequence, q: Sequence) -> tuple[list, list]:
-    q = list(q)
-    poly_trim(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quot = [ZERO] * max(len(rem) - len(q) + 1, 1)
-    dq = len(q) - 1
-    lead = q[-1]
-    while len(rem) - 1 >= dq and poly_trim(rem):
-        d = len(rem) - 1
-        if d < dq:
-            break
-        c = rem[-1] / lead
-        quot[d - dq] = c
-        for i in range(len(q)):
-            rem[d - dq + i] -= c * q[i]
-        poly_trim(rem)
-    return poly_trim(quot), rem
-
-
-def poly_monic(p: Sequence) -> list:
-    p = poly_trim(list(p))
-    if not p:
-        return p
-    lead = p[-1]
-    return [c / lead for c in p]
-
-
-def poly_gcd(p: Sequence, q: Sequence) -> list:
-    a, b = poly_trim(list(p)), poly_trim(list(q))
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    return poly_monic(a)
-
-
-def poly_lcm(p: Sequence, q: Sequence) -> list:
-    g = poly_gcd(p, q)
-    if not g:
-        return []
-    quot, rem = poly_divmod(poly_mul(p, q), g)
-    assert not rem
-    return poly_monic(quot)
 
 
 def primitive_integer_poly(p: Sequence) -> list[int]:
@@ -459,7 +410,7 @@ def sparse_transpose(cols: Sequence[dict], nrows: int) -> list[dict]:
 
 
 def sparse_apply(cols: Sequence[dict], v: dict) -> dict:
-    """A v for a sparse v and a square A given by its sparse columns,
+    """A v for a sparse v and a linear map A given by its sparse columns,
     touching only the columns at the nonzeros of v; zeros are dropped."""
     acc: dict[int, Fraction] = {}
     for j, x in v.items():
@@ -470,16 +421,19 @@ def sparse_apply(cols: Sequence[dict], v: dict) -> dict:
 
 def min_poly(cols: Sequence[dict]) -> list:
     """Monic minimal polynomial of a square operator given by its sparse
-    columns; the Krylov vectors stay sparse."""
+    columns; the Krylov vectors stay sparse.
+
+    It is the lcm of the minimal polynomials m_i of the basis vectors e_i,
+    taken as lcm(p, m_i) = p * ann(p(A) e_i): the monic annihilator of
+    p(A) e_i is m_i / gcd(p, m_i), so no polynomial gcd is computed."""
     dim = len(cols)
     best = [ONE]
     for i in range(dim):
         if poly_degree(best) >= dim:
             break
-        seed = {i: ONE}
-        if not _poly_apply(best, cols, seed):
-            continue
-        best = poly_lcm(best, _local_min_poly(cols, seed))
+        w = _poly_apply(best, cols, {i: ONE})
+        if w:
+            best = poly_mul(best, _local_min_poly(cols, w))
     return best
 
 
@@ -499,6 +453,9 @@ def _poly_apply(p: Sequence, cols: Sequence[dict], v: dict) -> dict:
 
 
 def _local_min_poly(cols: Sequence[dict], seed: dict) -> list:
+    """Monic generator of {q : q(A) seed = 0}: the first Krylov vector
+    A^k seed that reduces to 0 leaves the relation in the augmented
+    columns, with the 1 at column dim + k untouched."""
     dim = len(cols)
     sr = SparseRref(dim + dim + 1, npivot=dim)
     v = seed
@@ -510,7 +467,7 @@ def _local_min_poly(cols: Sequence[dict], seed: dict) -> list:
             coeffs = [ZERO] * (k + 1)
             for c, val in red.items():
                 coeffs[c - dim] = val
-            return poly_monic(coeffs)
+            return coeffs
         sr.insert(row)
         v = sparse_apply(cols, v)
     raise AssertionError("Krylov iteration failed to terminate")  # pragma: no cover

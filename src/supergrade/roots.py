@@ -328,7 +328,7 @@ def _m11_psl_targets() -> dict:
     y and y~ carry a factor 2: the certified relations normalize x.y to
     e1 - e2, which corresponds to the matrix-unit basis with y doubled.
     """
-    psl22, _ = construct_psl(1)
+    psl22 = construct_psl(1)
 
     def u(r, c, s=ONE):
         return {t: s * x for t, x in enumerate(matrix_unit_in_psl(psl22, r, c)) if x}

@@ -21,7 +21,6 @@ from .errors import (
     WrongAlgebra,
 )
 from .exact import (
-    Matrix,
     ONE,
     SparseRref,
     Vec,
@@ -347,12 +346,15 @@ def derived_subalgebra(l: _AlgebraBase) -> list[Vec]:
     return sr.basis_dense()
 
 
-def quotient_central(l: LieSuperalgebra, zbasis: Sequence) -> tuple[LieSuperalgebra, Matrix]:
-    """Quotient by a central graded subspace, with the projection matrix.
+def quotient_central(l: LieSuperalgebra, zbasis: Sequence) -> LieSuperalgebra:
+    """Quotient by a central graded subspace.
 
     The complement is spanned by the basis vectors at non-pivot columns of
     the central subspace's RREF; centrality of every generator makes the
-    induced bracket well-defined.
+    induced bracket well-defined.  provenance["projection"] holds the
+    projection as sparse columns {quotient index: Fraction}, one per basis
+    element of l, for exact.sparse_apply: a kept b_j maps to itself and the
+    b_j at a pivot to minus the rest of that pivot's RREF row.
     """
     zvecs = [_coords(z) for z in zbasis]
     n = l.dim
@@ -366,8 +368,8 @@ def quotient_central(l: LieSuperalgebra, zbasis: Sequence) -> tuple[LieSuperalge
             if _sparse_product(ent, zs, [(j, ONE)]):
                 raise NotCentral(f"generator fails centrality against basis element {j}")
         zr.insert(dict(zs))
-    pivots = set(zr.pivots())
-    keep = [c for c in range(n) if c not in pivots]
+    rows = dict(zip(zr.pivots(), zr.basis()))
+    keep = [c for c in range(n) if c not in rows]
     pos = {c: t for t, c in enumerate(keep)}
 
     new_space = SuperSpace(
@@ -385,15 +387,16 @@ def quotient_central(l: LieSuperalgebra, zbasis: Sequence) -> tuple[LieSuperalge
                 if red:
                     entries[(a, b)] = tuple(sorted((pos[k], c) for k, c in red.items()))
     table = StructureTable(new_space, "lie", entries)
-    proj = Matrix.from_cols(
-        [tuple(zr.reduce({j: ONE}).get(c, ZERO) for c in keep) for j in range(n)]
-    )
+    proj = [
+        {pos[k]: -c for k, c in rows[j].items() if k != j} if j in rows else {pos[j]: ONE}
+        for j in range(n)
+    ]
     prov = {
         "name": f"{l.provenance.get('name', 'L')}/center",
         "projection": proj,
         "kept_columns": tuple(keep),
     }
-    return LieSuperalgebra(table, prov), proj
+    return LieSuperalgebra(table, prov)
 
 
 def matrix_unit_products(units: Sequence[tuple]) -> dict:

@@ -23,12 +23,12 @@ def sl33():
 
 @pytest.fixture(scope="session")
 def psl22():
-    return C.construct_psl(1)[0]
+    return C.construct_psl(1)
 
 
 @pytest.fixture(scope="session")
 def psl33():
-    return C.construct_psl(2)[0]
+    return C.construct_psl(2)
 
 
 @pytest.fixture(scope="session")

@@ -3,15 +3,17 @@
 Matrix, rref, kernel_from_rref, kernel and solve_linear are the dense
 Fraction elimination that the package replaced with SparseRref everywhere
 (kernel_from_rows, augmented solves, subspace coordinates); Matrix extends
-the package's projection container with identity, zeros, row, col,
-matmul, trace and copy.  FractionSparseRref is the Fraction-pivot incremental RREF that
+exact.Matrix, which the package no longer uses, with identity, zeros, row,
+col, matmul, trace and copy.  FractionSparseRref is the Fraction-pivot incremental RREF that
 supergrade.exact.SparseRref replaced with fraction-free integer
 elimination; the property tests in test_exact.py require both to agree.
 char_poly, rational_eigenvalues and ad_matrix are the dense eigenvalue
 route that the sparse minimal-polynomial route replaced.
 rational_roots_by_divisors is the rational-root theorem search that
 exact.rational_roots replaced with Sturm bisection: it tries every divisor
-of the end coefficients, which takes about sqrt(|coefficient|) steps.  d_operator is the
+of the end coefficients, which takes about sqrt(|coefficient|) steps.
+poly_eval, poly_divmod and poly_monic are the Fraction polynomial
+arithmetic it runs on; exact.min_poly takes its lcms without them.  d_operator is the
 Fraction-matrix form of the TKK operator pair that jordan.tkk builds as
 scaled integer rows.  complement_rows picks the canonical complement of
 B^2 in Z^2 on the full cochain system, as cohomology.h2_representatives
@@ -34,9 +36,7 @@ from supergrade.exact import (
     Vec,
     dense_to_sparse,
     poly_degree,
-    poly_divmod,
-    poly_eval,
-    poly_monic,
+    poly_trim,
     primitive_integer_poly,
     rational_roots,
     sparse_to_dense,
@@ -303,6 +303,42 @@ def rational_eigenvalues(m: Matrix) -> list[tuple[Fraction, int]]:
             f"{poly_degree(cofactor)} factor without rational roots"
         )
     return roots
+
+
+def poly_eval(p: Sequence, x) -> Fraction:
+    acc = ZERO
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def poly_divmod(p: Sequence, q: Sequence) -> tuple[list, list]:
+    q = list(q)
+    poly_trim(q)
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p)
+    quot = [ZERO] * max(len(rem) - len(q) + 1, 1)
+    dq = len(q) - 1
+    lead = q[-1]
+    while len(rem) - 1 >= dq and poly_trim(rem):
+        d = len(rem) - 1
+        if d < dq:
+            break
+        c = rem[-1] / lead
+        quot[d - dq] = c
+        for i in range(len(q)):
+            rem[d - dq + i] -= c * q[i]
+        poly_trim(rem)
+    return poly_trim(quot), rem
+
+
+def poly_monic(p: Sequence) -> list:
+    p = poly_trim(list(p))
+    if not p:
+        return p
+    lead = p[-1]
+    return [c / lead for c in p]
 
 
 def _int_divisors(n: int) -> list[int]:

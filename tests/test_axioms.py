@@ -88,7 +88,7 @@ def oracle_jordan(table):
 # name -> (constructor, symmetry flip of c_ji vs c_ij, check, oracle)
 ALGEBRAS = {
     "sl21": (lambda: C.construct_sl(2, 1), -1, _axioms.check_super_jacobi, oracle_jacobi),
-    "psl22": (lambda: C.construct_psl(1)[0], -1, _axioms.check_super_jacobi, oracle_jacobi),
+    "psl22": (lambda: C.construct_psl(1), -1, _axioms.check_super_jacobi, oracle_jacobi),
     "grassmann2": (lambda: C.construct_assoc("grassmann", 2), None,
                    _axioms.check_associativity, oracle_associativity),
     "matrix11": (lambda: C.construct_assoc("matrix_super", (1, 1)), None,

@@ -5,7 +5,8 @@ traceback.  Exit 2 is one line on stderr and nothing on stdout; exit 1
 prints a JSON verdict; exit 0 prints a JSON result or an SCA document.
 The inputs are the fixtures with one mutation each, vector arguments of the
 wrong length or with malformed or huge entries, damaged JSON element files
-and cover maps, and small constructions (every one under 100 dimensions).
+and cover maps, small constructions (every one under 100 dimensions), and
+usage errors, which exit 2 like any input error.
 """
 
 import contextlib
@@ -164,10 +165,36 @@ BAD_PARAMS = [["-1"], ["0"], ["x"], [], ["1", "2", "3"], ["0", "0"], ["1", "-1"]
               ["0", "0", "field"], ["1"]]
 
 
+# options each command requires: dropping one is a usage error
+REQUIRED = {"decompose": ["--cartan"], "verify-grading": ["--cover"],
+            "three-grading": ["--cover", "--style"], "jordan-from-grading": ["--e", "--f"],
+            "peirce": ["--idempotent"], "certify-m11": ["--elements"]}
+
+
+def _usage_fault(draw, args: list) -> list:
+    """args with one usage error: the first positional or every occurrence
+    of a required option dropped, the command or a choices value
+    misspelled, or an unknown flag added."""
+    how = draw(st.sampled_from(["drop", "misspell", "flag"]))
+    if how == "flag":
+        return args + ["--no-such-flag"]
+    if how == "misspell":
+        spots = [0] + [1] * (args[0] == "construct") + [
+            t + 1 for t, a in enumerate(args) if a == "--style"]
+        t = draw(st.sampled_from(spots))
+        return args[:t] + [args[t] + "x"] + args[t + 1:]
+    option = draw(st.sampled_from([None] + REQUIRED.get(args[0], [])))
+    if option is None:
+        return args[:1] + args[2:]
+    dropped = {t + d for t, a in enumerate(args) if a == option for d in (0, 1)}
+    return [a for t, a in enumerate(args) if t not in dropped]
+
+
 @st.composite
 def argv(draw, command, workdir):
-    """A full command line for command, in workdir, with at most one part
-    damaged: the input file, another argument, or the --out path."""
+    """(args, usage): a full command line for command, in workdir, with at
+    most one part damaged: the input file, another argument, the --out path,
+    or (usage True) the command line itself."""
 
     def sca(name, bad):
         # a damaged copy of this input or of another fixture
@@ -182,7 +209,7 @@ def argv(draw, command, workdir):
         path.write_text(text)
         return str(path)
 
-    fault = draw(st.sampled_from([None, "file", "arg", "out"]))
+    fault = draw(st.sampled_from([None, "file", "arg", "out", "usage"]))
     file_bad, bad = fault == "file", fault == "arg"
     if command == "check":
         args = ["check", sca(draw(st.sampled_from(sorted(LINES))), file_bad)]
@@ -225,7 +252,9 @@ def argv(draw, command, workdir):
                 "--elements", written("elems.json", draw(json_text(M11_ELEMENTS, bad)))]
     if fault == "out" or draw(st.booleans()):
         args += ["--out", str(workdir / ("missing/out.json" if fault == "out" else "out.json"))]
-    return args
+    if fault == "usage":
+        return _usage_fault(draw, args), True
+    return args, False
 
 
 def _keeps_the_contract(args):
@@ -241,6 +270,7 @@ def _keeps_the_contract(args):
         assert isinstance(json.loads(out), dict)
     elif not out.startswith("SCA/1\n"):
         json.loads(out)
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -269,4 +299,5 @@ def test_cohomology_commands_keep_the_exit_code_contract(workdir, case, command,
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_every_command_keeps_the_exit_code_contract(workdir, command, data):
-    _keeps_the_contract(data.draw(argv(command, workdir)))
+    args, usage = data.draw(argv(command, workdir))
+    assert _keeps_the_contract(args) == 2 or not usage

@@ -12,7 +12,14 @@ from supergrade import cohomology as H
 from supergrade import constructors as C
 from supergrade.constructors import CartanBasis
 from supergrade.errors import DimensionMismatch, NotPerfect
-from supergrade.exact import SparseRref, kernel_from_rows, unit_vec
+from supergrade.exact import (
+    SparseRref,
+    dense_to_sparse,
+    kernel_from_rows,
+    sparse_apply,
+    sparse_to_dense,
+    unit_vec,
+)
 from supergrade.sca import parse_sca
 from supergrade.superalg import (
     Element,
@@ -154,11 +161,14 @@ def test_uce_psl22(psl22):
 def test_uce_projection_is_homomorphism(psl22):
     ext = H.uce(psl22)
     u, proj = ext.extended, ext.projection
+
+    def image(v):
+        return sparse_to_dense(sparse_apply(proj, dense_to_sparse(v)), psl22.dim)
+
     for i in range(u.dim):
         for j in range(u.dim):
-            lhs = proj.mul_vec(u.product_vec(unit_vec(u.dim, i), unit_vec(u.dim, j)))
-            rhs = psl22.product_vec(proj.mul_vec(unit_vec(u.dim, i)),
-                                    proj.mul_vec(unit_vec(u.dim, j)))
+            lhs = image(u.product_vec(unit_vec(u.dim, i), unit_vec(u.dim, j)))
+            rhs = psl22.product_vec(image(unit_vec(u.dim, i)), image(unit_vec(u.dim, j)))
             assert lhs == rhs
 
 
@@ -184,7 +194,7 @@ def test_uce_quotient_matches_base(psl22):
 
     ext = H.uce(psl22)
     u = ext.extended
-    q, _ = quotient_central(u, center(u))
+    q = quotient_central(u, center(u))
     assert H.fingerprint(q) == H.fingerprint(psl22)
 
 
@@ -273,8 +283,9 @@ def test_odd_h2_vanishes(psl22, psl33):
 def test_extension_kernel_is_central(psl22):
     ext = H.uce(psl22)
     u = ext.extended
-    assert len(kernel(ext.projection)) == 3
-    for kv in kernel(ext.projection):
+    kern = kernel(Matrix.from_cols([sparse_to_dense(c, psl22.dim) for c in ext.projection]))
+    assert len(kern) == 3
+    for kv in kern:
         for j in range(u.dim):
             assert not any(u.product_vec(kv, unit_vec(u.dim, j)))
 
@@ -343,9 +354,9 @@ def _oracle_coboundaries(l, parity):
 @cache
 def _base_algebra(name):
     return {"sl21": lambda: C.construct_sl(2, 1),
-            "psl22": lambda: C.construct_psl(1)[0],
-            "psl33": lambda: C.construct_psl(2)[0],
-            "uce_psl22": lambda: H.uce(C.construct_psl(1)[0]).extended}[name]()
+            "psl22": lambda: C.construct_psl(1),
+            "psl33": lambda: C.construct_psl(2),
+            "uce_psl22": lambda: H.uce(C.construct_psl(1)).extended}[name]()
 
 
 H2 = {"sl21": (0, 0), "psl22": (3, 0), "psl33": (1, 0), "uce_psl22": (0, 0)}
@@ -438,7 +449,7 @@ def _weight_counts(l):
 
 def test_toral_basis_elements_and_weight_zero_pairs(psl22, psl33, tkk_jp4):
     assert _weight_counts(psl22) == (2, 11, 0, 51, 48)
-    assert _weight_counts(C.construct_psl(3)[0]) == (6, 43, 0, 963, 960)
+    assert _weight_counts(C.construct_psl(3)) == (6, 43, 0, 963, 960)
     assert _weight_counts(tkk_jp4.lie) == (7, 77, 0, 4033, 4032)
     # an abelian algebra has no ad that is nonzero, and invalid_lie.sca's
     # b_1 has [b_1, b_1] = b_2: no toral element, so all pairs are unknowns

@@ -14,8 +14,6 @@ from supergrade.exact import (
     SparseRref,
     dense_to_sparse,
     min_poly,
-    poly_divmod,
-    poly_eval,
     poly_mul,
     rational_roots,
     vec,
@@ -25,6 +23,8 @@ from tests.oracles import (
     Matrix,
     char_poly,
     kernel,
+    poly_divmod,
+    poly_eval,
     rational_eigenvalues,
     rational_roots_by_divisors,
     rref,
@@ -119,14 +119,18 @@ def _sparse_cols(m: Matrix) -> list[dict]:
     return [dense_to_sparse(m.col(j)) for j in range(m.cols)]
 
 
-def test_min_poly_diagonalizable():
-    m = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, -2]])
-    assert min_poly(_sparse_cols(m)) == [F(-2), F(1), F(1)]  # (t-1)(t+2)
-
-
-def test_min_poly_nilpotent():
-    m = Matrix([[0, 1], [0, 0]])
-    assert min_poly(_sparse_cols(m)) == [F(0), F(0), F(1)]  # t^2
+@pytest.mark.parametrize("rows, want", [
+    # (t-1)(t+2)
+    pytest.param([[1, 0, 0], [0, 1, 0], [0, 0, -2]], [-2, 1, 1], id="diagonalizable"),
+    pytest.param([[0, 1], [0, 0]], [0, 0, 1], id="nilpotent"),  # t^2
+    # J_2(1) + (1) + (2) has (t-1)^2 (t-2); e_3 shares the eigenvalue 1 with
+    # the Jordan block, so the product of the local minimal polynomials,
+    # (t-1)^3 (t-2), is too big
+    pytest.param([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]], [-2, 5, -4, 1],
+                 id="shared-eigenvalue"),
+])
+def test_min_poly(rows, want):
+    assert min_poly(_sparse_cols(Matrix(rows))) == [F(c) for c in want]
 
 
 def test_span_closure_empty():

@@ -1,5 +1,5 @@
-"""Source hygiene: no private helper outlives its last caller, and no
-module imports a name it never uses."""
+"""Source hygiene: no private helper outlives its last caller, no module
+imports a name it never uses, and only exact names the dense Matrix."""
 
 import ast
 from pathlib import Path
@@ -99,3 +99,27 @@ def test_import_guard_counts_names_attribute_bases_and_exports():
     # b, f and m are never read; js.x would count, but x.js and a bare
     # "js" string do not
     assert _unused_imports(text + "y = x.js, 'js'\n") == ["js", "b", "f", "m"]
+
+
+def _names(text: str, name: str) -> bool:
+    """Whether code (not a string) names name: as a bare name, an
+    attribute, an imported name or a definition."""
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.alias):
+            found = name in (node.name, node.asname)
+        else:
+            found = name in (getattr(node, "id", None), getattr(node, "attr", None),
+                             getattr(node, "name", None))
+        if found:
+            return True
+    return False
+
+
+def test_only_exact_names_the_dense_matrix():
+    # every linear map the package applies is a list of sparse columns
+    named = [p.stem for p in sorted(SRC.glob("*.py"))
+             if _names(p.read_text(encoding="utf-8"), "Matrix")]
+    assert named == ["exact"]
+    assert not _names('"""a Matrix in a docstring"""\nm = {"Matrix": 1}\n', "Matrix")
+    for code in ("from .exact import Matrix\n", "exact.Matrix(x)\n", "Matrix.from_cols(c)\n"):
+        assert _names(code, "Matrix"), code

@@ -1,13 +1,16 @@
 """Structure tables, validators and generic algebra operations."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from supergrade import constructors as C
 from supergrade.errors import AxiomViolation, MissingUnit, NotCentral, ValidationError
-from supergrade.exact import unit_vec
+from supergrade.cohomology import uce
+from supergrade.exact import dense_to_sparse, sparse_apply, sparse_to_dense, unit_vec
 from supergrade.jordan import symmetrized
+from supergrade.sca import parse_sca
 from supergrade.superalg import (
     LieSuperalgebra,
     StructureTable,
@@ -22,9 +25,17 @@ from supergrade.superalg import (
     validate_jordan,
     validate_lie,
 )
-from tests.oracles import ad_matrix, basis_element, subalgebra_from_generators
+from tests.oracles import (
+    Matrix,
+    ad_matrix,
+    basis_element,
+    kernel,
+    rref,
+    subalgebra_from_generators,
+)
 
 F = Fraction
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def abelian_table(parities):
@@ -184,15 +195,29 @@ def test_derived_examples(sl33):
     assert len(derived_subalgebra(sl33)) == 35
 
 
-def test_quotient_central(sl22, sl33):
-    psl, proj = quotient_central(sl22, [sl22.provenance["z"]])
-    assert psl.dim == 14
-    assert len(center(psl)) == 0
-    validate_lie(psl.table)
-    q33, _ = quotient_central(sl33, [sl33.provenance["z"]])
-    assert q33.dim == 34
+def test_quotient_central(sl22, sl33, psl22):
+    gl22 = LieSuperalgebra(parse_sca((FIXTURES / "gl22.sca").read_text()))
+    u = uce(psl22).extended  # a 3-dimensional center, even and odd
+    for l, qdim in ((sl22, 14), (sl33, 34), (gl22, 15), (u, 14)):
+        zbasis = center(l)
+        q = quotient_central(l, zbasis)
+        assert q.dim == qdim
+        validate_lie(q.table)
+        # the sparse projection is a homomorphism onto q with kernel <zbasis>
+        cols = q.provenance["projection"]
+        images = [sparse_to_dense(c, q.dim) for c in cols]
+        for i in range(l.dim):
+            for j in range(l.dim):
+                prod = dense_to_sparse(l.product_vec(unit_vec(l.dim, i), unit_vec(l.dim, j)))
+                got = sparse_to_dense(sparse_apply(cols, prod), q.dim)
+                assert got == q.product_vec(images[i], images[j]), (l, i, j)
+        pm = Matrix.from_cols(images)
+        assert len(rref(pm)[1]) == q.dim
+        kern = kernel(pm)
+        assert len(kern) == len(zbasis) == len(rref(Matrix(kern + zbasis))[1])
+    assert len(center(quotient_central(sl22, [sl22.provenance["z"]]))) == 0
     # quotient by nothing is a copy
-    same, proj2 = quotient_central(sl22, [])
+    same = quotient_central(sl22, [])
     assert same.table.entries == sl22.table.entries
 
 
@@ -340,5 +365,5 @@ def test_tensor_and_quotient_outputs_validate():
         validate_lie(tensor_lie_assoc(gl21, a).table)
         validate_jordan(symmetrized(a).table)
     gl22 = C.construct_gl(2, 2)
-    q, _ = quotient_central(gl22, [gl22.provenance["z"]])
+    q = quotient_central(gl22, [gl22.provenance["z"]])
     validate_lie(q.table)
