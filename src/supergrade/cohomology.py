@@ -16,8 +16,9 @@ overflow, so no magnitude bound is needed.
 
 H^2 is solved on the cochains of weight zero.  The toral basis elements
 are the even b_h whose ad is diagonal in the given basis, read off the
-table's entries (h, j); every basis element is a weight vector for the
-toral subalgebra they span, and by the super Jacobi identity the table,
+table's entries (h, j) by StructureTable.toral_weights; every basis
+element is a weight vector for the toral subalgebra they span, and by
+the super Jacobi identity the table,
 the cocycle identity and the coboundaries are weight-homogeneous.  An
 even toral h acts trivially on cohomology by the Cartan formula
 theta(h) = d i_h + i_h d (Hochschild & Serre 1953), and theta(h) is the
@@ -104,23 +105,6 @@ def _pair_index(space: SuperSpace, parity: int, weights: list):
                 continue  # phi(x,x) = 0 for even x
             pairs.append((i, j))
     return pairs, {p: t for t, p in enumerate(pairs)}
-
-
-def _toral_weights(l: LieSuperalgebra, itab: list) -> list[tuple]:
-    """The joint integer weight of every basis element under the toral
-    basis elements: the even b_h with ad b_h nonzero and diagonal, that is
-    [b_h, b_j] in Q b_j for every j.
-
-    Two such elements commute ([b_h, b_g] lies on both b_g and b_h), so
-    they span a toral subalgebra.  The weights are read off the integer
-    table, where every eigenvalue carries the same factor s; a sum of
-    weights is zero exactly when it is zero unscaled.  With no toral
-    element every weight is ().
-    """
-    cols = [{j: t[0][1] for j, t in row.items()} for h, row in enumerate(itab)
-            if row and not l.parity[h]
-            and all(len(t) == 1 and t[0][0] == j for j, t in row.items())]
-    return [tuple(col.get(j, 0) for col in cols) for j in range(l.dim)]
 
 
 def _cocycle_rows(
@@ -278,7 +262,7 @@ def h2_dims(l: LieSuperalgebra) -> tuple[int, int]:
     """dim H^2(L, F) = dim Z^2 - dim B^2, per parity, from ranks alone, on
     the cochains of weight zero."""
     itab = l.table.integer_form()[1]
-    weights = _toral_weights(l, itab)
+    weights = l.table.toral_weights(itab)
     out = []
     for parity in (0, 1):
         pairs, pos = _pair_index(l.space, parity, weights)
@@ -292,7 +276,7 @@ def h2_dims(l: LieSuperalgebra) -> tuple[int, int]:
 def h2_representatives(l: LieSuperalgebra, parity: int) -> list[Cocycle2]:
     """Cocycles spanning a canonical complement of B^2 inside Z^2."""
     itab = l.table.integer_form()[1]
-    weights = _toral_weights(l, itab)
+    weights = l.table.toral_weights(itab)
     pairs, sr = _coboundary_rref(l, parity, itab, weights)
     _, basis = _cocycle_basis(l, parity, itab, weights)
     return [_materialize(l, parity, pairs, z) for z in basis if sr.insert(z) is not None]

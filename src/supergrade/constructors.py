@@ -107,7 +107,7 @@ def construct_gl(m: int, n: int) -> LieSuperalgebra:
     d = m + n
     units, space = _matrix_units(m, n)
     entries = super_symmetrized(matrix_unit_products(units), space.parity, -1)
-    table = StructureTable(space, "lie", entries)
+    table = StructureTable._canonical(space, "lie", entries)
 
     z = [ZERO] * (d * d)
     diag_indices = [t * d + t for t in range(d)]

@@ -17,7 +17,9 @@ Python integers (Bareiss, Math. Comp. 22, 1968): its basis rows are
 primitive {column: int} rows, a row with Fraction entries is scaled once by
 the lcm of its denominators, and Fraction appears only in what it returns
 (reduce, basis, and coordinates of Fraction input).  Inserting and testing
-integer rows builds no Fraction at all.  The RREF is unique, so these
+integer rows builds no Fraction at all, and _reduce hands back the integer
+row with its scale: superalg's subspace coordinates and restricted tables
+read it and build one Fraction per coordinate.  The RREF is unique, so these
 bases equal those of the dense Fraction elimination in tests/oracles.py.
 Every linear map the package applies is a list of sparse columns
 {row: Fraction}, applied with sparse_apply: central-quotient projections

@@ -16,6 +16,12 @@ Comments start with '#'.  Rationals must be normalized: lowest terms,
 positive denominator, integer shorthand when the denominator is 1.
 write_sca sorts entries by (i, j, k) and is byte-deterministic, so
 write(parse(doc)) is the identity on canonical documents.
+
+parse_sca builds one Fraction per distinct coefficient text.  It checks
+every line as it reads it (indices, duplicates, zeros) and parity
+homogeneity after the last line, in the order StructureTable checks
+entries, so the table it builds is canonical and goes through
+StructureTable._canonical without a second pass over the entries.
 """
 
 from __future__ import annotations
@@ -137,7 +143,7 @@ def parse_sca(text: str) -> StructureTable:
             if k - 1 in terms:
                 raise ParseError(f"duplicate entry ({i},{j},{k})", lineno)
             c = _parse_rational(tok[4], lineno, rationals)
-            if c == 0:
+            if tok[4] == "0":  # the one normalized spelling of zero
                 raise ParseError("zero structure constants must be omitted", lineno)
             terms[k - 1] = c
         elif key == "end":
@@ -159,12 +165,15 @@ def parse_sca(text: str) -> StructureTable:
         label_tuple = tuple(labels[i + 1] for i in range(dim))
     try:
         space = SuperSpace(dim, parity, label_tuple)
-        return StructureTable(
-            space,
-            kind,
-            {key: tuple(sorted(terms.items())) for key, terms in entries.items()},
-            unit=unit,
-        )
+        # parity in StructureTable's order: entries as they appear, terms by k
+        canon = {}
+        for (i, j), terms in entries.items():
+            terms = canon[i, j] = tuple(sorted(terms.items()))
+            p = parity[i] ^ parity[j]
+            for k, _ in terms:
+                if parity[k] != p:
+                    raise ValidationError(f"entry ({i},{j},{k}) violates parity homogeneity")
+        return StructureTable._canonical(space, kind, canon, unit)
     except ValidationError as exc:
         raise ValidationError(f"table invariant violated: {exc}") from exc
 

@@ -4,6 +4,12 @@ A StructureTable is a sparse table of structure constants on a graded
 basis; validators turn tables into typed algebra objects after checking
 the relevant axioms exhaustively on basis tuples.  All operations are
 pure functions of immutable inputs.
+
+Structure constants are stored as Fraction, but tables are built and
+restricted over Python integers (integer_form, super_symmetrized,
+SubspaceCoords, restricted_table), with one Fraction per returned
+coefficient.  Such tables, and parsed ones, are canonical by construction
+and skip the entry checks of the public constructor (_canonical).
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from .exact import (
     ONE,
     SparseRref,
     Vec,
-    ZERO,
     dense_to_sparse,
     kernel_from_rows,
     sparse_to_dense,
@@ -148,9 +153,26 @@ class StructureTable:
             if cleaned:
                 canon[(i, j)] = tuple(sorted(cleaned))
         self.entries = canon
+        self._check_unit()
+
+    @classmethod
+    def _canonical(cls, space: SuperSpace, kind: str, entries: dict, unit=None):
+        """A table on entries that are canonical already (keys and targets
+        in range, terms sorted by distinct k, nonzero Fraction coefficients,
+        parity-homogeneous); only the unit is checked.  Callers: parse_sca,
+        which checks each line, and restricted_table, construct_gl and
+        tensor_lie_assoc, whose sorted products of homogeneous elements are
+        homogeneous.  Tests compare it with __init__ on every fixture and
+        construction."""
+        table = cls.__new__(cls)
+        table.space, table.kind, table.entries, table.unit = space, kind, entries, unit
+        table._check_unit()
+        return table
+
+    def _check_unit(self):
         if self.unit is not None:
             u = vec(self.unit)
-            if len(u) != n:
+            if len(u) != self.space.dim:
                 raise ValidationError("unit vector has wrong length")
             if homogeneous_parity(self.space, u) != 0:
                 raise ValidationError("unit element must be even")
@@ -176,6 +198,23 @@ class StructureTable:
             L[i][j] = tuple((k, c.numerator * (s // c.denominator)) for k, c in terms)
         return s, L
 
+    def toral_weights(self, L: list) -> list[tuple]:
+        """The joint integer weight of every basis element under the toral
+        basis elements, given the integer form L: the even b_h with ad b_h
+        nonzero and diagonal, that is [b_h, b_j] in Q b_j for every j.
+
+        Two such elements commute ([b_h, b_g] lies on both b_g and b_h), so
+        they span a toral subalgebra.  The weights are read off the integer
+        table, where every eigenvalue carries the same factor s; a sum of
+        weights is zero exactly when it is zero unscaled.  With no toral
+        element every weight is ().
+        """
+        par = self.space.parity
+        cols = [{j: t[0][1] for j, t in row.items()} for h, row in enumerate(L)
+                if row and not par[h]
+                and all(len(t) == 1 and t[0][0] == j for j, t in row.items())]
+        return [tuple(col.get(j, 0) for col in cols) for j in range(self.space.dim)]
+
 
 def table_product(table: StructureTable, x: Sequence, y: Sequence) -> Vec:
     """Bilinear extension of the structure table to coordinate vectors."""
@@ -189,7 +228,8 @@ def table_product(table: StructureTable, x: Sequence, y: Sequence) -> Vec:
 
 def _sparse_product(ent: dict, xs: Iterable, ys: Iterable) -> dict:
     """Product of two vectors given as (index, nonzero coefficient) pairs,
-    as a sparse dict without zero values.  ys is iterated once per pair of
+    as a sparse dict without zero values; on integer entries and
+    coefficients it is an integer dict.  ys is iterated once per pair of
     xs, so it must be re-iterable (a list, tuple or dict items view)."""
     acc = {}
     for i, ci in xs:
@@ -199,7 +239,7 @@ def _sparse_product(ent: dict, xs: Iterable, ys: Iterable) -> dict:
                 continue
             cij = ci * cj
             for k, c in terms:
-                v = acc.get(k, ZERO) + cij * c
+                v = acc.get(k, 0) + cij * c
                 if v:
                     acc[k] = v
                 else:
@@ -326,14 +366,24 @@ def ad_rows(l: _AlgebraBase, x) -> list[dict]:
     return sparse_transpose(cols, l.dim)
 
 
-def center(l: _AlgebraBase) -> list[Vec]:
-    """Canonical basis of {x : x * b_j = 0 for every basis element b_j}."""
-    n = l.dim
+def center(l: LieSuperalgebra) -> list[Vec]:
+    """Canonical basis of {x : x * b_j = 0 for every basis element b_j}.
+
+    On a super-anticommutative table, x * b_h = 0 gives b_h * x = 0 for
+    every even b_h, so a central x lies in the span of the basis elements
+    of toral weight zero (StructureTable.toral_weights): the system is
+    solved on those unknowns alone, over the integer table.  Every other
+    unknown is 0 in the kernel, so the canonical basis is the full system's.
+    """
+    L = l.table.integer_form()[1]
+    cols = [i for i, w in enumerate(l.table.toral_weights(L)) if not any(w)]
     rows: dict[tuple, dict] = {}
-    for (i, j), terms in l.table.entries.items():
-        for k, c in terms:
-            rows.setdefault((j, k), {})[i] = c
-    return kernel_from_rows(rows.values(), n)
+    for t, i in enumerate(cols):
+        for j, terms in L[i].items():
+            for k, c in terms:
+                rows.setdefault((j, k), {})[t] = c
+    return [sparse_to_dense({i: z[t] for t, i in enumerate(cols)}, l.dim)
+            for z in kernel_from_rows(rows.values(), len(cols))]
 
 
 def derived_subalgebra(l: _AlgebraBase) -> list[Vec]:
@@ -402,13 +452,13 @@ def quotient_central(l: LieSuperalgebra, zbasis: Sequence) -> LieSuperalgebra:
 def matrix_unit_products(units: Sequence[tuple]) -> dict:
     """Entries of the associative product e_ij e_kl = delta_jk e_il on the
     matrix units units = [(i, j), ...], which must contain every e_il that
-    such a product reaches."""
+    such a product reaches; the coefficients are the integer 1."""
     pos = {u: t for t, u in enumerate(units)}
     by_row = {}
     for t, (r, c) in enumerate(units):
         by_row.setdefault(r, []).append((t, c))
     return {
-        (t1, t2): ((pos[(r1, c2)], ONE),)
+        (t1, t2): ((pos[(r1, c2)], 1),)
         for t1, (r1, c1) in enumerate(units)
         for t2, c2 in by_row.get(c1, ())
     }
@@ -418,19 +468,23 @@ def super_symmetrized(ent: dict, parity: Sequence, sign: int, scale: Fraction = 
     """Entries of x * y = scale (xy + sign (-1)^{|x||y|} yx) from the entries
     of an associative product xy on a basis of the given parities: sign -1
     gives the supercommutator of A^-, sign 1 with scale 1/2 the Jordan
-    product of A+."""
+    product of A+.  The coefficients of ent (int or Fraction) are summed
+    over the integers, cleared by the lcm den of their denominators, and
+    each nonzero sum becomes one Fraction, times scale / den; the entries
+    come out canonical.
+    """
+    den = lcm(1, *{c.denominator for terms in ent.values() for _, c in terms})
     acc: dict[tuple, dict] = {}
     for (i, j), terms in ent.items():
-        swap = scale * (-sign if parity[i] & parity[j] else sign)
-        for key, f in (((i, j), scale), ((j, i), swap)):
+        swap = -sign if parity[i] & parity[j] else sign
+        ints = [(k, c.numerator * (den // c.denominator)) for k, c in terms]
+        for key, f in (((i, j), 1), ((j, i), swap)):
             row = acc.setdefault(key, {})
-            for k, c in terms:
-                v = row.get(k, ZERO) + f * c
-                if v:
-                    row[k] = v
-                else:
-                    row.pop(k, None)
-    return {key: tuple(sorted(acc[key].items())) for key in sorted(acc) if acc[key]}
+            for k, c in ints:
+                row[k] = row.get(k, 0) + f * c
+    num, den = scale.numerator, scale.denominator * den
+    return {key: tuple((k, Fraction(num * v, den)) for k, v in sorted(row.items()) if v)
+            for key, row in sorted(acc.items()) if any(row.values())}
 
 
 def tensor_lie_assoc(g0: LieSuperalgebra, a: AssocSuperalgebra) -> LieSuperalgebra:
@@ -455,14 +509,18 @@ def tensor_lie_assoc(g0: LieSuperalgebra, a: AssocSuperalgebra) -> LieSuperalgeb
         tuple(f"{g0.labels[u]}@{alabels[s]}" for u in range(len(units)) for s in range(na)),
     )
 
+    # the tensor on A's integer form, scaled back by 1/sa once per constant
+    sa, la = a.table.integer_form()
     assoc = {}
     for (u, v), uv in matrix_unit_products(units).items():
-        for (s, t), st in a.table.entries.items():
+        for s, row in enumerate(la):
             sgn = -1 if apar[s] & unit_parity[v] else 1
-            assoc[(u * na + s, v * na + t)] = tuple(
-                (w * na + r, sgn * cw * c) for w, cw in uv for r, c in st
-            )
-    table = StructureTable(space, "lie", super_symmetrized(assoc, space.parity, -1))
+            for t, st in row.items():
+                assoc[(u * na + s, v * na + t)] = tuple(
+                    (w * na + r, sgn * cw * c) for w, cw in uv for r, c in st
+                )
+    entries = super_symmetrized(assoc, space.parity, -1, Fraction(1, sa))
+    table = StructureTable._canonical(space, "lie", entries)
     name = f"{g0.provenance.get('name', 'gl')}(x){a.provenance.get('name', 'A')}"
     return LieSuperalgebra(table, {"name": name})
 
@@ -470,30 +528,38 @@ def tensor_lie_assoc(g0: LieSuperalgebra, a: AssocSuperalgebra) -> LieSuperalgeb
 class SubspaceCoords:
     """Coordinate map of an ambient space onto a chosen subspace basis.
 
-    The rows (v_i | e_i) share one SparseRref whose pivots lie among the n
-    ambient columns.  Reducing (w | 0) leaves (0 | -c) exactly when
-    w = sum_i c_i v_i, so coordinates come out over the given basis with
-    no change-of-basis matrix.
+    Basis vector v_i is stored as the integer row d_i v_i, d_i the lcm of
+    its denominators, augmented with e_{n+i}; the rows share one SparseRref
+    whose pivots lie among the n ambient columns.  Reducing (w | 0) leaves
+    (0 | -g) / scale exactly when w = sum_i c_i v_i, and then
+    c_i = g_i d_i / scale: coordinates come out over the given basis with
+    no change-of-basis matrix, and one Fraction per coordinate.
     """
 
     def __init__(self, basis: Sequence[dict], n: int):
         self.dim = len(basis)
         self._n = n
         self._sr = SparseRref(n + self.dim, npivot=n)
+        self._dens = []  # d_i
+        self._rows = []  # d_i v_i as (index, int) pairs
         for i, v in enumerate(basis):
-            row = dict(v)
-            row[n + i] = ONE
+            d = lcm(1, *(c.denominator for c in v.values()))
+            row = {k: c.numerator * (d // c.denominator) for k, c in v.items()}
+            self._dens.append(d)
+            self._rows.append(list(row.items()))
+            row[n + i] = 1
             if self._sr.insert(row) is None:
                 raise ValidationError("subalgebra basis is linearly dependent")
 
-    def sparse_coords(self, ambient: dict) -> dict | None:
-        """Nonzero coordinates {i: c_i} of a sparse vector, or None if it
-        lies outside the span."""
-        red = self._sr.reduce(ambient)
+    def sparse_coords(self, ambient: dict, den: int = 1) -> dict | None:
+        """Nonzero coordinates {i: c_i} of a sparse vector divided by den,
+        or None if it lies outside the span."""
+        g, scale = self._sr._reduce(ambient)
         n = self._n
-        if any(c < n for c in red):
+        if any(c < n for c in g):
             return None
-        return {c - n: -x for c, x in red.items()}
+        dens, den = self._dens, den * scale
+        return {c - n: Fraction(-x * dens[c - n], den) for c, x in g.items()}
 
     def coords(self, ambient) -> Vec | None:
         """Coordinates in the chosen basis, or None if outside the span."""
@@ -511,30 +577,38 @@ def restricted_table(
     subspace is not closed under the product or if some basis vector is not
     parity-homogeneous.  The returned SubspaceCoords maps ambient vectors to
     coordinates in the given basis.
+
+    The integer product of d_i v_i and d_j v_j on l's integer form (scale
+    s) is d_i d_j s [v_i, v_j], and its coordinates are divided by that once
+    each.  Products of homogeneous vectors have homogeneous coordinates over
+    a homogeneous independent basis, so the table is canonical.
     """
     dense = [_coords(b) for b in basis]
     if any(len(v) != l.dim for v in dense):
         raise DimensionMismatch("element length != algebra dimension")
-    vecs = [dense_to_sparse(v) for v in dense]
-    conv = SubspaceCoords(vecs, l.dim)
+    sparse = [dense_to_sparse(v) for v in dense]
+    conv = SubspaceCoords(sparse, l.dim)
+    par = l.space.parity
     parities = []
-    for v in dense:
-        p = homogeneous_parity(l.space, v)
-        if p is None:
+    for v in sparse:
+        seen = {par[k] for k in v}  # v != 0, as the basis is independent
+        if len(seen) > 1:
             raise ValidationError("subalgebra basis vector is not parity-homogeneous")
-        parities.append(p)
-    m = len(vecs)
-    items = [list(v.items()) for v in vecs]
+        parities.append(seen.pop())
+    s, L = l.table.integer_form()
+    ient = {(a, b): terms for a, row in enumerate(L) for b, terms in row.items()}
+    rows, dens = conv._rows, conv._dens
     entries = {}
-    for i in range(m):
-        for j in range(m):
-            given = conv.sparse_coords(_sparse_product(l.table.entries, items[i], items[j]))
+    for i, xs in enumerate(rows):
+        for j, ys in enumerate(rows):
+            prod = _sparse_product(ient, xs, ys)
+            if not prod:
+                continue
+            given = conv.sparse_coords(prod, dens[i] * dens[j] * s)
             if given is None:
                 raise ValidationError(
                     f"subspace not closed: product of basis {i} and {j} escapes the span"
                 )
-            if given:
-                entries[(i, j)] = tuple(sorted(given.items()))
-    space = SuperSpace(m, tuple(parities), labels)
-    table = StructureTable(space, kind or l.kind, entries, unit=unit)
-    return table, conv
+            entries[(i, j)] = tuple(sorted(given.items()))
+    space = SuperSpace(len(rows), tuple(parities), labels)
+    return StructureTable._canonical(space, kind or l.kind, entries, unit), conv

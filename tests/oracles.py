@@ -7,6 +7,9 @@ exact.Matrix, which the package no longer uses, with identity, zeros, row,
 col, matmul, trace and copy.  FractionSparseRref is the Fraction-pivot incremental RREF that
 supergrade.exact.SparseRref replaced with fraction-free integer
 elimination; the property tests in test_exact.py require both to agree.
+FractionSubspaceCoords and restricted_table are the Fraction subspace
+coordinates and restricted table that superalg replaced with integer rows
+and integer products; test_sparse_kernels.py requires both to agree.
 char_poly, rational_eigenvalues and ad_matrix are the dense eigenvalue
 route that the sparse minimal-polynomial route replaced.
 rational_roots_by_divisors is the rational-root theorem search that
@@ -27,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from supergrade.errors import DimensionMismatch, NonSplitSpectrum
+from supergrade.errors import DimensionMismatch, NonSplitSpectrum, ValidationError
 from supergrade import exact
 from supergrade.exact import (
     ONE,
@@ -44,7 +47,15 @@ from supergrade.exact import (
     unit_vec,
     vec,
 )
-from supergrade.superalg import Element, _coords, ad_rows
+from supergrade.superalg import (
+    Element,
+    StructureTable,
+    SuperSpace,
+    _coords,
+    _sparse_product,
+    ad_rows,
+    homogeneous_parity,
+)
 
 TWO = Fraction(2)
 
@@ -241,6 +252,65 @@ def complement_rows(zbasis: list[dict], bbasis: list[dict], ncols: int) -> list[
     for b in bbasis:
         sr.insert(b)
     return [z for z in zbasis if sr.insert(z) is not None]
+
+
+class FractionSubspaceCoords:
+    """Coordinates over a subspace basis from the Fraction rows (v_i | e_i)
+    in one FractionSparseRref: reducing (w | 0) leaves (0 | -c) exactly when
+    w = sum_i c_i v_i.  superalg.SubspaceCoords replaced it with integer
+    rows d_i v_i."""
+
+    def __init__(self, basis: Sequence[dict], n: int):
+        self.dim = len(basis)
+        self._n = n
+        self._sr = FractionSparseRref(n + self.dim, npivot=n)
+        for i, v in enumerate(basis):
+            row = dict(v)
+            row[n + i] = ONE
+            if self._sr.insert(row) is None:
+                raise ValidationError("subalgebra basis is linearly dependent")
+
+    def sparse_coords(self, ambient: dict) -> dict | None:
+        red = self._sr.reduce(ambient)
+        if any(c < self._n for c in red):
+            return None
+        return {c - self._n: -x for c, x in red.items()}
+
+    def coords(self, ambient) -> Vec | None:
+        sparse = ambient if isinstance(ambient, dict) else dense_to_sparse(ambient)
+        found = self.sparse_coords(sparse)
+        return None if found is None else sparse_to_dense(found, self.dim)
+
+
+def restricted_table(l, basis: Sequence, kind: str | None = None, unit=None, labels=None):
+    """superalg.restricted_table in Fraction arithmetic: every product of
+    two basis vectors is formed over Fraction and its coordinates read off
+    FractionSubspaceCoords, and the checking StructureTable builds the
+    table."""
+    dense = [_coords(b) for b in basis]
+    if any(len(v) != l.dim for v in dense):
+        raise DimensionMismatch("element length != algebra dimension")
+    vecs = [dense_to_sparse(v) for v in dense]
+    conv = FractionSubspaceCoords(vecs, l.dim)
+    parities = []
+    for v in dense:
+        p = homogeneous_parity(l.space, v)
+        if p is None:
+            raise ValidationError("subalgebra basis vector is not parity-homogeneous")
+        parities.append(p)
+    items = [list(v.items()) for v in vecs]
+    entries = {}
+    for i in range(len(vecs)):
+        for j in range(len(vecs)):
+            given = conv.sparse_coords(_sparse_product(l.table.entries, items[i], items[j]))
+            if given is None:
+                raise ValidationError(
+                    f"subspace not closed: product of basis {i} and {j} escapes the span"
+                )
+            if given:
+                entries[(i, j)] = tuple(sorted(given.items()))
+    space = SuperSpace(len(vecs), tuple(parities), labels)
+    return StructureTable(space, kind or l.kind, entries, unit=unit), conv
 
 
 def span_closure(seed: Iterable[Sequence], product: Callable[[Vec, Vec], Vec]) -> list[Vec]:

@@ -10,7 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from supergrade import cli, constructors, superalg
 from supergrade.cli import main
+from supergrade.sca import parse_sca
+from supergrade.superalg import StructureTable, SuperSpace
 from tests.conftest import JP4_M11_ELEMENTS
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -742,6 +745,96 @@ def test_construct_stdout_matches_pinned_digest(argv, capsys):
     code, out = run_cli(["construct", *argv], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_DIGESTS[argv]
+
+
+# SHA-256 of the --cover-out file of the slA entries of CONSTRUCT_DIGESTS with
+# m == n, taken while SubspaceCoords still reduced Fraction rows; with m != n
+# there is no cover map
+SLA_COVER_DIGESTS = {
+    ("slA", "2", "2", "matrix_super", "1", "1"):
+        "ed7559e36c3ed4f140c0b3e820f7b13f4649842d3d52e872ffcc1e6479b125ab",
+    ("slA", "2", "2", "dual_numbers"):
+        "ed25266785c01ae9ac96c79a568b820694579da000876336ede6153026dd58e3",
+    ("slA", "2", "1", "grassmann", "2"): None,
+}
+
+
+@pytest.mark.parametrize("argv", [a for a in CONSTRUCT_DIGESTS if a[0] == "slA"],
+                         ids=lambda a: " ".join(a))
+def test_construct_sla_cover_out_matches_pinned_digest(argv, tmp_path, capsys):
+    cover = tmp_path / "cover.json"
+    code = main(["construct", *argv, "--cover-out", str(cover)])
+    captured = capsys.readouterr()
+    if SLA_COVER_DIGESTS[argv] is None:
+        assert code == 2 and captured.out == "" and not cover.exists()
+        assert captured.err == ("supergrade: error: BadParams: --cover-out is only "
+                                "available for construct slA with m == n\n")
+        return
+    assert code == 0
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == CONSTRUCT_DIGESTS[argv]
+    assert hashlib.sha256(cover.read_bytes()).hexdigest() == SLA_COVER_DIGESTS[argv]
+
+
+def test_construct_sla_g1_cover_out_is_the_fixture(tmp_path, capsys):
+    # the cover map of sl_{3,3}(Grassmann(1)) goes through SubspaceCoords.coords
+    cover = tmp_path / "cover.json"
+    code, _ = run_cli(["construct", "slA", "3", "3", "grassmann", "1", "--cover-out", cover],
+                      capsys)
+    assert code == 0
+    assert cover.read_bytes() == (FIXTURES / "slA_g1_cover.json").read_bytes()
+
+
+def _assert_canonical(table):
+    """The table equals the one the checking StructureTable builds from it,
+    entry order included, and its coefficients are Fractions."""
+    checked = StructureTable(SuperSpace(table.space.dim, table.space.parity, table.space.labels),
+                             table.kind, table.entries, table.unit)
+    assert all(type(c) is Fraction for terms in table.entries.values() for _, c in terms)
+    assert (checked.space.dim, checked.space.parity, checked.space.labels) == (
+        table.space.dim, table.space.parity, table.space.labels)
+    assert checked.kind == table.kind
+    assert list(checked.entries.items()) == list(table.entries.items())
+    assert checked.unit == table.unit
+
+
+# the fixtures that do not parse; their errors are pinned elsewhere
+DAMAGED_FIXTURES = {"bad_rational.sca", "parity_fault.sca", "parity_fault_duplicate.sca"}
+
+
+@pytest.mark.parametrize("name", sorted({p.name for p in FIXTURES.glob("*.sca")}
+                                        - DAMAGED_FIXTURES))
+def test_parsed_fixture_table_is_canonical(name):
+    _assert_canonical(parse_sca((FIXTURES / name).read_text()))
+
+
+@pytest.mark.parametrize("argv", CONSTRUCT_DIGESTS, ids=lambda a: " ".join(map(str, a)))
+def test_constructed_table_is_canonical(argv, monkeypatch, capsys):
+    # every table construct writes, and the tensor algebra behind each slA
+    tables = []
+    emit, tensor = cli._emit_sca, superalg.tensor_lie_assoc
+    monkeypatch.setattr(cli, "_emit_sca", lambda a, o, t, s: tables.append(t) or emit(a, o, t, s))
+    monkeypatch.setattr(constructors, "tensor_lie_assoc",
+                        lambda g, a: tables.append(tensor(g, a).table) or tensor(g, a))
+    code, _ = run_cli(["construct", *argv], capsys)
+    assert code == 0
+    assert len(tables) == (2 if argv[0] == "slA" else 1)
+    for table in tables:
+        _assert_canonical(table)
+
+
+@pytest.mark.parametrize("name, message", [
+    # parity is checked once the whole document is read, so a later
+    # duplicate line is reported before an earlier parity fault
+    ("parity_fault.sca", "ValidationError: table invariant violated: "
+                         "entry (0,0,1) violates parity homogeneity"),
+    ("parity_fault_duplicate.sca", "ParseError: line 6: duplicate entry (1,1,2)"),
+])
+def test_first_fault_of_a_document_is_reported(name, message, capsys):
+    code = main(["check", fx(name)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"supergrade: error: {message}\n"
 
 
 # SHA-256 of the stdout of grading and Jordan commands, taken before their

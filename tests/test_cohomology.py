@@ -441,7 +441,7 @@ def test_cohomology_matches_fraction_oracle(case):
 
 def _weight_counts(l):
     """(toral basis elements, weight-0 pairs even, odd, all pairs even, odd)."""
-    w = H._toral_weights(l, l.table.integer_form()[1])
+    w = l.table.toral_weights(l.table.integer_form()[1])
     return (len(w[0]),
             *(len(H._pair_index(l.space, p, w)[0]) for p in (0, 1)),
             *(len(H._pair_index(l.space, p, [()] * l.dim)[0]) for p in (0, 1)))
@@ -465,3 +465,46 @@ def test_toral_basis_elements_and_weight_zero_pairs(psl22, psl33, tkk_jp4):
         sheared = _shear(psl33, h2, psl33.labels.index(x))
         assert _weight_counts(sheared)[0] == toral, x
         assert H.h2_dims(sheared) == (1, 0)
+
+
+def _oracle_center(l):
+    """The dense kernel of the full system x * b_j = 0 on every unknown,
+    one row per (j, k), with repeated rows dropped."""
+    rows = {}
+    for (i, j), terms in l.table.entries.items():
+        for k, c in terms:
+            rows.setdefault((j, k), [F(0)] * l.dim)[i] = c
+    if not rows:
+        return [unit_vec(l.dim, i) for i in range(l.dim)]
+    return kernel(Matrix(sorted({tuple(r) for r in rows.values()})))
+
+
+@cache
+def _psl44():
+    return C.construct_psl(3)
+
+
+def _fixture_lie(name):
+    return LieSuperalgebra(parse_sca((Path(__file__).parent / "fixtures" / name).read_text()))
+
+
+def _sheared(base, x):
+    l = _psl44() if base == "psl44" else _fixture_lie(f"{base}.sca")
+    return _shear(l, _diagonal_even(l)[0], l.labels.index(x))
+
+
+# the Lie fixtures, and psl(4,4) and uce(psl(3,3)) with their first toral
+# basis element sheared onto another even basis element
+CENTER_CASES = {
+    **{name: lambda name=name: _fixture_lie(f"{name}.sca")
+       for name in ("gl22", "invalid_lie", "psl22", "sl21", "slA_g1", "tkk_m11", "uce_psl22",
+                    "uce_psl33")},
+    **{f"{base} sheared onto {x}": lambda base=base, x=x: _sheared(base, x)
+       for base in ("psl44", "uce_psl33") for x in ("H3", "E(1,2)")},
+}
+
+
+@pytest.mark.parametrize("name", CENTER_CASES)
+def test_center_on_weight_zero_unknowns_matches_dense_kernel(name):
+    l = CENTER_CASES[name]()
+    assert center(l) == _oracle_center(l)
