@@ -83,12 +83,25 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _rational(text: str, what: str) -> Fraction:
-    """One vector entry as a Fraction; a malformed entry is BadParams."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise BadParams(f"{what} entry {text!r} is not a rational number") from exc
+# spellings whose value grows with their text: digits over digits (not
+# necessarily normalized) and plain decimals.  An exponent is refused: it
+# would let a 12-byte entry such as 1e100000000 pin a core in Fraction.
+_RATIONAL = re.compile(r"-?(\d+(/\d+)?|\d+\.\d*|\.\d+)\Z")
+
+
+def _rational(text: str, what: str, seen: dict) -> Fraction:
+    """One vector entry as a Fraction, built once per distinct text cached
+    in seen (one dict per vector argument or JSON file); a malformed entry
+    is BadParams."""
+    value = seen.get(text)
+    if value is None:
+        try:
+            if not _RATIONAL.match(text):
+                raise ValueError(text)
+            value = seen[text] = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise BadParams(f"{what} entry {text!r} is not a rational number") from exc
+    return value
 
 
 def _parse_vector(spec: str, dim: int):
@@ -100,7 +113,8 @@ def _parse_vector(spec: str, dim: int):
         raise BadParams(f"vector {spec!r} has an empty entry")
     if len(parts) != dim:
         raise BadParams(f"vector has {len(parts)} entries, expected {dim}")
-    return vec(_rational(p, "vector") for p in parts)
+    seen: dict[str, Fraction] = {}
+    return vec(_rational(p, "vector", seen) for p in parts)
 
 
 def _vec_json(v) -> list:
@@ -241,12 +255,12 @@ def _run_construct(args, out: _Output) -> int:
 _COVER_RE = re.compile(r"\A(p?sl)(\d)(\d)\Z")
 
 
-def _map_vector(v, dim: int, what: str = "cover map"):
+def _map_vector(v, dim: int, seen: dict, what: str = "cover map"):
     from .exact import vec
 
     if not isinstance(v, list) or len(v) != dim:
         raise BadParams(f"{what} vectors must be lists of {dim} rationals")
-    return vec(_rational(str(x), what) for x in v)
+    return vec(_rational(str(x), what, seen) for x in v)
 
 
 _M11_ELEMENT_KEYS = ("e1", "e2", "x", "y")
@@ -258,7 +272,8 @@ def _load_m11_elements(path: str, dim: int) -> list:
     if not isinstance(data, dict) or set(data) != set(_M11_ELEMENT_KEYS):
         raise BadParams(f"element file must be a JSON object with exactly the keys "
                         f"{list(_M11_ELEMENT_KEYS)}")
-    return [_map_vector(data[k], dim, "element file") for k in _M11_ELEMENT_KEYS]
+    seen: dict[str, Fraction] = {}
+    return [_map_vector(data[k], dim, seen, "element file") for k in _M11_ELEMENT_KEYS]
 
 
 def _load_cover_map(path: str, dim: int, count: int | None):
@@ -270,15 +285,16 @@ def _load_cover_map(path: str, dim: int, count: int | None):
     data = json.loads(_read_text(path))
     if not isinstance(data, dict):
         raise BadParams("cover map must be a JSON object")
+    seen: dict[str, Fraction] = {}
     if count is not None:
         rows = data.get("images")
         if not isinstance(rows, list) or len(rows) != count:
             raise BadParams(f"cover map needs an \"images\" list of {count} vectors")
-        return [_map_vector(row, dim) for row in rows]
+        return [_map_vector(row, dim, seen) for row in rows]
     gens = data.get("images", data)
     if not isinstance(gens, dict) or set(gens) != set(_M11_KEYS):
         raise BadParams(f"m11 cover map needs exactly the keys {list(_M11_KEYS)}")
-    return {k: _map_vector(v, dim) for k, v in gens.items()}
+    return {k: _map_vector(v, dim, seen) for k, v in gens.items()}
 
 
 def _resolve_cover(l, spec: str, cover_map_path: str | None) -> roots.CoverEmbedding:
@@ -440,10 +456,10 @@ def _run_three_grading(args, out: _Output) -> int:
     from . import roots
 
     l = _load_kind(args.file, "lie", "three-grading")
+    h = _parse_vector(args.h, l.dim) if args.h else None
     cover = _resolve_cover(l, args.cover, args.cover_map)
     analysis = roots.analyze_cover(l, cover)
     datum = roots.weight_decomposition(l, analysis.cartan)
-    h = _parse_vector(args.h, l.dim) if args.h else None
     grading = roots.three_grading(l, datum, args.style, h=h)
     dims = grading.dims(l.space)
     result = {
@@ -462,9 +478,10 @@ def _run_tkk(args, out: _Output) -> int:
     from . import jordan
 
     l = _load_kind(args.file, "jordan", "tkk")
+    elements = _load_m11_elements(args.m11, l.dim) if args.m11 else None
     t = jordan.tkk(l)
     if args.m11:
-        cert = jordan.certify_m11(l, *_load_m11_elements(args.m11, l.dim))
+        cert = jordan.certify_m11(l, *elements)
         if not cert.passed:
             raise UnitFailure(
                 f"the given elements fail the M(1,1)+ relations: {cert.failures()}"

@@ -274,7 +274,7 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
                 put(off_inner + t2, off_inner + t1, terms,
                     not (inner_parity[t1] and inner_parity[t2]))
 
-    table = StructureTable(space, "lie", entries)
+    table = StructureTable._canonical(space, "lie", entries)
     lie = LieSuperalgebra(table, {"name": f"TKK({j.provenance.get('name', 'J')})"})
 
     unit = dense_to_sparse(j.unit)

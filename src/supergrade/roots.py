@@ -6,10 +6,20 @@ against the same basis through diagonal-matrix representatives, which
 avoids any root-system isomorphism search.  Components are sorted by
 lexicographic weight and carry canonical RREF bases.
 
-Inside the loops (cover checks, eigenspace refinement, grading conditions,
-closure of a 3-grading) elements are sparse dicts {index: Fraction},
-multiplied with superalg._sparse_product and combined with
-exact.sparse_apply; ad(h) is given by sparse columns.  Dense Vec tuples
+When every Cartan element is a combination sum_t h_t b_t of toral basis
+elements (StructureTable.toral_columns: [b_t, b_j] in Q b_j for every j),
+the weights are read off the table: ad h = sum_t h_t ad b_t is diagonal in
+the basis by linearity of the bracket alone, so b_j has weight
+sum_t h_t [b_t, b_j]_j and the weight spaces are spanned by basis vectors.
+This is exact on any table, Lie or not: it needs neither the Jacobi
+identity nor the commutation of the Cartan.  Any other Cartan is refined
+one element at a time (minimal polynomial, rational roots, eigenspaces).
+
+Inside the loops (cover checks, eigenspace refinement, grading conditions)
+elements are sparse dicts {index: Fraction}, multiplied with
+superalg._sparse_product and combined with exact.sparse_apply; ad(h) is
+given by sparse columns.  The closure of a 3-grading multiplies integer
+rows over StructureTable.integer_entries.  Dense Vec tuples
 appear only in the public results: component bases, Cartan elements and
 the parts of a ThreeGrading.
 """
@@ -46,6 +56,7 @@ from .superalg import (
     Element,
     LieSuperalgebra,
     ThreeGrading,
+    _integer_row,
     _sparse_element,
     _sparse_product,
     derived_subalgebra,
@@ -115,10 +126,49 @@ def _eigen_split(cols: list, witness: str):
 def weight_decomposition(l: LieSuperalgebra, cartan: CartanBasis) -> RootDatum:
     """Simultaneous rational-eigenspace decomposition of ad(h) for h in the
     Cartan basis.  Fails if some ad(h) has an irrational eigenvalue or is
-    not diagonalizable on L."""
+    not diagonalizable on L.
+
+    A Cartan supported on toral basis elements is read off the table
+    (_toral_datum); any other goes through the refinement (_refined_datum).
+    Both give the same canonical components."""
     from .constructors import _check_cartan
 
     _check_cartan(l, cartan)
+    datum = _toral_datum(l, cartan)
+    return _refined_datum(l, cartan) if datum is None else datum
+
+
+def _toral_datum(l: LieSuperalgebra, cartan: CartanBasis) -> RootDatum | None:
+    """The decomposition read off the toral basis elements
+    (StructureTable.toral_columns), or None if some Cartan element has a
+    term on a basis element that is not toral.
+
+    With integer form (s, L) and w_j[t] the entry of b_j in the column of
+    b_t, the weight of b_j under h is sum_t h_t w_j[t] / s; the components
+    are the unit vectors grouped by weight, which is their canonical RREF
+    basis."""
+    n = l.dim
+    s, L = l.table.integer_form()
+    cols = l.table.toral_columns(L)
+    hs = [dense_to_sparse(h.coords) for h in cartan.elements]
+    if any(t not in cols for h in hs for t in h):
+        return None
+    lams = [sparse_apply(cols, h) for h in hs]  # s * lambda_j(h) at j
+    groups: dict[tuple, list] = {}
+    for j in range(n):
+        groups.setdefault(tuple(lam.get(j, ZERO) / s for lam in lams), []).append(j)
+    par = l.parity
+    comps = []
+    for wt, idx in sorted(groups.items()):
+        odd = sum(par[j] for j in idx)
+        comps.append(RootComponent(wt, [unit_vec(n, j) for j in idx], len(idx) - odd, odd))
+    return _datum(cartan, comps, n)
+
+
+def _refined_datum(l: LieSuperalgebra, cartan: CartanBasis) -> RootDatum:
+    """The decomposition by refining eigenspaces one Cartan element at a
+    time, for any commuting Cartan: minimal polynomial, rational roots and
+    eigenspace kernels of ad(h) on each previous eigenspace."""
     n = l.dim
     ent = l.table.entries
     comps = [((), [{i: ONE} for i in range(n)])]
@@ -146,9 +196,6 @@ def weight_decomposition(l: LieSuperalgebra, cartan: CartanBasis) -> RootDatum:
         comps = refined
 
     components = []
-    zero = None
-    zero_wt = (ZERO,) * len(cartan.elements)
-    total = 0
     for wt, basis in sorted(comps, key=lambda p: p[0]):
         sub = SparseRref(n)
         for v in basis:
@@ -161,14 +208,17 @@ def weight_decomposition(l: LieSuperalgebra, cartan: CartanBasis) -> RootDatum:
                 raise ValidationError("weight-space basis vector is not homogeneous")
             ev += p == 0
             od += p == 1
-        comp = RootComponent(wt, rows, ev, od)
-        total += comp.dim
-        if wt == zero_wt:
-            zero = comp
-        else:
-            components.append(comp)
-    if total != n:
+        components.append(RootComponent(wt, rows, ev, od))
+    return _datum(cartan, components, n)
+
+
+def _datum(cartan: CartanBasis, comps: list, n: int) -> RootDatum:
+    """The RootDatum of components sorted by weight, split at weight 0."""
+    zero_wt = (ZERO,) * len(cartan.elements)
+    if sum(c.dim for c in comps) != n:
         raise ValidationError("weight spaces do not fill the algebra")
+    zero = next((c for c in comps if c.weight == zero_wt), None)
+    components = [c for c in comps if c is not zero]
     if zero is None:
         zero = RootComponent(zero_wt, [], 0, 0)
     return RootDatum(cartan, components, zero)
@@ -599,13 +649,15 @@ def three_grading(l: LieSuperalgebra, datum: RootDatum, style: str, h=None) -> T
     else:
         raise BadParams(f"unknown three-grading style {style!r}")
 
+    # the closure on integer rows d v over the integer table (scale s): a
+    # product is d d' s [v, v'], zero and inside a span exactly when [v, v'] is
     n = l.dim
-    ent = l.table.entries
-    sparse = {k: [dense_to_sparse(v) for v in parts[k]] for k in (-1, 0, 1)}
+    _, ient = l.table.integer_entries()
+    rows = {k: [_integer_row(dense_to_sparse(v))[1] for v in parts[k]] for k in (-1, 0, 1)}
     spans = {}
     for k in (-1, 0, 1):
         sr = SparseRref(n)
-        for v in sparse[k]:
+        for v in rows[k]:
             sr.insert(v)
         spans[k] = sr
     if sum(s.rank for s in spans.values()) != n:
@@ -613,9 +665,9 @@ def three_grading(l: LieSuperalgebra, datum: RootDatum, style: str, h=None) -> T
     for a in (-1, 0, 1):
         for b in (-1, 0, 1):
             target = a + b
-            for va in sparse[a]:
-                for vb in sparse[b]:
-                    prod = _sparse_product(ent, va.items(), vb.items())
+            for va in rows[a]:
+                for vb in rows[b]:
+                    prod = _sparse_product(ient, va.items(), vb.items())
                     if not prod:
                         continue
                     if target not in (-1, 0, 1):

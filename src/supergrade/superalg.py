@@ -160,10 +160,10 @@ class StructureTable:
         """A table on entries that are canonical already (keys and targets
         in range, terms sorted by distinct k, nonzero Fraction coefficients,
         parity-homogeneous); only the unit is checked.  Callers: parse_sca,
-        which checks each line, and restricted_table, construct_gl and
-        tensor_lie_assoc, whose sorted products of homogeneous elements are
-        homogeneous.  Tests compare it with __init__ on every fixture and
-        construction."""
+        which checks each line, and restricted_table, construct_gl,
+        tensor_lie_assoc and jordan.tkk, whose sorted products of
+        homogeneous elements are homogeneous.  Tests compare it with
+        __init__ on every fixture, construction and TKK algebra."""
         table = cls.__new__(cls)
         table.space, table.kind, table.entries, table.unit = space, kind, entries, unit
         table._check_unit()
@@ -198,21 +198,37 @@ class StructureTable:
             L[i][j] = tuple((k, c.numerator * (s // c.denominator)) for k, c in terms)
         return s, L
 
-    def toral_weights(self, L: list) -> list[tuple]:
-        """The joint integer weight of every basis element under the toral
-        basis elements, given the integer form L: the even b_h with ad b_h
-        nonzero and diagonal, that is [b_h, b_j] in Q b_j for every j.
+    def integer_entries(self) -> tuple[int, dict]:
+        """(s, {(i, j): ((k, s * c_ij^k), ...)}): integer_form in the key
+        shape of entries, for _sparse_product on integer rows."""
+        s, L = self.integer_form()
+        return s, {(i, j): terms for i, row in enumerate(L) for j, terms in row.items()}
+
+    def toral_columns(self, L: list) -> dict[int, dict]:
+        """The toral basis elements, given the integer form L (scale s): the
+        even b_h with ad b_h diagonal, that is [b_h, b_j] in Q b_j for every
+        j, each mapped to its column {j: s * eigenvalue on b_j} of nonzeros.
+        A b_h with ad b_h = 0 counts, with the empty column.
 
         Two such elements commute ([b_h, b_g] lies on both b_g and b_h), so
-        they span a toral subalgebra.  The weights are read off the integer
-        table, where every eigenvalue carries the same factor s; a sum of
-        weights is zero exactly when it is zero unscaled.  With no toral
-        element every weight is ().
+        they span a toral subalgebra.
         """
         par = self.space.parity
-        cols = [{j: t[0][1] for j, t in row.items()} for h, row in enumerate(L)
-                if row and not par[h]
-                and all(len(t) == 1 and t[0][0] == j for j, t in row.items())]
+        return {h: {j: t[0][1] for j, t in row.items()} for h, row in enumerate(L)
+                if not par[h] and all(len(t) == 1 and t[0][0] == j for j, t in row.items())}
+
+    def toral_weights(self, L: list) -> list[tuple]:
+        """The joint integer weight of every basis element under the toral
+        basis elements with ad b_h nonzero (toral_columns).
+
+        The weights are read off the integer table, where every eigenvalue
+        carries the same factor s; a sum of weights is zero exactly when it
+        is zero unscaled.  With no such element every weight is ().  Callers:
+        the weight-zero cochains of cohomology, center, and, through the
+        same columns, roots.weight_decomposition, which reads the weight
+        spaces of a Cartan supported on toral elements off them.
+        """
+        cols = [col for col in self.toral_columns(L).values() if col]
         return [tuple(col.get(j, 0) for col in cols) for j in range(self.space.dim)]
 
 
@@ -525,6 +541,13 @@ def tensor_lie_assoc(g0: LieSuperalgebra, a: AssocSuperalgebra) -> LieSuperalgeb
     return LieSuperalgebra(table, {"name": name})
 
 
+def _integer_row(v: dict) -> tuple[int, dict]:
+    """(d, d v) for a sparse rational vector v, d the lcm of its
+    denominators."""
+    d = lcm(1, *(c.denominator for c in v.values()))
+    return d, {k: c.numerator * (d // c.denominator) for k, c in v.items()}
+
+
 class SubspaceCoords:
     """Coordinate map of an ambient space onto a chosen subspace basis.
 
@@ -543,8 +566,7 @@ class SubspaceCoords:
         self._dens = []  # d_i
         self._rows = []  # d_i v_i as (index, int) pairs
         for i, v in enumerate(basis):
-            d = lcm(1, *(c.denominator for c in v.values()))
-            row = {k: c.numerator * (d // c.denominator) for k, c in v.items()}
+            d, row = _integer_row(v)
             self._dens.append(d)
             self._rows.append(list(row.items()))
             row[n + i] = 1
@@ -595,8 +617,7 @@ def restricted_table(
         if len(seen) > 1:
             raise ValidationError("subalgebra basis vector is not parity-homogeneous")
         parities.append(seen.pop())
-    s, L = l.table.integer_form()
-    ient = {(a, b): terms for a, row in enumerate(L) for b, terms in row.items()}
+    s, ient = l.table.integer_entries()
     rows, dens = conv._rows, conv._dens
     entries = {}
     for i, xs in enumerate(rows):

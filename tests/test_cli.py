@@ -822,6 +822,11 @@ def test_constructed_table_is_canonical(argv, monkeypatch, capsys):
         _assert_canonical(table)
 
 
+@pytest.mark.parametrize("name", ["tkk_jp4", "tkk_m11"])
+def test_tkk_table_is_canonical(name, request):
+    _assert_canonical(request.getfixturevalue(name).lie.table)
+
+
 @pytest.mark.parametrize("name, message", [
     # parity is checked once the whole document is read, so a later
     # duplicate line is reported before an earlier parity fault

@@ -3,10 +3,12 @@
 Whatever the input, every command exits 0, 1 or 2 and never prints a
 traceback.  Exit 2 is one line on stderr and nothing on stdout; exit 1
 prints a JSON verdict; exit 0 prints a JSON result or an SCA document.
-The inputs are the fixtures with one mutation each, vector arguments of the
-wrong length or with malformed or huge entries, damaged JSON element files
-and cover maps, small constructions (every one under 100 dimensions), and
-usage errors, which exit 2 like any input error.
+The inputs are the fixtures with one mutation each, vector arguments
+(inline or in an @file) of the wrong length or with malformed or huge
+entries, damaged JSON element files and cover maps, small constructions
+(every one under 100 dimensions), and usage errors, which exit 2 like any
+input error.  An entry spelled with an exponent or an underscore, which
+Fraction would accept, always exits 2.
 """
 
 import contextlib
@@ -27,6 +29,11 @@ LINES = {name: (FIXTURES / name).read_text().splitlines(keepends=True)
                       "m11.sca")}
 COHOMOLOGY_INPUTS = ("psl22.sca", "sl21.sca", "uce_psl22.sca")
 BIG = 10000000019
+# entries Fraction accepts but the CLI refuses: an exponent would let a short
+# entry stand for a huge number.  JSON numbers with an exponent come back as
+# floats, spelled 1e-07 and 2.5e+20.
+SPELLINGS = ["1e3", "-2E-1", "5e0", "0.5e1", "1_0", "1/1_0"]
+JSON_SPELLINGS = SPELLINGS + [1e-07, 2.5e20]
 
 
 def _vec_file(name: str) -> list:
@@ -88,12 +95,13 @@ def damaged(draw, names=tuple(LINES), how=None):
 
 
 @st.composite
-def vectors(draw, bases, bad):
+def vectors(draw, bases, bad, spelled):
     """A vector argument: one of bases, and if bad, one of the others,
     scaled by a huge rational, one entry short or long, or with an empty,
-    1/0 or non-numeric entry."""
+    1/0, non-numeric or refused (SPELLINGS, noted in spelled) entry."""
     v = list(draw(st.sampled_from(bases[:1] if not bad else bases)))
-    how = draw(st.sampled_from(["same", "huge", "short", "long", "empty", "1/0", "x"])
+    how = draw(st.sampled_from(["same", "huge", "short", "long", "empty", "1/0", "x",
+                                "spelling"])
                if bad else st.just("same"))
     if how == "huge":
         v = [str(Fraction(c) * Fraction(BIG, draw(st.sampled_from([1, 7])))) for c in v]
@@ -103,15 +111,18 @@ def vectors(draw, bases, bad):
         v.append("0")
     elif how in ("empty", "1/0", "x"):
         v[draw(st.integers(0, len(v) - 1))] = "" if how == "empty" else how
+    elif how == "spelling":
+        v[draw(st.integers(0, len(v) - 1))] = draw(st.sampled_from(SPELLINGS))
+        spelled.append(how)
     return ",".join(v)
 
 
 @st.composite
-def json_text(draw, base, bad):
+def json_text(draw, base, bad, spelled):
     """A JSON element file or cover map: base, and if bad, base with one
     key or image missing; with its vectors as a JSON list; with one vector
-    short, a scalar, or holding a 1/0, non-numeric or huge entry; or
-    truncated."""
+    short, a scalar, or holding a 1/0, non-numeric, huge or refused
+    (JSON_SPELLINGS, noted in spelled) entry; or truncated."""
     data = json.loads(json.dumps(base))
     if not bad:
         return json.dumps(data)
@@ -119,7 +130,7 @@ def json_text(draw, base, bad):
     vecs = holder[key]
     target = draw(st.sampled_from(list(vecs) if isinstance(vecs, dict) else range(len(vecs))))
     how = draw(st.sampled_from(["drop", "list", "short", "scalar", "1/0", "x", "huge",
-                                "truncate"]))
+                                "spelling", "truncate"]))
     if how == "drop":
         del vecs[target]
     elif how == "list":
@@ -128,9 +139,12 @@ def json_text(draw, base, bad):
         vecs[target] = vecs[target][:-1]
     elif how == "scalar":
         vecs[target] = "1"
-    elif how in ("1/0", "x", "huge"):
+    elif how in ("1/0", "x", "huge", "spelling"):
         vecs[target][draw(st.integers(0, len(vecs[target]) - 1))] = (
-            f"{BIG}/3" if how == "huge" else how)
+            f"{BIG}/3" if how == "huge" else
+            draw(st.sampled_from(JSON_SPELLINGS)) if how == "spelling" else how)
+        if how == "spelling":
+            spelled.append(how)
     text = json.dumps(holder["all"] if key == "all" else data)
     if how == "truncate":
         text = text[:draw(st.integers(0, len(text) - 1))]
@@ -192,9 +206,10 @@ def _usage_fault(draw, args: list) -> list:
 
 @st.composite
 def argv(draw, command, workdir):
-    """(args, usage): a full command line for command, in workdir, with at
-    most one part damaged: the input file, another argument, the --out path,
-    or (usage True) the command line itself."""
+    """(args, usage, spelled): a full command line for command, in workdir,
+    with at most one part damaged: the input file, another argument, the
+    --out path, or (usage True) the command line itself; spelled is True
+    when an entry has a refused spelling."""
 
     def sca(name, bad):
         # a damaged copy of this input or of another fixture
@@ -209,6 +224,19 @@ def argv(draw, command, workdir):
         path.write_text(text)
         return str(path)
 
+    spelled, files = [], []
+
+    def vector(bases):
+        # inline, or in an @file of its own
+        text = draw(vectors(bases, bad, spelled))
+        if not draw(st.booleans()):
+            return text
+        files.append(written(f"arg{len(files)}.vec", text))
+        return "@" + files[-1]
+
+    def json_file(name, base):
+        return written(name, draw(json_text(base, bad, spelled)))
+
     fault = draw(st.sampled_from([None, "file", "arg", "out", "usage"]))
     file_bad, bad = fault == "file", fault == "arg"
     if command == "check":
@@ -219,8 +247,8 @@ def argv(draw, command, workdir):
         cover = draw(st.sampled_from([[], ["--cover-out", str(workdir / "cover.json")]]))
         args = ["construct", what, *params, *cover]
     elif command == "decompose":
-        args = ["decompose", sca("psl22.sca", file_bad), "--cartan", draw(vectors(CARTANS, bad)),
-                "--cartan", draw(vectors(CARTANS[::-1], bad))]
+        args = ["decompose", sca("psl22.sca", file_bad), "--cartan", vector(CARTANS),
+                "--cartan", vector(CARTANS[::-1])]
     elif command in ("verify-grading", "three-grading"):
         name, cover, cover_map = draw(st.sampled_from(GRADINGS))
         if bad:
@@ -228,33 +256,32 @@ def argv(draw, command, workdir):
             cover_map = draw(st.sampled_from([None, M11_COVER, PSL22_COVER]))
         args = [command, sca(name, file_bad), "--cover", cover]
         if cover_map is not None:
-            args += ["--cover-map", written("map.json", draw(json_text(cover_map, bad)))]
+            args += ["--cover-map", json_file("map.json", cover_map)]
         if command == "three-grading":
             args += ["--style", draw(st.sampled_from(["sl2", "height"] if bad else ["sl2"])),
-                     "--h", draw(vectors([TKK_M11_H] + CARTANS, bad))]
+                     "--h", vector([TKK_M11_H] + CARTANS)]
     elif command == "tkk":
         args = ["tkk", sca("m11.sca", file_bad)]
         flags = draw(st.sampled_from([(), ("--m11", "--cover-out"), ("--m11",), ("--cover-out",)]
                                      if bad else [(), ("--m11", "--cover-out")]))
         if "--m11" in flags:
-            args += ["--m11", written("elems.json", draw(json_text(M11_ELEMENTS, bad)))]
+            args += ["--m11", json_file("elems.json", M11_ELEMENTS)]
         if "--cover-out" in flags:
             args += ["--cover-out", str(workdir / "tkk_cover.json")]
     elif command == "jordan-from-grading":
         e, f = (TKK_M11_E, TKK_M11_F) if not bad or draw(st.booleans()) else (TKK_M11_F, TKK_M11_E)
         args = ["jordan-from-grading", sca("tkk_m11.sca", file_bad),
-                "--e", draw(vectors([e], bad)), "--f", draw(vectors([f], bad))]
+                "--e", vector([e]), "--f", vector([f])]
     elif command == "peirce":
-        args = ["peirce", sca("m11.sca", file_bad), "--idempotent",
-                draw(vectors(IDEMPOTENTS, bad))]
+        args = ["peirce", sca("m11.sca", file_bad), "--idempotent", vector(IDEMPOTENTS)]
     else:  # certify-m11
         args = ["certify-m11", sca("m11.sca", file_bad),
-                "--elements", written("elems.json", draw(json_text(M11_ELEMENTS, bad)))]
+                "--elements", json_file("elems.json", M11_ELEMENTS)]
     if fault == "out" or draw(st.booleans()):
         args += ["--out", str(workdir / ("missing/out.json" if fault == "out" else "out.json"))]
     if fault == "usage":
-        return _usage_fault(draw, args), True
-    return args, False
+        return _usage_fault(draw, args), True, False
+    return args, False, bool(spelled)
 
 
 def _keeps_the_contract(args):
@@ -299,5 +326,36 @@ def test_cohomology_commands_keep_the_exit_code_contract(workdir, case, command,
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_every_command_keeps_the_exit_code_contract(workdir, command, data):
-    args, usage = data.draw(argv(command, workdir))
-    assert _keeps_the_contract(args) == 2 or not usage
+    args, usage, spelled = data.draw(argv(command, workdir))
+    assert _keeps_the_contract(args) == 2 or not (usage or spelled)
+
+
+@pytest.mark.parametrize("where, entry", [("inline", "1e1000000"), ("@file", "1_0"),
+                                          ("cover map", "2e0"), ("element file", "1E-3"),
+                                          ("element file", 1e-07)])
+def test_refused_spelling_exits_2_naming_the_entry(where, entry, tmp_path, capsys):
+    # before any arithmetic: 1e1000000 would otherwise be a million-digit
+    # integer (and 1e100000000 would keep a core busy for minutes)
+    text = str(entry)
+    path = tmp_path / "input"
+    what = {"inline": "vector", "@file": "vector"}.get(where, where)
+    if where == "inline":
+        args = ["peirce", FIXTURES / "m11.sca", "--idempotent", f"{text},0,0,0"]
+    elif where == "@file":
+        path.write_text(",".join(CARTANS[0][:-1] + [text]))
+        args = ["decompose", FIXTURES / "psl22.sca", "--cartan", f"@{path}",
+                "--cartan", ",".join(CARTANS[1])]
+    elif where == "cover map":
+        images = _units(14)
+        images[3][3] = entry
+        path.write_text(json.dumps({"images": images}))
+        args = ["verify-grading", FIXTURES / "psl22.sca", "--cover", "psl22",
+                "--cover-map", path]
+    else:
+        elements = dict(M11_ELEMENTS, x=[entry] + M11_ELEMENTS["x"][1:])
+        path.write_text(json.dumps(elements))
+        args = ["certify-m11", FIXTURES / "m11.sca", "--elements", path]
+    assert main([str(a) for a in args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"supergrade: error: BadParams: {what} entry {text!r} is not a rational number\n"

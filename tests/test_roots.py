@@ -6,13 +6,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from supergrade import constructors as C
 from supergrade import roots as R
 from supergrade import superalg
 from supergrade.constructors import CartanBasis
 from supergrade.errors import BadParams, NonSplitSpectrum, NotHomomorphism, NotThreeGraded
-from supergrade.exact import SparseRref, dense_to_sparse, unit_vec
+from supergrade.exact import SparseRref, dense_to_sparse, sparse_to_dense, unit_vec
 from supergrade.jordan import certify_m11, jordan_from_3grading, m11_tkk_generators
 from supergrade.sca import parse_sca
 from supergrade.superalg import (
@@ -24,6 +26,7 @@ from supergrade.superalg import (
     validate_lie,
 )
 from tests.oracles import Matrix, all_components, basis_element, rref, solve_linear
+from tests.test_cohomology import _base_algebra, _diagonal_even, _shear
 
 F = Fraction
 
@@ -74,6 +77,109 @@ def test_weight_decomposition_rejects_nilpotent():
     with pytest.raises(Exception) as err:
         R.weight_decomposition(l, cartan)
     assert "diagonalizable" in str(err.value).lower() or "NotDiagonalizable" in type(err.value).__name__
+
+
+def _rescaled(l, lam):
+    """l in the basis b'_i = lam[i] b_i, with its cartan_h, if any, in the
+    new coordinates: c'_ij^k = lam[i] lam[j] c_ij^k / lam[k]."""
+    entries = {(i, j): tuple((k, lam[i] * lam[j] * c / lam[k]) for k, c in terms)
+               for (i, j), terms in l.table.entries.items()}
+    prov = {}
+    if "cartan_h" in l.provenance:
+        h = l.provenance["cartan_h"]
+        prov["cartan_h"] = CartanBasis(
+            [Element(tuple(x / lam[t] for t, x in enumerate(e.coords)), 0) for e in h.elements],
+            h.diag_mats)
+    return LieSuperalgebra(StructureTable(l.space, "lie", entries), prov)
+
+
+def _same_datum(a, b):
+    for x, y in zip(all_components(a), all_components(b), strict=True):
+        assert (x.weight, x.basis, x.even_dim, x.odd_dim) == (
+            y.weight, y.basis, y.even_dim, y.odd_dim)
+
+
+def _toral_support(l, cartan):
+    """Whether every Cartan element has its support on toral basis
+    elements, found here from the entries."""
+    toral = set(_diagonal_even(l))
+    return all(t in toral for h in cartan.elements for t in dense_to_sparse(h.coords))
+
+
+def _read_off_agrees(l, cartan):
+    read = R._toral_datum(l, cartan)
+    refined = R._refined_datum(l, cartan)
+    assert (read is not None) == _toral_support(l, cartan)
+    if read is not None:
+        _same_datum(read, refined)
+    _same_datum(R.weight_decomposition(l, cartan), refined)
+    return read is not None
+
+
+@st.composite
+def cartans(draw):
+    """(l, Cartan, how): psl(2,2), psl(3,3), sl(2,1) or uce(psl(2,2)) with
+    its basis rescaled by small rationals (large ones give eigenvalues whose
+    rational roots the refinement finds slowly) and commuting integer
+    combinations of its toral basis elements.  how "shear" rewrites the
+    table with one toral b_h replaced by b_h + b_e (the Cartan re-expressed,
+    no longer on toral support, and some tables left with no toral
+    element); how "mix" adds to the first Cartan element a root vector x on
+    which it has a nonzero eigenvalue, after projecting the other elements
+    to vanish on x (h + x is conjugate to h, so the Cartan stays commuting
+    and split)."""
+    l = _base_algebra(draw(st.sampled_from(["psl22", "psl33", "sl21", "uce_psl22"])))
+    small = st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    l = _rescaled(l, [draw(small) for _ in range(l.dim)])
+    toral = _diagonal_even(l)
+    ints = st.integers(-3, 3)
+    hs = [{t: F(draw(ints)) for t in toral}
+          for _ in range(draw(st.integers(1, min(3, len(toral)))))]
+    how = draw(st.sampled_from(["toral", "shear", "mix"]))
+    if how == "shear":
+        h = draw(st.sampled_from(toral))
+        e = draw(st.sampled_from([e for e in range(l.dim) if not l.parity[e] and e != h]))
+        l = _shear(l, h, e)
+        for v in hs:  # b_h = b'_h - b'_e
+            v[e] = v.get(e, F(0)) - v[h]
+    elif how == "mix":
+        def eigen(v, x):
+            img = superalg._sparse_product(l.table.entries, v.items(), ((x, F(1)),))
+            return img.get(x, F(0)) if set(img) <= {x} else None
+
+        roots = [x for x in range(l.dim) if not l.parity[x] and x not in toral
+                 and eigen(hs[0], x) and all(eigen(v, x) is not None for v in hs[1:])]
+        assume(roots)
+        x = draw(st.sampled_from(roots))
+        a = eigen(hs[0], x)
+        for v in hs[1:]:  # v - (its eigenvalue on x / a) h_0, scaled by a
+            b = eigen(v, x)
+            for t in toral:
+                v[t] = a * v[t] - b * hs[0][t]
+        hs[0][x] = F(draw(ints.filter(bool)))
+    elements = [Element(sparse_to_dense({t: c for t, c in v.items() if c}, l.dim), 0)
+                for v in hs]
+    return l, CartanBasis(elements), how
+
+
+@given(cartans())
+@settings(max_examples=60, deadline=None)
+def test_read_off_matches_refinement(case):
+    l, cartan, how = case
+    read = _read_off_agrees(l, cartan)
+    assert read or how != "toral"
+
+
+@pytest.mark.parametrize("name, cartan", [
+    ("psl22", "cartan_h"), ("psl33", "cartan_h"), ("sl33", "cartan_h"),
+    ("sl33", "cartan_hprime"), ("tkk_m11", None), ("tkk_jp4", None)])
+def test_read_off_matches_refinement_on_fixtures(name, cartan, request):
+    l = request.getfixturevalue(name)
+    if cartan is None:
+        l, cartan = l.lie, CartanBasis([l.h])
+    else:
+        cartan = l.provenance[cartan]
+    assert _read_off_agrees(l, cartan)
 
 
 def test_expected_roots_counts():
@@ -229,10 +335,27 @@ def test_check_z_trivial_failure_witness():
     assert rep.witness == 1
 
 
+@pytest.fixture(scope="module")
+def psl33_two_thirds(psl33):
+    # every other basis vector times 2/3: the table has denominators 2, 3 and 9
+    return _rescaled(psl33, [F(2, 3) if i % 2 else F(1) for i in range(psl33.dim)])
+
+
 def test_three_grading_height_psl33(psl33):
     datum = R.weight_decomposition(psl33, psl33.provenance["cartan_h"])
     tg = R.three_grading(psl33, datum, "height")
     assert tg.dims(psl33.space) == ((0, 9), (16, 0), (0, 9))
+
+
+def test_three_grading_height_non_unit_denominators(psl33, psl33_two_thirds):
+    l = psl33_two_thirds
+    assert max(c.denominator for terms in l.table.entries.values() for _, c in terms) > 1
+    tg = R.three_grading(l, R.weight_decomposition(l, l.provenance["cartan_h"]), "height")
+    # weight spaces are spanned by basis vectors in both bases: the same parts
+    base = R.three_grading(psl33, R.weight_decomposition(psl33, psl33.provenance["cartan_h"]),
+                           "height")
+    assert (tg.minus, tg.zero, tg.plus) == (base.minus, base.zero, base.plus)
+    assert tg.dims(l.space) == ((0, 9), (16, 0), (0, 9))
 
 
 def test_three_grading_sl2_psl22(psl22):
@@ -265,8 +388,8 @@ def test_three_grading_rejects_wrong_h(tkk_m11):
         R.three_grading(l, datum, "sl2", h=unit_vec(l.dim, 0))
 
 
-def test_three_grading_closure_failure_names_the_escaping_pair(psl33):
-    datum = R.weight_decomposition(psl33, psl33.provenance["cartan_h"])
+def _swap_heights_and_close(l):
+    datum = R.weight_decomposition(l, l.provenance["cartan_h"])
     expected = R.expected_ann_roots(2, datum.cartan.diag_mats)
     heights = [expected.heights(c.weight).pop() for c in datum.components]
     # a height-1 root space now sits in L(0) and a height-0 one in L(1)
@@ -274,9 +397,20 @@ def test_three_grading_closure_failure_names_the_escaping_pair(psl33):
     b = datum.components[heights.index(0)]
     a.basis, b.basis = b.basis, a.basis
     with pytest.raises(NotThreeGraded) as err:
-        R.three_grading(psl33, datum, "height")
-    assert str(err.value) == "[L(-1),L(0)] escapes L(-1)"
-    assert err.value.witness == (-1, 0)
+        R.three_grading(l, datum, "height")
+    return err.value
+
+
+def test_three_grading_closure_failure_names_the_escaping_pair(psl33):
+    err = _swap_heights_and_close(psl33)
+    assert str(err) == "[L(-1),L(0)] escapes L(-1)"
+    assert err.witness == (-1, 0)
+
+
+def test_three_grading_closure_failure_on_non_unit_denominators(psl33_two_thirds):
+    err = _swap_heights_and_close(psl33_two_thirds)
+    assert str(err) == "[L(-1),L(0)] escapes L(-1)"
+    assert err.witness == (-1, 0)
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
