@@ -1,11 +1,10 @@
-"""Exhaustive axiom checks for structure tables, and the sparse integer
+"""Exact axiom checks for structure tables, and the sparse integer
 operators they and the TKK construction multiply.
 
-Every identity is checked exactly on all basis tuples, in operator form
-over Python integers.  L_i is the left multiplication by b_i scaled by s,
-read off the table's integer form (StructureTable.integer_form) by
-_operators.  Python integers do not overflow, so no magnitude bound is
-needed.
+Every identity is checked exactly, in operator form over Python integers.
+L_i is the left multiplication by b_i scaled by s, read off the table's
+integer form (StructureTable.integer_form) by _operators.  Python integers
+do not overflow, so no magnitude bound is needed.
 
 An operator is one or more n x n blocks flattened into one integer dict:
 entry (r, c) of block b sits at b*n*n + r*n + c.  _operator keeps that dict
@@ -19,21 +18,40 @@ entry:
 * super Jacobi, pair i <= j:
   [L_i, L_j] - sum_m c_{ij}^m L_m.  Given super-anticommutativity this
   derivation form is equivalent to the cyclic form on every basis triple
-  (i, j, w).
-* associativity, pair (i, j): L_i L_j - sum_m c_{ij}^m L_m on (i, j, w).
+  (i, j, w); it vanishes for every j exactly when L_i is a superderivation.
+* associativity, pair (i, j): L_i L_j - sum_m c_{ij}^m L_m on (i, j, w);
+  it vanishes for every j exactly when b_i lies in the left nucleus.
 * the fully linearized super Jordan identity, triple i <= j <= k:
   (-1)^{|x||z|}[L_{xy},L_z] + (-1)^{|y||x|}[L_{yz},L_x] + (-1)^{|z||y|}[L_{zx},L_y],
   expanded as sum s * c_{ab}^m [L_m, L_z] over the three cyclic terms, on
   the quadruple (i, j, k, w).  Each supercommutator [L_m, L_z] is built
   once, together with [L_z, L_m] = -(-1)^{|m||z|} [L_m, L_z].
 
-A violation names the first failing pair or triple in loop order and the
-smallest nonzero column of its expression.
+Jacobi and associativity are checked on a generating set (_generated).
+On a super-anticommutative table the x with L_x a superderivation form a
+subalgebra: L_{[x,y]} = [L_x, L_y] once L_x is one, and superderivations
+are closed under the supercommutator (Kac, Adv. Math. 26, 1977).  The left
+nucleus is a subalgebra by the Teichmueller identity (Schafer, An
+Introduction to Nonassociative Algebras, 1966).  So an identity holds once
+its pair (g, j) vanishes for every j and every g of a set whose closure
+under the maps L_g spans the table.  The Jacobi check first makes a weight
+pass over the integer entries: c_ij^k != 0 must give w_k = w_i + w_j for
+the toral weights (StructureTable.toral_columns), so every toral L_h is a
+derivation and each L_g maps a (weight, parity) block into one block.  The
+toral elements seed the closure, kept per block; for associativity a
+basis element with L_u = 1 (a unit) seeds it, kept per parity.  Basis
+elements outside the closure are then checked, densest row first, and
+join it; a Jacobi pair with both ends verified is checked once.  A failed
+weight pass or any defect runs the full pair loop, which names the first
+failing pair in loop order, as the Jordan check does for its triples: a
+violation names that pair or triple and the smallest nonzero column of
+its expression.
 """
 
 from __future__ import annotations
 
 from .errors import AxiomViolation, MissingUnit
+from .exact import SparseRref
 
 
 def _sign(p, q):
@@ -156,11 +174,71 @@ def _pair_defect(ops, mults, i, j, swap_sign, n):
 # ---------------------------------------------------------------------------
 
 
+def _generated(mults, ops, par, seed, key, swap) -> list | None:
+    """The generators g, each with its pair identity verified, whose closure
+    under the maps L_g together with the verified seed spans the table;
+    None at the first defect.
+
+    The basis elements are visited densest row first (index order on ties);
+    each one outside the closure is checked against every j, skipping j
+    already verified when swap is set (the Jacobi pairs are symmetric), and
+    joins the generators.  The closure is kept per key[j] block, which each
+    L_g maps into one block; a product term names its block."""
+    n = len(mults)
+    dens = [-sum(map(len, row.values())) for row in mults]
+    done, gens, vecs, spans = set(seed), [], [], {}
+    work = [(None, {i: 1}) for i in seed]  # (h, v): add L_h v, or v for h None
+    for g in sorted(range(n), key=dens.__getitem__):
+        while work and len(vecs) < n:
+            h, v = work.pop()
+            if h is not None:
+                acc, row = {}, mults[h]
+                for t, a in v.items():
+                    for k, c in row.get(t, ()):
+                        acc[k] = acc.get(k, 0) + a * c
+                v = acc
+            if v:
+                k = key[next(iter(v))]
+                sr = spans.get(k) or spans.setdefault(k, SparseRref(n))
+                if sr.insert(v) is not None:
+                    vecs.append(v)
+                    work += [(x, v) for x in gens]
+        if len(vecs) == n:
+            break
+        if key[g] in spans and spans[key[g]].contains({g: 1}):
+            continue
+        for j in range(n):
+            if (j not in done or not swap) and _pair_defect(
+                    ops, mults, g, j, swap and _sign(par[g], par[j]), n) is not None:
+                return None
+        done.add(g)
+        gens.append(g)
+        work += [(g, v) for v in vecs]
+        work.append((None, {g: 1}))
+    return gens
+
+
 def check_super_jacobi(table):
+    """Raise AxiomViolation at the first failing (i, j, w) of the pair loop.
+    The generator form needs a super-anticommutative table, which
+    validate_lie checks first."""
     n = table.space.dim
     par = table.space.parity
     _, mults = table.integer_form()
     ops = _operators(mults, par)
+    # the weight pass on packed weights: enc[j] = sum_t w_j[t] b^t with
+    # |w_j[t]| <= M is injective on w_i + w_j - w_k, whose digits lie within
+    # 3M < b / 2
+    toral = table.toral_columns(mults)
+    b = 6 * max([abs(v) for col in toral.values() for v in col.values()], default=0) + 1
+    enc = [0] * n
+    for t, col in enumerate(toral.values()):
+        for j, v in col.items():
+            enc[j] += v * b**t
+    if all(enc[k] == e + enc[j] for e, row in zip(enc, mults)
+           for j, terms in row.items() for k, _ in terms):
+        if _generated(mults, ops, par, sorted(toral), list(zip(enc, par)), True) is not None:
+            return
     for i in range(n):
         for j in range(i, n):
             w = _pair_defect(ops, mults, i, j, _sign(par[i], par[j]), n)
@@ -169,9 +247,17 @@ def check_super_jacobi(table):
 
 
 def check_associativity(table):
+    """Raise AxiomViolation at the first failing (i, j, w) of the pair loop.
+    A basis element with L_u = 1 (a unit) lies in the left nucleus and
+    seeds the generator form."""
     n = table.space.dim
-    _, mults = table.integer_form()
-    ops = _operators(mults, table.space.parity)
+    par = table.space.parity
+    s, mults = table.integer_form()
+    ops = _operators(mults, par)
+    one = {j: ((j, s),) for j in range(n)}
+    seed = [u for u in range(n) if mults[u] == one]
+    if _generated(mults, ops, par, seed, par, False) is not None:
+        return
     for i in range(n):
         for j in range(n):
             w = _pair_defect(ops, mults, i, j, 0, n)

@@ -15,13 +15,20 @@ This is exact on any table, Lie or not: it needs neither the Jacobi
 identity nor the commutation of the Cartan.  Any other Cartan is refined
 one element at a time (minimal polynomial, rational roots, eigenspaces).
 
-Inside the loops (cover checks, eigenspace refinement, grading conditions)
-elements are sparse dicts {index: Fraction}, multiplied with
+The same toral datum carries the grading checks.  When the root components
+are spanned by basis vectors (_unit_owner), the closure of a 3-grading is
+one pass over the integer entries, condition 3 spans the integer rows
+[b_i, b_j] of opposite weights, and check_z_trivial reads [z, b_j] off the
+toral columns when z is supported on toral elements.  Any other input is
+bracketed as vectors, the only path for a Cartan that is not toral.
+
+Inside the vector loops (cover checks, eigenspace refinement, grading
+conditions) elements are sparse dicts {index: Fraction}, multiplied with
 superalg._sparse_product and combined with exact.sparse_apply; ad(h) is
-given by sparse columns.  The closure of a 3-grading multiplies integer
-rows over StructureTable.integer_entries.  Dense Vec tuples
-appear only in the public results: component bases, Cartan elements and
-the parts of a ThreeGrading.
+given by sparse columns, and the closure of a 3-grading multiplies integer
+rows over StructureTable.integer_entries.  Dense Vec tuples appear only in
+the public results: component bases, Cartan elements and the parts of a
+ThreeGrading.
 """
 
 from __future__ import annotations
@@ -505,7 +512,8 @@ def verify_delta_graded(l: LieSuperalgebra, cover: CoverEmbedding) -> GradingRep
     (1) the cover embeds as a subsuperalgebra (homomorphism checked on all
     basis pairs, cover-ness certified); (2) L decomposes into weight
     spaces of the lifted Cartan with weights inside the A(n,n) pattern;
-    (3) the zero component is spanned by brackets of opposite root spaces.
+    (3) the zero component is spanned by brackets of opposite root spaces
+    (_condition3, from the integer table on a toral datum).
     """
     analysis = analyze_cover(l, cover)
     conditions = {"condition1": {"passed": True, **analysis.evidence}}
@@ -518,31 +526,7 @@ def verify_delta_graded(l: LieSuperalgebra, cover: CoverEmbedding) -> GradingRep
         "unexpected_weights": offenders,
     }
 
-    n = l.dim
-    ent = l.table.entries
-    sparse = {c.weight: [dense_to_sparse(v).items() for v in c.basis] for c in datum.components}
-    span = SparseRref(n)
-    for comp in datum.components:
-        neg = sparse.get(tuple(-x for x in comp.weight))
-        if neg is None:
-            continue
-        for va in sparse[comp.weight]:
-            for vb in neg:
-                span.insert(_sparse_product(ent, va, vb))
-    zero = [dense_to_sparse(v) for v in datum.zero_component.basis]
-    zero_sr = SparseRref(n)
-    for v in zero:
-        zero_sr.insert(v)
-    deficit = [v for v in zero if not span.contains(v)]
-    leak = [
-        r for r in span.basis() if not zero_sr.contains(r)
-    ]
-    conditions["condition3"] = {
-        "passed": not deficit and not leak,
-        "zero_component_dim": datum.zero_component.dim,
-        "bracket_span_dim": span.rank,
-        "deficit_count": len(deficit),
-    }
+    conditions["condition3"] = _condition3(l, datum)
     passed = all(c["passed"] for c in conditions.values())
     return GradingReport(
         verdict="graded" if passed else "not_graded",
@@ -550,6 +534,67 @@ def verify_delta_graded(l: LieSuperalgebra, cover: CoverEmbedding) -> GradingRep
         matched_root_system=f"A({analysis.n},{analysis.n})" if passed else None,
         datum=datum,
     )
+
+
+def _unit_owner(groups, n: int) -> list | None:
+    """owner[j] = key of the group whose vectors hold a multiple of b_j, when
+    the (key, vectors) groups are multiples of distinct basis vectors that
+    cover the basis; else None."""
+    owner = [None] * n
+    for key, vecs in groups:
+        for v in vecs:
+            if v.count(ZERO) != n - 1:  # the ZERO of unit_vec matches by identity
+                return None
+            j = next(j for j, c in enumerate(v) if c is not ZERO and c)
+            if owner[j] is not None:
+                return None
+            owner[j] = key
+    return owner if None not in owner else None
+
+
+def _condition3(l: LieSuperalgebra, datum: RootDatum) -> dict:
+    """Condition 3: the brackets of opposite root spaces span the zero
+    component.  On components of basis vectors (a toral datum) the span
+    takes the integer table row [b_i, b_j] of each opposite pair of weights
+    once, as [b_j, b_i] = -+[b_i, b_j] on a super-anticommutative table, and
+    the zero component is the span of its basis vectors; other components
+    are bracketed as vectors, in both orders."""
+    n = l.dim
+    zero_wt = datum.zero_component.weight
+    owner = _unit_owner(((c.weight, c.basis) for c in datum.components + [datum.zero_component]), n)
+    span = SparseRref(n)
+    if owner is not None:
+        L = l.table.integer_form()[1]
+        idx: dict[tuple, list] = {}
+        for j, wt in enumerate(owner):
+            idx.setdefault(wt, []).append(j)
+        leak = False
+        for wt, rows in idx.items():
+            for j in idx.get(tuple(-x for x in wt), ()) if wt > zero_wt else ():
+                for i in rows:
+                    terms = L[i].get(j, ())
+                    if terms:
+                        span.insert(dict(terms))
+                        leak = leak or any(owner[k] != zero_wt for k, _ in terms)
+        deficit = [k for k in idx.get(zero_wt, ()) if not span.contains({k: 1})]
+    else:
+        ent = l.table.entries
+        sparse = {c.weight: [dense_to_sparse(v).items() for v in c.basis] for c in datum.components}
+        for wt, vecs in sparse.items():
+            for vb in sparse.get(tuple(-x for x in wt), ()):
+                for va in vecs:
+                    span.insert(_sparse_product(ent, va, vb))
+        zero_sr = SparseRref(n)
+        for v in datum.zero_component.basis:
+            zero_sr.insert(dense_to_sparse(v))
+        deficit = [v for v in datum.zero_component.basis if not span.contains(dense_to_sparse(v))]
+        leak = any(not zero_sr.contains(r) for r in span.basis())
+    return {
+        "passed": not deficit and not leak,
+        "zero_component_dim": datum.zero_component.dim,
+        "bracket_span_dim": span.rank,
+        "deficit_count": len(deficit),
+    }
 
 
 class ZTrivialReport:
@@ -565,7 +610,10 @@ def check_z_trivial(l: LieSuperalgebra, cover) -> ZTrivialReport:
     """Verify that the image of the cover's central element z acts trivially.
 
     Accepts a CoverEmbedding (vacuously true for psl and m11 covers, which
-    carry no distinguished z) or an explicit element of L.
+    carry no distinguished z) or an explicit element of L.  A z supported
+    on toral basis elements is read off their columns; any other z is
+    bracketed with each basis element.  The witness is the first j with
+    [z, b_j] != 0.
     """
     if isinstance(cover, CoverEmbedding):
         if cover.kind != "sl":
@@ -574,15 +622,18 @@ def check_z_trivial(l: LieSuperalgebra, cover) -> ZTrivialReport:
         zc = ref.provenance.get("z")
         if zc is None:
             return ZTrivialReport(passed=True, vacuous=True)
-        images = [_sparse_element(l, v) for v in cover.images]
-        z = sparse_apply(images, dense_to_sparse(zc))
+        zs = dense_to_sparse(zc)
+        z = sparse_apply({t: _sparse_element(l, cover.images[t]) for t in zs}, zs)
     else:
         z = _sparse_element(l, cover)
-    ent = l.table.entries
-    for j in range(l.dim):
-        if _sparse_product(ent, z.items(), ((j, ONE),)):
-            return ZTrivialReport(passed=False, witness=j)
-    return ZTrivialReport(passed=True)
+    cols = l.table.toral_columns(l.table.integer_form()[1])
+    if all(t in cols for t in z):
+        # [z, b_j] = sum_t z_t [b_t, b_j], a multiple of b_j
+        j = min(sparse_apply(cols, z), default=None)
+    else:
+        ent = l.table.entries
+        j = next((j for j in range(l.dim) if _sparse_product(ent, z.items(), ((j, ONE),))), None)
+    return ZTrivialReport(passed=True) if j is None else ZTrivialReport(passed=False, witness=j)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +646,8 @@ def three_grading(l: LieSuperalgebra, datum: RootDatum, style: str, h=None) -> T
 
     style 'height' (n >= 2): L(1) collects the unbarred-minus-barred root
     spaces per the A(n,n) pattern.  style 'sl2': parts are the 0, +2, -2
-    eigenspaces of a designated even element h.
+    eigenspaces of a designated even element h.  The closure (_closure)
+    names the first (a, b) with [L(a), L(b)] outside L(a + b).
     """
     parts = {-1: [], 0: list(datum.zero_component.basis), 1: []}
     if style == "height":
@@ -649,33 +701,51 @@ def three_grading(l: LieSuperalgebra, datum: RootDatum, style: str, h=None) -> T
     else:
         raise BadParams(f"unknown three-grading style {style!r}")
 
-    # the closure on integer rows d v over the integer table (scale s): a
-    # product is d d' s [v, v'], zero and inside a span exactly when [v, v'] is
+    bad = _closure(l, parts)
+    if bad is not None:
+        a, b = bad
+        if abs(a + b) > 1:
+            raise NotThreeGraded(f"[L({a}),L({b})] is nonzero", witness=bad)
+        raise NotThreeGraded(f"[L({a}),L({b})] escapes L({a + b})", witness=bad)
+    return ThreeGrading(minus=parts[-1], zero=parts[0], plus=parts[1])
+
+
+def _closure(l: LieSuperalgebra, parts: dict) -> tuple | None:
+    """The first (a, b), in loop order, with [L(a), L(b)] outside L(a + b).
+
+    When each part is spanned by basis vectors (owner[j] = part of b_j), one
+    pass over the integer entries, as c_ij^k != 0 must put b_k in part
+    owner[i] + owner[j].  Otherwise on integer rows d v over the integer
+    table (scale s): a product is d d' s [v, v'], zero and inside a span
+    exactly when [v, v'] is."""
     n = l.dim
+    owner = _unit_owner(parts.items(), n)
+    if owner is not None:
+        bad = None
+        for i, row in enumerate(l.table.integer_form()[1]):
+            a = owner[i]
+            for j, terms in row.items():
+                b = owner[j]
+                if bad is None or (a, b) < bad:
+                    for k, _ in terms:
+                        if owner[k] != a + b:
+                            bad = a, b
+                            break
+        return bad
     _, ient = l.table.integer_entries()
     rows = {k: [_integer_row(dense_to_sparse(v))[1] for v in parts[k]] for k in (-1, 0, 1)}
     spans = {}
     for k in (-1, 0, 1):
-        sr = SparseRref(n)
+        sr = spans[k] = SparseRref(n)
         for v in rows[k]:
             sr.insert(v)
-        spans[k] = sr
     if sum(s.rank for s in spans.values()) != n:
         raise NotThreeGraded("parts do not sum to the whole algebra")
     for a in (-1, 0, 1):
         for b in (-1, 0, 1):
-            target = a + b
             for va in rows[a]:
                 for vb in rows[b]:
                     prod = _sparse_product(ient, va.items(), vb.items())
-                    if not prod:
-                        continue
-                    if target not in (-1, 0, 1):
-                        raise NotThreeGraded(
-                            f"[L({a}),L({b})] is nonzero", witness=(a, b)
-                        )
-                    if not spans[target].contains(prod):
-                        raise NotThreeGraded(
-                            f"[L({a}),L({b})] escapes L({target})", witness=(a, b)
-                        )
-    return ThreeGrading(minus=parts[-1], zero=parts[0], plus=parts[1])
+                    if prod and (abs(a + b) > 1 or not spans[a + b].contains(prod)):
+                        return a, b
+    return None

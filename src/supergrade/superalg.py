@@ -122,10 +122,11 @@ class StructureTable:
     as a coordinate vector (it need not be a basis element).
     """
 
-    __slots__ = ("space", "kind", "entries", "unit")
+    __slots__ = ("space", "kind", "entries", "unit", "_integer")
 
     def __init__(self, space: SuperSpace, kind: str, entries: dict, unit: tuple | None = None):
         self.space, self.kind, self.entries, self.unit = space, kind, entries, unit
+        self._integer = None
         if self.kind not in KINDS:
             raise ValidationError(f"unknown table kind {self.kind!r}")
         n = self.space.dim
@@ -166,6 +167,7 @@ class StructureTable:
         __init__ on every fixture, construction and TKK algebra."""
         table = cls.__new__(cls)
         table.space, table.kind, table.entries, table.unit = space, kind, entries, unit
+        table._integer = None
         table._check_unit()
         return table
 
@@ -190,17 +192,20 @@ class StructureTable:
         Every axiom identity and every cocycle or coboundary row is
         homogeneous in the structure constants: on L an identity vanishes
         exactly when it does on the table, and a set of rows has the same
-        kernel and span.  Built on demand, not cached.
+        kernel and span.  Built on the first call and kept: a table's
+        entries are not changed once it is built.  Callers must not mutate L.
         """
-        s = lcm(1, *{c.denominator for terms in self.entries.values() for _, c in terms})
-        L = [{} for _ in range(self.space.dim)]
-        for (i, j), terms in self.entries.items():
-            L[i][j] = tuple((k, c.numerator * (s // c.denominator)) for k, c in terms)
-        return s, L
+        if self._integer is None:
+            s = lcm(1, *{c.denominator for terms in self.entries.values() for _, c in terms})
+            L = [{} for _ in range(self.space.dim)]
+            for (i, j), terms in self.entries.items():
+                L[i][j] = tuple((k, c.numerator * (s // c.denominator)) for k, c in terms)
+            self._integer = s, L
+        return self._integer
 
     def integer_entries(self) -> tuple[int, dict]:
-        """(s, {(i, j): ((k, s * c_ij^k), ...)}): integer_form in the key
-        shape of entries, for _sparse_product on integer rows."""
+        """(s, {(i, j): ((k, s * c_ij^k), ...)}): the kept integer_form in
+        the key shape of entries, for _sparse_product on integer rows."""
         s, L = self.integer_form()
         return s, {(i, j): terms for i, row in enumerate(L) for j, terms in row.items()}
 
@@ -403,12 +408,13 @@ def center(l: LieSuperalgebra) -> list[Vec]:
 
 
 def derived_subalgebra(l: _AlgebraBase) -> list[Vec]:
-    """Canonical basis of span{[b_i, b_j]}."""
-    n = l.dim
-    sr = SparseRref(n)
-    for (i, j), terms in sorted(l.table.entries.items()):
-        if i <= j:  # the other order is proportional by (anti)commutativity
-            sr.insert({k: c for k, c in terms})
+    """Canonical basis of span{[b_i, b_j]}, from the rows of the integer
+    form (the span is the same, and so is its canonical basis)."""
+    sr = SparseRref(l.dim)
+    for i, row in enumerate(l.table.integer_form()[1]):
+        for j in sorted(row):
+            if i <= j:  # the other order is proportional by (anti)commutativity
+                sr.insert(dict(row[j]))
     return sr.basis_dense()
 
 

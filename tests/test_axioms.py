@@ -8,13 +8,14 @@ must report the same first failing tuple.
 from fractions import Fraction
 from functools import cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supergrade import _axioms
 from supergrade import constructors as C
 from supergrade.errors import AxiomViolation
-from supergrade.superalg import StructureTable, table_product
+from supergrade.superalg import StructureTable, SuperSpace, table_product
 
 
 def _basis(n):
@@ -201,3 +202,137 @@ def test_swap_check_matches_full_pair_loop(case):
     except AxiomViolation as exc:
         got = (exc.axiom, exc.indices)
     assert got == oracle_swap(table, axiom, flip)
+
+
+def pair_loop(table):
+    """The full pair loop the generator form falls back to: the pair
+    identity on every i <= j (Jacobi) or every (i, j) (associativity)."""
+    n, par = table.space.dim, table.space.parity
+    mults = table.integer_form()[1]
+    ops = _axioms._operators(mults, par)
+    lie = table.kind == "lie"
+    for i in range(n):
+        for j in range(i if lie else 0, n):
+            swap = (-1 if par[i] & par[j] else 1) if lie else 0
+            w = _axioms._pair_defect(ops, mults, i, j, swap, n)
+            if w is not None:
+                return ("super_jacobi" if lie else "associativity", (i, j, w))
+    return None
+
+
+# bases with toral elements (psl(3,3), sl(2,1)), with a nilpotent part
+# (sl_{2,2}(Grassmann(1))) and associative ones seeded by their unit
+REBASED = {
+    "psl33": lambda: C.construct_psl(2),
+    "sl21": lambda: C.construct_sl(2, 1),
+    "sl22_grassmann1": lambda: C.construct_sl_A(2, 2, C.construct_assoc("grassmann", 1)),
+    "m21": lambda: C.construct_assoc("matrix_super", (2, 1)),
+    "grassmann2": lambda: C.construct_assoc("grassmann", 2),
+}
+
+
+@cache
+def rebase_base(name):
+    return REBASED[name]().table
+
+
+def rebased(table, lift, inv, parity):
+    """The table in the basis b'_i = sum_a lift[i][a] b_a, where
+    b_a = sum_i inv[a][i] b'_i."""
+    n = table.space.dim
+    entries = {}
+    for i in range(n):
+        for j in range(n):
+            v = {}
+            for a, x in lift[i].items():
+                for b, y in lift[j].items():
+                    for m, c in table.entries.get((a, b), ()):
+                        for k, q in inv[m].items():
+                            v[k] = v.get(k, 0) + x * y * c * q
+            terms = tuple(sorted((k, c) for k, c in v.items() if c))
+            if terms:
+                entries[(i, j)] = terms
+    unit = None
+    if table.unit is not None:
+        u = {}
+        for a, x in enumerate(table.unit):
+            for k, q in inv[a].items():
+                u[k] = u.get(k, 0) + x * q
+        unit = tuple(Fraction(u.get(k, 0)) for k in range(n))
+    return StructureTable(SuperSpace(n, tuple(parity)), table.kind, entries, unit)
+
+
+def toral(table):
+    return sorted(table.toral_columns(table.integer_form()[1]))
+
+
+small = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+
+
+@st.composite
+def rebased_tables(draw):
+    """A base table permuted with signs and rescaled (toral elements stay
+    toral), then with none, one or every toral element b_h sheared to
+    b_h + b_e for another b_e of its parity, then perturbed as in
+    perturbed_tables, or at an eigenvalue of a toral element (it stays
+    toral, and the toral weights stop adding)."""
+    name = draw(st.sampled_from(sorted(REBASED)))
+    table = rebase_base(name)
+    n, par = table.space.dim, table.space.parity
+    perm = draw(st.permutations(range(n)))
+    lam = [draw(small) for _ in range(n)]
+    table = rebased(table, [{perm[i]: lam[i]} for i in range(n)],
+                    [{perm.index(a): 1 / lam[perm.index(a)]} for a in range(n)],
+                    [par[p] for p in perm])
+    par = table.space.parity
+    shear = draw(st.sampled_from(["none", "one", "all"]))
+    for h in toral(table)[: {"none": 0, "one": 1, "all": n}[shear]]:
+        e = draw(st.sampled_from([e for e in range(n) if e != h and par[e] == par[h]]))
+        lift = [{i: 1} for i in range(n)]
+        inv = [{i: 1} for i in range(n)]
+        lift[h], inv[h] = {h: 1, e: 1}, {h: 1, e: -1}
+        table = rebased(table, lift, inv, par)
+    lie = table.kind == "lie"
+    ent = {key: dict(terms) for key, terms in table.entries.items()}
+    for _ in range(draw(st.integers(0, 2))):
+        hs = toral(table) if lie else []
+        if hs and draw(st.booleans()):
+            i, j = draw(st.sampled_from(hs)), draw(st.integers(0, n - 1))
+            k = j
+        else:
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            k = draw(st.sampled_from([k for k in range(n) if par[k] == (par[i] + par[j]) % 2]))
+        d = draw(small)
+        if lie and i == j and par[i] == 0:
+            continue  # c_ii^k is forced to 0
+        for key, s in (((i, j), 1), ((j, i), -(-1 if par[i] & par[j] else 1))):
+            row = ent.setdefault(key, {})
+            row[k] = row.get(k, 0) + s * d
+            if not lie or i == j:
+                break
+    entries = {key: tuple(sorted(terms.items())) for key, terms in ent.items()}
+    return StructureTable(table.space, table.kind, entries, table.unit)
+
+
+@given(rebased_tables())
+@settings(max_examples=120, deadline=None)
+def test_generator_form_matches_pair_loop(table):
+    check = _axioms.check_super_jacobi if table.kind == "lie" else _axioms.check_associativity
+    try:
+        check(table)
+        got = None
+    except AxiomViolation as exc:
+        got = (exc.axiom, exc.indices)
+    assert got == pair_loop(table)
+
+
+@pytest.mark.parametrize("name, count", [("psl33", 10), ("sl21", 4), ("m21", 6)])
+def test_generator_counts_are_deterministic(name, count, monkeypatch):
+    table = rebase_base(name)
+    check = _axioms.check_super_jacobi if table.kind == "lie" else _axioms.check_associativity
+    found = []
+    generated = _axioms._generated
+    monkeypatch.setattr(_axioms, "_generated", lambda *a: found.append(generated(*a)) or found[-1])
+    check(table)
+    check(table)
+    assert found[0] == found[1] and len(found[0]) == count

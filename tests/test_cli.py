@@ -68,6 +68,31 @@ def test_check_rejects_jordan_defect_that_wraps_int64(capsys):
     assert data["indices"] == [1, 2, 6, 3]
 
 
+def test_check_names_the_first_jacobi_failure_through_the_fallback(capsys):
+    # psl22.sca with c_{1,4}^9 and c_{4,1}^9 doubled: super-anticommutative,
+    # not Lie; the generator form finds a defect and the pair loop names it
+    code, out = run_cli(["check", fx("psl22_jacobi.sca")], capsys)
+    assert code == 1
+    assert out == ('{"axiom":"super_jacobi","dim":14,"indices":[1,3,4],"kind":"lie",'
+                   '"reason":"super_jacobi fails at basis tuple (0, 2, 3)","valid":false}\n')
+
+
+def test_three_grading_builds_each_integer_form_once(monkeypatch, capsys):
+    builds = []
+    build = StructureTable.integer_form
+
+    def counting(self):
+        if self._integer is None:
+            builds.append(self)
+        return build(self)
+
+    monkeypatch.setattr(StructureTable, "integer_form", counting)
+    code, _ = run_cli(["three-grading", fx("slA_g1.sca"), "--cover", "sl33",
+                       "--cover-map", fx("slA_g1_cover.json"), "--style", "height"], capsys)
+    assert code == 0
+    assert builds and all(sum(t is b for b in builds) == 1 for t in builds)
+
+
 def test_tkk_with_entries_beyond_int64_exits_2():
     # the table fails the unit law; tkk rejects it before building D(a,b),
     # whose entries would exceed 2^63 (test_jordan covers that overflow)

@@ -3,7 +3,9 @@
 import json
 import random
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -455,3 +457,108 @@ def test_m11_cover_tkk(tkk_m11, m11):
     rep = R.verify_delta_graded(tkk_m11.lie, R.CoverEmbedding("m11", 1, gens))
     assert rep.verdict == "graded"
     assert rep.conditions["condition1"]["cover_dim"] == 14
+
+
+@st.composite
+def toral_gradings(draw):
+    """(l, cartan, z, lie): psl(3,3) or sl(3,3) with its basis rescaled by
+    small rationals and its cartan_h rescaled and sheared by an invertible
+    integer matrix (the diagonal representatives alike), so the Cartan keeps
+    its toral support and its weights change.  Some tables get one entry
+    pair off the toral elements perturbed, any pair or a pair of opposite
+    weights, or an opposite pair dropped (lie False: no longer Lie).  z is
+    a combination of toral elements, or the central z of sl(3,3)."""
+    name = draw(st.sampled_from(["psl33", "sl33"]))
+    base = _grading_base(name)
+    small = st.builds(F, st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]), st.integers(1, 3))
+    lam = [draw(small) for _ in range(base.dim)]
+    l = _rescaled(base, lam)
+    n, h = l.dim, l.provenance["cartan_h"]
+    r = len(h.elements)
+    t = [[F(draw(st.integers(-2, 2))) if b < a else F(0) for b in range(r)] for a in range(r)]
+    for a in range(r):
+        t[a][a] = F(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
+    elements = [Element(tuple(sum(t[a][b] * h.elements[b].coords[q] for b in range(r))
+                              for q in range(n)), 0) for a in range(r)]
+    diag = tuple(tuple(sum(t[a][b] * h.diag_mats[b][q] for b in range(r))
+                       for q in range(len(h.diag_mats[0]))) for a in range(r))
+    toral = _diagonal_even(l)
+    how = draw(st.sampled_from(["lie", "any pair", "opposite pair", "drop opposite"]))
+    if how != "lie":
+        cols = l.table.toral_columns(l.table.integer_form()[1]).values()
+        wt = [tuple(col.get(j, 0) for col in cols) for j in range(n)]  # joint toral weights
+        rest = [i for i in range(n) if i not in toral]
+        i = draw(st.sampled_from(rest))
+        opposite = [j for j in rest if wt[j] == tuple(-x for x in wt[i])]
+        j = draw(st.sampled_from(rest if how == "any pair" else opposite))
+        k = draw(st.sampled_from([k for k in range(n)
+                                  if l.parity[k] == (l.parity[i] + l.parity[j]) % 2]))
+        ent = {key: dict(terms) for key, terms in l.table.entries.items()}
+        for key, s in (((i, j), 1), ((j, i), -(-1 if l.parity[i] & l.parity[j] else 1))):
+            row = ent.setdefault(key, {})
+            if how == "drop opposite":
+                row.clear()
+            else:
+                row[k] = row.get(k, F(0)) + s * draw(small)
+            if i == j:
+                break
+        entries = {key: tuple(sorted(terms.items())) for key, terms in ent.items() if terms}
+        l = LieSuperalgebra(StructureTable(l.space, "lie", entries))
+    if name == "sl33" and draw(st.booleans()):
+        z = {i: c / lam[i] for i, c in enumerate(base.provenance["z"]) if c}
+    else:
+        z = {i: F(draw(st.integers(-2, 2))) for i in toral}
+    return l, CartanBasis(elements, diag), {i: c for i, c in z.items() if c}, how == "lie"
+
+
+@cache
+def _grading_base(name):
+    return C.construct_psl(2) if name == "psl33" else C.construct_sl(3, 3)
+
+
+def _outcome(f):
+    try:
+        return "ok", f()
+    except NotThreeGraded as exc:
+        return str(exc), exc.witness
+
+
+@given(toral_gradings(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_entry_pass_matches_vector_path(case, data):
+    l, cartan, z, lie = case
+    datum = R.weight_decomposition(l, cartan)
+    # condition 3, on the full Cartan and on a leading part of it
+    m = data.draw(st.integers(1, len(cartan.elements)))
+    vectors = mock.patch.object(R, "_unit_owner", lambda groups, n: None)
+    for d in (datum, R.weight_decomposition(
+            l, CartanBasis(cartan.elements[:m], cartan.diag_mats[:m]))):
+        assert R._unit_owner(((c.weight, c.basis) for c in all_components(d)), l.dim)
+        entry = R._condition3(l, d)
+        with vectors:
+            assert entry == R._condition3(l, d)
+    # the 3-grading, as the public call and with the closure on drawn parts
+    entry = _outcome(lambda: R.three_grading(l, datum, "height"))
+    with vectors:
+        vector = _outcome(lambda: R.three_grading(l, datum, "height"))
+    assert entry[0] == vector[0]
+    if entry[0] == "ok":
+        got, want = entry[1], vector[1]
+        assert (got.minus, got.zero, got.plus) == (want.minus, want.zero, want.plus)
+    else:
+        assert entry == vector and not lie
+    expected = R.expected_ann_roots(2, cartan.diag_mats)
+    parts = {-1: [], 0: list(datum.zero_component.basis), 1: []}
+    for comp in datum.components:
+        height = expected.heights(comp.weight).pop()
+        if data.draw(st.integers(0, 9)) == 0:  # moved to another part
+            height = data.draw(st.sampled_from((-1, 0, 1)))
+        parts[height].extend(comp.basis)
+    entry = R._closure(l, parts)
+    with vectors:
+        assert entry == R._closure(l, parts)
+    # [z, b_j] read off the toral columns
+    rep = R.check_z_trivial(l, sparse_to_dense(z, l.dim))
+    with mock.patch.object(StructureTable, "toral_columns", lambda self, L: {}):
+        vector = R.check_z_trivial(l, sparse_to_dense(z, l.dim))
+    assert (rep.passed, rep.witness) == (vector.passed, vector.witness)
