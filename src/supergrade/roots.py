@@ -25,15 +25,17 @@ bracketed as vectors, the only path for a Cartan that is not toral.
 Inside the vector loops (cover checks, eigenspace refinement, grading
 conditions) elements are sparse dicts {index: Fraction}, multiplied with
 superalg._sparse_product and combined with exact.sparse_apply; ad(h) is
-given by sparse columns, and the closure of a 3-grading multiplies integer
-rows over StructureTable.integer_entries.  Dense Vec tuples appear only in
-the public results: component bases, Cartan elements and the parts of a
+given by sparse columns.  The homomorphism law of an sl or psl cover and
+the vector closure of a 3-grading multiply integer rows over
+StructureTable.integer_entries.  Dense Vec tuples appear only in the
+public results: component bases, Cartan elements and the parts of a
 ThreeGrading.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .constructors import CartanBasis, construct_psl, construct_sl, matrix_unit_in_psl
 from .errors import (
@@ -350,11 +352,25 @@ def _analyze_sl_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalysi
         sr.insert(v)
     if sr.rank != ref.dim:
         raise NotHomomorphism("cover embedding is not injective")
-    ent = l.table.entries
+    # the homomorphism law on integer rows w_m = d_m v_m over the integer
+    # tables of L (scale s) and of the cover (scale r), D the lcm of the d_m:
+    # [v_i, v_j] = sum_m c_ij^m v_m exactly when
+    # r D [w_i, w_j] = d_i d_j s sum_m (r c_ij^m) (D / d_m) w_m
+    s, ient = l.table.integer_entries()
+    r, rmults = ref.table.integer_form()
+    rows = [_integer_row(v) for v in images]
+    big = lcm(*(d for d, _ in rows))
+    cols = [{k: big // d * c for k, c in w.items()} for d, w in rows]
     for i in range(ref.dim):
+        di, wi = rows[i]
         for j in range(i, ref.dim):
-            expect = sparse_apply(images, dict(ref.table.entries.get((i, j), ())))
-            if expect != _sparse_product(ent, images[i].items(), images[j].items()):
+            dj, wj = rows[j]
+            expect = {}
+            for m, c in rmults[i].get(j, ()):
+                for k, x in cols[m].items():
+                    expect[k] = expect.get(k, 0) + c * x
+            lhs = {k: r * big * c for k, c in _sparse_product(ient, wi.items(), wj.items()).items()}
+            if lhs != {k: di * dj * s * c for k, c in expect.items() if c}:
                 raise NotHomomorphism(
                     f"embedding fails the homomorphism law on cover basis pair ({i},{j})"
                 )

@@ -562,3 +562,41 @@ def test_entry_pass_matches_vector_path(case, data):
     with mock.patch.object(StructureTable, "toral_columns", lambda self, L: {}):
         vector = R.check_z_trivial(l, sparse_to_dense(z, l.dim))
     assert (rep.passed, rep.witness) == (vector.passed, vector.witness)
+
+
+def _first_non_homomorphic_pair(l, cover):
+    """The Fraction oracle of the cover's homomorphism law: the first basis
+    pair (i, j), i <= j, with [phi b_i, phi b_j] != phi [b_i, b_j]."""
+    ref = cover.reference
+    images = [dense_to_sparse(v) for v in cover.images]
+    for i in range(ref.dim):
+        for j in range(i, ref.dim):
+            expect = {}
+            for m, c in ref.table.entries.get((i, j), ()):
+                for k, x in images[m].items():
+                    expect[k] = expect.get(k, 0) + c * x
+            got = superalg._sparse_product(l.table.entries, images[i].items(), images[j].items())
+            if got != {k: x for k, x in expect.items() if x}:
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("broken", [None, 0, 3, 9])
+def test_cover_homomorphism_on_integer_rows_matches_fraction_oracle(psl22, broken):
+    # the cover in a basis b'_i = lam_i b_i with denominators, so the
+    # images b_i = b'_i / lam_i have denominators too
+    lam = [F(2, 3) if i % 2 else F(3) for i in range(psl22.dim)]
+    l = _rescaled(psl22, lam)
+    images = [tuple(1 / lam[i] if t == i else F(0) for t in range(l.dim)) for i in range(l.dim)]
+    if broken is not None:
+        images[broken] = tuple(F(3, 2) * c for c in images[broken])
+    cover = R.CoverEmbedding("psl", 1, images, psl22)
+    want = _first_non_homomorphic_pair(l, cover)
+    assert (want is None) == (broken is None)
+    if want is None:
+        assert R.analyze_cover(l, cover).evidence["embedding_rank"] == l.dim
+    else:
+        with pytest.raises(NotHomomorphism) as err:
+            R.analyze_cover(l, cover)
+        assert str(err.value) == ("embedding fails the homomorphism law on cover basis "
+                                  f"pair ({want[0]},{want[1]})")
