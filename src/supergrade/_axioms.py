@@ -229,7 +229,7 @@ def check_super_jacobi(table):
     # the weight pass on packed weights: enc[j] = sum_t w_j[t] b^t with
     # |w_j[t]| <= M is injective on w_i + w_j - w_k, whose digits lie within
     # 3M < b / 2
-    toral = table.toral_columns(mults)
+    toral = table.toral_columns()
     b = 6 * max([abs(v) for col in toral.values() for v in col.values()], default=0) + 1
     enc = [0] * n
     for t, col in enumerate(toral.values()):

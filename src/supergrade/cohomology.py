@@ -1,5 +1,5 @@
 """Second cohomology with trivial coefficients, universal central
-extensions, cover-kernel checks, and central-isogeny fingerprints.
+extensions and central-isogeny fingerprints.
 
 Cocycles are parametrized by independent pair coordinates (i < j plus the
 odd diagonal); super-skewness means phi(x,y) = -(-1)^{|x||y|} phi(y,x)
@@ -46,8 +46,8 @@ sparse Cocycle2 form {(i, j): value} of its nonzero values, both orders
 of every pair.  Their bases are the unique RREF of the subspace, so
 scaling, repeating or reordering rows never changes them.
 
-All elimination here runs on SparseRref: the kernel of a projection is
-kernel_from_rows on its rows, and a Cartan lift is an augmented solve.
+All elimination here runs on SparseRref; the cocycle kernel is
+kernel_from_rows on the rows that are not killed.
 """
 
 from __future__ import annotations
@@ -56,18 +56,9 @@ from bisect import bisect_left
 from fractions import Fraction
 from operator import sub
 
-from .errors import DimensionMismatch, NotPerfect, ValidationError
-from .exact import (
-    ONE,
-    SparseRref,
-    ZERO,
-    dense_to_sparse,
-    kernel_from_rows,
-    sparse_apply,
-    sparse_transpose,
-)
+from .errors import NotPerfect
+from .exact import ONE, SparseRref, ZERO, kernel_from_rows
 from .superalg import (
-    Element,
     LieSuperalgebra,
     StructureTable,
     SuperSpace,
@@ -262,7 +253,7 @@ def h2_dims(l: LieSuperalgebra) -> tuple[int, int]:
     """dim H^2(L, F) = dim Z^2 - dim B^2, per parity, from ranks alone, on
     the cochains of weight zero."""
     itab = l.table.integer_form()[1]
-    weights = l.table.toral_weights(itab)
+    weights = l.table.toral_weights()
     out = []
     for parity in (0, 1):
         pairs, pos = _pair_index(l.space, parity, weights)
@@ -276,7 +267,7 @@ def h2_dims(l: LieSuperalgebra) -> tuple[int, int]:
 def h2_representatives(l: LieSuperalgebra, parity: int) -> list[Cocycle2]:
     """Cocycles spanning a canonical complement of B^2 inside Z^2."""
     itab = l.table.integer_form()[1]
-    weights = l.table.toral_weights(itab)
+    weights = l.table.toral_weights()
     pairs, sr = _coboundary_rref(l, parity, itab, weights)
     _, basis = _cocycle_basis(l, parity, itab, weights)
     return [_materialize(l, parity, pairs, z) for z in basis if sr.insert(z) is not None]
@@ -326,100 +317,6 @@ def uce(l: LieSuperalgebra) -> CentralExtension:
     extended = LieSuperalgebra(table, {"name": f"uce({l.provenance.get('name', 'L')})"})
     proj = [{j: ONE} for j in range(n)] + [{} for _ in range(k)]
     return CentralExtension(l, reps, extended, proj)
-
-
-def extension_from_quotient(l: LieSuperalgebra, zbasis) -> CentralExtension:
-    """Package an existing central quotient L -> L/<z> as a CentralExtension.
-
-    The base keeps the basis elements at the non-pivot columns of z's RREF,
-    so a lifted bracket [b_a, b_b] minus the lift of its image lies in <z>
-    and has at the pivots the entries of [b_a, b_b] itself (the lift is 0
-    there).  The RREF rows are 1 at their own pivot and 0 at the others, so
-    cocycle t is the coefficient of [b_a, b_b] at pivot t.  z is graded, so
-    each RREF row is homogeneous, of the parity of its pivot."""
-    base = quotient_central(l, zbasis)
-    pos = {c: a for a, c in enumerate(base.provenance["kept_columns"])}
-    slot = {c: t for t, c in enumerate(c for c in range(l.dim) if c not in pos)}
-    forms = [{} for _ in slot]
-    for (i, j), terms in l.table.entries.items():
-        if i in pos and j in pos:
-            for m, c in terms:
-                if m in slot:
-                    forms[slot[m]][(pos[i], pos[j])] = c
-    cocycles = [Cocycle2(l.parity[p], form) for p, form in zip(slot, forms)]
-    return CentralExtension(base, cocycles, l, base.provenance["projection"])
-
-
-class CoverKernelReport:
-    __slots__ = ("passed", "kernel_dim", "details")
-
-    def __init__(self, passed: bool, kernel_dim: int, details: list):
-        self.passed, self.kernel_dim, self.details = passed, kernel_dim, details
-
-
-def _preimage(rows: list[dict], ncols: int, b) -> tuple | None:
-    """The solution of A x = b with free variables 0, for A given by its
-    sparse rows, or None if there is none.  b is an augmented column that
-    is never a pivot, so x is b's entry in the RREF row of each pivot."""
-    if len(b) != len(rows):
-        raise DimensionMismatch("rhs length != row count")
-    sr = SparseRref(ncols + 1, npivot=ncols)
-    for row, c in zip(rows, b):
-        aug = {**row, ncols: c}
-        if sr.insert(aug) is None and sr.reduce(aug):
-            return None
-    x = [ZERO] * ncols
-    for p, r in zip(sr.pivots(), sr.basis()):
-        x[p] = r.get(ncols, ZERO)
-    return tuple(x)
-
-
-def cover_kernel_check(ext: CentralExtension, cartan: CartanBasis) -> CoverKernelReport:
-    """Verify ker(pi) lies in the zero weight space of the extension and pi
-    restricts to a linear isomorphism on every nonzero root space."""
-    from .constructors import CartanBasis
-    from .roots import weight_decomposition
-
-    base, big, proj = ext.base, ext.extended, ext.projection
-    prows = sparse_transpose(proj, base.dim)
-    lifted = []
-    for h in cartan.elements:
-        lift = _preimage(prows, big.dim, h.coords)
-        if lift is None:
-            raise ValidationError("Cartan element has no preimage under the projection")
-        lifted.append(Element(lift, 0))
-    lifted_cartan = CartanBasis(lifted, diag_mats=cartan.diag_mats)
-    datum_big = weight_decomposition(big, lifted_cartan)
-    datum_base = weight_decomposition(base, cartan)
-
-    zero_sr = SparseRref(big.dim)
-    for v in datum_big.zero_component.basis:
-        zero_sr.insert(dense_to_sparse(v))
-    kern = kernel_from_rows(prows, big.dim)
-    kernel_in_zero = all(zero_sr.contains(dense_to_sparse(v)) for v in kern)
-
-    per_root = True
-    details = []
-    for comp in datum_base.components:
-        big_comp = datum_big.component(comp.weight)
-        ok = big_comp is not None and big_comp.dim == comp.dim
-        if ok:
-            base_sr = SparseRref(base.dim)
-            for v in comp.basis:
-                base_sr.insert(dense_to_sparse(v))
-            rank_sr = SparseRref(base.dim)
-            for v in big_comp.basis:
-                img = sparse_apply(proj, dense_to_sparse(v))
-                if not base_sr.contains(img):
-                    ok = False
-                    break
-                rank_sr.insert(img)
-            ok = ok and rank_sr.rank == comp.dim
-        per_root = per_root and ok
-        details.append({"weight": comp.weight, "dim": comp.dim, "iso": ok})
-    extra = [c.weight for c in datum_big.components if datum_base.component(c.weight) is None]
-    per_root = per_root and not extra
-    return CoverKernelReport(kernel_in_zero and per_root, len(kern), details)
 
 
 class Fingerprint:

@@ -15,18 +15,16 @@ This is exact on any table, Lie or not: it needs neither the Jacobi
 identity nor the commutation of the Cartan.  Any other Cartan is refined
 one element at a time (minimal polynomial, rational roots, eigenspaces).
 
-The same toral datum carries the grading checks.  When the root components
-are spanned by basis vectors (_unit_owner), the closure of a 3-grading is
-one pass over the integer entries, condition 3 spans the integer rows
-[b_i, b_j] of opposite weights, and check_z_trivial reads [z, b_j] off the
-toral columns when z is supported on toral elements.  Any other input is
-bracketed as vectors, the only path for a Cartan that is not toral.
+Condition 3 and the closure of a 3-grading are each one pass over the
+integer table in the weight basis (_weight_basis), made of the component
+vectors: the table's own for a toral datum, whose components are multiples
+of basis vectors, and any other datum rewritten by restricted_table.
 
-Inside the vector loops (cover checks, eigenspace refinement, grading
-conditions) elements are sparse dicts {index: Fraction}, multiplied with
-superalg._sparse_product and combined with exact.sparse_apply; ad(h) is
-given by sparse columns.  The homomorphism law of an sl or psl cover and
-the vector closure of a 3-grading multiply integer rows over
+Inside the vector loops (cover checks, eigenspace refinement, the sl2
+style of three_grading, check_z_trivial) elements are sparse dicts
+{index: Fraction}, multiplied with superalg._sparse_product and combined
+with exact.sparse_apply; ad(h) is given by sparse columns.  The
+homomorphism law of an sl or psl cover multiplies integer rows over
 StructureTable.integer_entries.  Dense Vec tuples appear only in the
 public results: component bases, Cartan elements and the parts of a
 ThreeGrading.
@@ -70,6 +68,7 @@ from .superalg import (
     _sparse_product,
     derived_subalgebra,
     homogeneous_parity,
+    restricted_table,
 )
 
 TWO = Fraction(2)
@@ -157,8 +156,8 @@ def _toral_datum(l: LieSuperalgebra, cartan: CartanBasis) -> RootDatum | None:
     are the unit vectors grouped by weight, which is their canonical RREF
     basis."""
     n = l.dim
-    s, L = l.table.integer_form()
-    cols = l.table.toral_columns(L)
+    s = l.table.integer_form()[0]
+    cols = l.table.toral_columns()
     hs = [dense_to_sparse(h.coords) for h in cartan.elements]
     if any(t not in cols for h in hs for t in h):
         return None
@@ -529,7 +528,7 @@ def verify_delta_graded(l: LieSuperalgebra, cover: CoverEmbedding) -> GradingRep
     basis pairs, cover-ness certified); (2) L decomposes into weight
     spaces of the lifted Cartan with weights inside the A(n,n) pattern;
     (3) the zero component is spanned by brackets of opposite root spaces
-    (_condition3, from the integer table on a toral datum).
+    (_condition3, on the integer table in the weight basis).
     """
     analysis = analyze_cover(l, cover)
     conditions = {"condition1": {"passed": True, **analysis.evidence}}
@@ -568,43 +567,44 @@ def _unit_owner(groups, n: int) -> list | None:
     return owner if None not in owner else None
 
 
+def _weight_basis(l: LieSuperalgebra, groups) -> tuple[list, list]:
+    """(L, owner): the integer form L of l on the basis made of the
+    homogeneous vectors of the re-iterable (key, vectors) groups, which
+    must form a basis of l (the components of a datum, the parts of a
+    3-grading), and owner[j] = key of basis vector j.  Multiples of
+    distinct basis vectors (_unit_owner; every toral datum) span the lines
+    of the basis, so L is l's own integer form; any other basis is
+    rewritten by restricted_table."""
+    owner = _unit_owner(groups, l.dim)
+    if owner is not None:
+        return l.table.integer_form()[1], owner
+    table, _ = restricted_table(l, [v for _, vecs in groups for v in vecs])
+    return table.integer_form()[1], [key for key, vecs in groups for _ in vecs]
+
+
 def _condition3(l: LieSuperalgebra, datum: RootDatum) -> dict:
     """Condition 3: the brackets of opposite root spaces span the zero
-    component.  On components of basis vectors (a toral datum) the span
-    takes the integer table row [b_i, b_j] of each opposite pair of weights
-    once, as [b_j, b_i] = -+[b_i, b_j] on a super-anticommutative table, and
-    the zero component is the span of its basis vectors; other components
-    are bracketed as vectors, in both orders."""
-    n = l.dim
+    component.  In the weight basis (_weight_basis) the span takes the
+    integer table row [b_i, b_j] of each opposite pair of weights once, as
+    [b_j, b_i] = -+[b_i, b_j] on a super-anticommutative table; it leaks
+    when a row has a term outside the zero component, which is the span of
+    its basis vectors."""
     zero_wt = datum.zero_component.weight
-    owner = _unit_owner(((c.weight, c.basis) for c in datum.components + [datum.zero_component]), n)
-    span = SparseRref(n)
-    if owner is not None:
-        L = l.table.integer_form()[1]
-        idx: dict[tuple, list] = {}
-        for j, wt in enumerate(owner):
-            idx.setdefault(wt, []).append(j)
-        leak = False
-        for wt, rows in idx.items():
-            for j in idx.get(tuple(-x for x in wt), ()) if wt > zero_wt else ():
-                for i in rows:
-                    terms = L[i].get(j, ())
-                    if terms:
-                        span.insert(dict(terms))
-                        leak = leak or any(owner[k] != zero_wt for k, _ in terms)
-        deficit = [k for k in idx.get(zero_wt, ()) if not span.contains({k: 1})]
-    else:
-        ent = l.table.entries
-        sparse = {c.weight: [dense_to_sparse(v).items() for v in c.basis] for c in datum.components}
-        for wt, vecs in sparse.items():
-            for vb in sparse.get(tuple(-x for x in wt), ()):
-                for va in vecs:
-                    span.insert(_sparse_product(ent, va, vb))
-        zero_sr = SparseRref(n)
-        for v in datum.zero_component.basis:
-            zero_sr.insert(dense_to_sparse(v))
-        deficit = [v for v in datum.zero_component.basis if not span.contains(dense_to_sparse(v))]
-        leak = any(not zero_sr.contains(r) for r in span.basis())
+    L, owner = _weight_basis(
+        l, [(c.weight, c.basis) for c in datum.components + [datum.zero_component]])
+    span = SparseRref(l.dim)
+    idx: dict[tuple, list] = {}
+    for j, wt in enumerate(owner):
+        idx.setdefault(wt, []).append(j)
+    leak = False
+    for wt, rows in idx.items():
+        for j in idx.get(tuple(-x for x in wt), ()) if wt > zero_wt else ():
+            for i in rows:
+                terms = L[i].get(j, ())
+                if terms:
+                    span.insert(dict(terms))
+                    leak = leak or any(owner[k] != zero_wt for k, _ in terms)
+    deficit = [k for k in idx.get(zero_wt, ()) if not span.contains({k: 1})]
     return {
         "passed": not deficit and not leak,
         "zero_component_dim": datum.zero_component.dim,
@@ -626,10 +626,8 @@ def check_z_trivial(l: LieSuperalgebra, cover) -> ZTrivialReport:
     """Verify that the image of the cover's central element z acts trivially.
 
     Accepts a CoverEmbedding (vacuously true for psl and m11 covers, which
-    carry no distinguished z) or an explicit element of L.  A z supported
-    on toral basis elements is read off their columns; any other z is
-    bracketed with each basis element.  The witness is the first j with
-    [z, b_j] != 0.
+    carry no distinguished z) or an explicit element of L, bracketed with
+    each basis element.  The witness is the first j with [z, b_j] != 0.
     """
     if isinstance(cover, CoverEmbedding):
         if cover.kind != "sl":
@@ -642,13 +640,8 @@ def check_z_trivial(l: LieSuperalgebra, cover) -> ZTrivialReport:
         z = sparse_apply({t: _sparse_element(l, cover.images[t]) for t in zs}, zs)
     else:
         z = _sparse_element(l, cover)
-    cols = l.table.toral_columns(l.table.integer_form()[1])
-    if all(t in cols for t in z):
-        # [z, b_j] = sum_t z_t [b_t, b_j], a multiple of b_j
-        j = min(sparse_apply(cols, z), default=None)
-    else:
-        ent = l.table.entries
-        j = next((j for j in range(l.dim) if _sparse_product(ent, z.items(), ((j, ONE),))), None)
+    ent = l.table.entries
+    j = next((j for j in range(l.dim) if _sparse_product(ent, z.items(), ((j, ONE),))), None)
     return ZTrivialReport(passed=True) if j is None else ZTrivialReport(passed=False, witness=j)
 
 
@@ -729,39 +722,18 @@ def three_grading(l: LieSuperalgebra, datum: RootDatum, style: str, h=None) -> T
 def _closure(l: LieSuperalgebra, parts: dict) -> tuple | None:
     """The first (a, b), in loop order, with [L(a), L(b)] outside L(a + b).
 
-    When each part is spanned by basis vectors (owner[j] = part of b_j), one
-    pass over the integer entries, as c_ij^k != 0 must put b_k in part
-    owner[i] + owner[j].  Otherwise on integer rows d v over the integer
-    table (scale s): a product is d d' s [v, v'], zero and inside a span
-    exactly when [v, v'] is."""
-    n = l.dim
-    owner = _unit_owner(parts.items(), n)
-    if owner is not None:
-        bad = None
-        for i, row in enumerate(l.table.integer_form()[1]):
-            a = owner[i]
-            for j, terms in row.items():
-                b = owner[j]
-                if bad is None or (a, b) < bad:
-                    for k, _ in terms:
-                        if owner[k] != a + b:
-                            bad = a, b
-                            break
-        return bad
-    _, ient = l.table.integer_entries()
-    rows = {k: [_integer_row(dense_to_sparse(v))[1] for v in parts[k]] for k in (-1, 0, 1)}
-    spans = {}
-    for k in (-1, 0, 1):
-        sr = spans[k] = SparseRref(n)
-        for v in rows[k]:
-            sr.insert(v)
-    if sum(s.rank for s in spans.values()) != n:
-        raise NotThreeGraded("parts do not sum to the whole algebra")
-    for a in (-1, 0, 1):
-        for b in (-1, 0, 1):
-            for va in rows[a]:
-                for vb in rows[b]:
-                    prod = _sparse_product(ient, va.items(), vb.items())
-                    if prod and (abs(a + b) > 1 or not spans[a + b].contains(prod)):
-                        return a, b
-    return None
+    One pass over the integer entries in the weight basis of the parts
+    (_weight_basis, owner[j] = part of b_j): c_ij^k != 0 must put b_k in
+    part owner[i] + owner[j]."""
+    L, owner = _weight_basis(l, parts.items())
+    bad = None
+    for i, row in enumerate(L):
+        a = owner[i]
+        for j, terms in row.items():
+            b = owner[j]
+            if bad is None or (a, b) < bad:
+                for k, _ in terms:
+                    if owner[k] != a + b:
+                        bad = a, b
+                        break
+    return bad

@@ -68,7 +68,7 @@ class SuperSpace:
 
 def homogeneous_parity(space: SuperSpace, coords: Sequence) -> int | None:
     """Parity of a homogeneous vector, or None if mixed (0 counts as even)."""
-    seen = {space.parity[i] for i, c in enumerate(coords) if c != 0}
+    seen = {space.parity[i] for i, c in enumerate(coords) if c}
     if len(seen) > 1:
         return None
     return seen.pop() if seen else 0
@@ -209,20 +209,21 @@ class StructureTable:
         s, L = self.integer_form()
         return s, {(i, j): terms for i, row in enumerate(L) for j, terms in row.items()}
 
-    def toral_columns(self, L: list) -> dict[int, dict]:
-        """The toral basis elements, given the integer form L (scale s): the
-        even b_h with ad b_h diagonal, that is [b_h, b_j] in Q b_j for every
-        j, each mapped to its column {j: s * eigenvalue on b_j} of nonzeros.
-        A b_h with ad b_h = 0 counts, with the empty column.
+    def toral_columns(self) -> dict[int, dict]:
+        """The toral basis elements, read off the integer form (scale s):
+        the even b_h with ad b_h diagonal, that is [b_h, b_j] in Q b_j for
+        every j, each mapped to its column {j: s * eigenvalue on b_j} of
+        nonzeros.  A b_h with ad b_h = 0 counts, with the empty column.
 
         Two such elements commute ([b_h, b_g] lies on both b_g and b_h), so
         they span a toral subalgebra.
         """
         par = self.space.parity
-        return {h: {j: t[0][1] for j, t in row.items()} for h, row in enumerate(L)
+        return {h: {j: t[0][1] for j, t in row.items()}
+                for h, row in enumerate(self.integer_form()[1])
                 if not par[h] and all(len(t) == 1 and t[0][0] == j for j, t in row.items())}
 
-    def toral_weights(self, L: list) -> list[tuple]:
+    def toral_weights(self) -> list[tuple]:
         """The joint integer weight of every basis element under the toral
         basis elements with ad b_h nonzero (toral_columns).
 
@@ -233,7 +234,7 @@ class StructureTable:
         same columns, roots.weight_decomposition, which reads the weight
         spaces of a Cartan supported on toral elements off them.
         """
-        cols = [col for col in self.toral_columns(L).values() if col]
+        cols = [col for col in self.toral_columns().values() if col]
         return [tuple(col.get(j, 0) for col in cols) for j in range(self.space.dim)]
 
 
@@ -397,7 +398,7 @@ def center(l: LieSuperalgebra) -> list[Vec]:
     unknown is 0 in the kernel, so the canonical basis is the full system's.
     """
     L = l.table.integer_form()[1]
-    cols = [i for i, w in enumerate(l.table.toral_weights(L)) if not any(w)]
+    cols = [i for i, w in enumerate(l.table.toral_weights()) if not any(w)]
     rows: dict[tuple, dict] = {}
     for t, i in enumerate(cols):
         for j, terms in L[i].items():

@@ -22,7 +22,13 @@ scaled integer rows.  complement_rows picks the canonical complement of
 B^2 in Z^2 on the full cochain system, as cohomology.h2_representatives
 did before it solved on weight-zero cochains.  span_closure,
 subalgebra_from_generators, basis_element, all_components and associator
-have no caller in the package.
+have no caller in the package.  condition3_by_vectors and
+closure_by_vectors bracket the component and part vectors of a grading
+check, as roots did before it rewrote every datum in its weight basis.
+extension_from_quotient, _preimage and cover_kernel_check check that the
+kernel of a central cover lies in the zero weight space and that every
+root space maps isomorphically; no command runs them, and the acceptance
+suite checks the paper's lemma on lifted root spaces through them.
 """
 
 from __future__ import annotations
@@ -30,7 +36,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from supergrade.errors import DimensionMismatch, NonSplitSpectrum, ValidationError
+from supergrade.cohomology import CentralExtension, Cocycle2
+from supergrade.constructors import CartanBasis
+from supergrade.errors import DimensionMismatch, NonSplitSpectrum, NotThreeGraded, ValidationError
 from supergrade import exact
 from supergrade.exact import (
     ONE,
@@ -38,23 +46,30 @@ from supergrade.exact import (
     SparseRref,
     Vec,
     dense_to_sparse,
+    kernel_from_rows,
     poly_degree,
     poly_trim,
     primitive_integer_poly,
     rational_roots,
+    sparse_apply,
     sparse_to_dense,
+    sparse_transpose,
     sub_vec,
     unit_vec,
     vec,
 )
+from supergrade.roots import weight_decomposition
 from supergrade.superalg import (
     Element,
+    LieSuperalgebra,
     StructureTable,
     SuperSpace,
     _coords,
+    _integer_row,
     _sparse_product,
     ad_rows,
     homogeneous_parity,
+    quotient_central,
 )
 
 TWO = Fraction(2)
@@ -494,3 +509,142 @@ def d_operator(j, a: Vec, b: Vec, pa: int, pb: int):
         plus_cols.append(tuple(TWO * (first[r] + second[r] - sgn * third[r]) for r in range(n)))
         minus_cols.append(tuple(TWO * (-first[r] + second[r] - sgn * third[r]) for r in range(n)))
     return Matrix.from_cols(plus_cols), Matrix.from_cols(minus_cols)
+
+
+def extension_from_quotient(l: LieSuperalgebra, zbasis) -> CentralExtension:
+    """Package an existing central quotient L -> L/<z> as a CentralExtension.
+
+    The base keeps the basis elements at the non-pivot columns of z's RREF,
+    so a lifted bracket [b_a, b_b] minus the lift of its image lies in <z>
+    and has at the pivots the entries of [b_a, b_b] itself (the lift is 0
+    there).  The RREF rows are 1 at their own pivot and 0 at the others, so
+    cocycle t is the coefficient of [b_a, b_b] at pivot t.  z is graded, so
+    each RREF row is homogeneous, of the parity of its pivot."""
+    base = quotient_central(l, zbasis)
+    pos = {c: a for a, c in enumerate(base.provenance["kept_columns"])}
+    slot = {c: t for t, c in enumerate(c for c in range(l.dim) if c not in pos)}
+    forms = [{} for _ in slot]
+    for (i, j), terms in l.table.entries.items():
+        if i in pos and j in pos:
+            for m, c in terms:
+                if m in slot:
+                    forms[slot[m]][(pos[i], pos[j])] = c
+    cocycles = [Cocycle2(l.parity[p], form) for p, form in zip(slot, forms)]
+    return CentralExtension(base, cocycles, l, base.provenance["projection"])
+
+
+class CoverKernelReport:
+    __slots__ = ("passed", "kernel_dim", "details")
+
+    def __init__(self, passed: bool, kernel_dim: int, details: list):
+        self.passed, self.kernel_dim, self.details = passed, kernel_dim, details
+
+
+def _preimage(rows: list[dict], ncols: int, b) -> tuple | None:
+    """The solution of A x = b with free variables 0, for A given by its
+    sparse rows, or None if there is none.  b is an augmented column that
+    is never a pivot, so x is b's entry in the RREF row of each pivot."""
+    if len(b) != len(rows):
+        raise DimensionMismatch("rhs length != row count")
+    sr = SparseRref(ncols + 1, npivot=ncols)
+    for row, c in zip(rows, b):
+        aug = {**row, ncols: c}
+        if sr.insert(aug) is None and sr.reduce(aug):
+            return None
+    x = [ZERO] * ncols
+    for p, r in zip(sr.pivots(), sr.basis()):
+        x[p] = r.get(ncols, ZERO)
+    return tuple(x)
+
+
+def cover_kernel_check(ext: CentralExtension, cartan: CartanBasis) -> CoverKernelReport:
+    """Verify ker(pi) lies in the zero weight space of the extension and pi
+    restricts to a linear isomorphism on every nonzero root space."""
+    base, big, proj = ext.base, ext.extended, ext.projection
+    prows = sparse_transpose(proj, base.dim)
+    lifted = []
+    for h in cartan.elements:
+        lift = _preimage(prows, big.dim, h.coords)
+        if lift is None:
+            raise ValidationError("Cartan element has no preimage under the projection")
+        lifted.append(Element(lift, 0))
+    lifted_cartan = CartanBasis(lifted, diag_mats=cartan.diag_mats)
+    datum_big = weight_decomposition(big, lifted_cartan)
+    datum_base = weight_decomposition(base, cartan)
+
+    zero_sr = SparseRref(big.dim)
+    for v in datum_big.zero_component.basis:
+        zero_sr.insert(dense_to_sparse(v))
+    kern = kernel_from_rows(prows, big.dim)
+    kernel_in_zero = all(zero_sr.contains(dense_to_sparse(v)) for v in kern)
+
+    per_root = True
+    details = []
+    for comp in datum_base.components:
+        big_comp = datum_big.component(comp.weight)
+        ok = big_comp is not None and big_comp.dim == comp.dim
+        if ok:
+            base_sr = SparseRref(base.dim)
+            for v in comp.basis:
+                base_sr.insert(dense_to_sparse(v))
+            rank_sr = SparseRref(base.dim)
+            for v in big_comp.basis:
+                img = sparse_apply(proj, dense_to_sparse(v))
+                if not base_sr.contains(img):
+                    ok = False
+                    break
+                rank_sr.insert(img)
+            ok = ok and rank_sr.rank == comp.dim
+        per_root = per_root and ok
+        details.append({"weight": comp.weight, "dim": comp.dim, "iso": ok})
+    extra = [c.weight for c in datum_big.components if datum_base.component(c.weight) is None]
+    per_root = per_root and not extra
+    return CoverKernelReport(kernel_in_zero and per_root, len(kern), details)
+
+
+def condition3_by_vectors(l, datum) -> dict:
+    """roots._condition3 bracketing the component bases as vectors, in both
+    orders, with the zero component as a span."""
+    n = l.dim
+    span = SparseRref(n)
+    ent = l.table.entries
+    sparse = {c.weight: [dense_to_sparse(v).items() for v in c.basis] for c in datum.components}
+    for wt, vecs in sparse.items():
+        for vb in sparse.get(tuple(-x for x in wt), ()):
+            for va in vecs:
+                span.insert(_sparse_product(ent, va, vb))
+    zero_sr = SparseRref(n)
+    for v in datum.zero_component.basis:
+        zero_sr.insert(dense_to_sparse(v))
+    deficit = [v for v in datum.zero_component.basis if not span.contains(dense_to_sparse(v))]
+    leak = any(not zero_sr.contains(r) for r in span.basis())
+    return {
+        "passed": not deficit and not leak,
+        "zero_component_dim": datum.zero_component.dim,
+        "bracket_span_dim": span.rank,
+        "deficit_count": len(deficit),
+    }
+
+
+def closure_by_vectors(l, parts: dict) -> tuple | None:
+    """roots._closure multiplying the part vectors as integer rows d v over
+    the integer table (scale s): a product is d d' s [v, v'], zero and
+    inside a span exactly when [v, v'] is."""
+    n = l.dim
+    _, ient = l.table.integer_entries()
+    rows = {k: [_integer_row(dense_to_sparse(v))[1] for v in parts[k]] for k in (-1, 0, 1)}
+    spans = {}
+    for k in (-1, 0, 1):
+        sr = spans[k] = SparseRref(n)
+        for v in rows[k]:
+            sr.insert(v)
+    if sum(s.rank for s in spans.values()) != n:
+        raise NotThreeGraded("parts do not sum to the whole algebra")
+    for a in (-1, 0, 1):
+        for b in (-1, 0, 1):
+            for va in rows[a]:
+                for vb in rows[b]:
+                    prod = _sparse_product(ient, va.items(), vb.items())
+                    if prod and (abs(a + b) > 1 or not spans[a + b].contains(prod)):
+                        return a, b
+    return None

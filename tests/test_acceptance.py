@@ -27,7 +27,7 @@ from supergrade.superalg import (
     validate_lie,
 )
 from tests.conftest import JP4_M11_ELEMENTS, JQ4_M11_ELEMENTS
-from tests.oracles import all_components, associator
+from tests.oracles import all_components, associator, cover_kernel_check, extension_from_quotient
 
 F = Fraction
 
@@ -215,9 +215,9 @@ def test_criterion_7_property_suites(
                     ok = ok and not any(associator(j, a, unit_vec(j.dim, mdx), b))
 
     # cover kernel checks (Lemma on lifted root spaces)
-    ext = H.extension_from_quotient(sl33, [sl33.provenance["z"]])
-    ok = ok and H.cover_kernel_check(ext, psl33.provenance["cartan_h"]).passed
-    ok = ok and H.cover_kernel_check(H.uce(psl22), psl22.provenance["cartan_h"]).passed
+    ext = extension_from_quotient(sl33, [sl33.provenance["z"]])
+    ok = ok and cover_kernel_check(ext, psl33.provenance["cartan_h"]).passed
+    ok = ok and cover_kernel_check(H.uce(psl22), psl22.provenance["cartan_h"]).passed
     _report(7, "property suites", ok)
 
 

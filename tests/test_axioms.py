@@ -263,7 +263,7 @@ def rebased(table, lift, inv, parity):
 
 
 def toral(table):
-    return sorted(table.toral_columns(table.integer_form()[1]))
+    return sorted(table.toral_columns())
 
 
 small = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))

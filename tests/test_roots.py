@@ -27,7 +27,15 @@ from supergrade.superalg import (
     homogeneous_parity,
     validate_lie,
 )
-from tests.oracles import Matrix, all_components, basis_element, rref, solve_linear
+from tests.oracles import (
+    Matrix,
+    all_components,
+    basis_element,
+    closure_by_vectors,
+    condition3_by_vectors,
+    rref,
+    solve_linear,
+)
 from tests.test_cohomology import _base_algebra, _diagonal_even, _shear
 
 F = Fraction
@@ -461,32 +469,33 @@ def test_m11_cover_tkk(tkk_m11, m11):
 
 @st.composite
 def toral_gradings(draw):
-    """(l, cartan, z, lie): psl(3,3) or sl(3,3) with its basis rescaled by
-    small rationals and its cartan_h rescaled and sheared by an invertible
-    integer matrix (the diagonal representatives alike), so the Cartan keeps
-    its toral support and its weights change.  Some tables get one entry
-    pair off the toral elements perturbed, any pair or a pair of opposite
-    weights, or an opposite pair dropped (lie False: no longer Lie).  z is
-    a combination of toral elements, or the central z of sl(3,3)."""
+    """(l, cartan, lie, sheared): psl(3,3) or sl(3,3) with its basis
+    rescaled by small rationals and its cartan_h rescaled and sheared by an
+    invertible integer matrix (the diagonal representatives alike), so the
+    Cartan keeps its toral support and its weights change.  Some tables get
+    one entry pair off the toral elements perturbed, any pair or a pair of
+    opposite weights, or an opposite pair dropped (lie False: no longer
+    Lie).  sheared True rewrites the table with a toral b_h replaced by
+    b_h + b_e for an even root vector b_e, and the Cartan re-expressed, so
+    the zero component holds b'_h - b'_e and the datum is not made of basis
+    vectors."""
     name = draw(st.sampled_from(["psl33", "sl33"]))
     base = _grading_base(name)
     small = st.builds(F, st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]), st.integers(1, 3))
-    lam = [draw(small) for _ in range(base.dim)]
-    l = _rescaled(base, lam)
+    l = _rescaled(base, [draw(small) for _ in range(base.dim)])
     n, h = l.dim, l.provenance["cartan_h"]
     r = len(h.elements)
     t = [[F(draw(st.integers(-2, 2))) if b < a else F(0) for b in range(r)] for a in range(r)]
     for a in range(r):
         t[a][a] = F(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
-    elements = [Element(tuple(sum(t[a][b] * h.elements[b].coords[q] for b in range(r))
-                              for q in range(n)), 0) for a in range(r)]
+    elements = [[sum(t[a][b] * h.elements[b].coords[q] for b in range(r)) for q in range(n)]
+                for a in range(r)]
     diag = tuple(tuple(sum(t[a][b] * h.diag_mats[b][q] for b in range(r))
                        for q in range(len(h.diag_mats[0]))) for a in range(r))
     toral = _diagonal_even(l)
+    wt = l.table.toral_weights()
     how = draw(st.sampled_from(["lie", "any pair", "opposite pair", "drop opposite"]))
     if how != "lie":
-        cols = l.table.toral_columns(l.table.integer_form()[1]).values()
-        wt = [tuple(col.get(j, 0) for col in cols) for j in range(n)]  # joint toral weights
         rest = [i for i in range(n) if i not in toral]
         i = draw(st.sampled_from(rest))
         opposite = [j for j in rest if wt[j] == tuple(-x for x in wt[i])]
@@ -504,11 +513,15 @@ def toral_gradings(draw):
                 break
         entries = {key: tuple(sorted(terms.items())) for key, terms in ent.items() if terms}
         l = LieSuperalgebra(StructureTable(l.space, "lie", entries))
-    if name == "sl33" and draw(st.booleans()):
-        z = {i: c / lam[i] for i, c in enumerate(base.provenance["z"]) if c}
-    else:
-        z = {i: F(draw(st.integers(-2, 2))) for i in toral}
-    return l, CartanBasis(elements, diag), {i: c for i, c in z.items() if c}, how == "lie"
+    sheared = draw(st.booleans())
+    if sheared:
+        b = draw(st.sampled_from(toral))
+        e = draw(st.sampled_from([e for e in range(n) if not l.parity[e] and any(wt[e])]))
+        l = _shear(l, b, e)
+        for v in elements:  # b_h = b'_h - b'_e
+            v[e] -= v[b]
+    cartan = CartanBasis([Element(tuple(v), 0) for v in elements], diag)
+    return l, cartan, how == "lie", sheared
 
 
 @cache
@@ -526,20 +539,20 @@ def _outcome(f):
 @given(toral_gradings(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_entry_pass_matches_vector_path(case, data):
-    l, cartan, z, lie = case
+    # the one integer pass in the weight basis against the vector oracles,
+    # on toral data (basis vectors) and sheared ones (rewritten first)
+    l, cartan, lie, sheared = case
     datum = R.weight_decomposition(l, cartan)
+    owner = R._unit_owner([(c.weight, c.basis) for c in all_components(datum)], l.dim)
+    assert (owner is None) == sheared
     # condition 3, on the full Cartan and on a leading part of it
     m = data.draw(st.integers(1, len(cartan.elements)))
-    vectors = mock.patch.object(R, "_unit_owner", lambda groups, n: None)
     for d in (datum, R.weight_decomposition(
             l, CartanBasis(cartan.elements[:m], cartan.diag_mats[:m]))):
-        assert R._unit_owner(((c.weight, c.basis) for c in all_components(d)), l.dim)
-        entry = R._condition3(l, d)
-        with vectors:
-            assert entry == R._condition3(l, d)
+        assert R._condition3(l, d) == condition3_by_vectors(l, d)
     # the 3-grading, as the public call and with the closure on drawn parts
     entry = _outcome(lambda: R.three_grading(l, datum, "height"))
-    with vectors:
+    with mock.patch.object(R, "_closure", closure_by_vectors):
         vector = _outcome(lambda: R.three_grading(l, datum, "height"))
     assert entry[0] == vector[0]
     if entry[0] == "ok":
@@ -554,14 +567,7 @@ def test_entry_pass_matches_vector_path(case, data):
         if data.draw(st.integers(0, 9)) == 0:  # moved to another part
             height = data.draw(st.sampled_from((-1, 0, 1)))
         parts[height].extend(comp.basis)
-    entry = R._closure(l, parts)
-    with vectors:
-        assert entry == R._closure(l, parts)
-    # [z, b_j] read off the toral columns
-    rep = R.check_z_trivial(l, sparse_to_dense(z, l.dim))
-    with mock.patch.object(StructureTable, "toral_columns", lambda self, L: {}):
-        vector = R.check_z_trivial(l, sparse_to_dense(z, l.dim))
-    assert (rep.passed, rep.witness) == (vector.passed, vector.witness)
+    assert R._closure(l, parts) == closure_by_vectors(l, parts)
 
 
 def _first_non_homomorphic_pair(l, cover):
