@@ -9,6 +9,12 @@ Exit codes: 0 verified/pass, 1 verified-negative (not_graded, failed
 certificate, axiom violation, ...), 2 usage or input errors and any other
 failure, reported as one stderr line without a traceback.
 
+A process (`python -m supergrade`, the `supergrade` script) enters through
+run(), which flushes the output of main() and ends with os._exit: no
+process pays interpreter teardown after its answer is written.  In-process
+callers of main(), the tests and the benchmark's tracing launcher
+bench/traced.py among them, still pay it, so trace.overhead_s includes it.
+
 Each subcommand imports only the modules it runs, at the point of use, so
 a process pays start-up for its own command alone: `check` loads the
 parser and the axiom checks, the cohomology commands add `cohomology`,
@@ -19,9 +25,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 from .errors import (
     AxiomViolation,
@@ -718,9 +726,43 @@ def main(argv=None) -> int:
         )
         return 1
     except Exception as exc:  # input errors, and anything else: no traceback
-        print(f"supergrade: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _report(exc)
         return 2
 
 
+def _report(exc: Exception) -> None:
+    """The one stderr line of an exit 2; with no stderr to write to, the
+    exit code alone reports the error."""
+    try:
+        sys.stderr.write(f"supergrade: error: {type(exc).__name__}: {exc}\n")
+    except (AttributeError, OSError):  # None when fd 2 was closed at start
+        pass
+
+
+def run() -> NoReturn:
+    """Process entry: main(), then stdout and stderr flushed, then
+    os._exit(code), which skips interpreter teardown.
+
+    The hard exit runs no atexit handler, joins no thread and flushes or
+    closes no other file.  That is sound because the package registers no
+    atexit handler, starts no thread and closes every file it writes in a
+    with block (tests/test_source.py guards this).  A stdout that cannot be
+    flushed (a pipe with no reader, a full device, or None when fd 1 was
+    closed at start) exits 2 with one stderr line: its own, unless main
+    already reported an error with code 2."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except (AttributeError, OSError) as exc:
+        if code != 2:
+            _report(exc)
+        code = 2
+    try:
+        sys.stderr.flush()
+    except (AttributeError, OSError):  # nothing is left that could report it
+        pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

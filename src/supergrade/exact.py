@@ -161,7 +161,13 @@ def _sturm(q: list) -> list:
 
 
 def _sign_changes(seq: list, x: int) -> int:
-    signs = [v > 0 for v in (_deflate(s, x)[1] for s in seq) if v]
+    signs = []
+    for s in seq:
+        v = 0
+        for c in reversed(s):  # Horner: v = s(x)
+            v = v * x + c
+        if v:
+            signs.append(v > 0)
     return sum(u != v for u, v in zip(signs, signs[1:]))
 
 
@@ -182,12 +188,13 @@ def rational_roots(p: Sequence) -> tuple[list[tuple[Fraction, int]], list]:
     Let x^m W be the monic p, W(0) != 0, and a W its primitive integer
     form, of degree d.  Then Q(x) = (2a)^d W(x/(2a)) is monic over the
     integers, so its rational roots are integers, and the rational roots of
-    W are x/(2a) for the even roots x of Q.  All roots of Q lie in (-B, B)
-    with B = 1 + max |Q_i| (Cauchy) and none at an odd integer, so bisection
-    on odd endpoints, counting the distinct real roots between them by the
-    sign changes of Q's Sturm sequence, isolates every even integer that
-    may be a root; no coefficient is factored.  Each root is divided out of
-    Q over the integers, and the cofactor C of Q maps back to C(2a t)/(2a)^e.
+    W are x/(2a) for the even roots x of Q.  All roots of Q lie in
+    (-hi, hi) for the odd hi below (Fujiwara's bound) and none at an odd
+    integer, so bisection on odd endpoints, counting the distinct real roots
+    between them by the sign changes of Q's Sturm sequence, isolates every
+    even integer that may be a root; no coefficient is factored.  Each root
+    is divided out of Q over the integers, and the cofactor C of Q maps back
+    to C(2a t)/(2a)^e.
     """
     ints = primitive_integer_poly(p)
     if not ints:
@@ -199,7 +206,12 @@ def rational_roots(p: Sequence) -> tuple[list[tuple[Fraction, int]], list]:
     q = [c * a2 ** (d - i) // a for i, c in enumerate(ints[:-1])] + [1]
     if d:
         seq = _sturm(q)
-        hi = 2 * max(map(abs, q)) + 3  # odd, and at least B
+        # Fujiwara: every root has |x| <= 2 max_k |q_{d-k}|^(1/k), k = 1..d,
+        # and |q_{d-k}| < 2^bitlen(q_{d-k}), so |x| < 2^(b+1) with b the
+        # largest ceil(bitlen(q_{d-k}) / k); hi = 2^(b+2) + 1 is odd and above
+        # that.  Cauchy's 1 + max |q_i| is far larger, as q_i carries (2a)^(d-i).
+        b = max(-(-abs(c).bit_length() // (d - i)) for i, c in enumerate(q[:-1]))
+        hi = (1 << (b + 2)) + 1
         stack = [(-hi, _sign_changes(seq, -hi), hi, _sign_changes(seq, hi))]
         while stack:
             lo, vlo, hi, vhi = stack.pop()

@@ -410,12 +410,16 @@ def center(l: LieSuperalgebra) -> list[Vec]:
 
 def derived_subalgebra(l: _AlgebraBase) -> list[Vec]:
     """Canonical basis of span{[b_i, b_j]}, from the rows of the integer
-    form (the span is the same, and so is its canonical basis)."""
+    form (the span is the same, and so is its canonical basis).  Inserting
+    stops once the rank reaches dim: the span is then the whole space,
+    whose canonical basis is the unit vectors whatever else is inserted."""
     sr = SparseRref(l.dim)
     for i, row in enumerate(l.table.integer_form()[1]):
         for j in sorted(row):
             if i <= j:  # the other order is proportional by (anti)commutativity
                 sr.insert(dict(row[j]))
+                if sr.rank == l.dim:
+                    return sr.basis_dense()
     return sr.basis_dense()
 
 

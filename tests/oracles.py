@@ -22,7 +22,9 @@ scaled integer rows.  complement_rows picks the canonical complement of
 B^2 in Z^2 on the full cochain system, as cohomology.h2_representatives
 did before it solved on weight-zero cochains.  span_closure,
 subalgebra_from_generators, basis_element, all_components and associator
-have no caller in the package.  condition3_by_vectors and
+have no caller in the package.  derived_subalgebra_all_brackets inserts
+every bracket, as superalg.derived_subalgebra did before it stopped at
+full rank.  condition3_by_vectors and
 closure_by_vectors bracket the component and part vectors of a grading
 check, as roots did before it rewrote every datum in its weight basis.
 extension_from_quotient, _preimage and cover_kernel_check check that the
@@ -349,6 +351,16 @@ def span_closure(seed: Iterable[Sequence], product: Callable[[Vec, Vec], Vec]) -
             queue.append(product(other, cand))
         queue.append(product(cand, cand))
         elems.append(cand)
+    return sr.basis_dense()
+
+
+def derived_subalgebra_all_brackets(l) -> list[Vec]:
+    """Canonical basis of span{[b_i, b_j]}, every i <= j inserted."""
+    sr = SparseRref(l.dim)
+    for i, row in enumerate(l.table.integer_form()[1]):
+        for j in sorted(row):
+            if i <= j:
+                sr.insert(dict(row[j]))
     return sr.basis_dense()
 
 

@@ -1,6 +1,7 @@
 """Tests for the exact rational linear algebra kernel."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -239,6 +240,21 @@ def root_polys(draw):
 @settings(max_examples=150, deadline=None)
 def test_rational_roots_match_the_divisor_oracle(p):
     assert rational_roots(p) == rational_roots_by_divisors(p)
+
+
+@given(st.lists(st.builds(F, st.integers(-4000, 4000), st.integers(1, 99)),
+                min_size=20, max_size=24),
+       st.sampled_from([[F(1), F(0), F(1)], [F(-2), F(0), F(1)], [F(3), F(1), F(1)]]),
+       st.builds(F, st.integers(1, 50), st.integers(1, 50)))
+@settings(max_examples=8, deadline=None)
+def test_rational_roots_of_many_large_roots(roots, cofactor, scale):
+    # the integer form of this product has coefficients of hundreds of bits,
+    # far above its roots; the bisection interval must follow the roots
+    p = [scale * c for c in cofactor]
+    for r in roots:
+        p = poly_mul(p, [-r, F(1)])
+    want = sorted(Counter(roots).items())
+    assert rational_roots(p) == (want, cofactor)
 
 
 def test_rational_roots_of_huge_eigenvalues_are_found_without_factoring():

@@ -1,5 +1,6 @@
 """Source hygiene: no private helper outlives its last caller, no module
-imports a name it never uses, and only exact names the dense Matrix."""
+imports a name it never uses, only exact names the dense Matrix, and
+nothing is left open for the hard exit of cli.run to drop."""
 
 import ast
 from pathlib import Path
@@ -123,3 +124,65 @@ def test_only_exact_names_the_dense_matrix():
     assert not _names('"""a Matrix in a docstring"""\nm = {"Matrix": 1}\n', "Matrix")
     for code in ("from .exact import Matrix\n", "exact.Matrix(x)\n", "Matrix.from_cols(c)\n"):
         assert _names(code, "Matrix"), code
+
+
+def _hard_exit_callers(sources: dict) -> list:
+    """(module, top-level definition) of every reference to os._exit."""
+    found = []
+    for mod, text in sources.items():
+        for stmt in ast.parse(text).body:
+            for node in ast.walk(stmt):
+                if getattr(node, "attr", None) == "_exit" or getattr(node, "name", None) == "_exit":
+                    found.append((mod, getattr(stmt, "name", None)))
+    return found
+
+
+def _writes_outside_with(text: str) -> list:
+    """Line numbers of open(...) and x.open(...) calls that may write (a
+    mode with w, a, x or +, or a mode that is not a literal) and are not
+    the context expression of a with statement.  The mode is the second
+    positional argument of open, the first of x.open (Path.open), or the
+    mode keyword."""
+    tree = ast.parse(text)
+    in_with = {id(item.context_expr) for node in ast.walk(tree)
+               if isinstance(node, ast.With) for item in node.items}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if getattr(node.func, "id", None) == "open":
+            modes = node.args[1:2]
+        elif getattr(node.func, "attr", None) == "open":
+            modes = node.args[:1]
+        else:
+            continue
+        modes += [k.value for k in node.keywords if k.arg == "mode"]
+        if id(node) not in in_with and any(
+                not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+                for m in modes):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_hard_exit_leaves_nothing_open():
+    # cli.run ends the process with os._exit, which closes no file object
+    # and runs no atexit handler: only run may call it, and every file the
+    # package writes is closed by a with block before run returns
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert _hard_exit_callers(sources) == [("cli", "run")]
+    assert {m: lines for m, text in sources.items() if (lines := _writes_outside_with(text))} == {}
+    for name in ("atexit", "threading", "_thread", "multiprocessing"):
+        assert not any(_names(text, name) for text in sources.values()), name
+
+
+def test_hard_exit_guards_see_their_cases():
+    assert _hard_exit_callers({"a": "import os\ndef f():\n    os._exit(0)\n",
+                               "b": "from os import _exit\n"}) == [("a", "f"), ("b", None)]
+    text = ("with open(p, 'w') as fh:\n    pass\n"
+            "with open(p) as fh, open(q, mode='a') as gh:\n    pass\n"
+            "fh = open(p)\n"
+            "fh = open(p, 'r+b')\n"
+            "fh = open(p, mode='w')\n"
+            "fh = path.open(m)\n"
+            "fh = path.open(encoding='utf-8')\n")
+    assert _writes_outside_with(text) == [6, 7, 8]

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from supergrade import constructors as C
+from supergrade import exact
 from supergrade.errors import AxiomViolation, MissingUnit, NotCentral, ValidationError
 from supergrade.cohomology import uce
 from supergrade.exact import dense_to_sparse, sparse_apply, sparse_to_dense, unit_vec
@@ -29,6 +30,7 @@ from tests.oracles import (
     Matrix,
     ad_matrix,
     basis_element,
+    derived_subalgebra_all_brackets,
     kernel,
     rref,
     subalgebra_from_generators,
@@ -193,6 +195,28 @@ def test_derived_examples(sl33):
     assert len(derived_subalgebra(C.construct_gl(2, 1))) == 8
     assert derived_subalgebra(LieSuperalgebra(abelian_table([0, 1]))) == []
     assert len(derived_subalgebra(sl33)) == 35
+
+
+@pytest.mark.parametrize("name, perfect", [
+    ("uce_psl44", True), ("psl22", True), ("gl22", False), ("gl33 x grassmann1", False)])
+def test_derived_subalgebra_stops_at_full_rank(name, perfect, monkeypatch):
+    l = {"uce_psl44": lambda: uce(C.construct_psl(3)).extended,
+         "psl22": lambda: C.construct_psl(1),
+         "gl22": lambda: C.construct_gl(2, 2),
+         "gl33 x grassmann1": lambda: tensor_lie_assoc(C.construct_gl(3, 3),
+                                                       C.construct_assoc("grassmann", 1)),
+         }[name]()
+    inserts, insert = [], exact.SparseRref.insert
+    monkeypatch.setattr(exact.SparseRref, "insert",
+                        lambda self, row: inserts.append(1) or insert(self, row))
+    basis = derived_subalgebra(l)
+    early = len(inserts)
+    assert basis == derived_subalgebra_all_brackets(l)
+    assert (len(basis) == l.dim) == perfect
+    # a perfect algebra stops inserting once its brackets span it
+    assert (early < len(inserts) - early) == perfect
+    if name == "uce_psl44":
+        assert (early, len(inserts) - early) == (140, 512)
 
 
 def test_quotient_central(sl22, sl33, psl22):
