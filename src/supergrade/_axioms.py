@@ -1,10 +1,12 @@
 """Exact axiom checks for structure tables, and the sparse integer
 operators they and the TKK construction multiply.
 
-Every identity is checked exactly, in operator form over Python integers.
-L_i is the left multiplication by b_i scaled by s, read off the table's
-integer form (StructureTable.integer_form) by _operators.  Python integers
-do not overflow, so no magnitude bound is needed.
+Every identity is checked exactly over Python integers, on the table's
+integer form (StructureTable.integer_form), which a parsed table carries
+from parse_sca: super-(anti)commutativity compares its rows, and the other
+identities take operator form.  L_i is the left multiplication by b_i
+scaled by s, read off the integer form by _operators.  Python integers do
+not overflow, so no magnitude bound is needed.
 
 An operator is one or more n x n blocks flattened into one integer dict:
 entry (r, c) of block b sits at b*n*n + r*n + c.  _operator keeps that dict
@@ -64,21 +66,29 @@ def _sign(p, q):
 
 
 def _check_swap(table, axiom, flip):
-    """c_{ij}^k == flip * (-1)^{|i||j|} c_{ji}^k for all i <= j.
+    """c_{ij}^k == flip * (-1)^{|i||j|} c_{ji}^k for all i <= j, on the
+    integer form (one scale s > 0 on both sides).
 
-    Only the pairs with an entry in either order can fail; they are visited
-    in (i, j) order.  The canonical term tuples are compared first, and the
-    per-k scan that names the failing k runs only on a mismatch.
+    Only the pairs with an entry in either order can fail.  One pass
+    compares each pair's term tuples, from the row of its smaller index
+    when both orders have an entry; the first failing pair in (i, j) order
+    is then scanned per k to name the failing k.
     """
     par = table.space.parity
-    ent = table.entries
-    for i, j in sorted({(i, j) if i <= j else (j, i) for i, j in ent}):
-        lhs = ent.get((i, j), ())
-        rhs = ent.get((j, i), ())
+    L = table.integer_form()[1]
+    failed = []
+    for i, row in enumerate(L):
+        for j, lhs in row.items():
+            rhs = L[j].get(i)
+            if j < i and rhs is not None:
+                continue  # compared from row j
+            if rhs is None or lhs != (rhs if flip * _sign(par[i], par[j]) == 1
+                                      else tuple([(k, -c) for k, c in rhs])):
+                failed.append((min(i, j), max(i, j)))
+    if failed:
+        i, j = min(failed)
         s = flip * _sign(par[i], par[j])
-        if lhs == (rhs if s == 1 else tuple((k, -c) for k, c in rhs)):
-            continue
-        lhs, rhs = dict(lhs), dict(rhs)
+        lhs, rhs = dict(L[i].get(j, ())), dict(L[j].get(i, ()))
         for k in set(lhs) | set(rhs):
             if lhs.get(k, 0) != s * rhs.get(k, 0):
                 raise AxiomViolation(axiom, (i, j, k))

@@ -18,7 +18,10 @@ bench/traced.py among them, still pay it, so trace.overhead_s includes it.
 Each subcommand imports only the modules it runs, at the point of use, so
 a process pays start-up for its own command alone: `check` loads the
 parser and the axiom checks, the cohomology commands add `cohomology`,
-and `--help` loads no maths at all.
+and `--help` loads no maths at all.  The subcommands are one table in
+_build_parser; when argv[0] names one, only its subparser is built, and
+any other argv builds them all, so help and usage errors keep their
+bytes.  Help that cannot be written exits 2 like any other output.
 """
 
 from __future__ import annotations
@@ -605,108 +608,82 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
+    def _print_message(self, message, file=None):
+        # argparse's swallows a failed write; here it raises, and main
+        # reports it with exit 2 as it does a failed write of any output
+        file = file or sys.stderr
+        if message and file is not None:
+            file.write(message)
 
-def _build_parser() -> argparse.ArgumentParser:
+
+_FILE, _OUT, _REQUIRED = ("file", {}), ("--out", {}), {"required": True}
+
+
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for argv.  When argv[0] names a subcommand only its
+    subparser is registered, since a subparser's help, usage errors and
+    parse do not depend on its siblings; any other argv (none, -h, an
+    option or an unknown word first) gets every subparser, for the full
+    help and the list of choices."""
+    # each subcommand's help, handler and arguments (a name or flag, and the
+    # keywords of add_argument), in the order the help lists them; built per
+    # call, so a handler replaced on the module (as a test does) is the one run
+    commands = {
+        "construct": ("emit a named algebra as SCA", _run_construct, [
+            ("what", {"choices": list(_CONSTRUCT_ARITY)}), ("params", {"nargs": "*"}), _OUT,
+            ("--cover-out", {"help": "write the embedded sl cover map (slA only)"})]),
+        "check": ("run the axiom validator for the file's kind", _run_check, [_FILE, _OUT]),
+        "decompose": ("weight decomposition against a Cartan basis", _run_decompose, [
+            _FILE, ("--cartan", {"action": "append", "required": True,
+                                 "help": "comma-separated rationals or @file (repeatable)"}),
+            _OUT]),
+        "verify-grading": ("check the A(n,n)-grading conditions", _run_verify_grading, [
+            _FILE, ("--cover", {"required": True, "help": "slNN, pslNN, or m11"}),
+            ("--cover-map", {"help": "JSON with explicit embedding images"}), _OUT]),
+        "three-grading": ("compute a 3-grading and verify closure", _run_three_grading, [
+            _FILE, ("--cover", _REQUIRED), ("--cover-map", {}),
+            ("--style", {"choices": ["height", "sl2"], "required": True}),
+            ("--h", {"help": "designated even element (sl2 style)"}), _OUT]),
+        "tkk": ("Tits-Kantor-Koecher algebra of a Jordan file", _run_tkk, [
+            _FILE, _OUT, ("--m11", {"help": "JSON with a certified quadruple e1,e2,x,y"}),
+            ("--cover-out", {"help": "write the generated A(1,1) cover map"})]),
+        "jordan-from-grading": ("recover a Jordan algebra from e, f", _run_jordan_from_grading,
+                                [_FILE, ("--e", _REQUIRED), ("--f", _REQUIRED), _OUT]),
+        "peirce": ("Peirce decomposition for an even idempotent", _run_peirce, [
+            _FILE, ("--idempotent", _REQUIRED), _OUT]),
+        "certify-m11": ("check the M(1,1)+ relations on four elements", _run_certify_m11, [
+            _FILE, ("--elements", {"required": True, "help": "JSON with e1, e2, x, y"}), _OUT]),
+        "h2": ("second cohomology dimensions", _run_h2, [_FILE, _OUT]),
+        "uce": ("universal central extension as SCA", _run_uce, [_FILE, _OUT]),
+        "fingerprint": ("isogeny-invariant summary", _run_fingerprint, [
+            _FILE, ("--cartan", {"action": "append"}), _OUT]),
+        "isogenous": ("compare central-quotient fingerprints", _run_isogenous, [
+            _FILE, ("file2", {}), _OUT]),
+    }
     parser = _Parser(
         prog="supergrade",
         description="Exact computations with A(n,n)-graded Lie superalgebras, "
         "Jordan superalgebras and their central extensions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="emit a named algebra as SCA")
-    p.add_argument("what", choices=list(_CONSTRUCT_ARITY))
-    p.add_argument("params", nargs="*")
-    p.add_argument("--out")
-    p.add_argument("--cover-out", help="write the embedded sl cover map (slA only)")
-    p.set_defaults(func=_run_construct)
-
-    p = sub.add_parser("check", help="run the axiom validator for the file's kind")
-    p.add_argument("file")
-    p.add_argument("--out")
-    p.set_defaults(func=_run_check)
-
-    p = sub.add_parser("decompose", help="weight decomposition against a Cartan basis")
-    p.add_argument("file")
-    p.add_argument("--cartan", action="append", required=True,
-                   help="comma-separated rationals or @file (repeatable)")
-    p.add_argument("--out")
-    p.set_defaults(func=_run_decompose)
-
-    p = sub.add_parser("verify-grading", help="check the A(n,n)-grading conditions")
-    p.add_argument("file")
-    p.add_argument("--cover", required=True, help="slNN, pslNN, or m11")
-    p.add_argument("--cover-map", help="JSON with explicit embedding images")
-    p.add_argument("--out")
-    p.set_defaults(func=_run_verify_grading)
-
-    p = sub.add_parser("three-grading", help="compute a 3-grading and verify closure")
-    p.add_argument("file")
-    p.add_argument("--cover", required=True)
-    p.add_argument("--cover-map")
-    p.add_argument("--style", choices=["height", "sl2"], required=True)
-    p.add_argument("--h", help="designated even element (sl2 style)")
-    p.add_argument("--out")
-    p.set_defaults(func=_run_three_grading)
-
-    p = sub.add_parser("tkk", help="Tits-Kantor-Koecher algebra of a Jordan file")
-    p.add_argument("file")
-    p.add_argument("--out")
-    p.add_argument("--m11", help="JSON with a certified quadruple e1,e2,x,y")
-    p.add_argument("--cover-out", help="write the generated A(1,1) cover map")
-    p.set_defaults(func=_run_tkk)
-
-    p = sub.add_parser("jordan-from-grading", help="recover a Jordan algebra from e, f")
-    p.add_argument("file")
-    p.add_argument("--e", required=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_run_jordan_from_grading)
-
-    p = sub.add_parser("peirce", help="Peirce decomposition for an even idempotent")
-    p.add_argument("file")
-    p.add_argument("--idempotent", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_run_peirce)
-
-    p = sub.add_parser("certify-m11", help="check the M(1,1)+ relations on four elements")
-    p.add_argument("file")
-    p.add_argument("--elements", required=True, help="JSON with e1, e2, x, y")
-    p.add_argument("--out")
-    p.set_defaults(func=_run_certify_m11)
-
-    p = sub.add_parser("h2", help="second cohomology dimensions")
-    p.add_argument("file")
-    p.add_argument("--out")
-    p.set_defaults(func=_run_h2)
-
-    p = sub.add_parser("uce", help="universal central extension as SCA")
-    p.add_argument("file")
-    p.add_argument("--out")
-    p.set_defaults(func=_run_uce)
-
-    p = sub.add_parser("fingerprint", help="isogeny-invariant summary")
-    p.add_argument("file")
-    p.add_argument("--cartan", action="append")
-    p.add_argument("--out")
-    p.set_defaults(func=_run_fingerprint)
-
-    p = sub.add_parser("isogenous", help="compare central-quotient fingerprints")
-    p.add_argument("file")
-    p.add_argument("file2")
-    p.add_argument("--out")
-    p.set_defaults(func=_run_isogenous)
-
+    for name in [argv[0]] if argv and argv[0] in commands else commands:
+        help_text, func, arguments = commands[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
+    except OSError as exc:  # help or a usage error that could not be written
+        _report(exc)
+        return 2
     inputs = [
         getattr(args, name)
         for name in ("file", "file2", "cover_map", "elements", "m11")

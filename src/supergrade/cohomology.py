@@ -57,7 +57,7 @@ from fractions import Fraction
 from operator import sub
 
 from .errors import NotPerfect
-from .exact import ONE, SparseRref, ZERO, kernel_from_rows
+from .exact import SparseRref, ZERO, kernel_from_rows
 from .superalg import (
     LieSuperalgebra,
     StructureTable,
@@ -274,21 +274,14 @@ def h2_representatives(l: LieSuperalgebra, parity: int) -> list[Cocycle2]:
 
 
 class CentralExtension:
-    """A central extension of base with the added directions central.
+    """A central extension of a Lie superalgebra L: extended has basis
+    that of L followed by one central direction per cocycle, and the
+    projection onto L keeps the first dim L coordinates."""
 
-    extended has dim(base) + len(cocycles); projection maps extended
-    coordinates onto base coordinates and is a homomorphism whose kernel
-    is the span of the added directions.  It is given by its sparse
-    columns {base index: Fraction}, one per basis element of extended, and
-    applied with exact.sparse_apply.
-    """
+    __slots__ = ("cocycles", "extended")
 
-    __slots__ = ("base", "cocycles", "extended", "projection")
-
-    def __init__(self, base: LieSuperalgebra, cocycles: list, extended: LieSuperalgebra,
-                 projection: list[dict]):
-        self.base, self.cocycles = base, cocycles
-        self.extended, self.projection = extended, projection
+    def __init__(self, cocycles: list, extended: LieSuperalgebra):
+        self.cocycles, self.extended = cocycles, extended
 
 
 def uce(l: LieSuperalgebra) -> CentralExtension:
@@ -296,7 +289,9 @@ def uce(l: LieSuperalgebra) -> CentralExtension:
 
     The extension is built on L + H^2 directions with bracket
     [x,y]^ = [x,y] + sum_i phi_i(x,y) c_i, each c_i central of the parity
-    of phi_i.
+    of phi_i.  An entry of L that no cocycle reaches is copied as it is;
+    the others gain the cocycles' terms after L's own, so every entry stays
+    sorted.
     """
     if len(derived_subalgebra(l)) != l.dim:
         raise NotPerfect("universal central extensions need a perfect algebra")
@@ -308,15 +303,16 @@ def uce(l: LieSuperalgebra) -> CentralExtension:
     if l.labels is not None:
         labels = tuple(l.labels) + tuple(f"c{t + 1}" for t in range(k))
     space = SuperSpace(n + k, parity, labels)
-    terms = {key: list(t) for key, t in l.table.entries.items()}
+    entries = dict(l.table.entries)
+    added: dict = {}
     for t, coc in enumerate(reps):
         for key, v in coc.form.items():
-            terms.setdefault(key, []).append((n + t, v))
-    # StructureTable sorts each entry's terms; the keys keep (i, j) order
-    table = StructureTable(space, "lie", {key: terms[key] for key in sorted(terms)})
+            added.setdefault(key, []).append((n + t, v))
+    for key, terms in added.items():
+        entries[key] = entries.get(key, ()) + tuple(terms)
+    table = StructureTable._canonical(space, "lie", {key: entries[key] for key in sorted(entries)})
     extended = LieSuperalgebra(table, {"name": f"uce({l.provenance.get('name', 'L')})"})
-    proj = [{j: ONE} for j in range(n)] + [{} for _ in range(k)]
-    return CentralExtension(l, reps, extended, proj)
+    return CentralExtension(reps, extended)
 
 
 class Fingerprint:

@@ -17,17 +17,20 @@ positive denominator, integer shorthand when the denominator is 1.
 write_sca sorts entries by (i, j, k) and is byte-deterministic, so
 write(parse(doc)) is the identity on canonical documents.
 
-parse_sca builds one Fraction per distinct coefficient text.  It checks
-every line as it reads it (indices, duplicates, zeros) and parity
-homogeneity after the last line, in the order StructureTable checks
-entries, so the table it builds is canonical and goes through
-StructureTable._canonical without a second pass over the entries.
+parse_sca reads the lines in one pass and builds one Fraction and one
+integer per distinct coefficient text.  It checks every line as it reads
+it (indices, duplicates, zeros) and reports a parity fault after the last
+line, in the order StructureTable checks entries, so the table it builds
+is canonical and goes through StructureTable._canonical together with
+its integer form (StructureTable.integer_form), which the checks at load
+read.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import ParseError, ValidationError
 from .exact import unit_vec
@@ -58,57 +61,77 @@ def _index_error(text: str, what: str, lineno: int) -> ParseError:
     return ParseError(f"malformed {what} index {text!r}", lineno)
 
 
-def parse_sca(text: str) -> StructureTable:
-    """Strict parse of an SCA document into a StructureTable."""
-    lines = text.split("\n")
-    fields = []
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            fields.append((lineno, stripped.split()))
+def _fields(text: str):
+    """(line number, tokens) of every line with content outside a comment."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        tok = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if tok:
+            yield lineno, tok
 
-    if not fields:
-        raise ParseError("empty document")
-    pos = 0
+
+def parse_sca(text: str) -> StructureTable:
+    """Strict parse of an SCA document into a StructureTable, handed its
+    integer form."""
+    fields = _fields(text)
+    lineno = None
 
     def take():
-        nonlocal pos
-        if pos >= len(fields):
-            raise ParseError("unexpected end of document", fields[-1][0])
-        item = fields[pos]
-        pos += 1
-        return item
+        nonlocal lineno
+        item = next(fields, None)
+        if item is None:
+            if lineno is None:
+                raise ParseError("empty document")
+            raise ParseError("unexpected end of document", lineno)
+        lineno = item[0]
+        return item[1]
 
-    lineno, tok = take()
-    if tok != ["SCA/1"]:
+    if take() != ["SCA/1"]:
         raise ParseError("expected header SCA/1", lineno)
-    lineno, tok = take()
+    tok = take()
     if len(tok) != 2 or tok[0] != "kind" or tok[1] not in ("lie", "assoc", "jordan"):
         raise ParseError("expected 'kind lie|assoc|jordan'", lineno)
     kind = tok[1]
-    lineno, tok = take()
+    tok = take()
     if len(tok) != 2 or tok[0] != "dim" or not _INDEX.match(tok[1]):
         raise ParseError("expected 'dim N' with N a positive integer", lineno)
     dim = int(tok[1])
-    lineno, tok = take()
+    tok = take()
     if tok[0] != "parity" or len(tok) != dim + 1:
         raise ParseError(f"expected 'parity' with {dim} bits", lineno)
     if any(b not in ("0", "1") for b in tok[1:]):
         raise ParseError("parity bits must be 0 or 1", lineno)
     parity = tuple(int(b) for b in tok[1:])
 
-    # the canonical spelling of each basis index (the parity line bounds dim
-    # by the document's length)
-    index = {str(i): i for i in range(1, dim + 1)}
-    rationals: dict[str, Fraction] = {}
+    # the 0-based index of each canonical 1-based spelling (the parity line
+    # bounds dim by the document's length)
+    index = {str(i + 1): i for i in range(dim)}
+    coeffs: dict[str, Fraction] = {}  # sc coefficient text -> its one Fraction
     unit = None
     labels: dict[int, str] = {}
-    entries: dict = {}  # (i, j) -> {k: c}
-    ended = False
-    while pos < len(fields):
-        lineno, tok = take()
+    entries: dict = {}  # (i, j) -> {k: coefficient text}
+    faults = []  # (i, j, k) violating parity homogeneity, reported after the last line
+    for lineno, tok in fields:
         key = tok[0]
-        if key == "unit":
+        if key == "sc":
+            if len(tok) != 5:
+                raise ParseError("expected 'sc i j k q'", lineno)
+            try:
+                i, j, k = index[tok[1]], index[tok[2]], index[tok[3]]
+            except KeyError as exc:
+                raise _index_error(exc.args[0], "sc", lineno) from None
+            terms = entries.get((i, j))
+            if terms is None:
+                terms = entries[i, j] = {}
+            elif k in terms:
+                raise ParseError(f"duplicate entry ({tok[1]},{tok[2]},{tok[3]})", lineno)
+            c = terms[k] = tok[4]
+            if c not in coeffs:
+                _parse_rational(c, lineno, coeffs)
+                if c == "0":  # the one normalized spelling of zero
+                    raise ParseError("zero structure constants must be omitted", lineno)
+            if parity[k] != parity[i] ^ parity[j]:
+                faults.append((i, j, k))
+        elif key == "unit":
             if unit is not None:
                 raise ParseError("duplicate unit line", lineno)
             if len(tok) != 2:
@@ -116,13 +139,14 @@ def parse_sca(text: str) -> StructureTable:
             i = index.get(tok[1])
             if i is None:
                 raise _index_error(tok[1], "unit", lineno)
-            unit = unit_vec(dim, i - 1)
+            unit = unit_vec(dim, i)
         elif key == "unitv":
             if unit is not None:
                 raise ParseError("duplicate unit line", lineno)
             if len(tok) != dim + 1:
                 raise ParseError(f"expected 'unitv' with {dim} coordinates", lineno)
-            unit = tuple(_parse_rational(t, lineno, rationals) for t in tok[1:])
+            seen: dict[str, Fraction] = {}
+            unit = tuple(_parse_rational(t, lineno, seen) for t in tok[1:])
         elif key == "label":
             if len(tok) != 3:
                 raise ParseError("expected 'label i name'", lineno)
@@ -130,50 +154,47 @@ def parse_sca(text: str) -> StructureTable:
             if i is None:
                 raise _index_error(tok[1], "label", lineno)
             if i in labels:
-                raise ParseError(f"duplicate label for index {i}", lineno)
+                raise ParseError(f"duplicate label for index {tok[1]}", lineno)
             labels[i] = tok[2]
-        elif key == "sc":
-            if len(tok) != 5:
-                raise ParseError("expected 'sc i j k q'", lineno)
-            try:
-                i, j, k = index[tok[1]], index[tok[2]], index[tok[3]]
-            except KeyError as exc:
-                raise _index_error(exc.args[0], "sc", lineno) from None
-            terms = entries.setdefault((i - 1, j - 1), {})
-            if k - 1 in terms:
-                raise ParseError(f"duplicate entry ({i},{j},{k})", lineno)
-            c = _parse_rational(tok[4], lineno, rationals)
-            if tok[4] == "0":  # the one normalized spelling of zero
-                raise ParseError("zero structure constants must be omitted", lineno)
-            terms[k - 1] = c
         elif key == "end":
             if len(tok) != 1:
                 raise ParseError("junk after 'end'", lineno)
-            ended = True
             break
         else:
             raise ParseError(f"unknown directive {key!r}", lineno)
-    if not ended:
-        raise ParseError("missing final 'end'", fields[-1][0])
-    if pos < len(fields):
-        raise ParseError("content after 'end'", fields[pos][0])
+    else:
+        raise ParseError("missing final 'end'", lineno)
+    extra = next(fields, None)
+    if extra is not None:
+        raise ParseError("content after 'end'", extra[0])
 
     label_tuple = None
     if labels:
         if len(labels) != dim:
             raise ParseError("labels must cover every basis index or be absent")
-        label_tuple = tuple(labels[i + 1] for i in range(dim))
+        label_tuple = tuple(labels[i] for i in range(dim))
     try:
         space = SuperSpace(dim, parity, label_tuple)
-        # parity in StructureTable's order: entries as they appear, terms by k
-        canon = {}
-        for (i, j), terms in entries.items():
-            terms = canon[i, j] = tuple(sorted(terms.items()))
-            p = parity[i] ^ parity[j]
-            for k, _ in terms:
-                if parity[k] != p:
-                    raise ValidationError(f"entry ({i},{j},{k}) violates parity homogeneity")
-        return StructureTable._canonical(space, kind, canon, unit)
+        if faults:
+            # the first in StructureTable's order: entries as they appear, terms by k
+            order = {key: t for t, key in enumerate(entries)}
+            i, j, k = min(faults, key=lambda f: (order[f[:2]], f[2]))
+            raise ValidationError(f"entry ({i},{j},{k}) violates parity homogeneity")
+        # the table and its integer form (StructureTable.integer_form), one
+        # Fraction and one integer per distinct coefficient text
+        s = lcm(1, *(c.denominator for c in coeffs.values()))
+        ints = {t: c.numerator * (s // c.denominator) for t, c in coeffs.items()}
+        canon, L = {}, [{} for _ in range(dim)]
+        for key, terms in entries.items():
+            if len(terms) == 1:  # most entries
+                (k, t), = terms.items()
+                canon[key] = ((k, coeffs[t]),)
+                L[key[0]][key[1]] = ((k, ints[t]),)
+            else:
+                items = sorted(terms.items())
+                canon[key] = tuple([(k, coeffs[t]) for k, t in items])
+                L[key[0]][key[1]] = tuple([(k, ints[t]) for k, t in items])
+        return StructureTable._canonical(space, kind, canon, unit, (s, L))
     except ValidationError as exc:
         raise ValidationError(f"table invariant violated: {exc}") from exc
 

@@ -15,7 +15,7 @@ and skip the entry checks of the public constructor (_canonical).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import _axioms
@@ -157,17 +157,22 @@ class StructureTable:
         self._check_unit()
 
     @classmethod
-    def _canonical(cls, space: SuperSpace, kind: str, entries: dict, unit=None):
+    def _canonical(cls, space: SuperSpace, kind: str, entries: dict, unit=None,
+                   integer=None):
         """A table on entries that are canonical already (keys and targets
         in range, terms sorted by distinct k, nonzero Fraction coefficients,
         parity-homogeneous); only the unit is checked.  Callers: parse_sca,
-        which checks each line, and restricted_table, construct_gl,
+        which checks each line, quotient_central and cohomology.uce, which
+        copy canonical entries, and restricted_table, construct_gl,
         tensor_lie_assoc and jordan.tkk, whose sorted products of
-        homogeneous elements are homogeneous.  Tests compare it with
-        __init__ on every fixture, construction and TKK algebra."""
+        homogeneous elements are homogeneous.  integer, if given, is the
+        integer form (integer_form) the caller built with the entries:
+        parse_sca and quotient_central pass it.  Tests compare the table
+        with __init__ on every fixture, construction and TKK algebra, and
+        the integer form with the one integer_form builds."""
         table = cls.__new__(cls)
         table.space, table.kind, table.entries, table.unit = space, kind, entries, unit
-        table._integer = None
+        table._integer = integer
         table._check_unit()
         return table
 
@@ -432,19 +437,32 @@ def quotient_central(l: LieSuperalgebra, zbasis: Sequence) -> LieSuperalgebra:
     projection as sparse columns {quotient index: Fraction}, one per basis
     element of l, for exact.sparse_apply: a kept b_j maps to itself and the
     b_j at a pivot to minus the rest of that pivot's RREF row.
+
+    Centrality is checked on integer rows: z * b_j for every j in one pass
+    over the rows of z's support.  A kept entry with no term at a pivot is
+    copied with its indices moved, in both the table and its integer form;
+    only the others are reduced.  The integer form is brought to the lcm t
+    of the quotient's denominators: a copied term of l's form is s c, and
+    the lcm of the denominators of the copied terms is s / gcd(s, s c...).
     """
-    zvecs = [_coords(z) for z in zbasis]
     n = l.dim
-    ent = l.table.entries
+    s, L = l.table.integer_form()
     zr = SparseRref(n)
-    for z in zvecs:
+    for z in zbasis:
+        z = _coords(z)
         if homogeneous_parity(l.space, z) is None:
             raise NotCentral("central subspace generator is not parity-homogeneous")
-        zs = [(i, c) for i, c in enumerate(z) if c]
-        for j in range(n):
-            if _sparse_product(ent, zs, [(j, ONE)]):
-                raise NotCentral(f"generator fails centrality against basis element {j}")
-        zr.insert(dict(zs))
+        _, zs = _integer_row(dense_to_sparse(z))
+        acc: dict[int, dict] = {}  # j -> d s (z * b_j)
+        for i, c in zs.items():
+            for j, terms in L[i].items():
+                row = acc.setdefault(j, {})
+                for k, v in terms:
+                    row[k] = row.get(k, 0) + c * v
+        failing = [j for j, row in acc.items() if any(row.values())]
+        if failing:
+            raise NotCentral(f"generator fails centrality against basis element {min(failing)}")
+        zr.insert(zs)
     rows = dict(zip(zr.pivots(), zr.basis()))
     keep = [c for c in range(n) if c not in rows]
     pos = {c: t for t, c in enumerate(keep)}
@@ -455,24 +473,38 @@ def quotient_central(l: LieSuperalgebra, zbasis: Sequence) -> LieSuperalgebra:
         labels=tuple(l.labels[c] for c in keep) if l.labels else None,
     )
     # a fully reduced row is 0 at every pivot column, so its keys lie in keep
-    entries = {}
+    ent = l.table.entries
+    entries, copied, reduced = {}, {}, []
     for a, ca in enumerate(keep):
-        for b, cb in enumerate(keep):
-            terms = ent.get((ca, cb))
-            if terms:
+        for cb in sorted(L[ca]):
+            b = pos.get(cb)
+            if b is None:
+                continue
+            terms = ent[ca, cb]
+            if all(k in pos for k, _ in terms):
+                entries[a, b] = tuple([(pos[k], c) for k, c in terms])
+                copied[a, b] = tuple([(pos[k], v) for k, v in L[ca][cb]])
+            else:
                 red = zr.reduce(dict(terms))
                 if red:
-                    entries[(a, b)] = tuple(sorted((pos[k], c) for k, c in red.items()))
-    table = StructureTable(new_space, "lie", entries)
+                    entries[a, b] = tuple(sorted((pos[k], c) for k, c in red.items()))
+                    reduced.append((a, b))
+    t = s // gcd(s, *(v for terms in copied.values() for _, v in terms)) if s > 1 else 1
+    t = lcm(t, *(c.denominator for key in reduced for _, c in entries[key]))
+    Lq = [{} for _ in keep]
+    for (a, b), terms in entries.items():
+        ints = copied.get((a, b))
+        if ints is None:
+            ints = tuple([(k, c.numerator * (t // c.denominator)) for k, c in terms])
+        elif t != s:
+            ints = tuple([(k, v * t // s) for k, v in ints])
+        Lq[a][b] = ints
+    table = StructureTable._canonical(new_space, "lie", entries, None, (t, Lq))
     proj = [
         {pos[k]: -c for k, c in rows[j].items() if k != j} if j in rows else {pos[j]: ONE}
         for j in range(n)
     ]
-    prov = {
-        "name": f"{l.provenance.get('name', 'L')}/center",
-        "projection": proj,
-        "kept_columns": tuple(keep),
-    }
+    prov = {"name": f"{l.provenance.get('name', 'L')}/center", "projection": proj}
     return LieSuperalgebra(table, prov)
 
 

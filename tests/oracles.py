@@ -30,7 +30,17 @@ check, as roots did before it rewrote every datum in its weight basis.
 extension_from_quotient, _preimage and cover_kernel_check check that the
 kernel of a central cover lies in the zero weight space and that every
 root space maps isomorphically; no command runs them, and the acceptance
-suite checks the paper's lemma on lifted root spaces through them.
+suite checks the paper's lemma on lifted root spaces through them.  They
+read a CentralCover, which carries the base and the projection that
+cohomology.CentralExtension does not store: uce_cover adds them to uce,
+and kept_columns reads the kept basis elements off a quotient's
+projection.  check_swap_by_fractions is the super-(anti)commutativity
+check on the Fraction entries, as _axioms ran it before it compared the
+integer form; quotient_central_by_reduction is superalg.quotient_central
+reducing every kept entry and checking centrality with one Fraction
+product per basis element, as it did before it copied what it keeps.
+parse_sca_two_pass is sca.parse_sca as it was before it read the lines
+in one pass and built the integer form with the table.
 """
 
 from __future__ import annotations
@@ -38,10 +48,19 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from supergrade.cohomology import CentralExtension, Cocycle2
+from supergrade.cohomology import Cocycle2, uce
 from supergrade.constructors import CartanBasis
-from supergrade.errors import DimensionMismatch, NonSplitSpectrum, NotThreeGraded, ValidationError
+from supergrade.errors import (
+    AxiomViolation,
+    DimensionMismatch,
+    NonSplitSpectrum,
+    NotCentral,
+    NotThreeGraded,
+    ParseError,
+    ValidationError,
+)
 from supergrade import exact
+from supergrade.sca import _INDEX, _index_error, _parse_rational
 from supergrade.exact import (
     ONE,
     ZERO,
@@ -523,8 +542,43 @@ def d_operator(j, a: Vec, b: Vec, pa: int, pb: int):
     return Matrix.from_cols(plus_cols), Matrix.from_cols(minus_cols)
 
 
-def extension_from_quotient(l: LieSuperalgebra, zbasis) -> CentralExtension:
-    """Package an existing central quotient L -> L/<z> as a CentralExtension.
+class CentralCover:
+    """A central extension together with the data the cover checks read:
+    its base and the projection onto it, as sparse columns {base index:
+    Fraction}, one per basis element of extended."""
+
+    __slots__ = ("base", "cocycles", "extended", "projection")
+
+    def __init__(self, base, cocycles: list, extended, projection: list[dict]):
+        self.base, self.cocycles = base, cocycles
+        self.extended, self.projection = extended, projection
+
+
+def uce_cover(l: LieSuperalgebra) -> CentralCover:
+    """uce(l) as a cover of l: the extension keeps l's basis first, so the
+    projection is an identity column per basis element of l and an empty
+    one per added central direction."""
+    ext = uce(l)
+    proj = [{j: ONE} for j in range(l.dim)] + [{} for _ in ext.cocycles]
+    return CentralCover(l, ext.cocycles, ext.extended, proj)
+
+
+def kept_columns(projection: list[dict], dim: int) -> list[int]:
+    """The basis elements of l that quotient_central keeps, read off its
+    projection: kept column a maps to {a: 1}.  A pivot column can map to
+    {a: 1} too, when its RREF row is b_p - b_c for the kept c at a, but
+    c comes after p, so kept column a is the last one mapping to {a: 1}."""
+    last = {}
+    for j, col in enumerate(projection):
+        if len(col) == 1:
+            (a, c), = col.items()
+            if c == 1:
+                last[a] = j
+    return [last[a] for a in range(dim)]
+
+
+def extension_from_quotient(l: LieSuperalgebra, zbasis) -> CentralCover:
+    """Package an existing central quotient L -> L/<z> as a CentralCover.
 
     The base keeps the basis elements at the non-pivot columns of z's RREF,
     so a lifted bracket [b_a, b_b] minus the lift of its image lies in <z>
@@ -533,7 +587,8 @@ def extension_from_quotient(l: LieSuperalgebra, zbasis) -> CentralExtension:
     cocycle t is the coefficient of [b_a, b_b] at pivot t.  z is graded, so
     each RREF row is homogeneous, of the parity of its pivot."""
     base = quotient_central(l, zbasis)
-    pos = {c: a for a, c in enumerate(base.provenance["kept_columns"])}
+    proj = base.provenance["projection"]
+    pos = {c: a for a, c in enumerate(kept_columns(proj, base.dim))}
     slot = {c: t for t, c in enumerate(c for c in range(l.dim) if c not in pos)}
     forms = [{} for _ in slot]
     for (i, j), terms in l.table.entries.items():
@@ -542,7 +597,7 @@ def extension_from_quotient(l: LieSuperalgebra, zbasis) -> CentralExtension:
                 if m in slot:
                     forms[slot[m]][(pos[i], pos[j])] = c
     cocycles = [Cocycle2(l.parity[p], form) for p, form in zip(slot, forms)]
-    return CentralExtension(base, cocycles, l, base.provenance["projection"])
+    return CentralCover(base, cocycles, l, proj)
 
 
 class CoverKernelReport:
@@ -569,7 +624,7 @@ def _preimage(rows: list[dict], ncols: int, b) -> tuple | None:
     return tuple(x)
 
 
-def cover_kernel_check(ext: CentralExtension, cartan: CartanBasis) -> CoverKernelReport:
+def cover_kernel_check(ext: CentralCover, cartan: CartanBasis) -> CoverKernelReport:
     """Verify ker(pi) lies in the zero weight space of the extension and pi
     restricts to a linear isomorphism on every nonzero root space."""
     base, big, proj = ext.base, ext.extended, ext.projection
@@ -660,3 +715,183 @@ def closure_by_vectors(l, parts: dict) -> tuple | None:
                     if prod and (abs(a + b) > 1 or not spans[a + b].contains(prod)):
                         return a, b
     return None
+
+
+def check_swap_by_fractions(table, axiom: str, flip: int) -> None:
+    """_axioms._check_swap on the Fraction entries, visiting the pairs in
+    (i, j) order: c_{ij}^k == flip * (-1)^{|i||j|} c_{ji}^k for all i <= j."""
+    par = table.space.parity
+    ent = table.entries
+    for i, j in sorted({(i, j) if i <= j else (j, i) for i, j in ent}):
+        lhs = ent.get((i, j), ())
+        rhs = ent.get((j, i), ())
+        s = flip * (-1 if par[i] & par[j] else 1)
+        if lhs == (rhs if s == 1 else tuple((k, -c) for k, c in rhs)):
+            continue
+        lhs, rhs = dict(lhs), dict(rhs)
+        for k in set(lhs) | set(rhs):
+            if lhs.get(k, 0) != s * rhs.get(k, 0):
+                raise AxiomViolation(axiom, (i, j, k))
+
+
+def quotient_central_by_reduction(l: LieSuperalgebra, zbasis: Sequence) -> LieSuperalgebra:
+    """superalg.quotient_central checking centrality with one Fraction
+    product per basis element and reducing every kept entry against the
+    center's RREF, through the checking StructureTable constructor."""
+    zvecs = [_coords(z) for z in zbasis]
+    n = l.dim
+    ent = l.table.entries
+    zr = SparseRref(n)
+    for z in zvecs:
+        if homogeneous_parity(l.space, z) is None:
+            raise NotCentral("central subspace generator is not parity-homogeneous")
+        zs = [(i, c) for i, c in enumerate(z) if c]
+        for j in range(n):
+            if _sparse_product(ent, zs, [(j, ONE)]):
+                raise NotCentral(f"generator fails centrality against basis element {j}")
+        zr.insert(dict(zs))
+    rows = dict(zip(zr.pivots(), zr.basis()))
+    keep = [c for c in range(n) if c not in rows]
+    pos = {c: t for t, c in enumerate(keep)}
+    new_space = SuperSpace(
+        dim=len(keep),
+        parity=tuple(l.parity[c] for c in keep),
+        labels=tuple(l.labels[c] for c in keep) if l.labels else None,
+    )
+    entries = {}
+    for a, ca in enumerate(keep):
+        for b, cb in enumerate(keep):
+            terms = ent.get((ca, cb))
+            if terms:
+                red = zr.reduce(dict(terms))
+                if red:
+                    entries[(a, b)] = tuple(sorted((pos[k], c) for k, c in red.items()))
+    table = StructureTable(new_space, "lie", entries)
+    proj = [
+        {pos[k]: -c for k, c in rows[j].items() if k != j} if j in rows else {pos[j]: ONE}
+        for j in range(n)
+    ]
+    return LieSuperalgebra(table, {"name": f"{l.provenance.get('name', 'L')}/center",
+                                   "projection": proj})
+
+
+def parse_sca_two_pass(text: str) -> StructureTable:
+    """sca.parse_sca as it read a document before it parsed in one pass:
+    the lines with content first, then each in turn, then the parity of
+    every entry; the table gets no integer form."""
+    lines = text.split("\n")
+    fields = []
+    for lineno, raw in enumerate(lines, start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped:
+            fields.append((lineno, stripped.split()))
+
+    if not fields:
+        raise ParseError("empty document")
+    pos = 0
+
+    def take():
+        nonlocal pos
+        if pos >= len(fields):
+            raise ParseError("unexpected end of document", fields[-1][0])
+        item = fields[pos]
+        pos += 1
+        return item
+
+    lineno, tok = take()
+    if tok != ["SCA/1"]:
+        raise ParseError("expected header SCA/1", lineno)
+    lineno, tok = take()
+    if len(tok) != 2 or tok[0] != "kind" or tok[1] not in ("lie", "assoc", "jordan"):
+        raise ParseError("expected 'kind lie|assoc|jordan'", lineno)
+    kind = tok[1]
+    lineno, tok = take()
+    if len(tok) != 2 or tok[0] != "dim" or not _INDEX.match(tok[1]):
+        raise ParseError("expected 'dim N' with N a positive integer", lineno)
+    dim = int(tok[1])
+    lineno, tok = take()
+    if tok[0] != "parity" or len(tok) != dim + 1:
+        raise ParseError(f"expected 'parity' with {dim} bits", lineno)
+    if any(b not in ("0", "1") for b in tok[1:]):
+        raise ParseError("parity bits must be 0 or 1", lineno)
+    parity = tuple(int(b) for b in tok[1:])
+
+    # the canonical spelling of each basis index (the parity line bounds dim
+    # by the document's length)
+    index = {str(i): i for i in range(1, dim + 1)}
+    rationals: dict[str, Fraction] = {}
+    unit = None
+    labels: dict[int, str] = {}
+    entries: dict = {}  # (i, j) -> {k: c}
+    ended = False
+    while pos < len(fields):
+        lineno, tok = take()
+        key = tok[0]
+        if key == "unit":
+            if unit is not None:
+                raise ParseError("duplicate unit line", lineno)
+            if len(tok) != 2:
+                raise ParseError("expected 'unit i'", lineno)
+            i = index.get(tok[1])
+            if i is None:
+                raise _index_error(tok[1], "unit", lineno)
+            unit = unit_vec(dim, i - 1)
+        elif key == "unitv":
+            if unit is not None:
+                raise ParseError("duplicate unit line", lineno)
+            if len(tok) != dim + 1:
+                raise ParseError(f"expected 'unitv' with {dim} coordinates", lineno)
+            unit = tuple(_parse_rational(t, lineno, rationals) for t in tok[1:])
+        elif key == "label":
+            if len(tok) != 3:
+                raise ParseError("expected 'label i name'", lineno)
+            i = index.get(tok[1])
+            if i is None:
+                raise _index_error(tok[1], "label", lineno)
+            if i in labels:
+                raise ParseError(f"duplicate label for index {i}", lineno)
+            labels[i] = tok[2]
+        elif key == "sc":
+            if len(tok) != 5:
+                raise ParseError("expected 'sc i j k q'", lineno)
+            try:
+                i, j, k = index[tok[1]], index[tok[2]], index[tok[3]]
+            except KeyError as exc:
+                raise _index_error(exc.args[0], "sc", lineno) from None
+            terms = entries.setdefault((i - 1, j - 1), {})
+            if k - 1 in terms:
+                raise ParseError(f"duplicate entry ({i},{j},{k})", lineno)
+            c = _parse_rational(tok[4], lineno, rationals)
+            if tok[4] == "0":  # the one normalized spelling of zero
+                raise ParseError("zero structure constants must be omitted", lineno)
+            terms[k - 1] = c
+        elif key == "end":
+            if len(tok) != 1:
+                raise ParseError("junk after 'end'", lineno)
+            ended = True
+            break
+        else:
+            raise ParseError(f"unknown directive {key!r}", lineno)
+    if not ended:
+        raise ParseError("missing final 'end'", fields[-1][0])
+    if pos < len(fields):
+        raise ParseError("content after 'end'", fields[pos][0])
+
+    label_tuple = None
+    if labels:
+        if len(labels) != dim:
+            raise ParseError("labels must cover every basis index or be absent")
+        label_tuple = tuple(labels[i + 1] for i in range(dim))
+    try:
+        space = SuperSpace(dim, parity, label_tuple)
+        # parity in StructureTable's order: entries as they appear, terms by k
+        canon = {}
+        for (i, j), terms in entries.items():
+            terms = canon[i, j] = tuple(sorted(terms.items()))
+            p = parity[i] ^ parity[j]
+            for k, _ in terms:
+                if parity[k] != p:
+                    raise ValidationError(f"entry ({i},{j},{k}) violates parity homogeneity")
+        return StructureTable._canonical(space, kind, canon, unit)
+    except ValidationError as exc:
+        raise ValidationError(f"table invariant violated: {exc}") from exc

@@ -27,7 +27,13 @@ from supergrade.superalg import (
     validate_lie,
 )
 from tests.conftest import JP4_M11_ELEMENTS, JQ4_M11_ELEMENTS
-from tests.oracles import all_components, associator, cover_kernel_check, extension_from_quotient
+from tests.oracles import (
+    all_components,
+    associator,
+    cover_kernel_check,
+    extension_from_quotient,
+    uce_cover,
+)
 
 F = Fraction
 
@@ -217,7 +223,7 @@ def test_criterion_7_property_suites(
     # cover kernel checks (Lemma on lifted root spaces)
     ext = extension_from_quotient(sl33, [sl33.provenance["z"]])
     ok = ok and cover_kernel_check(ext, psl33.provenance["cartan_h"]).passed
-    ok = ok and cover_kernel_check(H.uce(psl22), psl22.provenance["cartan_h"]).passed
+    ok = ok and cover_kernel_check(uce_cover(psl22), psl22.provenance["cartan_h"]).passed
     _report(7, "property suites", ok)
 
 

@@ -9,13 +9,16 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from supergrade import _axioms
 from supergrade import constructors as C
-from supergrade.errors import AxiomViolation
+from supergrade.errors import AxiomViolation, ParseError, ValidationError
+from supergrade.sca import parse_sca
 from supergrade.superalg import StructureTable, SuperSpace, table_product
+from tests.oracles import check_swap_by_fractions
+from tests.test_cli_exit_codes import LINES, damaged
 
 
 def _basis(n):
@@ -202,6 +205,43 @@ def test_swap_check_matches_full_pair_loop(case):
     except AxiomViolation as exc:
         got = (exc.axiom, exc.indices)
     assert got == oracle_swap(table, axiom, flip)
+
+
+@st.composite
+def swap_damaged_documents(draw):
+    """A fixture of the exit-code suite with one sc line rescaled, alone or
+    together with its partner sc j i k, dropped, or with its i and j
+    swapped."""
+    how = draw(st.sampled_from(["rescale", "drop", "swap"]))
+    if how != "swap":
+        return draw(damaged(how=how))[1]
+    lines = list(LINES[draw(st.sampled_from(sorted(LINES)))])
+    t = draw(st.sampled_from([t for t, line in enumerate(lines) if line.startswith("sc ")]))
+    _, i, j, k, c = lines[t].split()
+    lines[t] = f"sc {j} {i} {k} {c}\n"
+    return "".join(lines)
+
+
+def _violation(check, *args):
+    try:
+        check(*args)
+    except AxiomViolation as exc:
+        return exc.axiom, exc.indices
+    return None
+
+
+@given(swap_damaged_documents())
+@settings(max_examples=200, deadline=None)
+def test_integer_swap_check_names_the_fraction_witness(text):
+    # the check at load compares the integer rows parse_sca builds; it
+    # names the pair and k the Fraction comparison names
+    try:
+        table = parse_sca(text)
+    except (ParseError, ValidationError):
+        assume(False)
+    flip = {"lie": -1, "jordan": 1}[table.kind]
+    check, axiom = SWAP_CHECKS[flip]
+    assert _violation(check, table) == _violation(check_swap_by_fractions, table, axiom, flip)
 
 
 def pair_loop(table):

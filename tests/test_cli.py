@@ -316,6 +316,67 @@ def test_help_bytes_are_pinned():
     assert hashlib.sha256(proc.stdout).hexdigest() == HELP_SHA256
 
 
+# per subcommand: arguments that parse, the same without one required
+# option (None when none is required), and with a bad choices value (None
+# without choices)
+PARSER_CASES = {
+    "construct": (["gl", "1", "1"], None, ["bogus"]),
+    "check": (["f"], None, None),
+    "decompose": (["f", "--cartan", "1"], ["f"], None),
+    "verify-grading": (["f", "--cover", "sl22"], ["f"], None),
+    "three-grading": (["f", "--cover", "sl22", "--style", "height"], ["f", "--style", "sl2"],
+                      ["f", "--cover", "sl22", "--style", "bogus"]),
+    "tkk": (["f", "--m11", "e.json"], None, None),
+    "jordan-from-grading": (["f", "--e", "1", "--f", "1"], ["f", "--e", "1"], None),
+    "peirce": (["f", "--idempotent", "1"], ["f"], None),
+    "certify-m11": (["f", "--elements", "e.json"], ["f"], None),
+    "h2": (["f", "--out", "o.json"], None, None),
+    "uce": (["f"], None, None),
+    "fingerprint": (["f", "--cartan", "1", "--cartan", "2"], None, None),
+    "isogenous": (["f", "g"], None, None),
+}
+
+
+def _parser_argvs():
+    for name, (ok, missing, bad_choice) in PARSER_CASES.items():
+        yield [name, "--help"]
+        yield [name]
+        yield [name, *ok]
+        yield [name, *ok, "--bogus"]
+        yield [name, *ok, "extra", "positionals"]
+        for rest in (missing, bad_choice):
+            if rest is not None:
+                yield [name, *rest]
+    yield from (["-h", "h2"], ["--bogus", "h2", "x"], [], ["nope"], ["nope", "--help"])
+
+
+def _parse(parser, argv, capsys):
+    """(exit code or None, parsed namespace or None, stdout, stderr)."""
+    try:
+        ns, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        ns, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, ns, captured.out, captured.err
+
+
+def test_parser_lists_every_subcommand():
+    assert list(cli._build_parser()._subparsers._group_actions[0].choices) == list(PARSER_CASES)
+
+
+@pytest.mark.parametrize("argv", _parser_argvs(), ids=" ".join)
+def test_one_subcommand_parser_matches_the_full_parser(argv, capsys, monkeypatch):
+    # when argv[0] names a subcommand only that subparser is registered;
+    # help, usage errors and parsed arguments are those of the full parser
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = cli._build_parser(argv)
+    registered = list(parser._subparsers._group_actions[0].choices)
+    assert registered == (argv[:1] if argv and argv[0] in PARSER_CASES else list(PARSER_CASES))
+    got = _parse(parser, argv, capsys)
+    assert got == _parse(cli._build_parser(), argv, capsys)
+    assert got[0] in (None, 0, 2) and (got[0] is None) == (got[1] is not None)
+
+
 def test_parse_error_exit_2(capsys):
     code, _ = run_cli(["check", fx("bad_rational.sca")], capsys)
     assert code == 2

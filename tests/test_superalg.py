@@ -32,9 +32,11 @@ from tests.oracles import (
     basis_element,
     derived_subalgebra_all_brackets,
     kernel,
+    quotient_central_by_reduction,
     rref,
     subalgebra_from_generators,
 )
+from tests.test_roots import _rescaled
 
 F = Fraction
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -243,6 +245,49 @@ def test_quotient_central(sl22, sl33, psl22):
     # quotient by nothing is a copy
     same = quotient_central(sl22, [])
     assert same.table.entries == sl22.table.entries
+
+
+def _quotient_cases(sl22, sl33, psl22):
+    gl22 = LieSuperalgebra(parse_sca((FIXTURES / "gl22.sca").read_text()))
+    # thirds and halves on the basis: the center's RREF and the reduced
+    # entries carry denominators, and the quotient's lcm is not sl33's
+    thirds = _rescaled(sl33, [F(2, 3) if i % 2 else F(1, 2) if i % 3 else F(1)
+                              for i in range(sl33.dim)])
+    return [("sl22", sl22), ("sl33", sl33), ("sl44", C.construct_sl(4, 4)), ("gl22", gl22),
+            ("uce_psl22", uce(psl22).extended), ("sl33_thirds", thirds)]
+
+
+def test_quotient_copies_what_the_reduction_keeps(sl22, sl33, psl22):
+    for name, l in _quotient_cases(sl22, sl33, psl22):
+        zbasis = center(l)
+        got = quotient_central(l, zbasis)
+        want = quotient_central_by_reduction(l, zbasis)
+        assert list(got.table.entries.items()) == list(want.table.entries.items()), name
+        assert got.provenance == want.provenance, name
+        assert (got.space.parity, got.space.labels) == (want.space.parity, want.space.labels)
+        # the integer form handed over is the one integer_form builds
+        fresh = StructureTable(got.space, "lie", got.table.entries)
+        assert got.table._integer is not None
+        assert [list(r.items()) for r in got.table.integer_form()[1]] == [
+            list(r.items()) for r in fresh.integer_form()[1]], name
+        assert got.table.integer_form()[0] == fresh.integer_form()[0], name
+
+
+def test_quotient_reports_the_reduction_errors(sl22, psl22):
+    u = uce(psl22).extended
+    e = [basis_element(sl22, i).coords for i in range(sl22.dim)]
+    cases = [(sl22, [e[0]]),
+             (sl22, [sl22.provenance["z"], e[3]]),
+             # b_0 + b_3 fails against b_3 before b_0 in the order of its
+             # support; the error names the smallest failing index
+             (sl22, [tuple(x + y for x, y in zip(e[0], e[3]))]),
+             (u, [tuple(F(1) for _ in range(u.dim))])]
+    for l, zbasis in cases:
+        with pytest.raises(NotCentral) as got:
+            quotient_central(l, zbasis)
+        with pytest.raises(NotCentral) as want:
+            quotient_central_by_reduction(l, zbasis)
+        assert str(got.value) == str(want.value)
 
 
 def test_quotient_rejects_noncentral(sl22):
