@@ -63,7 +63,7 @@ from .superalg import (
     StructureTable,
     SuperSpace,
     center,
-    derived_subalgebra,
+    derived_rref,
     quotient_central,
     restricted_table,
 )
@@ -82,19 +82,25 @@ class Cocycle2:
         return self.form.get((i, j), ZERO)
 
 
+def _weight_groups(par: tuple, weights: list) -> dict:
+    """(weight, parity) -> ascending indices of the basis elements with them."""
+    groups: dict = {}
+    for k, w in enumerate(weights):
+        groups.setdefault((w, par[k]), []).append(k)
+    return groups
+
+
 def _pair_index(space: SuperSpace, parity: int, weights: list):
     """Independent unknowns of the super-skew sector: ordered pairs i < j of
     the right parity and of weight zero, plus the odd diagonal (even sector
-    only)."""
-    neg = [tuple(-x for x in w) for w in weights]
-    pairs = []
-    for i in range(space.dim):
-        for j in range(i, space.dim):
-            if (space.parity[i] + space.parity[j]) % 2 != parity or weights[j] != neg[i]:
-                continue
-            if i == j and space.parity[i] == 0:
-                continue  # phi(x,x) = 0 for even x
-            pairs.append((i, j))
+    only), in lexicographic order.  Each i meets only the j >= i of weight
+    -w_i and parity parity + |b_i|, read off the weight groups."""
+    par, pairs = space.parity, []
+    groups = _weight_groups(par, weights)
+    for i, w in enumerate(weights):
+        js = groups.get((tuple(-x for x in w), (parity + par[i]) % 2), ())
+        # j = i only for odd b_i: phi(x,x) = 0 for even x
+        pairs += [(i, j) for j in js[bisect_left(js, i + (par[i] == 0)):]]
     return pairs, {p: t for t, p in enumerate(pairs)}
 
 
@@ -128,9 +134,7 @@ def _cocycle_rows(
         for b, terms in itab[a].items():
             left[b][a] = terms
     neg = [tuple(-x for x in w) for w in weights]
-    by_weight: dict = {}  # (weight, parity) -> ascending basis indices
-    for k in range(n):
-        by_weight.setdefault((weights[k], par[k]), []).append(k)
+    by_weight = _weight_groups(par, weights)
     killed: set = set()
     longer = []
 
@@ -201,11 +205,11 @@ def _rank(rows, ncols: int) -> int:
 
 
 def _cocycle_basis(
-    l: LieSuperalgebra, parity: int, itab: list, weights: list
-) -> tuple[list, list[dict]]:
-    """(pairs, canonical basis of Z^2 as sparse pair rows, by pivot), on the
-    cochains of weight zero."""
-    pairs, pos = _pair_index(l.space, parity, weights)
+    l: LieSuperalgebra, parity: int, itab: list, weights: list, index: tuple
+) -> list[dict]:
+    """Canonical basis of Z^2 as sparse pair rows, by pivot, on the cochains
+    of weight zero, whose unknowns index = (pairs, pos) holds."""
+    pairs, pos = index
     killed, zrows = _cocycle_rows(l, parity, pos, itab, weights)
     # a killed unknown is 0 in every cocycle: solve on the other columns,
     # renumbered in order, so the killed ones never enter the elimination
@@ -214,7 +218,7 @@ def _cocycle_basis(
     sr = SparseRref(len(pairs))
     for kv in kernel_from_rows([{col[t]: v for t, v in row.items()} for row in zrows], len(live)):
         sr.insert({live[c]: x for c, x in enumerate(kv) if x})
-    return pairs, sr.basis()
+    return sr.basis()
 
 
 def _materialize(l: LieSuperalgebra, parity: int, pairs, row: dict) -> Cocycle2:
@@ -229,23 +233,22 @@ def _materialize(l: LieSuperalgebra, parity: int, pairs, row: dict) -> Cocycle2:
 
 def cocycle_space(l: LieSuperalgebra, parity: int) -> list[Cocycle2]:
     """Canonical basis of the space of 2-cocycles of the given parity."""
-    pairs, basis = _cocycle_basis(l, parity, l.table.integer_form()[1], [()] * l.dim)
-    return [_materialize(l, parity, pairs, b) for b in basis]
+    index = _pair_index(l.space, parity, [()] * l.dim)
+    basis = _cocycle_basis(l, parity, l.table.integer_form()[1], [()] * l.dim, index)
+    return [_materialize(l, parity, index[0], b) for b in basis]
 
 
-def _coboundary_rref(
-    l: LieSuperalgebra, parity: int, itab: list, weights: list
-) -> tuple[list, SparseRref]:
-    pairs, _ = _pair_index(l.space, parity, weights)
+def _coboundary_rref(pairs: list, itab: list) -> SparseRref:
     sr = SparseRref(len(pairs))
     for row in _coboundary_rows(pairs, itab):
         sr.insert(row)
-    return pairs, sr
+    return sr
 
 
 def coboundary_space(l: LieSuperalgebra, parity: int) -> list[Cocycle2]:
     """Canonical basis of the coboundaries phi_f(x, y) = f([x, y])."""
-    pairs, sr = _coboundary_rref(l, parity, l.table.integer_form()[1], [()] * l.dim)
+    pairs, _ = _pair_index(l.space, parity, [()] * l.dim)
+    sr = _coboundary_rref(pairs, l.table.integer_form()[1])
     return [_materialize(l, parity, pairs, b) for b in sr.basis()]
 
 
@@ -268,9 +271,10 @@ def h2_representatives(l: LieSuperalgebra, parity: int) -> list[Cocycle2]:
     """Cocycles spanning a canonical complement of B^2 inside Z^2."""
     itab = l.table.integer_form()[1]
     weights = l.table.toral_weights()
-    pairs, sr = _coboundary_rref(l, parity, itab, weights)
-    _, basis = _cocycle_basis(l, parity, itab, weights)
-    return [_materialize(l, parity, pairs, z) for z in basis if sr.insert(z) is not None]
+    index = _pair_index(l.space, parity, weights)
+    sr = _coboundary_rref(index[0], itab)
+    basis = _cocycle_basis(l, parity, itab, weights, index)
+    return [_materialize(l, parity, index[0], z) for z in basis if sr.insert(z) is not None]
 
 
 class CentralExtension:
@@ -293,7 +297,7 @@ def uce(l: LieSuperalgebra) -> CentralExtension:
     the others gain the cocycles' terms after L's own, so every entry stays
     sorted.
     """
-    if len(derived_subalgebra(l)) != l.dim:
+    if derived_rref(l).rank != l.dim:
         raise NotPerfect("universal central extensions need a perfect algebra")
     reps = h2_representatives(l, 0) + h2_representatives(l, 1)
     n = l.dim
@@ -342,13 +346,13 @@ def fingerprint(l: LieSuperalgebra, cartan: CartanBasis | None = None) -> Finger
     series = [l.dim]
     current = l
     while True:
-        d = derived_subalgebra(current)
-        if len(d) == current.dim:
+        d = derived_rref(current)
+        if d.rank == current.dim:
             break
-        series.append(len(d))
-        if not d:
+        series.append(d.rank)
+        if not d.rank:
             break
-        table, _ = restricted_table(current, d, "lie")
+        table, _ = restricted_table(current, d.basis_dense(), "lie")
         current = LieSuperalgebra(table, {"name": "derived"})
     root_multiset = None
     if cartan is not None:

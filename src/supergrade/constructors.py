@@ -5,30 +5,32 @@ Basis conventions are fixed here once:
 
 * gl(m,n) uses matrix units e_ij ordered row-major over the index set
   I = (1..m, 1b..nb), unbarred before barred; parity(e_ij) = |i| + |j|.
-* sl bases are the canonical RREF kernel of the supertrace functional.
+* sl(m,n) and sl_{m,n}(A) have the canonical RREF bases of their spans, by
+  closed formula: each basis vector is 1 at a unit column of its own and 0
+  at the others', where coordinates are read (_unit_column_table).
 * JP(n)/JQ(n) use explicit parameter-matrix bases: the a-part row-major,
   then the b-part upper triangle, then the c-part upper triangle.
 
 Every matrix algebra starts from the matrix-unit product
-superalg.matrix_unit_products: gl(m,n) is its super_symmetrized bracket,
-M_{p,q}(F) its restricted_table on (I, e_rc), JP(n)/JQ(n) the
-restricted_table of its symmetrized Jordan product on their basis matrices,
-and tensor_lie_assoc symmetrizes its Koszul-signed tensor with A.
-
-Constructors return trusted algebra wrappers; the test suite re-validates
-every constructed table through the axiom validators.
+superalg.matrix_unit_products: gl(m,n) and gl(m,n) (x) A are integer rows
+of its supercommutator, the latter Koszul-signed with A, M_{p,q}(F) its
+restricted_table on (I, e_rc), and JP(n)/JQ(n) the restricted_table of its
+symmetrized Jordan product on their basis matrices.  Constructors return
+trusted algebra wrappers, which the tests re-validate.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .errors import BadParams, ValidationError, WrongAlgebra
 from .exact import (
     Vec,
     ZERO,
     ONE,
+    SparseRref,
     dense_to_sparse,
     kernel_from_rows,
     sparse_apply,
@@ -43,13 +45,14 @@ from .superalg import (
     LieSuperalgebra,
     StructureTable,
     SuperSpace,
+    _integer_row,
     _sparse_element,
     _sparse_product,
+    _supercommutator_rows,
     matrix_unit_products,
     quotient_central,
     restricted_table,
     super_symmetrized,
-    tensor_lie_assoc,
 )
 
 HALF = Fraction(1, 2)
@@ -82,16 +85,12 @@ def _check_cartan(l, cartan: CartanBasis):
             raise ValidationError("Cartan elements must commute pairwise")
 
 
-def _gl_index_labels(m: int, n: int) -> list[str]:
-    return [str(i + 1) for i in range(m)] + [f"{i + 1}b" for i in range(n)]
-
-
 def _matrix_units(p: int, q: int) -> tuple[list, SuperSpace]:
     """The matrix units e_rc of M_{p,q}(F), row-major, with their space:
     parity(e_rc) = |r| + |c| and labels E(r,c)."""
     d = p + q
     idx_par = [0] * p + [1] * q
-    names = _gl_index_labels(p, q)
+    names = [str(i + 1) for i in range(p)] + [f"{i + 1}b" for i in range(q)]
     units = [(r, c) for r in range(d) for c in range(d)]
     parity = tuple((idx_par[r] + idx_par[c]) % 2 for r, c in units)
     labels = tuple(f"E({names[r]},{names[c]})" for r, c in units)
@@ -106,106 +105,115 @@ def construct_gl(m: int, n: int) -> LieSuperalgebra:
         raise BadParams("gl(m,n) needs m+n >= 1")
     d = m + n
     units, space = _matrix_units(m, n)
-    entries = super_symmetrized(matrix_unit_products(units), space.parity, -1)
-    table = StructureTable._canonical(space, "lie", entries)
-
-    z = [ZERO] * (d * d)
+    L, fr = _supercommutator_rows(matrix_unit_products(units), space.parity), {}
+    entries = {(i, j): tuple((k, fr.get(v) or fr.setdefault(v, Fraction(v))) for k, v in terms)
+               for i, row in enumerate(L) for j, terms in row.items()}
+    table = StructureTable._canonical(space, "lie", entries, integer=(1, L))
     diag_indices = [t * d + t for t in range(d)]
-    for di in diag_indices:
-        z[di] = ONE
-    prov = {
-        "name": f"gl({m},{n})",
-        "gl": {
-            "m": m,
-            "n": n,
-            "units": units,
-            "unit_parity": space.parity,
-            "diag_indices": diag_indices,
-        },
-        "z": tuple(z),
-    }
-    return LieSuperalgebra(table, prov)
+    info = {"m": m, "n": n, "units": units, "unit_parity": space.parity,
+            "diag_indices": diag_indices}
+    z = tuple(ONE if k in diag_indices else ZERO for k in range(d * d))
+    return LieSuperalgebra(table, {"name": f"gl({m},{n})", "gl": info, "z": z})
 
 
-def _diag_vec_to_gl(glinfo, diag) -> Vec:
-    d = glinfo["m"] + glinfo["n"]
-    out = [ZERO] * (d * d)
-    for t, a in enumerate(diag):
-        out[glinfo["diag_indices"][t]] = Fraction(a)
-    return tuple(out)
+def _unit_column_table(space: SuperSpace, integer: tuple, rows: list):
+    """(table, read) of the span of v_i = p_i / p_i[c_i] inside an algebra
+    with integer form (s, L), given rows[i] = (c_i, p_i) by increasing c_i,
+    p_i an integer row and v_i 0 at every c_j but its own.  A vector w of
+    the span has coordinates w[c_i]; at any other column k, w must hold
+    sum_i w[c_i] v_i[k], or it escapes the span.  read(w) is the sparse
+    coordinates of w, or None if it escapes.
 
+    [p_i, p_j] on L is p_i[c_i] p_j[c_j] s [v_i, v_j].  Only the pairs that
+    meet a nonzero entry of L are multiplied, found through the basis
+    vectors that touch each column; each distinct coefficient is one
+    Fraction.  A product that escapes raises ValidationError.
+    """
+    s, L = integer
+    pos = {c: i for i, (c, _) in enumerate(rows)}
+    implied, touch = {}, {}  # k -> [(c_i, p_i[k], p_i[c_i])], k -> [(j, p_j[k])]
+    for j, (c, p) in enumerate(rows):
+        for k, v in p.items():
+            touch.setdefault(k, []).append((j, v))
+            if k not in pos:
+                implied.setdefault(k, []).append((c, v, p[c]))
+    rules = {}  # k -> (D, [(c_i, D v_i[k])]): D w[k] = sum_i D v_i[k] w[c_i]
+    for k, terms in implied.items():
+        big = lcm(*(a for _, _, a in terms))
+        rules[k] = (big, [(c, v * (big // a)) for c, v, a in terms])
+    watched = set(rules).union(c for _, terms in rules.values() for c, _ in terms)
+    cols = pos.keys() | rules.keys()
 
-def _basis_labels(basis, ambient, prefix: str) -> tuple:
-    """The ambient label of each basis vector that is an ambient basis
-    vector, and prefix1, prefix2, ... for the others in order."""
-    labels, extra = [], 0
-    for b in basis:
-        support = [(i, c) for i, c in enumerate(b) if c]
-        if len(support) == 1 and support[0][1] == 1:
-            labels.append(ambient.labels[support[0][0]])
-        else:
-            extra += 1
-            labels.append(f"{prefix}{extra}")
-    return tuple(labels)
+    def escapes(w) -> bool:
+        return not w.keys() <= cols or not watched.isdisjoint(w) and any(
+            big * w.get(k, 0) != sum(x * w.get(c, 0) for c, x in terms)
+            for k, (big, terms) in rules.items())
+
+    entries, fracs = {}, {}
+    for i, (ci, pi) in enumerate(rows):
+        acc: dict[int, dict] = {}
+        for a, x in pi.items():
+            for b, terms in L[a].items():
+                for j, y in touch.get(b, ()):
+                    row = acc.setdefault(j, {})
+                    for k, c in terms:
+                        row[k] = row.get(k, 0) + x * y * c
+        for j in sorted(acc):
+            prod = {k: v for k, v in acc[j].items() if v}
+            if not prod:
+                continue
+            if escapes(prod):
+                raise ValidationError(
+                    f"subspace not closed: product of basis {i} and {j} escapes the span")
+            den = pi[ci] * rows[j][1][rows[j][0]] * s
+            entries[i, j] = tuple([
+                (pos[k], fracs.get((prod[k], den))
+                 or fracs.setdefault((prod[k], den), Fraction(prod[k], den)))
+                for k in sorted(prod) if k in pos])
+    table = StructureTable._canonical(space, "lie", entries)
+    return table, lambda w: None if escapes(w) else {pos[k]: v for k, v in w.items() if k in pos}
 
 
 def construct_sl(m: int, n: int) -> LieSuperalgebra:
-    """sl(m,n): the supertrace-zero subalgebra of gl(m,n), dim (m+n)^2 - 1."""
+    """sl(m,n): the supertrace-zero subalgebra of gl(m,n), dim (m+n)^2 - 1.
+
+    The basis is the canonical kernel basis of the supertrace row, whose
+    pivot is e_11: every other matrix unit e_f in row-major order, with
+    e_tt (t >= 2) replaced by e_tt - (sigma_t / sigma_1) e_11, sigma being
+    +1 on unbarred and -1 on barred indices.  The coordinates of a
+    supertrace-zero matrix are its entries at every column but e_11, so a
+    bracket is the gl product read there, and h' is the e_tt - ... above.
+    """
     if m < 0 or n < 0:
         raise BadParams("sl(m,n) needs m, n >= 0")
     if m + n < 2:
         raise BadParams("sl(m,n) needs m+n >= 2")
     gl = construct_gl(m, n)
-    info = gl.provenance["gl"]
-    d = m + n
-    str_row = [ZERO] * (d * d)
-    for t in range(d):
-        str_row[info["diag_indices"][t]] = ONE if t < m else -ONE
-    basis = kernel_from_rows([dense_to_sparse(str_row)], d * d)
-    table, conv = restricted_table(gl, basis, "lie", labels=_basis_labels(basis, gl, "H"))
-
-    def to_sl(glvec) -> Vec:
-        coords = conv.coords(glvec)
-        if coords is None:
-            raise ValidationError("vector is not supertrace-free")
-        return coords
-
-    # indices of sl basis vectors supported on the diagonal
-    diag_positions = []
-    diag_set = set(info["diag_indices"])
-    for i, b in enumerate(basis):
-        if all(c == 0 or idx in diag_set for idx, c in enumerate(b)):
-            diag_positions.append(i)
-
-    def diag_of(glvec) -> tuple:
-        return tuple(glvec[info["diag_indices"][t]] for t in range(d))
-
-    hprime = CartanBasis(
-        elements=[Element(unit_vec(len(basis), i), 0) for i in diag_positions],
-        diag_mats=tuple(diag_of(basis[i]) for i in diag_positions),
-    )
-    prov = {
-        "name": f"sl({m},{n})",
-        "m": m,
-        "n": n,
-        "ambient_gl": gl,
-        "embedding": basis,
-        "coords": conv,
-        "cartan_hprime": hprime,
-    }
+    d, diag = m + n, gl.provenance["gl"]["diag_indices"]
+    sigma = [1] * m + [-1] * n
+    rows = [(f, {f: 1}) for f in range(1, d * d)]
+    for t in range(1, d):
+        rows[diag[t] - 1][1][0] = -sigma[t] * sigma[0]
+    # e_tt sits at column t (d + 1), and its row is named Ht
+    labels = tuple(gl.labels[c] if len(p) == 1 else f"H{c // (d + 1)}" for c, p in rows)
+    space = SuperSpace(d * d - 1, gl.parity[1:], labels)
+    table, _ = _unit_column_table(space, gl.table.integer_form(), rows)
+    basis = [sparse_to_dense({k: Fraction(v) for k, v in p.items()}, d * d) for _, p in rows]
+    hprime = CartanBasis([Element(unit_vec(d * d - 1, diag[t] - 1), 0) for t in range(1, d)],
+                         tuple(tuple(basis[diag[t] - 1][k] for k in diag) for t in range(1, d)))
+    prov = {"name": f"sl({m},{n})", "m": m, "n": n, "ambient_gl": gl, "embedding": basis,
+            "cartan_hprime": hprime}
     if m == n:
-        prov["z"] = to_sl(gl.provenance["z"])
+        prov["z"] = gl.provenance["z"][1:]
         # h: diagonal matrices whose unbarred and barred entry sums both vanish
         sums = [{t: ONE for t in range(m)}, {t: ONE for t in range(m, m + n)}]
         hdiags = kernel_from_rows(sums, m + n)
-        helems = []
-        for hd in hdiags:
-            helems.append(Element(to_sl(_diag_vec_to_gl(info, hd)), 0))
-        prov["cartan_h"] = CartanBasis(helems, diag_mats=tuple(hdiags))
+        prov["cartan_h"] = CartanBasis(
+            [Element(sparse_to_dense({diag[t] - 1: x for t, x in enumerate(hd) if t},
+                                     d * d - 1), 0) for hd in hdiags], tuple(hdiags))
     alg = LieSuperalgebra(table, prov)
-    _check_cartan(alg, hprime)
-    if m == n:
-        _check_cartan(alg, prov["cartan_h"])
+    for cartan in filter(None, (hprime, prov.get("cartan_h"))):
+        _check_cartan(alg, cartan)
     return alg
 
 
@@ -237,18 +245,71 @@ def _project(psl: LieSuperalgebra, v: Vec) -> Vec:
 
 
 def matrix_unit_in_sl(sl: LieSuperalgebra, r: int, c: int) -> Vec:
-    """Coordinates of the off-diagonal matrix unit e_rc in the sl basis."""
+    """Coordinates of the off-diagonal matrix unit e_rc in the sl basis: its
+    entries at every column but e_11 (construct_sl)."""
     gl = sl.provenance["ambient_gl"]
-    info = gl.provenance["gl"]
-    t = info["units"].index((r, c))
-    coords = sl.provenance["coords"].coords({t: ONE})
-    if coords is None:
+    if r == c:
         raise ValidationError("matrix unit is not supertrace-free")
-    return coords
+    return unit_vec(gl.dim - 1, gl.provenance["gl"]["units"].index((r, c)) - 1)
 
 
 def matrix_unit_in_psl(psl: LieSuperalgebra, r: int, c: int) -> Vec:
     return _project(psl, matrix_unit_in_sl(psl.provenance["ambient_sl"], r, c))
+
+
+def construct_sl_A(m: int, n: int, a: AssocSuperalgebra) -> LieSuperalgebra:
+    """sl_{m,n}(A) = [gl(m,n) (x) A, gl(m,n) (x) A] as a standalone algebra.
+
+    gl(m,n) (x) A has the basis e_u (x) a_s, by matrix unit then coefficient,
+    and the supercommutator of the Koszul-signed tensor product
+    (e_u (x) a_s)(e_v (x) a_t) = (-1)^{|a_s||e_v|} e_u e_v (x) a_s a_t, built
+    once on A's integer form.  A bracket of two such units is one
+    off-diagonal unit or is diagonal, and [e_ii (x) 1, e_il (x) a_s] =
+    e_il (x) a_s.  So the derived algebra is every off-diagonal unit plus the
+    span of the diagonal brackets [e_ij (x) a_s, e_ji (x) a_t], on the other
+    columns, and the union of the two RREFs, by pivot, is its canonical
+    basis; noncommutative coefficient algebras need no special case.
+    Provenance records the embedded copy of sl(m,n) (x) 1.
+    """
+    if m < 1 or n < 1:
+        raise BadParams("construct_sl_A needs m, n >= 1")
+    sl = construct_sl(m, n)
+    gl = sl.provenance["ambient_gl"]
+    units, upar, na, apar = gl.provenance["gl"]["units"], gl.parity, a.dim, a.parity
+    d, dim = m + n, len(units) * na
+    sa, la = a.table.integer_form()
+    assoc = {}
+    for (u, v), ((w, _),) in matrix_unit_products(units).items():
+        for s, row in enumerate(la):
+            sgn = -1 if apar[s] & upar[v] else 1
+            for t, st in row.items():
+                assoc[u * na + s, v * na + t] = tuple((w * na + r, sgn * c) for r, c in st)
+    parity = tuple((upar[x // na] + apar[x % na]) % 2 for x in range(dim))
+    L, sr = _supercommutator_rows(assoc, parity), SparseRref(dim)
+    rows = [(x, {x: 1}) for x in range(dim) if units[x // na][0] != units[x // na][1]]
+    for x in range(dim):
+        i, j = units[x // na]
+        for y in range(max(x, (j * d + i) * na), (j * d + i + 1) * na):
+            if y in L[x]:  # [e_ij (x) a_s, e_ji (x) a_t], each pair once
+                sr.insert(dict(L[x][y]))
+    rows = sorted(rows + [(c, _integer_row(b)[1]) for c, b in zip(sr.pivots(), sr.basis())],
+                  key=lambda r: r[0])
+    alabels, extra = a.labels or tuple(f"a{s}" for s in range(na)), iter(range(1, dim))
+    labels = tuple(f"{gl.labels[c // na]}@{alabels[c % na]}" if len(p) == 1
+                   else f"D{next(extra)}" for c, p in rows)
+    space = SuperSpace(len(rows), tuple(parity[c] for c, _ in rows), labels)
+    table, read = _unit_column_table(space, (sa, L), rows)
+    unit, images = dense_to_sparse(a.unit), []
+    for b in sl.provenance["embedding"]:
+        coords = read({u * na + s: c * cs for u, c in dense_to_sparse(b).items()
+                       for s, cs in unit.items()})
+        if coords is None:
+            raise ValidationError("vector does not lie in the derived subalgebra")
+        images.append(sparse_to_dense(coords, len(rows)))
+    basis = [sparse_to_dense({k: Fraction(v, p[c]) for k, v in p.items()}, dim) for c, p in rows]
+    return LieSuperalgebra(table, {
+        "name": f"sl_{m},{n}({a.provenance.get('name', 'A')})", "m": m, "n": n,
+        "basis_in_ambient": basis, "cover_sl": sl, "cover_images": images})
 
 
 # ---------------------------------------------------------------------------
@@ -281,23 +342,15 @@ def construct_assoc(kind: str, params=None) -> AssocSuperalgebra:
             raise BadParams("grassmann(k) needs k >= 1")
         dim = 1 << k
         parity = tuple(bin(s).count("1") % 2 for s in range(dim))
-        labels = tuple(
-            "1" if s == 0 else "".join(f"x{i + 1}" for i in range(k) if s >> i & 1)
-            for s in range(dim)
-        )
+        labels = tuple("1" if s == 0 else "".join(f"x{i + 1}" for i in range(k) if s >> i & 1)
+                       for s in range(dim))
         entries = {}
         for s in range(dim):
             for t in range(dim):
-                if s & t:
-                    continue
-                # sign of sorting the concatenation (s-generators, t-generators)
-                sign = 1
-                for i in range(k):
-                    if t >> i & 1:
-                        higher = s >> (i + 1)
-                        if bin(higher).count("1") % 2:
-                            sign = -sign
-                entries[(s, t)] = ((s | t, Fraction(sign)),)
+                if not s & t:
+                    # sign of sorting the concatenation (s-generators, t-generators)
+                    swaps = sum(bin(s >> (i + 1)).count("1") for i in range(k) if t >> i & 1)
+                    entries[(s, t)] = ((s | t, -ONE if swaps % 2 else ONE),)
         unit = tuple(ONE if s == 0 else ZERO for s in range(dim))
         table = StructureTable(SuperSpace(dim, parity, labels), "assoc", entries, unit=unit)
         return AssocSuperalgebra(table, {"name": f"Grassmann({k})"})
@@ -321,59 +374,6 @@ def _matrix_superalgebra(p: int, q: int) -> AssocSuperalgebra:
     table, _ = restricted_table(mat, basis, "assoc", unit=unit_vec(d * d, 0),
                                 labels=("1",) + space.labels[1:])
     return AssocSuperalgebra(table, {"name": f"M({p},{q})"})
-
-
-# ---------------------------------------------------------------------------
-# sl_{m,n}(A)
-# ---------------------------------------------------------------------------
-
-
-def construct_sl_A(m: int, n: int, a: AssocSuperalgebra) -> LieSuperalgebra:
-    """sl_{m,n}(A) = [gl(m,n) (x) A, gl(m,n) (x) A] as a standalone algebra.
-
-    The derived subalgebra is computed generically, so noncommutative
-    coefficient algebras need no special case.  Provenance records the
-    embedded copy of sl(m,n) (x) 1 and its Cartan bases.
-    """
-    if m < 1 or n < 1:
-        raise BadParams("construct_sl_A needs m, n >= 1")
-    sl = construct_sl(m, n)
-    gl = sl.provenance["ambient_gl"]
-    tensor = tensor_lie_assoc(gl, a)
-    from .superalg import derived_subalgebra
-
-    dbasis = derived_subalgebra(tensor)
-    table, conv = restricted_table(tensor, dbasis, "lie",
-                                   labels=_basis_labels(dbasis, tensor, "D"))
-
-    na = a.dim
-    aunit = a.unit
-
-    def tensor_with_unit(glvec) -> Vec:
-        out = [ZERO] * tensor.dim
-        for u, c in enumerate(glvec):
-            if c != 0:
-                for s, cs in enumerate(aunit):
-                    if cs != 0:
-                        out[u * na + s] = c * cs
-        return tuple(out)
-
-    def to_slA(tensor_vec) -> Vec:
-        coords = conv.coords(tensor_vec)
-        if coords is None:
-            raise ValidationError("vector does not lie in the derived subalgebra")
-        return coords
-
-    cover_images = [to_slA(tensor_with_unit(b)) for b in sl.provenance["embedding"]]
-    prov = {
-        "name": f"sl_{m},{n}({a.provenance.get('name', 'A')})",
-        "m": m,
-        "n": n,
-        "basis_in_ambient": dbasis,
-        "cover_sl": sl,
-        "cover_images": cover_images,
-    }
-    return LieSuperalgebra(table, prov)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,11 @@ def dense_to_sparse(a: Sequence) -> dict:
 
 
 def sparse_to_dense(row: dict, n: int) -> Vec:
-    return tuple(row.get(i, ZERO) for i in range(n))
+    """The dense vector of length n of a sparse row whose keys lie in range(n)."""
+    out = [ZERO] * n
+    for i, x in row.items():
+        out[i] = x
+    return tuple(out)
 
 
 class Matrix:

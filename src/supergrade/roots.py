@@ -66,7 +66,7 @@ from .superalg import (
     _integer_row,
     _sparse_element,
     _sparse_product,
-    derived_subalgebra,
+    derived_rref,
     homogeneous_parity,
     restricted_table,
 )
@@ -385,7 +385,7 @@ def _analyze_sl_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalysi
     evidence = {
         "cover": ref.provenance.get("name", "cover"),
         "cover_dim": ref.dim,
-        "cover_perfect": len(derived_subalgebra(ref)) == ref.dim,
+        "cover_perfect": derived_rref(ref).rank == ref.dim,
         "embedding_rank": sr.rank,
     }
     return CoverAnalysis(cartan, cover.n, evidence)

@@ -6,7 +6,7 @@ the relevant axioms exhaustively on basis tuples.  All operations are
 pure functions of immutable inputs.
 
 Structure constants are stored as Fraction, but tables are built and
-restricted over Python integers (integer_form, super_symmetrized,
+restricted over Python integers (integer_form, _symmetrized_sums,
 SubspaceCoords, restricted_table), with one Fraction per returned
 coefficient.  Such tables, and parsed ones, are canonical by construction
 and skip the entry checks of the public constructor (_canonical).
@@ -24,7 +24,6 @@ from .errors import (
     MissingUnit,
     NotCentral,
     ValidationError,
-    WrongAlgebra,
 )
 from .exact import (
     ONE,
@@ -163,13 +162,14 @@ class StructureTable:
         in range, terms sorted by distinct k, nonzero Fraction coefficients,
         parity-homogeneous); only the unit is checked.  Callers: parse_sca,
         which checks each line, quotient_central and cohomology.uce, which
-        copy canonical entries, and restricted_table, construct_gl,
-        tensor_lie_assoc and jordan.tkk, whose sorted products of
-        homogeneous elements are homogeneous.  integer, if given, is the
-        integer form (integer_form) the caller built with the entries:
-        parse_sca and quotient_central pass it.  Tests compare the table
-        with __init__ on every fixture, construction and TKK algebra, and
-        the integer form with the one integer_form builds."""
+        copy canonical entries, and restricted_table, construct_gl, the
+        closed-form sl(m,n) and sl_{m,n}(A) of constructors._unit_column_table
+        and jordan.tkk, whose sorted products of homogeneous elements are
+        homogeneous.  integer, if given, is the integer form (integer_form)
+        the caller built with the entries: parse_sca, quotient_central and
+        construct_gl pass it.  Tests compare the table with __init__ on every
+        fixture, construction and TKK algebra, and the integer form with the
+        one integer_form builds."""
         table = cls.__new__(cls)
         table.space, table.kind, table.entries, table.unit = space, kind, entries, unit
         table._integer = integer
@@ -413,19 +413,20 @@ def center(l: LieSuperalgebra) -> list[Vec]:
             for z in kernel_from_rows(rows.values(), len(cols))]
 
 
-def derived_subalgebra(l: _AlgebraBase) -> list[Vec]:
-    """Canonical basis of span{[b_i, b_j]}, from the rows of the integer
-    form (the span is the same, and so is its canonical basis).  Inserting
-    stops once the rank reaches dim: the span is then the whole space,
-    whose canonical basis is the unit vectors whatever else is inserted."""
+def derived_rref(l: _AlgebraBase) -> SparseRref:
+    """The RREF of span{[b_i, b_j]}, from the rows of the integer form (the
+    span is the same, and so is its canonical basis): its rank tells whether
+    l is perfect.  Inserting stops once the rank reaches dim: the span is
+    then the whole space, whose canonical basis is the unit vectors whatever
+    else is inserted."""
     sr = SparseRref(l.dim)
     for i, row in enumerate(l.table.integer_form()[1]):
         for j in sorted(row):
             if i <= j:  # the other order is proportional by (anti)commutativity
                 sr.insert(dict(row[j]))
                 if sr.rank == l.dim:
-                    return sr.basis_dense()
-    return sr.basis_dense()
+                    return sr
+    return sr
 
 
 def quotient_central(l: LieSuperalgebra, zbasis: Sequence) -> LieSuperalgebra:
@@ -523,65 +524,50 @@ def matrix_unit_products(units: Sequence[tuple]) -> dict:
     }
 
 
-def super_symmetrized(ent: dict, parity: Sequence, sign: int, scale: Fraction = ONE) -> dict:
-    """Entries of x * y = scale (xy + sign (-1)^{|x||y|} yx) from the entries
-    of an associative product xy on a basis of the given parities: sign -1
-    gives the supercommutator of A^-, sign 1 with scale 1/2 the Jordan
-    product of A+.  The coefficients of ent (int or Fraction) are summed
-    over the integers, cleared by the lcm den of their denominators, and
-    each nonzero sum becomes one Fraction, times scale / den; the entries
-    come out canonical.
-    """
+def _symmetrized_sums(ent: dict, parity: Sequence, sign: int) -> tuple[int, dict]:
+    """(den, {(i, j): {k: den (xy + sign (-1)^{|x||y|} yx)_k}}) from the
+    entries of an associative product xy on a basis of the given parities:
+    den is the lcm of the denominators of ent's coefficients (int or
+    Fraction), and the sums, which may be 0, are over the integers (over
+    integral Fractions when den is 1 and ent holds Fractions)."""
     den = lcm(1, *{c.denominator for terms in ent.values() for _, c in terms})
     acc: dict[tuple, dict] = {}
     for (i, j), terms in ent.items():
         swap = -sign if parity[i] & parity[j] else sign
-        ints = [(k, c.numerator * (den // c.denominator)) for k, c in terms]
-        for key, f in (((i, j), 1), ((j, i), swap)):
-            row = acc.setdefault(key, {})
-            for k, c in ints:
-                row[k] = row.get(k, 0) + f * c
+        if den != 1:
+            terms = [(k, c.numerator * (den // c.denominator)) for k, c in terms]
+        row = acc.setdefault((i, j), {})
+        for k, c in terms:
+            row[k] = row.get(k, 0) + c
+        row = acc.setdefault((j, i), {})
+        for k, c in terms:
+            row[k] = row.get(k, 0) + swap * c
+    return den, acc
+
+
+def _supercommutator_rows(assoc: dict, parity: tuple) -> list[dict]:
+    """Integer rows L[i] = {j: ((k, c), ...)} of the supercommutator of an
+    associative product with integer entries, in the shape of integer_form:
+    gl(m,n) and gl(m,n) (x) A in constructors."""
+    L, acc = [{} for _ in parity], _symmetrized_sums(assoc, parity, -1)[1]
+    for i, j in sorted(acc):
+        terms = sorted(kv for kv in acc[i, j].items() if kv[1])
+        if terms:
+            L[i][j] = tuple(terms)
+    return L
+
+
+def super_symmetrized(ent: dict, parity: Sequence, sign: int, scale: Fraction = ONE) -> dict:
+    """Entries of x * y = scale (xy + sign (-1)^{|x||y|} yx) from the entries
+    of an associative product xy on a basis of the given parities: sign -1
+    gives the supercommutator of A^-, sign 1 with scale 1/2 the Jordan
+    product of A+.  Each nonzero integer sum of _symmetrized_sums becomes one
+    Fraction, times scale / den; the entries come out canonical.
+    """
+    den, acc = _symmetrized_sums(ent, parity, sign)
     num, den = scale.numerator, scale.denominator * den
     return {key: tuple((k, Fraction(num * v, den)) for k, v in sorted(row.items()) if v)
             for key, row in sorted(acc.items()) if any(row.values())}
-
-
-def tensor_lie_assoc(g0: LieSuperalgebra, a: AssocSuperalgebra) -> LieSuperalgebra:
-    """gl(m,n) tensor A with the supercommutator bracket of M_{m,n}(F) (x) A.
-
-    The basis is {e_ij (x) a_s} ordered by matrix unit then coefficient.
-    The associative tensor product carries the Koszul sign:
-    (e_u (x) a_s)(e_v (x) a_t) = (-1)^{|a_s||e_v|} e_u e_v (x) a_s a_t.
-    """
-    info = g0.provenance.get("gl")
-    if info is None:
-        raise WrongAlgebra("tensor_lie_assoc needs a gl(m,n) left factor")
-    units = info["units"]  # (row, col) of each matrix unit, row-major
-    unit_parity = info["unit_parity"]
-    na = a.dim
-    dim = len(units) * na
-    apar = a.parity
-    alabels = a.labels or tuple(f"a{s}" for s in range(na))
-    space = SuperSpace(
-        dim,
-        tuple((unit_parity[u] + apar[s]) % 2 for u in range(len(units)) for s in range(na)),
-        tuple(f"{g0.labels[u]}@{alabels[s]}" for u in range(len(units)) for s in range(na)),
-    )
-
-    # the tensor on A's integer form, scaled back by 1/sa once per constant
-    sa, la = a.table.integer_form()
-    assoc = {}
-    for (u, v), uv in matrix_unit_products(units).items():
-        for s, row in enumerate(la):
-            sgn = -1 if apar[s] & unit_parity[v] else 1
-            for t, st in row.items():
-                assoc[(u * na + s, v * na + t)] = tuple(
-                    (w * na + r, sgn * cw * c) for w, cw in uv for r, c in st
-                )
-    entries = super_symmetrized(assoc, space.parity, -1, Fraction(1, sa))
-    table = StructureTable._canonical(space, "lie", entries)
-    name = f"{g0.provenance.get('name', 'gl')}(x){a.provenance.get('name', 'A')}"
-    return LieSuperalgebra(table, {"name": name})
 
 
 def _integer_row(v: dict) -> tuple[int, dict]:

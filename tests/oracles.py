@@ -10,6 +10,7 @@ elimination; the property tests in test_exact.py require both to agree.
 FractionSubspaceCoords and restricted_table are the Fraction subspace
 coordinates and restricted table that superalg replaced with integer rows
 and integer products; test_sparse_kernels.py requires both to agree.
+pair_index_by_scan is cohomology._pair_index visiting every pair.
 char_poly, rational_eigenvalues and ad_matrix are the dense eigenvalue
 route that the sparse minimal-polynomial route replaced.
 rational_roots_by_divisors is the rational-root theorem search that
@@ -23,7 +24,7 @@ B^2 in Z^2 on the full cochain system, as cohomology.h2_representatives
 did before it solved on weight-zero cochains.  span_closure,
 subalgebra_from_generators, basis_element, all_components and associator
 have no caller in the package.  derived_subalgebra_all_brackets inserts
-every bracket, as superalg.derived_subalgebra did before it stopped at
+every bracket, as superalg.derived_rref did before it stopped at
 full rank.  condition3_by_vectors and
 closure_by_vectors bracket the component and part vectors of a grading
 check, as roots did before it rewrote every datum in its weight basis.
@@ -40,7 +41,12 @@ integer form; quotient_central_by_reduction is superalg.quotient_central
 reducing every kept entry and checking centrality with one Fraction
 product per basis element, as it did before it copied what it keeps.
 parse_sca_two_pass is sca.parse_sca as it was before it read the lines
-in one pass and built the integer form with the table.
+in one pass and built the integer form with the table.  construct_sl and
+construct_sl_A are the elimination path that constructors replaced with
+closed forms: the canonical kernel of the supertrace row, the derived
+subalgebra of the Fraction tensor table tensor_lie_assoc, restricted_table
+on each and coordinates read through its SubspaceCoords, with _basis_labels
+naming the basis; test_closed_forms.py requires both paths to agree.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from supergrade.cohomology import Cocycle2, uce
-from supergrade.constructors import CartanBasis
+from supergrade.constructors import CartanBasis, construct_gl
 from supergrade.errors import (
     AxiomViolation,
     DimensionMismatch,
@@ -58,6 +64,7 @@ from supergrade.errors import (
     NotThreeGraded,
     ParseError,
     ValidationError,
+    WrongAlgebra,
 )
 from supergrade import exact
 from supergrade.sca import _INDEX, _index_error, _parse_rational
@@ -80,6 +87,7 @@ from supergrade.exact import (
     vec,
 )
 from supergrade.roots import weight_decomposition
+from supergrade import superalg
 from supergrade.superalg import (
     Element,
     LieSuperalgebra,
@@ -90,7 +98,9 @@ from supergrade.superalg import (
     _sparse_product,
     ad_rows,
     homogeneous_parity,
+    matrix_unit_products,
     quotient_central,
+    super_symmetrized,
 )
 
 TWO = Fraction(2)
@@ -371,6 +381,21 @@ def span_closure(seed: Iterable[Sequence], product: Callable[[Vec, Vec], Vec]) -
         queue.append(product(cand, cand))
         elems.append(cand)
     return sr.basis_dense()
+
+
+def pair_index_by_scan(space: SuperSpace, parity: int, weights: list):
+    """cohomology._pair_index visiting every pair i <= j, as it did before it
+    read the pairs off the weight groups."""
+    neg = [tuple(-x for x in w) for w in weights]
+    pairs = []
+    for i in range(space.dim):
+        for j in range(i, space.dim):
+            if (space.parity[i] + space.parity[j]) % 2 != parity or weights[j] != neg[i]:
+                continue
+            if i == j and space.parity[i] == 0:
+                continue  # phi(x,x) = 0 for even x
+            pairs.append((i, j))
+    return pairs, {p: t for t, p in enumerate(pairs)}
 
 
 def derived_subalgebra_all_brackets(l) -> list[Vec]:
@@ -895,3 +920,130 @@ def parse_sca_two_pass(text: str) -> StructureTable:
         return StructureTable._canonical(space, kind, canon, unit)
     except ValidationError as exc:
         raise ValidationError(f"table invariant violated: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# sl(m,n) and sl_{m,n}(A) by elimination
+# ---------------------------------------------------------------------------
+
+
+def tensor_lie_assoc(g0: LieSuperalgebra, a: AssocSuperalgebra) -> LieSuperalgebra:
+    """gl(m,n) tensor A with the supercommutator bracket of M_{m,n}(F) (x) A.
+
+    The basis is {e_ij (x) a_s} ordered by matrix unit then coefficient.
+    The associative tensor product carries the Koszul sign:
+    (e_u (x) a_s)(e_v (x) a_t) = (-1)^{|a_s||e_v|} e_u e_v (x) a_s a_t.
+    """
+    info = g0.provenance.get("gl")
+    if info is None:
+        raise WrongAlgebra("tensor_lie_assoc needs a gl(m,n) left factor")
+    units = info["units"]  # (row, col) of each matrix unit, row-major
+    unit_parity = info["unit_parity"]
+    na = a.dim
+    dim = len(units) * na
+    apar = a.parity
+    alabels = a.labels or tuple(f"a{s}" for s in range(na))
+    space = SuperSpace(
+        dim,
+        tuple((unit_parity[u] + apar[s]) % 2 for u in range(len(units)) for s in range(na)),
+        tuple(f"{g0.labels[u]}@{alabels[s]}" for u in range(len(units)) for s in range(na)),
+    )
+
+    # the tensor on A's integer form, scaled back by 1/sa once per constant
+    sa, la = a.table.integer_form()
+    assoc = {}
+    for (u, v), uv in matrix_unit_products(units).items():
+        for s, row in enumerate(la):
+            sgn = -1 if apar[s] & unit_parity[v] else 1
+            for t, st in row.items():
+                assoc[(u * na + s, v * na + t)] = tuple(
+                    (w * na + r, sgn * cw * c) for w, cw in uv for r, c in st
+                )
+    entries = super_symmetrized(assoc, space.parity, -1, Fraction(1, sa))
+    table = StructureTable._canonical(space, "lie", entries)
+    name = f"{g0.provenance.get('name', 'gl')}(x){a.provenance.get('name', 'A')}"
+    return LieSuperalgebra(table, {"name": name})
+
+
+def _basis_labels(basis, ambient, prefix: str) -> tuple:
+    """The ambient label of each basis vector that is an ambient basis
+    vector, and prefix1, prefix2, ... for the others in order."""
+    labels, extra = [], 0
+    for b in basis:
+        support = [(i, c) for i, c in enumerate(b) if c]
+        if len(support) == 1 and support[0][1] == 1:
+            labels.append(ambient.labels[support[0][0]])
+        else:
+            extra += 1
+            labels.append(f"{prefix}{extra}")
+    return tuple(labels)
+
+
+def construct_sl(m: int, n: int) -> LieSuperalgebra:
+    """constructors.construct_sl by elimination: the canonical kernel of the
+    supertrace row, its restricted_table, and every vector read through the
+    SubspaceCoords that restricted_table returns (kept as
+    provenance["coords"])."""
+    gl = construct_gl(m, n)
+    info = gl.provenance["gl"]
+    d = m + n
+    str_row = [ZERO] * (d * d)
+    for t in range(d):
+        str_row[info["diag_indices"][t]] = ONE if t < m else -ONE
+    basis = kernel_from_rows([dense_to_sparse(str_row)], d * d)
+    table, conv = superalg.restricted_table(gl, basis, "lie",
+                                            labels=_basis_labels(basis, gl, "H"))
+
+    def to_sl(glvec) -> Vec:
+        coords = conv.coords(glvec)
+        if coords is None:
+            raise ValidationError("vector is not supertrace-free")
+        return coords
+
+    diag_set = set(info["diag_indices"])
+    diag_positions = [i for i, b in enumerate(basis)
+                      if all(c == 0 or idx in diag_set for idx, c in enumerate(b))]
+    hprime = CartanBasis(
+        elements=[Element(unit_vec(len(basis), i), 0) for i in diag_positions],
+        diag_mats=tuple(tuple(basis[i][di] for di in info["diag_indices"])
+                        for i in diag_positions),
+    )
+    prov = {"name": f"sl({m},{n})", "m": m, "n": n, "ambient_gl": gl, "embedding": basis,
+            "coords": conv, "cartan_hprime": hprime}
+    if m == n:
+        prov["z"] = to_sl(gl.provenance["z"])
+        sums = [{t: ONE for t in range(m)}, {t: ONE for t in range(m, m + n)}]
+        hdiags = kernel_from_rows(sums, m + n)
+        helems = []
+        for hd in hdiags:
+            glvec = [ZERO] * (d * d)
+            for t, x in enumerate(hd):
+                glvec[info["diag_indices"][t]] = x
+            helems.append(Element(to_sl(tuple(glvec)), 0))
+        prov["cartan_h"] = CartanBasis(helems, diag_mats=tuple(hdiags))
+    return LieSuperalgebra(table, prov)
+
+
+def construct_sl_A(m: int, n: int, a) -> LieSuperalgebra:
+    """constructors.construct_sl_A by elimination: the derived subalgebra of
+    the Fraction tensor table tensor_lie_assoc(gl(m,n), A), its
+    restricted_table, and the cover images read through its SubspaceCoords."""
+    sl = construct_sl(m, n)
+    tensor = tensor_lie_assoc(sl.provenance["ambient_gl"], a)
+    dbasis = superalg.derived_rref(tensor).basis_dense()
+    table, conv = superalg.restricted_table(tensor, dbasis, "lie",
+                                            labels=_basis_labels(dbasis, tensor, "D"))
+    images = []
+    for b in sl.provenance["embedding"]:
+        out = [ZERO] * tensor.dim
+        for u, c in enumerate(b):
+            for s, cs in enumerate(a.unit):
+                if c and cs:
+                    out[u * a.dim + s] = c * cs
+        coords = conv.coords(tuple(out))
+        if coords is None:
+            raise ValidationError("vector does not lie in the derived subalgebra")
+        images.append(coords)
+    prov = {"name": f"sl_{m},{n}({a.provenance.get('name', 'A')})", "m": m, "n": n,
+            "basis_in_ambient": dbasis, "cover_sl": sl, "cover_images": images}
+    return LieSuperalgebra(table, prov)

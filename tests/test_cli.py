@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from supergrade import cli, constructors, superalg
+from supergrade import cli
 from supergrade.cli import main
 from supergrade.sca import parse_sca
 from supergrade.superalg import StructureTable, SuperSpace
@@ -823,6 +823,15 @@ CONSTRUCT_DIGESTS = {
         "febdfecefe4303d3ef64b9a69deb036fccb462ee0f2eb710e8a9594ff5a98460",
     ("assoc", "grassmann", "2"):
         "f11038ab7a5d08451b3d68831b24d214ca6257eebb2a7eb31ec7181662e255ec",
+    # taken while sl and sl_{m,n}(A) were still built by elimination
+    ("sl", "3", "3"): "3888e492f810ec9f80b53d6b61747e717ac0b5dccb68377973c3f97a3cc063a4",
+    ("sl", "4", "4"): "0063e1b2e3e64a790238972b6f5b1898f8a87a5a749bedee963262a9ba99dc90",
+    ("psl", "2"): "a89aeb6c1891263169e7e8944575924c4368aa141978eb6f21a31bd8cef57577",
+    ("psl", "3"): "b7e3a82e07163595154e3c289da2176d559c43e641deb6230ad374959496a0c3",
+    ("slA", "3", "3", "grassmann", "2"):
+        "5e485b9d7064ccc86028f921da74291d8a0081969583160569d7f5ed53ce91f1",
+    ("slA", "2", "2", "matrix_super", "2", "1"):
+        "ffa4e34a8d08b7f5391674f7c4feda1cf7efdcad75ecdf016ef777e3e3591ed6",
 }
 
 
@@ -842,6 +851,11 @@ SLA_COVER_DIGESTS = {
     ("slA", "2", "2", "dual_numbers"):
         "ed25266785c01ae9ac96c79a568b820694579da000876336ede6153026dd58e3",
     ("slA", "2", "1", "grassmann", "2"): None,
+    # taken while the cover images were still read through SubspaceCoords
+    ("slA", "3", "3", "grassmann", "2"):
+        "83500795439f07790592e357e5dfac00f5b7a62355c442737f4a68b4820a92af",
+    ("slA", "2", "2", "matrix_super", "2", "1"):
+        "f804fb436cdff8957323d52d865f3e36d78a6499f78a841aadba5f6b40de9bc5",
 }
 
 
@@ -862,7 +876,7 @@ def test_construct_sla_cover_out_matches_pinned_digest(argv, tmp_path, capsys):
 
 
 def test_construct_sla_g1_cover_out_is_the_fixture(tmp_path, capsys):
-    # the cover map of sl_{3,3}(Grassmann(1)) goes through SubspaceCoords.coords
+    # the cover map of sl_{3,3}(Grassmann(1)) is read at the unit columns of its basis
     cover = tmp_path / "cover.json"
     code, _ = run_cli(["construct", "slA", "3", "3", "grassmann", "1", "--cover-out", cover],
                       capsys)
@@ -895,16 +909,19 @@ def test_parsed_fixture_table_is_canonical(name):
 
 @pytest.mark.parametrize("argv", CONSTRUCT_DIGESTS, ids=lambda a: " ".join(map(str, a)))
 def test_constructed_table_is_canonical(argv, monkeypatch, capsys):
-    # every table construct writes, and the tensor algebra behind each slA
-    tables = []
-    emit, tensor = cli._emit_sca, superalg.tensor_lie_assoc
-    monkeypatch.setattr(cli, "_emit_sca", lambda a, o, t, s: tables.append(t) or emit(a, o, t, s))
-    monkeypatch.setattr(constructors, "tensor_lie_assoc",
-                        lambda g, a: tables.append(tensor(g, a).table) or tensor(g, a))
+    # the table construct writes, and every table built through
+    # StructureTable._canonical on the way (gl and sl behind each sl or slA)
+    written, built = [], []
+    emit, canonical = cli._emit_sca, StructureTable._canonical.__func__
+    monkeypatch.setattr(cli, "_emit_sca", lambda a, o, t, s: written.append(t) or emit(a, o, t, s))
+    monkeypatch.setattr(StructureTable, "_canonical", classmethod(
+        lambda cls, *args, **kw: built.append(canonical(cls, *args, **kw)) or built[-1]))
     code, _ = run_cli(["construct", *argv], capsys)
     assert code == 0
-    assert len(tables) == (2 if argv[0] == "slA" else 1)
-    for table in tables:
+    assert len(written) == 1
+    if argv[0] in ("sl", "psl", "slA"):
+        assert any(t is written[0] for t in built)
+    for table in written + built:
         _assert_canonical(table)
 
 

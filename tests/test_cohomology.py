@@ -27,7 +27,7 @@ from supergrade.superalg import (
     StructureTable,
     SuperSpace,
     center,
-    derived_subalgebra,
+    derived_rref,
     validate_lie,
 )
 from tests.oracles import (
@@ -37,6 +37,7 @@ from tests.oracles import (
     cover_kernel_check,
     extension_from_quotient,
     kernel,
+    pair_index_by_scan,
     solve_linear,
     uce_cover,
 )
@@ -163,7 +164,7 @@ def test_uce_psl22(psl22):
     assert (u.space.even_dim, u.space.odd_dim) == (9, 8)
     assert len(center(u)) == 3
     assert H.h2_dims(u) == (0, 0)
-    assert len(derived_subalgebra(u)) == u.dim
+    assert derived_rref(u).rank == u.dim
     validate_lie(u.table)
 
 
@@ -454,6 +455,16 @@ def _weight_counts(l):
     return (len(w[0]),
             *(len(H._pair_index(l.space, p, w)[0]) for p in (0, 1)),
             *(len(H._pair_index(l.space, p, [()] * l.dim)[0]) for p in (0, 1)))
+
+
+def test_pair_index_from_weight_groups_matches_the_scan(psl22, tkk_jp4, tkk_m11):
+    # the same unknowns in the same order, with the toral weights and without
+    for l in (psl22, C.construct_psl(3), C.construct_sl(2, 1), H.uce(psl22).extended,
+              tkk_jp4.lie, tkk_m11.lie, abelian(3, 2)):
+        for weights in (l.table.toral_weights(), [()] * l.dim):
+            for parity in (0, 1):
+                assert (H._pair_index(l.space, parity, weights)
+                        == pair_index_by_scan(l.space, parity, weights))
 
 
 def test_toral_basis_elements_and_weight_zero_pairs(psl22, psl33, tkk_jp4):

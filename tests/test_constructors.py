@@ -10,7 +10,7 @@ from supergrade.errors import BadParams, WrongAlgebra
 from supergrade.exact import unit_vec, vec
 from supergrade.superalg import (
     center,
-    derived_subalgebra,
+    derived_rref,
     validate_assoc,
     validate_jordan,
     validate_lie,
@@ -170,4 +170,4 @@ def test_matrix_unit_in_psl(psl22):
 
 def test_perfectness(sl33, psl22, psl33):
     for alg in (sl33, psl22, psl33):
-        assert len(derived_subalgebra(alg)) == alg.dim
+        assert derived_rref(alg).rank == alg.dim

@@ -172,7 +172,8 @@ def test_parsed_fixture_carries_its_integer_form(name):
     _assert_parsed_integer_form((FIXTURES / name).read_text())
 
 
-@pytest.mark.parametrize("argv", [*CONSTRUCT_DIGESTS, ("psl", "1"), ("psl", "2"), ("sl", "2", "1"),
+# ("psl", "2") is one of CONSTRUCT_DIGESTS
+@pytest.mark.parametrize("argv", [*CONSTRUCT_DIGESTS, ("psl", "1"), ("sl", "2", "1"),
                                   ("m11",), ("jp", "4"), ("mplus", "3")],
                          ids=lambda a: " ".join(map(str, a)))
 def test_parsed_construction_carries_its_integer_form(argv, capsys):

@@ -18,10 +18,9 @@ from supergrade.superalg import (
     SuperSpace,
     bracket,
     center,
-    derived_subalgebra,
+    derived_rref,
     homogeneous_parity,
     quotient_central,
-    tensor_lie_assoc,
     validate_assoc,
     validate_jordan,
     validate_lie,
@@ -35,6 +34,7 @@ from tests.oracles import (
     quotient_central_by_reduction,
     rref,
     subalgebra_from_generators,
+    tensor_lie_assoc,
 )
 from tests.test_roots import _rescaled
 
@@ -194,9 +194,9 @@ def test_center_examples(psl22):
 
 
 def test_derived_examples(sl33):
-    assert len(derived_subalgebra(C.construct_gl(2, 1))) == 8
-    assert derived_subalgebra(LieSuperalgebra(abelian_table([0, 1]))) == []
-    assert len(derived_subalgebra(sl33)) == 35
+    assert derived_rref(C.construct_gl(2, 1)).rank == 8
+    assert derived_rref(LieSuperalgebra(abelian_table([0, 1]))).basis_dense() == []
+    assert derived_rref(sl33).rank == 35
 
 
 @pytest.mark.parametrize("name, perfect", [
@@ -211,7 +211,7 @@ def test_derived_subalgebra_stops_at_full_rank(name, perfect, monkeypatch):
     inserts, insert = [], exact.SparseRref.insert
     monkeypatch.setattr(exact.SparseRref, "insert",
                         lambda self, row: inserts.append(1) or insert(self, row))
-    basis = derived_subalgebra(l)
+    basis = derived_rref(l).basis_dense()
     early = len(inserts)
     assert basis == derived_subalgebra_all_brackets(l)
     assert (len(basis) == l.dim) == perfect
@@ -409,7 +409,7 @@ def test_center_contained_in_ad_kernels(sl22):
 
 def test_derived_is_ideal(sl21):
     gl21 = C.construct_gl(2, 1)
-    dbasis = derived_subalgebra(gl21)
+    dbasis = derived_rref(gl21).basis_dense()
     from supergrade.exact import SparseRref, dense_to_sparse
 
     sr = SparseRref(gl21.dim)
