@@ -2,9 +2,9 @@
 operators they and the TKK construction multiply.
 
 Every identity is checked exactly over Python integers, on the table's
-integer form (StructureTable.integer_form), which a parsed table carries
-from parse_sca: super-(anti)commutativity compares its rows, and the other
-identities take operator form.  L_i is the left multiplication by b_i
+integer form (StructureTable.integer_form), the one form a table stores:
+super-(anti)commutativity compares its rows, and the other identities take
+operator form.  L_i is the left multiplication by b_i
 scaled by s, read off the integer form by _operators.  Python integers do
 not overflow, so no magnitude bound is needed.
 
@@ -107,12 +107,11 @@ def check_unit(table):
         raise MissingUnit("table has no unit element")
     from . import superalg
 
-    ent = table.entries
     unit = [(i, c) for i, c in enumerate(table.unit) if c]
     for j in range(table.space.dim):
         ej = {j: 1}
-        left = superalg._sparse_product(ent, unit, ej.items())
-        right = superalg._sparse_product(ent, ej.items(), unit)
+        left = superalg._product(table, unit, ej.items())
+        right = superalg._product(table, ej.items(), unit)
         if left != ej or right != ej:
             raise MissingUnit(f"unit axiom fails on basis element {j}")
 

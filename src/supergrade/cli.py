@@ -69,10 +69,10 @@ def _load_kind(path: str, kind: str, command: str):
     one kind.  A table that fails its axioms is an input error: a Jordan
     table must pass validate_jordan, a Lie table super-anticommutativity
     (not yet the Jacobi identity).  check_super_jacobi on a generating set
-    would add, in process on a 2-vCPU host, integer form included: 0.6 ms
-    on psl(2,2), 2.9 on psl(3,3), 8.0 on psl(4,4), 7.6 on sl(4,4), 8.0 on
-    uce(psl(4,4)), 0.7 on tkk(M(1,1)+), 42 on tkk(JP(4)) and 8.8 on the
-    slA table."""
+    would add, in process on a 2-vCPU host (measured when the check also
+    built the integer form, which a table now stores): 0.6 ms on psl(2,2),
+    2.9 on psl(3,3), 8.0 on psl(4,4), 7.6 on sl(4,4), 8.0 on uce(psl(4,4)),
+    0.7 on tkk(M(1,1)+), 42 on tkk(JP(4)) and 8.8 on the slA table."""
     from . import _axioms, sca, superalg
 
     table = sca.parse_sca(_read_text(path))

@@ -62,6 +62,7 @@ from .superalg import (
     LieSuperalgebra,
     StructureTable,
     SuperSpace,
+    _integer_row,
     center,
     derived_rref,
     quotient_central,
@@ -104,9 +105,7 @@ def _pair_index(space: SuperSpace, parity: int, weights: list):
     return pairs, {p: t for t, p in enumerate(pairs)}
 
 
-def _cocycle_rows(
-    l: LieSuperalgebra, parity: int, pos: dict, itab: list, weights: list
-) -> tuple[set, list]:
+def _cocycle_rows(l: LieSuperalgebra, parity: int, pos: dict, weights: list) -> tuple[set, list]:
     """(killed, rows) for the cocycle identity over canonical triples
     i <= j <= k of weight zero: the unknowns a single-entry row sets to 0,
     and the integer rows of the other triples with those unknowns dropped,
@@ -123,8 +122,8 @@ def _cocycle_rows(
     """
     if not pos:
         return set(), []
-    n = l.dim
-    par = l.parity
+    n, par = l.dim, l.parity
+    itab = l.table.integer_form()[1]
     slot = [{} for _ in range(n)]
     for (i, j), t in pos.items():
         slot[j][i] = (t, 1)
@@ -185,32 +184,30 @@ def _cocycle_rows(
     return killed, sorted(filter(None, rows), key=len)
 
 
-def _coboundary_rows(pairs, itab: list) -> list[dict]:
+def _coboundary_rows(l, pairs) -> list[dict]:
     """Integer rows t -> c_{pairs[t]}^m of the coboundaries
     phi_f = f([x, y]) for f = b_m^*, built in one pass over the table.  The
     table is parity-homogeneous, so every such b_m has the sector's
     parity."""
-    rows: dict = {}
+    rows, itab = {}, l.table.integer_form()[1]
     for t, (i, j) in enumerate(pairs):
         for m, c in itab[i].get(j, ()):
             rows.setdefault(m, {})[t] = c
     return list(rows.values())
 
 
-def _rank(rows, ncols: int) -> int:
+def _rref(rows, ncols: int) -> SparseRref:
     sr = SparseRref(ncols)
     for row in rows:
         sr.insert(row)
-    return sr.rank
+    return sr
 
 
-def _cocycle_basis(
-    l: LieSuperalgebra, parity: int, itab: list, weights: list, index: tuple
-) -> list[dict]:
+def _cocycle_basis(l: LieSuperalgebra, parity: int, weights: list, index: tuple) -> list[dict]:
     """Canonical basis of Z^2 as sparse pair rows, by pivot, on the cochains
     of weight zero, whose unknowns index = (pairs, pos) holds."""
     pairs, pos = index
-    killed, zrows = _cocycle_rows(l, parity, pos, itab, weights)
+    killed, zrows = _cocycle_rows(l, parity, pos, weights)
     # a killed unknown is 0 in every cocycle: solve on the other columns,
     # renumbered in order, so the killed ones never enter the elimination
     live = [t for t in range(len(pairs)) if t not in killed]
@@ -234,46 +231,37 @@ def _materialize(l: LieSuperalgebra, parity: int, pairs, row: dict) -> Cocycle2:
 def cocycle_space(l: LieSuperalgebra, parity: int) -> list[Cocycle2]:
     """Canonical basis of the space of 2-cocycles of the given parity."""
     index = _pair_index(l.space, parity, [()] * l.dim)
-    basis = _cocycle_basis(l, parity, l.table.integer_form()[1], [()] * l.dim, index)
+    basis = _cocycle_basis(l, parity, [()] * l.dim, index)
     return [_materialize(l, parity, index[0], b) for b in basis]
-
-
-def _coboundary_rref(pairs: list, itab: list) -> SparseRref:
-    sr = SparseRref(len(pairs))
-    for row in _coboundary_rows(pairs, itab):
-        sr.insert(row)
-    return sr
 
 
 def coboundary_space(l: LieSuperalgebra, parity: int) -> list[Cocycle2]:
     """Canonical basis of the coboundaries phi_f(x, y) = f([x, y])."""
     pairs, _ = _pair_index(l.space, parity, [()] * l.dim)
-    sr = _coboundary_rref(pairs, l.table.integer_form()[1])
+    sr = _rref(_coboundary_rows(l, pairs), len(pairs))
     return [_materialize(l, parity, pairs, b) for b in sr.basis()]
 
 
 def h2_dims(l: LieSuperalgebra) -> tuple[int, int]:
     """dim H^2(L, F) = dim Z^2 - dim B^2, per parity, from ranks alone, on
     the cochains of weight zero."""
-    itab = l.table.integer_form()[1]
     weights = l.table.toral_weights()
     out = []
     for parity in (0, 1):
         pairs, pos = _pair_index(l.space, parity, weights)
-        killed, zrows = _cocycle_rows(l, parity, pos, itab, weights)
-        zdim = len(pairs) - len(killed) - _rank(zrows, len(pairs))
-        bdim = _rank(_coboundary_rows(pairs, itab), len(pairs))
+        killed, zrows = _cocycle_rows(l, parity, pos, weights)
+        zdim = len(pairs) - len(killed) - _rref(zrows, len(pairs)).rank
+        bdim = _rref(_coboundary_rows(l, pairs), len(pairs)).rank
         out.append(zdim - bdim)
     return tuple(out)
 
 
 def h2_representatives(l: LieSuperalgebra, parity: int) -> list[Cocycle2]:
     """Cocycles spanning a canonical complement of B^2 inside Z^2."""
-    itab = l.table.integer_form()[1]
     weights = l.table.toral_weights()
     index = _pair_index(l.space, parity, weights)
-    sr = _coboundary_rref(index[0], itab)
-    basis = _cocycle_basis(l, parity, itab, weights, index)
+    sr = _rref(_coboundary_rows(l, index[0]), len(index[0]))
+    basis = _cocycle_basis(l, parity, weights, index)
     return [_materialize(l, parity, index[0], z) for z in basis if sr.insert(z) is not None]
 
 
@@ -293,9 +281,9 @@ def uce(l: LieSuperalgebra) -> CentralExtension:
 
     The extension is built on L + H^2 directions with bracket
     [x,y]^ = [x,y] + sum_i phi_i(x,y) c_i, each c_i central of the parity
-    of phi_i.  An entry of L that no cocycle reaches is copied as it is;
-    the others gain the cocycles' terms after L's own, so every entry stays
-    sorted.
+    of phi_i.  L's integer rows (scale s) and the cocycle values, as one
+    integer row at scale d (superalg._integer_row), are brought to scale
+    s d, and each entry gains the cocycles' terms after L's own.
     """
     if derived_rref(l).rank != l.dim:
         raise NotPerfect("universal central extensions need a perfect algebra")
@@ -307,14 +295,14 @@ def uce(l: LieSuperalgebra) -> CentralExtension:
     if l.labels is not None:
         labels = tuple(l.labels) + tuple(f"c{t + 1}" for t in range(k))
     space = SuperSpace(n + k, parity, labels)
-    entries = dict(l.table.entries)
-    added: dict = {}
-    for t, coc in enumerate(reps):
-        for key, v in coc.form.items():
-            added.setdefault(key, []).append((n + t, v))
-    for key, terms in added.items():
-        entries[key] = entries.get(key, ()) + tuple(terms)
-    table = StructureTable._canonical(space, "lie", {key: entries[key] for key in sorted(entries)})
+    s, L = l.table.integer_form()
+    d, phi = _integer_row({(m, i, j): v for m, coc in enumerate(reps, n)
+                           for (i, j), v in coc.form.items()})
+    rows = [{j: tuple((m, c * d) for m, c in terms) for j, terms in row.items()} for row in L]
+    for (m, i, j), v in phi.items():
+        rows[i][j] = rows[i].get(j, ()) + ((m, v * s),)
+    rows = [dict(sorted(row.items())) for row in rows] + [{} for _ in reps]
+    table = StructureTable._canonical(space, "lie", (s * d, rows))
     extended = LieSuperalgebra(table, {"name": f"uce({l.provenance.get('name', 'L')})"})
     return CentralExtension(reps, extended)
 

@@ -15,8 +15,9 @@ Every matrix algebra starts from the matrix-unit product
 superalg.matrix_unit_products: gl(m,n) and gl(m,n) (x) A are integer rows
 of its supercommutator, the latter Koszul-signed with A, M_{p,q}(F) its
 restricted_table on (I, e_rc), and JP(n)/JQ(n) the restricted_table of its
-symmetrized Jordan product on their basis matrices.  Constructors return
-trusted algebra wrappers, which the tests re-validate.
+symmetrized Jordan product on their basis matrices, each built as integer
+rows (superalg.StructureTable._canonical).  Constructors return trusted
+algebra wrappers, which the tests re-validate.
 """
 
 from __future__ import annotations
@@ -46,13 +47,12 @@ from .superalg import (
     StructureTable,
     SuperSpace,
     _integer_row,
+    _product,
     _sparse_element,
-    _sparse_product,
-    _supercommutator_rows,
+    _symmetrized,
     matrix_unit_products,
     quotient_central,
     restricted_table,
-    super_symmetrized,
 )
 
 HALF = Fraction(1, 2)
@@ -81,7 +81,7 @@ def _check_cartan(l, cartan: CartanBasis):
             raise ValidationError("Cartan elements must be even")
     sparse = [_sparse_element(l, x).items() for x in cartan.elements]
     for x, y in itertools.combinations(sparse, 2):
-        if _sparse_product(l.table.entries, x, y):
+        if _product(l.table, x, y):
             raise ValidationError("Cartan elements must commute pairwise")
 
 
@@ -105,10 +105,8 @@ def construct_gl(m: int, n: int) -> LieSuperalgebra:
         raise BadParams("gl(m,n) needs m+n >= 1")
     d = m + n
     units, space = _matrix_units(m, n)
-    L, fr = _supercommutator_rows(matrix_unit_products(units), space.parity), {}
-    entries = {(i, j): tuple((k, fr.get(v) or fr.setdefault(v, Fraction(v))) for k, v in terms)
-               for i, row in enumerate(L) for j, terms in row.items()}
-    table = StructureTable._canonical(space, "lie", entries, integer=(1, L))
+    table = StructureTable._canonical(
+        space, "lie", _symmetrized(matrix_unit_products(units), space.parity, -1))
     diag_indices = [t * d + t for t in range(d)]
     info = {"m": m, "n": n, "units": units, "unit_parity": space.parity,
             "diag_indices": diag_indices}
@@ -124,33 +122,34 @@ def _unit_column_table(space: SuperSpace, integer: tuple, rows: list):
     sum_i w[c_i] v_i[k], or it escapes the span.  read(w) is the sparse
     coordinates of w, or None if it escapes.
 
-    [p_i, p_j] on L is p_i[c_i] p_j[c_j] s [v_i, v_j].  Only the pairs that
-    meet a nonzero entry of L are multiplied, found through the basis
-    vectors that touch each column; each distinct coefficient is one
-    Fraction.  A product that escapes raises ValidationError.
+    Each p_i is first scaled to p_i[c_i] = D, D the lcm of the p_i[c_i], so
+    [p_i, p_j] on L is D^2 s [v_i, v_j]: the table's integer rows at scale
+    D^2 s.  Only the pairs that meet a nonzero entry of L are multiplied,
+    found through the basis vectors that touch each column.  A product
+    that escapes raises ValidationError.
     """
     s, L = integer
+    d = lcm(*(p[c] for c, p in rows))
+    rows = [(c, p if p[c] == d else {k: v * (d // p[c]) for k, v in p.items()})
+            for c, p in rows]
     pos = {c: i for i, (c, _) in enumerate(rows)}
-    implied, touch = {}, {}  # k -> [(c_i, p_i[k], p_i[c_i])], k -> [(j, p_j[k])]
+    implied, touch = {}, {}  # k -> [(c_i, D v_i[k])], k -> [(j, p_j[k])]
     for j, (c, p) in enumerate(rows):
         for k, v in p.items():
             touch.setdefault(k, []).append((j, v))
             if k not in pos:
-                implied.setdefault(k, []).append((c, v, p[c]))
-    rules = {}  # k -> (D, [(c_i, D v_i[k])]): D w[k] = sum_i D v_i[k] w[c_i]
-    for k, terms in implied.items():
-        big = lcm(*(a for _, _, a in terms))
-        rules[k] = (big, [(c, v * (big // a)) for c, v, a in terms])
-    watched = set(rules).union(c for _, terms in rules.values() for c, _ in terms)
-    cols = pos.keys() | rules.keys()
+                implied.setdefault(k, []).append((c, v))
+    # D w[k] = sum_i D v_i[k] w[c_i] at every implied column k
+    watched = set(implied).union(c for terms in implied.values() for c, _ in terms)
+    cols = pos.keys() | implied.keys()
 
     def escapes(w) -> bool:
         return not w.keys() <= cols or not watched.isdisjoint(w) and any(
-            big * w.get(k, 0) != sum(x * w.get(c, 0) for c, x in terms)
-            for k, (big, terms) in rules.items())
+            d * w.get(k, 0) != sum(x * w.get(c, 0) for c, x in terms)
+            for k, terms in implied.items())
 
-    entries, fracs = {}, {}
-    for i, (ci, pi) in enumerate(rows):
+    M = [{} for _ in rows]
+    for i, (_, pi) in enumerate(rows):
         acc: dict[int, dict] = {}
         for a, x in pi.items():
             for b, terms in L[a].items():
@@ -165,12 +164,8 @@ def _unit_column_table(space: SuperSpace, integer: tuple, rows: list):
             if escapes(prod):
                 raise ValidationError(
                     f"subspace not closed: product of basis {i} and {j} escapes the span")
-            den = pi[ci] * rows[j][1][rows[j][0]] * s
-            entries[i, j] = tuple([
-                (pos[k], fracs.get((prod[k], den))
-                 or fracs.setdefault((prod[k], den), Fraction(prod[k], den)))
-                for k in sorted(prod) if k in pos])
-    table = StructureTable._canonical(space, "lie", entries)
+            M[i][j] = tuple([(pos[k], prod[k]) for k in sorted(prod) if k in pos])
+    table = StructureTable._canonical(space, "lie", (d * d * s, M))
     return table, lambda w: None if escapes(w) else {pos[k]: v for k, v in w.items() if k in pos}
 
 
@@ -278,14 +273,15 @@ def construct_sl_A(m: int, n: int, a: AssocSuperalgebra) -> LieSuperalgebra:
     units, upar, na, apar = gl.provenance["gl"]["units"], gl.parity, a.dim, a.parity
     d, dim = m + n, len(units) * na
     sa, la = a.table.integer_form()
-    assoc = {}
-    for (u, v), ((w, _),) in matrix_unit_products(units).items():
-        for s, row in enumerate(la):
-            sgn = -1 if apar[s] & upar[v] else 1
-            for t, st in row.items():
-                assoc[u * na + s, v * na + t] = tuple((w * na + r, sgn * c) for r, c in st)
+    assoc = [{} for _ in range(dim)]
+    for u, urow in enumerate(matrix_unit_products(units)[1]):
+        for v, ((w, _),) in urow.items():
+            for s, row in enumerate(la):
+                sgn = -1 if apar[s] & upar[v] else 1
+                for t, st in row.items():
+                    assoc[u * na + s][v * na + t] = tuple((w * na + r, sgn * c) for r, c in st)
     parity = tuple((upar[x // na] + apar[x % na]) % 2 for x in range(dim))
-    L, sr = _supercommutator_rows(assoc, parity), SparseRref(dim)
+    L, sr = _symmetrized((sa, assoc), parity, -1)[1], SparseRref(dim)
     rows = [(x, {x: 1}) for x in range(dim) if units[x // na][0] != units[x // na][1]]
     for x in range(dim):
         i, j = units[x // na]
@@ -368,7 +364,7 @@ def _matrix_superalgebra(p: int, q: int) -> AssocSuperalgebra:
     """M_{p,q}(F) on the basis (I, e_rc for (r,c) != (0,0))."""
     units, space = _matrix_units(p, q)
     d = p + q
-    mat = AssocSuperalgebra(StructureTable(space, "assoc", matrix_unit_products(units)))
+    mat = AssocSuperalgebra(StructureTable._canonical(space, "assoc", matrix_unit_products(units)))
     ident = tuple(ONE if r == c else ZERO for r, c in units)
     basis = [ident] + [unit_vec(d * d, k) for k in range(1, d * d)]
     table, _ = restricted_table(mat, basis, "assoc", unit=unit_vec(d * d, 0),
@@ -469,8 +465,8 @@ def _jordan_from_matrices(kind, n, mats, labels) -> JordanSuperalgebra:
     closure under the symmetrized product and derives the parities."""
     units, space = _matrix_units(n, n)
     d = 2 * n
-    entries = super_symmetrized(matrix_unit_products(units), space.parity, 1, HALF)
-    ambient = JordanSuperalgebra(StructureTable(space, "jordan", entries))
+    ambient = JordanSuperalgebra(StructureTable._canonical(
+        space, "jordan", _symmetrized(matrix_unit_products(units), space.parity, 1)))
     basis = [sparse_to_dense({r * d + c: v for (r, c), v in mat.items()}, d * d)
              for mat in mats]
     diag = {i * n + i for i in range(n)}

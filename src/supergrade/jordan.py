@@ -61,11 +61,12 @@ from .superalg import (
     SuperSpace,
     ThreeGrading,
     _coords,
+    _product,
     _sparse_element,
     _sparse_product,
+    _symmetrized,
     ad_rows,
     homogeneous_parity,
-    super_symmetrized,
     validate_jordan,
 )
 
@@ -75,8 +76,8 @@ TWO = Fraction(2)
 
 def symmetrized(a: AssocSuperalgebra) -> JordanSuperalgebra:
     """The Jordan superalgebra A+ with X.Y = (XY + (-1)^{|X||Y|} YX)/2."""
-    entries = super_symmetrized(a.table.entries, a.parity, 1, HALF)
-    table = StructureTable(a.table.space, "jordan", entries, unit=a.unit)
+    table = StructureTable._canonical(
+        a.space, "jordan", _symmetrized(a.table.integer_form(), a.parity, 1), a.unit)
     return JordanSuperalgebra(table, {"name": f"{a.provenance.get('name', 'A')}+"})
 
 
@@ -218,27 +219,20 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
     labels = tuple(f"{s}~" for s in jl) + tuple(f"D{t + 1}" for t in range(n0)) + jl
     space = SuperSpace(dim, tuple(parity_vec), labels)
 
-    entries = {}
+    # sr keeps basis row s_t as den_t s_t, den_t its pivot entry; coordinates over the
+    # RREF basis are entries at the pivots; every entry below is an integer at scale big
+    pos = {p: t for t, p in enumerate(sr.pivots())}
+    inner_ops = [_operator(sr._rows[p], n, parity) for p, parity in zip(pos, inner_parity)]
+    dens = [sr._rows[p][p] for p in pos]
+    big = scale * lcm(*dens) ** 2
+    rows = [{} for _ in range(dim)]
 
     def put(i, k, terms, negate=False):  # terms are nonzero
         if terms:
-            if negate:
-                terms = [(t, -c) for t, c in terms]
-            entries[(i, k)] = tuple(terms)
-
-    # the basis rows scaled to integer rows den_t * s_t
-    inner_ops, dens = [], []
-    for row, parity in zip(inner_rows, inner_parity):
-        den = lcm(1, *(v.denominator for v in row.values()))
-        ints = {idx: v.numerator * (den // v.denominator) for idx, v in row.items()}
-        inner_ops.append(_operator(ints, n, parity))
-        dens.append(den)
-    # Over an RREF basis the coordinates of a row in the span are its
-    # entries at the pivots, in pivot order.
-    pos = {p: t for t, p in enumerate(sr.pivots())}
+            rows[i][k] = tuple([(t, -c) for t, c in terms] if negate else terms)
 
     def inner_terms(row: dict, den: int) -> list:
-        return [(off_inner + pos[p], Fraction(row[p], den))
+        return [(off_inner + pos[p], row[p] * big // den)
                 for p in sorted(row.keys() & pos.keys())]
 
     # [a, b~] = D(a, b); [b~, a] = -(-1)^{|a||b|} D(a, b).  Each D(a,b) was
@@ -250,12 +244,12 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
             put(off0 + k, off1 + i, terms, not (par[i] and par[k]))
 
     # [s, a] in T(1), [s, b~] in T(-1): column a of each block of s
-    for t, row in enumerate(inner_rows):
+    for t, (row, *_) in enumerate(inner_ops):
         cols = {}
         for idx in sorted(row):
             q, i = divmod(idx, n)  # q = block*n + r
             off = off1 if q < n else off0
-            cols.setdefault((off, i), []).append((off + q % n, row[idx]))
+            cols.setdefault((off, i), []).append((off + q % n, row[idx] * big // dens[t]))
         for (off, i), terms in cols.items():
             put(off_inner + t, off + i, terms)
             put(off + i, off_inner + t, terms, not (inner_parity[t] and par[i]))
@@ -274,17 +268,17 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
                 put(off_inner + t2, off_inner + t1, terms,
                     not (inner_parity[t1] and inner_parity[t2]))
 
-    table = StructureTable._canonical(space, "lie", entries)
+    table = StructureTable._canonical(space, "lie", (big, [dict(sorted(r.items())) for r in rows]))
     lie = LieSuperalgebra(table, {"name": f"TKK({j.provenance.get('name', 'J')})"})
 
     unit = dense_to_sparse(j.unit)
     se = {off1 + t: c for t, c in unit.items()}
     sf = {off0 + t: c for t, c in unit.items()}
-    hs = _sparse_product(entries, se.items(), sf.items())
+    hs = _product(table, se.items(), sf.items())
     e, f, h = (Element(sparse_to_dense(v, dim), 0) for v in (se, sf, hs))
     for i, lam in ((off0, -TWO), (off1, TWO)):
         for t in range(i, i + n):
-            if _sparse_product(entries, hs.items(), ((t, ONE),)) != {t: lam}:
+            if _sparse_product(rows, hs.items(), ((t, ONE / big),)) != {t: lam}:
                 raise JacobiFailure("h = [e,f] does not act with eigenvalues -2, 0, 2")
 
     parts = ThreeGrading(
@@ -302,17 +296,17 @@ def jordan_from_3grading(l: LieSuperalgebra, e, f) -> JordanSuperalgebra:
     must act diagonalizably with eigenvalues in {0, -2, 2}, e in L(1) and
     f in L(-1).
     """
-    n = l.dim
-    ent = l.table.entries
+    n, ltab = l.dim, l.table
+    s, L = ltab.integer_form()
     se, sf = _sparse_element(l, e), _sparse_element(l, f)
-    h = _sparse_product(ent, se.items(), sf.items())
+    h = _product(ltab, se.items(), sf.items())
     adh = ad_rows(l, sparse_to_dense(h, n))
     spaces = {lam: eigenspace(adh, lam) for lam in (-TWO, ZERO, TWO)}
     if sum(map(len, spaces.values())) != n:
         raise NotThreeGraded("ad[e,f] is not diagonalizable with eigenvalues 0, -2, 2")
-    if _sparse_product(ent, h.items(), se.items()) != {i: TWO * c for i, c in se.items()}:
+    if _product(ltab, h.items(), se.items()) != {i: TWO * c for i, c in se.items()}:
         raise NotThreeGraded("e is not in the +2 eigenspace of ad[e,f]")
-    if _sparse_product(ent, h.items(), sf.items()) != {i: -TWO * c for i, c in sf.items()}:
+    if _product(ltab, h.items(), sf.items()) != {i: -TWO * c for i, c in sf.items()}:
         raise NotThreeGraded("f is not in the -2 eigenspace of ad[e,f]")
 
     jbasis = spaces[TWO]
@@ -326,13 +320,13 @@ def jordan_from_3grading(l: LieSuperalgebra, e, f) -> JordanSuperalgebra:
         if p is None:
             raise NotThreeGraded("L(1) basis vector is not parity-homogeneous")
         parities.append(p)
-    # x.y = [[x, f], y]/2, with the half taken on [x, f]
+    # x.y = [[x, f], y]/2, the half taken on [x, f], the scale s of L at the end
     entries = {}
     for i in range(m):
-        xf = _sparse_product(ent, sbasis[i].items(), sf.items())
+        xf = _product(ltab, sbasis[i].items(), sf.items())
         xf = [(t, HALF * c) for t, c in xf.items()]
         for k in range(m):
-            coords = to_j.sparse_coords(_sparse_product(ent, xf, sbasis[k].items()))
+            coords = to_j.sparse_coords(_sparse_product(L, xf, sbasis[k].items()), s)
             if coords is None:
                 raise NotThreeGraded(
                     f"product of L(1) basis vectors {i},{k} leaves L(1)"
@@ -345,7 +339,7 @@ def jordan_from_3grading(l: LieSuperalgebra, e, f) -> JordanSuperalgebra:
     space = SuperSpace(m, tuple(parities))
     table = StructureTable(space, "jordan", entries, unit=sparse_to_dense(unit, m))
     for i in range(m):
-        if _sparse_product(table.entries, unit.items(), ((i, ONE),)) != {i: ONE}:
+        if _product(table, unit.items(), ((i, ONE),)) != {i: ONE}:
             raise UnitFailure(f"e.x != x for L(1) basis vector {i}")
     prov = {"name": f"J(L(1) of {l.provenance.get('name', 'L')})", "l1_basis": jbasis}
     return validate_jordan(table, prov)

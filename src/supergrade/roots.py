@@ -22,12 +22,11 @@ of basis vectors, and any other datum rewritten by restricted_table.
 
 Inside the vector loops (cover checks, eigenspace refinement, the sl2
 style of three_grading, check_z_trivial) elements are sparse dicts
-{index: Fraction}, multiplied with superalg._sparse_product and combined
-with exact.sparse_apply; ad(h) is given by sparse columns.  The
-homomorphism law of an sl or psl cover multiplies integer rows over
-StructureTable.integer_entries.  Dense Vec tuples appear only in the
-public results: component bases, Cartan elements and the parts of a
-ThreeGrading.
+{index: Fraction}, multiplied with superalg._product and combined with
+exact.sparse_apply; ad(h) is given by sparse columns.  The homomorphism
+law of an sl or psl cover multiplies integer rows.  Dense Vec tuples
+appear only in the public results: component bases, Cartan elements and
+the parts of a ThreeGrading.
 """
 
 from __future__ import annotations
@@ -64,6 +63,7 @@ from .superalg import (
     LieSuperalgebra,
     ThreeGrading,
     _integer_row,
+    _product,
     _sparse_element,
     _sparse_product,
     derived_rref,
@@ -178,7 +178,6 @@ def _refined_datum(l: LieSuperalgebra, cartan: CartanBasis) -> RootDatum:
     time, for any commuting Cartan: minimal polynomial, rational roots and
     eigenspace kernels of ad(h) on each previous eigenspace."""
     n = l.dim
-    ent = l.table.entries
     comps = [((), [{i: ONE} for i in range(n)])]
     for t, h in enumerate(cartan.elements):
         witness = f"ad(cartan element {t})"
@@ -191,7 +190,7 @@ def _refined_datum(l: LieSuperalgebra, cartan: CartanBasis) -> RootDatum:
             rows = sub.basis()
             cols = []
             for v in rows:
-                c = sub.coordinates(_sparse_product(ent, hs, v.items()))
+                c = sub.coordinates(_product(l.table, hs, v.items()))
                 if c is None:
                     raise ValidationError(
                         f"{witness} does not preserve a previous eigenspace; "
@@ -355,7 +354,7 @@ def _analyze_sl_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalysi
     # tables of L (scale s) and of the cover (scale r), D the lcm of the d_m:
     # [v_i, v_j] = sum_m c_ij^m v_m exactly when
     # r D [w_i, w_j] = d_i d_j s sum_m (r c_ij^m) (D / d_m) w_m
-    s, ient = l.table.integer_entries()
+    s, L = l.table.integer_form()
     r, rmults = ref.table.integer_form()
     rows = [_integer_row(v) for v in images]
     big = lcm(*(d for d, _ in rows))
@@ -368,7 +367,7 @@ def _analyze_sl_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalysi
             for m, c in rmults[i].get(j, ()):
                 for k, x in cols[m].items():
                     expect[k] = expect.get(k, 0) + c * x
-            lhs = {k: r * big * c for k, c in _sparse_product(ient, wi.items(), wj.items()).items()}
+            lhs = {k: r * big * c for k, c in _sparse_product(L, wi.items(), wj.items()).items()}
             if lhs != {k: di * dj * s * c for k, c in expect.items() if c}:
                 raise NotHomomorphism(
                     f"embedding fails the homomorphism law on cover basis pair ({i},{j})"
@@ -423,7 +422,6 @@ def _analyze_m11_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalys
     images = {k: _sparse_element(l, v) for k, v in cover.images.items()}
     psl22, targets = _m11_psl_targets()
     nl, np_ = l.dim, psl22.dim
-    ent, pent = l.table.entries, psl22.table.entries
 
     def aug_row(v: dict, p: dict) -> dict:
         row = dict(v)
@@ -433,8 +431,8 @@ def _analyze_m11_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalys
 
     def product(a: tuple, b: tuple) -> tuple:
         """(v, p) . (v', p') in L x psl(2,2)."""
-        return (_sparse_product(ent, a[0].items(), b[0].items()),
-                _sparse_product(pent, a[1].items(), b[1].items()))
+        return (_product(l.table, a[0].items(), b[0].items()),
+                _product(psl22.table, a[1].items(), b[1].items()))
 
     sr = SparseRref(nl + np_, npivot=nl)
     elems: list[tuple] = []
@@ -470,7 +468,7 @@ def _analyze_m11_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalys
     for kv in kern:
         zl = sparse_apply([v for v, _ in parts], dense_to_sparse(kv)).items()
         for b, _ in parts:
-            if _sparse_product(ent, zl, b.items()):
+            if _product(l.table, zl, b.items()):
                 raise NotHomomorphism("kernel of the cover map is not central")
 
     dsr = SparseRref(nl + np_, npivot=nl)
@@ -480,8 +478,8 @@ def _analyze_m11_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalys
     if dsr.rank != s_dim:
         raise NotHomomorphism("generated cover is not perfect")
 
-    h1 = _sparse_product(ent, images["e1"].items(), images["e1~"].items())
-    h2 = _sparse_product(ent, images["e2"].items(), images["e2~"].items())
+    h1 = _product(l.table, images["e1"].items(), images["e1~"].items())
+    h2 = _product(l.table, images["e2"].items(), images["e2~"].items())
     cartan = CartanBasis(
         elements=[Element(sparse_to_dense(h, nl), 0) for h in (h1, h2)],
         diag_mats=((ONE, -ONE, ZERO, ZERO), (ZERO, ZERO, ONE, -ONE)),
@@ -640,8 +638,7 @@ def check_z_trivial(l: LieSuperalgebra, cover) -> ZTrivialReport:
         z = sparse_apply({t: _sparse_element(l, cover.images[t]) for t in zs}, zs)
     else:
         z = _sparse_element(l, cover)
-    ent = l.table.entries
-    j = next((j for j in range(l.dim) if _sparse_product(ent, z.items(), ((j, ONE),))), None)
+    j = next((j for j in range(l.dim) if _product(l.table, z.items(), ((j, ONE),))), None)
     return ZTrivialReport(passed=True) if j is None else ZTrivialReport(passed=False, witness=j)
 
 
@@ -684,7 +681,7 @@ def three_grading(l: LieSuperalgebra, datum: RootDatum, style: str, h=None) -> T
             lam = None
             for v in comp.basis:
                 v = dense_to_sparse(v)
-                img = _sparse_product(l.table.entries, hs, v.items())
+                img = _product(l.table, hs, v.items())
                 for cand in (ZERO, TWO, -TWO):
                     if img == {i: cand * x for i, x in v.items() if cand}:
                         this = cand

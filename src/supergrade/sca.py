@@ -20,10 +20,10 @@ write(parse(doc)) is the identity on canonical documents.
 parse_sca reads the lines in one pass and builds one Fraction and one
 integer per distinct coefficient text.  It checks every line as it reads
 it (indices, duplicates, zeros) and reports a parity fault after the last
-line, in the order StructureTable checks entries, so the table it builds
-is canonical and goes through StructureTable._canonical together with
-its integer form (StructureTable.integer_form), which the checks at load
-read.
+line, in the order StructureTable checks entries, so the integer rows it
+builds (StructureTable.integer_form) are canonical and go through
+StructureTable._canonical.  write_sca writes from those rows, one text per
+distinct integer value.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def _fields(text: str):
 
 def parse_sca(text: str) -> StructureTable:
     """Strict parse of an SCA document into a StructureTable, handed its
-    integer form."""
+    integer rows."""
     fields = _fields(text)
     lineno = None
 
@@ -180,21 +180,19 @@ def parse_sca(text: str) -> StructureTable:
             order = {key: t for t, key in enumerate(entries)}
             i, j, k = min(faults, key=lambda f: (order[f[:2]], f[2]))
             raise ValidationError(f"entry ({i},{j},{k}) violates parity homogeneity")
-        # the table and its integer form (StructureTable.integer_form), one
-        # Fraction and one integer per distinct coefficient text
+        # the integer rows (StructureTable.integer_form), one integer per
+        # distinct coefficient text
         s = lcm(1, *(c.denominator for c in coeffs.values()))
         ints = {t: c.numerator * (s // c.denominator) for t, c in coeffs.items()}
-        canon, L = {}, [{} for _ in range(dim)]
-        for key, terms in entries.items():
+        L = [{} for _ in range(dim)]
+        for i, j in sorted(entries):
+            terms = entries[i, j]
             if len(terms) == 1:  # most entries
                 (k, t), = terms.items()
-                canon[key] = ((k, coeffs[t]),)
-                L[key[0]][key[1]] = ((k, ints[t]),)
+                L[i][j] = ((k, ints[t]),)
             else:
-                items = sorted(terms.items())
-                canon[key] = tuple([(k, coeffs[t]) for k, t in items])
-                L[key[0]][key[1]] = tuple([(k, ints[t]) for k, t in items])
-        return StructureTable._canonical(space, kind, canon, unit, (s, L))
+                L[i][j] = tuple([(k, ints[t]) for k, t in sorted(terms.items())])
+        return StructureTable._canonical(space, kind, (s, L), unit)
     except ValidationError as exc:
         raise ValidationError(f"table invariant violated: {exc}") from exc
 
@@ -213,12 +211,14 @@ def write_sca(table: StructureTable) -> str:
     if table.space.labels is not None:
         for i, name in enumerate(table.space.labels, start=1):
             out.append(f"label {i} {name}")
-    rows = []
-    for (i, j), terms in table.entries.items():
-        for k, c in terms:
-            rows.append((i + 1, j + 1, k + 1, c))
-    rows.sort(key=lambda r: r[:3])
-    for i, j, k, c in rows:
-        out.append(f"sc {i} {j} {k} {c}")
+    s, L = table.integer_form()
+    texts: dict[int, str] = {}  # integer value -> the text of value / s
+    for i, row in enumerate(L, start=1):
+        for j in sorted(row):
+            for k, v in row[j]:
+                c = texts.get(v)
+                if c is None:
+                    c = texts[v] = str(Fraction(v, s))
+                out.append(f"sc {i} {j + 1} {k + 1} {c}")
     out.append("end")
     return "\n".join(out) + "\n"

@@ -5,11 +5,12 @@ basis; validators turn tables into typed algebra objects after checking
 the relevant axioms exhaustively on basis tuples.  All operations are
 pure functions of immutable inputs.
 
-Structure constants are stored as Fraction, but tables are built and
-restricted over Python integers (integer_form, _symmetrized_sums,
-SubspaceCoords, restricted_table), with one Fraction per returned
-coefficient.  Such tables, and parsed ones, are canonical by construction
-and skip the entry checks of the public constructor (_canonical).
+A table is stored once, over the Python integers: its integer form
+(s, L), with L[i] = {j: ((k, s c_ij^k), ...)}.  The public constructor
+checks rational entries and converts them once (_integer_table); tables
+built inside the package are integer rows, canonical by construction, and
+skip those checks (_canonical).  A Fraction is built only where a value
+leaves the package: the entries view, products of elements, coordinates.
 """
 
 from __future__ import annotations
@@ -112,37 +113,59 @@ def _sparse_element(l, x) -> dict:
     return dense_to_sparse(c)
 
 
-class StructureTable:
-    """Sparse structure constants c_{ij}^k on a graded basis.
+def _integer_table(n: int, entries: dict) -> tuple[int, list[dict]]:
+    """The integer form (s, L) of canonical entries {(i, j): ((k, c), ...)},
+    each c an int or a Fraction: the one place where rationals become a
+    table.  s is the lcm of the reduced denominators and s c is
+    c.numerator * (s // c.denominator), exactly.  gcd(s, every s c) = 1:
+    for each prime p, the power of p in s is its power in some
+    c.denominator, and p then divides neither s // c.denominator nor the
+    coprime c.numerator."""
+    s = lcm(1, *{c.denominator for terms in entries.values() for _, c in terms})
+    L = [{} for _ in range(n)]
+    for i, j in sorted(entries):
+        L[i][j] = tuple([(k, c.numerator * (s // c.denominator)) for k, c in entries[i, j]])
+    return s, L
 
-    entries maps (i, j) to a tuple of (k, coefficient) pairs sorted by k.
+
+def _index(x, n: int) -> bool:
+    return isinstance(x, int) and 0 <= x < n
+
+
+class StructureTable:
+    """Sparse structure constants c_{ij}^k on a graded basis, stored once,
+    over the integers: the integer form (s, L) of integer_form.
+
     Every entry must be parity-homogeneous: c_{ij}^k != 0 forces
     parity(k) = parity(i) + parity(j) mod 2.  The optional unit is stored
-    as a coordinate vector (it need not be a basis element).
+    as a coordinate vector (it need not be a basis element).  The public
+    constructor takes entries {(i, j): ((k, c), ...)}, each c an int or a
+    Fraction, checks them and converts them once (_integer_table).
     """
 
-    __slots__ = ("space", "kind", "entries", "unit", "_integer")
+    __slots__ = ("space", "kind", "unit", "_form")
 
     def __init__(self, space: SuperSpace, kind: str, entries: dict, unit: tuple | None = None):
-        self.space, self.kind, self.entries, self.unit = space, kind, entries, unit
-        self._integer = None
+        self.space, self.kind, self.unit = space, kind, unit
         if self.kind not in KINDS:
             raise ValidationError(f"unknown table kind {self.kind!r}")
         n = self.space.dim
         par = self.space.parity
         canon = {}
-        for (i, j), terms in self.entries.items():
-            if not (0 <= i < n and 0 <= j < n):
+        for (i, j), terms in entries.items():
+            if not (_index(i, n) and _index(j, n)):
                 raise ValidationError(f"entry index ({i},{j}) out of range")
             cleaned = []
             seen = set()
             for k, c in terms:
-                if not 0 <= k < n:
+                if not _index(k, n):
                     raise ValidationError(f"entry target {k} out of range")
                 if k in seen:
                     raise ValidationError(f"duplicate entry ({i},{j},{k})")
                 seen.add(k)
-                c = c if type(c) is Fraction else Fraction(c)
+                if not isinstance(c, (int, Fraction)):
+                    raise ValidationError(
+                        f"entry ({i},{j},{k}) coefficient {c!r} is not an int or a Fraction")
                 if c == 0:
                     continue
                 if par[k] != (par[i] + par[j]) % 2:
@@ -151,28 +174,29 @@ class StructureTable:
                     )
                 cleaned.append((k, c))
             if cleaned:
-                canon[(i, j)] = tuple(sorted(cleaned))
-        self.entries = canon
+                canon[(i, j)] = sorted(cleaned)
+        self._form = _integer_table(n, canon)
         self._check_unit()
 
     @classmethod
-    def _canonical(cls, space: SuperSpace, kind: str, entries: dict, unit=None,
-                   integer=None):
-        """A table on entries that are canonical already (keys and targets
-        in range, terms sorted by distinct k, nonzero Fraction coefficients,
-        parity-homogeneous); only the unit is checked.  Callers: parse_sca,
-        which checks each line, quotient_central and cohomology.uce, which
-        copy canonical entries, and restricted_table, construct_gl, the
-        closed-form sl(m,n) and sl_{m,n}(A) of constructors._unit_column_table
-        and jordan.tkk, whose sorted products of homogeneous elements are
-        homogeneous.  integer, if given, is the integer form (integer_form)
-        the caller built with the entries: parse_sca, quotient_central and
-        construct_gl pass it.  Tests compare the table with __init__ on every
-        fixture, construction and TKK algebra, and the integer form with the
-        one integer_form builds."""
+    def _canonical(cls, space: SuperSpace, kind: str, form: tuple, unit=None):
+        """A table on integer rows (t, M) that are canonical but for their
+        common scale t > 0 (M[i] = {j: ((k, t c_ij^k), ...)}, row keys
+        ascending, terms sorted by distinct k, nonzero, parity-homogeneous),
+        brought to the stored scale by one gcd pass; only the unit is
+        checked.  Callers: parse_sca, which checks each line,
+        quotient_central and cohomology.uce, which copy canonical rows, and
+        restricted_table and the builders of constructors and jordan, whose
+        sorted products of homogeneous elements are homogeneous.  Tests
+        compare the table with __init__ on every fixture, construction and
+        TKK algebra, and at several scales t."""
+        s, L = form
+        g = gcd(s, *(v for row in L for terms in row.values() for _, v in terms)) if s > 1 else 1
+        if g > 1:
+            s, L = s // g, [{j: tuple([(k, v // g) for k, v in terms]) for j, terms in row.items()}
+                            for row in L]
         table = cls.__new__(cls)
-        table.space, table.kind, table.entries, table.unit = space, kind, entries, unit
-        table._integer = integer
+        table.space, table.kind, table.unit, table._form = space, kind, unit, (s, L)
         table._check_unit()
         return table
 
@@ -190,29 +214,26 @@ class StructureTable:
         return self.space.dim
 
     def integer_form(self) -> tuple[int, list[dict]]:
-        """(s, L) with s the lcm of the denominators of the structure
-        constants and L[i] = {j: ((k, s * c_ij^k), ...)} the table over the
-        integers, in the tuple shape of entries.
+        """The stored table (s, L): s the lcm of the denominators of the
+        structure constants and L[i] = {j: ((k, s * c_ij^k), ...)}, the keys
+        of each row ascending and the terms sorted by k; gcd(s, every value
+        of L) = 1.
 
         Every axiom identity and every cocycle or coboundary row is
         homogeneous in the structure constants: on L an identity vanishes
         exactly when it does on the table, and a set of rows has the same
-        kernel and span.  Built on the first call and kept: a table's
-        entries are not changed once it is built.  Callers must not mutate L.
+        kernel and span.  Callers must not mutate L.
         """
-        if self._integer is None:
-            s = lcm(1, *{c.denominator for terms in self.entries.values() for _, c in terms})
-            L = [{} for _ in range(self.space.dim)]
-            for (i, j), terms in self.entries.items():
-                L[i][j] = tuple((k, c.numerator * (s // c.denominator)) for k, c in terms)
-            self._integer = s, L
-        return self._integer
+        return self._form
 
-    def integer_entries(self) -> tuple[int, dict]:
-        """(s, {(i, j): ((k, s * c_ij^k), ...)}): the kept integer_form in
-        the key shape of entries, for _sparse_product on integer rows."""
-        s, L = self.integer_form()
-        return s, {(i, j): terms for i, row in enumerate(L) for j, terms in row.items()}
+    @property
+    def entries(self) -> dict:
+        """{(i, j): ((k, c_ij^k), ...)} in (i, j) order with Fraction
+        coefficients: a view derived from the integer form on every read,
+        for tests and library callers."""
+        s, L = self._form
+        return {(i, j): tuple([(k, Fraction(v, s)) for k, v in L[i][j]])
+                for i in range(len(L)) for j in sorted(L[i])}
 
     def toral_columns(self) -> dict[int, dict]:
         """The toral basis elements, read off the integer form (scale s):
@@ -250,18 +271,27 @@ def table_product(table: StructureTable, x: Sequence, y: Sequence) -> Vec:
         raise DimensionMismatch("element length != algebra dimension")
     xs = [(i, c) for i, c in enumerate(x) if c != 0]
     ys = [(j, c) for j, c in enumerate(y) if c != 0]
-    return sparse_to_dense(_sparse_product(table.entries, xs, ys), n)
+    return sparse_to_dense(_product(table, xs, ys), n)
 
 
-def _sparse_product(ent: dict, xs: Iterable, ys: Iterable) -> dict:
-    """Product of two vectors given as (index, nonzero coefficient) pairs,
-    as a sparse dict without zero values; on integer entries and
-    coefficients it is an integer dict.  ys is iterated once per pair of
-    xs, so it must be re-iterable (a list, tuple or dict items view)."""
+def _product(table: StructureTable, xs: Iterable, ys: Iterable) -> dict:
+    """_sparse_product on the table's integer rows, the left factor divided
+    by their scale s: the product itself."""
+    s, L = table.integer_form()
+    return _sparse_product(L, xs if s == 1 else [(i, Fraction(c, s)) for i, c in xs], ys)
+
+
+def _sparse_product(L: list, xs: Iterable, ys: Iterable) -> dict:
+    """Product of two vectors given as (index, nonzero coefficient) pairs on
+    integer rows L at scale s (integer_form), as a sparse dict without zero
+    values: s times the product; on integer coefficients it is an integer
+    dict.  ys is iterated once per pair of xs, so it must be re-iterable (a
+    list, tuple or dict items view)."""
     acc = {}
     for i, ci in xs:
+        row = L[i]
         for j, cj in ys:
-            terms = ent.get((i, j))
+            terms = row.get(j)
             if not terms:
                 continue
             cij = ci * cj
@@ -388,8 +418,9 @@ def bracket(l: _AlgebraBase, x, y) -> Element:
 
 def ad_rows(l: _AlgebraBase, x) -> list[dict]:
     """Sparse rows {column: Fraction} of y -> x * y in the algebra basis."""
+    s, L = l.table.integer_form()
     xs = [(i, c) for i, c in enumerate(_coords(x)) if c]
-    cols = [_sparse_product(l.table.entries, xs, [(j, ONE)]) for j in range(l.dim)]
+    cols = [_sparse_product(L, xs, [(j, ONE / s)]) for j in range(l.dim)]
     return sparse_transpose(cols, l.dim)
 
 
@@ -440,11 +471,10 @@ def quotient_central(l: LieSuperalgebra, zbasis: Sequence) -> LieSuperalgebra:
     b_j at a pivot to minus the rest of that pivot's RREF row.
 
     Centrality is checked on integer rows: z * b_j for every j in one pass
-    over the rows of z's support.  A kept entry with no term at a pivot is
-    copied with its indices moved, in both the table and its integer form;
-    only the others are reduced.  The integer form is brought to the lcm t
-    of the quotient's denominators: a copied term of l's form is s c, and
-    the lcm of the denominators of the copied terms is s / gcd(s, s c...).
+    over the rows of z's support.  A kept row with no term at a pivot is
+    copied with its indices moved; only the others are reduced, each to
+    out / m at scale s m (SparseRref._reduce), so the quotient's rows are
+    at scale s M, M the lcm of the m.
     """
     n = l.dim
     s, L = l.table.integer_form()
@@ -474,33 +504,24 @@ def quotient_central(l: LieSuperalgebra, zbasis: Sequence) -> LieSuperalgebra:
         labels=tuple(l.labels[c] for c in keep) if l.labels else None,
     )
     # a fully reduced row is 0 at every pivot column, so its keys lie in keep
-    ent = l.table.entries
-    entries, copied, reduced = {}, {}, []
+    Lq, scales = [{} for _ in keep], {}  # (a, b) -> m of a reduced row
     for a, ca in enumerate(keep):
-        for cb in sorted(L[ca]):
+        for cb, terms in L[ca].items():
             b = pos.get(cb)
             if b is None:
                 continue
-            terms = ent[ca, cb]
             if all(k in pos for k, _ in terms):
-                entries[a, b] = tuple([(pos[k], c) for k, c in terms])
-                copied[a, b] = tuple([(pos[k], v) for k, v in L[ca][cb]])
+                Lq[a][b] = tuple([(pos[k], v) for k, v in terms])
             else:
-                red = zr.reduce(dict(terms))
+                red, m = zr._reduce(dict(terms))
                 if red:
-                    entries[a, b] = tuple(sorted((pos[k], c) for k, c in red.items()))
-                    reduced.append((a, b))
-    t = s // gcd(s, *(v for terms in copied.values() for _, v in terms)) if s > 1 else 1
-    t = lcm(t, *(c.denominator for key in reduced for _, c in entries[key]))
-    Lq = [{} for _ in keep]
-    for (a, b), terms in entries.items():
-        ints = copied.get((a, b))
-        if ints is None:
-            ints = tuple([(k, c.numerator * (t // c.denominator)) for k, c in terms])
-        elif t != s:
-            ints = tuple([(k, v * t // s) for k, v in ints])
-        Lq[a][b] = ints
-    table = StructureTable._canonical(new_space, "lie", entries, None, (t, Lq))
+                    Lq[a][b] = tuple(sorted((pos[k], v) for k, v in red.items()))
+                    scales[a, b] = m
+    big = lcm(1, *scales.values())
+    if big != 1:
+        Lq = [{b: tuple([(k, v * (big // scales.get((a, b), 1))) for k, v in terms])
+               for b, terms in row.items()} for a, row in enumerate(Lq)]
+    table = StructureTable._canonical(new_space, "lie", (s * big, Lq))
     proj = [
         {pos[k]: -c for k, c in rows[j].items() if k != j} if j in rows else {pos[j]: ONE}
         for j in range(n)
@@ -509,65 +530,41 @@ def quotient_central(l: LieSuperalgebra, zbasis: Sequence) -> LieSuperalgebra:
     return LieSuperalgebra(table, prov)
 
 
-def matrix_unit_products(units: Sequence[tuple]) -> dict:
-    """Entries of the associative product e_ij e_kl = delta_jk e_il on the
-    matrix units units = [(i, j), ...], which must contain every e_il that
-    such a product reaches; the coefficients are the integer 1."""
+def matrix_unit_products(units: Sequence[tuple]) -> tuple[int, list[dict]]:
+    """The integer form (1, L), L[t1] = {t2: ((t, 1),)}, of the associative
+    product e_ij e_kl = delta_jk e_il on the matrix units units =
+    [(i, j), ...], which must contain every e_il that such a product
+    reaches."""
     pos = {u: t for t, u in enumerate(units)}
     by_row = {}
     for t, (r, c) in enumerate(units):
         by_row.setdefault(r, []).append((t, c))
-    return {
-        (t1, t2): ((pos[(r1, c2)], 1),)
-        for t1, (r1, c1) in enumerate(units)
-        for t2, c2 in by_row.get(c1, ())
-    }
+    return 1, [{t2: ((pos[r, c2], 1),) for t2, c2 in by_row.get(c, ())} for r, c in units]
 
 
-def _symmetrized_sums(ent: dict, parity: Sequence, sign: int) -> tuple[int, dict]:
-    """(den, {(i, j): {k: den (xy + sign (-1)^{|x||y|} yx)_k}}) from the
-    entries of an associative product xy on a basis of the given parities:
-    den is the lcm of the denominators of ent's coefficients (int or
-    Fraction), and the sums, which may be 0, are over the integers (over
-    integral Fractions when den is 1 and ent holds Fractions)."""
-    den = lcm(1, *{c.denominator for terms in ent.values() for _, c in terms})
+def _symmetrized(form: tuple, parity: Sequence, sign: int) -> tuple[int, list[dict]]:
+    """The integer form of xy + sign (-1)^{|x||y|} yx from the integer form
+    (s, rows) of an associative product xy on a basis of the given
+    parities: for sign -1 the supercommutator of A^- at scale s (gl(m,n)
+    and gl(m,n) (x) A in constructors), for sign 1 the Jordan product of
+    A+, half of it, at scale 2 s."""
+    s, rows = form
     acc: dict[tuple, dict] = {}
-    for (i, j), terms in ent.items():
-        swap = -sign if parity[i] & parity[j] else sign
-        if den != 1:
-            terms = [(k, c.numerator * (den // c.denominator)) for k, c in terms]
-        row = acc.setdefault((i, j), {})
-        for k, c in terms:
-            row[k] = row.get(k, 0) + c
-        row = acc.setdefault((j, i), {})
-        for k, c in terms:
-            row[k] = row.get(k, 0) + swap * c
-    return den, acc
-
-
-def _supercommutator_rows(assoc: dict, parity: tuple) -> list[dict]:
-    """Integer rows L[i] = {j: ((k, c), ...)} of the supercommutator of an
-    associative product with integer entries, in the shape of integer_form:
-    gl(m,n) and gl(m,n) (x) A in constructors."""
-    L, acc = [{} for _ in parity], _symmetrized_sums(assoc, parity, -1)[1]
+    for i, row in enumerate(rows):
+        for j, terms in row.items():
+            swap = -sign if parity[i] & parity[j] else sign
+            out = acc.setdefault((i, j), {})
+            for k, c in terms:
+                out[k] = out.get(k, 0) + c
+            out = acc.setdefault((j, i), {})
+            for k, c in terms:
+                out[k] = out.get(k, 0) + swap * c
+    L = [{} for _ in parity]
     for i, j in sorted(acc):
         terms = sorted(kv for kv in acc[i, j].items() if kv[1])
         if terms:
             L[i][j] = tuple(terms)
-    return L
-
-
-def super_symmetrized(ent: dict, parity: Sequence, sign: int, scale: Fraction = ONE) -> dict:
-    """Entries of x * y = scale (xy + sign (-1)^{|x||y|} yx) from the entries
-    of an associative product xy on a basis of the given parities: sign -1
-    gives the supercommutator of A^-, sign 1 with scale 1/2 the Jordan
-    product of A+.  Each nonzero integer sum of _symmetrized_sums becomes one
-    Fraction, times scale / den; the entries come out canonical.
-    """
-    den, acc = _symmetrized_sums(ent, parity, sign)
-    num, den = scale.numerator, scale.denominator * den
-    return {key: tuple((k, Fraction(num * v, den)) for k, v in sorted(row.items()) if v)
-            for key, row in sorted(acc.items()) if any(row.values())}
+    return (s if sign < 0 else 2 * s), L
 
 
 def _integer_row(v: dict) -> tuple[int, dict]:
@@ -632,7 +629,8 @@ def restricted_table(
     The integer product of d_i v_i and d_j v_j on l's integer form (scale
     s) is d_i d_j s [v_i, v_j], and its coordinates are divided by that once
     each.  Products of homogeneous vectors have homogeneous coordinates over
-    a homogeneous independent basis, so the table is canonical.
+    a homogeneous independent basis, so the entries are canonical and go
+    through _integer_table.
     """
     dense = [_coords(b) for b in basis]
     if any(len(v) != l.dim for v in dense):
@@ -646,12 +644,12 @@ def restricted_table(
         if len(seen) > 1:
             raise ValidationError("subalgebra basis vector is not parity-homogeneous")
         parities.append(seen.pop())
-    s, ient = l.table.integer_entries()
+    s, L = l.table.integer_form()
     rows, dens = conv._rows, conv._dens
     entries = {}
     for i, xs in enumerate(rows):
         for j, ys in enumerate(rows):
-            prod = _sparse_product(ient, xs, ys)
+            prod = _sparse_product(L, xs, ys)
             if not prod:
                 continue
             given = conv.sparse_coords(prod, dens[i] * dens[j] * s)
@@ -661,4 +659,5 @@ def restricted_table(
                 )
             entries[(i, j)] = tuple(sorted(given.items()))
     space = SuperSpace(len(rows), tuple(parities), labels)
-    return StructureTable._canonical(space, kind or l.kind, entries, unit), conv
+    form = _integer_table(len(rows), entries)
+    return StructureTable._canonical(space, kind or l.kind, form, unit), conv

@@ -47,11 +47,18 @@ closed forms: the canonical kernel of the supertrace row, the derived
 subalgebra of the Fraction tensor table tensor_lie_assoc, restricted_table
 on each and coordinates read through its SubspaceCoords, with _basis_labels
 naming the basis; test_closed_forms.py requires both paths to agree.
+fraction_product and super_symmetrized are the product of two sparse
+vectors and the symmetrized product on Fraction entries {(i, j): terms},
+as superalg ran them before a table stored only its integer rows.
+assert_stored_form compares a table's stored integer form with the one the
+checking constructor builds from its entries view, and with the one
+StructureTable._canonical brings back from the form at other scales.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from supergrade.cohomology import Cocycle2, uce
@@ -100,10 +107,61 @@ from supergrade.superalg import (
     homogeneous_parity,
     matrix_unit_products,
     quotient_central,
-    super_symmetrized,
 )
 
 TWO = Fraction(2)
+
+
+RESCALES = (2, 3, 12)
+
+
+def assert_stored_form(table) -> None:
+    """table stores the integer form (s, L) that the checking StructureTable
+    builds from its entries view (the same s, the same rows, keys in the
+    same order), gcd(s, every value of L) is 1, and _canonical handed
+    (t s, t L) stores that same form for every t in RESCALES."""
+    def rows(form):
+        return form[0], [list(row.items()) for row in form[1]]
+
+    want = rows(StructureTable(table.space, table.kind, table.entries, table.unit).integer_form())
+    s, L = table.integer_form()
+    assert rows((s, L)) == want
+    assert gcd(s, *(v for row in L for terms in row.values() for _, v in terms)) == 1
+    for t in RESCALES:
+        scaled = [{j: tuple((k, t * v) for k, v in terms) for j, terms in row.items()} for row in L]
+        again = StructureTable._canonical(table.space, table.kind, (t * s, scaled), table.unit)
+        assert rows(again.integer_form()) == want, t
+
+
+def fraction_product(ent: dict, xs: Iterable, ys: Iterable) -> dict:
+    """Product of two vectors given as (index, nonzero coefficient) pairs on
+    Fraction entries {(i, j): ((k, c), ...)} (StructureTable.entries), as a
+    sparse dict without zero values; ys must be re-iterable."""
+    acc = {}
+    for i, ci in xs:
+        for j, cj in ys:
+            for k, c in ent.get((i, j), ()):
+                v = acc.get(k, 0) + ci * cj * c
+                if v:
+                    acc[k] = v
+                else:
+                    acc.pop(k, None)
+    return acc
+
+
+def super_symmetrized(ent: dict, parity: Sequence, sign: int, scale: Fraction = ONE) -> dict:
+    """Entries of x * y = scale (xy + sign (-1)^{|x||y|} yx) from the entries
+    {(i, j): ((k, c), ...)} of an associative product xy on a basis of the
+    given parities, summed over Fraction, in (i, j) order."""
+    acc: dict[tuple, dict] = {}
+    for (i, j), terms in ent.items():
+        swap = -sign if parity[i] & parity[j] else sign
+        for key, f in (((i, j), 1), ((j, i), swap)):
+            row = acc.setdefault(key, {})
+            for k, c in terms:
+                row[k] = row.get(k, 0) + f * scale * c
+    return {key: tuple((k, Fraction(v)) for k, v in sorted(row.items()) if v)
+            for key, row in sorted(acc.items()) if any(row.values())}
 
 
 class Matrix(exact.Matrix):
@@ -345,10 +403,10 @@ def restricted_table(l, basis: Sequence, kind: str | None = None, unit=None, lab
             raise ValidationError("subalgebra basis vector is not parity-homogeneous")
         parities.append(p)
     items = [list(v.items()) for v in vecs]
-    entries = {}
+    entries, ent = {}, l.table.entries
     for i in range(len(vecs)):
         for j in range(len(vecs)):
-            given = conv.sparse_coords(_sparse_product(l.table.entries, items[i], items[j]))
+            given = conv.sparse_coords(fraction_product(ent, items[i], items[j]))
             if given is None:
                 raise ValidationError(
                     f"subspace not closed: product of basis {i} and {j} escapes the span"
@@ -704,7 +762,7 @@ def condition3_by_vectors(l, datum) -> dict:
     for wt, vecs in sparse.items():
         for vb in sparse.get(tuple(-x for x in wt), ()):
             for va in vecs:
-                span.insert(_sparse_product(ent, va, vb))
+                span.insert(fraction_product(ent, va, vb))
     zero_sr = SparseRref(n)
     for v in datum.zero_component.basis:
         zero_sr.insert(dense_to_sparse(v))
@@ -723,7 +781,7 @@ def closure_by_vectors(l, parts: dict) -> tuple | None:
     the integer table (scale s): a product is d d' s [v, v'], zero and
     inside a span exactly when [v, v'] is."""
     n = l.dim
-    _, ient = l.table.integer_entries()
+    rows_l = l.table.integer_form()[1]
     rows = {k: [_integer_row(dense_to_sparse(v))[1] for v in parts[k]] for k in (-1, 0, 1)}
     spans = {}
     for k in (-1, 0, 1):
@@ -736,7 +794,7 @@ def closure_by_vectors(l, parts: dict) -> tuple | None:
         for b in (-1, 0, 1):
             for va in rows[a]:
                 for vb in rows[b]:
-                    prod = _sparse_product(ient, va.items(), vb.items())
+                    prod = _sparse_product(rows_l, va.items(), vb.items())
                     if prod and (abs(a + b) > 1 or not spans[a + b].contains(prod)):
                         return a, b
     return None
@@ -772,7 +830,7 @@ def quotient_central_by_reduction(l: LieSuperalgebra, zbasis: Sequence) -> LieSu
             raise NotCentral("central subspace generator is not parity-homogeneous")
         zs = [(i, c) for i, c in enumerate(z) if c]
         for j in range(n):
-            if _sparse_product(ent, zs, [(j, ONE)]):
+            if fraction_product(ent, zs, [(j, ONE)]):
                 raise NotCentral(f"generator fails centrality against basis element {j}")
         zr.insert(dict(zs))
     rows = dict(zip(zr.pivots(), zr.basis()))
@@ -917,7 +975,7 @@ def parse_sca_two_pass(text: str) -> StructureTable:
             for k, _ in terms:
                 if parity[k] != p:
                     raise ValidationError(f"entry ({i},{j},{k}) violates parity homogeneity")
-        return StructureTable._canonical(space, kind, canon, unit)
+        return StructureTable(space, kind, canon, unit)
     except ValidationError as exc:
         raise ValidationError(f"table invariant violated: {exc}") from exc
 
@@ -952,7 +1010,8 @@ def tensor_lie_assoc(g0: LieSuperalgebra, a: AssocSuperalgebra) -> LieSuperalgeb
     # the tensor on A's integer form, scaled back by 1/sa once per constant
     sa, la = a.table.integer_form()
     assoc = {}
-    for (u, v), uv in matrix_unit_products(units).items():
+    for (u, v), uv in (((u, v), uv) for u, row in enumerate(matrix_unit_products(units)[1])
+                       for v, uv in row.items()):
         for s, row in enumerate(la):
             sgn = -1 if apar[s] & unit_parity[v] else 1
             for t, st in row.items():
@@ -960,7 +1019,7 @@ def tensor_lie_assoc(g0: LieSuperalgebra, a: AssocSuperalgebra) -> LieSuperalgeb
                     (w * na + r, sgn * cw * c) for w, cw in uv for r, c in st
                 )
     entries = super_symmetrized(assoc, space.parity, -1, Fraction(1, sa))
-    table = StructureTable._canonical(space, "lie", entries)
+    table = StructureTable(space, "lie", entries)
     name = f"{g0.provenance.get('name', 'gl')}(x){a.provenance.get('name', 'A')}"
     return LieSuperalgebra(table, {"name": name})
 

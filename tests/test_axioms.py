@@ -280,13 +280,13 @@ def rebased(table, lift, inv, parity):
     """The table in the basis b'_i = sum_a lift[i][a] b_a, where
     b_a = sum_i inv[a][i] b'_i."""
     n = table.space.dim
-    entries = {}
+    entries, ent = {}, table.entries
     for i in range(n):
         for j in range(n):
             v = {}
             for a, x in lift[i].items():
                 for b, y in lift[j].items():
-                    for m, c in table.entries.get((a, b), ()):
+                    for m, c in ent.get((a, b), ()):
                         for k, q in inv[m].items():
                             v[k] = v.get(k, 0) + x * y * c * q
             terms = tuple(sorted((k, c) for k, c in v.items() if c))

@@ -15,6 +15,7 @@ from supergrade.cli import main
 from supergrade.sca import parse_sca
 from supergrade.superalg import StructureTable, SuperSpace
 from tests.conftest import JP4_M11_ELEMENTS
+from tests.oracles import assert_stored_form
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -78,19 +79,23 @@ def test_check_names_the_first_jacobi_failure_through_the_fallback(capsys):
 
 
 def test_three_grading_builds_each_integer_form_once(monkeypatch, capsys):
-    builds = []
-    build = StructureTable.integer_form
+    # a table's integer form is built with the table and is what it stores:
+    # every read hands back the same object, and the Fraction entries view
+    # is never derived
+    forms, views = {}, []
+    read = StructureTable.integer_form
 
-    def counting(self):
-        if self._integer is None:
-            builds.append(self)
-        return build(self)
+    def reading(self):
+        form = read(self)
+        assert forms.setdefault(self, form) is form
+        return form
 
-    monkeypatch.setattr(StructureTable, "integer_form", counting)
+    monkeypatch.setattr(StructureTable, "integer_form", reading)
+    monkeypatch.setattr(StructureTable, "entries", property(views.append))
     code, _ = run_cli(["three-grading", fx("slA_g1.sca"), "--cover", "sl33",
                        "--cover-map", fx("slA_g1_cover.json"), "--style", "height"], capsys)
     assert code == 0
-    assert builds and all(sum(t is b for b in builds) == 1 for t in builds)
+    assert len(forms) > 1 and not views
 
 
 def test_tkk_with_entries_beyond_int64_exits_2():
@@ -885,16 +890,16 @@ def test_construct_sla_g1_cover_out_is_the_fixture(tmp_path, capsys):
 
 
 def _assert_canonical(table):
-    """The table equals the one the checking StructureTable builds from it,
-    entry order included, and its coefficients are Fractions."""
+    """The table equals the one the checking StructureTable builds from its
+    entries view, integer rows in the same order (assert_stored_form, which
+    also rescales them through _canonical)."""
     checked = StructureTable(SuperSpace(table.space.dim, table.space.parity, table.space.labels),
                              table.kind, table.entries, table.unit)
-    assert all(type(c) is Fraction for terms in table.entries.values() for _, c in terms)
     assert (checked.space.dim, checked.space.parity, checked.space.labels) == (
         table.space.dim, table.space.parity, table.space.labels)
     assert checked.kind == table.kind
-    assert list(checked.entries.items()) == list(table.entries.items())
     assert checked.unit == table.unit
+    assert_stored_form(table)
 
 
 # the fixtures that do not parse; their errors are pinned elsewhere

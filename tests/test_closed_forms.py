@@ -7,12 +7,7 @@ import pytest
 
 from supergrade import constructors as C
 from supergrade.errors import ValidationError
-from supergrade.superalg import (
-    StructureTable,
-    SuperSpace,
-    matrix_unit_products,
-    super_symmetrized,
-)
+from supergrade.superalg import SuperSpace, matrix_unit_products
 from tests import oracles
 
 SL_SHAPES = [(m, s - m) for s in range(2, 9) for m in range(s + 1)]
@@ -117,10 +112,9 @@ def test_read_rejects_a_vector_outside_the_span():
 def test_gl_hands_over_the_integer_form_integer_form_builds(m, n):
     gl = C.construct_gl(m, n)
     table, units = gl.table, gl.provenance["gl"]["units"]
+    products = {(i, j): terms for i, row in enumerate(matrix_unit_products(units)[1])
+                for j, terms in row.items()}
     assert list(table.entries.items()) == list(
-        super_symmetrized(matrix_unit_products(units), gl.parity, -1).items())
-    assert table._integer is not None
-    fresh = StructureTable._canonical(table.space, table.kind, table.entries)
-    assert table.integer_form()[0] == fresh.integer_form()[0] == 1
-    assert [list(r.items()) for r in table.integer_form()[1]] == [
-        list(r.items()) for r in fresh.integer_form()[1]]
+        oracles.super_symmetrized(products, gl.parity, -1).items())
+    assert table.integer_form()[0] == 1
+    oracles.assert_stored_form(table)

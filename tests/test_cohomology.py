@@ -349,12 +349,12 @@ def _oracle_cocycles(l, parity):
 
 def _oracle_coboundaries(l, parity):
     pairs = _oracle_pairs(l.parity, parity)
-    sr = SparseRref(len(pairs))
+    sr, ent = SparseRref(len(pairs)), l.table.entries
     for s in range(l.dim):
         if l.parity[s] == parity:
             row = {}
             for t, (i, j) in enumerate(pairs):
-                for m, c in l.table.entries.get((i, j), ()):
+                for m, c in ent.get((i, j), ()):
                     if m == s:
                         row[t] = c
             sr.insert(row)
@@ -383,10 +383,10 @@ def rescaled_algebras(draw):
     perm = draw(st.permutations(range(n)))
     lam = [draw(scalars) for _ in range(n)]
     inv = {old: new for new, old in enumerate(perm)}
-    entries = {}
+    entries, ent = {}, base.table.entries
     for i in range(n):
         for j in range(n):
-            terms = base.table.entries.get((perm[i], perm[j]), ())
+            terms = ent.get((perm[i], perm[j]), ())
             if terms:
                 entries[(i, j)] = tuple(sorted(
                     (inv[m], lam[i] * lam[j] * c / lam[inv[m]]) for m, c in terms))
@@ -397,13 +397,13 @@ def rescaled_algebras(draw):
 def _shear(l, h, e):
     """l in the basis with the even b_h replaced by b_h + b_e."""
     lift = {h: {h: F(1), e: F(1)}}
-    entries = {}
+    entries, ent = {}, l.table.entries
     for i in range(l.dim):
         for j in range(l.dim):
             v = {}
             for a, x in lift.get(i, {i: F(1)}).items():
                 for b, y in lift.get(j, {j: F(1)}).items():
-                    for m, c in l.table.entries.get((a, b), ()):
+                    for m, c in ent.get((a, b), ()):
                         v[m] = v.get(m, F(0)) + x * y * c
             # old coordinates to new: b_h = b'_h - b_e
             v[e] = v.get(e, F(0)) - v.get(h, F(0))
@@ -415,9 +415,10 @@ def _shear(l, h, e):
 
 def _diagonal_even(l):
     """The even b_h with [b_h, b_j] in Q b_j for every j."""
+    ent = l.table.entries
     return [h for h in range(l.dim) if not l.parity[h] and all(
         terms[0][0] == j and len(terms) == 1
-        for (a, j), terms in l.table.entries.items() if a == h)]
+        for (a, j), terms in ent.items() if a == h)]
 
 
 @st.composite

@@ -341,10 +341,10 @@ def rescaled_jordans(draw):
     perm = draw(st.permutations(range(n)))
     lam = [draw(scalars) for _ in range(n)]
     inv = {old: new for new, old in enumerate(perm)}
-    entries = {}
+    entries, ent = {}, base.table.entries
     for i in range(n):
         for k in range(n):
-            terms = base.table.entries.get((perm[i], perm[k]), ())
+            terms = ent.get((perm[i], perm[k]), ())
             if terms:
                 entries[(i, k)] = tuple(sorted(
                     (inv[m], lam[i] * lam[k] * c / lam[inv[m]]) for m, c in terms))
@@ -362,7 +362,7 @@ def test_tkk_inner_part_matches_fraction_reference(case):
     t = tkk(j)
     assert t.dim == TKK_DIMS[name]
     validate_lie(t.lie.table)
-    n, n0 = j.dim, len(t.inner_part)
+    n, n0, ent = j.dim, len(t.inner_part), t.lie.table.entries
     for a in range(n):
         for b in range(n):
             p, q = d_operator(j, unit_vec(n, a), unit_vec(n, b), j.parity[a], j.parity[b])
@@ -370,7 +370,7 @@ def test_tkk_inner_part_matches_fraction_reference(case):
                     for off, m in ((0, p), (n * n, q))
                     for r, row in enumerate(m.data) for c, x in enumerate(row) if x}
             got = {}
-            for k, c in t.lie.table.entries.get((n + n0 + a, b), ()):
+            for k, c in ent.get((n + n0 + a, b), ()):
                 for idx, v in t.inner_part[k - n].items():
                     got[idx] = got.get(idx, 0) + c * v
             assert {idx: v for idx, v in got.items() if v} == want, (a, b)

@@ -33,6 +33,7 @@ from tests.oracles import (
     basis_element,
     closure_by_vectors,
     condition3_by_vectors,
+    fraction_product,
     rref,
     solve_linear,
 )
@@ -153,8 +154,10 @@ def cartans(draw):
         for v in hs:  # b_h = b'_h - b'_e
             v[e] = v.get(e, F(0)) - v[h]
     elif how == "mix":
+        ent = l.table.entries
+
         def eigen(v, x):
-            img = superalg._sparse_product(l.table.entries, v.items(), ((x, F(1)),))
+            img = fraction_product(ent, v.items(), ((x, F(1)),))
             return img.get(x, F(0)) if set(img) <= {x} else None
 
         roots = [x for x in range(l.dim) if not l.parity[x] and x not in toral
@@ -575,13 +578,14 @@ def _first_non_homomorphic_pair(l, cover):
     pair (i, j), i <= j, with [phi b_i, phi b_j] != phi [b_i, b_j]."""
     ref = cover.reference
     images = [dense_to_sparse(v) for v in cover.images]
+    ent, ref_ent = l.table.entries, ref.table.entries
     for i in range(ref.dim):
         for j in range(i, ref.dim):
             expect = {}
-            for m, c in ref.table.entries.get((i, j), ()):
+            for m, c in ref_ent.get((i, j), ()):
                 for k, x in images[m].items():
                     expect[k] = expect.get(k, 0) + c * x
-            got = superalg._sparse_product(l.table.entries, images[i].items(), images[j].items())
+            got = fraction_product(ent, images[i].items(), images[j].items())
             if got != {k: x for k, x in expect.items() if x}:
                 return i, j
     return None

@@ -12,7 +12,7 @@ from supergrade.cli import main
 from supergrade.errors import ParseError, ValidationError
 from supergrade.sca import parse_sca, write_sca
 from supergrade.superalg import StructureTable, validate_lie
-from tests.oracles import parse_sca_two_pass
+from tests.oracles import assert_stored_form, parse_sca_two_pass
 from tests.test_cli import CONSTRUCT_DIGESTS
 from tests.test_roots import _rescaled
 
@@ -154,12 +154,10 @@ def _rows(integer_form):
 
 def _assert_parsed_integer_form(text):
     """parse_sca hands the table its integer form: the same s and the same
-    rows, keys in the same order, as integer_form builds from the entries."""
+    rows, keys in the same order, as the checking constructor builds from
+    the entries view, and the form _canonical keeps at any scale."""
     table = parse_sca(text)
-    assert table._integer is not None
-    fresh = StructureTable._canonical(table.space, table.kind, table.entries, table.unit)
-    assert fresh._integer is None
-    assert _rows(table.integer_form()) == _rows(fresh.integer_form())
+    assert_stored_form(table)
     return table
 
 

@@ -1,7 +1,7 @@
 """Source hygiene: no private helper outlives its last caller, no module
 imports a name it never uses, only exact names the dense Matrix, nothing
-is left open for the hard exit of cli.run to drop, and the parser's table
-names every subcommand handler."""
+is left open for the hard exit of cli.run to drop, the parser's table
+names every subcommand handler, and a structure table stores one form."""
 
 import ast
 from pathlib import Path
@@ -50,7 +50,7 @@ def test_every_private_helper_is_referenced():
     dead, private = _unreferenced(sources)
     # the scan sees helpers that are used from their own module and from a
     # sibling module
-    assert {("cohomology", "_pair_index"), ("cohomology", "_rank"),
+    assert {("cohomology", "_pair_index"), ("cohomology", "_rref"),
             ("superalg", "_sparse_product")} <= set(private)
     assert dead == []
 
@@ -217,3 +217,40 @@ def test_handler_guard_sees_a_missing_entry():
             "def _build_parser(argv=()):\n"
             "    commands = {'a': ('help', _run_a, [])}\n")
     assert _command_handlers(text) == (["_run_a"], ["_run_a", "_run_b"])
+
+
+def _attribute_reads(text: str, attr: str) -> list:
+    """Line numbers of every x.attr in code (not a definition named attr, a
+    bare name attr or a string)."""
+    return [node.lineno for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute) and node.attr == attr]
+
+
+def _slots(text: str, cls: str) -> list:
+    """The names in the __slots__ tuple of a top-level class."""
+    node = next(n for n in ast.parse(text).body if isinstance(n, ast.ClassDef) and n.name == cls)
+    slots = next(s.value for s in node.body if isinstance(s, ast.Assign)
+                 and [getattr(t, "id", None) for t in s.targets] == ["__slots__"])
+    return [e.value for e in slots.elts]
+
+
+def test_a_table_stores_one_form():
+    # a StructureTable stores its integer rows (s, L) alone; the Fraction
+    # entries are a view derived on every read, for tests and library
+    # callers, so no module of the package reads them
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert {m: lines for m, text in sources.items()
+            if (lines := _attribute_reads(text, "entries"))} == {}
+    assert not any(_names(text, "integer_entries") for text in sources.values())
+    assert set(_slots(sources["superalg"], "StructureTable")) - {"space", "kind", "unit"} == {
+        "_form"}
+
+
+def test_table_form_guards_see_their_cases():
+    text = ("class T:\n    __slots__ = ('a', '_b')\n"
+            "    @property\n    def entries(self):\n        return self._b\n"
+            "entries = {'entries': 1}\n"
+            "x = t.entries\n"
+            "for k in table.entries.items():\n    pass\n")
+    assert _attribute_reads(text, "entries") == [7, 8]
+    assert _slots(text, "T") == ["a", "_b"]

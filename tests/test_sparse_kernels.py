@@ -220,7 +220,7 @@ def test_integer_restricted_table_builds_one_fraction_per_constant():
     F.__new__ = staticmethod(counting)
     try:
         table, _ = restricted_table(gl, basis, "lie")
-        constants = sum(map(len, table.entries.values()))
+        constants = sum(len(terms) for row in table.integer_form()[1] for terms in row.values())
         assert 0 < len(made) <= constants
         seen = len(made)
         F(1, 3)  # the counter sees a construction

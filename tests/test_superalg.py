@@ -28,6 +28,7 @@ from supergrade.superalg import (
 from tests.oracles import (
     Matrix,
     ad_matrix,
+    assert_stored_form,
     basis_element,
     derived_subalgebra_all_brackets,
     kernel,
@@ -265,12 +266,9 @@ def test_quotient_copies_what_the_reduction_keeps(sl22, sl33, psl22):
         assert list(got.table.entries.items()) == list(want.table.entries.items()), name
         assert got.provenance == want.provenance, name
         assert (got.space.parity, got.space.labels) == (want.space.parity, want.space.labels)
-        # the integer form handed over is the one integer_form builds
-        fresh = StructureTable(got.space, "lie", got.table.entries)
-        assert got.table._integer is not None
-        assert [list(r.items()) for r in got.table.integer_form()[1]] == [
-            list(r.items()) for r in fresh.integer_form()[1]], name
-        assert got.table.integer_form()[0] == fresh.integer_form()[0], name
+        # the integer form handed over is the one the checking constructor
+        # builds, and the one _canonical keeps at any scale
+        assert_stored_form(got.table)
 
 
 def test_quotient_reports_the_reduction_errors(sl22, psl22):
@@ -388,6 +386,28 @@ def test_table_rejects_duplicate_targets():
         StructureTable(
             SuperSpace(2, (0, 0)), "lie", {(0, 1): ((0, F(1)), (0, F(2)))}
         )
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({(0.5, 1): ((1, F(1)),)}, r"entry index \(0.5,1\) out of range"),
+    ({(0, 1): ((1.0, F(1)),)}, "entry target 1.0 out of range"),
+    ({(0, "1"): ((1, F(1)),)}, "entry index"),
+    ({(0, 1): ((1, 0.1),)}, r"entry \(0,1,1\) coefficient 0.1 is not an int or a Fraction"),
+    ({(0, 1): ((1, 1.0),)}, "is not an int or a Fraction"),
+    ({(0, 1): ((1, "1/2"),)}, "is not an int or a Fraction"),
+])
+def test_table_rejects_malformed_input(entries, message):
+    # an index that is not an int, or a coefficient that is neither an int
+    # nor a Fraction, is rejected before it reaches the parity lookup or the
+    # integer form (a float would turn 0.1 into 3602879701896397 / 2^55)
+    with pytest.raises(ValidationError, match=message):
+        StructureTable(SuperSpace(2, (0, 0)), "lie", entries)
+
+
+def test_table_accepts_int_and_fraction_coefficients():
+    t = StructureTable(SuperSpace(2, (0, 0)), "lie", {(0, 1): ((1, 3),), (1, 0): ((1, F(-3, 2)),)})
+    assert t.integer_form() == (2, [{1: ((1, 6),)}, {0: ((1, -3),)}])
+    assert t.entries == {(0, 1): ((1, F(3)),), (1, 0): ((1, F(-3, 2)),)}
 
 
 def test_integer_form_of_m11(m11):
