@@ -25,9 +25,13 @@ entry:
   it vanishes for every j exactly when b_i lies in the left nucleus.
 * the fully linearized super Jordan identity, triple i <= j <= k:
   (-1)^{|x||z|}[L_{xy},L_z] + (-1)^{|y||x|}[L_{yz},L_x] + (-1)^{|z||y|}[L_{zx},L_y],
-  expanded as sum s * c_{ab}^m [L_m, L_z] over the three cyclic terms, on
-  the quadruple (i, j, k, w).  Each supercommutator [L_m, L_z] is built
-  once, together with [L_z, L_m] = -(-1)^{|m||z|} [L_m, L_z].
+  expanded as sum s * c_{ab}^m [L_m, L_z] over the cyclic terms (a, b, z),
+  on the quadruple (i, j, k, w).  A term needs c_{ab}^m != 0 and
+  [L_m, L_z] != 0, and sorted(a, b, z) = (i, j, k): only the triples so
+  reached from an ordered pair (a, b) can fail, super-commutative or not.
+  Writing each [L_m, L_z] = g P, P primitive (gcd 1, smallest key
+  positive), collects like terms; the P may be dependent, so only a
+  nonzero sum is added up entry by entry.
 
 Jacobi and associativity are checked on a generating set (_generated).
 On a super-anticommutative table the x with L_x a superderivation form a
@@ -45,15 +49,17 @@ basis element with L_u = 1 (a unit) seeds it, kept per parity.  Basis
 elements outside the closure are then checked, densest row first, and
 join it; a Jacobi pair with both ends verified is checked once.  A failed
 weight pass or any defect runs the full pair loop, which names the first
-failing pair in loop order, as the Jordan check does for its triples: a
-violation names that pair or triple and the smallest nonzero column of
-its expression.
+failing pair in loop order, as the Jordan check does for its triples,
+visiting the live ones in loop order: a violation names that pair or
+triple and the smallest nonzero column of its expression.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import AxiomViolation, MissingUnit
-from .exact import SparseRref
+from .exact import SparseRref, dense_to_sparse
 
 
 def _sign(p, q):
@@ -72,7 +78,7 @@ def _check_swap(table, axiom, flip):
     Only the pairs with an entry in either order can fail.  One pass
     compares each pair's term tuples, from the row of its smaller index
     when both orders have an entry; the first failing pair in (i, j) order
-    is then scanned per k to name the failing k.
+    is then scanned by ascending k to name its smallest failing k.
     """
     par = table.space.parity
     L = table.integer_form()[1]
@@ -89,7 +95,7 @@ def _check_swap(table, axiom, flip):
         i, j = min(failed)
         s = flip * _sign(par[i], par[j])
         lhs, rhs = dict(L[i].get(j, ())), dict(L[j].get(i, ()))
-        for k in set(lhs) | set(rhs):
+        for k in sorted(lhs.keys() | rhs.keys()):
             if lhs.get(k, 0) != s * rhs.get(k, 0):
                 raise AxiomViolation(axiom, (i, j, k))
 
@@ -103,16 +109,17 @@ def check_super_commutativity(table):
 
 
 def check_unit(table):
+    """u b_j = b_j = b_j u for every j, on the integer form: with d u
+    integral (_integer_row), s d e_j on both sides."""
     if table.unit is None:
         raise MissingUnit("table has no unit element")
-    from . import superalg
+    from .superalg import _integer_row, _sparse_product
 
-    unit = [(i, c) for i, c in enumerate(table.unit) if c]
-    for j in range(table.space.dim):
-        ej = {j: 1}
-        left = superalg._product(table, unit, ej.items())
-        right = superalg._product(table, ej.items(), unit)
-        if left != ej or right != ej:
+    s, L = table.integer_form()
+    d, u = _integer_row(dense_to_sparse(table.unit))
+    for j in range(len(L)):
+        ej, want = ((j, 1),), {j: s * d}
+        if _sparse_product(L, u.items(), ej) != want or _sparse_product(L, ej, u.items()) != want:
             raise MissingUnit(f"unit axiom fails on basis element {j}")
 
 
@@ -280,35 +287,37 @@ def check_associativity(table):
 
 
 def check_super_jordan(table):
+    """Raise AxiomViolation at the first failing (i, j, k, w) of the triple
+    loop i <= j <= k, visiting only the live triples."""
     n = table.space.dim
     par = table.space.parity
     _, mults = table.integer_form()
     ops = _operators(mults, par)
-    comms = {}
-
-    def comm(m, z):
-        # [L_m, L_z] at m*n + z, and [L_z, L_m] = -(-1)^{|m||z|} [L_m, L_z] with it
-        op = comms[m * n + z] = _bracket(ops[m], ops[z])
-        sgn = _sign(par[m], par[z])
-        comms[z * n + m] = {k: -sgn * v for k, v in op.items()}
-        return op
-
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                acc = {}
-                # the cyclic terms (-1)^{|a||z|} sum_m c_ab^m [L_m, L_z]
-                for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):
-                    prod = mults[a].get(b)
-                    if prod:
-                        s = _sign(par[a], par[z])
-                        for m, c in prod:
-                            op = comms.get(m * n + z)
-                            if op is None:
-                                op = comm(m, z)
-                            for key, v in op.items():
-                                acc[key] = acc.get(key, 0) + s * c * v
-                if acc:
-                    w = _first_column(acc, n)
-                    if w is not None:
-                        raise AxiomViolation("super_jordan", (i, j, k, w))
+    lin, pid = [{} for _ in range(n)], {}  # lin[m][z] = (g, p): [L_m, L_z] = g * P_p
+    for m in range(n):
+        for z in range(m, n):
+            op = _bracket(ops[m], ops[z])
+            if op:
+                g = gcd(*op.values()) * (1 if op[min(op)] > 0 else -1)
+                p = pid.setdefault(frozenset([(key, v // g) for key, v in op.items()]), len(pid))
+                lin[m][z], lin[z][m] = (g, p), (-_sign(par[m], par[z]) * g, p)
+    prims = list(pid)
+    live = {tuple(sorted((a, b, z))) for a, row in enumerate(mults) for b, terms in row.items()
+            for m, _ in terms for z in lin[m]}
+    for i, j, k in sorted(live):
+        coefs = {}
+        # the cyclic terms (-1)^{|a||z|} sum_m c_ab^m [L_m, L_z], by primitive
+        for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):
+            s = _sign(par[a], par[z])
+            for m, c in mults[a].get(b, ()):
+                e = lin[m].get(z)
+                if e:
+                    coefs[e[1]] = coefs.get(e[1], 0) + s * c * e[0]
+        if any(coefs.values()):
+            acc = {}
+            for p, c in coefs.items():
+                for key, v in prims[p]:
+                    acc[key] = acc.get(key, 0) + c * v
+            w = _first_column(acc, n)
+            if w is not None:
+                raise AxiomViolation("super_jordan", (i, j, k, w))

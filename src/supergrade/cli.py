@@ -78,17 +78,14 @@ def _load_kind(path: str, kind: str, command: str):
     table = sca.parse_sca(_read_text(path))
     if table.kind != kind:
         raise BadParams(f"{command} needs a {kind} SCA file")
-    if kind == "lie":
-        check, wrapper, name = (_axioms.check_super_anticommutativity,
-                                superalg.LieSuperalgebra, "Lie")
-    else:
-        check, wrapper, name = (superalg.validate_jordan,
-                                superalg.JordanSuperalgebra, "Jordan")
     try:
-        check(table)
+        if kind == "jordan":
+            return superalg.validate_jordan(table, {"name": path})
+        _axioms.check_super_anticommutativity(table)
     except (AxiomViolation, MissingUnit) as exc:
+        name = "Jordan" if kind == "jordan" else "Lie"
         raise BadParams(f"{command} needs a {name} superalgebra: {exc}") from exc
-    return wrapper(table, {"name": path})
+    return superalg.LieSuperalgebra(table, {"name": path})
 
 
 def _digest(path: str) -> str:

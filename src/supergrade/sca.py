@@ -21,9 +21,9 @@ parse_sca reads the lines in one pass and builds one Fraction and one
 integer per distinct coefficient text.  It checks every line as it reads
 it (indices, duplicates, zeros) and reports a parity fault after the last
 line, in the order StructureTable checks entries, so the integer rows it
-builds (StructureTable.integer_form) are canonical and go through
-StructureTable._canonical.  write_sca writes from those rows, one text per
-distinct integer value.
+builds (StructureTable.integer_form) are canonical, their scale reduced,
+and skip the gcd pass of StructureTable._canonical.  write_sca writes from
+those rows, one text per distinct integer value.
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ def parse_sca(text: str) -> StructureTable:
                 L[i][j] = ((k, ints[t]),)
             else:
                 L[i][j] = tuple([(k, ints[t]) for k, t in sorted(terms.items())])
-        return StructureTable._canonical(space, kind, (s, L), unit)
+        return StructureTable._canonical(space, kind, (s, L), unit, reduced=True)
     except ValidationError as exc:
         raise ValidationError(f"table invariant violated: {exc}") from exc
 

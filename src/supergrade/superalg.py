@@ -179,19 +179,21 @@ class StructureTable:
         self._check_unit()
 
     @classmethod
-    def _canonical(cls, space: SuperSpace, kind: str, form: tuple, unit=None):
+    def _canonical(cls, space: SuperSpace, kind: str, form: tuple, unit=None, reduced=False):
         """A table on integer rows (t, M) that are canonical but for their
         common scale t > 0 (M[i] = {j: ((k, t c_ij^k), ...)}, row keys
         ascending, terms sorted by distinct k, nonzero, parity-homogeneous),
-        brought to the stored scale by one gcd pass; only the unit is
-        checked.  Callers: parse_sca, which checks each line,
+        brought to the stored scale by one gcd pass (skipped if reduced:
+        gcd(t, every value) = 1); only the unit is checked.  Callers:
+        parse_sca, which checks each line and is reduced (_integer_table),
         quotient_central and cohomology.uce, which copy canonical rows, and
         restricted_table and the builders of constructors and jordan, whose
         sorted products of homogeneous elements are homogeneous.  Tests
         compare the table with __init__ on every fixture, construction and
         TKK algebra, and at several scales t."""
         s, L = form
-        g = gcd(s, *(v for row in L for terms in row.values() for _, v in terms)) if s > 1 else 1
+        g = 1 if reduced or s == 1 else gcd(
+            s, *(v for row in L for terms in row.values() for _, v in terms))
         if g > 1:
             s, L = s // g, [{j: tuple([(k, v // g) for k, v in terms]) for j, terms in row.items()}
                             for row in L]
@@ -391,8 +393,8 @@ def validate_assoc(table: StructureTable, provenance=None) -> AssocSuperalgebra:
 
 
 def validate_jordan(table: StructureTable, provenance=None) -> JordanSuperalgebra:
-    """Check super-commutativity, the unit law, and the fully linearized
-    super Jordan identity on all homogeneous basis quadruples."""
+    """Check the unit law, super-commutativity and the linearized super Jordan
+    identity on every basis quadruple, summed on live triples only (_axioms)."""
     if table.unit is None:
         raise MissingUnit("jordan tables must carry a unit")
     _axioms.check_unit(table)

@@ -53,6 +53,9 @@ as superalg ran them before a table stored only its integer rows.
 assert_stored_form compares a table's stored integer form with the one the
 checking constructor builds from its entries view, and with the one
 StructureTable._canonical brings back from the form at other scales.
+check_super_jordan_by_triples is _axioms.check_super_jordan as it was
+before it visited only the live triples: every i <= j <= k, summing the
+commutators term by term.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ from supergrade.errors import (
     ValidationError,
     WrongAlgebra,
 )
-from supergrade import exact
+from supergrade import _axioms, exact
 from supergrade.sca import _INDEX, _index_error, _parse_rational
 from supergrade.exact import (
     ONE,
@@ -812,9 +815,35 @@ def check_swap_by_fractions(table, axiom: str, flip: int) -> None:
         if lhs == (rhs if s == 1 else tuple((k, -c) for k, c in rhs)):
             continue
         lhs, rhs = dict(lhs), dict(rhs)
-        for k in set(lhs) | set(rhs):
+        for k in sorted(lhs.keys() | rhs.keys()):
             if lhs.get(k, 0) != s * rhs.get(k, 0):
                 raise AxiomViolation(axiom, (i, j, k))
+
+
+def check_super_jordan_by_triples(table) -> None:
+    """_axioms.check_super_jordan on every triple i <= j <= k: the cyclic
+    terms (-1)^{|a||z|} sum_m c_ab^m [L_m, L_z] added up entry by entry,
+    raising at the first triple with a nonzero column."""
+    n = table.space.dim
+    par = table.space.parity
+    _, mults = table.integer_form()
+    ops = _axioms._operators(mults, par)
+    comms = {}
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                acc = {}
+                for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):
+                    s = _axioms._sign(par[a], par[z])
+                    for m, c in mults[a].get(b, ()):
+                        op = comms.get((m, z))
+                        if op is None:
+                            op = comms[m, z] = _axioms._bracket(ops[m], ops[z])
+                        for key, v in op.items():
+                            acc[key] = acc.get(key, 0) + s * c * v
+                w = _axioms._first_column(acc, n)
+                if w is not None:
+                    raise AxiomViolation("super_jordan", (i, j, k, w))
 
 
 def quotient_central_by_reduction(l: LieSuperalgebra, zbasis: Sequence) -> LieSuperalgebra:

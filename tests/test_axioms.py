@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from supergrade import _axioms
 from supergrade import constructors as C
-from supergrade.errors import AxiomViolation, ParseError, ValidationError
+from supergrade.errors import AxiomViolation, MissingUnit, ParseError, ValidationError
 from supergrade.sca import parse_sca
 from supergrade.superalg import StructureTable, SuperSpace, table_product
-from tests.oracles import check_swap_by_fractions
+from tests.oracles import check_super_jordan_by_triples, check_swap_by_fractions
 from tests.test_cli_exit_codes import LINES, damaged
 
 
@@ -162,7 +162,7 @@ def oracle_swap(table, axiom, flip):
             lhs = dict(ent.get((i, j), ()))
             rhs = dict(ent.get((j, i), ()))
             s = flip * (-1 if par[i] and par[j] else 1)
-            for k in set(lhs) | set(rhs):
+            for k in sorted(lhs.keys() | rhs.keys()):
                 if lhs.get(k, 0) != s * rhs.get(k, 0):
                     return (axiom, (i, j, k))
     return None
@@ -376,3 +376,101 @@ def test_generator_counts_are_deterministic(name, count, monkeypatch):
     check(table)
     check(table)
     assert found[0] == found[1] and len(found[0]) == count
+
+
+# Jordan tables for the live-triple check; M(1,1)+ and M(2,2)+ come from
+# the symmetrized matrix superalgebras
+JORDAN = {
+    "jp2": lambda: C.construct_jordan("JP", 2),
+    "jp3": lambda: C.construct_jordan("JP", 3),
+    "m11+": lambda: C.construct_jordan("Mplus", 1),
+    "m22+": lambda: C.construct_jordan("Mplus", 2),
+}
+
+
+@cache
+def jordan_base(name):
+    return JORDAN[name]().table
+
+
+@st.composite
+def perturbed_jordan_tables(draw):
+    """A Jordan table scaled by a constant (still Jordan), with a few
+    parity-homogeneous changes to c_ij^k, each made alone (breaking
+    super-commutativity) or with its partner c_ji^k."""
+    table = jordan_base(draw(st.sampled_from(sorted(JORDAN))))
+    n, par = table.space.dim, table.space.parity
+    scale = draw(st.one_of(st.just(Fraction(1)), small))
+    ent = {key: {k: c * scale for k, c in terms} for key, terms in table.entries.items()}
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        k = draw(st.sampled_from([k for k in range(n) if par[k] == (par[i] + par[j]) % 2]))
+        d = draw(small)
+        partner = draw(st.booleans()) and i != j
+        for key, s in (((i, j), 1), ((j, i), -1 if par[i] & par[j] else 1))[: 1 + partner]:
+            row = ent.setdefault(key, {})
+            row[k] = row.get(k, 0) + s * d
+    entries = {key: tuple(sorted(terms.items())) for key, terms in ent.items()}
+    return StructureTable(table.space, "jordan", entries)
+
+
+@given(perturbed_jordan_tables())
+@settings(max_examples=100, deadline=None)
+def test_live_triple_jordan_check_matches_full_scan(table):
+    assert (_violation(_axioms.check_super_jordan, table)
+            == _violation(check_super_jordan_by_triples, table))
+
+
+def test_jordan_check_falls_back_to_the_full_sum_on_jp3(monkeypatch):
+    # the like terms of JP(3) add up to a nonzero combination of dependent
+    # primitive commutators on some triples; the full sum, whose columns
+    # the check reads only then, vanishes there
+    calls = []
+    first = _axioms._first_column
+    monkeypatch.setattr(_axioms, "_first_column", lambda *a: calls.append(first(*a)) or calls[-1])
+    _axioms.check_super_jordan(jordan_base("jp3"))
+    assert calls == [None] * 8
+
+
+def oracle_unit(table):
+    """The first j with u b_j != b_j or b_j u != b_j, through Fraction
+    products."""
+    e = _basis(table.space.dim)
+    for j, ej in enumerate(e):
+        if table_product(table, table.unit, ej) != ej or table_product(table, ej, table.unit) != ej:
+            return j
+    return None
+
+
+@st.composite
+def perturbed_unital_tables(draw):
+    """A unital table (Jordan or associative) scaled by a constant, with the
+    unit scaled back, a few changed entries, and maybe an even basis element
+    added to the unit."""
+    table = draw(st.sampled_from([jordan_base("jp2"), jordan_base("m11+"), base_table("m11"),
+                                  base_table("matrix11"), base_table("grassmann2")]))
+    n, par = table.space.dim, table.space.parity
+    scale = draw(small)
+    ent = {key: {k: c * scale for k, c in terms} for key, terms in table.entries.items()}
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        k = draw(st.sampled_from([k for k in range(n) if par[k] == (par[i] + par[j]) % 2]))
+        row = ent.setdefault((i, j), {})
+        row[k] = row.get(k, 0) + draw(small)
+    unit = [c / scale for c in table.unit]
+    if draw(st.booleans()):
+        unit[draw(st.sampled_from([h for h in range(n) if not par[h]]))] += draw(small)
+    entries = {key: tuple(sorted(terms.items())) for key, terms in ent.items()}
+    return StructureTable(table.space, table.kind, entries, tuple(unit))
+
+
+@given(perturbed_unital_tables())
+@settings(max_examples=100, deadline=None)
+def test_integer_unit_check_names_the_fraction_witness(table):
+    try:
+        _axioms.check_unit(table)
+        got = None
+    except MissingUnit as exc:
+        got = str(exc)
+    j = oracle_unit(table)
+    assert got == (None if j is None else f"unit axiom fails on basis element {j}")

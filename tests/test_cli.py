@@ -78,6 +78,16 @@ def test_check_names_the_first_jacobi_failure_through_the_fallback(capsys):
                    '"reason":"super_jacobi fails at basis tuple (0, 2, 3)","valid":false}\n')
 
 
+def test_check_names_the_smallest_failing_column_of_a_swap_pair(capsys):
+    # c_{12} = c_{21} = b_2 + b_9: the pair (0, 1) fails at k = 1 and k = 8,
+    # and the check names the smaller k, as the other axiom checks do
+    code, out = run_cli(["check", fx("swap_order.sca")], capsys)
+    assert code == 1
+    assert out == ('{"axiom":"super_anticommutativity","dim":9,"indices":[1,2,2],"kind":"lie",'
+                   '"reason":"super_anticommutativity fails at basis tuple (0, 1, 1)",'
+                   '"valid":false}\n')
+
+
 def test_three_grading_builds_each_integer_form_once(monkeypatch, capsys):
     # a table's integer form is built with the table and is what it stores:
     # every read hands back the same object, and the Fraction entries view
