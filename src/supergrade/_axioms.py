@@ -35,23 +35,34 @@ entry:
 
 Jacobi and associativity are checked on a generating set (_generated).
 On a super-anticommutative table the x with L_x a superderivation form a
-subalgebra: L_{[x,y]} = [L_x, L_y] once L_x is one, and superderivations
+subalgebra D: L_{[x,y]} = [L_x, L_y] once L_x is one, and superderivations
 are closed under the supercommutator (Kac, Adv. Math. 26, 1977).  The left
 nucleus is a subalgebra by the Teichmueller identity (Schafer, An
 Introduction to Nonassociative Algebras, 1966).  So an identity holds once
 its pair (g, j) vanishes for every j and every g of a set whose closure
-under the maps L_g spans the table.  The Jacobi check first makes a weight
-pass over the integer entries: c_ij^k != 0 must give w_k = w_i + w_j for
-the toral weights (StructureTable.toral_columns), so every toral L_h is a
-derivation and each L_g maps a (weight, parity) block into one block.  The
-toral elements seed the closure, kept per block; for associativity a
-basis element with L_u = 1 (a unit) seeds it, kept per parity.  Basis
-elements outside the closure are then checked, densest row first, and
-join it; a Jacobi pair with both ends verified is checked once.  A failed
-weight pass or any defect runs the full pair loop, which names the first
-failing pair in loop order, as the Jordan check does for its triples,
-visiting the live ones in loop order: a violation names that pair or
-triple and the smallest nonzero column of its expression.
+under the maps L_g spans the table.  The closure is kept per parity, which
+each L_g maps into one parity.  For associativity a basis element with
+L_u = 1 (a unit) seeds it.  For Jacobi the toral basis elements S
+(StructureTable.toral_columns: even b_h with [b_h, b_j] in Q b_j) seed it
+unchecked, and the checked generators G still make D the whole table, on
+a super-anticommutative table, where the Jacobiator is alternating:
+
+1. G lies in D.  Each g is checked against every j outside S and the
+   earlier generators, each earlier one was checked against g, so
+   J(g, x, y) = 0 whenever x or y lies outside S; for b_x, b_y in S,
+   [b_x, b_y] = 0 and both act on b_g by scalars, so J(g, x, y) = 0.
+2. The table is span(S) + <G>: L_g b_h is a multiple of b_g, so the
+   closure lies in span(S) + <G>, and it spans the table.
+3. S lies in D.  <G> lies in the subalgebra D, so in J(h, s + u, s' + u')
+   (s, s' in span(S), u, u' in <G>) every term with an entry in <G>
+   vanishes, and so does J(h, s, s'): toral elements bracket to zero.
+
+Basis elements outside the closure are checked, densest row first, and
+join it; a Jacobi pair with both ends verified is checked once.  Any
+defect runs the full pair loop, which names the first failing pair in
+loop order, as the Jordan check does for its triples, visiting the live
+ones in loop order: a violation names that pair or triple and the
+smallest nonzero column of its expression.
 """
 
 from __future__ import annotations
@@ -110,9 +121,8 @@ def check_super_commutativity(table):
 
 def check_unit(table):
     """u b_j = b_j = b_j u for every j, on the integer form: with d u
-    integral (_integer_row), s d e_j on both sides."""
-    if table.unit is None:
-        raise MissingUnit("table has no unit element")
+    integral (_integer_row), s d e_j on both sides.  The table carries a
+    unit: each validator raises its own MissingUnit first."""
     from .superalg import _integer_row, _sparse_product
 
     s, L = table.integer_form()
@@ -190,19 +200,19 @@ def _pair_defect(ops, mults, i, j, swap_sign, n):
 # ---------------------------------------------------------------------------
 
 
-def _generated(mults, ops, par, seed, key, swap) -> list | None:
+def _generated(mults, ops, par, seed, swap) -> list | None:
     """The generators g, each with its pair identity verified, whose closure
-    under the maps L_g together with the verified seed spans the table;
-    None at the first defect.
+    under the maps L_g together with the seed spans the table; None at the
+    first defect.
 
     The basis elements are visited densest row first (index order on ties);
     each one outside the closure is checked against every j, skipping j
     already verified when swap is set (the Jacobi pairs are symmetric), and
-    joins the generators.  The closure is kept per key[j] block, which each
-    L_g maps into one block; a product term names its block."""
+    joins the generators.  The closure is kept per parity, which each L_g
+    maps into one parity; a product term names its parity."""
     n = len(mults)
     dens = [-sum(map(len, row.values())) for row in mults]
-    done, gens, vecs, spans = set(seed), [], [], {}
+    done, gens, vecs, spans = set(seed), [], [], (SparseRref(n), SparseRref(n))
     work = [(None, {i: 1}) for i in seed]  # (h, v): add L_h v, or v for h None
     for g in sorted(range(n), key=dens.__getitem__):
         while work and len(vecs) < n:
@@ -213,15 +223,12 @@ def _generated(mults, ops, par, seed, key, swap) -> list | None:
                     for k, c in row.get(t, ()):
                         acc[k] = acc.get(k, 0) + a * c
                 v = acc
-            if v:
-                k = key[next(iter(v))]
-                sr = spans.get(k) or spans.setdefault(k, SparseRref(n))
-                if sr.insert(v) is not None:
-                    vecs.append(v)
-                    work += [(x, v) for x in gens]
+            if v and spans[par[next(iter(v))]].insert(v) is not None:
+                vecs.append(v)
+                work += [(x, v) for x in gens]
         if len(vecs) == n:
             break
-        if key[g] in spans and spans[key[g]].contains({g: 1}):
+        if spans[par[g]].contains({g: 1}):
             continue
         for j in range(n):
             if (j not in done or not swap) and _pair_defect(
@@ -242,19 +249,8 @@ def check_super_jacobi(table):
     par = table.space.parity
     _, mults = table.integer_form()
     ops = _operators(mults, par)
-    # the weight pass on packed weights: enc[j] = sum_t w_j[t] b^t with
-    # |w_j[t]| <= M is injective on w_i + w_j - w_k, whose digits lie within
-    # 3M < b / 2
-    toral = table.toral_columns()
-    b = 6 * max([abs(v) for col in toral.values() for v in col.values()], default=0) + 1
-    enc = [0] * n
-    for t, col in enumerate(toral.values()):
-        for j, v in col.items():
-            enc[j] += v * b**t
-    if all(enc[k] == e + enc[j] for e, row in zip(enc, mults)
-           for j, terms in row.items() for k, _ in terms):
-        if _generated(mults, ops, par, sorted(toral), list(zip(enc, par)), True) is not None:
-            return
+    if _generated(mults, ops, par, sorted(table.toral_columns()), True) is not None:
+        return
     for i in range(n):
         for j in range(i, n):
             w = _pair_defect(ops, mults, i, j, _sign(par[i], par[j]), n)
@@ -272,7 +268,7 @@ def check_associativity(table):
     ops = _operators(mults, par)
     one = {j: ((j, s),) for j in range(n)}
     seed = [u for u in range(n) if mults[u] == one]
-    if _generated(mults, ops, par, seed, par, False) is not None:
+    if _generated(mults, ops, par, seed, False) is not None:
         return
     for i in range(n):
         for j in range(n):

@@ -59,6 +59,13 @@ NEGATIVE_VERDICT_ERRORS = (
     NotPerfect,
 )
 
+
+def _write_json(path: str, data: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -68,11 +75,7 @@ def _load_kind(path: str, kind: str, command: str):
     """The algebra of an SCA file, for a command that reads only tables of
     one kind.  A table that fails its axioms is an input error: a Jordan
     table must pass validate_jordan, a Lie table super-anticommutativity
-    (not yet the Jacobi identity).  check_super_jacobi on a generating set
-    would add, in process on a 2-vCPU host (measured when the check also
-    built the integer form, which a table now stores): 0.6 ms on psl(2,2),
-    2.9 on psl(3,3), 8.0 on psl(4,4), 7.6 on sl(4,4), 8.0 on uce(psl(4,4)),
-    0.7 on tkk(M(1,1)+), 42 on tkk(JP(4)) and 8.8 on the slA table."""
+    (not yet the Jacobi identity; ROADMAP.md item 1 has its cost at load)."""
     from . import _axioms, sca, superalg
 
     table = sca.parse_sca(_read_text(path))
@@ -151,9 +154,7 @@ class _Output:
                 "inputs": {p: _digest(p) for p in self.inputs},
                 "result": result,
             }
-            with open(out, "w", encoding="utf-8") as fh:
-                json.dump(envelope, fh, sort_keys=True, indent=2)
-                fh.write("\n")
+            _write_json(out, envelope)
         sys.stdout.write(json.dumps(result, sort_keys=True, separators=(",", ":")) + "\n")
 
 
@@ -220,11 +221,14 @@ def _run_construct(args, out: _Output) -> int:
 
     what = args.what
     params = args.params
-    cover_map = None
     low, high = _CONSTRUCT_ARITY[what]
     if len(params) < low or (high is not None and len(params) > high):
         want = f"{low}" if low == high else f"at least {low}"
         raise BadParams(f"construct {what} takes {want} parameters, got {len(params)}")
+    if what == "slA":
+        m, n = _int_params(what, "m n", params[:2])
+    if args.cover_out and (what != "slA" or m != n):
+        raise BadParams("--cover-out is only available for construct slA with m == n")
     if what == "gl":
         alg = constructors.construct_gl(*_int_params(what, "m n", params))
     elif what == "sl":
@@ -232,15 +236,13 @@ def _run_construct(args, out: _Output) -> int:
     elif what == "psl":
         alg = constructors.construct_psl(*_int_params(what, "n", params))
     elif what == "slA":
-        m, n = _int_params(what, "m n", params[:2])
-        coeff = _coefficient_algebra(params[2], params[3:])
-        alg = constructors.construct_sl_A(m, n, coeff)
-        if m == n:
-            cover_map = {
+        alg = constructors.construct_sl_A(m, n, _coefficient_algebra(params[2], params[3:]))
+        if args.cover_out:
+            _write_json(args.cover_out, {
                 "kind": "sl",
                 "n": m - 1,
                 "images": [_vec_json(v) for v in alg.provenance["cover_images"]],
-            }
+            })
     elif what == "assoc":
         alg = _coefficient_algebra(params[0], params[1:])
     elif what == "mplus":
@@ -251,12 +253,6 @@ def _run_construct(args, out: _Output) -> int:
         alg = constructors.construct_jordan("JQ", *_int_params(what, "n", params))
     else:  # m11
         alg = constructors.construct_jordan("M11")
-    if args.cover_out:
-        if cover_map is None:
-            raise BadParams("--cover-out is only available for construct slA with m == n")
-        with open(args.cover_out, "w", encoding="utf-8") as fh:
-            json.dump(cover_map, fh, sort_keys=True, indent=2)
-            fh.write("\n")
     return _emit_sca(args, out, alg.table, {"dim": alg.dim, "kind": alg.kind})
 
 
@@ -489,6 +485,10 @@ def _run_three_grading(args, out: _Output) -> int:
 def _run_tkk(args, out: _Output) -> int:
     from . import jordan
 
+    if args.m11 and not args.cover_out:
+        raise BadParams("--m11 needs --cover-out to store the generated cover")
+    if args.cover_out and not args.m11:
+        raise BadParams("--cover-out needs --m11")
     l = _load_kind(args.file, "jordan", "tkk")
     elements = _load_m11_elements(args.m11, l.dim) if args.m11 else None
     t = jordan.tkk(l)
@@ -499,18 +499,8 @@ def _run_tkk(args, out: _Output) -> int:
                 f"the given elements fail the M(1,1)+ relations: {cert.failures()}"
             )
         gens = jordan.m11_tkk_generators(t, cert)
-        if not args.cover_out:
-            raise BadParams("--m11 needs --cover-out to store the generated cover")
-        with open(args.cover_out, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"kind": "m11", "images": {k: _vec_json(v) for k, v in gens.items()}},
-                fh,
-                sort_keys=True,
-                indent=2,
-            )
-            fh.write("\n")
-    elif args.cover_out:
-        raise BadParams("--cover-out needs --m11")
+        _write_json(args.cover_out,
+                    {"kind": "m11", "images": {k: _vec_json(v) for k, v in gens.items()}})
     return _emit_sca(args, out, t.lie.table, {"dim": t.dim})
 
 

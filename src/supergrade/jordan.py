@@ -32,7 +32,6 @@ from .errors import (
     NotIdempotent,
     NotThreeGraded,
     UnexpectedEigenvalue,
-    UnitFailure,
     ValidationError,
 )
 from .exact import (
@@ -151,11 +150,13 @@ class TKKAlgebra:
 
 
 def _pair_parity(row: dict, j: JordanSuperalgebra) -> int:
+    """The parity of a nonzero RREF row of inner operators, read off one
+    entry (r, c): |b_r| + |b_c|.  On a parity-homogeneous table each D(a, b)
+    has one parity, and rows of the two parities use disjoint columns, so
+    every RREF row has one parity."""
     n, par = j.dim, j.parity
-    seen = {(par[idx // n % n] + par[idx % n]) % 2 for idx in row}
-    if len(seen) > 1:
-        raise ValidationError("inner operator is not parity-homogeneous")
-    return seen.pop() if seen else 0
+    idx = next(iter(row))
+    return (par[idx // n % n] + par[idx % n]) % 2
 
 
 def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
@@ -333,14 +334,11 @@ def jordan_from_3grading(l: LieSuperalgebra, e, f) -> JordanSuperalgebra:
                 )
             if coords:
                 entries[(i, k)] = tuple(coords.items())
+    # e lies in L(1) by its +2 test above, and e.x = [h, x]/2 = x on L(1)
+    # exactly; validate_jordan checks the unit law again
     unit = to_j.sparse_coords(se)
-    if unit is None:
-        raise NotThreeGraded("e does not lie in L(1)")
     space = SuperSpace(m, tuple(parities))
     table = StructureTable(space, "jordan", entries, unit=sparse_to_dense(unit, m))
-    for i in range(m):
-        if _product(table, unit.items(), ((i, ONE),)) != {i: ONE}:
-            raise UnitFailure(f"e.x != x for L(1) basis vector {i}")
     prov = {"name": f"J(L(1) of {l.provenance.get('name', 'L')})", "l1_basis": jbasis}
     return validate_jordan(table, prov)
 

@@ -111,11 +111,8 @@ def _eigen_split(cols: list, witness: str):
 
     Diagnoses the failure mode exactly: an irrational eigenvalue raises
     NonSplitSpectrum, a repeated root of the minimal polynomial raises
-    NotDiagonalizable.
+    NotDiagonalizable.  The one caller passes a non-empty component.
     """
-    d = len(cols)
-    if d == 0:
-        return []
     mp = min_poly(cols)
     roots, cofactor = rational_roots(mp)
     if poly_degree(cofactor) > 0:
@@ -127,7 +124,7 @@ def _eigen_split(cols: list, witness: str):
                 eigenvalue=lam,
                 witness=witness,
             )
-    rows = sparse_transpose(cols, d)
+    rows = sparse_transpose(cols, len(cols))
     return [(lam, eigenspace(rows, lam)) for lam, _ in roots]
 
 
@@ -170,7 +167,7 @@ def _toral_datum(l: LieSuperalgebra, cartan: CartanBasis) -> RootDatum | None:
     for wt, idx in sorted(groups.items()):
         odd = sum(par[j] for j in idx)
         comps.append(RootComponent(wt, [unit_vec(n, j) for j in idx], len(idx) - odd, odd))
-    return _datum(cartan, comps, n)
+    return _datum(cartan, comps)
 
 
 def _refined_datum(l: LieSuperalgebra, cartan: CartanBasis) -> RootDatum:
@@ -216,14 +213,15 @@ def _refined_datum(l: LieSuperalgebra, cartan: CartanBasis) -> RootDatum:
             ev += p == 0
             od += p == 1
         components.append(RootComponent(wt, rows, ev, od))
-    return _datum(cartan, components, n)
+    return _datum(cartan, components)
 
 
-def _datum(cartan: CartanBasis, comps: list, n: int) -> RootDatum:
-    """The RootDatum of components sorted by weight, split at weight 0."""
+def _datum(cartan: CartanBasis, comps: list) -> RootDatum:
+    """The RootDatum of components sorted by weight, split at weight 0.
+    The components fill the algebra: the toral read-off puts every basis
+    element in a group, and the refinement splits each component into
+    eigenspaces that fill it, or raises."""
     zero_wt = (ZERO,) * len(cartan.elements)
-    if sum(c.dim for c in comps) != n:
-        raise ValidationError("weight spaces do not fill the algebra")
     zero = next((c for c in comps if c.weight == zero_wt), None)
     components = [c for c in comps if c is not zero]
     if zero is None:
@@ -458,12 +456,8 @@ def _analyze_m11_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalys
     parts = [({t: x for t, x in r.items() if t < nl},
               {t - nl: x for t, x in r.items() if t >= nl}) for r in rows]
 
-    psi_rank = SparseRref(np_)
-    for _, p in parts:
-        psi_rank.insert(p)
-    if psi_rank.rank != np_:
-        raise NotHomomorphism("generated cover does not map onto psl(2,2)")
-
+    # the psl(2,2) parts span psl(2,2): the span of the rows is closed under
+    # the product, and the targets generate psl(2,2)
     kern = kernel_from_rows(sparse_transpose([p for _, p in parts], np_), s_dim)
     for kv in kern:
         zl = sparse_apply([v for v, _ in parts], dense_to_sparse(kv)).items()
@@ -698,12 +692,11 @@ def three_grading(l: LieSuperalgebra, datum: RootDatum, style: str, h=None) -> T
                         "ad(h) acts with mixed eigenvalues inside one component",
                         witness=comp.weight,
                     )
-            key = 0 if lam == 0 else (1 if lam == TWO else -1)
-            if comp is datum.zero_component:
-                if key != 0:
-                    raise NotThreeGraded("zero component escapes L(0)")
-            else:
-                parts[key].extend(comp.basis)
+            # lam is 0 on the zero component: ad h = lam there is ruled out by
+            # [h, c] lying in the nonzero weight spaces for a Cartan element c
+            # (by [h_0, h_0] = 0 for the even part h_0 of h if there is none)
+            if comp is not datum.zero_component:
+                parts[0 if lam == 0 else (1 if lam == TWO else -1)].extend(comp.basis)
     else:
         raise BadParams(f"unknown three-grading style {style!r}")
 

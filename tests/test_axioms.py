@@ -378,6 +378,21 @@ def test_generator_counts_are_deterministic(name, count, monkeypatch):
     assert found[0] == found[1] and len(found[0]) == count
 
 
+def test_jacobi_names_the_pair_loop_tuple_when_toral_weights_stop_adding():
+    # psl22.sca with c_{9,1}^1 and c_{1,9}^1 doubled: b_9 stays toral, so it
+    # seeds the closure unchecked, but its weights no longer add
+    text = "".join(LINES["psl22.sca"])
+    table = parse_sca(text.replace("sc 1 9 1 -1\n", "sc 1 9 1 -2\n")
+                          .replace("sc 9 1 1 1\n", "sc 9 1 1 2\n"))
+    assert 8 in table.toral_columns()
+    w = table.toral_weights()
+    assert any(w[k] != tuple(a + b for a, b in zip(w[i], w[j]))
+               for (i, j), terms in table.entries.items() for k, _ in terms)
+    with pytest.raises(AxiomViolation) as err:
+        _axioms.check_super_jacobi(table)
+    assert ("super_jacobi", err.value.indices) == pair_loop(table) == oracle_jacobi(table)
+
+
 # Jordan tables for the live-triple check; M(1,1)+ and M(2,2)+ come from
 # the symmetrized matrix superalgebras
 JORDAN = {

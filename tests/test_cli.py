@@ -12,9 +12,10 @@ import pytest
 
 from supergrade import cli
 from supergrade.cli import main
-from supergrade.sca import parse_sca
+from supergrade.sca import parse_sca, write_sca
 from supergrade.superalg import StructureTable, SuperSpace
 from tests.conftest import JP4_M11_ELEMENTS
+from tests.test_cli_exit_codes import LINES
 from tests.oracles import assert_stored_form
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -151,6 +152,10 @@ def test_construct_gl_without_parameters_exits_2(capsys):
     (["gl", "3", "-1"], "gl(m,n) needs m, n >= 0"),
     (["sl", "-1", "3"], "sl(m,n) needs m, n >= 0"),
     (["assoc", "matrix_super", "-1", "2"], "matrix_super(p,q) needs p, q >= 0"),
+    (["slA", "2", "2", "field", "1"], "field takes no parameters"),
+    (["assoc", "grassmann"], "grassmann takes one parameter k"),
+    (["slA", "2", "2", "matrix_super", "1"], "matrix_super takes two parameters p q"),
+    (["slA", "2", "2", "octonions"], "unknown coefficient algebra 'octonions'"),
 ])
 def test_construct_negative_parameter_names_the_failed_condition(argv, message, capsys):
     code = main(["construct", *argv])
@@ -1007,3 +1012,135 @@ def test_unwritable_report_exits_2_with_empty_stdout(command, tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("supergrade: error: FileNotFoundError")
+
+
+# --- flag combinations are checked before any file is read ----------------
+
+
+def test_tkk_m11_without_cover_out_exits_2_before_the_maths(tmp_path, monkeypatch, capsys):
+    # a quadruple that fails the M(1,1)+ relations would give a UnitFailure
+    # verdict if the construction ran first
+    from supergrade import jordan
+
+    called = []
+    monkeypatch.setattr(jordan, "tkk", lambda *a: called.append(a) or 1 / 0)
+    elems = tmp_path / "elems.json"
+    elems.write_text(json.dumps({k: [1, 0, 0, 0] for k in ("e1", "e2", "x", "y")}))
+    assert main(["tkk", fx("m11.sca"), "--m11", str(elems)]) == 2
+    assert capsys.readouterr() == ("", "supergrade: error: BadParams: --m11 needs --cover-out "
+                                       "to store the generated cover\n")
+    cover = tmp_path / "c.json"
+    assert main(["tkk", str(tmp_path / "missing.sca"), "--cover-out", str(cover)]) == 2
+    assert capsys.readouterr() == ("", "supergrade: error: BadParams: --cover-out needs --m11\n")
+    assert not called and not cover.exists()
+
+
+def test_construct_sl_with_cover_out_exits_2_and_writes_nothing(tmp_path, capsys):
+    cover = tmp_path / "x.json"
+    assert main(["construct", "sl", "3", "3", "--cover-out", str(cover)]) == 2
+    assert capsys.readouterr() == ("", "supergrade: error: BadParams: --cover-out is only "
+                                       "available for construct slA with m == n\n")
+    assert not cover.exists()
+
+
+# --- one case per output, input error or verdict path ---------------------
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["fingerprint", "psl22.sca", "--cartan", "@psl22_h1.vec", "--cartan", "@psl22_h2.vec"], 0,
+     '{"center_dim":0,"derived_series":[14],"dims":[6,8],"h2":[3,0],'
+     '"root_multiset":[[["-1","-1"],0,2],[["-1","1"],0,2],[["-2","0"],1,0],[["0","-2"],1,0],'
+     '[["0","2"],1,0],[["1","-1"],0,2],[["1","1"],0,2],[["2","0"],1,0]]}\n'),
+    # gl(2,2) is not perfect: its derived algebra is sl(2,2)
+    (["fingerprint", "gl22.sca"], 0,
+     '{"center_dim":1,"derived_series":[16,15],"dims":[8,8],"h2":[0,0],'
+     '"root_multiset":null}\n'),
+    # h = 2 E(1,1) + 2 E(2,2) in gl(2,2) acts by -2 on E(1b,1) and by 2 on
+    # E(2,2b), which share their weight under the Cartan of sl(2,2)
+    (["three-grading", "gl22.sca", "--cover", "sl22", "--style", "sl2",
+      "--h", "2,0,0,0,0,2,0,0,0,0,0,0,0,0,0,0"], 1,
+     '{"error":"NotThreeGraded","message":"ad(h) acts with mixed eigenvalues inside one '
+     'component","verdict":"negative"}\n'),
+    # f + e: [e, f + e] = [e, f], but ad h moves f + e off the -2 eigenspace
+    (["jordan-from-grading", "tkk_m11.sca", "--e", "@tkk_m11_e.vec",
+      "--f", "1,1,0,0,0,0,0,0,0,0,1,1,0,0"], 1,
+     '{"error":"NotThreeGraded","message":"f is not in the -2 eigenspace of ad[e,f]",'
+     '"verdict":"negative"}\n'),
+], ids=lambda a: " ".join(a[:2]) if isinstance(a, list) else None)
+def test_command_stdout_is_pinned(argv, code, out, capsys):
+    assert run_cli(argv, capsys, cwd=FIXTURES) == (code, out)
+
+
+def test_check_on_a_jordan_file_without_a_unit_line_is_a_negative_verdict(tmp_path, capsys):
+    path = tmp_path / "nounit.sca"
+    path.write_text("SCA/1\nkind jordan\ndim 1\nparity 0\nsc 1 1 1 1\nend\n")
+    code, out = run_cli(["check", path], capsys)
+    assert code == 1
+    assert out == ('{"dim":1,"kind":"jordan","reason":"jordan tables must carry a unit",'
+                   '"valid":false}\n')
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decompose", "psl22.sca", "--cartan", "1,0,0,0,0,0,0,0,0,0,0,0,0,0",
+      "--cartan", "0,0,0,1,0,0,0,0,0,0,0,0,0,0"],
+     "ValidationError: Cartan elements must commute pairwise"),
+    (["three-grading", "psl22.sca", "--cover", "psl22", "--style", "sl2"],
+     "BadParams: sl2 style needs the designated even element h"),
+    (["verify-grading", "tkk_m11.sca", "--cover", "m11"],
+     "BadParams: --cover m11 needs --cover-map with the eight generators"),
+], ids=lambda a: " ".join(a[:2]) if isinstance(a, list) else None)
+def test_input_error_names_its_cause(argv, message, capsys):
+    assert main([fx(a) if a.endswith(".sca") else a for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"supergrade: error: {message}\n")
+
+
+def test_cover_resolution_without_labels_or_cover_map_exits_2(tmp_path, capsys):
+    path = tmp_path / "unlabeled.sca"
+    path.write_text("".join(line for line in LINES["psl22.sca"] if not line.startswith("label")))
+    assert main(["verify-grading", str(path), "--cover", "psl22"]) == 2
+    assert capsys.readouterr() == ("", "supergrade: error: BadParams: cover resolution "
+                                       "without --cover-map needs labeled bases\n")
+
+
+def _crafted_cover(case, tmp_path) -> list:
+    """verify-grading arguments for a cover map that fails condition 1:
+    psl(2,2) with two equal images; tkk(M(1,1)+) with e1 sent to 0;
+    tkk(M(1,1)+) twice, with e1 and e1~ sent to both copies and the other
+    generators to the first; or tkk(M(1,1)+) plus an even central c, with
+    e1 sent to e1 + c."""
+    cover = tmp_path / "cover.json"
+    if case == "dependent":
+        images = [["1" if i == k else "0" for i in range(14)] for k in range(14)]
+        images[13] = images[0]
+        cover.write_text(json.dumps({"images": images}))
+        return [fx("psl22.sca"), "--cover", "psl22", "--cover-map", cover]
+    table = parse_sca((FIXTURES / "tkk_m11.sca").read_text())
+    images = json.loads((FIXTURES / "tkk_m11_cover.json").read_text())["images"]
+    n, par, entries = table.space.dim, table.space.parity, dict(table.entries)
+    if case == "zero":
+        images["e1"] = ["0"] * n
+    elif case == "twice":
+        entries.update({(n + i, n + j): tuple((n + k, c) for k, c in terms)
+                        for (i, j), terms in table.entries.items()})
+        par += par
+        images = {k: v + (v if k in ("e1", "e1~") else ["0"] * n) for k, v in images.items()}
+    else:
+        par += (0,)
+        images = {k: v + ["1" if k == "e1" else "0"] for k, v in images.items()}
+    sca_path = tmp_path / "l.sca"
+    sca_path.write_text(write_sca(StructureTable(SuperSpace(len(par), par), "lie", entries)))
+    cover.write_text(json.dumps({"images": images}))
+    return [sca_path, "--cover", "m11", "--cover-map", cover]
+
+
+@pytest.mark.parametrize("case, reason", [
+    ("dependent", "cover embedding is not injective"),
+    ("zero", "generated subalgebra has a relation that fails in psl(2,2); "
+             "the generators do not span a central cover"),
+    ("twice", "kernel of the cover map is not central"),
+    ("central", "generated cover is not perfect"),
+])
+def test_verify_grading_names_a_failed_cover(case, reason, tmp_path, capsys):
+    code, out = run_cli(["verify-grading", *_crafted_cover(case, tmp_path)], capsys)
+    assert code == 1
+    assert json.loads(out)["conditions"] == {"condition1": {"passed": False, "reason": reason}}

@@ -78,6 +78,9 @@ def test_comments_and_blank_lines():
         ("sc 1 01 1 1", "malformed sc index '01'"),
         ("sc 1 1 0_1 1", "malformed sc index '0_1'"),
         ("sc 1 1 \u0661 1", "malformed sc index"),
+        ("unit 1 1", "expected 'unit i'"),
+        ("unit 2", "unit index 2 out of range"),
+        ("end junk", "junk after 'end'"),
     ],
 )
 def test_bad_sc_lines(mutation, message):
@@ -86,6 +89,12 @@ def test_bad_sc_lines(mutation, message):
         parse_sca(doc)
     assert message in str(err.value)
     assert err.value.line == 5
+
+
+def test_parity_bits_must_be_0_or_1():
+    with pytest.raises(ParseError) as err:
+        parse_sca("SCA/1\nkind lie\ndim 1\nparity 2\nend\n")
+    assert str(err.value) == "line 4: parity bits must be 0 or 1"
 
 
 def test_dim_must_be_ascii_digits():
