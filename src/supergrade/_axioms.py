@@ -26,7 +26,8 @@ entry:
 * the fully linearized super Jordan identity, triple i <= j <= k:
   (-1)^{|x||z|}[L_{xy},L_z] + (-1)^{|y||x|}[L_{yz},L_x] + (-1)^{|z||y|}[L_{zx},L_y],
   expanded as sum s * c_{ab}^m [L_m, L_z] over the cyclic terms (a, b, z),
-  on the quadruple (i, j, k, w).  A term needs c_{ab}^m != 0 and
+  on the quadruple (i, j, k, w).  The [L_m, L_z] come from _commutators,
+  which jordan.tkk reads too.  A term needs c_{ab}^m != 0 and
   [L_m, L_z] != 0, and sorted(a, b, z) = (i, j, k): only the triples so
   reached from an ordered pair (a, b) can fail, super-commutative or not.
   Writing each [L_m, L_z] = g P, P primitive (gcd 1, smallest key
@@ -178,6 +179,35 @@ def _bracket(a: tuple, b: tuple) -> dict:
     return {k: v for k, v in acc.items() if v}
 
 
+_MEMO = [None, None]  # [integer form, (operators, commutators)] of the last table
+
+
+def _commutators(table) -> tuple:
+    """(ops, comm) of a table: ops[i] = L_i (_operators) and comm[m] =
+    {z: [L_m, L_z]} over the z >= m with a nonzero commutator.
+
+    check_super_jordan and jordan.tkk both read them, so a command that
+    loads a Jordan table and builds its TKK algebra makes one commutator
+    pass.  The memo holds one entry, keyed by the identity of the table's
+    integer form: a table's form is never mutated after construction
+    (integer_form), each table has its own form object, and the memo holds
+    a reference to it rather than its id, so the key cannot be reused by
+    another table while the entry lives.  Callers must not mutate the
+    result."""
+    form = table.integer_form()
+    if _MEMO[0] is not form:
+        par = table.space.parity
+        ops = _operators(form[1], par)
+        comm = [{} for _ in ops]
+        for m, op in enumerate(ops):
+            for z in range(m, len(ops)):
+                c = _bracket(op, ops[z])
+                if c:
+                    comm[m][z] = c
+        _MEMO[:] = form, (ops, comm)
+    return _MEMO[1]
+
+
 def _first_column(acc: dict, n: int):
     """Smallest column of a flat acc with a nonzero entry, or None."""
     return min((k % n for k, v in acc.items() if v), default=None)
@@ -288,18 +318,20 @@ def check_super_jordan(table):
     n = table.space.dim
     par = table.space.parity
     _, mults = table.integer_form()
-    ops = _operators(mults, par)
     lin, pid = [{} for _ in range(n)], {}  # lin[m][z] = (g, p): [L_m, L_z] = g * P_p
-    for m in range(n):
-        for z in range(m, n):
-            op = _bracket(ops[m], ops[z])
-            if op:
-                g = gcd(*op.values()) * (1 if op[min(op)] > 0 else -1)
-                p = pid.setdefault(frozenset([(key, v // g) for key, v in op.items()]), len(pid))
-                lin[m][z], lin[z][m] = (g, p), (-_sign(par[m], par[z]) * g, p)
+    for m, row in enumerate(_commutators(table)[1]):
+        for z, op in row.items():
+            g = gcd(*op.values()) * (1 if op[min(op)] > 0 else -1)
+            p = pid.setdefault(frozenset([(key, v // g) for key, v in op.items()]), len(pid))
+            lin[m][z], lin[z][m] = (g, p), (-_sign(par[m], par[z]) * g, p)
     prims = list(pid)
-    live = {tuple(sorted((a, b, z))) for a, row in enumerate(mults) for b, terms in row.items()
-            for m, _ in terms for z in lin[m]}
+    live = set()
+    for a, row in enumerate(mults):
+        for b, terms in row.items():
+            lo, hi = (a, b) if a <= b else (b, a)
+            for m, _ in terms:
+                for z in lin[m]:
+                    live.add((z, lo, hi) if z <= lo else (lo, z, hi) if z <= hi else (lo, hi, z))
     for i, j, k in sorted(live):
         coefs = {}
         # the cyclic terms (-1)^{|a||z|} sum_m c_ab^m [L_m, L_z], by primitive

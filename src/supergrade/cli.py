@@ -490,14 +490,14 @@ def _run_tkk(args, out: _Output) -> int:
     if args.cover_out and not args.m11:
         raise BadParams("--cover-out needs --m11")
     l = _load_kind(args.file, "jordan", "tkk")
-    elements = _load_m11_elements(args.m11, l.dim) if args.m11 else None
-    t = jordan.tkk(l)
-    if args.m11:
-        cert = jordan.certify_m11(l, *elements)
+    if args.m11:  # the certificate needs no TKK algebra, so a failing one costs no build
+        cert = jordan.certify_m11(l, *_load_m11_elements(args.m11, l.dim))
         if not cert.passed:
             raise UnitFailure(
                 f"the given elements fail the M(1,1)+ relations: {cert.failures()}"
             )
+    t = jordan.tkk(l)
+    if args.m11:
         gens = jordan.m11_tkk_generators(t, cert)
         _write_json(args.cover_out,
                     {"kind": "m11", "images": {k: _vec_json(v) for k, v in gens.items()}})

@@ -12,20 +12,23 @@ factor 2 normalizes h = [e, f] (e, f the unit copies) to act with
 eigenvalues 0, +-2.  An element of T(0) is a sparse row over the
 two-block flattened 2*(dim J)^2 coordinates of its two matrices, the T(1)
 block first and the T(-1) block second, in the operator layout of
-_axioms.  T(0) is the span of the n^2 rows D(b_a, b_b), eliminated once in
-one SparseRref as integer rows (over StructureTable.integer_form).  No
-closure loop is needed: on a Jordan input this span, the inner structure
-algebra, is closed under the supercommutator (Kac, Adv. Math. 1977), and
-the construction verifies exactly that every bracket of two basis
-operators lies in it, raising JacobiFailure otherwise.  Entries are
-Python ints, so no bound is needed against overflow.
+_axioms.  T(0) is the span of the n^2 rows D(b_a, b_b), built as integer
+rows (over StructureTable.integer_form) from the commutators [L_a, L_b]
+that the Jordan check computed (_axioms._commutators); each distinct
+nonzero row is eliminated once in one SparseRref, whose RREF does not
+depend on repeats or order.  No closure loop is needed: on a Jordan input
+this span, the inner structure algebra, is closed under the
+supercommutator (Kac, Adv. Math. 1977), and the construction verifies
+exactly that every nonzero bracket of two basis operators lies in it,
+raising JacobiFailure otherwise.  Entries are Python ints, so no bound is
+needed against overflow.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ._axioms import _bracket, _operator, _operators
+from ._axioms import _bracket, _commutators, _operator
 from .errors import (
     JacobiFailure,
     NonSplitSpectrum,
@@ -60,6 +63,7 @@ from .superalg import (
     SuperSpace,
     ThreeGrading,
     _coords,
+    _integer_row,
     _product,
     _sparse_element,
     _sparse_product,
@@ -171,41 +175,42 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
 
     den_j, mults = j.table.integer_form()
     scale = den_j * den_j  # D(a,b) entries are 2*(products of two table constants)
-    ops = _operators(mults, par)  # L_a scaled by den_j
+    ops, comm = _commutators(j.table)  # L_a scaled by den_j, and [L_a, L_b] for a <= b
 
-    def d_row(a: int, b: int, rest: dict) -> dict:
+    def d_row(a: int, b: int) -> dict:
         # D(b_a, b_b) scaled by den_j^2 and flattened: with first = L_{ab}
-        # and rest = [L_a, L_b], entry (r, t) of the T(1) block at r*n + t
-        # holds 2 (first + rest), of the T(-1) block at n*n + r*n + t holds
-        # 2 (rest - first).
+        # and rest = [L_a, L_b] = -(-1)^{|a||b|} [L_b, L_a], entry (r, t) of
+        # the T(1) block at r*n + t holds 2 (first + rest), of the T(-1)
+        # block at n*n + r*n + t holds 2 (rest - first).
         first = {}
         for m, c in mults[a].get(b, ()):
             for k, v in ops[m][0].items():
                 first[k] = first.get(k, 0) + c * v
+        rest, sgn = ((comm[a].get(b, {}), 1) if a <= b else
+                     (comm[b].get(a, {}), 1 if par[a] and par[b] else -1))
         row = {}
         for k in first.keys() | rest.keys():
-            f, g = first.get(k, 0), rest.get(k, 0)
+            f, g = first.get(k, 0), sgn * rest.get(k, 0)
             if f + g:
                 row[k] = 2 * (f + g)
             if g - f:
                 row[nn + k] = 2 * (g - f)
         return row
 
-    # inner part: the span of the D(a,b), with [L_b, L_a] = -(-1)^{|a||b|}
-    # [L_a, L_b].  No closure is needed: on a Jordan input the span is
-    # closed under the supercommutator, and the [s, t] loop below verifies
-    # exactly that every bracket of two basis operators lies in it.
-    d_rows = {}
+    # inner part: the span of the D(a,b).  No closure is needed: on a Jordan
+    # input the span is closed under the supercommutator, and the [s, t]
+    # loop below verifies exactly that every bracket of two basis operators
+    # lies in it.  Each distinct nonzero row is inserted once; d_of[a, b] is
+    # its index in d_rows.
+    sr, distinct, d_rows, d_of = SparseRref(2 * nn), {}, [], {}
     for a in range(n):
-        for b in range(a, n):
-            rest = _bracket(ops[a], ops[b])
-            d_rows[a, b] = d_row(a, b, rest)
-            if a != b:
-                sgn = -1 if par[a] and par[b] else 1
-                d_rows[b, a] = d_row(b, a, {k: -sgn * v for k, v in rest.items()})
-    sr = SparseRref(2 * nn)
-    for row in d_rows.values():
-        sr.insert(row)
+        for b in range(n):
+            row = d_row(a, b)
+            if row:
+                d_of[a, b] = t = distinct.setdefault(frozenset(row.items()), len(d_rows))
+                if t == len(d_rows):
+                    d_rows.append(row)
+                    sr.insert(row)
 
     inner_rows = sr.basis()
     n0 = len(inner_rows)
@@ -237,12 +242,13 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
                 for p in sorted(row.keys() & pos.keys())]
 
     # [a, b~] = D(a, b); [b~, a] = -(-1)^{|a||b|} D(a, b).  Each D(a,b) was
-    # inserted, so it lies in the span.
-    for i in range(n):
-        for k in range(n):
-            terms = inner_terms(d_rows[i, k], scale)
-            put(off1 + i, off0 + k, terms)
-            put(off0 + k, off1 + i, terms, not (par[i] and par[k]))
+    # inserted, so it lies in the span; a distinct row's coordinates are
+    # read once.
+    d_terms = [inner_terms(row, scale) for row in d_rows]
+    for (i, k), t in d_of.items():
+        terms = d_terms[t]
+        put(off1 + i, off0 + k, terms)
+        put(off0 + k, off1 + i, terms, not (par[i] and par[k]))
 
     # [s, a] in T(1), [s, b~] in T(-1): column a of each block of s
     for t, (row, *_) in enumerate(inner_ops):
@@ -260,6 +266,8 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
     for t1 in range(n0):
         for t2 in range(t1, n0):
             row = _bracket(inner_ops[t1], inner_ops[t2])
+            if not row:  # a zero row lies in every span
+                continue
             if not sr.contains(row):
                 raise JacobiFailure(
                     f"supercommutator of inner operators {t1},{t2} escaped the inner span")
@@ -277,9 +285,10 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
     sf = {off0 + t: c for t, c in unit.items()}
     hs = _product(table, se.items(), sf.items())
     e, f, h = (Element(sparse_to_dense(v, dim), 0) for v in (se, sf, hs))
-    for i, lam in ((off0, -TWO), (off1, TWO)):
+    d, hi = _integer_row(hs)  # rows are at scale big: [d h, b_t] = lam big d b_t
+    for i, lam in ((off0, -2), (off1, 2)):
         for t in range(i, i + n):
-            if _sparse_product(rows, hs.items(), ((t, ONE / big),)) != {t: lam}:
+            if _sparse_product(rows, hi.items(), ((t, 1),)) != {t: lam * big * d}:
                 raise JacobiFailure("h = [e,f] does not act with eigenvalues -2, 0, 2")
 
     parts = ThreeGrading(
@@ -300,6 +309,8 @@ def jordan_from_3grading(l: LieSuperalgebra, e, f) -> JordanSuperalgebra:
     n, ltab = l.dim, l.table
     s, L = ltab.integer_form()
     se, sf = _sparse_element(l, e), _sparse_element(l, f)
+    if not se or not sf:  # e = f = 0 would pass the eigenvector tests below
+        raise NotThreeGraded("e and f must both be nonzero")
     h = _product(ltab, se.items(), sf.items())
     adh = ad_rows(l, sparse_to_dense(h, n))
     spaces = {lam: eigenspace(adh, lam) for lam in (-TWO, ZERO, TWO)}
@@ -321,19 +332,24 @@ def jordan_from_3grading(l: LieSuperalgebra, e, f) -> JordanSuperalgebra:
         if p is None:
             raise NotThreeGraded("L(1) basis vector is not parity-homogeneous")
         parities.append(p)
-    # x.y = [[x, f], y]/2, the half taken on [x, f], the scale s of L at the end
+    # x.y = [[x, f], y]/2 on the integer rows d_i x_i of to_j and d_f f:
+    # their integer product [[d_i x_i, d_f f], d_k x_k] on L carries the
+    # scale s twice, so the coordinates are read at 2 s^2 d_i d_k d_f
+    d_f, fi = _integer_row(sf)
+    rows, dens = to_j._rows, to_j._dens
     entries = {}
-    for i in range(m):
-        xf = _product(ltab, sbasis[i].items(), sf.items())
-        xf = [(t, HALF * c) for t, c in xf.items()]
-        for k in range(m):
-            coords = to_j.sparse_coords(_sparse_product(L, xf, sbasis[k].items()), s)
+    for i, xs in enumerate(rows):
+        xf = list(_sparse_product(L, xs, fi.items()).items())
+        for k, ys in enumerate(rows):
+            prod = _sparse_product(L, xf, ys)
+            if not prod:
+                continue
+            coords = to_j.sparse_coords(prod, 2 * s * s * dens[i] * dens[k] * d_f)
             if coords is None:
                 raise NotThreeGraded(
                     f"product of L(1) basis vectors {i},{k} leaves L(1)"
                 )
-            if coords:
-                entries[(i, k)] = tuple(coords.items())
+            entries[(i, k)] = tuple(coords.items())
     # e lies in L(1) by its +2 test above, and e.x = [h, x]/2 = x on L(1)
     # exactly; validate_jordan checks the unit law again
     unit = to_j.sparse_coords(se)

@@ -55,7 +55,10 @@ checking constructor builds from its entries view, and with the one
 StructureTable._canonical brings back from the form at other scales.
 check_super_jordan_by_triples is _axioms.check_super_jordan as it was
 before it visited only the live triples: every i <= j <= k, summing the
-commutators term by term.
+commutators term by term.  tkk_by_all_d_rows is the table of jordan.tkk as
+it was built before tkk read its commutators from the Jordan check and
+inserted each distinct D(a,b) row once: all n^2 rows, and a membership test
+for every inner bracket, zero or not.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ from supergrade.constructors import CartanBasis, construct_gl
 from supergrade.errors import (
     AxiomViolation,
     DimensionMismatch,
+    JacobiFailure,
     NonSplitSpectrum,
     NotCentral,
     NotThreeGraded,
@@ -613,18 +617,25 @@ def associator(j, a, b, c) -> Vec:
 
 def d_operator(j, a: Vec, b: Vec, pa: int, pb: int):
     """The TKK operator pair D(a,b) as Fraction matrices: (action on T(1),
-    action on T(-1))."""
+    action on T(-1)).  The products run on sparse Fraction vectors."""
     n = j.dim
     sgn = -1 if pa and pb else 1
-    ab = j.product_vec(a, b)
+
+    def mul(x, y):
+        return superalg._product(j.table, x.items(), y.items())
+
+    a, b = dense_to_sparse(a), dense_to_sparse(b)
+    ab = mul(a, b)
     plus_cols, minus_cols = [], []
     for t in range(n):
-        c = unit_vec(n, t)
-        first = j.product_vec(ab, c)
-        second = j.product_vec(a, j.product_vec(b, c))
-        third = j.product_vec(b, j.product_vec(a, c))
-        plus_cols.append(tuple(TWO * (first[r] + second[r] - sgn * third[r]) for r in range(n)))
-        minus_cols.append(tuple(TWO * (-first[r] + second[r] - sgn * third[r]) for r in range(n)))
+        c = {t: ONE}
+        first, second, third = mul(ab, c), mul(a, mul(b, c)), mul(b, mul(a, c))
+        plus, minus = [ZERO] * n, [ZERO] * n
+        for r in first.keys() | second.keys() | third.keys():
+            f, rest = first.get(r, ZERO), second.get(r, ZERO) - sgn * third.get(r, ZERO)
+            plus[r], minus[r] = TWO * (f + rest), TWO * (rest - f)
+        plus_cols.append(tuple(plus))
+        minus_cols.append(tuple(minus))
     return Matrix.from_cols(plus_cols), Matrix.from_cols(minus_cols)
 
 
@@ -844,6 +855,93 @@ def check_super_jordan_by_triples(table) -> None:
                 w = _axioms._first_column(acc, n)
                 if w is not None:
                     raise AxiomViolation("super_jordan", (i, j, k, w))
+
+
+def tkk_by_all_d_rows(j) -> StructureTable:
+    """The table of jordan.tkk(j) as it was built before tkk shared the
+    commutators of the Jordan check and deduplicated its rows: every one of
+    the n^2 rows D(b_a, b_b) inserted and read, the [L_a, L_b] computed here,
+    every [s, t] checked for membership, zero or not."""
+    from math import lcm
+
+    from supergrade.jordan import _pair_parity
+
+    n, nn, par = j.dim, j.dim * j.dim, j.parity
+    den_j, mults = j.table.integer_form()
+    scale = den_j * den_j
+    ops = _axioms._operators(mults, par)
+
+    def d_row(a, b, rest):
+        first = {}
+        for m, c in mults[a].get(b, ()):
+            for k, v in ops[m][0].items():
+                first[k] = first.get(k, 0) + c * v
+        row = {}
+        for k in first.keys() | rest.keys():
+            f, g = first.get(k, 0), rest.get(k, 0)
+            if f + g:
+                row[k] = 2 * (f + g)
+            if g - f:
+                row[nn + k] = 2 * (g - f)
+        return row
+
+    d_rows = {}
+    for a in range(n):
+        for b in range(a, n):
+            rest = _axioms._bracket(ops[a], ops[b])
+            d_rows[a, b] = d_row(a, b, rest)
+            if a != b:
+                sgn = -1 if par[a] and par[b] else 1
+                d_rows[b, a] = d_row(b, a, {k: -sgn * v for k, v in rest.items()})
+    sr = SparseRref(2 * nn)
+    for row in d_rows.values():
+        sr.insert(row)
+    inner_parity = [_pair_parity(row, j) for row in sr.basis()]
+    n0 = len(inner_parity)
+    dim, off0, off_inner, off1 = n + n0 + n, 0, n, n + n0
+    jl = j.labels or tuple(f"j{t + 1}" for t in range(n))
+    labels = tuple(f"{s}~" for s in jl) + tuple(f"D{t + 1}" for t in range(n0)) + jl
+    space = SuperSpace(dim, tuple(par) + tuple(inner_parity) + tuple(par), labels)
+    pos = {p: t for t, p in enumerate(sr.pivots())}
+    inner_ops = [_axioms._operator(sr._rows[p], n, q) for p, q in zip(pos, inner_parity)]
+    dens = [sr._rows[p][p] for p in pos]
+    big = scale * lcm(*dens) ** 2
+    rows = [{} for _ in range(dim)]
+
+    def put(i, k, terms, negate=False):
+        if terms:
+            rows[i][k] = tuple([(t, -c) for t, c in terms] if negate else terms)
+
+    def inner_terms(row, den):
+        return [(off_inner + pos[p], row[p] * big // den)
+                for p in sorted(row.keys() & pos.keys())]
+
+    for i in range(n):
+        for k in range(n):
+            terms = inner_terms(d_rows[i, k], scale)
+            put(off1 + i, off0 + k, terms)
+            put(off0 + k, off1 + i, terms, not (par[i] and par[k]))
+    for t, (row, *_) in enumerate(inner_ops):
+        cols = {}
+        for idx in sorted(row):
+            q, i = divmod(idx, n)
+            off = off1 if q < n else off0
+            cols.setdefault((off, i), []).append((off + q % n, row[idx] * big // dens[t]))
+        for (off, i), terms in cols.items():
+            put(off_inner + t, off + i, terms)
+            put(off + i, off_inner + t, terms, not (inner_parity[t] and par[i]))
+    for t1 in range(n0):
+        for t2 in range(t1, n0):
+            row = _axioms._bracket(inner_ops[t1], inner_ops[t2])
+            if not sr.contains(row):
+                raise JacobiFailure(
+                    f"supercommutator of inner operators {t1},{t2} escaped the inner span")
+            terms = inner_terms(row, dens[t1] * dens[t2])
+            put(off_inner + t1, off_inner + t2, terms)
+            if t2 != t1:
+                put(off_inner + t2, off_inner + t1, terms,
+                    not (inner_parity[t1] and inner_parity[t2]))
+    return StructureTable._canonical(space, "lie", (big, [dict(sorted(r.items())) for r in rows]))
 
 
 def quotient_central_by_reduction(l: LieSuperalgebra, zbasis: Sequence) -> LieSuperalgebra:

@@ -813,6 +813,54 @@ def test_tkk_jp4_bytes_match_pinned_digests(tmp_path, capsys):
     assert got == TKK_JP4_DIGESTS
 
 
+def test_tkk_command_computes_the_commutators_once_per_table(tmp_path, monkeypatch, capsys):
+    # the load-time Jordan check and the construction share one pass over
+    # the n(n+1)/2 one-block commutators [L_m, L_z], m <= z; a second table
+    # gets its own pass
+    from supergrade import _axioms
+
+    assert run_cli(["construct", "jp", "4", "--out", "jp4.sca"], capsys, cwd=tmp_path)[0] == 0
+    calls = []
+    bracket = _axioms._bracket
+    monkeypatch.setattr(_axioms, "_bracket", lambda a, b: calls.append(1) or bracket(a, b))
+    assert run_cli(["tkk", "jp4.sca", "--out", "tkk.sca"], capsys, cwd=tmp_path)[0] == 0
+    assert len(calls) == 32 * 33 // 2 == 528
+    assert run_cli(["tkk", fx("m11.sca"), "--out", tmp_path / "m.sca"], capsys)[0] == 0
+    assert len(calls) == 528 + 4 * 5 // 2
+
+
+def test_tkk_certifies_the_m11_quadruple_before_building(tmp_path, monkeypatch, capsys):
+    # a quadruple that fails the M(1,1)+ relations is answered without the
+    # TKK construction, and no cover file is written
+    from supergrade import jordan
+
+    monkeypatch.setattr(jordan, "tkk", lambda *a: 1 / 0)
+    elems = tmp_path / "elems.json"
+    elems.write_text(json.dumps({k: [1, 0, 0, 0] for k in ("e1", "e2", "x", "y")}))
+    cover = tmp_path / "cover.json"
+    code, out = run_cli(["tkk", fx("m11.sca"), "--m11", elems, "--cover-out", cover], capsys)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "UnitFailure", "verdict": "negative",
+        "message": "the given elements fail the M(1,1)+ relations: ['x_odd', 'y_odd', "
+                   "'e1.e2=0', 'x.y=e1-e2', 'y.x=-(e1-e2)', 'e1.x=x/2', 'e2.x=x/2', "
+                   "'e1.y=y/2', 'e2.y=y/2', 'e1+e2=unit']"}
+    assert not cover.exists()
+
+
+def test_jordan_from_grading_with_zero_e_and_f_is_a_negative_verdict(tmp_path, capsys):
+    # both zero passed the eigenvector tests vacuously and wrote a dim-0
+    # file that check refused
+    zero = tmp_path / "zero.vec"
+    zero.write_text(",".join(["0"] * 14))
+    out = tmp_path / "back.sca"
+    code, stdout = run_cli(["jordan-from-grading", fx("tkk_m11.sca"), "--e", f"@{zero}",
+                            "--f", f"@{zero}", "--out", out], capsys)
+    assert (code, stdout) == (1, '{"error":"NotThreeGraded","message":"e and f must both be '
+                                 'nonzero","verdict":"negative"}\n')
+    assert not out.exists()
+
+
 # SHA-256 of the stdout of `construct assoc matrix_super p q`, taken while
 # to_coords still wrote a dense coordinate list for every product
 MATRIX_SUPER_DIGESTS = {

@@ -269,7 +269,8 @@ def argv(draw, command, workdir):
         if "--cover-out" in flags:
             args += ["--cover-out", str(workdir / "tkk_cover.json")]
     elif command == "jordan-from-grading":
-        e, f = (TKK_M11_E, TKK_M11_F) if not bad or draw(st.booleans()) else (TKK_M11_F, TKK_M11_E)
+        e, f = (TKK_M11_E, TKK_M11_F) if not bad or draw(st.booleans()) else draw(
+            st.sampled_from([(TKK_M11_F, TKK_M11_E), (["0"] * 14, ["0"] * 14)]))
         args = ["jordan-from-grading", sca("tkk_m11.sca", file_bad),
                 "--e", vector([e]), "--f", vector([f])]
     elif command == "peirce":

@@ -17,6 +17,7 @@ from supergrade.errors import (
     UnexpectedEigenvalue,
 )
 from supergrade.exact import unit_vec, vec
+from supergrade.sca import write_sca
 from supergrade.jordan import (
     certify_m11,
     jordan_from_3grading,
@@ -34,7 +35,13 @@ from supergrade.superalg import (
     validate_lie,
 )
 from tests.conftest import JP4_M11_ELEMENTS, JQ4_M11_ELEMENTS
-from tests.oracles import ad_matrix, associator, d_operator, rational_eigenvalues
+from tests.oracles import (
+    ad_matrix,
+    associator,
+    d_operator,
+    rational_eigenvalues,
+    tkk_by_all_d_rows,
+)
 
 F = Fraction
 
@@ -250,6 +257,16 @@ def test_jordan_from_3grading_rejects_bad_pair(psl22):
         jordan_from_3grading(psl22, e, e)
 
 
+@pytest.mark.parametrize("zero", ["e", "f", "both"])
+def test_jordan_from_3grading_rejects_a_zero_e_or_f(tkk_m11, zero):
+    # e = f = 0 passed the eigenvector tests vacuously and gave a dim-0 table
+    n = tkk_m11.dim
+    e = (0,) * n if zero in ("e", "both") else tkk_m11.e
+    f = (0,) * n if zero in ("f", "both") else tkk_m11.f
+    with pytest.raises(NotThreeGraded, match="e and f must both be nonzero"):
+        jordan_from_3grading(tkk_m11.lie, e, f)
+
+
 def test_certify_m11_jp4(jp4):
     cert = certify_m11(jp4, *(JP4_M11_ELEMENTS[k] for k in ("e1", "e2", "x", "y")))
     assert cert.passed, cert.failures()
@@ -378,16 +395,39 @@ def test_tkk_inner_part_matches_fraction_reference(case):
 
 @pytest.mark.parametrize("name", ["m11", "jp4"])
 def test_tkk_inserts_each_d_operator_once(name, request, monkeypatch):
-    # no closure loop: the n^2 rows D(a,b) are the only rows tkk eliminates
+    # no closure loop: the distinct nonzero rows D(a,b) are the only rows tkk
+    # eliminates, each once
     from supergrade import exact
 
     j = request.getfixturevalue(name)
+    n = j.dim
+    distinct = set()
+    for a in range(n):
+        for b in range(n):
+            p, q = d_operator(j, unit_vec(n, a), unit_vec(n, b), j.parity[a], j.parity[b])
+            row = frozenset((off, r, c, x) for off, m in ((0, p), (1, q))
+                            for r, line in enumerate(m.data) for c, x in enumerate(line) if x)
+            if row:
+                distinct.add(row)
     calls = []
     insert = exact.SparseRref.insert
     monkeypatch.setattr(exact.SparseRref, "insert",
                         lambda self, row: calls.append(1) or insert(self, row))
     tkk(j)
-    assert len(calls) == j.dim ** 2 == {"m11": 16, "jp4": 1024}[name]
+    assert len(calls) == len(distinct) == {"m11": 8, "jp4": 116}[name]
+
+
+@given(rescaled_jordans())
+@settings(max_examples=30, deadline=None)
+def test_tkk_bytes_match_the_all_rows_construction(case):
+    _, j = case
+    assert write_sca(tkk(j).lie.table) == write_sca(tkk_by_all_d_rows(j))
+
+
+@pytest.mark.parametrize("name", ["m11", "jp4"])
+def test_tkk_fixture_bytes_match_the_all_rows_construction(name, request):
+    j = request.getfixturevalue(name)
+    assert write_sca(tkk(j).lie.table) == write_sca(tkk_by_all_d_rows(j))
 
 
 def test_tkk_d_operators_beyond_int64_do_not_overflow():
