@@ -132,9 +132,11 @@ def _parse_vector(spec: str, dim: int):
     return vec(_rational(p, "vector", seen) for p in parts)
 
 
-def _vec_json(v) -> list:
-    """A vector or weight as canonical rational strings."""
-    return [str(c) for c in v]
+def _vec_json(v, n: int | None = None) -> list:
+    """A weight, or a sparse row of length n, as canonical rational strings."""
+    from .exact import sparse_to_dense
+
+    return [str(c) for c in (v if n is None else sparse_to_dense(v, n))]
 
 
 class _Output:
@@ -241,7 +243,7 @@ def _run_construct(args, out: _Output) -> int:
             _write_json(args.cover_out, {
                 "kind": "sl",
                 "n": m - 1,
-                "images": [_vec_json(v) for v in alg.provenance["cover_images"]],
+                "images": [_vec_json(v, alg.dim) for v in alg.provenance["cover_images"]],
             })
     elif what == "assoc":
         alg = _coefficient_algebra(params[0], params[1:])
@@ -285,9 +287,10 @@ def _load_m11_elements(path: str, dim: int) -> list:
 
 
 def _load_cover_map(path: str, dim: int, count: int | None):
-    """Images from a --cover-map file: `count` vectors under "images" for
-    sl/psl covers, or the eight named generators (optionally under
-    "images") for an m11 cover when count is None."""
+    """Images from a --cover-map file, as sparse rows: `count` vectors under
+    "images" for sl/psl covers, or the eight named generators (optionally
+    under "images") for an m11 cover when count is None."""
+    from .exact import dense_to_sparse
     from .roots import _M11_KEYS
 
     data = json.loads(_read_text(path))
@@ -298,16 +301,16 @@ def _load_cover_map(path: str, dim: int, count: int | None):
         rows = data.get("images")
         if not isinstance(rows, list) or len(rows) != count:
             raise BadParams(f"cover map needs an \"images\" list of {count} vectors")
-        return [_map_vector(row, dim, seen) for row in rows]
+        return [dense_to_sparse(_map_vector(row, dim, seen)) for row in rows]
     gens = data.get("images", data)
     if not isinstance(gens, dict) or set(gens) != set(_M11_KEYS):
         raise BadParams(f"m11 cover map needs exactly the keys {list(_M11_KEYS)}")
-    return {k: _map_vector(v, dim, seen) for k, v in gens.items()}
+    return {k: dense_to_sparse(_map_vector(v, dim, seen)) for k, v in gens.items()}
 
 
 def _resolve_cover(l, spec: str, cover_map_path: str | None) -> roots.CoverEmbedding:
     from . import constructors, roots
-    from .exact import dense_to_sparse, sparse_apply, sparse_to_dense, unit_vec
+    from .exact import ONE, sparse_apply
 
     if spec == "m11":
         if not cover_map_path:
@@ -333,14 +336,13 @@ def _resolve_cover(l, spec: str, cover_map_path: str | None) -> roots.CoverEmbed
     position = {name: i for i, name in enumerate(file_labels)}
     if ref.labels is not None and all(name in position for name in ref.labels):
         # the file is a relabeled copy of the reference (identity embedding)
-        images = [unit_vec(l.dim, position[name]) for name in ref.labels]
+        images = [{position[name]: ONE} for name in ref.labels]
         return roots.CoverEmbedding(family, m - 1, images, ref)
     gl_labels = ref.provenance["ambient_gl"].labels if family == "sl" else None
     if gl_labels is not None and all(name in position for name in gl_labels):
         # file carries matrix-unit labels: push the sl basis through them
         units = [{position[name]: 1} for name in gl_labels]
-        images = [sparse_to_dense(sparse_apply(units, dense_to_sparse(bvec)), l.dim)
-                  for bvec in ref.provenance["embedding"]]
+        images = [sparse_apply(units, bvec) for bvec in ref.provenance["embedding"]]
         return roots.CoverEmbedding("sl", m - 1, images, ref)
     raise BadParams(
         "cannot resolve the cover embedding from labels; pass --cover-map"
@@ -377,24 +379,18 @@ def _run_check(args, out: _Output) -> int:
 
 def _cartan_from_args(l, specs) -> CartanBasis:
     from .constructors import CartanBasis
-    from .superalg import Element, homogeneous_parity
 
-    elements = []
-    for s in specs:
-        v = _parse_vector(s, l.dim)
-        p = homogeneous_parity(l.space, v)
-        elements.append(Element(v, p))
-    return CartanBasis(elements)
+    return CartanBasis([l.element(_parse_vector(s, l.dim)) for s in specs])
 
 
-def _datum_json(datum) -> dict:
+def _datum_json(datum, n: int) -> dict:
     return {
         "components": [
             {
                 "weight": _vec_json(c.weight),
                 "even_dim": c.even_dim,
                 "odd_dim": c.odd_dim,
-                "basis": [_vec_json(v) for v in c.basis],
+                "basis": [_vec_json(v, n) for v in c.basis],
             }
             for c in datum.components
         ],
@@ -402,7 +398,7 @@ def _datum_json(datum) -> dict:
             "weight": _vec_json(datum.zero_component.weight),
             "even_dim": datum.zero_component.even_dim,
             "odd_dim": datum.zero_component.odd_dim,
-            "basis": [_vec_json(v) for v in datum.zero_component.basis],
+            "basis": [_vec_json(v, n) for v in datum.zero_component.basis],
         },
     }
 
@@ -413,7 +409,7 @@ def _run_decompose(args, out: _Output) -> int:
     l = _load_kind(args.file, "lie", "decompose")
     cartan = _cartan_from_args(l, args.cartan)
     datum = roots.weight_decomposition(l, cartan)
-    out.emit(_datum_json(datum), args.out)
+    out.emit(_datum_json(datum, l.dim), args.out)
     return 0
 
 
@@ -500,7 +496,7 @@ def _run_tkk(args, out: _Output) -> int:
     if args.m11:
         gens = jordan.m11_tkk_generators(t, cert)
         _write_json(args.cover_out,
-                    {"kind": "m11", "images": {k: _vec_json(v) for k, v in gens.items()}})
+                    {"kind": "m11", "images": {k: _vec_json(v, t.dim) for k, v in gens.items()}})
     return _emit_sca(args, out, t.lie.table, {"dim": t.dim})
 
 
@@ -522,7 +518,7 @@ def _run_peirce(args, out: _Output) -> int:
     result = {
         "dims": list(pd.dims()),
         "parts": {
-            name: [_vec_json(v) for v in part]
+            name: [_vec_json(v, l.dim) for v in part]
             for name, part in zip(("J0", "J1", "J2"), pd.parts)
         },
     }

@@ -214,7 +214,7 @@ def _cocycle_basis(l: LieSuperalgebra, parity: int, weights: list, index: tuple)
     col = {t: c for c, t in enumerate(live)}
     sr = SparseRref(len(pairs))
     for kv in kernel_from_rows([{col[t]: v for t, v in row.items()} for row in zrows], len(live)):
-        sr.insert({live[c]: x for c, x in enumerate(kv) if x})
+        sr.insert({live[c]: x for c, x in kv.items()})
     return sr.basis()
 
 
@@ -340,7 +340,7 @@ def fingerprint(l: LieSuperalgebra, cartan: CartanBasis | None = None) -> Finger
         series.append(d.rank)
         if not d.rank:
             break
-        table, _ = restricted_table(current, d.basis_dense(), "lie")
+        table, _ = restricted_table(current, d.basis(), "lie")
         current = LieSuperalgebra(table, {"name": "derived"})
     root_multiset = None
     if cartan is not None:

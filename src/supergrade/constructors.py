@@ -28,11 +28,9 @@ from math import lcm
 
 from .errors import BadParams, ValidationError, WrongAlgebra
 from .exact import (
-    Vec,
     ZERO,
     ONE,
     SparseRref,
-    dense_to_sparse,
     kernel_from_rows,
     sparse_apply,
     sparse_to_dense,
@@ -46,6 +44,7 @@ from .superalg import (
     LieSuperalgebra,
     StructureTable,
     SuperSpace,
+    _dense_element,
     _integer_row,
     _product,
     _sparse_element,
@@ -110,7 +109,7 @@ def construct_gl(m: int, n: int) -> LieSuperalgebra:
     diag_indices = [t * d + t for t in range(d)]
     info = {"m": m, "n": n, "units": units, "unit_parity": space.parity,
             "diag_indices": diag_indices}
-    z = tuple(ONE if k in diag_indices else ZERO for k in range(d * d))
+    z = {k: ONE for k in diag_indices}
     return LieSuperalgebra(table, {"name": f"gl({m},{n})", "gl": info, "z": z})
 
 
@@ -193,19 +192,20 @@ def construct_sl(m: int, n: int) -> LieSuperalgebra:
     labels = tuple(gl.labels[c] if len(p) == 1 else f"H{c // (d + 1)}" for c, p in rows)
     space = SuperSpace(d * d - 1, gl.parity[1:], labels)
     table, _ = _unit_column_table(space, gl.table.integer_form(), rows)
-    basis = [sparse_to_dense({k: Fraction(v) for k, v in p.items()}, d * d) for _, p in rows]
+    basis = [{k: Fraction(v) for k, v in p.items()} for _, p in rows]
     hprime = CartanBasis([Element(unit_vec(d * d - 1, diag[t] - 1), 0) for t in range(1, d)],
-                         tuple(tuple(basis[diag[t] - 1][k] for k in diag) for t in range(1, d)))
+                         tuple(tuple(basis[diag[t] - 1].get(k, ZERO) for k in diag)
+                               for t in range(1, d)))
     prov = {"name": f"sl({m},{n})", "m": m, "n": n, "ambient_gl": gl, "embedding": basis,
             "cartan_hprime": hprime}
     if m == n:
-        prov["z"] = gl.provenance["z"][1:]
+        prov["z"] = {k - 1: c for k, c in gl.provenance["z"].items() if k}
         # h: diagonal matrices whose unbarred and barred entry sums both vanish
         sums = [{t: ONE for t in range(m)}, {t: ONE for t in range(m, m + n)}]
         hdiags = kernel_from_rows(sums, m + n)
         prov["cartan_h"] = CartanBasis(
-            [Element(sparse_to_dense({diag[t] - 1: x for t, x in enumerate(hd) if t},
-                                     d * d - 1), 0) for hd in hdiags], tuple(hdiags))
+            [_dense_element({diag[t] - 1: x for t, x in hd.items() if t}, d * d - 1)
+             for hd in hdiags], tuple(sparse_to_dense(hd, d) for hd in hdiags))
     # hprime and h are diagonal matrices, which commute
     return LieSuperalgebra(table, prov)
 
@@ -218,7 +218,8 @@ def construct_psl(n: int) -> LieSuperalgebra:
     sl = construct_sl(n + 1, n + 1)
     psl = quotient_central(sl, [sl.provenance["z"]])
     h_sl = sl.provenance["cartan_h"]
-    helems = [Element(_project(psl, e.coords), 0) for e in h_sl.elements]
+    helems = [_dense_element(_project(psl, _sparse_element(sl, e)), psl.dim)
+              for e in h_sl.elements]
     psl.provenance.update(
         {
             "name": f"psl({n + 1},{n + 1})",
@@ -231,22 +232,21 @@ def construct_psl(n: int) -> LieSuperalgebra:
     return psl
 
 
-def _project(psl: LieSuperalgebra, v: Vec) -> Vec:
-    """Image in psl of coordinates v in sl(n+1,n+1)."""
-    image = sparse_apply(psl.provenance["projection"], dense_to_sparse(v))
-    return sparse_to_dense(image, psl.dim)
+def _project(psl: LieSuperalgebra, v: dict) -> dict:
+    """Image in psl of a sparse row v of sl(n+1,n+1)."""
+    return sparse_apply(psl.provenance["projection"], v)
 
 
-def matrix_unit_in_sl(sl: LieSuperalgebra, r: int, c: int) -> Vec:
-    """Coordinates of the off-diagonal matrix unit e_rc in the sl basis: its
-    entries at every column but e_11 (construct_sl)."""
+def matrix_unit_in_sl(sl: LieSuperalgebra, r: int, c: int) -> dict:
+    """The sparse row of the off-diagonal matrix unit e_rc in the sl basis:
+    its entries at every column but e_11 (construct_sl)."""
     gl = sl.provenance["ambient_gl"]
     if r == c:
         raise ValidationError("matrix unit is not supertrace-free")
-    return unit_vec(gl.dim - 1, gl.provenance["gl"]["units"].index((r, c)) - 1)
+    return {gl.provenance["gl"]["units"].index((r, c)) - 1: ONE}
 
 
-def matrix_unit_in_psl(psl: LieSuperalgebra, r: int, c: int) -> Vec:
+def matrix_unit_in_psl(psl: LieSuperalgebra, r: int, c: int) -> dict:
     return _project(psl, matrix_unit_in_sl(psl.provenance["ambient_sl"], r, c))
 
 
@@ -293,14 +293,13 @@ def construct_sl_A(m: int, n: int, a: AssocSuperalgebra) -> LieSuperalgebra:
                    else f"D{next(extra)}" for c, p in rows)
     space = SuperSpace(len(rows), tuple(parity[c] for c, _ in rows), labels)
     table, read = _unit_column_table(space, (sa, L), rows)
-    unit, images = dense_to_sparse(a.unit), []
+    unit, images = _sparse_element(a, a.unit), []
     for b in sl.provenance["embedding"]:
-        coords = read({u * na + s: c * cs for u, c in dense_to_sparse(b).items()
-                       for s, cs in unit.items()})
+        coords = read({u * na + s: c * cs for u, c in b.items() for s, cs in unit.items()})
         if coords is None:
             raise ValidationError("vector does not lie in the derived subalgebra")
-        images.append(sparse_to_dense(coords, len(rows)))
-    basis = [sparse_to_dense({k: Fraction(v, p[c]) for k, v in p.items()}, dim) for c, p in rows]
+        images.append(coords)
+    basis = [{k: Fraction(v, p[c]) for k, v in p.items()} for c, p in rows]
     return LieSuperalgebra(table, {
         "name": f"sl_{m},{n}({a.provenance.get('name', 'A')})", "m": m, "n": n,
         "basis_in_ambient": basis, "cover_sl": sl, "cover_images": images})
@@ -363,8 +362,8 @@ def _matrix_superalgebra(p: int, q: int) -> AssocSuperalgebra:
     units, space = _matrix_units(p, q)
     d = p + q
     mat = AssocSuperalgebra(StructureTable._canonical(space, "assoc", matrix_unit_products(units)))
-    ident = tuple(ONE if r == c else ZERO for r, c in units)
-    basis = [ident] + [unit_vec(d * d, k) for k in range(1, d * d)]
+    basis = [{t: ONE for t, (r, c) in enumerate(units) if r == c}]
+    basis += [{k: ONE} for k in range(1, d * d)]
     table, _ = restricted_table(mat, basis, "assoc", unit=unit_vec(d * d, 0),
                                 labels=("1",) + space.labels[1:])
     return AssocSuperalgebra(table, {"name": f"M({p},{q})"})
@@ -465,8 +464,7 @@ def _jordan_from_matrices(kind, n, mats, labels) -> JordanSuperalgebra:
     d = 2 * n
     ambient = JordanSuperalgebra(StructureTable._canonical(
         space, "jordan", _symmetrized(matrix_unit_products(units), space.parity, 1)))
-    basis = [sparse_to_dense({r * d + c: v for (r, c), v in mat.items()}, d * d)
-             for mat in mats]
+    basis = [{r * d + c: v for (r, c), v in mat.items()} for mat in mats]
     diag = {i * n + i for i in range(n)}
     unit = tuple(ONE if k in diag else ZERO for k in range(len(mats)))
     table, _ = restricted_table(ambient, basis, "jordan", unit=unit, labels=tuple(labels))

@@ -9,21 +9,21 @@ for all so that higher layers can compare bases by plain equality:
   order;
 * particular solutions of augmented systems set all free variables to 0.
 
-All elimination runs on sparse rows {column: value} reduced by the
-incremental SparseRref: ranks, span closures, kernels, subspace
-coordinates, augmented solves, and eigenspaces and minimal polynomials of
-operators given as sparse rows or columns.  SparseRref eliminates fraction-free over
-Python integers (Bareiss, Math. Comp. 22, 1968): its basis rows are
-primitive {column: int} rows, a row with Fraction entries is scaled once by
-the lcm of its denominators, and Fraction appears only in what it returns
-(reduce, basis, and coordinates of Fraction input).  Inserting and testing
-integer rows builds no Fraction at all, and _reduce hands back the integer
-row with its scale: superalg's subspace coordinates and restricted tables
-read it and build one Fraction per coordinate.  The RREF is unique, so these
-bases equal those of the dense Fraction elimination in tests/oracles.py.
-Every linear map the package applies is a list of sparse columns
-{row: Fraction}, applied with sparse_apply: central-quotient projections
-as well as operators.  No module but this one names the dense Matrix.
+A vector is a sparse row {index: Fraction}, zeros dropped, and a linear
+map a list of sparse columns applied with sparse_apply.  All elimination
+runs on the incremental SparseRref, fraction-free over Python integers
+(Bareiss, Math. Comp. 22, 1968): basis rows are primitive {column: int}
+rows, a Fraction row is scaled once by the lcm of its denominators,
+Fraction appears only in what it returns, and _reduce hands back the
+integer row with its scale.  The RREF is unique, so these bases equal the
+dense Fraction elimination's in tests/oracles.py.  Only this module names
+the dense Matrix.  Dense tuples (Vec) appear only where a value enters or
+leaves the package (Element.coords, StructureTable.unit, SCA files, CLI
+vectors and JSON, CartanBasis.diag_mats, M11Certificate.elements), so
+outside this module dense_to_sparse and sparse_to_dense are called only in
+_axioms.check_unit, superalg._sparse_element, _dense_element, table_product
+and _AlgebraBase.element, constructors.construct_sl, jordan_from_3grading
+and cli._vec_json and _load_cover_map (tests/test_source.py holds the list).
 """
 
 from __future__ import annotations
@@ -46,10 +46,6 @@ def vec(values: Iterable) -> Vec:
 
 def unit_vec(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def sub_vec(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def dense_to_sparse(a: Sequence) -> dict:
@@ -366,24 +362,21 @@ class SparseRref:
             out.append({k: Fraction(v, a) for k, v in row.items()})
         return out
 
-    def basis_dense(self) -> list[Vec]:
-        return [sparse_to_dense(r, self.ncols) for r in self.basis()]
-
     def contains(self, row: dict) -> bool:
         return self._leading(self._reduce(row)[0]) is None
 
-    def coordinates(self, row: dict) -> list | None:
-        """Coordinates of a vector over basis() order, or None if outside.
+    def coordinates(self, row: dict) -> dict | None:
+        """Nonzero coordinates {r: c_r} over basis() order, or None if outside.
 
         Each RREF row is 1 at its own pivot and 0 at the others, so the
         coordinates of a vector in the span are its entries at the pivots."""
         if not self.contains(row):
             return None
-        return [row.get(c, ZERO) for c in self.pivots()]
+        return {r: row[c] for r, c in enumerate(self.pivots()) if row.get(c)}
 
 
-def kernel_from_rows(rows: Iterable[dict], ncols: int) -> list[Vec]:
-    """Null space of the matrix whose rows are given sparsely; canonical basis."""
+def kernel_from_rows(rows: Iterable[dict], ncols: int) -> list[dict]:
+    """Canonical null-space basis, as sparse rows, of the sparse rows' matrix."""
     sr = SparseRref(ncols)
     for row in rows:
         sr.insert(row)
@@ -392,18 +385,14 @@ def kernel_from_rows(rows: Iterable[dict], ncols: int) -> list[Vec]:
     pivset = set(pivots)
     basis = []
     for f in range(ncols):
-        if f in pivset:
-            continue
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            if f in rdata[r]:
-                v[p] = -rdata[r][f]
-        basis.append(tuple(v))
+        if f not in pivset:
+            v = {p: -r[f] for p, r in zip(pivots, rdata) if f in r}
+            v[f] = ONE
+            basis.append(v)
     return basis
 
 
-def eigenspace(rows: Sequence[dict], lam) -> list[Vec]:
+def eigenspace(rows: Sequence[dict], lam) -> list[dict]:
     """Canonical basis of ker(A - lam I) for a square operator A given by
     its sparse rows; the canonical kernel basis of the shifted matrix."""
     shifted = []

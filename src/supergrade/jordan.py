@@ -42,15 +42,13 @@ from .exact import (
     ZERO,
     ONE,
     _poly_apply,
-    dense_to_sparse,
     eigenspace,
     min_poly,
     poly_degree,
     rational_roots,
+    sparse_apply,
     sparse_to_dense,
     sparse_transpose,
-    sub_vec,
-    unit_vec,
     vec,
 )
 from .superalg import (
@@ -63,6 +61,7 @@ from .superalg import (
     SuperSpace,
     ThreeGrading,
     _coords,
+    _dense_element,
     _integer_row,
     _product,
     _sparse_element,
@@ -87,7 +86,7 @@ def symmetrized(a: AssocSuperalgebra) -> JordanSuperalgebra:
 class PeirceDecomposition:
     """Eigenspace split of multiplication by an even idempotent.
 
-    parts[i] is the eigenvalue-i/2 eigenspace J_i, so J = J0 + J1 + J2.
+    parts[i] is the eigenvalue-i/2 eigenspace J_i in sparse rows, J = J0 + J1 + J2.
     """
 
     __slots__ = ("parts",)
@@ -101,10 +100,10 @@ class PeirceDecomposition:
 
 def peirce(j: JordanSuperalgebra, e1) -> PeirceDecomposition:
     """Peirce decomposition J = J0 + J1 + J2 for an even idempotent e1."""
-    c = _coords(e1)
+    c = _sparse_element(j, e1)
     if homogeneous_parity(j.space, c) != 0:
         raise NotIdempotent("Peirce idempotent must be even")
-    if j.product_vec(c, c) != tuple(c):
+    if _product(j.table, c.items(), c.items()) != c:
         raise NotIdempotent("element is not idempotent")
     mult = ad_rows(j, c)  # left multiplication by e1
     parts = tuple(eigenspace(mult, lam) for lam in (ZERO, HALF, ONE))
@@ -280,11 +279,11 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
     table = StructureTable._canonical(space, "lie", (big, [dict(sorted(r.items())) for r in rows]))
     lie = LieSuperalgebra(table, {"name": f"TKK({j.provenance.get('name', 'J')})"})
 
-    unit = dense_to_sparse(j.unit)
+    unit = _sparse_element(j, j.unit)
     se = {off1 + t: c for t, c in unit.items()}
     sf = {off0 + t: c for t, c in unit.items()}
     hs = _product(table, se.items(), sf.items())
-    e, f, h = (Element(sparse_to_dense(v, dim), 0) for v in (se, sf, hs))
+    e, f, h = (_dense_element(v, dim) for v in (se, sf, hs))
     d, hi = _integer_row(hs)  # rows are at scale big: [d h, b_t] = lam big d b_t
     for i, lam in ((off0, -2), (off1, 2)):
         for t in range(i, i + n):
@@ -292,9 +291,9 @@ def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
                 raise JacobiFailure("h = [e,f] does not act with eigenvalues -2, 0, 2")
 
     parts = ThreeGrading(
-        minus=[unit_vec(dim, off0 + t) for t in range(n)],
-        zero=[unit_vec(dim, off_inner + t) for t in range(n0)],
-        plus=[unit_vec(dim, off1 + t) for t in range(n)],
+        minus=[{off0 + t: ONE} for t in range(n)],
+        zero=[{off_inner + t: ONE} for t in range(n0)],
+        plus=[{off1 + t: ONE} for t in range(n)],
     )
     return TKKAlgebra(lie=lie, jordan=j, parts=parts, inner_part=inner_rows, e=e, f=f, h=h)
 
@@ -312,7 +311,7 @@ def jordan_from_3grading(l: LieSuperalgebra, e, f) -> JordanSuperalgebra:
     if not se or not sf:  # e = f = 0 would pass the eigenvector tests below
         raise NotThreeGraded("e and f must both be nonzero")
     h = _product(ltab, se.items(), sf.items())
-    adh = ad_rows(l, sparse_to_dense(h, n))
+    adh = ad_rows(l, h)
     spaces = {lam: eigenspace(adh, lam) for lam in (-TWO, ZERO, TWO)}
     if sum(map(len, spaces.values())) != n:
         raise NotThreeGraded("ad[e,f] is not diagonalizable with eigenvalues 0, -2, 2")
@@ -323,8 +322,7 @@ def jordan_from_3grading(l: LieSuperalgebra, e, f) -> JordanSuperalgebra:
 
     jbasis = spaces[TWO]
     m = len(jbasis)
-    sbasis = [dense_to_sparse(v) for v in jbasis]
-    to_j = SubspaceCoords(sbasis, n)
+    to_j = SubspaceCoords(jbasis, n)
 
     parities = []
     for v in jbasis:
@@ -382,45 +380,41 @@ def certify_m11(j: JordanSuperalgebra, e1, e2, x, y) -> M11Certificate:
     are e1.e1=e1, e2.e2=e2, e1.e2=0, x.y=e1-e2=-y.x, e_i.x=x/2,
     e_i.y=y/2, and e1+e2 = unit of J.
     """
-    ce1, ce2, cx, cy = (_coords(v) for v in (e1, e2, x, y))
-    p = j.product_vec
-    half = lambda v: tuple(HALF * c for c in v)
-    diff = sub_vec(ce1, ce2)
+    dense = tuple(vec(_coords(v)) for v in (e1, e2, x, y))
+    e1, e2, x, y = (_sparse_element(j, v) for v in dense)
+    p = lambda a, b: _product(j.table, a.items(), b.items())
+    times = lambda t, v: {k: t * c for k, c in v.items()}
+    diff = sparse_apply([e1, e2], {0: ONE, 1: -ONE})
     results = {
-        "e1_even": homogeneous_parity(j.space, ce1) == 0,
-        "e2_even": homogeneous_parity(j.space, ce2) == 0,
-        "x_odd": homogeneous_parity(j.space, cx) == 1,
-        "y_odd": homogeneous_parity(j.space, cy) == 1,
-        "e1.e1=e1": p(ce1, ce1) == tuple(ce1),
-        "e2.e2=e2": p(ce2, ce2) == tuple(ce2),
-        "e1.e2=0": not any(p(ce1, ce2)),
-        "x.y=e1-e2": p(cx, cy) == diff,
-        "y.x=-(e1-e2)": p(cy, cx) == tuple(-c for c in diff),
-        "e1.x=x/2": p(ce1, cx) == half(cx),
-        "e2.x=x/2": p(ce2, cx) == half(cx),
-        "e1.y=y/2": p(ce1, cy) == half(cy),
-        "e2.y=y/2": p(ce2, cy) == half(cy),
-        "e1+e2=unit": j.unit is not None and tuple(a + b for a, b in zip(ce1, ce2)) == tuple(j.unit),
+        "e1_even": homogeneous_parity(j.space, e1) == 0,
+        "e2_even": homogeneous_parity(j.space, e2) == 0,
+        "x_odd": homogeneous_parity(j.space, x) == 1,
+        "y_odd": homogeneous_parity(j.space, y) == 1,
+        "e1.e1=e1": p(e1, e1) == e1,
+        "e2.e2=e2": p(e2, e2) == e2,
+        "e1.e2=0": not p(e1, e2),
+        "x.y=e1-e2": p(x, y) == diff,
+        "y.x=-(e1-e2)": p(y, x) == times(-ONE, diff),
+        "e1.x=x/2": p(e1, x) == times(HALF, x),
+        "e2.x=x/2": p(e2, x) == times(HALF, x),
+        "e1.y=y/2": p(e1, y) == times(HALF, y),
+        "e2.y=y/2": p(e2, y) == times(HALF, y),
+        "e1+e2=unit": (j.unit is not None
+                       and sparse_apply([e1, e2], {0: ONE, 1: ONE}) == _sparse_element(j, j.unit)),
     }
-    return M11Certificate((vec(ce1), vec(ce2), vec(cx), vec(cy)), results)
+    return M11Certificate(dense, results)
 
 
 def m11_tkk_generators(t: TKKAlgebra, cert: M11Certificate) -> dict:
     """The eight TKK elements generated by a certified quadruple.
 
     Keys e1, e2, x, y refer to the T(1) copies and e1~, e2~, x~, y~ to the
-    T(-1) copies; this is the input of the A(1,1) cover check.
+    T(-1) copies, as sparse rows; this is the input of the A(1,1) cover check.
     """
-    n = t.jordan.dim
-    dim = t.lie.dim
-    names = ("e1", "e2", "x", "y")
+    off = t.jordan.dim + len(t.parts.zero)
     out = {}
-    for name, coords in zip(names, cert.elements):
-        plus = [ZERO] * dim
-        minus = [ZERO] * dim
-        for i, c in enumerate(coords):
-            plus[n + len(t.parts.zero) + i] = c
-            minus[i] = c
-        out[name] = tuple(plus)
-        out[name + "~"] = tuple(minus)
+    for name, coords in zip(("e1", "e2", "x", "y"), cert.elements):
+        row = _sparse_element(t.jordan, coords)
+        out[name] = {off + i: c for i, c in row.items()}
+        out[name + "~"] = row
     return out

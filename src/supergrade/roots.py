@@ -20,13 +20,11 @@ integer table in the weight basis (_weight_basis), made of the component
 vectors: the table's own for a toral datum, whose components are multiples
 of basis vectors, and any other datum rewritten by restricted_table.
 
-Inside the vector loops (cover checks, eigenspace refinement, the sl2
-style of three_grading, check_z_trivial) elements are sparse dicts
-{index: Fraction}, multiplied with superalg._product and combined with
-exact.sparse_apply; ad(h) is given by sparse columns.  The homomorphism
-law of an sl or psl cover multiplies integer rows.  Dense Vec tuples
-appear only in the public results: component bases, Cartan elements and
-the parts of a ThreeGrading.
+Vectors are sparse rows {index: Fraction} (exact), multiplied with
+superalg._product and combined with exact.sparse_apply; ad(h) is given by
+sparse columns.  The homomorphism law of an sl or psl cover multiplies
+integer rows.  Component bases, cover images and the parts of a
+ThreeGrading are sparse rows; only the Cartan elements are dense Elements.
 """
 
 from __future__ import annotations
@@ -47,21 +45,18 @@ from .exact import (
     SparseRref,
     ZERO,
     ONE,
-    dense_to_sparse,
     eigenspace,
     kernel_from_rows,
     min_poly,
     poly_degree,
     rational_roots,
     sparse_apply,
-    sparse_to_dense,
     sparse_transpose,
-    unit_vec,
 )
 from .superalg import (
-    Element,
     LieSuperalgebra,
     ThreeGrading,
+    _dense_element,
     _integer_row,
     _product,
     _sparse_element,
@@ -75,7 +70,7 @@ TWO = Fraction(2)
 
 
 class RootComponent:
-    """One simultaneous eigenspace: weight, canonical basis, graded dims."""
+    """One simultaneous eigenspace: weight, canonical sparse-row basis, graded dims."""
 
     __slots__ = ("weight", "basis", "even_dim", "odd_dim")
 
@@ -155,7 +150,7 @@ def _toral_datum(l: LieSuperalgebra, cartan: CartanBasis) -> RootDatum | None:
     n = l.dim
     s = l.table.integer_form()[0]
     cols = l.table.toral_columns()
-    hs = [dense_to_sparse(h.coords) for h in cartan.elements]
+    hs = [_sparse_element(l, h) for h in cartan.elements]
     if any(t not in cols for h in hs for t in h):
         return None
     lams = [sparse_apply(cols, h) for h in hs]  # s * lambda_j(h) at j
@@ -166,7 +161,7 @@ def _toral_datum(l: LieSuperalgebra, cartan: CartanBasis) -> RootDatum | None:
     comps = []
     for wt, idx in sorted(groups.items()):
         odd = sum(par[j] for j in idx)
-        comps.append(RootComponent(wt, [unit_vec(n, j) for j in idx], len(idx) - odd, odd))
+        comps.append(RootComponent(wt, [{j: ONE} for j in idx], len(idx) - odd, odd))
     return _datum(cartan, comps)
 
 
@@ -178,7 +173,7 @@ def _refined_datum(l: LieSuperalgebra, cartan: CartanBasis) -> RootDatum:
     comps = [((), [{i: ONE} for i in range(n)])]
     for t, h in enumerate(cartan.elements):
         witness = f"ad(cartan element {t})"
-        hs = dense_to_sparse(h.coords).items()
+        hs = _sparse_element(l, h).items()
         refined = []
         for wt, basis in comps:
             sub = SparseRref(n)
@@ -193,9 +188,9 @@ def _refined_datum(l: LieSuperalgebra, cartan: CartanBasis) -> RootDatum:
                         f"{witness} does not preserve a previous eigenspace; "
                         "the Cartan basis is not closed under simultaneous refinement"
                     )
-                cols.append({k: x for k, x in enumerate(c) if x})
+                cols.append(c)
             for lam, local in _eigen_split(cols, witness):
-                ambient = [sparse_apply(rows, dense_to_sparse(lv)) for lv in local]
+                ambient = [sparse_apply(rows, lv) for lv in local]
                 refined.append((wt + (lam,), ambient))
         comps = refined
 
@@ -204,7 +199,7 @@ def _refined_datum(l: LieSuperalgebra, cartan: CartanBasis) -> RootDatum:
         sub = SparseRref(n)
         for v in basis:
             sub.insert(v)
-        rows = sub.basis_dense()
+        rows = sub.basis()
         ev = od = 0
         for v in rows:
             p = homogeneous_parity(l.space, v)
@@ -293,10 +288,10 @@ def expected_ann_roots(n: int, diag_mats=None) -> ExpectedRoots:
 class CoverEmbedding:
     """A grading-subsuperalgebra candidate inside L.
 
-    kind 'sl' or 'psl': images list the embedded basis of the reference
-    copy of sl(n+1,n+1) or psl(n+1,n+1).  kind 'm11': images is a dict of
-    the eight TKK generators e1, e2, x, y, e1~, e2~, x~, y~ of a certified
-    M_{1,1}+ quadruple, from which a central cover of psl(2,2) is grown.
+    Images are sparse rows.  kind 'sl' or 'psl': they list the embedded
+    basis of the reference copy of sl(n+1,n+1) or psl(n+1,n+1).  kind
+    'm11': a dict of the eight TKK generators e1, e2, x, y, e1~, e2~, x~,
+    y~ of a certified M_{1,1}+ quadruple, which grow a central cover of psl(2,2).
     """
 
     __slots__ = ("kind", "n", "images", "reference")
@@ -310,7 +305,7 @@ def identity_cover(l: LieSuperalgebra) -> CoverEmbedding:
     only ones whose provenance holds the ambient sl(n+1,n+1))."""
     if "ambient_sl" not in l.provenance:
         raise BadParams("identity_cover needs a psl(n+1,n+1) instance")
-    return CoverEmbedding("psl", l.provenance["n"], [unit_vec(l.dim, i) for i in range(l.dim)], l)
+    return CoverEmbedding("psl", l.provenance["n"], [{i: ONE} for i in range(l.dim)], l)
 
 
 def slA_cover(l: LieSuperalgebra) -> CoverEmbedding:
@@ -342,7 +337,7 @@ def _analyze_sl_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalysi
     ref = cover.reference
     if len(cover.images) != ref.dim:
         raise NotHomomorphism("embedding image count differs from the cover basis")
-    images = [_sparse_element(l, v) for v in cover.images]
+    images = cover.images
     sr = SparseRref(l.dim)
     for v in images:
         sr.insert(v)
@@ -371,12 +366,9 @@ def _analyze_sl_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalysi
                     f"embedding fails the homomorphism law on cover basis pair ({i},{j})"
                 )
     h_ref = ref.provenance["cartan_h"]
-
-    def push(coords) -> tuple:
-        return sparse_to_dense(sparse_apply(images, dense_to_sparse(coords)), l.dim)
-
     cartan = CartanBasis(
-        elements=[Element(push(e.coords), 0) for e in h_ref.elements],
+        elements=[_dense_element(sparse_apply(images, _sparse_element(ref, e)), l.dim)
+                  for e in h_ref.elements],
         diag_mats=h_ref.diag_mats,
     )
     evidence = {
@@ -400,7 +392,7 @@ def _m11_psl_targets() -> dict:
     psl22 = construct_psl(1)
 
     def u(r, c, s=ONE):
-        return {t: s * x for t, x in enumerate(matrix_unit_in_psl(psl22, r, c)) if x}
+        return {t: s * x for t, x in matrix_unit_in_psl(psl22, r, c).items()}
 
     return psl22, {
         "e1": u(0, 1),
@@ -417,7 +409,7 @@ def _m11_psl_targets() -> dict:
 def _analyze_m11_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalysis:
     if set(cover.images) != set(_M11_KEYS):
         raise BadParams(f"m11 cover needs generator images {_M11_KEYS}")
-    images = {k: _sparse_element(l, v) for k, v in cover.images.items()}
+    images = cover.images
     psl22, targets = _m11_psl_targets()
     nl, np_ = l.dim, psl22.dim
 
@@ -460,7 +452,7 @@ def _analyze_m11_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalys
     # the product, and the targets generate psl(2,2)
     kern = kernel_from_rows(sparse_transpose([p for _, p in parts], np_), s_dim)
     for kv in kern:
-        zl = sparse_apply([v for v, _ in parts], dense_to_sparse(kv)).items()
+        zl = sparse_apply([v for v, _ in parts], kv).items()
         for b, _ in parts:
             if _product(l.table, zl, b.items()):
                 raise NotHomomorphism("kernel of the cover map is not central")
@@ -475,7 +467,7 @@ def _analyze_m11_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalys
     h1 = _product(l.table, images["e1"].items(), images["e1~"].items())
     h2 = _product(l.table, images["e2"].items(), images["e2~"].items())
     cartan = CartanBasis(
-        elements=[Element(sparse_to_dense(h, nl), 0) for h in (h1, h2)],
+        elements=[_dense_element(h, nl) for h in (h1, h2)],
         diag_mats=((ONE, -ONE, ZERO, ZERO), (ZERO, ZERO, ONE, -ONE)),
     )
     evidence = {
@@ -544,15 +536,15 @@ def verify_delta_graded(l: LieSuperalgebra, cover: CoverEmbedding) -> GradingRep
 
 
 def _unit_owner(groups, n: int) -> list | None:
-    """owner[j] = key of the group whose vectors hold a multiple of b_j, when
-    the (key, vectors) groups are multiples of distinct basis vectors that
+    """owner[j] = key of the group whose sparse rows hold a multiple of b_j,
+    when the (key, rows) groups are multiples of distinct basis vectors that
     cover the basis; else None."""
     owner = [None] * n
     for key, vecs in groups:
         for v in vecs:
-            if v.count(ZERO) != n - 1:  # the ZERO of unit_vec matches by identity
+            if len(v) != 1:
                 return None
-            j = next(j for j, c in enumerate(v) if c is not ZERO and c)
+            (j,) = v
             if owner[j] is not None:
                 return None
             owner[j] = key
@@ -628,8 +620,7 @@ def check_z_trivial(l: LieSuperalgebra, cover) -> ZTrivialReport:
         zc = ref.provenance.get("z")
         if zc is None:
             return ZTrivialReport(passed=True, vacuous=True)
-        zs = dense_to_sparse(zc)
-        z = sparse_apply({t: _sparse_element(l, cover.images[t]) for t in zs}, zs)
+        z = sparse_apply(cover.images, zc)
     else:
         z = _sparse_element(l, cover)
     j = next((j for j in range(l.dim) if _product(l.table, z.items(), ((j, ONE),))), None)
@@ -674,7 +665,6 @@ def three_grading(l: LieSuperalgebra, datum: RootDatum, style: str, h=None) -> T
                 continue
             lam = None
             for v in comp.basis:
-                v = dense_to_sparse(v)
                 img = _product(l.table, hs, v.items())
                 for cand in (ZERO, TWO, -TWO):
                     if img == {i: cand * x for i, x in v.items() if cand}:

@@ -66,9 +66,9 @@ class SuperSpace:
         return self.dim - self.even_dim
 
 
-def homogeneous_parity(space: SuperSpace, coords: Sequence) -> int | None:
-    """Parity of a homogeneous vector, or None if mixed (0 counts as even)."""
-    seen = {space.parity[i] for i, c in enumerate(coords) if c}
+def homogeneous_parity(space: SuperSpace, row: dict) -> int | None:
+    """Parity of a homogeneous sparse row, or None if mixed (0 counts as even)."""
+    seen = {space.parity[i] for i in row}
     if len(seen) > 1:
         return None
     return seen.pop() if seen else 0
@@ -84,7 +84,7 @@ class Element:
 
 
 class ThreeGrading:
-    """Bases of the parts of a short grading L(-1) + L(0) + L(1)."""
+    """Sparse-row bases of the parts of a short grading L(-1) + L(0) + L(1)."""
 
     __slots__ = ("minus", "zero", "plus")
 
@@ -111,6 +111,11 @@ def _sparse_element(l, x) -> dict:
     if len(c) != l.dim:
         raise DimensionMismatch("element length != algebra dimension")
     return dense_to_sparse(c)
+
+
+def _dense_element(row: dict, n: int, parity: int | None = 0) -> Element:
+    """The Element of a sparse row of an algebra of dimension n."""
+    return Element(sparse_to_dense(row, n), parity)
 
 
 def _integer_table(n: int, entries: dict) -> tuple[int, list[dict]]:
@@ -207,7 +212,7 @@ class StructureTable:
             u = vec(self.unit)
             if len(u) != self.space.dim:
                 raise ValidationError("unit vector has wrong length")
-            if homogeneous_parity(self.space, u) != 0:
+            if any(c and p for c, p in zip(u, self.space.parity)):
                 raise ValidationError("unit element must be even")
             self.unit = u
 
@@ -337,11 +342,11 @@ class _AlgebraBase:
         c = vec(coords)
         if len(c) != self.dim:
             raise DimensionMismatch("coordinate length != algebra dimension")
+        row = dense_to_sparse(c)
         if parity == "infer":
-            parity = homogeneous_parity(self.space, c)
+            parity = homogeneous_parity(self.space, row)
         elif parity is not None:
-            support = {self.space.parity[i] for i, x in enumerate(c) if x != 0}
-            if support - {parity}:
+            if {self.space.parity[i] for i in row} - {parity}:
                 raise ValidationError(
                     "declared parity does not match the coordinate support"
                 )
@@ -405,28 +410,27 @@ def validate_jordan(table: StructureTable, provenance=None) -> JordanSuperalgebr
 
 def bracket(l: _AlgebraBase, x, y) -> Element:
     """Product of two elements under the algebra's structure table."""
-    cx, cy = _coords(x), _coords(y)
-    out = l.product_vec(cx, cy)
-    px = x.parity if isinstance(x, Element) else homogeneous_parity(l.space, cx)
-    py = y.parity if isinstance(y, Element) else homogeneous_parity(l.space, cy)
-    if not any(out):
+    sx, sy = _sparse_element(l, x), _sparse_element(l, y)
+    out = _product(l.table, sx.items(), sy.items())
+    px = x.parity if isinstance(x, Element) else homogeneous_parity(l.space, sx)
+    py = y.parity if isinstance(y, Element) else homogeneous_parity(l.space, sy)
+    if not out:
         parity = 0
     elif px is not None and py is not None:
         parity = (px + py) % 2
     else:
         parity = homogeneous_parity(l.space, out)
-    return Element(out, parity)
+    return _dense_element(out, l.dim, parity)
 
 
-def ad_rows(l: _AlgebraBase, x) -> list[dict]:
-    """Sparse rows {column: Fraction} of y -> x * y in the algebra basis."""
+def ad_rows(l: _AlgebraBase, x: dict) -> list[dict]:
+    """Sparse rows {column: Fraction} of y -> x * y for a sparse row x."""
     s, L = l.table.integer_form()
-    xs = [(i, c) for i, c in enumerate(_coords(x)) if c]
-    cols = [_sparse_product(L, xs, [(j, ONE / s)]) for j in range(l.dim)]
+    cols = [_sparse_product(L, x.items(), [(j, ONE / s)]) for j in range(l.dim)]
     return sparse_transpose(cols, l.dim)
 
 
-def center(l: LieSuperalgebra) -> list[Vec]:
+def center(l: LieSuperalgebra) -> list[dict]:
     """Canonical basis of {x : x * b_j = 0 for every basis element b_j}.
 
     On a super-anticommutative table, x * b_h = 0 gives b_h * x = 0 for
@@ -442,7 +446,7 @@ def center(l: LieSuperalgebra) -> list[Vec]:
         for j, terms in L[i].items():
             for k, c in terms:
                 rows.setdefault((j, k), {})[t] = c
-    return [sparse_to_dense({i: z[t] for t, i in enumerate(cols)}, l.dim)
+    return [{cols[t]: c for t, c in z.items()}
             for z in kernel_from_rows(rows.values(), len(cols))]
 
 
@@ -463,7 +467,7 @@ def derived_rref(l: _AlgebraBase) -> SparseRref:
 
 
 def quotient_central(l: LieSuperalgebra, zbasis: Sequence) -> LieSuperalgebra:
-    """Quotient by a central graded subspace.
+    """Quotient by a central graded subspace, spanned by sparse rows.
 
     The complement is spanned by the basis vectors at non-pivot columns of
     the central subspace's RREF; centrality of every generator makes the
@@ -482,10 +486,9 @@ def quotient_central(l: LieSuperalgebra, zbasis: Sequence) -> LieSuperalgebra:
     s, L = l.table.integer_form()
     zr = SparseRref(n)
     for z in zbasis:
-        z = _coords(z)
         if homogeneous_parity(l.space, z) is None:
             raise NotCentral("central subspace generator is not parity-homogeneous")
-        _, zs = _integer_row(dense_to_sparse(z))
+        _, zs = _integer_row(z)
         acc: dict[int, dict] = {}  # j -> d s (z * b_j)
         for i, c in zs.items():
             for j, terms in L[i].items():
@@ -594,6 +597,7 @@ class SubspaceCoords:
         self._dens = []  # d_i
         self._rows = []  # d_i v_i as (index, int) pairs
         for i, v in enumerate(basis):
+            self._check(v)
             d, row = _integer_row(v)
             self._dens.append(d)
             self._rows.append(list(row.items()))
@@ -611,17 +615,21 @@ class SubspaceCoords:
         dens, den = self._dens, den * scale
         return {c - n: Fraction(-x * dens[c - n], den) for c, x in g.items()}
 
-    def coords(self, ambient) -> Vec | None:
-        """Coordinates in the chosen basis, or None if outside the span."""
-        sparse = ambient if isinstance(ambient, dict) else dense_to_sparse(ambient)
-        found = self.sparse_coords(sparse)
-        return None if found is None else sparse_to_dense(found, self.dim)
+    def coords(self, ambient: dict) -> dict | None:
+        """Nonzero coordinates of a sparse row in the chosen basis, or None
+        outside the span; an index outside range(n) raises DimensionMismatch."""
+        self._check(ambient)
+        return self.sparse_coords(ambient)
+
+    def _check(self, row: dict):
+        if not all(0 <= k < self._n for k in row.keys()):
+            raise DimensionMismatch(f"vector index outside range({self._n})")
 
 
 def restricted_table(
-    l: _AlgebraBase, basis: Sequence, kind: str | None = None, unit=None, labels=None
+    l: _AlgebraBase, basis: Sequence[dict], kind: str | None = None, unit=None, labels=None
 ) -> tuple[StructureTable, SubspaceCoords]:
-    """Structure table of a product-closed subspace on a given basis.
+    """Structure table of a product-closed subspace on a basis of sparse rows.
 
     Raises ValidationError if the basis is linearly dependent, if the
     subspace is not closed under the product or if some basis vector is not
@@ -634,18 +642,13 @@ def restricted_table(
     a homogeneous independent basis, so the entries are canonical and go
     through _integer_table.
     """
-    dense = [_coords(b) for b in basis]
-    if any(len(v) != l.dim for v in dense):
-        raise DimensionMismatch("element length != algebra dimension")
-    sparse = [dense_to_sparse(v) for v in dense]
-    conv = SubspaceCoords(sparse, l.dim)
-    par = l.space.parity
+    conv = SubspaceCoords(basis, l.dim)
     parities = []
-    for v in sparse:
-        seen = {par[k] for k in v}  # v != 0, as the basis is independent
-        if len(seen) > 1:
+    for v in basis:
+        p = homogeneous_parity(l.space, v)  # v != 0, as the basis is independent
+        if p is None:
             raise ValidationError("subalgebra basis vector is not parity-homogeneous")
-        parities.append(seen.pop())
+        parities.append(p)
     s, L = l.table.integer_form()
     rows, dens = conv._rows, conv._dens
     entries = {}

@@ -17,17 +17,20 @@ rational_roots_by_divisors is the rational-root theorem search that
 exact.rational_roots replaced with Sturm bisection: it tries every divisor
 of the end coefficients, which takes about sqrt(|coefficient|) steps.
 poly_eval, poly_divmod and poly_monic are the Fraction polynomial
-arithmetic it runs on; exact.min_poly takes its lcms without them.  d_operator is the
-Fraction-matrix form of the TKK operator pair that jordan.tkk builds as
-scaled integer rows.  complement_rows picks the canonical complement of
-B^2 in Z^2 on the full cochain system, as cohomology.h2_representatives
-did before it solved on weight-zero cochains.  span_closure,
-subalgebra_from_generators, basis_element, all_components and associator
-have no caller in the package.  derived_subalgebra_all_brackets inserts
-every bracket, as superalg.derived_rref did before it stopped at
-full rank.  condition3_by_vectors and
-closure_by_vectors bracket the component and part vectors of a grading
-check, as roots did before it rewrote every datum in its weight basis.
+arithmetic it runs on; exact.min_poly takes its lcms without them.
+dense_rows turns the package's sparse rows into the dense tuples these
+oracles return.  d_operator is the Fraction-matrix form of the TKK
+operator pair that jordan.tkk builds as scaled integer rows.
+complement_rows picks the canonical complement of B^2 in Z^2 on the full
+cochain system, as cohomology.h2_representatives did before it solved on
+weight-zero cochains.  span_closure,
+subalgebra_from_generators, basis_element, all_components, sparse_product
+and associator have no caller in the package.
+derived_subalgebra_all_brackets inserts every bracket, as
+superalg.derived_rref did before it stopped at full rank.
+condition3_by_vectors and closure_by_vectors bracket the component and
+part vectors of a grading check, as roots did before it rewrote every
+datum in its weight basis.
 extension_from_quotient, _preimage and cover_kernel_check check that the
 kernel of a central cover lies in the zero weight space and that every
 root space maps isomorphically; no command runs them, and the acceptance
@@ -96,7 +99,6 @@ from supergrade.exact import (
     sparse_apply,
     sparse_to_dense,
     sparse_transpose,
-    sub_vec,
     unit_vec,
     vec,
 )
@@ -107,8 +109,8 @@ from supergrade.superalg import (
     LieSuperalgebra,
     StructureTable,
     SuperSpace,
-    _coords,
     _integer_row,
+    _sparse_element,
     _sparse_product,
     ad_rows,
     homogeneous_parity,
@@ -387,24 +389,21 @@ class FractionSubspaceCoords:
             return None
         return {c - self._n: -x for c, x in red.items()}
 
-    def coords(self, ambient) -> Vec | None:
-        sparse = ambient if isinstance(ambient, dict) else dense_to_sparse(ambient)
-        found = self.sparse_coords(sparse)
-        return None if found is None else sparse_to_dense(found, self.dim)
+    def coords(self, ambient: dict) -> dict | None:
+        if any(not 0 <= k < self._n for k in ambient):
+            raise DimensionMismatch("vector index outside the ambient space")
+        return self.sparse_coords(ambient)
 
 
 def restricted_table(l, basis: Sequence, kind: str | None = None, unit=None, labels=None):
     """superalg.restricted_table in Fraction arithmetic: every product of
     two basis vectors is formed over Fraction and its coordinates read off
     FractionSubspaceCoords, and the checking StructureTable builds the
-    table."""
-    dense = [_coords(b) for b in basis]
-    if any(len(v) != l.dim for v in dense):
-        raise DimensionMismatch("element length != algebra dimension")
-    vecs = [dense_to_sparse(v) for v in dense]
+    table.  The basis is given as sparse rows, as the package takes it."""
+    vecs = [dict(v) for v in basis]
     conv = FractionSubspaceCoords(vecs, l.dim)
     parities = []
-    for v in dense:
+    for v in vecs:
         p = homogeneous_parity(l.space, v)
         if p is None:
             raise ValidationError("subalgebra basis vector is not parity-homogeneous")
@@ -445,7 +444,7 @@ def span_closure(seed: Iterable[Sequence], product: Callable[[Vec, Vec], Vec]) -
             queue.append(product(other, cand))
         queue.append(product(cand, cand))
         elems.append(cand)
-    return sr.basis_dense()
+    return [sparse_to_dense(r, len(seeds[0])) for r in sr.basis()]
 
 
 def pair_index_by_scan(space: SuperSpace, parity: int, weights: list):
@@ -463,14 +462,14 @@ def pair_index_by_scan(space: SuperSpace, parity: int, weights: list):
     return pairs, {p: t for t, p in enumerate(pairs)}
 
 
-def derived_subalgebra_all_brackets(l) -> list[Vec]:
+def derived_subalgebra_all_brackets(l) -> list[dict]:
     """Canonical basis of span{[b_i, b_j]}, every i <= j inserted."""
     sr = SparseRref(l.dim)
     for i, row in enumerate(l.table.integer_form()[1]):
         for j in sorted(row):
             if i <= j:
                 sr.insert(dict(row[j]))
-    return sr.basis_dense()
+    return sr.basis()
 
 
 def subalgebra_from_generators(l, gens: Iterable) -> list[Vec]:
@@ -593,9 +592,17 @@ def rational_roots_by_divisors(p: Sequence) -> tuple[list[tuple[Fraction, int]],
     return roots, work
 
 
+def dense_rows(rows: list[dict], n: int) -> list[Vec]:
+    """Sparse rows as dense tuples, after checking that each holds only
+    nonzero values at indices in range(n): the form the dense oracles
+    compare in."""
+    assert all(x != 0 and 0 <= k < n for row in rows for k, x in row.items())
+    return [sparse_to_dense(row, n) for row in rows]
+
+
 def ad_matrix(l, x) -> Matrix:
     """Matrix of y -> x * y in the algebra basis."""
-    return Matrix([sparse_to_dense(row, l.dim) for row in ad_rows(l, x)])
+    return Matrix([sparse_to_dense(row, l.dim) for row in ad_rows(l, _sparse_element(l, x))])
 
 
 def basis_element(l, i: int) -> Element:
@@ -606,13 +613,16 @@ def all_components(datum) -> list:
     return [datum.zero_component] + datum.components
 
 
-def associator(j, a, b, c) -> Vec:
-    """(a.b).c - a.(b.c)."""
-    ca, cb, cc = _coords(a), _coords(b), _coords(c)
-    return sub_vec(
-        j.product_vec(j.product_vec(ca, cb), cc),
-        j.product_vec(ca, j.product_vec(cb, cc)),
-    )
+def sparse_product(l, a: dict, b: dict) -> dict:
+    """a * b for sparse rows a, b of the algebra l, zeros dropped."""
+    return superalg._product(l.table, a.items(), b.items())
+
+
+def associator(j, a: dict, b: dict, c: dict) -> dict:
+    """(a.b).c - a.(b.c) for sparse rows, zeros dropped."""
+    left = sparse_product(j, sparse_product(j, a, b), c)
+    right = sparse_product(j, a, sparse_product(j, b, c))
+    return {k: v for k in left.keys() | right.keys() if (v := left.get(k, 0) - right.get(k, 0))}
 
 
 def d_operator(j, a: Vec, b: Vec, pa: int, pb: int):
@@ -738,9 +748,9 @@ def cover_kernel_check(ext: CentralCover, cartan: CartanBasis) -> CoverKernelRep
 
     zero_sr = SparseRref(big.dim)
     for v in datum_big.zero_component.basis:
-        zero_sr.insert(dense_to_sparse(v))
+        zero_sr.insert(v)
     kern = kernel_from_rows(prows, big.dim)
-    kernel_in_zero = all(zero_sr.contains(dense_to_sparse(v)) for v in kern)
+    kernel_in_zero = all(zero_sr.contains(v) for v in kern)
 
     per_root = True
     details = []
@@ -750,10 +760,10 @@ def cover_kernel_check(ext: CentralCover, cartan: CartanBasis) -> CoverKernelRep
         if ok:
             base_sr = SparseRref(base.dim)
             for v in comp.basis:
-                base_sr.insert(dense_to_sparse(v))
+                base_sr.insert(v)
             rank_sr = SparseRref(base.dim)
             for v in big_comp.basis:
-                img = sparse_apply(proj, dense_to_sparse(v))
+                img = sparse_apply(proj, v)
                 if not base_sr.contains(img):
                     ok = False
                     break
@@ -772,15 +782,15 @@ def condition3_by_vectors(l, datum) -> dict:
     n = l.dim
     span = SparseRref(n)
     ent = l.table.entries
-    sparse = {c.weight: [dense_to_sparse(v).items() for v in c.basis] for c in datum.components}
+    sparse = {c.weight: [v.items() for v in c.basis] for c in datum.components}
     for wt, vecs in sparse.items():
         for vb in sparse.get(tuple(-x for x in wt), ()):
             for va in vecs:
                 span.insert(fraction_product(ent, va, vb))
     zero_sr = SparseRref(n)
     for v in datum.zero_component.basis:
-        zero_sr.insert(dense_to_sparse(v))
-    deficit = [v for v in datum.zero_component.basis if not span.contains(dense_to_sparse(v))]
+        zero_sr.insert(v)
+    deficit = [v for v in datum.zero_component.basis if not span.contains(v)]
     leak = any(not zero_sr.contains(r) for r in span.basis())
     return {
         "passed": not deficit and not leak,
@@ -796,7 +806,7 @@ def closure_by_vectors(l, parts: dict) -> tuple | None:
     inside a span exactly when [v, v'] is."""
     n = l.dim
     rows_l = l.table.integer_form()[1]
-    rows = {k: [_integer_row(dense_to_sparse(v))[1] for v in parts[k]] for k in (-1, 0, 1)}
+    rows = {k: [_integer_row(v)[1] for v in parts[k]] for k in (-1, 0, 1)}
     spans = {}
     for k in (-1, 0, 1):
         sr = spans[k] = SparseRref(n)
@@ -947,15 +957,15 @@ def tkk_by_all_d_rows(j) -> StructureTable:
 def quotient_central_by_reduction(l: LieSuperalgebra, zbasis: Sequence) -> LieSuperalgebra:
     """superalg.quotient_central checking centrality with one Fraction
     product per basis element and reducing every kept entry against the
-    center's RREF, through the checking StructureTable constructor."""
-    zvecs = [_coords(z) for z in zbasis]
+    center's RREF, through the checking StructureTable constructor.  zbasis
+    holds sparse rows, as quotient_central takes them."""
     n = l.dim
     ent = l.table.entries
     zr = SparseRref(n)
-    for z in zvecs:
+    for z in zbasis:
         if homogeneous_parity(l.space, z) is None:
             raise NotCentral("central subspace generator is not parity-homogeneous")
-        zs = [(i, c) for i, c in enumerate(z) if c]
+        zs = list(z.items())
         for j in range(n):
             if fraction_product(ent, zs, [(j, ONE)]):
                 raise NotCentral(f"generator fails centrality against basis element {j}")
@@ -1156,7 +1166,7 @@ def _basis_labels(basis, ambient, prefix: str) -> tuple:
     vector, and prefix1, prefix2, ... for the others in order."""
     labels, extra = [], 0
     for b in basis:
-        support = [(i, c) for i, c in enumerate(b) if c]
+        support = list(b.items())
         if len(support) == 1 and support[0][1] == 1:
             labels.append(ambient.labels[support[0][0]])
         else:
@@ -1180,18 +1190,17 @@ def construct_sl(m: int, n: int) -> LieSuperalgebra:
     table, conv = superalg.restricted_table(gl, basis, "lie",
                                             labels=_basis_labels(basis, gl, "H"))
 
-    def to_sl(glvec) -> Vec:
+    def to_sl(glvec: dict) -> dict:
         coords = conv.coords(glvec)
         if coords is None:
             raise ValidationError("vector is not supertrace-free")
         return coords
 
     diag_set = set(info["diag_indices"])
-    diag_positions = [i for i, b in enumerate(basis)
-                      if all(c == 0 or idx in diag_set for idx, c in enumerate(b))]
+    diag_positions = [i for i, b in enumerate(basis) if all(idx in diag_set for idx in b)]
     hprime = CartanBasis(
         elements=[Element(unit_vec(len(basis), i), 0) for i in diag_positions],
-        diag_mats=tuple(tuple(basis[i][di] for di in info["diag_indices"])
+        diag_mats=tuple(tuple(basis[i].get(di, ZERO) for di in info["diag_indices"])
                         for i in diag_positions),
     )
     prov = {"name": f"sl({m},{n})", "m": m, "n": n, "ambient_gl": gl, "embedding": basis,
@@ -1202,11 +1211,10 @@ def construct_sl(m: int, n: int) -> LieSuperalgebra:
         hdiags = kernel_from_rows(sums, m + n)
         helems = []
         for hd in hdiags:
-            glvec = [ZERO] * (d * d)
-            for t, x in enumerate(hd):
-                glvec[info["diag_indices"][t]] = x
-            helems.append(Element(to_sl(tuple(glvec)), 0))
-        prov["cartan_h"] = CartanBasis(helems, diag_mats=tuple(hdiags))
+            glvec = {info["diag_indices"][t]: x for t, x in hd.items()}
+            helems.append(Element(sparse_to_dense(to_sl(glvec), len(basis)), 0))
+        prov["cartan_h"] = CartanBasis(
+            helems, diag_mats=tuple(sparse_to_dense(hd, m + n) for hd in hdiags))
     return LieSuperalgebra(table, prov)
 
 
@@ -1216,17 +1224,14 @@ def construct_sl_A(m: int, n: int, a) -> LieSuperalgebra:
     restricted_table, and the cover images read through its SubspaceCoords."""
     sl = construct_sl(m, n)
     tensor = tensor_lie_assoc(sl.provenance["ambient_gl"], a)
-    dbasis = superalg.derived_rref(tensor).basis_dense()
+    dbasis = superalg.derived_rref(tensor).basis()
     table, conv = superalg.restricted_table(tensor, dbasis, "lie",
                                             labels=_basis_labels(dbasis, tensor, "D"))
     images = []
     for b in sl.provenance["embedding"]:
-        out = [ZERO] * tensor.dim
-        for u, c in enumerate(b):
-            for s, cs in enumerate(a.unit):
-                if c and cs:
-                    out[u * a.dim + s] = c * cs
-        coords = conv.coords(tuple(out))
+        out = {u * a.dim + s: c * cs for u, c in b.items()
+               for s, cs in enumerate(a.unit) if cs}
+        coords = conv.coords(out)
         if coords is None:
             raise ValidationError("vector does not lie in the derived subalgebra")
         images.append(coords)

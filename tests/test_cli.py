@@ -744,6 +744,69 @@ def test_cli_determinism(argv, capsys):
     assert out1  # every command prints something
 
 
+# every file the CLI writes, by the command that writes it, with the
+# sha256 of its bytes: SCA tables from construct, tkk, jordan-from-grading
+# and uce, and the cover maps of construct slA and tkk --m11
+WRITTEN_FILES = {
+    "gl21.sca": (["construct", "gl", "2", "1"],
+        "8c6c493c0ac07aac90a952791a2e7e9e2dcfe85f65cee1b0025b0765c2852be5"),
+    "sl22.sca": (["construct", "sl", "2", "2"],
+        "5a04d8a0edf0ed0d5a934a245e1b6eea8b4a76732790f2994db4404b66182567"),
+    "psl33.sca": (["construct", "psl", "2"],
+        "a89aeb6c1891263169e7e8944575924c4368aa141978eb6f21a31bd8cef57577"),
+    "slA22.sca": (["construct", "slA", "2", "2", "matrix_super", "1", "1",
+                   "--cover-out", "slA22_cover.json"],
+        "a71211b53c72b9530cfc04c4996a1c2488c178d78e1d5a7446f48972084579cc"),
+    "field.sca": (["construct", "assoc", "field"],
+        "97f5fcb622ef3d4dbbbd756bfef00cf23026f56b357dfdfd7728e93b16b54179"),
+    "mplus1.sca": (["construct", "mplus", "1"],
+        "a02ce6a8686274c7be38d397efce0ed8a86794aae2b2e8c48fc734743efa0d9e"),
+    "jq2.sca": (["construct", "jq", "2"],
+        "2f1c9f623072e42dcf9e39cc75b2ef0d3ffa29b7e02f59b48246c988d7ba64eb"),
+    "m11.sca": (["construct", "m11"],
+        "3b6265536f66ab04fbde0d3f8b11d7dc259dc631c6581e88bd08576e1d383a4d"),
+    "jp4.sca": (["construct", "jp", "4"],
+        "3aaee543441ceb15d7d0f257c1388cb7f8b1debe8af7b41c1dd53ee5e933b8cc"),
+    "tkk_jp4.sca": (["tkk", "jp4.sca", "--m11", "jp4_m11.json",
+                     "--cover-out", "tkk_jp4_cover.json"],
+        "5057ea59e3a9b9ee40c516e8a447347366f948ab7ffdf4a5188fcc9d861db534"),
+    "tkk_m11.sca": (["tkk", "m11.sca"],
+        "5070746aeded6ae7653ad7929f7a26d53a685205dbac2d6e0a2a79428892eef2"),
+    "back.sca": (["jordan-from-grading", "tkk_m11.sca", "--e", "@e.vec", "--f", "@f.vec"],
+        "8825ffc0b86f1d1031822c24d2415abbcf807b617350ca6cecd3ee3bf560acd7"),
+    "uce_psl33.sca": (["uce", "psl33.sca"],
+        "95b10b886556b52de78bf9da90835b92e25d45504fac93c9dedfdb43d4ab4b92"),
+    "slA22_cover.json": (None,
+        "ed7559e36c3ed4f140c0b3e820f7b13f4649842d3d52e872ffcc1e6479b125ab"),
+    "tkk_jp4_cover.json": (None,
+        "e52921f01cf04a74531de9c22ed7938d58a7a1946ce2c3eb5c2a2b63b85850c3"),
+}
+
+
+def test_every_file_the_cli_writes_is_input_it_accepts(tmp_path, capsys):
+    (tmp_path / "jp4_m11.json").write_text(json.dumps(
+        {k: [str(x) for x in v] for k, v in JP4_M11_ELEMENTS.items()}))
+    for name in ("e", "f"):
+        (tmp_path / f"{name}.vec").write_text((FIXTURES / f"tkk_m11_{name}.vec").read_text())
+    digests = {}
+    for name, (argv, _) in WRITTEN_FILES.items():
+        if argv is not None:
+            assert run_cli([*argv, "--out", name], capsys, cwd=tmp_path)[0] == 0, name
+        data = (tmp_path / name).read_bytes()
+        digests[name] = hashlib.sha256(data).hexdigest()
+        if name.endswith(".sca"):
+            # check accepts it, and parse then write gives the same bytes
+            code, out = run_cli(["check", name], capsys, cwd=tmp_path)
+            assert code == 0 and json.loads(out)["valid"] is True, name
+            assert write_sca(parse_sca(data.decode())).encode() == data, name
+    assert digests == {name: digest for name, (_, digest) in WRITTEN_FILES.items()}
+    # verify-grading accepts every cover map the CLI writes
+    for argv in (["slA22.sca", "--cover", "sl22", "--cover-map", "slA22_cover.json"],
+                 ["tkk_jp4.sca", "--cover", "m11", "--cover-map", "tkk_jp4_cover.json"]):
+        code, out = run_cli(["verify-grading", *argv], capsys, cwd=tmp_path)
+        assert code == 0 and json.loads(out)["verdict"] == "graded", argv
+
+
 def test_cli_determinism_written_files(tmp_path, capsys):
     sca_path = tmp_path / "uce.sca"
     rep_path = tmp_path / "rep.json"

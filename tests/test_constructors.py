@@ -7,7 +7,7 @@ import pytest
 
 from supergrade import constructors as C
 from supergrade.errors import BadParams, WrongAlgebra
-from supergrade.exact import unit_vec, vec
+from supergrade.exact import sparse_to_dense, unit_vec, vec
 from supergrade.superalg import (
     center,
     derived_rref,
@@ -28,7 +28,7 @@ def test_gl_dimensions():
 
 
 def test_gl_z_central(gl33):
-    z = gl33.provenance["z"]
+    z = sparse_to_dense(gl33.provenance["z"], gl33.dim)
     for j in range(gl33.dim):
         assert not any(gl33.product_vec(z, unit_vec(gl33.dim, j)))
 
@@ -41,9 +41,9 @@ def test_sl_dimensions(sl21, sl22, sl33):
 
 
 def test_sl22_contains_central_z(sl22):
-    z = sl22.provenance["z"]
+    z = sparse_to_dense(sl22.provenance["z"], sl22.dim)
     gl = sl22.provenance["ambient_gl"]
-    assert C.supertrace(gl, gl.provenance["z"]) == 0
+    assert C.supertrace(gl, sparse_to_dense(gl.provenance["z"], gl.dim)) == 0
     for j in range(sl22.dim):
         assert not any(sl22.product_vec(z, unit_vec(sl22.dim, j)))
 
@@ -95,15 +95,15 @@ def test_sl_A_dimensions(slA_instances):
 
 def test_sl_A_field_is_sl(sl33, slA_instances):
     # same subspace of gl(3,3), possibly with different canonical signs
-    from supergrade.exact import SparseRref, dense_to_sparse
+    from supergrade.exact import SparseRref
 
     l = slA_instances["field"]
     sr = SparseRref(36)
     for v in l.provenance["basis_in_ambient"]:
-        sr.insert(dense_to_sparse(v))
+        sr.insert(v)
     assert sr.rank == 35
     for v in sl33.provenance["embedding"]:
-        assert sr.contains(dense_to_sparse(v))
+        assert sr.contains(v)
 
 
 def test_sl_A_grassmann_parity_swap(slA_instances):
@@ -136,7 +136,7 @@ def test_supertrace(gl33):
     e1b1b = unit_vec(36, units.index((3, 3)))
     assert C.supertrace(gl33, e11) == 1
     assert C.supertrace(gl33, e1b1b) == -1
-    assert C.supertrace(gl33, gl33.provenance["z"]) == 0
+    assert C.supertrace(gl33, sparse_to_dense(gl33.provenance["z"], 36)) == 0
 
 
 def test_supertrace_vanishes_on_brackets(gl33):
@@ -162,8 +162,8 @@ def test_cartan_provenance(sl22, sl33, psl33):
 
 
 def test_matrix_unit_in_psl(psl22):
-    e12 = C.matrix_unit_in_psl(psl22, 0, 1)
-    e21 = C.matrix_unit_in_psl(psl22, 1, 0)
+    e12 = sparse_to_dense(C.matrix_unit_in_psl(psl22, 0, 1), psl22.dim)
+    e21 = sparse_to_dense(C.matrix_unit_in_psl(psl22, 1, 0), psl22.dim)
     h = psl22.product_vec(e12, e21)
     assert psl22.product_vec(h, e12) == tuple(2 * c for c in e12)
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supergrade import exact
@@ -14,6 +14,7 @@ from supergrade.errors import NonSplitSpectrum
 from supergrade.exact import (
     SparseRref,
     dense_to_sparse,
+    kernel_from_rows,
     min_poly,
     poly_mul,
     rational_roots,
@@ -23,6 +24,7 @@ from tests.oracles import (
     FractionSparseRref,
     Matrix,
     char_poly,
+    dense_rows,
     kernel,
     poly_divmod,
     poly_eval,
@@ -165,8 +167,9 @@ def test_sparse_rref_coordinates():
     sr.insert({1: F(1), 2: F(1)})
     assert sr.rank == 2
     coords = sr.coordinates({0: F(2), 1: F(3), 2: F(1)})
-    basis = sr.basis_dense()
-    recon = [sum(c * b[i] for c, b in zip(coords, basis)) for i in range(3)]
+    assert coords == {0: F(2), 1: F(3)}
+    basis = dense_rows(sr.basis(), 3)
+    recon = [sum(c * basis[r][i] for r, c in coords.items()) for i in range(3)]
     assert tuple(recon) == (F(2), F(3), F(1))
     assert sr.coordinates({0: F(1), 1: F(-1), 2: F(-2)}) is not None
     assert sr.coordinates({0: F(1)}) is None
@@ -189,12 +192,18 @@ def test_rref_idempotent(m):
 
 
 @given(small_matrices())
+@example(Matrix.identity(3))  # the empty kernel
+@example(Matrix([[F(1, 2), F(-2, 3), 0], [0, 0, F(5, 7)]]))
+@example(Matrix.zeros(2, 3))
 @settings(max_examples=60, deadline=None)
 def test_kernel_vectors_annihilate(m):
     for v in kernel(m):
         assert not any(m.mul_vec(v))
     r, pivots = rref(m)
     assert len(kernel(m)) == m.cols - len(pivots)
+    # the sparse kernel is the dense oracle's, vector for vector, in order
+    got = kernel_from_rows([dense_to_sparse(row) for row in m.data], m.cols)
+    assert dense_rows(got, m.cols) == kernel(m)
 
 
 @st.composite
@@ -367,7 +376,8 @@ def test_sparse_rref_matches_fraction_oracle(system):
     for q in rows + queries:
         assert sr.reduce(q) == ref.reduce(q)
         assert sr.contains(q) == ref.contains(q)
-        assert sr.coordinates(q) == ref.coordinates(q)
+        want = ref.coordinates(q)  # dense over the pivots, or None
+        assert sr.coordinates(q) == (None if want is None else dense_to_sparse(want))
 
 
 def test_integer_rows_build_no_fraction():

@@ -16,7 +16,7 @@ from supergrade.errors import (
     NotThreeGraded,
     UnexpectedEigenvalue,
 )
-from supergrade.exact import unit_vec, vec
+from supergrade.exact import ONE, dense_to_sparse, sparse_to_dense, unit_vec, vec
 from supergrade.sca import write_sca
 from supergrade.jordan import (
     certify_m11,
@@ -36,10 +36,14 @@ from supergrade.superalg import (
 )
 from tests.conftest import JP4_M11_ELEMENTS, JQ4_M11_ELEMENTS
 from tests.oracles import (
+    Matrix,
     ad_matrix,
     associator,
     d_operator,
+    dense_rows,
+    kernel,
     rational_eigenvalues,
+    sparse_product,
     tkk_by_all_d_rows,
 )
 
@@ -70,7 +74,22 @@ def test_symmetrized_grassmann2_odd_product():
 def test_peirce_m11(m11):
     pd = peirce(m11, (1, 0, 0, 0))
     assert pd.dims() == (1, 2, 1)
-    assert pd.parts[1] == [unit_vec(4, 2), unit_vec(4, 3)]  # span{x, y}
+    assert pd.parts[1] == [{2: F(1)}, {3: F(1)}]  # span{x, y}
+
+
+@pytest.mark.parametrize("name, idempotent", [
+    ("m11", (1, 0, 0, 0)), ("m11", (1, 1, 0, 0)), ("jp4", JP4_M11_ELEMENTS["e1"]),
+    ("jq4", JQ4_M11_ELEMENTS["e2"])])
+def test_peirce_parts_match_dense_kernels(request, name, idempotent):
+    # each part is the dense kernel of L_e - lam I, vector for vector, the
+    # empty ones (the unit has no J0 and no J1) included
+    j = request.getfixturevalue(name)
+    pd = peirce(j, idempotent)
+    a = ad_matrix(j, idempotent)
+    for part, lam in zip(pd.parts, (F(0), F(1, 2), F(1))):
+        shifted = Matrix([[x - (lam if r == c else 0) for c, x in enumerate(row)]
+                          for r, row in enumerate(a.data)])
+        assert dense_rows(part, j.dim) == kernel(shifted)
 
 
 def test_peirce_with_unit(m11):
@@ -138,9 +157,9 @@ def test_peirce_laws_jp4(jp4):
     j0, j1, j2 = pd.parts
     for a in j2:
         for b in j0:
-            assert not any(jp4.product_vec(a, b))
+            assert not sparse_product(jp4, a, b)
             for m in range(jp4.dim):
-                assert not any(associator(jp4, a, unit_vec(jp4.dim, m), b))
+                assert not associator(jp4, a, {m: ONE}, b)
 
 
 def test_tkk_field_is_sl2():
@@ -181,7 +200,7 @@ def test_tkk_outer_parts_abelian(tkk_m11):
     for part in (tkk_m11.parts.plus, tkk_m11.parts.minus):
         for a in part:
             for b in part:
-                assert not any(l.product_vec(a, b))
+                assert not sparse_product(l, a, b)
 
 
 def test_roundtrips(m11, mplus2, jq2):
@@ -192,19 +211,13 @@ def test_roundtrips(m11, mplus2, jq2):
         assert back.table.unit == j.table.unit
 
 
+def _psl_unit(psl, r, c):
+    return sparse_to_dense(C.matrix_unit_in_psl(psl, r, c), psl.dim)
+
+
 def test_jordan_from_3grading_psl22(psl22, m11):
-    e = vec(
-        a + b
-        for a, b in zip(
-            C.matrix_unit_in_psl(psl22, 0, 1), C.matrix_unit_in_psl(psl22, 2, 3)
-        )
-    )
-    f = vec(
-        a + b
-        for a, b in zip(
-            C.matrix_unit_in_psl(psl22, 1, 0), C.matrix_unit_in_psl(psl22, 3, 2)
-        )
-    )
+    e = vec(a + b for a, b in zip(_psl_unit(psl22, 0, 1), _psl_unit(psl22, 2, 3)))
+    f = vec(a + b for a, b in zip(_psl_unit(psl22, 1, 0), _psl_unit(psl22, 3, 2)))
     j = jordan_from_3grading(psl22, e, f)
     assert j.dim == 4
     # the quadruple (e12, e1b2b, e12b, 2 e1b2) reproduces the M(1,1)+ table
@@ -219,7 +232,7 @@ def test_jordan_from_3grading_psl22(psl22, m11):
     assert cert.passed, cert.failures()
     from supergrade.superalg import restricted_table
 
-    table, _ = restricted_table(j, quad, "jordan", unit=None)
+    table, _ = restricted_table(j, [dense_to_sparse(v) for v in quad], "jordan", unit=None)
     m11_entries = m11.table.entries
     assert table.entries == m11_entries
 
@@ -228,31 +241,29 @@ class SparseBasisHelper:
     """Coordinates of psl elements inside the recovered L(1) basis."""
 
     def __init__(self, l, j):
-        from supergrade.exact import SparseRref, dense_to_sparse
+        from supergrade.exact import SparseRref
 
         self.sr = SparseRref(l.dim)
         for v in j.provenance["l1_basis"]:
-            self.sr.insert(dense_to_sparse(v))
+            self.sr.insert(v)
 
     def coords(self, v):
-        from supergrade.exact import dense_to_sparse
-
-        out = self.sr.coordinates(dense_to_sparse(v))
+        out = self.sr.coordinates(v)
         assert out is not None
-        return tuple(out)
+        return sparse_to_dense(out, self.sr.rank)
 
 
 def test_jordan_from_3grading_sl2_gives_field():
     sl2 = C.construct_sl(2, 0)
-    e = C.matrix_unit_in_sl(sl2, 0, 1)
-    f = C.matrix_unit_in_sl(sl2, 1, 0)
+    e = sparse_to_dense(C.matrix_unit_in_sl(sl2, 0, 1), sl2.dim)
+    f = sparse_to_dense(C.matrix_unit_in_sl(sl2, 1, 0), sl2.dim)
     j = jordan_from_3grading(sl2, e, f)
     assert j.dim == 1
     assert j.product_vec((F(1),), (F(1),)) == (F(1),)
 
 
 def test_jordan_from_3grading_rejects_bad_pair(psl22):
-    e = C.matrix_unit_in_psl(psl22, 0, 1)
+    e = _psl_unit(psl22, 0, 1)
     with pytest.raises(NotThreeGraded):
         jordan_from_3grading(psl22, e, e)
 
@@ -449,7 +460,7 @@ def test_jordan_from_3grading_with_non_echelon_l1_basis(tkk_m11, m11):
     # in T(0): the +2 eigenspace basis of ad h is then not in echelon form,
     # and the recovered table must still be M11's on that basis
     from supergrade.superalg import LieSuperalgebra, StructureTable, SuperSpace
-    from tests.oracles import Matrix, solve_linear
+    from tests.oracles import solve_linear
 
     l = tkk_m11.lie
     n, par = l.dim, l.parity
@@ -469,6 +480,11 @@ def test_jordan_from_3grading_with_non_echelon_l1_basis(tkk_m11, m11):
     e = solve_linear(t, tkk_m11.e.coords)
     f = solve_linear(t, tkk_m11.f.coords)
     j = jordan_from_3grading(conj, e, f)
-    assert j.provenance["l1_basis"][0][q] != 0  # not the echelon basis
+    assert q in j.provenance["l1_basis"][0]  # not the echelon basis
+    # L(1) is the dense kernel of ad h - 2, h = [e, f], vector for vector
+    a = ad_matrix(conj, conj.product_vec(e, f))
+    shifted = Matrix([[x - (2 if r == c else 0) for c, x in enumerate(row)]
+                      for r, row in enumerate(a.data)])
+    assert dense_rows(j.provenance["l1_basis"], n) == kernel(shifted)
     assert j.table.entries == m11.table.entries
     assert j.table.unit == m11.table.unit

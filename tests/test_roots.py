@@ -16,7 +16,7 @@ from supergrade import roots as R
 from supergrade import superalg
 from supergrade.constructors import CartanBasis
 from supergrade.errors import BadParams, NonSplitSpectrum, NotHomomorphism, NotThreeGraded
-from supergrade.exact import SparseRref, dense_to_sparse, sparse_to_dense, unit_vec
+from supergrade.exact import SparseRref, dense_to_sparse, sparse_to_dense, unit_vec, vec
 from supergrade.jordan import certify_m11, jordan_from_3grading, m11_tkk_generators
 from supergrade.sca import parse_sca
 from supergrade.superalg import (
@@ -29,13 +29,17 @@ from supergrade.superalg import (
 )
 from tests.oracles import (
     Matrix,
+    ad_matrix,
     all_components,
     basis_element,
     closure_by_vectors,
     condition3_by_vectors,
+    dense_rows,
     fraction_product,
+    kernel,
     rref,
     solve_linear,
+    sparse_product,
 )
 from tests.test_cohomology import _base_algebra, _diagonal_even, _shear
 
@@ -195,6 +199,35 @@ def test_read_off_matches_refinement_on_fixtures(name, cartan, request):
     assert _read_off_agrees(l, cartan)
 
 
+def _dense_component(l, ads, weight) -> list:
+    """The canonical RREF basis of the simultaneous eigenspace of the dense
+    ad matrices at a weight: the dense kernel of the stacked shifted
+    matrices, row-reduced."""
+    stacked = Matrix([[x - (w if r == c else 0) for c, x in enumerate(row)]
+                      for a, w in zip(ads, weight) for r, row in enumerate(a.data)])
+    ker = kernel(stacked)
+    if not ker:
+        return []
+    red, pivots = rref(Matrix(ker))
+    return [tuple(row) for row in red.data[:len(pivots)]]
+
+
+@pytest.mark.parametrize("name, cartan", [
+    ("psl22", "cartan_h"), ("sl21", "cartan_hprime"), ("tkk_m11", None)])
+def test_component_bases_match_dense_eigenspaces(name, cartan, request):
+    # toral read-off (psl22, sl21) and refinement (tkk_m11 under h) against
+    # the dense oracle, vector for vector and component by component
+    l = request.getfixturevalue(name)
+    if cartan is None:
+        l, cartan = l.lie, CartanBasis([l.h])
+    else:
+        cartan = l.provenance[cartan]
+    datum = R.weight_decomposition(l, cartan)
+    ads = [ad_matrix(l, h) for h in cartan.elements]
+    for c in all_components(datum):
+        assert dense_rows(c.basis, l.dim) == _dense_component(l, ads, c.weight)
+
+
 def test_expected_roots_counts():
     exp1 = R.expected_ann_roots(1)
     assert len(exp1.weights) == 8
@@ -231,7 +264,7 @@ def _check_grading_closure(l, datum):
     for c in comps:
         sr = SparseRref(l.dim)
         for v in c.basis:
-            sr.insert(dense_to_sparse(v))
+            sr.insert(v)
         spans[c.weight] = sr
     known = set(spans)
     for ca in comps:
@@ -239,11 +272,11 @@ def _check_grading_closure(l, datum):
             target = tuple(a + b for a, b in zip(ca.weight, cb.weight))
             for va in ca.basis:
                 for vb in cb.basis:
-                    prod = l.product_vec(va, vb)
-                    if not any(prod):
+                    prod = sparse_product(l, va, vb)
+                    if not prod:
                         continue
                     assert target in known, (ca.weight, cb.weight)
-                    assert spans[target].contains(dense_to_sparse(prod))
+                    assert spans[target].contains(prod)
 
 
 def test_dims_invariant_under_component_basis_change(psl22):
@@ -269,7 +302,7 @@ def test_dims_invariant_under_component_basis_change(psl22):
             for row in m:
                 w = [F(0)] * n
                 for c, b in zip(row, block):
-                    for t, x in enumerate(b):
+                    for t, x in b.items():
                         w[t] += c * x
                 cols.append(tuple(w))
     t = Matrix.from_cols(cols)
@@ -282,7 +315,7 @@ def test_dims_invariant_under_component_basis_change(psl22):
             terms = [(k, c) for k, c in enumerate(coords) if c != 0]
             if terms:
                 entries[(i, j)] = tuple(terms)
-    parities = [homogeneous_parity(psl22.space, t.col(i)) for i in range(n)]
+    parities = [homogeneous_parity(psl22.space, dense_to_sparse(t.col(i))) for i in range(n)]
     conj = LieSuperalgebra(StructureTable(SuperSpace(n, tuple(parities)), "lie", entries))
     new_cartan = CartanBasis(
         [Element(solve_linear(t, e.coords), 0) for e in psl22.provenance["cartan_h"].elements],
@@ -325,7 +358,7 @@ def test_verify_delta_graded_gl_negative(gl33):
 def test_verify_delta_graded_rejects_non_homomorphism(psl22):
     cover = R.identity_cover(psl22)
     images = list(cover.images)
-    images[0] = tuple(2 * c for c in images[0])  # break linearity of the map
+    images[0] = {k: 2 * c for k, c in images[0].items()}  # break linearity of the map
     bad = R.CoverEmbedding("psl", 1, images, psl22)
     with pytest.raises(NotHomomorphism):
         R.verify_delta_graded(psl22, bad)
@@ -372,10 +405,8 @@ def test_three_grading_height_non_unit_denominators(psl33, psl33_two_thirds):
 
 
 def test_three_grading_sl2_psl22(psl22):
-    e12 = C.matrix_unit_in_psl(psl22, 0, 1)
-    e21 = C.matrix_unit_in_psl(psl22, 1, 0)
-    eb = C.matrix_unit_in_psl(psl22, 2, 3)
-    fb = C.matrix_unit_in_psl(psl22, 3, 2)
+    e12, e21, eb, fb = (sparse_to_dense(C.matrix_unit_in_psl(psl22, r, c), psl22.dim)
+                        for r, c in ((0, 1), (1, 0), (2, 3), (3, 2)))
     h = tuple(
         a + b
         for a, b in zip(psl22.product_vec(e12, e21), psl22.product_vec(eb, fb))
@@ -446,7 +477,8 @@ def test_grading_loops_make_no_dense_product(monkeypatch):
         return dense(*args)
 
     slA = _fixture_lie("slA_g1.sca")
-    images = json.loads((FIXTURES / "slA_g1_cover.json").read_text())["images"]
+    images = [dense_to_sparse(vec(v))
+              for v in json.loads((FIXTURES / "slA_g1_cover.json").read_text())["images"]]
     cover = R.CoverEmbedding("sl", 2, images, C.construct_sl(3, 3))
     tkk = _fixture_lie("tkk_m11.sca")
     e, f = _fixture_vec("tkk_m11_e.vec"), _fixture_vec("tkk_m11_f.vec")
@@ -577,7 +609,7 @@ def _first_non_homomorphic_pair(l, cover):
     """The Fraction oracle of the cover's homomorphism law: the first basis
     pair (i, j), i <= j, with [phi b_i, phi b_j] != phi [b_i, b_j]."""
     ref = cover.reference
-    images = [dense_to_sparse(v) for v in cover.images]
+    images = cover.images
     ent, ref_ent = l.table.entries, ref.table.entries
     for i in range(ref.dim):
         for j in range(i, ref.dim):
@@ -597,9 +629,9 @@ def test_cover_homomorphism_on_integer_rows_matches_fraction_oracle(psl22, broke
     # images b_i = b'_i / lam_i have denominators too
     lam = [F(2, 3) if i % 2 else F(3) for i in range(psl22.dim)]
     l = _rescaled(psl22, lam)
-    images = [tuple(1 / lam[i] if t == i else F(0) for t in range(l.dim)) for i in range(l.dim)]
+    images = [{i: 1 / lam[i]} for i in range(l.dim)]
     if broken is not None:
-        images[broken] = tuple(F(3, 2) * c for c in images[broken])
+        images[broken] = {k: F(3, 2) * c for k, c in images[broken].items()}
     cover = R.CoverEmbedding("psl", 1, images, psl22)
     want = _first_non_homomorphic_pair(l, cover)
     assert (want is None) == (broken is None)

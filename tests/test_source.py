@@ -1,7 +1,8 @@
 """Source hygiene: no private helper outlives its last caller, no module
-imports a name it never uses, only exact names the dense Matrix, nothing
-is left open for the hard exit of cli.run to drop, the parser's table
-names every subcommand handler, and a structure table stores one form."""
+imports a name it never uses, only exact names the dense Matrix, dense
+vectors are made only at the edge, nothing is left open for the hard exit
+of cli.run to drop, the parser's table names every subcommand handler, and
+a structure table stores one form."""
 
 import ast
 from pathlib import Path
@@ -125,6 +126,63 @@ def test_only_exact_names_the_dense_matrix():
     assert not _names('"""a Matrix in a docstring"""\nm = {"Matrix": 1}\n', "Matrix")
     for code in ("from .exact import Matrix\n", "exact.Matrix(x)\n", "Matrix.from_cols(c)\n"):
         assert _names(code, "Matrix"), code
+
+
+# the functions outside exact that convert between sparse rows and dense
+# tuples: where a value enters the package or leaves it (exact's docstring)
+DENSE_EDGE = {
+    ("_axioms", "check_unit"),
+    ("superalg", "_sparse_element"),
+    ("superalg", "_dense_element"),
+    ("superalg", "table_product"),
+    ("superalg", "_AlgebraBase.element"),
+    ("constructors", "construct_sl"),
+    ("jordan", "jordan_from_3grading"),
+    ("cli", "_vec_json"),
+    ("cli", "_load_cover_map"),
+}
+_CONVERTERS = ("dense_to_sparse", "sparse_to_dense")
+
+
+def _converter_uses(text: str) -> set:
+    """(dotted name of the enclosing class and function, or None at module
+    level) of every reference to a converter in code: a bare name or an
+    attribute, not an import or a string."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if getattr(node, "id", None) in _CONVERTERS or (
+                isinstance(node, ast.Attribute) and node.attr in _CONVERTERS):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(text), None)
+    return found
+
+
+def test_dense_vectors_are_made_only_at_the_edge():
+    # inside the package a vector is a sparse row; a dense tuple is made or
+    # read only where a value enters or leaves it
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    uses = {(m, scope) for m, text in sources.items() if m != "exact"
+            for scope in _converter_uses(text)}
+    assert uses == DENSE_EDGE
+    doc = ast.get_docstring(ast.parse(sources["exact"]))
+    assert all(scope.split(".")[-1] in doc for _, scope in DENSE_EDGE)
+    for name in ("basis_dense", "sub_vec"):
+        assert not any(_names(text, name) for text in sources.values()), name
+
+
+def test_edge_guard_sees_its_cases():
+    text = ("from .exact import dense_to_sparse as d, sparse_to_dense\n"
+            "x = sparse_to_dense\n"
+            "class A:\n    def f(self):\n        return exact.dense_to_sparse(v)\n"
+            "def g():\n    def h():\n        return sparse_to_dense(r, n)\n"
+            "    return 'dense_to_sparse'\n")
+    assert _converter_uses(text) == {None, "A.f", "g.h"}
 
 
 def _hard_exit_callers(sources: dict) -> list:

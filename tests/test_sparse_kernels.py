@@ -7,19 +7,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from supergrade import constructors as C
-from supergrade.errors import ValidationError
+from supergrade.errors import DimensionMismatch, ValidationError
 from supergrade.exact import (
     dense_to_sparse,
     eigenspace,
     sparse_apply,
-    sparse_to_dense,
     sparse_transpose,
     unit_vec,
     vec,
 )
 from supergrade.superalg import SubspaceCoords, restricted_table
 from tests import oracles
-from tests.oracles import Matrix, kernel, rref, solve_linear
+from tests.oracles import Matrix, dense_rows, kernel, rref, solve_linear
 
 F = Fraction
 
@@ -52,8 +51,8 @@ def test_subspace_coords_match_solve_linear(case):
     n, basis, target = case
     conv = SubspaceCoords([dense_to_sparse(v) for v in basis], n)
     want = solve_linear(Matrix.from_cols(basis), target)  # unique, or None outside
-    assert conv.coords(target) == want
-    assert conv.coords(dense_to_sparse(target)) == want
+    got = conv.coords(dense_to_sparse(target))
+    assert (None if got is None else dense_rows([got], len(basis))[0]) == want
 
 
 @given(bases_and_targets(), st.data())
@@ -94,7 +93,7 @@ def test_eigenspace_matches_dense_kernel(case):
             [[a.data[r][c] - (lam if r == c else 0) for c in range(d)] for r in range(d)]
         )
         got = eigenspace(rows, lam)
-        assert got == kernel(shifted)
+        assert dense_rows(got, d) == kernel(shifted)
         assert len(got) == (eigs.count(lam))
         total += len(got)
     assert total == d
@@ -113,7 +112,7 @@ def test_sparse_apply_matches_dense_product(case, data):
 
 def test_restricted_table_rejects_dependent_basis():
     gl = C.construct_gl(1, 1)
-    basis = [unit_vec(4, 0), unit_vec(4, 3), vec([1, 0, 0, 1])]
+    basis = [{0: F(1)}, {3: F(1)}, {0: F(1), 3: F(1)}]
     with pytest.raises(ValidationError, match="linearly dependent"):
         restricted_table(gl, basis)
 
@@ -121,16 +120,31 @@ def test_restricted_table_rejects_dependent_basis():
 def test_restricted_table_rejects_product_escaping_span():
     # in gl(1,1), [e_12, e_21] = e_11 + e_22 leaves span{e_12, e_21}
     gl = C.construct_gl(1, 1)
-    basis = [unit_vec(4, 1), unit_vec(4, 2)]
+    basis = [{1: F(1)}, {2: F(1)}]
     with pytest.raises(ValidationError, match="escapes the span"):
         restricted_table(gl, basis)
+
+
+def test_subspace_coords_reject_an_index_outside_the_ambient_space():
+    # psl(2,2) on its 14 unit vectors: key 14 is the augmented column of
+    # v_0, which once read back as -1 v_0, and a basis vector may not
+    # reach past the ambient space either
+    _, conv = restricted_table(C.construct_psl(1), [{k: F(1)} for k in range(14)])
+    assert conv.coords({13: F(2)}) == {13: F(2)}
+    for bad in ({14: F(1)}, {0: F(1), 15: F(3)}, {-1: F(1)}):
+        with pytest.raises(DimensionMismatch, match=r"outside range\(14\)"):
+            conv.coords(bad)
+    with pytest.raises(DimensionMismatch):
+        SubspaceCoords([{0: F(1)}, {4: F(1)}], 4)
+    with pytest.raises(DimensionMismatch):
+        restricted_table(C.construct_gl(1, 1), [{0: F(1)}, {4: F(1)}])
 
 
 # Closed subalgebras with their spanning homogeneous vectors: sl(2,1) inside
 # gl(2,1) on its canonical basis, and gl(2,2) and M(1|1) on their units.
 def _sl21_in_gl21():
     sl = C.construct_sl(2, 1)
-    return sl.provenance["ambient_gl"], [dense_to_sparse(v) for v in sl.provenance["embedding"]]
+    return sl.provenance["ambient_gl"], sl.provenance["embedding"]
 
 
 def _whole(alg):
@@ -181,7 +195,7 @@ def rescaled_bases(draw):
         basis.insert(draw(st.integers(0, len(basis))), extra or basis[a])
     inside = _combine([draw(big_rationals) for _ in basis], basis)
     outside = {k: draw(big_rationals) for k in range(l.dim) if draw(st.booleans())}
-    return l, [sparse_to_dense(v, l.dim) for v in basis], [inside, outside]
+    return l, basis, [inside, outside]
 
 
 def _outcome(build, l, basis, targets):

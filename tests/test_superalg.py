@@ -30,10 +30,12 @@ from tests.oracles import (
     ad_matrix,
     assert_stored_form,
     basis_element,
+    dense_rows,
     derived_subalgebra_all_brackets,
     kernel,
     quotient_central_by_reduction,
     rref,
+    sparse_product,
     subalgebra_from_generators,
     tensor_lie_assoc,
 )
@@ -189,6 +191,7 @@ def test_center_examples(psl22):
     zc = center(gl22)
     assert len(zc) == 1
     assert zc[0] == gl22.provenance["z"]
+    assert dense_rows(zc, gl22.dim) == [tuple(F(k in (0, 5, 10, 15)) for k in range(16))]
     assert center(psl22) == []
     ab = LieSuperalgebra(abelian_table([0, 0, 1]))
     assert len(center(ab)) == 3
@@ -196,7 +199,7 @@ def test_center_examples(psl22):
 
 def test_derived_examples(sl33):
     assert derived_rref(C.construct_gl(2, 1)).rank == 8
-    assert derived_rref(LieSuperalgebra(abelian_table([0, 1]))).basis_dense() == []
+    assert derived_rref(LieSuperalgebra(abelian_table([0, 1]))).basis() == []
     assert derived_rref(sl33).rank == 35
 
 
@@ -212,7 +215,7 @@ def test_derived_subalgebra_stops_at_full_rank(name, perfect, monkeypatch):
     inserts, insert = [], exact.SparseRref.insert
     monkeypatch.setattr(exact.SparseRref, "insert",
                         lambda self, row: inserts.append(1) or insert(self, row))
-    basis = derived_rref(l).basis_dense()
+    basis = derived_rref(l).basis()
     early = len(inserts)
     assert basis == derived_subalgebra_all_brackets(l)
     assert (len(basis) == l.dim) == perfect
@@ -241,7 +244,8 @@ def test_quotient_central(sl22, sl33, psl22):
         pm = Matrix.from_cols(images)
         assert len(rref(pm)[1]) == q.dim
         kern = kernel(pm)
-        assert len(kern) == len(zbasis) == len(rref(Matrix(kern + zbasis))[1])
+        zdense = dense_rows(zbasis, l.dim)
+        assert len(kern) == len(zbasis) == len(rref(Matrix(kern + zdense))[1])
     assert len(center(quotient_central(sl22, [sl22.provenance["z"]]))) == 0
     # quotient by nothing is a copy
     same = quotient_central(sl22, [])
@@ -273,13 +277,12 @@ def test_quotient_copies_what_the_reduction_keeps(sl22, sl33, psl22):
 
 def test_quotient_reports_the_reduction_errors(sl22, psl22):
     u = uce(psl22).extended
-    e = [basis_element(sl22, i).coords for i in range(sl22.dim)]
-    cases = [(sl22, [e[0]]),
-             (sl22, [sl22.provenance["z"], e[3]]),
+    cases = [(sl22, [{0: F(1)}]),
+             (sl22, [sl22.provenance["z"], {3: F(1)}]),
              # b_0 + b_3 fails against b_3 before b_0 in the order of its
              # support; the error names the smallest failing index
-             (sl22, [tuple(x + y for x, y in zip(e[0], e[3]))]),
-             (u, [tuple(F(1) for _ in range(u.dim))])]
+             (sl22, [{0: F(1), 3: F(1)}]),
+             (u, [{k: F(1) for k in range(u.dim)}])]
     for l, zbasis in cases:
         with pytest.raises(NotCentral) as got:
             quotient_central(l, zbasis)
@@ -290,7 +293,7 @@ def test_quotient_reports_the_reduction_errors(sl22, psl22):
 
 def test_quotient_rejects_noncentral(sl22):
     with pytest.raises(NotCentral):
-        quotient_central(sl22, [basis_element(sl22, 0).coords])
+        quotient_central(sl22, [{0: F(1)}])
 
 
 def test_tensor_with_field_is_gl():
@@ -355,10 +358,8 @@ def test_tensor_producto_sign_exhaustive():
 
 def test_subalgebra_from_generators(psl22):
     assert subalgebra_from_generators(psl22, []) == []
-    e = C.matrix_unit_in_psl(psl22, 0, 1)
-    ebar = C.matrix_unit_in_psl(psl22, 2, 3)
-    f = C.matrix_unit_in_psl(psl22, 1, 0)
-    fbar = C.matrix_unit_in_psl(psl22, 3, 2)
+    e, ebar, f, fbar = (sparse_to_dense(C.matrix_unit_in_psl(psl22, r, c), psl22.dim)
+                        for r, c in ((0, 1), (2, 3), (1, 0), (3, 2)))
     diag_e = tuple(a + b for a, b in zip(e, ebar))
     diag_f = tuple(a + b for a, b in zip(f, fbar))
     span = subalgebra_from_generators(psl22, [diag_e, diag_f])
@@ -371,8 +372,8 @@ def test_parity_homogeneity_of_products(sl21):
     space = sl21.space
     for i in range(sl21.dim):
         for j in range(sl21.dim):
-            out = sl21.product_vec(unit_vec(sl21.dim, i), unit_vec(sl21.dim, j))
-            if any(out):
+            out = dense_to_sparse(sl21.product_vec(unit_vec(sl21.dim, i), unit_vec(sl21.dim, j)))
+            if out:
                 assert homogeneous_parity(space, out) == (space.parity[i] + space.parity[j]) % 2
 
 
@@ -421,7 +422,7 @@ def test_integer_form_of_m11(m11):
 
 
 def test_center_contained_in_ad_kernels(sl22):
-    z = center(sl22)
+    z = dense_rows(center(sl22), sl22.dim)
     for v in z:
         for j in range(sl22.dim):
             assert not any(sl22.product_vec(v, unit_vec(sl22.dim, j)))
@@ -429,16 +430,15 @@ def test_center_contained_in_ad_kernels(sl22):
 
 def test_derived_is_ideal(sl21):
     gl21 = C.construct_gl(2, 1)
-    dbasis = derived_rref(gl21).basis_dense()
-    from supergrade.exact import SparseRref, dense_to_sparse
+    dbasis = derived_rref(gl21).basis()
+    from supergrade.exact import SparseRref
 
     sr = SparseRref(gl21.dim)
     for v in dbasis:
-        sr.insert(dense_to_sparse(v))
+        sr.insert(v)
     for i in range(gl21.dim):
         for v in dbasis:
-            prod = gl21.product_vec(unit_vec(gl21.dim, i), v)
-            assert sr.contains(dense_to_sparse(prod))
+            assert sr.contains(sparse_product(gl21, {i: F(1)}, v))
 
 
 def test_tensor_and_quotient_outputs_validate():
