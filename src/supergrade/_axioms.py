@@ -27,14 +27,16 @@ entry:
   (-1)^{|x||z|}[L_{xy},L_z] + (-1)^{|y||x|}[L_{yz},L_x] + (-1)^{|z||y|}[L_{zx},L_y],
   expanded as sum s * c_{ab}^m [L_m, L_z] over the cyclic terms (a, b, z),
   on the quadruple (i, j, k, w).  The [L_m, L_z] come from _commutators,
-  which jordan.tkk reads too.  A term needs c_{ab}^m != 0 and
+  which jordan.tkk reads too; a one-entry cache keyed by the table makes
+  that one pass per table.  A term needs c_{ab}^m != 0 and
   [L_m, L_z] != 0, and sorted(a, b, z) = (i, j, k): only the triples so
   reached from an ordered pair (a, b) can fail, super-commutative or not.
   Writing each [L_m, L_z] = g P, P primitive (gcd 1, smallest key
   positive), collects like terms; the P may be dependent, so only a
   nonzero sum is added up entry by entry.
 
-Jacobi and associativity are checked on a generating set (_generated).
+Jacobi and associativity are checked by one pair checker (_check_pairs),
+on a generating set (_generated).
 On a super-anticommutative table the x with L_x a superderivation form a
 subalgebra D: L_{[x,y]} = [L_x, L_y] once L_x is one, and superderivations
 are closed under the supercommutator (Kac, Adv. Math. 26, 1977).  The left
@@ -68,10 +70,11 @@ smallest nonzero column of its expression.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 from .errors import AxiomViolation, MissingUnit
-from .exact import SparseRref, dense_to_sparse
+from .exact import SparseRref, dense_to_sparse, sparse_apply
 
 
 def _sign(p, q):
@@ -179,33 +182,26 @@ def _bracket(a: tuple, b: tuple) -> dict:
     return {k: v for k, v in acc.items() if v}
 
 
-_MEMO = [None, None]  # [integer form, (operators, commutators)] of the last table
-
-
+@lru_cache(maxsize=1)
 def _commutators(table) -> tuple:
     """(ops, comm) of a table: ops[i] = L_i (_operators) and comm[m] =
     {z: [L_m, L_z]} over the z >= m with a nonzero commutator.
 
     check_super_jordan and jordan.tkk both read them, so a command that
     loads a Jordan table and builds its TKK algebra makes one commutator
-    pass.  The memo holds one entry, keyed by the identity of the table's
-    integer form: a table's form is never mutated after construction
-    (integer_form), each table has its own form object, and the memo holds
-    a reference to it rather than its id, so the key cannot be reused by
-    another table while the entry lives.  Callers must not mutate the
-    result."""
-    form = table.integer_form()
-    if _MEMO[0] is not form:
-        par = table.space.parity
-        ops = _operators(form[1], par)
-        comm = [{} for _ in ops]
-        for m, op in enumerate(ops):
-            for z in range(m, len(ops)):
-                c = _bracket(op, ops[z])
-                if c:
-                    comm[m][z] = c
-        _MEMO[:] = form, (ops, comm)
-    return _MEMO[1]
+    pass.  The cache holds one entry, keyed by the table's identity (a
+    StructureTable hashes by identity, and its integer form is never
+    mutated after construction), and holds a reference to the table, so
+    the key cannot be reused by another table while the entry lives.
+    Callers must not mutate the result."""
+    ops = _operators(table.integer_form()[1], table.space.parity)
+    comm = [{} for _ in ops]
+    for m, op in enumerate(ops):
+        for z in range(m, len(ops)):
+            c = _bracket(op, ops[z])
+            if c:
+                comm[m][z] = c
+    return ops, comm
 
 
 def _first_column(acc: dict, n: int):
@@ -271,40 +267,37 @@ def _generated(mults, ops, par, seed, swap) -> list | None:
     return gens
 
 
-def check_super_jacobi(table):
-    """Raise AxiomViolation at the first failing (i, j, w) of the pair loop.
-    The generator form needs a super-anticommutative table, which
-    validate_lie checks first."""
+def _check_pairs(table, axiom: str, seed: list, swap: bool):
+    """Raise AxiomViolation at the first failing (i, j, w) of the pair loop,
+    i <= j if swap (Jacobi) and every (i, j) if not (associativity), once
+    the generator form (_generated) has found a defect."""
     n = table.space.dim
     par = table.space.parity
     _, mults = table.integer_form()
     ops = _operators(mults, par)
-    if _generated(mults, ops, par, sorted(table.toral_columns()), True) is not None:
+    if _generated(mults, ops, par, seed, swap) is not None:
         return
     for i in range(n):
-        for j in range(i, n):
-            w = _pair_defect(ops, mults, i, j, _sign(par[i], par[j]), n)
+        for j in range(i if swap else 0, n):
+            w = _pair_defect(ops, mults, i, j, swap and _sign(par[i], par[j]), n)
             if w is not None:
-                raise AxiomViolation("super_jacobi", (i, j, w))
+                raise AxiomViolation(axiom, (i, j, w))
+
+
+def check_super_jacobi(table):
+    """Raise AxiomViolation at the first failing (i, j, w) of the pair loop.
+    The generator form needs a super-anticommutative table, which
+    validate_lie checks first."""
+    _check_pairs(table, "super_jacobi", sorted(table.toral_columns()), True)
 
 
 def check_associativity(table):
     """Raise AxiomViolation at the first failing (i, j, w) of the pair loop.
     A basis element with L_u = 1 (a unit) lies in the left nucleus and
     seeds the generator form."""
-    n = table.space.dim
-    par = table.space.parity
     s, mults = table.integer_form()
-    ops = _operators(mults, par)
-    one = {j: ((j, s),) for j in range(n)}
-    seed = [u for u in range(n) if mults[u] == one]
-    if _generated(mults, ops, par, seed, False) is not None:
-        return
-    for i in range(n):
-        for j in range(n):
-            w = _pair_defect(ops, mults, i, j, 0, n)
-            if w is not None:
-                raise AxiomViolation("associativity", (i, j, w))
+    one = {j: ((j, s),) for j in range(len(mults))}
+    _check_pairs(table, "associativity", [u for u in range(len(mults)) if mults[u] == one], False)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +317,7 @@ def check_super_jordan(table):
             g = gcd(*op.values()) * (1 if op[min(op)] > 0 else -1)
             p = pid.setdefault(frozenset([(key, v // g) for key, v in op.items()]), len(pid))
             lin[m][z], lin[z][m] = (g, p), (-_sign(par[m], par[z]) * g, p)
-    prims = list(pid)
+    prims = [dict(p) for p in pid]
     live = set()
     for a, row in enumerate(mults):
         for b, terms in row.items():
@@ -342,10 +335,6 @@ def check_super_jordan(table):
                 if e:
                     coefs[e[1]] = coefs.get(e[1], 0) + s * c * e[0]
         if any(coefs.values()):
-            acc = {}
-            for p, c in coefs.items():
-                for key, v in prims[p]:
-                    acc[key] = acc.get(key, 0) + c * v
-            w = _first_column(acc, n)
+            w = _first_column(sparse_apply(prims, coefs), n)
             if w is not None:
                 raise AxiomViolation("super_jordan", (i, j, k, w))

@@ -210,51 +210,45 @@ def _coefficient_algebra(kind: str, params: list[str]):
     raise BadParams(f"unknown coefficient algebra {kind!r}")
 
 
-# construct parameter counts: exact, or (minimum, None) for slA and assoc,
-# whose coefficient algebra checks its own trailing parameters
-_CONSTRUCT_ARITY = {
-    "gl": (2, 2), "sl": (2, 2), "psl": (1, 1), "slA": (3, None), "assoc": (1, None),
-    "mplus": (1, 1), "jp": (1, 1), "jq": (1, 1), "m11": (0, 0),
+# construct kinds: the names of the integer parameters, whether a
+# coefficient algebra with its own trailing parameters follows them (slA,
+# assoc), and the function that makes the algebra from the two
+_CONSTRUCT = {
+    "gl": ("m n", False, lambda c, ints, _: c.construct_gl(*ints)),
+    "sl": ("m n", False, lambda c, ints, _: c.construct_sl(*ints)),
+    "psl": ("n", False, lambda c, ints, _: c.construct_psl(*ints)),
+    "slA": ("m n", True, lambda c, ints, a: c.construct_sl_A(*ints, a)),
+    "assoc": ("", True, lambda c, ints, a: a),
+    "mplus": ("n", False, lambda c, ints, _: c.construct_jordan("Mplus", *ints)),
+    "jp": ("n", False, lambda c, ints, _: c.construct_jordan("JP", *ints)),
+    "jq": ("n", False, lambda c, ints, _: c.construct_jordan("JQ", *ints)),
+    "m11": ("", False, lambda c, ints, _: c.construct_jordan("M11")),
 }
 
 
 def _run_construct(args, out: _Output) -> int:
     from . import constructors
 
-    what = args.what
-    params = args.params
-    low, high = _CONSTRUCT_ARITY[what]
-    if len(params) < low or (high is not None and len(params) > high):
-        want = f"{low}" if low == high else f"at least {low}"
+    what, params = args.what, args.params
+    names, trailing, build = _CONSTRUCT[what]
+    k = len(names.split())
+    if len(params) < k + trailing or (not trailing and len(params) > k):
+        want = f"at least {k + 1}" if trailing else f"{k}"
         raise BadParams(f"construct {what} takes {want} parameters, got {len(params)}")
-    if what == "slA":
-        m, n = _int_params(what, "m n", params[:2])
-    if args.cover_out and (what != "slA" or m != n):
-        raise BadParams("--cover-out is only available for construct slA with m == n")
-    if what == "gl":
-        alg = constructors.construct_gl(*_int_params(what, "m n", params))
-    elif what == "sl":
-        alg = constructors.construct_sl(*_int_params(what, "m n", params))
-    elif what == "psl":
-        alg = constructors.construct_psl(*_int_params(what, "n", params))
-    elif what == "slA":
-        alg = constructors.construct_sl_A(m, n, _coefficient_algebra(params[2], params[3:]))
-        if args.cover_out:
-            _write_json(args.cover_out, {
-                "kind": "sl",
-                "n": m - 1,
-                "images": [_vec_json(v, alg.dim) for v in alg.provenance["cover_images"]],
-            })
-    elif what == "assoc":
-        alg = _coefficient_algebra(params[0], params[1:])
-    elif what == "mplus":
-        alg = constructors.construct_jordan("Mplus", *_int_params(what, "n", params))
-    elif what == "jp":
-        alg = constructors.construct_jordan("JP", *_int_params(what, "n", params))
-    elif what == "jq":
-        alg = constructors.construct_jordan("JQ", *_int_params(what, "n", params))
-    else:  # m11
-        alg = constructors.construct_jordan("M11")
+    only_slA = "--cover-out is only available for construct slA with m == n"
+    if args.cover_out and what != "slA":
+        raise BadParams(only_slA)
+    ints = _int_params(what, names, params[:k])
+    if args.cover_out and ints[0] != ints[1]:
+        raise BadParams(only_slA)
+    alg = build(constructors, ints,
+                _coefficient_algebra(params[k], params[k + 1:]) if trailing else None)
+    if args.cover_out:
+        _write_json(args.cover_out, {
+            "kind": "sl",
+            "n": ints[0] - 1,
+            "images": [_vec_json(v, alg.dim) for v in alg.provenance["cover_images"]],
+        })
     return _emit_sca(args, out, alg.table, {"dim": alg.dim, "kind": alg.kind})
 
 
@@ -384,23 +378,12 @@ def _cartan_from_args(l, specs) -> CartanBasis:
 
 
 def _datum_json(datum, n: int) -> dict:
-    return {
-        "components": [
-            {
-                "weight": _vec_json(c.weight),
-                "even_dim": c.even_dim,
-                "odd_dim": c.odd_dim,
-                "basis": [_vec_json(v, n) for v in c.basis],
-            }
-            for c in datum.components
-        ],
-        "zero_component": {
-            "weight": _vec_json(datum.zero_component.weight),
-            "even_dim": datum.zero_component.even_dim,
-            "odd_dim": datum.zero_component.odd_dim,
-            "basis": [_vec_json(v, n) for v in datum.zero_component.basis],
-        },
-    }
+    def component(c) -> dict:
+        return {"weight": _vec_json(c.weight), "even_dim": c.even_dim, "odd_dim": c.odd_dim,
+                "basis": [_vec_json(v, n) for v in c.basis]}
+
+    return {"components": [component(c) for c in datum.components],
+            "zero_component": component(datum.zero_component)}
 
 
 def _run_decompose(args, out: _Output) -> int:
@@ -613,7 +596,7 @@ def _build_parser(argv=()) -> argparse.ArgumentParser:
     # call, so a handler replaced on the module (as a test does) is the one run
     commands = {
         "construct": ("emit a named algebra as SCA", _run_construct, [
-            ("what", {"choices": list(_CONSTRUCT_ARITY)}), ("params", {"nargs": "*"}), _OUT,
+            ("what", {"choices": list(_CONSTRUCT)}), ("params", {"nargs": "*"}), _OUT,
             ("--cover-out", {"help": "write the embedded sl cover map (slA only)"})]),
         "check": ("run the axiom validator for the file's kind", _run_check, [_FILE, _OUT]),
         "decompose": ("weight decomposition against a Cartan basis", _run_decompose, [

@@ -4,7 +4,9 @@ extensions and central-isogeny fingerprints.
 Cocycles are parametrized by independent pair coordinates (i < j plus the
 odd diagonal); super-skewness means phi(x,y) = -(-1)^{|x||y|} phi(y,x)
 uniformly, and the cocycle identity carries the same cyclic signs as the
-super Jacobi identity.
+super Jacobi identity.  A triple (i, j, k) reads its three brackets from
+the rows i and j of the table: [b_k, b_i] = -(-1)^{|k||i|}[b_i, b_k] on a
+super-anticommutative table, so no transposed copy is built.
 
 Both linear systems are built over Python integers, on the table's
 integer form (StructureTable.integer_form).  A cocycle-identity row with a
@@ -128,10 +130,6 @@ def _cocycle_rows(l: LieSuperalgebra, parity: int, pos: dict, weights: list) -> 
     for (i, j), t in pos.items():
         slot[j][i] = (t, 1)
         slot[i][j] = (t, 1 if par[i] and par[j] else -1)
-    left = [{} for _ in range(n)]  # left[b][a] = itab[a][b] = [b_a, b_b]
-    for a in range(n):
-        for b, terms in itab[a].items():
-            left[b][a] = terms
     neg = [tuple(-x for x in w) for w in weights]
     by_weight = _weight_groups(par, weights)
     killed: set = set()
@@ -156,14 +154,15 @@ def _cocycle_rows(l: LieSuperalgebra, parity: int, pos: dict, weights: list) -> 
             if not ks:
                 continue
             ks = ks[bisect_left(ks, j):]
-            # the cyclic signs (-1)^{|a||c|} of the three terms
+            # the cyclic signs (-1)^{|a||c|} of the three terms, the third
+            # times -(-1)^{|k||i|}: [b_k, b_i] is read from row i
             s1 = -1 if par[i] and want else 1
             s2 = -1 if par[j] and par[i] else 1
-            s3 = -1 if want and par[j] else 1
-            tij = itab[i].get(j)
-            rj, li = itab[j], left[i]
+            s3 = (1 if want and par[j] else -1) * s1
+            ri, rj = itab[i], itab[j]
+            tij = ri.get(j)
             if not tij:
-                ks = [k for k in ks if k in rj or k in li]
+                ks = [k for k in ks if k in rj or k in ri]
             for k in ks:
                 row: dict = {}
                 if tij:
@@ -171,9 +170,9 @@ def _cocycle_rows(l: LieSuperalgebra, parity: int, pos: dict, weights: list) -> 
                 tjk = rj.get(k)
                 if tjk:
                     add(row, tjk, s2, slot[i])
-                tki = li.get(k)
-                if tki:
-                    add(row, tki, s3, slot[j])
+                tik = ri.get(k)
+                if tik:
+                    add(row, tik, s3, slot[j])
                 if len(row) == 1:
                     killed.update(row)
                 elif row:

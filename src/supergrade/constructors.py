@@ -22,7 +22,6 @@ algebra wrappers, which the tests re-validate.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -46,7 +45,6 @@ from .superalg import (
     SuperSpace,
     _dense_element,
     _integer_row,
-    _product,
     _sparse_element,
     _symmetrized,
     matrix_unit_products,
@@ -72,16 +70,6 @@ class CartanBasis:
 
     def __len__(self):
         return len(self.elements)
-
-
-def _check_cartan(l, cartan: CartanBasis):
-    for x in cartan.elements:
-        if x.parity != 0:
-            raise ValidationError("Cartan elements must be even")
-    sparse = [_sparse_element(l, x).items() for x in cartan.elements]
-    for x, y in itertools.combinations(sparse, 2):
-        if _product(l.table, x, y):
-            raise ValidationError("Cartan elements must commute pairwise")
 
 
 def _matrix_units(p: int, q: int) -> tuple[list, SuperSpace]:

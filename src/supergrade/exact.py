@@ -418,11 +418,13 @@ def sparse_transpose(cols: Sequence[dict], nrows: int) -> list[dict]:
 
 def sparse_apply(cols: Sequence[dict], v: dict) -> dict:
     """A v for a sparse v and a linear map A given by its sparse columns,
-    touching only the columns at the nonzeros of v; zeros are dropped."""
-    acc: dict[int, Fraction] = {}
+    touching only the columns at the nonzeros of v; zeros are dropped.  The
+    sums start at int 0, as superalg._sparse_product's do: integer columns
+    and an integer v give int values, and Fraction inputs give Fractions."""
+    acc: dict = {}
     for j, x in v.items():
         for i, a in cols[j].items():
-            acc[i] = acc.get(i, ZERO) + x * a
+            acc[i] = acc.get(i, 0) + x * a
     return {i: x for i, x in acc.items() if x}
 
 

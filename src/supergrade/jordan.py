@@ -27,6 +27,7 @@ needed against overflow.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from ._axioms import _bracket, _commutators, _operator
 from .errors import (
@@ -164,8 +165,6 @@ def _pair_parity(row: dict, j: JordanSuperalgebra) -> int:
 
 def tkk(j: JordanSuperalgebra) -> TKKAlgebra:
     """Tits-Kantor-Koecher Lie superalgebra of a unital Jordan superalgebra."""
-    from math import lcm
-
     if j.unit is None:
         raise ValidationError("TKK needs a unital Jordan superalgebra")
     n = j.dim

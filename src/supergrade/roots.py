@@ -29,6 +29,7 @@ ThreeGrading are sparse rows; only the Cartan elements are dense Elements.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -57,6 +58,7 @@ from .superalg import (
     LieSuperalgebra,
     ThreeGrading,
     _dense_element,
+    _first_noncentral,
     _integer_row,
     _product,
     _sparse_element,
@@ -123,6 +125,16 @@ def _eigen_split(cols: list, witness: str):
     return [(lam, eigenspace(rows, lam)) for lam, _ in roots]
 
 
+def _check_cartan(l: LieSuperalgebra, cartan: CartanBasis):
+    for x in cartan.elements:
+        if x.parity != 0:
+            raise ValidationError("Cartan elements must be even")
+    sparse = [_sparse_element(l, x).items() for x in cartan.elements]
+    for x, y in itertools.combinations(sparse, 2):
+        if _product(l.table, x, y):
+            raise ValidationError("Cartan elements must commute pairwise")
+
+
 def weight_decomposition(l: LieSuperalgebra, cartan: CartanBasis) -> RootDatum:
     """Simultaneous rational-eigenspace decomposition of ad(h) for h in the
     Cartan basis.  Fails if some ad(h) has an irrational eigenvalue or is
@@ -131,8 +143,6 @@ def weight_decomposition(l: LieSuperalgebra, cartan: CartanBasis) -> RootDatum:
     A Cartan supported on toral basis elements is read off the table
     (_toral_datum); any other goes through the refinement (_refined_datum).
     Both give the same canonical components."""
-    from .constructors import _check_cartan
-
     _check_cartan(l, cartan)
     datum = _toral_datum(l, cartan)
     return _refined_datum(l, cartan) if datum is None else datum
@@ -356,12 +366,9 @@ def _analyze_sl_cover(l: LieSuperalgebra, cover: CoverEmbedding) -> CoverAnalysi
         di, wi = rows[i]
         for j in range(i, ref.dim):
             dj, wj = rows[j]
-            expect = {}
-            for m, c in rmults[i].get(j, ()):
-                for k, x in cols[m].items():
-                    expect[k] = expect.get(k, 0) + c * x
+            expect = sparse_apply(cols, dict(rmults[i].get(j, ())))
             lhs = {k: r * big * c for k, c in _sparse_product(L, wi.items(), wj.items()).items()}
-            if lhs != {k: di * dj * s * c for k, c in expect.items() if c}:
+            if lhs != {k: di * dj * s * c for k, c in expect.items()}:
                 raise NotHomomorphism(
                     f"embedding fails the homomorphism law on cover basis pair ({i},{j})"
                 )
@@ -623,7 +630,7 @@ def check_z_trivial(l: LieSuperalgebra, cover) -> ZTrivialReport:
         z = sparse_apply(cover.images, zc)
     else:
         z = _sparse_element(l, cover)
-    j = next((j for j in range(l.dim) if _product(l.table, z.items(), ((j, ONE),))), None)
+    j = _first_noncentral(l.table.integer_form()[1], z)
     return ZTrivialReport(passed=True) if j is None else ZTrivialReport(passed=False, witness=j)
 
 

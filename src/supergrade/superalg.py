@@ -67,8 +67,9 @@ class SuperSpace:
 
 
 def homogeneous_parity(space: SuperSpace, row: dict) -> int | None:
-    """Parity of a homogeneous sparse row, or None if mixed (0 counts as even)."""
-    seen = {space.parity[i] for i in row}
+    """Parity of a homogeneous sparse row, or None if mixed (0 counts as
+    even); the support is the keys with a nonzero value."""
+    seen = {space.parity[i] for i, c in row.items() if c}
     if len(seen) > 1:
         return None
     return seen.pop() if seen else 0
@@ -466,6 +467,19 @@ def derived_rref(l: _AlgebraBase) -> SparseRref:
     return sr
 
 
+def _first_noncentral(L: list, z: dict) -> int | None:
+    """The smallest j with z * b_j != 0, or None, for a sparse row z on
+    integer rows L: one pass over the rows of z's support, on the integer
+    row d z (_integer_row)."""
+    acc: dict[int, dict] = {}  # j -> d s (z * b_j)
+    for i, c in _integer_row(z)[1].items():
+        for j, terms in L[i].items():
+            row = acc.setdefault(j, {})
+            for k, v in terms:
+                row[k] = row.get(k, 0) + c * v
+    return min((j for j, row in acc.items() if any(row.values())), default=None)
+
+
 def quotient_central(l: LieSuperalgebra, zbasis: Sequence) -> LieSuperalgebra:
     """Quotient by a central graded subspace, spanned by sparse rows.
 
@@ -476,11 +490,10 @@ def quotient_central(l: LieSuperalgebra, zbasis: Sequence) -> LieSuperalgebra:
     element of l, for exact.sparse_apply: a kept b_j maps to itself and the
     b_j at a pivot to minus the rest of that pivot's RREF row.
 
-    Centrality is checked on integer rows: z * b_j for every j in one pass
-    over the rows of z's support.  A kept row with no term at a pivot is
-    copied with its indices moved; only the others are reduced, each to
-    out / m at scale s m (SparseRref._reduce), so the quotient's rows are
-    at scale s M, M the lcm of the m.
+    Centrality is checked on integer rows (_first_noncentral).  A kept row
+    with no term at a pivot is copied with its indices moved; only the
+    others are reduced, each to out / m at scale s m (SparseRref._reduce),
+    so the quotient's rows are at scale s M, M the lcm of the m.
     """
     n = l.dim
     s, L = l.table.integer_form()
@@ -488,17 +501,10 @@ def quotient_central(l: LieSuperalgebra, zbasis: Sequence) -> LieSuperalgebra:
     for z in zbasis:
         if homogeneous_parity(l.space, z) is None:
             raise NotCentral("central subspace generator is not parity-homogeneous")
-        _, zs = _integer_row(z)
-        acc: dict[int, dict] = {}  # j -> d s (z * b_j)
-        for i, c in zs.items():
-            for j, terms in L[i].items():
-                row = acc.setdefault(j, {})
-                for k, v in terms:
-                    row[k] = row.get(k, 0) + c * v
-        failing = [j for j, row in acc.items() if any(row.values())]
-        if failing:
-            raise NotCentral(f"generator fails centrality against basis element {min(failing)}")
-        zr.insert(zs)
+        j = _first_noncentral(L, z)
+        if j is not None:
+            raise NotCentral(f"generator fails centrality against basis element {j}")
+        zr.insert(z)
     rows = dict(zip(zr.pivots(), zr.basis()))
     keep = [c for c in range(n) if c not in rows]
     pos = {c: t for t, c in enumerate(keep)}
@@ -574,9 +580,9 @@ def _symmetrized(form: tuple, parity: Sequence, sign: int) -> tuple[int, list[di
 
 def _integer_row(v: dict) -> tuple[int, dict]:
     """(d, d v) for a sparse rational vector v, d the lcm of its
-    denominators."""
+    denominators, with any zero value dropped."""
     d = lcm(1, *(c.denominator for c in v.values()))
-    return d, {k: c.numerator * (d // c.denominator) for k, c in v.items()}
+    return d, {k: c.numerator * (d // c.denominator) for k, c in v.items() if c}
 
 
 class SubspaceCoords:

@@ -452,6 +452,29 @@ def test_cohomology_matches_fraction_oracle(case):
     assert H.h2_dims(l) == tuple(dims) == H2[name]
 
 
+def test_h2_on_weight_zero_cochains_is_the_full_complement(psl22, sl21, tkk_m11):
+    # h2_representatives and h2_dims solve on the weight-zero cochains alone;
+    # on tables with odd elements and several weights they must give the
+    # complement of the full B^2 in the full Z^2, picked in basis order
+    for l in (psl22, sl21, H.uce(psl22).extended, tkk_m11.lie):
+        assert any(l.parity) and len(set(l.table.toral_weights())) > 2
+        dims = []
+        for parity in (0, 1):
+            pairs, _ = H._pair_index(l.space, parity, [()] * l.dim)
+
+            def row(c):
+                return {t: c.form[p] for t, p in enumerate(pairs) if p in c.form}
+
+            zs, bs = H.cocycle_space(l, parity), H.coboundary_space(l, parity)
+            sr = SparseRref(len(pairs))
+            for b in bs:
+                sr.insert(row(b))
+            want = [z.form for z in zs if sr.insert(row(z)) is not None]
+            assert [r.form for r in H.h2_representatives(l, parity)] == want
+            dims.append(len(zs) - len(bs))
+        assert H.h2_dims(l) == tuple(dims)
+
+
 def _weight_counts(l):
     """(toral basis elements, weight-0 pairs even, odd, all pairs even, odd)."""
     w = l.table.toral_weights()

@@ -381,6 +381,25 @@ def test_check_z_trivial_failure_witness():
     assert rep.witness == 1
 
 
+def test_check_z_trivial_and_quotient_central_name_the_same_witness(psl22, sl21):
+    # both read the smallest j with z * b_j != 0 off one integer-row pass;
+    # the scan over j of the products is the reference
+    from supergrade.errors import NotCentral
+
+    cases = [(psl22, C.matrix_unit_in_psl(psl22, 0, 1)),
+             (psl22, C.matrix_unit_in_psl(psl22, 1, 2)),
+             (psl22, {k: F(1, k + 2) for k in range(psl22.dim) if not psl22.parity[k]}),
+             (sl21, {0: F(3, 2)}),
+             (sl21, {sl21.dim - 1: F(-1)})]
+    for l, z in cases:
+        want = min(j for j in range(l.dim) if superalg._product(l.table, z.items(), [(j, 1)]))
+        rep = R.check_z_trivial(l, sparse_to_dense(z, l.dim))
+        assert (rep.passed, rep.witness) == (False, want)
+        with pytest.raises(NotCentral) as exc:
+            superalg.quotient_central(l, [z])
+        assert str(exc.value) == f"generator fails centrality against basis element {want}"
+
+
 @pytest.fixture(scope="module")
 def psl33_two_thirds(psl33):
     # every other basis vector times 2/3: the table has denominators 2, 3 and 9

@@ -185,6 +185,54 @@ def test_edge_guard_sees_its_cases():
     assert _converter_uses(text) == {None, "A.f", "g.h"}
 
 
+# the functions that import inside their body, each where start-up or an
+# import cycle needs it: every function of cli ("*"), which imports what a
+# command runs at the point of use; check_unit, as superalg imports _axioms;
+# fingerprint, so that the cohomology commands load no roots or
+# constructors; construct_jordan, so that roots and the other constructions
+# load no jordan
+LAZY_IMPORTS = {
+    ("cli", "*"),
+    ("_axioms", "check_unit"),
+    ("cohomology", "fingerprint"),
+    ("constructors", "construct_jordan"),
+}
+
+
+def _function_imports(text: str) -> set:
+    """Dotted name of the enclosing class and function of every import
+    statement inside a function body."""
+    found = set()
+
+    def visit(node, scope, in_function):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+            in_function = in_function or isinstance(node, ast.FunctionDef)
+        if in_function and isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, in_function)
+
+    visit(ast.parse(text), None, False)
+    return found
+
+
+def test_imports_are_at_module_top_but_where_start_up_or_a_cycle_needs_them():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    uses = {(m, scope) for m, text in sources.items() for scope in _function_imports(text)}
+    assert {(m, "*" if m == "cli" else scope) for m, scope in uses} == LAZY_IMPORTS
+    # cli's handlers and _digest are among the places
+    assert {("cli", "_digest"), ("cli", "_run_tkk")} <= uses
+
+
+def test_function_import_guard_sees_its_cases():
+    text = ("import os\nfrom . import a\n"
+            "class A:\n    from . import b\n    def f(self):\n        from .c import d\n"
+            "def g():\n    def h():\n        import json\n    return h\n"
+            "def k():\n    return 'import x'\n")
+    assert _function_imports(text) == {"A.f", "g.h"}
+
+
 def _hard_exit_callers(sources: dict) -> list:
     """(module, top-level definition) of every reference to os._exit."""
     found = []

@@ -110,6 +110,18 @@ def test_sparse_apply_matches_dense_product(case, data):
     assert sparse_transpose(cols, d) == [dense_to_sparse(a.row(i)) for i in range(d)]
 
 
+def test_sparse_apply_keeps_the_type_of_its_inputs():
+    # the sums start at int 0: integer columns and an integer vector give
+    # int values, as superalg._sparse_product does, and a Fraction vector
+    # gives Fractions; cancelled entries are dropped either way
+    cols = [{0: 2, 1: -3}, {1: 3, 2: 5}]
+    got = sparse_apply(cols, {0: 1, 1: 1})
+    assert got == {0: 2, 2: 5} and all(type(x) is int for x in got.values())
+    got = sparse_apply(cols, {0: F(1, 2), 1: F(1)})
+    assert got == {0: 1, 1: F(3, 2), 2: 5} and all(type(x) is F for x in got.values())
+    assert sparse_apply(cols, {}) == {}
+
+
 def test_restricted_table_rejects_dependent_basis():
     gl = C.construct_gl(1, 1)
     basis = [{0: F(1)}, {3: F(1)}, {0: F(1), 3: F(1)}]

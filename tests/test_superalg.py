@@ -21,6 +21,7 @@ from supergrade.superalg import (
     derived_rref,
     homogeneous_parity,
     quotient_central,
+    restricted_table,
     validate_assoc,
     validate_jordan,
     validate_lie,
@@ -294,6 +295,24 @@ def test_quotient_reports_the_reduction_errors(sl22, psl22):
 def test_quotient_rejects_noncentral(sl22):
     with pytest.raises(NotCentral):
         quotient_central(sl22, [{0: F(1)}])
+
+
+def test_explicit_zero_values_are_outside_the_support():
+    # a sparse row that carries a zero value is the row without it: on
+    # gl(1,1), with parities (0, 1, 1, 0), a zero at the odd e_12 once made
+    # each of these calls read e_11 as mixed
+    gl = C.construct_gl(1, 1)
+    assert homogeneous_parity(gl.space, {0: F(1), 1: F(0)}) == 0
+    assert homogeneous_parity(gl.space, {1: F(1), 0: F(0)}) == 1
+    with_zero = restricted_table(gl, [{0: F(1), 1: F(0)}, {3: F(1)}])[0]
+    without = restricted_table(gl, [{0: F(1)}, {3: F(1)}])[0]
+    assert with_zero.integer_form() == without.integer_form()
+    assert with_zero.space.parity == without.space.parity == (0, 0)
+    with_zero = quotient_central(gl, [{0: F(1), 3: F(1), 1: F(0)}])
+    without = quotient_central(gl, [{0: F(1), 3: F(1)}])
+    assert with_zero.table.integer_form() == without.table.integer_form()
+    assert with_zero.space.parity == without.space.parity
+    assert with_zero.provenance == without.provenance
 
 
 def test_tensor_with_field_is_gl():
